@@ -45,7 +45,16 @@ every mode, not just open loop.
 The C code mirrors the *reference* engine's decision loop (routers
 ascending, link outputs then ejection, circular round-robin scan,
 decide-all-then-apply) — the simplest shape to audit against
-``reference.py`` side by side.
+``reference.py`` side by side.  The decide loop is occupancy-driven: it
+reads ``backlog[r*O + out]`` for every (router, out) row and enters the
+P-wide input scan only where that is positive.  ``backlog`` is the
+exact sum of the row's ``voq_count`` entries — every mutation site, C
+and numpy, moves the two together (pinned per cycle by
+``tests/test_flitsim_saturation.py``) — so a skipped row holds no flit,
+grants nothing, and leaves its round-robin pointer untouched: the
+result is bit-identical to the full scan, while the per-cycle cost is
+N*O row reads plus work proportional to flits in flight instead of
+N*(d+1)*P queue probes.
 """
 
 from __future__ import annotations
@@ -204,6 +213,11 @@ void kfeed(SimState *st, int64_t now)
         int64_t f = st->src_head[e];
         if (f < 0)
             continue;
+        /* Outside fault mode nothing precedes the credit check, so a
+         * blocked endpoint skips the port search; under faults the
+         * doomed-head drop below is decided first and needs `out`. */
+        if (!fm && st->ep_credit[e] <= 0)
+            continue;
         int64_t r = st->ep_router[e];
         int64_t pid = st->pool_pid[f];
         int64_t out;
@@ -238,13 +252,18 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
     int64_t ng = 0;
 
     /* Decide: routers ascending, link outputs ascending, eject last;
-     * per output a circular scan of input ports from the rr pointer. */
+     * per output a circular scan of input ports from the rr pointer.
+     * backlog[row] is the sum of voq_count over the row's inputs, so an
+     * empty row can grant nothing and leaves rr untouched: only rows
+     * holding flits pay the P-wide scan. */
     for (int64_t r = 0; r < n; r++) {
         int64_t d = st->deg[r];
         int64_t P = st->ports[r];
         for (int64_t oi = 0; oi <= d; oi++) {
             int64_t out = (oi == d) ? OE : oi;
             int64_t row = r * O + out;
+            if (st->backlog[row] <= 0)
+                continue;
             int64_t limit = 1;
             if (out == OE && st->conc[r] > 1)
                 limit = st->conc[r];
@@ -299,8 +318,9 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
         int64_t hop = st->pool_hop[f];
         int64_t off = pid * st->stride;
         if (in < st->deg[r]) {
-            int64_t up = st->route_buf[off + hop - 1];
-            int64_t upp = port_of(st, up, r);
+            /* Link input `in` is fed by exactly one upstream port. */
+            int64_t up = st->nbr[r * Dp + in];
+            int64_t upp = st->rev[r * Dp + in];
             int64_t vc = hop - 1;
             if (vc > V - 1)
                 vc = V - 1;

@@ -100,28 +100,48 @@ def test_specs_cover_every_registered_generator():
     )
 
 
-@pytest.mark.parametrize("fault_spec", FAULT_SPECS)
-@pytest.mark.parametrize("policy_spec", ["min", "ugal-pf"])
-def test_flat_matches_reference_open_loop(pf, tables, fault_spec, policy_spec):
+def check_open_loop(pf, tables, policy_spec, fault_spec, load, windows):
+    """Reference vs both flat cycle paths on one faulted open-loop cell."""
     sim = build(
         pf, tables, policy_spec, fault_spec, NetworkSimulator,
-        traffic=UniformTraffic(pf), load=0.4, seed=7,
+        traffic=UniformTraffic(pf), load=load, seed=7,
     )
-    ra = sim.run(warmup=200, measure=400, drain=150)
+    ra = sim.run(**windows)
     fa = sim.fault_result
     assert fa.applied_events > 0, "timeline must actually fire in-window"
     for label, ctx, expect_kernel in flat_variants():
         with ctx():
             fsim = build(
                 pf, tables, policy_spec, fault_spec, FlatSimulator,
-                traffic=UniformTraffic(pf), load=0.4, seed=7,
+                traffic=UniformTraffic(pf), load=load, seed=7,
             )
         assert (fsim._kernel is not None) == expect_kernel, (
             f"{label} must {'use' if expect_kernel else 'skip'} the C kernel"
         )
-        rb = fsim.run(warmup=200, measure=400, drain=150)
+        rb = fsim.run(**windows)
         assert_sim_identical(ra, rb)
         assert_fault_identical(fa, fsim.fault_result)
+
+
+@pytest.mark.parametrize("fault_spec", FAULT_SPECS)
+@pytest.mark.parametrize("policy_spec", ["min", "ugal-pf"])
+def test_flat_matches_reference_open_loop(pf, tables, fault_spec, policy_spec):
+    check_open_loop(
+        pf, tables, policy_spec, fault_spec, 0.4,
+        dict(warmup=200, measure=400, drain=150),
+    )
+
+
+def test_flat_matches_reference_sparse_regime():
+    # PolarFly q=13 at load 0.05: nearly every (router, out) row is
+    # empty, the rows the C kernel's decide loop skips; the flapping
+    # links go down and come back inside the 150 simulated cycles.
+    pf13 = PolarFly(13, concentration=2)
+    check_open_loop(
+        pf13, RoutingTables(pf13), "ugal-pf",
+        "linkflap:count=12,cycle=40,duration=60,seed=1", 0.05,
+        dict(warmup=30, measure=90, drain=30),
+    )
 
 
 @pytest.mark.parametrize(

@@ -16,13 +16,16 @@ import pytest
 from repro.experiments.registry import POLICIES, TOPOLOGIES, TRAFFICS
 from repro.experiments.runner import auto_sim_config
 from repro.flitsim import FlatSimulator, NetworkSimulator
-from repro.flitsim._kernel import load_kernel
+from repro.flitsim._kernel import load_kernel, numpy_fallback
 from repro.routing.tables import RoutingTables
 
 # One small topology per family; PolarFly covers the paper's policies,
 # the fat tree covers NCA routing.
 PF_SPEC = "polarfly:conc=2,q=5"
 FT_SPEC = "fattree:k=4,n=2"
+# Mid-size PolarFly at low load: most (router, out) rows hold no flits,
+# the rows the C kernel's decide loop skips.
+SPARSE_SPEC = "polarfly:conc=2,q=13"
 
 #: (topology, policy, traffic, load) — ≥ 8 cells, all 7 registered
 #: policies, loads from light to saturating.
@@ -53,10 +56,10 @@ def _objects(topo_spec, policy_spec, traffic_spec):
     )
 
 
-def _run(cls, topo, policy, traffic, load, seed, drain=80):
+def _run(cls, topo, policy, traffic, load, seed, drain=80, warmup=60, measure=150):
     cfg = auto_sim_config(policy)
     sim = cls(topo, policy, traffic, load, config=cfg, seed=seed)
-    res = sim.run(warmup=60, measure=150, drain=drain)
+    res = sim.run(warmup=warmup, measure=measure, drain=drain)
     return res, sim
 
 
@@ -125,6 +128,28 @@ def test_kernel_path_matches_numpy_path(monkeypatch):
     plain, psim = _run(FlatSimulator, topo, policy, traffic, 0.6, seed=5)
     assert psim._kernel is None
     assert_identical(kern, plain)
+
+
+@pytest.mark.parametrize("policy_spec", ["min", "ugal-pf"])
+def test_sparse_regime_three_paths_agree(policy_spec):
+    topo, policy, traffic = _objects(SPARSE_SPEC, policy_spec, "uniform")
+    windows = dict(warmup=30, measure=120, drain=0)
+    ref, _ = _run(NetworkSimulator, topo, policy, traffic, 0.05, seed=13, **windows)
+    with numpy_fallback():
+        plain, psim = _run(
+            FlatSimulator, topo, policy, traffic, 0.05, seed=13, **windows
+        )
+    assert psim._kernel is None
+    assert_identical(ref, plain)
+    # drain=0 leaves the run's last cycle in place: the cell must sit in
+    # the regime it is named for.
+    assert 0 < np.count_nonzero(psim.backlog) < 0.1 * psim.backlog.size
+    if load_kernel() is None:
+        pytest.skip("C kernel unavailable (reference vs numpy checked)")
+    kern, ksim = _run(FlatSimulator, topo, policy, traffic, 0.05, seed=13, **windows)
+    assert ksim._kernel is not None
+    assert_identical(ref, kern)
+    assert np.array_equal(ksim.backlog, psim.backlog)
 
 
 def test_congestion_views_agree_under_load():

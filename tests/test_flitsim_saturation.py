@@ -7,16 +7,22 @@ router mixed in.  Both engines must agree bit-for-bit, and a fully
 drained network must return every credit it borrowed.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.core import PolarFly
+from repro.experiments import FAULTS, WORKLOADS
+from repro.experiments.runner import auto_sim_config
+from repro.faults import prepare_fault_policy
 from repro.flitsim import (
     FlatSimulator,
     NetworkSimulator,
     SimConfig,
     UniformTraffic,
 )
+from repro.flitsim._kernel import load_kernel, numpy_fallback
 from repro.routing import (
     MinimalRouting,
     RoutingTables,
@@ -144,3 +150,94 @@ class TestSaturationBackpressure:
         # (unused slots keep the -1 sentinel).
         assert sim.packets_injected > 0
         assert not (sim.pkt_dst == 3).any()
+
+
+def assert_backlog_is_voq_row_sum(sim):
+    fab = sim.fab
+    assert (sim.backlog >= 0).all()
+    assert np.array_equal(
+        sim.backlog.reshape(fab.n, fab.O),
+        sim.voq_count.reshape(fab.n, fab.I, fab.O).sum(axis=1),
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        pytest.param(numpy_fallback, id="flat-numpy"),
+        pytest.param(
+            contextlib.nullcontext,
+            id="flat-kernel",
+            marks=pytest.mark.skipif(
+                load_kernel() is None, reason="C kernel unavailable"
+            ),
+        ),
+    ],
+)
+class TestBacklogMirrorsVoqCounts:
+    """``backlog[r, out] == sum_in voq_count[r, in, out]`` after every cycle.
+
+    The C kernel's decide loop skips (router, out) rows whose backlog is
+    zero, so the counter must be exact at every mutation site of both
+    cycle paths: feed, grant, forward, wire kills, event-time queue
+    drops, and epoch table swaps.
+    """
+
+    def test_open_loop(self, pf, tables, path):
+        with path():
+            sim = FlatSimulator(
+                pf, UGALPFRouting(tables), UniformTraffic(pf), 0.8, seed=5
+            )
+        for _ in range(200):
+            sim.step()
+            assert_backlog_is_voq_row_sum(sim)
+        assert sim.backlog.any()
+        drain_to_quiescence(sim)
+        assert sim.live_flits() == 0
+        assert (sim.backlog == 0).all()
+
+    def test_closed_loop(self, pf, tables, path):
+        policy = UGALPFRouting(tables)
+        wl = WORKLOADS.create("alltoall:size=8", pf)
+        with path():
+            sim = FlatSimulator(
+                pf, policy, None, 0.0, config=auto_sim_config(policy),
+                seed=3, workload=wl,
+            )
+        sim._measuring = True
+        while not sim._wl.done:
+            assert sim.now < 20_000
+            sim.step()
+            assert_backlog_is_voq_row_sum(sim)
+        assert (sim.backlog == 0).all()
+
+    @pytest.mark.parametrize(
+        "fault_spec",
+        [
+            "linkflap:count=8,cycle=120,duration=150,seed=1",
+            "mtbf:count=3,mtbf=120,mttr=100,seed=2,start=60",
+            "routerdown:cycle=120,count=1,duration=150,seed=3",
+            "progressive:frac=0.08,steps=3,period=90,start=100,seed=4",
+        ],
+    )
+    def test_across_fault_epochs(self, pf, tables, path, fault_spec):
+        timeline = FAULTS.create(fault_spec, pf)
+        policy = MinimalRouting(tables)
+        prepare_fault_policy(policy, timeline, pf)
+        with path():
+            sim = FlatSimulator(
+                pf, policy, UniformTraffic(pf), 0.6,
+                config=auto_sim_config(policy), seed=7, faults=timeline,
+            )
+        deltas = [d for d in sim._fault.deltas if d is not None]
+        assert any(d.down_links or d.down_routers for d in deltas)
+        if not fault_spec.startswith("progressive"):  # it never repairs
+            assert any(d.up_links or d.up_routers for d in deltas)
+        sim._fault.begin_run(policy)
+        for _ in range(deltas[-1].cycle + 50):
+            sim.step()
+            assert_backlog_is_voq_row_sum(sim)
+        assert sim._fault.dropped_flits > 0
+        drain_to_quiescence(sim)
+        assert sim.live_flits() == 0
+        assert (sim.backlog == 0).all()

@@ -9,10 +9,11 @@
 ``--check RATIO`` exits nonzero when any benchmarked cell's
 flat-over-reference speedup falls below RATIO — the CI perf job runs
 with ``--check 1.0`` so a regression that makes the flat engine slower
-than the reference fails the build.  Workload and fault cells also
-record a kernel-over-numpy speedup (the flat engine timed with and
+than the reference fails the build.  Workload, fault and scale cells
+also record a kernel-over-numpy speedup (the flat engine timed with and
 without the C cycle kernel); the same RATIO gates it, so losing the
-kernel path's advantage on closed-loop/fault cells fails too.  When no
+kernel path's advantage on closed-loop/fault cells or at large N
+(PolarFly q=53, PolarStar (11,25)) fails too.  When no
 compiler is present the kernel cells are skipped with a visible notice
 instead of gating a meaningless 1x ratio.  The ``sweep_resilience``
 section times the crash-resilient sweep scheduler against a bare
@@ -253,7 +254,13 @@ def main(argv=None) -> int:
         ]
         line = f"{name:28s} " + "   ".join(parts)
         if "speedup_kernel_over_numpy" in entry:
-            line += f"   kernel {entry['speedup_kernel_over_numpy']:.2f}x"
+            kernel = entry["speedup_kernel_over_numpy"]
+            line += f"   kernel {kernel:.2f}x"
+            if args.check is not None and kernel < args.check:
+                failed.append(
+                    f"scale cell {name} kernel-over-numpy {kernel:.2f}x < "
+                    f"required {args.check:.2f}x"
+                )
         print(line)
 
     sr = doc.get("sweep_resilience")
