@@ -29,12 +29,30 @@ every mode, not just open loop.
   event-time queue drops stay in Python (they are rare); they mutate
   the very arrays the kernel is bound to, so no re-binding is needed.
 
+* *Route selection* (``kselect``) is the same module's second job: the
+  batch protocol of ``policy.select_routes`` for exactly
+  ``MinimalRouting``, ``ValiantRouting``, ``CompactValiantRouting``,
+  ``UGALRouting`` and ``UGALPFRouting``, over the routing tables'
+  existing arrays and the caller's own ``numpy.random.Generator`` bit
+  stream (``bitgen_t``).  **The numpy ``select_routes`` bodies in
+  :mod:`repro.routing.policies` define the stream — which draws, with
+  which bounds, in which order — and the C code mirrors them literally**
+  (column-major ECMP walk, Valiant's draw/redraw/walk/walk sequence,
+  32-bit Lemire rejection, no draw for a bound of 1); a change to either
+  side is a change to both.  :mod:`repro.flitsim.kselect` holds the host
+  half and the conditions under which the mirror declines.  Since
+  bit-identity now rests on ``Generator.integers``' algorithm,
+  :func:`load_kernel` self-tests the C draws against numpy's at load
+  (< 1 ms) and records the verdict as ``module.select_ok``; on a
+  mismatch every simulator keeps the numpy bodies.
+
 * Loading is best-effort: no cffi, no C compiler, or any compile error
   yields ``None`` (with a one-line stderr diagnostic) and
   :class:`~repro.flitsim.flatcore.FlatSimulator` falls back to its
   pure-numpy path (bit-identical results either way — the golden
   equivalence tests run both).
-* ``REPRO_FLAT_KERNEL=0`` disables the kernel explicitly; the setting
+* ``REPRO_FLAT_KERNEL=0`` (or ``false``/``off``/``no``) disables the
+  kernel — cycle loop and route selection — explicitly; the setting
   is re-read on every :func:`load_kernel` call, so tests and benchmarks
   can toggle the cycle path per construction without reloading.
 * Compiled modules are cached under ``$REPRO_KERNEL_CACHE`` (default
@@ -67,7 +85,9 @@ import shutil
 import sys
 import tempfile
 
-__all__ = ["load_kernel", "kernel_enabled", "numpy_fallback"]
+from repro.utils.env import env_disabled
+
+__all__ = ["load_kernel", "kernel_enabled", "numpy_fallback", "bitgen_of"]
 
 _STRUCT = """
 typedef struct {
@@ -107,16 +127,50 @@ typedef struct {
 } SimState;
 """
 
-_CDEF = _STRUCT + """
+#: numpy's bit-generator ABI (``numpy/random/bitgen.h``, unchanged since
+#: 1.17) and the route-selection state ``kselect`` runs on.
+_SELECT_STRUCT = """
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+typedef struct {
+    /* 0 min, 1 valiant, 2 compact valiant, 3 ugal, 4 ugal-pf */
+    int64_t mode;
+    int64_t n, n_multi, bias, vc_depth;
+    double over;            /* ugal-pf: threshold * capacity */
+    /* RoutingTables: distance matrix + compact candidate table. */
+    int16_t *dist, *first, *multi_data;
+    uint8_t *count;
+    int64_t *multi_pairs, *multi_indptr;
+    /* CSR of policy.topo.graph — the *degraded* graph in a fault epoch,
+     * unlike SimState's adj_* port map of the intact fabric. */
+    int64_t *g_indptr, *g_indices;
+    int8_t *alive;          /* NULL: every router alive */
+    /* Scratch: cap * (2 * width + 13) int64; rows are `width` wide. */
+    int64_t cap, width;
+    int64_t *work;
+} Selector;
+"""
+
+_CDEF = _STRUCT + _SELECT_STRUCT + """
 void kinject(SimState *st, int64_t now, int64_t k,
              const int64_t *slots, const int64_t *winners);
 void kfeed(SimState *st, int64_t now);
 int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected);
+int64_t kselect(const SimState *st, const Selector *sel, bitgen_t *bg,
+                int64_t k, const int64_t *srcs, const int64_t *dsts);
+void kdraws(bitgen_t *bg, int64_t k, const int64_t *bounds, int64_t *out);
 """
 
 _C_SOURCE = """
 #include <stdint.h>
-""" + _STRUCT + """
+#include <string.h>
+""" + _STRUCT + _SELECT_STRUCT + """
 
 /* Account and release one dropped flit row (fault mode): bump the
  * flit-drop counter, flag the packet damaged, record a lost tail in the
@@ -135,21 +189,28 @@ static void drop_flit(SimState *st, int64_t f)
         st->pkt_free[(*st->pkt_free_top)++] = pid;
 }
 
+/* First index in sorted a[lo..hi) whose value is >= key (searchsorted). */
+static int64_t lower_bound(const int64_t *a, int64_t lo, int64_t hi,
+                           int64_t key)
+{
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (a[mid] < key)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
 /* Output port of router r toward adjacent vertex v: the offset of v in
  * r's sorted CSR neighbor slice (binary search over adj_indices).  The
  * CSR port map replaces the former dense n*n port matrix; callers only
  * pass genuinely adjacent (r, v) pairs. */
 static int64_t port_of(const SimState *st, int64_t r, int64_t v)
 {
-    int64_t lo = st->adj_indptr[r], hi = st->adj_indptr[r + 1];
-    while (lo < hi) {
-        int64_t mid = lo + (hi - lo) / 2;
-        if (st->adj_indices[mid] < v)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo - st->adj_indptr[r];
+    int64_t lo = st->adj_indptr[r];
+    return lower_bound(st->adj_indices, lo, st->adj_indptr[r + 1], v) - lo;
 }
 
 /* Append flit f to VOQ vq (row = router*O + out for the backlog). */
@@ -378,6 +439,238 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
     *n_ejected = n_ej;
     return n_tail;
 }
+
+/* ------------------------------------------------------------------
+ * Route selection.  `policy.select_routes` (routing/policies.py) defines
+ * each policy's RNG-consumption protocol; everything below mirrors those
+ * numpy bodies draw for draw, in the order numpy makes them.
+ * ------------------------------------------------------------------ */
+
+/* Generator.integers(bound) for 1 <= bound < 2**32: bound 1 draws
+ * nothing, anything else is numpy's 32-bit Lemire rejection
+ * (buffered_bounded_lemire_uint32) on the caller's own bit stream. */
+static int64_t draw(bitgen_t *bg, int64_t bound)
+{
+    if (bound <= 1)
+        return 0;
+    uint32_t rng = (uint32_t)(bound - 1), rng_excl = rng + 1;
+    uint64_t m = (uint64_t)bg->next_uint32(bg->state) * rng_excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < rng_excl) {
+        uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
+        while (leftover < threshold) {
+            m = (uint64_t)bg->next_uint32(bg->state) * rng_excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (int64_t)(m >> 32);
+}
+
+/* The load-time self-test's C half: out[i] = integers(bounds[i]). */
+void kdraws(bitgen_t *bg, int64_t k, const int64_t *bounds, int64_t *out)
+{
+    for (int64_t i = 0; i < k; i++)
+        out[i] = draw(bg, bounds[i]);
+}
+
+/* Row scratch array `i` (of 13) behind the two cap x width matrices. */
+static int64_t *scratch(const Selector *s, int64_t i)
+{
+    return s->work + (2 * s->width + i) * s->cap;
+}
+
+/* Output row of batch row j: row[j], or j itself for a whole batch. */
+static int64_t row_of(const int64_t *row, int64_t j)
+{
+    return row ? row[j] : j;
+}
+
+/* RoutingTables.shortest_paths_batch(from, to, rng) over m rows:
+ * column-major (for each path column, the rows still walking in row
+ * order), one draw per tied pair, overflow CSR only for picks > 0.
+ * Row j's path goes to out[row[j]] (row NULL: j) from column
+ * off0 + base[row[j]] (base NULL: 0) on; columns past the row width are
+ * dropped, the lengths stay exact.  wl[j] receives the path length. */
+static void walk(const Selector *s, bitgen_t *bg, int64_t m,
+                 const int64_t *from, const int64_t *to, const int64_t *row,
+                 int64_t *out, const int64_t *base, int64_t off0, int64_t *wl)
+{
+    int64_t n = s->n, W = s->width, max_len = 0;
+    int64_t *cur = scratch(s, 12);
+    for (int64_t j = 0; j < m; j++) {
+        int64_t r = row_of(row, j);
+        int64_t pos = off0 + (base ? base[r] : 0);
+        wl[j] = s->dist[from[j] * n + to[j]] + 1;
+        if (wl[j] > max_len)
+            max_len = wl[j];
+        cur[j] = from[j];
+        if ((uint64_t)pos < (uint64_t)W)
+            out[r * W + pos] = from[j];
+    }
+    for (int64_t col = 1; col < max_len; col++) {
+        for (int64_t j = 0; j < m; j++) {
+            if (wl[j] <= col)
+                continue;
+            int64_t pair = cur[j] * n + to[j];
+            int64_t nxt = s->first[pair];
+            int64_t cnt = s->count[pair];
+            if (cnt > 1) {
+                int64_t pick = draw(bg, cnt);
+                if (pick > 0) {
+                    int64_t mi = lower_bound(
+                        s->multi_pairs, 0, s->n_multi, pair);
+                    nxt = s->multi_data[s->multi_indptr[mi] + pick];
+                }
+            }
+            cur[j] = nxt;
+            int64_t r = row_of(row, j);
+            int64_t pos = off0 + (base ? base[r] : 0) + col;
+            if ((uint64_t)pos < (uint64_t)W)
+                out[r * W + pos] = nxt;
+        }
+    }
+}
+
+/* ValiantRouting.select_routes: m intermediates, the colliding/dead
+ * rows redrawn in order until clean, then src->mid for every row, then
+ * mid->dst spliced on at each row's first-leg end. */
+static void sel_valiant(const Selector *s, bitgen_t *bg, int64_t m,
+                        const int64_t *src, const int64_t *dst,
+                        const int64_t *row, int64_t *out, int64_t *ol)
+{
+    int64_t *mid = scratch(s, 9), *bad = scratch(s, 10), *wl = scratch(s, 11);
+    int64_t nb = m;
+    for (int64_t j = 0; j < m; j++) {
+        mid[j] = draw(bg, s->n);
+        bad[j] = j;
+    }
+    while (nb) {
+        int64_t keep = 0;
+        for (int64_t i = 0; i < nb; i++) {
+            int64_t j = bad[i], v = mid[j];
+            if (v == src[j] || v == dst[j] || (s->alive && !s->alive[v]))
+                bad[keep++] = j;
+        }
+        nb = keep;
+        for (int64_t i = 0; i < nb; i++)
+            mid[bad[i]] = draw(bg, s->n);
+    }
+    walk(s, bg, m, src, mid, row, out, 0, 0, wl);
+    for (int64_t j = 0; j < m; j++)
+        ol[row_of(row, j)] = wl[j];
+    walk(s, bg, m, mid, dst, row, out, ol, -1, wl);
+    for (int64_t j = 0; j < m; j++)
+        ol[row_of(row, j)] += wl[j] - 1;
+}
+
+/* CompactValiantRouting.select_routes: the dist > 1 rows first (one
+ * integers(degree[src]) each, then the mid->dst walk behind src), the
+ * adjacent rows by general Valiant. */
+static void sel_compact(const Selector *s, bitgen_t *bg, int64_t m,
+                        const int64_t *src, const int64_t *dst,
+                        const int64_t *row, int64_t *out, int64_t *ol)
+{
+    int64_t n = s->n, W = s->width;
+    int64_t *s2 = scratch(s, 6), *d2 = scratch(s, 7), *r2 = scratch(s, 8);
+    int64_t *mid = scratch(s, 9), *wl = scratch(s, 11);
+    for (int far = 1; far >= 0; far--) {
+        int64_t c = 0;
+        for (int64_t j = 0; j < m; j++) {
+            if ((s->dist[src[j] * n + dst[j]] > 1) != far)
+                continue;
+            s2[c] = src[j];
+            d2[c] = dst[j];
+            r2[c++] = row_of(row, j);
+        }
+        if (c == 0)
+            continue;
+        if (!far) {
+            sel_valiant(s, bg, c, s2, d2, r2, out, ol);
+            continue;
+        }
+        for (int64_t i = 0; i < c; i++) {
+            int64_t start = s->g_indptr[s2[i]];
+            mid[i] = s->g_indices[
+                start + draw(bg, s->g_indptr[s2[i] + 1] - start)];
+            out[r2[i] * W] = s2[i];
+        }
+        walk(s, bg, c, mid, d2, r2, out, 0, 1, wl);
+        for (int64_t i = 0; i < c; i++)
+            ol[r2[i]] = wl[i] + 1;
+    }
+}
+
+/* CongestionView.output_occupancy(r, next_hop): credit debt + backlog. */
+static int64_t occupancy(const SimState *st, const Selector *s,
+                         int64_t r, int64_t next_hop)
+{
+    int64_t port = port_of(st, r, next_hop);
+    return s->vc_depth - st->credits[(r * st->Dp + port) * st->V]
+        + st->backlog[r * st->O + port];
+}
+
+/* The batch protocol of policy.select_routes for the five vectorized
+ * policies.  Paths land in the first cap x width scratch matrix, their
+ * lengths in row array 0; returns the longest length — the caller
+ * checks it against the slot stride (rows wider than `width` were
+ * truncated, not written out of bounds) — or -1, before anything is
+ * drawn or written, when a router id is out of range. */
+int64_t kselect(const SimState *st, const Selector *s, bitgen_t *bg,
+                int64_t k, const int64_t *srcs, const int64_t *dsts)
+{
+    int64_t W = s->width;
+    for (int64_t i = 0; i < k; i++)
+        if ((uint64_t)srcs[i] >= (uint64_t)s->n
+                || (uint64_t)dsts[i] >= (uint64_t)s->n)
+            return -1;
+    int64_t *paths = s->work, *alt = s->work + s->cap * W;
+    int64_t *lens = scratch(s, 0), *alt_lens = scratch(s, 1);
+    if (s->mode == 1)
+        sel_valiant(s, bg, k, srcs, dsts, 0, paths, lens);
+    else if (s->mode == 2)
+        sel_compact(s, bg, k, srcs, dsts, 0, paths, lens);
+    else
+        walk(s, bg, k, srcs, dsts, 0, paths, 0, 0, lens);
+    if (s->mode >= 3) {
+        /* UGAL: Valiant candidates for the rows with a first hop —
+         * UGAL_PF only for those whose min-path output buffer is over
+         * threshold, and from Compact Valiant — then the queue x hops
+         * comparison decides row by row. */
+        int64_t *s1 = scratch(s, 2), *d1 = scratch(s, 3), *r1 = scratch(s, 4);
+        int64_t *q_min = scratch(s, 5);
+        int64_t c = 0;
+        for (int64_t i = 0; i < k; i++) {
+            if (lens[i] <= 1)
+                continue;
+            int64_t q = occupancy(st, s, srcs[i], paths[i * W + 1]);
+            if (s->mode == 4 && !((double)q > s->over))
+                continue;
+            s1[c] = srcs[i];
+            d1[c] = dsts[i];
+            q_min[c] = q;
+            r1[c++] = i;
+        }
+        if (c && s->mode == 3)
+            sel_valiant(s, bg, c, s1, d1, r1, alt, alt_lens);
+        else if (c)
+            sel_compact(s, bg, c, s1, d1, r1, alt, alt_lens);
+        for (int64_t j = 0; j < c; j++) {
+            int64_t i = r1[j];
+            int64_t q_val = occupancy(st, s, srcs[i], alt[i * W + 1]);
+            if (q_min[j] * (lens[i] - 1)
+                    > q_val * (alt_lens[i] - 1) + s->bias) {
+                int64_t w = alt_lens[i] < W ? alt_lens[i] : W;
+                memcpy(paths + i * W, alt + i * W, w * sizeof(int64_t));
+                lens[i] = alt_lens[i];
+            }
+        }
+    }
+    int64_t max_len = 0;
+    for (int64_t i = 0; i < k; i++)
+        if (lens[i] > max_len)
+            max_len = lens[i];
+    return max_len;
+}
 """
 
 _ENV = "REPRO_FLAT_KERNEL"
@@ -390,10 +683,10 @@ _diagnosed: set = set()
 
 def kernel_enabled() -> bool:
     """Whether the environment allows using the C kernel."""
-    return os.environ.get(_ENV, "1") not in ("0", "off", "no")
+    return not env_disabled(_ENV)
 
 
-def _diagnose(reason: str) -> None:
+def _diagnose(reason: str, what: str = "cycle") -> None:
     """One-line stderr note the first time a fallback cause is hit.
 
     Keyed by reason so an explicit ``REPRO_FLAT_KERNEL=0`` and a missing
@@ -404,8 +697,8 @@ def _diagnose(reason: str) -> None:
     if reason not in _diagnosed:
         _diagnosed.add(reason)
         print(
-            f"repro.flitsim: C cycle kernel unavailable ({reason}); "
-            "using the numpy cycle path",
+            f"repro.flitsim: C {what} kernel unavailable ({reason}); "
+            f"using the numpy {what} path",
             file=sys.stderr,
         )
 
@@ -461,6 +754,66 @@ def _build(cache: str, name: str) -> "str | None":
         return target
 
 
+def bitgen_of(ffi, rng):
+    """``bitgen_t *`` of a :class:`numpy.random.Generator`'s bit stream.
+
+    The pointer lives as long as ``rng.bit_generator``; callers keep the
+    generator referenced while C holds it.
+    """
+    return ffi.cast("bitgen_t *", rng.bit_generator.ctypes.bit_generator.value)
+
+
+def _draws_match(module) -> bool:
+    """Whether C ``draw`` reproduces ``Generator.integers`` on this numpy.
+
+    Two throw-away generators from one seed: a few hundred bounded draws
+    through each, both as one array-of-bounds call (the ECMP tie draw)
+    and as ``integers(bound, size=)`` calls (the Valiant intermediates).
+    Values and the final bit-generator state must agree — the state
+    covers draws that consume the stream without changing a value.
+    """
+    import numpy as np
+
+    ffi, lib = module.ffi, module.lib
+    ours = np.random.Generator(np.random.PCG64(0))
+    theirs = np.random.Generator(np.random.PCG64(0))
+    bounds = np.tile(
+        np.array([1, 2, 3, 7, 57, 2**31 + 1], dtype=np.int64), 40
+    )
+    blocks = [bounds] + [np.full(16, b, dtype=np.int64) for b in bounds[:6]]
+    want = [theirs.integers(bounds)] + [
+        theirs.integers(int(b[0]), size=b.size) for b in blocks[1:]
+    ]
+    bg = bitgen_of(ffi, ours)
+    for block, expected in zip(blocks, want):
+        got = np.empty_like(block)
+        lib.kdraws(
+            bg, block.size, ffi.from_buffer("int64_t[]", block),
+            ffi.from_buffer("int64_t[]", got),
+        )
+        if not np.array_equal(got, expected):
+            return False
+    return ours.bit_generator.state == theirs.bit_generator.state
+
+
+def _check_draws(module) -> bool:
+    """Run the draw self-test; a failure costs ``kselect``, not the kernel.
+
+    The cycle entry points draw nothing, so they stay in service either
+    way; simulators consult ``module.select_ok`` before offering
+    compiled route selection (the numpy ``select_routes`` bodies are
+    bit-identical, so a decline only costs speed).
+    """
+    try:
+        if _draws_match(module):
+            return True
+        reason = "its bounded draws differ from numpy's Generator.integers"
+    except Exception as exc:
+        reason = f"draw self-test failed: {type(exc).__name__}: {exc}"
+    _diagnose(reason, what="route-selection")
+    return False
+
+
 def load_kernel():
     """The compiled kernel module (``.ffi``/``.lib``), or ``None``.
 
@@ -490,6 +843,7 @@ def load_kernel():
         sys.modules[name] = module
         spec.loader.exec_module(module)
         _module = module
+        module.select_ok = _check_draws(module)
     except ImportError:
         _module = None
         _diagnose("cffi not installed")

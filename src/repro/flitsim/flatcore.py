@@ -50,6 +50,7 @@ from repro.flitsim.engine import (
     make_workload_state,
     validate_sim_args,
 )
+from repro.flitsim.kselect import KernelSelector
 from repro.flitsim.traffic import TrafficPattern
 from repro.routing.policies import RoutingPolicy, routes_as_matrix
 from repro.topologies.base import Topology
@@ -315,6 +316,12 @@ class FlatSimulator(SimulatorCore):
             self._n_ej = ffi.new("int64_t *")
             self._st = ffi.new("SimState *")
             self._bind_kernel_state()
+        #: compiled route selection for this policy (None: numpy bodies)
+        self._kselect = (
+            KernelSelector.for_policy(self)
+            if self._kernel is not None and self._kernel.select_ok
+            else None
+        )
 
     # ------------------------------------------------------------------
     # CongestionView protocol
@@ -337,6 +344,21 @@ class FlatSimulator(SimulatorCore):
             - self.credits[routers, ports, 0]
             + self.backlog[np.asarray(routers) * fab.O + ports]
         )
+
+    def accelerated_select(self, policy, srcs, dsts, rng):
+        """The batch protocol of ``policy.select_routes``, run in C.
+
+        The optional hook the vectorized policies probe on their
+        ``congestion`` argument.  Returns ``(paths, lens)`` views of
+        selector-owned scratch (valid until the next call) with the
+        exact routes and RNG consumption of the numpy body, or ``None``
+        to decline — no kernel, another policy object than the
+        simulator's own, or tables outside the layout ``kselect`` reads
+        (see :mod:`repro.flitsim.kselect`).
+        """
+        if self._kselect is None or policy is not self.policy:
+            return None
+        return self._kselect.select(self, srcs, dsts, rng)
 
     # ------------------------------------------------------------------
     # Introspection (tests, conservation checks)

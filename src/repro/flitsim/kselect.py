@@ -1,0 +1,188 @@
+"""Host side of ``kselect``: route selection inside the compiled kernel.
+
+:class:`KernelSelector` binds one policy's tables and one
+:class:`~repro.flitsim.flatcore.FlatSimulator`'s occupancy state to the
+``kselect`` entry of :mod:`repro.flitsim._kernel`, which runs the batch
+protocol of ``policy.select_routes`` — same draws from the same
+``numpy.random.Generator`` bit stream, same routes — without the numpy
+dispatch overhead that dominated small-N sweeps.
+
+The numpy ``select_routes`` bodies in :mod:`repro.routing.policies`
+*define* the stream; the C code mirrors them and this module decides,
+from what it can observe, when the mirror applies.  It serves exactly
+:class:`MinimalRouting`, :class:`ValiantRouting`,
+:class:`CompactValiantRouting`, :class:`UGALRouting` and
+:class:`UGALPFRouting` (exact types — a subclass may override any step)
+over tables in the plain narrow layout: C-contiguous int16
+``dist``/``first``/``multi_data``, uint8 ``count``.  Anything else — a
+:class:`~repro.routing.tables.RowPatchedDist` fault epoch, N >= 32768, a
+non-``Generator`` rng, an empty batch — declines with ``None`` and the
+caller's numpy body runs; no table is ever copied or densified to fit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.flitsim._kernel import bitgen_of
+from repro.routing.policies import (
+    CompactValiantRouting,
+    MinimalRouting,
+    UGALPFRouting,
+    UGALRouting,
+    ValiantRouting,
+)
+
+__all__ = ["KernelSelector"]
+
+#: exact policy type -> ``Selector.mode``
+_MODES = {
+    MinimalRouting: 0,
+    ValiantRouting: 1,
+    CompactValiantRouting: 2,
+    UGALRouting: 3,
+    UGALPFRouting: 4,
+}
+
+#: row scratch arrays behind the two path matrices (see ``scratch()`` in C)
+_ROW_ARRAYS = 13
+
+
+def _plain(arr, dtype) -> bool:
+    return (
+        type(arr) is np.ndarray
+        and arr.dtype == dtype
+        and arr.flags.c_contiguous
+    )
+
+
+class KernelSelector:
+    """``kselect`` bound to one simulator and its policy.
+
+    ``select(sim, srcs, dsts, rng)`` returns ``(paths, lens)`` **views
+    of scratch the selector owns**, valid until the next call, or
+    ``None`` to decline.  The binding follows ``policy.tables`` by
+    identity, so a fault-epoch ``retable`` re-binds (or declines, for a
+    row-patched epoch) on the next call.  The simulator is an argument,
+    not a member: it owns the selector, and a back-reference would keep
+    every finished simulator alive until a cycle collection.
+    """
+
+    @classmethod
+    def for_policy(cls, sim) -> "KernelSelector | None":
+        """A selector for ``sim.policy``, or None when its type has none."""
+        mode = _MODES.get(type(sim.policy))
+        return None if mode is None else cls(sim, mode)
+
+    def __init__(self, sim, mode: int):
+        self._kernel = sim._kernel
+        self._sel = self._kernel.ffi.new("Selector *")
+        self._sel.mode = mode
+        self._sel.vc_depth = sim.config.vc_depth
+        # One column beyond a one-router stride: the UGAL occupancy
+        # reads need each path's first hop even when it is over-long.
+        self._sel.width = self._width = max(sim.route_stride, 2)
+        self._tables = None
+        self._usable = False
+        self._rng = None
+        self._bitgen = None
+        self._grow(64)
+
+    def _grow(self, cap: int) -> None:
+        """Scratch for ``cap`` packets: O(batch * stride) int64."""
+        self._cap = cap
+        self._work = np.empty(cap * (2 * self._width + _ROW_ARRAYS), np.int64)
+        self._paths = self._work[: cap * self._width].reshape(cap, self._width)
+        self._lens = self._work[2 * cap * self._width :][:cap]
+        self._sel.cap = cap
+        self._sel.work = self._work_buf = self._kernel.ffi.from_buffer(
+            "int64_t[]", self._work
+        )
+
+    def _bind_tables(self, policy) -> bool:
+        """Point the C state at ``policy.tables``; False to decline."""
+        tables = policy.tables
+        n = tables.topo.num_routers
+        # Checked before the candidate table is asked for: deriving one
+        # from a row-patched view would densify it.
+        if not _plain(tables.dist, np.int16) or tables.dist.shape != (n, n):
+            return False
+        # Adaptive policies draw detours from sub-policies; the C code
+        # assumes the stock ones on the same tables.
+        for name, kind in (
+            ("valiant", ValiantRouting), ("compact", CompactValiantRouting),
+        ):
+            sub = getattr(policy, name, None)
+            if sub is not None and (
+                type(sub) is not kind or sub.tables is not tables
+            ):
+                return False
+        cands = tables._candidate_table()
+        graph = policy.topo.graph
+        layout = (
+            ("dist", tables.dist, np.int16),
+            ("first", cands.first, np.int16),
+            ("multi_data", cands.multi_data, np.int16),
+            ("count", cands.count, np.uint8),
+            ("multi_pairs", cands.multi_pairs, np.int64),
+            ("multi_indptr", cands.multi_indptr, np.int64),
+            ("g_indptr", graph.indptr, np.int64),
+            ("g_indices", graph.indices, np.int64),
+        )
+        if not all(_plain(arr, dtype) for _, arr, dtype in layout):
+            return False
+        ffi, sel = self._kernel.ffi, self._sel
+        # The cffi views keep their arrays alive while C points at them.
+        self._bound = []
+        for field, arr, dtype in layout:
+            view = ffi.from_buffer(f"{np.dtype(dtype).name}_t[]", arr)
+            self._bound.append(view)
+            setattr(sel, field, view)
+        alive = tables.alive_routers
+        if alive is None:
+            sel.alive = ffi.NULL
+        else:
+            sel.alive = view = ffi.from_buffer("int8_t[]", alive)
+            self._bound.append(view)
+        sel.n = n
+        sel.n_multi = cands.multi_pairs.size
+        return True
+
+    def select(self, sim, srcs, dsts, rng):
+        """``sim.policy.select_routes(srcs, dsts, rng, sim)`` in C, or None."""
+        policy = sim.policy
+        if policy.tables is not self._tables:
+            self._tables = policy.tables
+            self._usable = self._bind_tables(policy)
+        k = len(srcs)
+        if (
+            not self._usable
+            or k == 0
+            or len(dsts) != k
+            or type(rng) is not np.random.Generator
+        ):
+            return None
+        sel = self._sel
+        if sel.mode >= 3:
+            if type(policy.bias) is not int:
+                return None
+            sel.bias = policy.bias
+            if sel.mode == 4:
+                sel.over = policy.threshold * max(sim.output_capacity(), 1)
+        if rng is not self._rng:
+            self._rng = rng
+            self._bitgen = bitgen_of(self._kernel.ffi, rng)
+        if k > self._cap:
+            self._grow(max(k, 2 * self._cap))
+        ffi = self._kernel.ffi
+        srcs = np.ascontiguousarray(srcs, dtype=np.int64)
+        dsts = np.ascontiguousarray(dsts, dtype=np.int64)
+        with rng.bit_generator.lock:
+            max_len = self._kernel.lib.kselect(
+                sim._st, sel, self._bitgen, k,
+                ffi.from_buffer("int64_t[]", srcs),
+                ffi.from_buffer("int64_t[]", dsts),
+            )
+        if max_len < 0:
+            raise IndexError(f"router id out of range [0, {sel.n}) in batch")
+        return self._paths[:k, : min(max_len, self._width)], self._lens[:k]

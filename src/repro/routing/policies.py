@@ -21,6 +21,16 @@ Implemented policies:
   more than ``threshold`` full).
 * :class:`FatTreeNCARouting` — up/down least-common-ancestor routing for
   k-ary n-trees (the FT-NCA baseline).
+
+``select_routes`` — the batched per-cycle entry point — **defines each
+policy's RNG stream**: which bounded draws are made, in which order.
+The flat engine's C kernel carries a mirror of the five vectorized
+bodies (``kselect`` in :mod:`repro.flitsim._kernel`) that a policy
+reaches by asking its ``congestion`` argument (:func:`_accelerated`);
+the numpy bodies here stay the definition, the oracle the reference
+engine runs, and the only path without a compiler.  Changing a draw
+here means changing the C mirror in the same commit — the twin tests in
+``tests/test_kselect.py`` compare the generator state after every call.
 """
 
 from __future__ import annotations
@@ -141,6 +151,24 @@ def _overlay(base_mat, base_lens, rows, alt_mat, alt_lens) -> tuple:
     return base_mat, base_lens
 
 
+def _accelerated(cls, policy, srcs, dsts, rng, congestion):
+    """``congestion``'s compiled run of ``cls.select_routes``, or None.
+
+    A congestion view may offer ``accelerated_select(policy, srcs, dsts,
+    rng)`` (the flat engine with its C kernel does): the same batch
+    protocol — same draws from ``rng``'s bit stream, same routes, as a
+    ``(paths, lens)`` pair — or ``None`` to decline.  Only instances of
+    exactly ``cls`` ask; a subclass may override any step the compiled
+    mirror hard-codes.  The numpy body below each call site stays the
+    definition (and what the reference engine runs).
+    """
+    if type(policy) is cls:
+        select = getattr(congestion, "accelerated_select", None)
+        if select is not None:
+            return select(policy, srcs, dsts, rng)
+    return None
+
+
 class RoutingPolicy:
     """Base class: owns the tables and the path-selection entry point."""
 
@@ -210,6 +238,9 @@ class MinimalRouting(RoutingPolicy):
         return self._sp(src, dst, rng)
 
     def select_routes(self, srcs, dsts, rng, congestion=ZERO_CONGESTION):
+        routes = _accelerated(MinimalRouting, self, srcs, dsts, rng, congestion)
+        if routes is not None:
+            return routes
         return self.tables.shortest_paths_batch(srcs, dsts, rng)
 
 
@@ -218,11 +249,28 @@ class ValiantRouting(RoutingPolicy):
 
     def __init__(self, tables: RoutingTables):
         super().__init__(tables)
+        self._require_intermediates(tables)
         self.max_hops = 2 * int(tables.dist.max())
 
     def retable(self, tables: RoutingTables) -> None:
+        self._require_intermediates(tables)
         RoutingPolicy.retable(self, tables)
         self.max_hops = max(self.max_hops, 2 * int(tables.dist.max()))
+
+    def _require_intermediates(self, tables: RoutingTables) -> None:
+        """Reject tables on which the intermediate redraw cannot end.
+
+        An intermediate must be alive and differ from both source and
+        destination; with fewer than three alive routers the rejection
+        loops below (and their C mirror) would spin forever.
+        """
+        alive = tables.alive_routers
+        count = tables.topo.num_routers if alive is None else int(alive.sum())
+        if count < 3:
+            raise ValueError(
+                f"{type(self).__name__} needs at least 3 alive routers to "
+                f"draw an intermediate, got {count}"
+            )
 
     def random_intermediate(self, src: int, dst: int, rng) -> int:
         n = self.topo.num_routers
@@ -259,6 +307,9 @@ class ValiantRouting(RoutingPolicy):
         return first + second[1:]
 
     def select_routes(self, srcs, dsts, rng, congestion=ZERO_CONGESTION):
+        routes = _accelerated(ValiantRouting, self, srcs, dsts, rng, congestion)
+        if routes is not None:
+            return routes
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
         if srcs.size == 0:
@@ -298,6 +349,9 @@ class CompactValiantRouting(ValiantRouting):
         return [src] + tail
 
     def select_routes(self, srcs, dsts, rng, congestion=ZERO_CONGESTION):
+        routes = _accelerated(CompactValiantRouting, self, srcs, dsts, rng, congestion)
+        if routes is not None:
+            return routes
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
         k = srcs.size
@@ -375,6 +429,9 @@ class UGALRouting(RoutingPolicy):
         return self.valiant.select_routes(srcs, dsts, rng, congestion)
 
     def select_routes(self, srcs, dsts, rng, congestion=ZERO_CONGESTION):
+        routes = _accelerated(UGALRouting, self, srcs, dsts, rng, congestion)
+        if routes is not None:
+            return routes
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
         if srcs.size == 0:
@@ -465,6 +522,9 @@ class UGALPFRouting(UGALRouting):
         return self.compact.select_routes(srcs, dsts, rng, congestion)
 
     def select_routes(self, srcs, dsts, rng, congestion=ZERO_CONGESTION):
+        routes = _accelerated(UGALPFRouting, self, srcs, dsts, rng, congestion)
+        if routes is not None:
+            return routes
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
         if srcs.size == 0:
@@ -503,6 +563,16 @@ class FatTreeNCARouting(RoutingPolicy):
         super().__init__(tables)
         self.ft: FatTree = tables.topo
         self.max_hops = 2 * (self.ft.n_levels - 1)
+        # Per-switch level and up-neighbours (ascending id, the CSR
+        # order), built once: select_route runs per packet per hop.
+        graph = self.ft.graph
+        self._level = np.arange(graph.n) // self.ft.switches_per_level
+        self._ups = []
+        for s in range(graph.n):
+            nbrs = graph.neighbors(s)
+            self._ups.append(
+                nbrs[self._level[nbrs] == self._level[s] + 1].tolist()
+            )
 
     def retable(self, tables: RoutingTables) -> None:
         raise NotImplementedError(
@@ -517,21 +587,16 @@ class FatTreeNCARouting(RoutingPolicy):
         path = [src]
         cur = src
         # Ascend with random parent choice.
-        for level in range(nca):
-            ups = [
-                int(v)
-                for v in self.topo.graph.neighbors(cur)
-                if ft.switch_level(int(v)) == level + 1
-            ]
+        for _ in range(nca):
+            ups = self._ups[cur]
             cur = ups[int(rng.integers(len(ups)))]
             path.append(cur)
         # Descend: at each level pick the unique child on a shortest path
         # to dst (digit-determined).
+        level = self._level
         while cur != dst:
             hops = self.tables.min_next_hops(cur, dst)
-            level = ft.switch_level(cur)
-            downs = hops[[ft.switch_level(int(h)) == level - 1 for h in hops]]
-            cur = int(downs[0])
+            cur = int(hops[level[hops] == level[cur] - 1][0])
             path.append(cur)
         return path
 

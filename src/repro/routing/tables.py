@@ -33,6 +33,7 @@ import os
 import numpy as np
 
 from repro.topologies.base import Topology
+from repro.utils.env import env_disabled
 from repro.utils.rng import make_rng
 
 __all__ = [
@@ -43,7 +44,8 @@ __all__ = [
     "PATH_CACHE_MB_ENV",
 ]
 
-#: set to ``0`` to disable the unique-path cache entirely
+#: set to ``0`` (or ``false``/``off``/``no``) to disable the unique-path
+#: cache entirely
 PATH_CACHE_ENV = "REPRO_PATH_CACHE"
 
 #: memory budget (MiB) the unique-path cache must fit under to be built
@@ -556,9 +558,7 @@ class RoutingTables:
     def _decide_path_cache(self) -> bool:
         if self._path_cache_opt is not None:
             return bool(self._path_cache_opt)
-        if os.environ.get(PATH_CACHE_ENV, "1").strip().lower() in (
-            "0", "false", "off",
-        ):
+        if env_disabled(PATH_CACHE_ENV):
             return False
         n = self.topo.num_routers
         width = int(self.dist.max()) + 1

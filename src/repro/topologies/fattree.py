@@ -103,17 +103,16 @@ class FatTree(Topology):
         lowest level ``l`` such that the addresses agree on digits
         ``l .. n-2``.
         """
-        _, a = self.switch_tuple(src_switch)
-        _, b = self.switch_tuple(dst_switch)
-        if a == b:
-            return 0
-        # digits are most-significant-first; going up level l frees digit
-        # index (n-2-l) ... i.e. the last digit first.
-        n = self.n_levels
-        for level in range(1, n):
-            if a[: n - 1 - level] == b[: n - 1 - level]:
-                return level
-        return n - 1
+        # Going up level l frees the digit of weight k**l, least
+        # significant first: strip digits until the addresses agree.
+        a = src_switch % self.switches_per_level
+        b = dst_switch % self.switches_per_level
+        level = 0
+        while a != b:
+            a //= self.k
+            b //= self.k
+            level += 1
+        return level
 
 
 @TOPOLOGIES.register("fattree", example="fattree:k=4,n=3")

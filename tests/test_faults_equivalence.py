@@ -132,6 +132,17 @@ def test_flat_matches_reference_open_loop(pf, tables, fault_spec, policy_spec):
     )
 
 
+def test_flat_matches_reference_linkflap_ugal(pf, tables):
+    # The compiled route selector follows policy.tables by identity:
+    # served in C on the intact epochs, declined (numpy body) while the
+    # flapped links leave a row-patched distance view, re-bound when
+    # they come back — all three must stay on one RNG stream.
+    check_open_loop(
+        pf, tables, "ugal", FAULT_SPECS[0], 0.6,
+        dict(warmup=200, measure=400, drain=150),
+    )
+
+
 def test_flat_matches_reference_sparse_regime():
     # PolarFly q=13 at load 0.05: nearly every (router, out) row is
     # empty, the rows the C kernel's decide loop skips; the flapping

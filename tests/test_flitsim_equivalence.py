@@ -152,6 +152,31 @@ def test_sparse_regime_three_paths_agree(policy_spec):
     assert np.array_equal(ksim.backlog, psim.backlog)
 
 
+@pytest.mark.parametrize(
+    "topo_spec,policy_spec,load",
+    [
+        # No ECMP ties but heavy UGAL diversion / 378 tied pairs under
+        # Valiant's two walks: the compiled selector (kselect) against
+        # the numpy bodies the other two paths run.
+        ("slimfly:conc=2,q=5", "ugal", 0.8),
+        ("dragonfly:a=4,h=2,p=2", "valiant", 0.4),
+    ],
+)
+def test_compiled_selection_three_paths_agree(topo_spec, policy_spec, load):
+    topo, policy, traffic = _objects(topo_spec, policy_spec, "uniform")
+    ref, _ = _run(NetworkSimulator, topo, policy, traffic, load, seed=17)
+    with numpy_fallback():
+        plain, psim = _run(FlatSimulator, topo, policy, traffic, load, seed=17)
+    assert psim._kernel is None and psim._kselect is None
+    assert_identical(ref, plain)
+    if load_kernel() is None:
+        pytest.skip("C kernel unavailable (reference vs numpy checked)")
+    kern, ksim = _run(FlatSimulator, topo, policy, traffic, load, seed=17)
+    assert ksim._kselect is not None
+    assert_identical(ref, kern)
+    assert ksim.rng.bit_generator.state == psim.rng.bit_generator.state
+
+
 def test_congestion_views_agree_under_load():
     # The O(1) occupancy counters must report the same backlog in both
     # engines at every step of a congested run.

@@ -1,0 +1,342 @@
+"""``kselect``: route selection in C on the simulator's own bit stream.
+
+The numpy ``select_routes`` bodies define each policy's RNG-consumption
+protocol; the compiled selector must reproduce them draw for draw.  The
+contract checked here, per call: equal lengths, equal routes, and an
+equal ``rng.bit_generator.state`` afterwards (which also catches a draw
+that happened to leave the values alone) — on topologies *with* ECMP
+ties, which PolarFly (the usual equivalence fixture) does not have, and
+on loaded simulators, so the UGAL variants really divert.
+"""
+
+import numpy as np
+import pytest
+
+from repro.experiments.registry import POLICIES, TOPOLOGIES, TRAFFICS
+from repro.experiments.runner import auto_sim_config
+from repro.flitsim import FlatSimulator, NetworkSimulator
+from repro.flitsim import _kernel as kmod
+from repro.flitsim._kernel import load_kernel, numpy_fallback
+from repro.routing.degraded import fault_epoch_tables
+from repro.routing.policies import (
+    ZERO_CONGESTION,
+    MinimalRouting,
+    UGALRouting,
+    ValiantRouting,
+)
+from repro.routing.tables import RoutingTables, RowPatchedDist
+from repro.topologies.base import Topology
+from repro.utils.env import env_disabled
+from repro.utils.graph import Graph
+
+needs_kernel = pytest.mark.skipif(
+    load_kernel() is None or not load_kernel().select_ok,
+    reason="C kernel (or its draw self-test) unavailable",
+)
+
+PF_SPEC = "polarfly:conc=2,q=7"
+#: topology -> tied (src, dst) pairs in its candidate table
+TOPOLOGY_TIES = {
+    PF_SPEC: 0,
+    "slimfly:conc=2,q=5": 0,
+    "dragonfly:a=4,h=2,p=2": 378,
+    "dragonfly:a=3,h=6,p=2": 1444,
+    "jellyfish:n=57,p=2,r=8,seed=7": 1560,
+    "polarstar:conc=2,q=3,sq=5": 1484,
+}
+FIVE = ["min", "valiant", "compact-valiant", "ugal", "ugal-pf"]
+
+_memo: dict = {}
+
+
+def tables_for(spec):
+    if spec not in _memo:
+        topo = TOPOLOGIES.create(spec)
+        _memo[spec] = (topo, RoutingTables(topo))
+    return _memo[spec]
+
+
+def twins(topo, policy_of, load=0.9, cycles=150, seed=3):
+    """(kernel simulator, numpy-fallback simulator), same seed, advanced."""
+    sims = []
+    for fallback in (False, True):
+        policy = policy_of()
+        args = (topo, policy, TRAFFICS.create("uniform", topo), load)
+        kwargs = dict(config=auto_sim_config(policy), seed=seed)
+        if fallback:
+            with numpy_fallback():
+                sim = FlatSimulator(*args, **kwargs)
+        else:
+            sim = FlatSimulator(*args, **kwargs)
+        for _ in range(cycles):
+            sim.step()
+        sims.append(sim)
+    return sims
+
+
+def served_by_kernel(sim, routes) -> bool:
+    return (
+        sim._kselect is not None
+        and isinstance(routes, tuple)
+        and np.shares_memory(routes[0], sim._kselect._work)
+    )
+
+
+def assert_same_selection(ksim, nsim, srcs, dsts, seed, expect_kernel=True):
+    """One batch through both twins; returns the (copied) kernel result."""
+    r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = ksim.policy.select_routes(srcs, dsts, r1, congestion=ksim)
+    want = nsim.policy.select_routes(srcs, dsts, r2, congestion=nsim)
+    assert served_by_kernel(ksim, got) == expect_kernel
+    assert not served_by_kernel(nsim, want)
+    (gp, gl), (wp, wl) = got, want
+    assert np.array_equal(gl, wl)
+    for i in range(len(srcs)):
+        assert np.array_equal(gp[i, : gl[i]], wp[i, : wl[i]]), i
+    assert r1.bit_generator.state == r2.bit_generator.state
+    return gp.copy(), gl.copy()
+
+
+def random_batches(n, trials=25, seed=1):
+    g = np.random.default_rng(seed)
+    for trial in range(trials):
+        k = 1 if trial % 5 == 0 else int(g.integers(2, 90))
+        srcs, dsts = g.integers(n, size=k), g.integers(n, size=k)
+        if k > 1:
+            dsts[0] = srcs[0]
+        yield trial, srcs, dsts
+
+
+# ----------------------------------------------------------------------
+# (a) the five policies, tie-rich topologies, loaded simulators
+# ----------------------------------------------------------------------
+@needs_kernel
+@pytest.mark.parametrize("policy_spec", FIVE)
+@pytest.mark.parametrize("topo_spec", list(TOPOLOGY_TIES))
+def test_kselect_matches_numpy_body(topo_spec, policy_spec):
+    topo, tables = tables_for(topo_spec)
+    assert tables._candidate_table().multi_pairs.size == TOPOLOGY_TIES[topo_spec]
+    ksim, nsim = twins(topo, lambda: POLICIES.create(policy_spec, tables))
+    assert ksim._kernel is not None and nsim._kernel is None
+    # 150 loaded cycles through select_routes already agree ...
+    assert ksim.rng.bit_generator.state == nsim.rng.bit_generator.state
+    assert np.array_equal(ksim.backlog, nsim.backlog)
+    assert ksim.backlog.any(), "twins must be loaded for UGAL to divert"
+    # ... and so does every ad-hoc batch on the loaded state.
+    detours = 0
+    for trial, srcs, dsts in random_batches(topo.num_routers):
+        _, lens = assert_same_selection(ksim, nsim, srcs, dsts, seed=trial)
+        detours += int((lens != tables.dist[srcs, dsts] + 1).sum())
+    if policy_spec != "min":
+        assert detours > 0, "the batches must exercise the detour branch"
+
+
+@needs_kernel
+def test_scratch_grows_with_the_batch():
+    topo, tables = tables_for("dragonfly:a=4,h=2,p=2")
+    ksim, nsim = twins(topo, lambda: POLICIES.create("ugal", tables), cycles=40)
+    g = np.random.default_rng(0)
+    n = topo.num_routers
+    for k in (3, 700, 5):
+        srcs, dsts = g.integers(n, size=k), g.integers(n, size=k)
+        assert_same_selection(ksim, nsim, srcs, dsts, seed=k)
+    sel = ksim._kselect
+    assert sel._work.size == sel._cap * (2 * sel._width + 13)
+    assert 700 <= sel._cap < 2 * 700
+
+
+# ----------------------------------------------------------------------
+# (b) decline cases take the numpy body
+# ----------------------------------------------------------------------
+class TweakedUGAL(UGALRouting):
+    """A subclass may override any step; it must never reach kselect."""
+
+
+@needs_kernel
+def test_other_views_policies_and_subclasses_decline():
+    topo, tables = tables_for("dragonfly:a=4,h=2,p=2")
+    srcs = np.array([0, 5, 9, 9])
+    dsts = np.array([7, 5, 30, 2])
+    policy = UGALRouting(tables)
+    traffic = TRAFFICS.create("uniform", topo)
+    cfg = auto_sim_config(policy)
+    flat = FlatSimulator(topo, policy, traffic, 0.5, config=cfg, seed=1)
+    ref = NetworkSimulator(topo, policy, traffic, 0.5, config=cfg, seed=1)
+    assert served_by_kernel(
+        flat, policy.select_routes(srcs, dsts, np.random.default_rng(0), flat)
+    )
+    for view in (ref, ZERO_CONGESTION):
+        routes = policy.select_routes(srcs, dsts, np.random.default_rng(0), view)
+        assert not served_by_kernel(flat, routes)
+    # Another policy object than the simulator's own: the sub-policy.
+    routes = policy.valiant.select_routes(
+        srcs, dsts, np.random.default_rng(0), flat
+    )
+    assert not served_by_kernel(flat, routes)
+    # An empty batch keeps the numpy body's shapes.
+    empty = np.empty(0, dtype=np.int64)
+    paths, lens = policy.select_routes(empty, empty, np.random.default_rng(0), flat)
+    assert paths.shape == (0, 1) and lens.size == 0
+
+    for other in (POLICIES.create("ugal-g", tables), TweakedUGAL(tables)):
+        sim = FlatSimulator(
+            topo, other, traffic, 0.5, config=auto_sim_config(other), seed=1
+        )
+        # The kernel cycles, but selection (sub-policy calls included)
+        # stays with the numpy/sequential bodies.
+        assert sim._kernel is not None and sim._kselect is None
+        sim.run(warmup=10, measure=20, drain=10)
+
+
+@needs_kernel
+@pytest.mark.parametrize("policy_spec", ["valiant", "ugal", "ugal-pf"])
+def test_retable_rebinds_and_row_patched_epochs_decline(policy_spec):
+    topo, base = tables_for(PF_SPEC)
+    u = 3
+    v = int(topo.graph.neighbors(u)[0])
+    patched = fault_epoch_tables(topo, failed_links=[(u, v)], base=base)
+    assert isinstance(patched.dist, RowPatchedDist)
+    dead = 11
+    masked = fault_epoch_tables(topo, failed_routers=[dead])
+    assert type(masked.dist) is np.ndarray and not masked.alive_routers[dead]
+
+    def policy_of():
+        # Pre-walk the epochs (as prepare_fault_policy does) so the slot
+        # stride covers the degraded worst case.
+        policy = POLICIES.create(policy_spec, base)
+        for tables in (patched, masked, base):
+            policy.retable(tables)
+        return policy
+
+    ksim, nsim = twins(topo, policy_of, cycles=120)
+    alive = np.flatnonzero(masked.alive_routers)
+    g = np.random.default_rng(5)
+    for tables, expect_kernel in (
+        (patched, False), (base, True), (masked, True), (patched, False),
+        (base, True),
+    ):
+        ksim.policy.retable(tables)
+        nsim.policy.retable(tables)
+        for trial in range(6):
+            srcs, dsts = g.choice(alive, size=40), g.choice(alive, size=40)
+            paths, lens = assert_same_selection(
+                ksim, nsim, srcs, dsts, seed=trial, expect_kernel=expect_kernel
+            )
+            if tables is masked:
+                for i in range(40):
+                    assert dead not in paths[i, : lens[i]]
+
+
+# ----------------------------------------------------------------------
+# (c) an over-long route is reported, not written
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("policy_cls", [MinimalRouting, UGALRouting])
+def test_overlong_route_raises_identically_and_writes_nothing(policy_cls):
+    topo, tables = tables_for(PF_SPEC)
+    far = np.argwhere(tables.dist == 2)[:5]
+    srcs, dsts = far[:, 0].copy(), far[:, 1].copy()
+
+    def policy_of():
+        policy = policy_cls(tables)
+        policy.max_hops = 1  # understated: the slot stride is 2 routers
+        return policy
+
+    messages = []
+    for sim in twins(topo, policy_of, load=0.0, cycles=0):
+        before = sim.route_buf.copy()
+        free = int(sim._pslot_top[0])
+        with pytest.raises(ValueError, match="exceeds the policy's declared") as err:
+            sim._fill_packet_slots(srcs, dsts)
+        messages.append(str(err.value))
+        assert np.array_equal(sim.route_buf, before)
+        assert int(sim._pslot_top[0]) == free
+    assert messages[0] == messages[1]
+
+
+# ----------------------------------------------------------------------
+# Load-time draw self-test
+# ----------------------------------------------------------------------
+@needs_kernel
+def test_draw_self_test_passes_and_is_cheap():
+    import time
+
+    module = load_kernel()
+    times = []
+    for _ in range(3):
+        t = time.perf_counter()
+        assert kmod._draws_match(module)
+        times.append(time.perf_counter() - t)
+    assert min(times) < 0.01  # measured: ~0.15 ms; budget is 1 ms of setup
+
+
+@needs_kernel
+def test_failed_draw_self_test_declines_every_kselect(monkeypatch, capsys):
+    module = load_kernel()
+    monkeypatch.setattr(kmod, "_diagnosed", set())
+    monkeypatch.setattr(kmod, "_draws_match", lambda module: False)
+    assert not kmod._check_draws(module)
+    assert "route-selection kernel unavailable" in capsys.readouterr().err
+    # load_kernel() records that verdict on the module it returns.
+    monkeypatch.setattr(module, "select_ok", False)
+    topo, tables = tables_for(PF_SPEC)
+    policy = POLICIES.create("ugal", tables)
+    sim = FlatSimulator(
+        topo, policy, TRAFFICS.create("uniform", topo), 0.5,
+        config=auto_sim_config(policy), seed=1,
+    )
+    assert sim._kernel is not None and sim._kselect is None
+    sim.run(warmup=10, measure=20, drain=10)
+
+
+# ----------------------------------------------------------------------
+# Satellites: Valiant's alive-router floor, the shared falsy-env parser
+# ----------------------------------------------------------------------
+def test_valiant_rejects_fewer_than_three_alive_routers():
+    pair = Topology("pair", Graph(2, [(0, 1)]), 1)
+    for cls in (ValiantRouting, UGALRouting):
+        with pytest.raises(ValueError, match="ValiantRouting needs at least 3"):
+            cls(RoutingTables(pair))
+    tri = Topology("tri", Graph(3, [(0, 1), (1, 2), (0, 2)]), 1)
+    policy = ValiantRouting(RoutingTables(tri))
+    with pytest.raises(ValueError, match="at least 3 alive routers.*got 2"):
+        policy.retable(fault_epoch_tables(tri, failed_routers=[2]))
+    assert policy.tables.alive_routers is None  # the swap never happened
+
+
+@pytest.mark.parametrize(
+    "value,off",
+    [
+        ("0", True), ("false", True), ("off", True), ("no", True),
+        (" FALSE ", True), ("Off", True), ("NO\n", True),
+        ("1", False), ("true", False), ("", False), ("yes", False),
+    ],
+)
+def test_falsy_env_words_mean_the_same_for_every_knob(monkeypatch, value, off):
+    monkeypatch.setenv("REPRO_FLAT_KERNEL", value)
+    monkeypatch.setenv("REPRO_PATH_CACHE", value)
+    assert env_disabled("REPRO_FLAT_KERNEL") == off
+    assert kmod.kernel_enabled() == (not off)
+    topo, _ = tables_for(PF_SPEC)
+    tables = RoutingTables.from_distances(topo, tables_for(PF_SPEC)[1].dist)
+    assert tables._path_cache_enabled() == (not off)
+
+
+def test_unset_env_leaves_both_knobs_on(monkeypatch):
+    monkeypatch.delenv("REPRO_FLAT_KERNEL", raising=False)
+    monkeypatch.delenv("REPRO_PATH_CACHE", raising=False)
+    assert kmod.kernel_enabled()
+    topo, base = tables_for(PF_SPEC)
+    assert RoutingTables.from_distances(topo, base.dist)._path_cache_enabled()
+
+
+@needs_kernel
+def test_out_of_range_router_id_raises_before_any_draw():
+    topo, tables = tables_for(PF_SPEC)
+    ksim, _ = twins(topo, lambda: POLICIES.create("valiant", tables), cycles=0)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    n = topo.num_routers
+    for srcs, dsts in (([0, n], [1, 2]), ([0, 1], [2, -1])):
+        with pytest.raises(IndexError, match="out of range"):
+            ksim.policy.select_routes(np.array(srcs), np.array(dsts), rng, ksim)
+    assert rng.bit_generator.state == before
