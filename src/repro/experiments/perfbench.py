@@ -35,6 +35,7 @@ __all__ = [
     "HEADLINE_CELL",
     "CONSTRUCTION_SPECS",
     "CONSTRUCTION_GATE",
+    "CONSTRUCTION_MEMORY_GATE",
     "BASELINE_MAX_ROUTERS",
     "SCALE_CELLS",
     "SCALE_ENGINES",
@@ -102,11 +103,14 @@ CONSTRUCTION_SPECS = {
 #: the construction entry the CI regression gate checks
 CONSTRUCTION_GATE = "pf_q19"
 
-#: Largest router count at which the seed per-source baselines (a
-#: Python BFS loop per source, plus the dense-CSR oracle) are still
-#: cheap enough to time.  Larger specs record batched walls and memory
-#: only, with a ``baseline_skipped`` note — q=31 keeps its baseline, so
-#: the committed speedup trajectory is unbroken.
+#: the construction entry whose traced memory peak the CI gate bounds
+CONSTRUCTION_MEMORY_GATE = "pf_q53"
+
+#: Largest router count at which the seed per-source baseline (a
+#: Python BFS loop per source) is still cheap enough to time.  Larger
+#: specs record batched walls and memory only, with a
+#: ``baseline_skipped`` note — q=31 keeps its baseline, so the committed
+#: speedup trajectory is unbroken.
 BASELINE_MAX_ROUTERS = 1200
 
 #: Scale-tier simulation cells: flat-engine only (the dict-of-deques
@@ -705,7 +709,9 @@ def measure_construction_memory(spec: str) -> dict:
     """Peak memory of one full construction (topology through fabric).
 
     Two complementary numbers: the tracemalloc *traced* peak (exact
-    Python-side allocation high-water mark, machine-independent) and —
+    Python-side allocation high-water mark, machine-independent; also
+    read once right after the ``RoutingTables`` build, before the
+    unique-path cache adds its own resident 7 bytes per pair) and —
     where ``/proc`` supports resetting ``VmHWM`` — the process peak-RSS
     delta-capable counter, which also sees numpy's buffer reuse.  Run
     *after* the timing pass: tracemalloc taxes every allocation.
@@ -720,6 +726,7 @@ def measure_construction_memory(spec: str) -> dict:
     try:
         topo = TOPOLOGIES.create(spec)
         tables = RoutingTables(topo)
+        tables_peak = tracemalloc.get_traced_memory()[1]
         fabric = FlatFabric(topo)
         if tables._path_cache_enabled():
             tables._unique_path_cache()
@@ -728,6 +735,7 @@ def measure_construction_memory(spec: str) -> dict:
         tracemalloc.stop()
     entry = {
         "traced_peak_bytes": int(peak),
+        "tables_traced_peak_bytes": int(tables_peak),
         "traced_current_bytes": int(current),
         "dist_bytes": int(np.asarray(tables.dist).nbytes),
         "candidate_table_bytes": int(tables._candidate_table().nbytes()),
@@ -745,17 +753,16 @@ def bench_construction_spec(
     """Time the construction path of one topology spec.
 
     Measures the batched builders — topology construction,
-    :class:`RoutingTables` (one fused batched all-sources BFS), the
-    compact candidate table, the unique-path cache (when enabled), and
+    :class:`RoutingTables` (blocked all-sources BFS plus the streamed
+    candidate builder), the candidate builder alone (the fault-repair
+    rebuild), the unique-path cache (when enabled), and
     :class:`FlatFabric` — and, with ``baseline`` (auto-skipped above
-    :data:`BASELINE_MAX_ROUTERS` routers), the seed per-source
-    equivalents (``bfs_distances_reference`` per source,
-    :func:`per_source_candidate_csr` with the dense-CSR
-    materialization), recording the speedups.  ``memory`` appends a
-    :func:`measure_construction_memory` pass.
+    :data:`BASELINE_MAX_ROUTERS` routers), the seed per-source BFS
+    (``bfs_distances_reference`` per source), recording the speedup.
+    ``memory`` appends a :func:`measure_construction_memory` pass.
     """
     from repro.flitsim.flatcore import FlatFabric
-    from repro.routing.tables import RoutingTables, per_source_candidate_csr
+    from repro.routing.tables import RoutingTables
     from repro.utils.graph import bfs_distances_reference
 
     topo, topo_s = _timed(lambda: TOPOLOGIES.create(spec), repeats=repeats)
@@ -794,8 +801,7 @@ def bench_construction_spec(
         baseline = False
         entry["baseline_skipped"] = (
             f"num_routers > {BASELINE_MAX_ROUTERS}: the per-source Python "
-            "BFS loop and dense-CSR oracle are deliberately not run at "
-            "sparse-tier sizes"
+            "BFS loop is deliberately not run at sparse-tier sizes"
         )
     if baseline:
         graph = topo.graph
@@ -810,25 +816,6 @@ def bench_construction_spec(
         rt = entry["routing_tables"]
         rt["per_source_s"] = per_source_s
         rt["speedup_batched_over_per_source"] = per_source_s / tables_s
-
-        def fresh_csr():
-            # The dense-CSR oracle comparison: compact table build plus
-            # the O(n^2) indptr materialization, matching what the
-            # per-source baseline produces.
-            tables._cands = None
-            start = time.perf_counter()
-            tables._candidate_csr()
-            return time.perf_counter() - start
-
-        csr_s = min(fresh_csr() for _ in range(repeats))
-        _, csr_ps = _timed(
-            per_source_candidate_csr, graph, tables.dist, repeats=repeats
-        )
-        entry["candidate_csr"] = {
-            "batched_s": csr_s,
-            "per_source_s": csr_ps,
-            "speedup_batched_over_per_source": csr_ps / csr_s,
-        }
     if memory:
         del tables
         entry["memory"] = measure_construction_memory(spec)

@@ -2,18 +2,20 @@
 
 The paper notes table-based routing is the method of choice for ER graphs
 (Section IV-D); the same tables also serve every baseline topology.  The
-distance matrix comes from one level-synchronous *batched* BFS over every
-source simultaneously (:meth:`repro.utils.graph.Graph.all_pairs_distances`)
-and is stored as int16 (N x N); the minimal-next-hop candidates fall out
-of the same BFS frontier expansion (the shortest-path DAG edges are
-exactly the fresh discoveries at each level) and land in a compact table
-— a per-pair count byte, a narrow lowest-id ``first`` hop, and an
-overflow CSR holding only the pairs with an ECMP tie — instead of the
-seed's dense ``n*n + 1`` int64 ``indptr``.  All of it is pinned
-bit-identical to the seed per-source builds by golden tests, so
-large-radix networks (q=79, N=6321, ~40M pairs) construct in seconds and
-~200 MB instead of minutes and ~1 GB without changing a single routed
-path.
+distance matrix comes from one level-synchronous *batched* BFS
+(:meth:`repro.utils.graph.Graph.all_pairs_distances`, expanded in
+cache-sized source blocks) and is stored as int16 (N x N).  The
+minimal-next-hop candidates are then read straight off it by one
+sort-free builder (:meth:`_CandidateTable.from_distances`) that streams
+source-row blocks and emits every array in its final order, into a
+compact table — a per-pair count byte, a narrow lowest-id ``first`` hop,
+and an overflow CSR holding only the pairs with an ECMP tie — instead of
+the seed's dense ``n*n + 1`` int64 ``indptr``.  Fresh builds and
+fault-repair rebuilds share that builder, its peak memory is the output
+plus one block, and all of it is pinned bit-identical to the seed
+per-source builds by golden tests, so large-radix networks (q=79,
+N=6321, ~40M pairs) construct in seconds without changing a single
+routed path.
 
 Path buffers are int32; the unique-path cache stores int16 entries when
 router ids fit and streams its build in row chunks, so enabling it never
@@ -71,31 +73,6 @@ def _count_dtype(max_degree: int):
     return np.uint32
 
 
-def _scatter_sorted_run(pair_s, hop_s, count, first):
-    """Scatter one pair-sorted candidate run into ``count``/``first``.
-
-    ``pair_s`` must be sorted ascending with equal pairs holding their
-    candidate hops in ascending id order (``hop_s`` aligned).  Pairs in
-    one run must be disjoint from pairs scattered by other runs.
-    Returns the overflow ``(pairs, sizes, data)`` for pairs with two or
-    more candidates, or None when every pair in the run is unique.
-    """
-    if pair_s.size == 0:
-        return None
-    head = np.empty(pair_s.size, dtype=bool)
-    head[0] = True
-    np.not_equal(pair_s[1:], pair_s[:-1], out=head[1:])
-    starts = np.flatnonzero(head)
-    sizes = np.diff(np.append(starts, pair_s.size))
-    keys = pair_s[starts]
-    count[keys] = sizes.astype(count.dtype)
-    first[keys] = hop_s[starts]
-    multi = sizes >= 2
-    if not multi.any():
-        return None
-    return keys[multi], sizes[multi], hop_s[np.repeat(multi, sizes)]
-
-
 class _CandidateTable:
     """Compact minimal-next-hop candidates over all ``(src, dst)`` pairs.
 
@@ -116,33 +93,92 @@ class _CandidateTable:
 
     __slots__ = ("n", "count", "first", "multi_pairs", "multi_indptr", "multi_data")
 
-    def __init__(self, n, count, first, parts):
+    def __init__(self, n, count, first, multi_pairs, multi_indptr, multi_data):
         self.n = int(n)
         self.count = count
         self.first = first
-        parts = [p for p in parts if p is not None]
-        if parts:
-            mp = np.concatenate([p[0] for p in parts])
-            mc = np.concatenate([p[1] for p in parts])
-            md = np.concatenate([p[2] for p in parts])
-            # Runs cover disjoint pair sets but interleave globally (the
-            # fused build scatters one BFS source block at a time), so
-            # merge by one argsort over the tied pairs only.
-            order = np.argsort(mp, kind="stable")
-            old_starts = (np.cumsum(mc) - mc)[order]
-            sizes = mc[order]
-            indptr = np.zeros(sizes.size + 1, dtype=np.int64)
-            np.cumsum(sizes, out=indptr[1:])
-            within = np.arange(md.size, dtype=np.int64) - np.repeat(
-                indptr[:-1], sizes
-            )
-            self.multi_pairs = mp[order]
-            self.multi_indptr = indptr
-            self.multi_data = md[np.repeat(old_starts, sizes) + within]
+        self.multi_pairs = multi_pairs
+        self.multi_indptr = multi_indptr
+        self.multi_data = multi_data
+
+    @classmethod
+    def from_distances(cls, graph, dist) -> "_CandidateTable":
+        """Derive the table from a finished distance matrix, row-streamed.
+
+        Neighbor ``v`` of ``s`` is a candidate toward ``dst`` iff
+        ``dist[v, dst] == dist[s, dst] - 1``.  The CSR is padded into a
+        rectangular ``nbr[n, D]`` whose pad is the router itself — never
+        one hop closer than itself, so irregular-degree and dead-router
+        rows need no special case — and the test runs for a block of
+        source rows against all ``D`` neighbor slots and every
+        destination at once.  Reducing that boolean block over the slot
+        axis gives ``count`` and the lowest set slot (``first``); one
+        ``flatnonzero`` over the slot columns of the tied pairs lists
+        their candidates as (src, dst, ascending neighbor id), which is
+        the overflow CSR's final order.  Nothing is sorted or merged, and
+        the only transient is one block's comparison workspace.
+        """
+        n = graph.n
+        degree = graph.degree()
+        width = int(degree.max()) if n else 0
+        vdt = _value_dtype(n)
+        cdt = _count_dtype(width)
+        count = np.empty((n, n), dtype=cdt)
+        first = np.empty((n, n), dtype=vdt)
+        # One extra column of -1: the "slot" of a pair with no candidate.
+        nbr = np.repeat(np.arange(n, dtype=vdt), width + 1).reshape(n, width + 1)
+        nbr[:, width] = -1
+        slot = np.arange(graph.indices.size, dtype=np.int64) - np.repeat(
+            graph.indptr[:-1], degree
+        )
+        nbr[np.repeat(np.arange(n, dtype=np.int64), degree), slot] = graph.indices
+        # Slot k weighs width - k, so the heaviest set slot is the lowest
+        # neighbor id (CSR rows are sorted) and weight 0 means none set.
+        weight = np.arange(width, 0, -1, dtype=cdt)[:, None]
+        # The comparison only needs to tell equal from not among values
+        # at most the diameter apart: int8 rows (when the diameter fits)
+        # halve the gather traffic of this bandwidth-bound pass.
+        if n and int(dist.max()) < 127:
+            cmp_dist = dist.astype(np.int8)
         else:
-            self.multi_pairs = np.empty(0, dtype=np.int64)
-            self.multi_indptr = np.zeros(1, dtype=np.int64)
-            self.multi_data = np.empty(0, dtype=first.dtype)
+            cmp_dist = np.asarray(dist)
+        one = cmp_dist.dtype.type(1)
+        pairs, sizes, data = (
+            [np.empty(0, dtype=t)] for t in (np.int64, cdt, vdt)
+        )
+        step = graph._block_rows(width * n * cmp_dist.itemsize)
+        for lo in range(0, n, step):
+            rows = nbr[lo : lo + step]
+            on_path = (
+                cmp_dist[rows[:, :width]]
+                == (cmp_dist[lo : lo + step] - one)[:, None, :]
+            )
+            cnt = on_path.sum(axis=1, dtype=cdt)
+            count[lo : lo + step] = cnt
+            best = (on_path.view(np.uint8) * weight).max(axis=1, initial=0)
+            first[lo : lo + step] = np.take_along_axis(
+                rows, width - best.astype(np.intp), axis=1
+            )
+            tied = np.flatnonzero(cnt.reshape(-1) >= 2)
+            if tied.size:
+                r = tied // n
+                d = tied - r * n
+                hit = np.flatnonzero(on_path[r, :, d])
+                which = hit // width
+                pairs.append(tied + lo * n)
+                sizes.append(cnt[r, d])
+                data.append(rows[r[which], hit - which * width])
+        sizes = np.concatenate(sizes)
+        multi_indptr = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=multi_indptr[1:])
+        return cls(
+            n,
+            count.reshape(-1),
+            first.reshape(-1),
+            np.concatenate(pairs),
+            multi_indptr,
+            np.concatenate(data),
+        )
 
     def next_hops(self, pairs, rng=None) -> np.ndarray:
         """One candidate per pair key, int64.
@@ -339,39 +375,12 @@ class RoutingTables:
     ):
         if alive is None and not topo.is_connected():
             raise ValueError("routing tables require a connected topology")
-        graph = topo.graph
-        n = graph.n
-        # One batched all-sources BFS instead of n Python-level ones,
-        # driven in source blocks so the BFS's (sources x n) int64 stamp
-        # scratch never materializes an N x N transient, and with the
-        # minimal-next-hop candidates collected from the frontier
-        # expansion itself — no second compare pass over the finished
-        # distance matrix (that pass is bandwidth-bound; see
-        # :meth:`_candidates_from_dist`, kept for rebuilt tables and as
-        # a golden cross-check).
-        dist = np.empty((n, n), dtype=np.int16)
-        max_degree = int(graph.degree().max()) if n else 0
-        vdt = _value_dtype(n)
-        count = np.zeros(n * n, dtype=_count_dtype(max_degree))
-        first = np.full(n * n, -1, dtype=vdt)
-        parts = []
-        for block in graph._source_blocks(np.arange(n, dtype=np.int64)):
-            dblock, (c_row, c_vert, c_hop) = graph.all_pairs_distances(
-                block, dtype=np.int16, return_candidates=True
-            )
-            lo = int(block[0]) if block.size else 0
-            dist[lo : lo + block.size] = dblock
-            # Triple (row, vert, hop): hop is a minimal next hop for the
-            # pair (src=vert, dst=block[row]).
-            pair = c_vert.astype(np.int64) * n + block[c_row]
-            order = np.lexsort((c_hop, pair))
-            parts.append(
-                _scatter_sorted_run(
-                    pair[order], c_hop[order].astype(vdt), count, first
-                )
-            )
+        # One batched all-sources BFS (expanded in cache-sized source
+        # blocks inside the call) filling the int16 matrix directly, then
+        # the one candidate builder every table uses.
+        dist = topo.graph.all_pairs_distances(dtype=np.int16)
         self._init_from(topo, dist, path_cache, alive)
-        self._cands = _CandidateTable(n, count, first, parts)
+        self._candidate_table()
 
     @classmethod
     def from_distances(
@@ -408,9 +417,8 @@ class RoutingTables:
                 raise ValueError("failures disconnect the network")
         self._path_cache_opt = path_cache
         self._path_cache_on: "bool | None" = None
-        # Lazily-built compact table of minimal next-hop candidates per
-        # (src, dst) pair, for the batched path extractor.  Fresh builds
-        # overwrite this with the fused-BFS table in __init__.
+        # Compact table of minimal next-hop candidates per (src, dst)
+        # pair, for the batched path extractor.
         self._cands: "_CandidateTable | None" = None
         # Lazily-built cache of the pairs whose shortest path is unique
         # (no ECMP tie anywhere along it).
@@ -456,79 +464,17 @@ class RoutingTables:
     # Batched extraction (the per-cycle routing hot path)
     # ------------------------------------------------------------------
     def _candidate_table(self) -> _CandidateTable:
-        """The compact candidate table, building from ``dist`` on demand.
+        """The compact candidate table, derived from ``dist`` on first use.
 
-        Fresh :class:`RoutingTables` builds get the table fused into the
-        BFS; tables rebuilt over an external distance matrix
-        (:meth:`from_distances`, i.e. fault repair) derive it here.
+        Fresh builds call this from ``__init__``; tables over an external
+        distance matrix (:meth:`from_distances`, i.e. fault repair) build
+        it on demand — the same builder either way.
         """
         if self._cands is None:
-            self._cands = self._candidates_from_dist()
-        return self._cands
-
-    def _candidates_from_dist(self) -> _CandidateTable:
-        """Compact candidate table derived from the distance matrix.
-
-        One vectorized pass over the *directed* edge set: edge ``u -> v``
-        is a candidate for destination ``dst`` iff
-        ``dist[v, dst] == dist[u, dst] - 1``, tested for every edge and
-        destination at once (blocked to bound the boolean workspace).
-        Candidates come out in ascending id order per pair (so candidate
-        0 matches the deterministic scalar path) — identical rows to the
-        seed per-source build (:func:`per_source_candidate_csr`) *and*
-        to the fused frontier-derived build, both pinned by golden
-        tests.
-        """
-        graph = self.topo.graph
-        n = graph.n
-        dist = self.dist
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-        nbr = graph.indices
-        # The comparison only needs to distinguish equal-vs-not of
-        # values that differ by at most the diameter: int8 rows (when
-        # the diameter fits) halve the gather traffic of the
-        # bandwidth-bound edges x destinations pass.
-        if int(dist.max()) < 127:
-            cmp_dist = dist.astype(np.int8)
-        else:
-            cmp_dist = np.asarray(dist)
-        shifted = cmp_dist - cmp_dist.dtype.type(1)
-        flat_parts = []
-        # Edge blocks sized so each comparison block (~2M entries)
-        # stays cache-resident — same total work as one giant pass,
-        # much better locality.  flatnonzero on the raveled block is
-        # several times faster than 2-D nonzero; the flat index
-        # decomposes into (edge, dst) afterwards.
-        step = max(1, (1 << 21) // max(n, 1))
-        for lo in range(0, src.size, step):
-            on_path = (
-                cmp_dist[nbr[lo : lo + step], :]
-                == shifted[src[lo : lo + step], :]
+            self._cands = _CandidateTable.from_distances(
+                self.topo.graph, self.dist
             )
-            flat_parts.append(np.flatnonzero(on_path) + lo * n)
-        flat = (
-            np.concatenate(flat_parts) if flat_parts else np.empty(0, np.int64)
-        )
-        e_idx = flat // n
-        dst_idx = flat - e_idx * n
-        pair = src[e_idx] * n + dst_idx
-        # Stable sort by pair keeps equal pairs in edge order, which
-        # is ascending neighbor id within a source (CSR neighbors are
-        # sorted) — the order the scalar tie-break contract requires.
-        # int32 keys when they fit: the stable integer radix sort
-        # then runs half the passes.
-        if n * n < np.iinfo(np.int32).max:
-            order = np.argsort(pair.astype(np.int32), kind="stable")
-        else:
-            order = np.argsort(pair, kind="stable")
-        vdt = _value_dtype(n)
-        max_degree = int(graph.degree().max()) if n else 0
-        count = np.zeros(n * n, dtype=_count_dtype(max_degree))
-        first = np.full(n * n, -1, dtype=vdt)
-        part = _scatter_sorted_run(
-            pair[order], nbr[e_idx[order]].astype(vdt), count, first
-        )
-        return _CandidateTable(n, count, first, [part])
+        return self._cands
 
     def _candidate_csr(self) -> tuple:
         """Dense ``(indptr, data)`` CSR materialized from the compact table.
@@ -563,9 +509,13 @@ class RoutingTables:
         n = self.topo.num_routers
         width = int(self.dist.max()) + 1
         psize = np.dtype(_value_dtype(n)).itemsize
-        budget_mb = float(
-            os.environ.get(PATH_CACHE_MB_ENV, _PATH_CACHE_DEFAULT_MB)
-        )
+        raw = os.environ.get(PATH_CACHE_MB_ENV, _PATH_CACHE_DEFAULT_MB)
+        try:
+            budget_mb = float(raw)
+        except ValueError:
+            raise ValueError(
+                f"${PATH_CACHE_MB_ENV} must be a number of MiB, got {raw!r}"
+            ) from None
         return n * n * (psize * width + 1) <= budget_mb * 2**20
 
     def _unique_path_cache(self) -> tuple:
@@ -673,11 +623,10 @@ class RoutingTables:
 def per_source_candidate_csr(graph, dist) -> tuple:
     """The seed per-source candidate-CSR build, kept as the golden oracle.
 
-    The frontier-derived compact table (materialized through
+    The compact table (materialized through
     :meth:`RoutingTables._candidate_csr`) is pinned to produce identical
-    rows, and the construction benchmark measures this loop as the
-    speedup baseline.  ``data`` is int64 as in the seed; the golden
-    comparison is value-wise.
+    rows.  ``data`` is int64 as in the seed; the golden comparison is
+    value-wise.
     """
     n = graph.n
     dist = np.asarray(dist)

@@ -19,9 +19,12 @@ import numpy as np
 
 __all__ = ["Graph", "bfs_distances_reference"]
 
-#: cap on the (sources x vertices) distance-block size the chunked
-#: all-pairs consumers (diameter / ASPL) materialize at once (~32 MB int64)
-_BLOCK_ENTRIES = 4_000_000
+#: working-set bytes of one source-row block of the row-streamed passes —
+#: the batched BFS's int64 dedupe stamp (so also the distance blocks the
+#: diameter / ASPL consumers materialize) and the routing tables'
+#: candidate comparison.  Measured flat within 256 KB-1 MB on every size
+#: from q=19 to q=79 and both PolarStars; 4 MB and up lose to page faults.
+_BLOCK_BYTES = 1 << 19
 
 
 class Graph:
@@ -123,60 +126,41 @@ class Graph:
     # ------------------------------------------------------------------
     # Shortest paths (unweighted)
     # ------------------------------------------------------------------
-    def all_pairs_distances(
-        self, sources=None, dtype=np.int64, return_candidates: bool = False
-    ) -> np.ndarray:
+    def all_pairs_distances(self, sources=None, dtype=np.int64) -> np.ndarray:
         """Hop distances from many sources at once; unreachable pairs get -1.
 
         Level-synchronous batched BFS: the frontier is a set of
-        ``(source row, vertex)`` pairs over *every* source simultaneously,
-        and one level is a handful of CSR gathers (``np.repeat`` over the
-        frontier's neighbor slices) — no per-source Python loop.  Row ``i``
-        equals ``bfs_distances(sources[i])`` exactly; ``sources=None``
-        yields the full ``n x n`` distance matrix.
+        ``(source row, vertex)`` pairs over a whole block of sources
+        simultaneously, and one level is a handful of CSR gathers
+        (``np.repeat`` over the frontier's neighbor slices) — no
+        per-source Python loop.  Row ``i`` equals
+        ``bfs_distances(sources[i])`` exactly; ``sources=None`` yields the
+        full ``n x n`` distance matrix.
 
-        ``dtype`` sizes the output (routing tables store int16); it must
-        be able to hold the graph's eccentricity.
+        The sources are expanded :data:`_BLOCK_BYTES` of dedupe stamp at a
+        time, so the frontier arrays and the int64 dedupe stamp stay
+        cache-sized whatever the caller asks for: the only allocation
+        that scales with ``len(sources) * n`` is the result itself.
 
-        With ``return_candidates=True`` the return value is
-        ``(dist, (c_row, c_vert, c_hop))``: the shortest-path-DAG edge set
-        as int32 triples, one per (source row, vertex, minimal next hop).
-        These fall out of the expansion for free — when vertex ``w`` is
-        discovered at level L from source ``d = sources[c_row]``, the
-        frontier vertices ``u`` (at level L-1) adjacent to ``w`` are
-        exactly the neighbors of ``w`` one hop closer to ``d``, i.e. the
-        minimal next hops of the pair ``(w -> d)``.  They are captured
-        after the freshness filter but *before* the stamp dedupe, so every
-        parallel DAG edge survives; triples are unique because each
-        frontier vertex expands each incident edge once.  Routing-table
-        construction consumes this instead of re-deriving candidates from
-        the finished distance matrix (~4x less memory traffic; that
-        distance-compare pass is kept as an oracle in ``routing/tables``).
+        ``dtype`` sizes the output (routing tables store int16); a graph
+        whose eccentricity does not fit raises :class:`OverflowError`.
         """
         if sources is None:
             src = np.arange(self.n, dtype=np.int64)
         else:
             src = np.asarray(sources, dtype=np.int64).ravel()
+        dist = np.full((src.size, self.n), -1, dtype=dtype)
+        step = self._block_rows(8 * self.n)
+        for lo in range(0, src.size, step):
+            self._bfs_block(src[lo : lo + step], dist[lo : lo + step])
+        return dist
+
+    def _bfs_block(self, src: np.ndarray, dist: np.ndarray) -> None:
+        """Fill ``dist`` (all -1, one row per entry of ``src``) in place."""
         k = src.size
-        dist = np.full((k, self.n), -1, dtype=dtype)
-        cand: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-        def _with_candidates(result):
-            if not return_candidates:
-                return result
-            if cand:
-                parts = tuple(
-                    np.concatenate([c[i] for c in cand]) for i in range(3)
-                )
-            else:
-                parts = tuple(np.empty(0, dtype=np.int32) for _ in range(3))
-            return result, parts
-
-        if k == 0:
-            return _with_candidates(dist)
         rows = np.arange(k, dtype=np.int64)
         dist[rows, src] = 0
-        f_row, f_v = rows, src.copy()
+        f_row, f_v = rows, src
         # Remaining unset entries: once every pair is settled (e.g. after
         # level 2 on a diameter-2 graph) the loop exits without paying
         # the final, fruitless frontier expansion.
@@ -188,6 +172,7 @@ class Graph:
         # stale stamps are never compared against.
         stamp = np.empty((k, self.n), dtype=np.int64)
         level = 0
+        ceiling = np.iinfo(dist.dtype).max
         indptr, indices = self.indptr, self.indices
         while f_v.size and unknown > 0:
             level += 1
@@ -209,14 +194,10 @@ class Graph:
             row, nbr = row[fresh], nbr[fresh]
             if row.size == 0:
                 break
-            if return_candidates:
-                hop = np.repeat(f_v, counts)[fresh]
-                cand.append(
-                    (
-                        row.astype(np.int32),
-                        nbr.astype(np.int32),
-                        hop.astype(np.int32),
-                    )
+            if level > ceiling:
+                raise OverflowError(
+                    f"BFS level {level} does not fit distance dtype "
+                    f"{dist.dtype.name} (max {ceiling})"
                 )
             pos = np.arange(row.size, dtype=np.int64)
             stamp[row, nbr] = pos
@@ -225,7 +206,6 @@ class Graph:
             dist[row, nbr] = level
             unknown -= row.size
             f_row, f_v = row, nbr
-        return _with_candidates(dist)
 
     def bfs_distances(self, source: int) -> np.ndarray:
         """Hop distances from ``source``; unreachable vertices get -1."""
@@ -235,9 +215,13 @@ class Graph:
         """Batched BFS distances, one row per source."""
         return self.all_pairs_distances(np.asarray(sources, dtype=np.int64))
 
+    def _block_rows(self, row_bytes: int) -> int:
+        """Source rows per block of a pass that works on ``row_bytes`` each."""
+        return max(1, _BLOCK_BYTES // max(row_bytes, 1))
+
     def _source_blocks(self, sources: np.ndarray):
-        """Source chunks bounding each all-pairs block to _BLOCK_ENTRIES."""
-        step = max(1, _BLOCK_ENTRIES // max(self.n, 1))
+        """Source chunks, one BFS block each, for the streaming consumers."""
+        step = self._block_rows(8 * self.n)
         for i in range(0, len(sources), step):
             yield sources[i : i + step]
 

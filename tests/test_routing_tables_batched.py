@@ -15,7 +15,8 @@ from repro.routing.tables import (
     RoutingTables,
     per_source_candidate_csr,
 )
-from repro.utils.graph import bfs_distances_reference
+from repro.topologies.base import Topology
+from repro.utils.graph import Graph, bfs_distances_reference
 
 
 @pytest.fixture(scope="module", params=sorted(TOPOLOGIES.names()))
@@ -53,6 +54,36 @@ class TestGoldenConstruction:
             assert list(paths[i, : lens[i]]) == scalar
 
 
+class TestCandidateBuilderDtypeEdges:
+    """Hand-built graphs at the builder's dtype and shape boundaries."""
+
+    GRAPHS = {
+        # diameter 199: the comparison stays int16 instead of int8
+        "long-path": Graph(200, [(i, i + 1) for i in range(199)]),
+        # 300 candidates between the two hubs: uint16 counts and weights
+        "wide-bipartite": Graph(
+            302, [(h, leaf) for h in (0, 1) for leaf in range(2, 302)]
+        ),
+        # no neighbor slot at all
+        "single-router": Graph(1, []),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_matches_per_source_oracle(self, name):
+        graph = self.GRAPHS[name]
+        tables = RoutingTables(Topology(name, graph, 1))
+        indptr, data = tables._candidate_csr()
+        ref_indptr, ref_data = per_source_candidate_csr(graph, tables.dist)
+        assert np.array_equal(indptr, ref_indptr)
+        assert np.array_equal(data, ref_data)
+
+    def test_wide_counts_are_uint16(self):
+        graph = self.GRAPHS["wide-bipartite"]
+        tab = RoutingTables(Topology("wide", graph, 1))._candidate_table()
+        assert tab.count.dtype == np.uint16
+        assert tab.count[0 * graph.n + 1] == 300
+
+
 class TestPathCacheGating:
     def _paths(self, tables, n):
         rng = np.random.default_rng(9)
@@ -86,6 +117,12 @@ class TestPathCacheGating:
         assert not RoutingTables(topo)._path_cache_enabled()
         monkeypatch.delenv(PATH_CACHE_MB_ENV)
         assert RoutingTables(topo)._path_cache_enabled()
+
+    def test_malformed_memory_cap_names_the_variable(self, monkeypatch):
+        topo = TOPOLOGIES.create("petersen:p=2")
+        monkeypatch.setenv(PATH_CACHE_MB_ENV, "256MB")
+        with pytest.raises(ValueError, match=r"REPRO_PATH_CACHE_MB.*'256MB'"):
+            RoutingTables(topo)._path_cache_enabled()
 
     def test_explicit_flag_beats_env(self, monkeypatch):
         topo = TOPOLOGIES.create("petersen:p=2")

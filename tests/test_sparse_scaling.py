@@ -6,9 +6,12 @@ dense oracle it replaced:
 * the CSR port map of :class:`~repro.flitsim.flatcore.FlatFabric`
   (sorted-neighbor searchsorted) against a scatter-built dense port
   matrix, plus the int16 ``rev_mat``;
-* the frontier-derived compact candidate table (fused into the batched
-  BFS) against the seed per-source CSR oracle *and* against the
-  compare-pass rebuild used by fault repair;
+* the compact candidate table — one sort-free builder that streams
+  source-row blocks of the finished distance matrix, used by fresh
+  builds and fault repair alike — against the seed per-source CSR
+  oracle, on the topologies that actually carry ECMP ties or irregular
+  degree, across row-block boundaries and on a fault epoch, plus a
+  traced-memory ceiling (no N x N transient beyond the output);
 * :class:`~repro.routing.tables.RowPatchedDist` against the equivalent
   dense matrix over its full indexing surface;
 * and the headline structural guarantee: constructing the q=31 tier
@@ -18,6 +21,7 @@ dense oracle it replaced:
 """
 
 import gc
+import tracemalloc
 import types
 
 import numpy as np
@@ -25,12 +29,13 @@ import pytest
 
 from repro.experiments.registry import TOPOLOGIES
 from repro.flitsim.flatcore import FlatFabric
-from repro.routing.degraded import reroute_after_failures
+from repro.routing.degraded import fault_epoch_tables, reroute_after_failures
 from repro.routing.tables import (
     RoutingTables,
     RowPatchedDist,
     per_source_candidate_csr,
 )
+from repro.utils.graph import Graph
 
 SPECS = [
     "polarfly:conc=2,q=7",
@@ -38,11 +43,39 @@ SPECS = [
     "slimfly:conc=2,q=5",
     "fattree:k=4,n=2",
 ]
+SPEC_IDS = [s.split(":")[0] + s.split("=")[-1] for s in SPECS]
+
+#: PolarFly and SlimFly have no tied pair at all; these do, and the
+#: three-level fat tree has irregular degree (exercises the CSR padding).
+TIE_SPECS = {
+    "polarstar3x5": "polarstar:conc=2,q=3,sq=5",
+    "dragonfly4x2": "dragonfly:a=4,h=2,p=2",
+    "dragonfly3x6": "dragonfly:a=3,h=6,p=2",
+    "jellyfish57": "jellyfish:n=57,p=2,r=8,seed=7",
+    "fattree3": "fattree:k=4,n=3",
+}
 
 
-@pytest.fixture(scope="module", params=SPECS, ids=[s.split(":")[0] + s.split("=")[-1] for s in SPECS])
+@pytest.fixture(scope="module", params=SPECS, ids=SPEC_IDS)
 def topo(request):
     return TOPOLOGIES.create(request.param)
+
+
+@pytest.fixture(
+    scope="module",
+    params=SPECS + list(TIE_SPECS.values()),
+    ids=SPEC_IDS + list(TIE_SPECS),
+)
+def cand_topo(request):
+    return TOPOLOGIES.create(request.param)
+
+
+def _assert_same_table(got, want):
+    """All five candidate-table arrays equal in dtype and value."""
+    for name in ("count", "first", "multi_pairs", "multi_indptr", "multi_data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
 
 
 def _dense_port_matrix(graph) -> np.ndarray:
@@ -90,25 +123,29 @@ class TestCsrPortMap:
 
 
 class TestFrontierCandidates:
-    def test_matches_per_source_oracle(self, topo):
-        tables = RoutingTables(topo)
+    """The compact candidate table against its oracles."""
+
+    def test_matches_per_source_oracle(self, cand_topo):
+        tables = RoutingTables(cand_topo)
         indptr, data = tables._candidate_csr()
         o_indptr, o_data = per_source_candidate_csr(
-            topo.graph, np.asarray(tables.dist)
+            cand_topo.graph, np.asarray(tables.dist)
         )
         assert np.array_equal(indptr, o_indptr)
         assert np.array_equal(data, o_data)
 
-    def test_fused_equals_rebuilt_from_dist(self, topo):
-        fused = RoutingTables(topo)._candidate_table()
-        rebuilt = RoutingTables.from_distances(
-            topo, np.asarray(RoutingTables(topo).dist)
-        )._candidate_table()
-        assert np.array_equal(fused.count, rebuilt.count)
-        assert np.array_equal(fused.first, rebuilt.first)
-        assert np.array_equal(fused.multi_pairs, rebuilt.multi_pairs)
-        assert np.array_equal(fused.multi_indptr, rebuilt.multi_indptr)
-        assert np.array_equal(fused.multi_data, rebuilt.multi_data)
+    def test_row_block_boundaries(self, cand_topo, monkeypatch):
+        # One row per block, a prime number of rows (ragged last block)
+        # and a single block must all emit the same arrays: the overflow
+        # CSR is a plain concatenation of the blocks' runs.
+        want = RoutingTables(cand_topo)
+        for rows in (1, 7, cand_topo.num_routers + 3):
+            monkeypatch.setattr(
+                Graph, "_block_rows", lambda self, row_bytes: rows
+            )
+            got = RoutingTables(cand_topo)
+            assert np.array_equal(got.dist, want.dist)
+            _assert_same_table(got._candidate_table(), want._candidate_table())
 
     def test_next_hops_serve_matches_dense_csr(self, topo):
         tables = RoutingTables(topo)
@@ -204,6 +241,23 @@ class TestDegradedRowSparse:
         assert 0 < inc.dist.rows.size < topo.num_routers
         assert np.array_equal(np.asarray(inc.dist), np.asarray(fresh.dist))
 
+    @pytest.mark.parametrize("dead", [(), (5,)], ids=["links", "links+router"])
+    def test_fault_epoch_candidates_match_fresh_build(self, dead):
+        # Two failed links on a topology with ECMP ties, without and
+        # with a dead router.  Links alone hand the builder the
+        # RowPatchedDist view; a dead router perturbs every BFS row (so
+        # the repair is dense) and adds all -1 rows and columns.
+        topo = TOPOLOGIES.create(TIE_SPECS["polarstar3x5"])
+        edges = topo.graph.edges()
+        links = [tuple(edges[3]), tuple(edges[len(edges) // 2])]
+        base = RoutingTables(topo)
+        inc = fault_epoch_tables(topo, links, failed_routers=dead, base=base)
+        fresh = fault_epoch_tables(topo, links, failed_routers=dead)
+        assert isinstance(inc.dist, RowPatchedDist) == (not dead)
+        assert np.array_equal(np.asarray(inc.dist), fresh.dist)
+        assert inc._candidate_table().multi_pairs.size
+        _assert_same_table(inc._candidate_table(), fresh._candidate_table())
+
     def test_untouched_failure_shares_base_dist(self):
         # Removing no edges keeps the identical dist object.
         topo = TOPOLOGIES.create("polarfly:conc=2,q=7")
@@ -236,6 +290,24 @@ def _reachable_arrays(*roots):
             continue
         stack.extend(gc.get_referents(obj))
     return out
+
+
+def test_build_memory_stays_near_output_at_q31():
+    """Traced peak of ``RoutingTables(topo)`` <= 3x what it returns.
+
+    The streamed build's transients are one BFS block and one comparison
+    block (1.7x measured); an N x N int64 stamp, candidate triples or
+    sort keys would read 17x, as the one-block fused build did.
+    """
+    topo = TOPOLOGIES.create("polarfly:conc=2,q=31")
+    tracemalloc.start()
+    try:
+        tables = RoutingTables(topo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = tables.dist.nbytes + tables._candidate_table().nbytes()
+    assert peak <= 3 * output, (peak, output)
 
 
 def test_no_wide_dense_structures_at_q31():

@@ -144,6 +144,17 @@ class TestBatchedBFS:
         assert np.array_equal(d16, g.all_pairs_distances())
         assert g.all_pairs_distances(np.empty(0, np.int64)).shape == (0, 5)
 
+    def test_dtype_ceiling_raises_loudly(self):
+        # Level 128 does not fit int8: numpy >= 2 used to die with a bare
+        # "Python integer 128 out of bounds", numpy < 2 wrapped silently
+        # into negative ("unreachable") distances.
+        g = path_graph(200)
+        with pytest.raises(OverflowError, match=r"level 128 .*int8 \(max 127\)"):
+            g.all_pairs_distances([0], dtype=np.int8)
+        assert g.all_pairs_distances([0], dtype=np.int16)[0, -1] == 199
+        # 127 itself still fits.
+        assert path_graph(128).all_pairs_distances([0], dtype=np.int8)[0, -1] == 127
+
     def test_bfs_distances_delegates(self):
         g = Graph(7, [(0, 1), (1, 2), (4, 5)])
         for s in range(7):

@@ -34,7 +34,12 @@ and the run fails when the batched q=19 ``RoutingTables`` build loses
 its speedup over the seed per-source path, or when that speedup falls
 below the committed baseline's by more than SLACK x.  Both signals are
 same-machine ratios, so the gate is robust to CI runners being slower
-or faster than the machine that committed the baseline.
+or faster than the machine that committed the baseline.  It also gates
+construction memory in bytes, which needs no ratio at all: the q=53
+tracemalloc peak up to the end of the ``RoutingTables`` build must stay
+within 3x the distance matrix plus candidate table it returns (the
+row-streamed build reads 1.3x; the one-block fused build it replaced
+read 12x).
 """
 
 import argparse
@@ -49,6 +54,7 @@ sys.path.insert(
 from repro.experiments.perfbench import (  # noqa: E402
     CANONICAL_CELLS,
     CONSTRUCTION_GATE,
+    CONSTRUCTION_MEMORY_GATE,
     run_benchmarks,
     write_bench_json,
 )
@@ -124,7 +130,8 @@ def main(argv=None) -> int:
         help=(
             "fail (exit 1) if the q=19 RoutingTables batched-over-per-source "
             "speedup drops below 1.0, or below the committed baseline's "
-            "speedup by more than SLACK x"
+            "speedup by more than SLACK x, or if the q=53 tables build's "
+            "traced peak exceeds 3 x (dist + candidate table) bytes"
         ),
     )
     args = parser.parse_args(argv)
@@ -330,6 +337,15 @@ def main(argv=None) -> int:
                 f"construction {CONSTRUCTION_GATE}: RoutingTables speedup "
                 f"{speedup:.1f}x < committed {old_speedup:.1f}x / "
                 f"{args.check_construction:.1f} slack"
+            )
+
+        mem = doc["construction"][CONSTRUCTION_MEMORY_GATE]["memory"]
+        held = mem["dist_bytes"] + mem["candidate_table_bytes"]
+        if mem["tables_traced_peak_bytes"] > 3 * held:
+            failed.append(
+                f"construction {CONSTRUCTION_MEMORY_GATE}: tables build "
+                f"peak {mem['tables_traced_peak_bytes'] / 2**20:.0f} MB > 3 x "
+                f"{held / 2**20:.0f} MB (dist + candidate table)"
             )
 
     print(f"wrote {path}")
