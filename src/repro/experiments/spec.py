@@ -27,6 +27,7 @@ from repro.experiments.registry import (
     WORKLOADS,
 )
 from repro.utils.rng import derive_seed
+from repro.utils.validation import check_sim_windows
 
 __all__ = [
     "Combo",
@@ -132,6 +133,7 @@ class ExperimentSpec:
         if not loads:
             raise ValueError("ExperimentSpec needs at least one load")
         object.__setattr__(self, "loads", loads)
+        check_sim_windows(self.warmup, self.measure, self.drain)
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -32,19 +32,32 @@ every mode, not just open loop.
 * *Route selection* (``kselect``) is the same module's second job: the
   batch protocol of ``policy.select_routes`` for exactly
   ``MinimalRouting``, ``ValiantRouting``, ``CompactValiantRouting``,
-  ``UGALRouting`` and ``UGALPFRouting``, over the routing tables'
-  existing arrays and the caller's own ``numpy.random.Generator`` bit
-  stream (``bitgen_t``).  **The numpy ``select_routes`` bodies in
+  ``UGALRouting``, ``UGALPFRouting`` and ``FatTreeNCARouting``, over
+  the routing tables' existing arrays and the caller's own
+  ``numpy.random.Generator`` bit stream (``bitgen_t``).  **The numpy
+  ``select_routes`` bodies in
   :mod:`repro.routing.policies` define the stream — which draws, with
   which bounds, in which order — and the C code mirrors them literally**
   (column-major ECMP walk, Valiant's draw/redraw/walk/walk sequence,
   32-bit Lemire rejection, no draw for a bound of 1); a change to either
   side is a change to both.  :mod:`repro.flitsim.kselect` holds the host
   half and the conditions under which the mirror declines.  Since
-  bit-identity now rests on ``Generator.integers``' algorithm,
-  :func:`load_kernel` self-tests the C draws against numpy's at load
-  (< 1 ms) and records the verdict as ``module.select_ok``; on a
-  mismatch every simulator keeps the numpy bodies.
+  bit-identity now rests on ``Generator.integers``' and
+  ``Generator.random``'s algorithms, :func:`load_kernel` self-tests the
+  C draws against numpy's at load (< 1 ms) and records the verdict as
+  ``module.select_ok``; on a mismatch every simulator keeps the numpy
+  bodies and the per-cycle path.
+
+* *Spans* (``kcycles``) compose the entries above into whole open-loop
+  cycles: the Bernoulli draw (``next_double`` per endpoint, none at zero
+  load), the destination pick, ``kselect``, packet-slot fill,
+  ``kinject``, ``kfeed``, ``kroute`` and the latency samples of measured
+  tails, for as many cycles as the caller asks — returning early, at a
+  cycle boundary, only when Python must grow a pool or flush the sample
+  buffers.  It calls the same functions the per-cycle path calls one by
+  one, so there is one copy of the cycle logic; the per-cycle sequence
+  in :class:`~repro.flitsim.flatcore.FlatSimulator` defines the result
+  and :mod:`repro.flitsim.kspan` decides when a span may stand in for it.
 
 * Loading is best-effort: no cffi, no C compiler, or any compile error
   yields ``None`` (with a one-line stderr diagnostic) and
@@ -101,7 +114,8 @@ typedef struct {
     int64_t *voq_head, *voq_tail, *voq_count, *backlog, *rr, *credits;
     int64_t *pool_pid, *pool_seq, *pool_hop, *pool_ready, *pool_next;
     int64_t *src_head, *src_tail, *ep_credit;
-    int64_t *pkt_len, *pkt_dst;
+    int64_t *pkt_len, *pkt_dst, *pkt_t_created;
+    int8_t *pkt_measured;
     int64_t *route_buf;
     int64_t *pkt_free, *pkt_free_top;
     int64_t *free_stack, *free_top;
@@ -139,10 +153,11 @@ typedef struct {
 } bitgen_t;
 
 typedef struct {
-    /* 0 min, 1 valiant, 2 compact valiant, 3 ugal, 4 ugal-pf */
+    /* 0 min, 1 valiant, 2 compact valiant, 3 ugal, 4 ugal-pf, 5 ftnca */
     int64_t mode;
     int64_t n, n_multi, bias, vc_depth;
     double over;            /* ugal-pf: threshold * capacity */
+    int64_t ft_k, ft_spl;   /* ftnca: arity, switches per level */
     /* RoutingTables: distance matrix + compact candidate table. */
     int16_t *dist, *first, *multi_data;
     uint8_t *count;
@@ -157,20 +172,49 @@ typedef struct {
 } Selector;
 """
 
-_CDEF = _STRUCT + _SELECT_STRUCT + """
+#: the open-loop injection process of one ``kcycles`` span, its counters,
+#: and why it handed control back (``lib.SPAN_*`` on the host side)
+_SPAN_STRUCT = """
+enum { SPAN_DONE, SPAN_GROW, SPAN_FLUSH, SPAN_TOO_LONG };
+
+typedef struct {
+    double prob;            /* load / packet_size; <= 0 draws nothing */
+    int64_t measuring;      /* the window flag, constant over a span */
+    /* Destination pick: table[pos[src]] for a permutation, else the
+     * uniform draw over the n_term terminals in `table`, skipping the
+     * source's own position. */
+    int64_t permutation, n_term;
+    int64_t *pos, *table;
+    int64_t *winners, *srcs, *dsts, *slots;     /* scratch, E each */
+    /* Latency / hop count of measured tails, in grant order. */
+    int64_t *lat, *hops;
+    int64_t sample_cap;
+} Injector;
+
+typedef struct {
+    int64_t now;            /* first cycle not yet executed */
+    int64_t packets, injected_flits, ejected_flits, samples;
+    int64_t max_len;        /* kselect's result at SPAN_TOO_LONG */
+} SpanOut;
+"""
+
+_CDEF = _STRUCT + _SELECT_STRUCT + _SPAN_STRUCT + """
 void kinject(SimState *st, int64_t now, int64_t k,
              const int64_t *slots, const int64_t *winners);
 void kfeed(SimState *st, int64_t now);
 int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected);
 int64_t kselect(const SimState *st, const Selector *sel, bitgen_t *bg,
                 int64_t k, const int64_t *srcs, const int64_t *dsts);
+int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
+                const Injector *inj, int64_t now, int64_t until, SpanOut *out);
 void kdraws(bitgen_t *bg, int64_t k, const int64_t *bounds, int64_t *out);
+void kdoubles(bitgen_t *bg, int64_t k, double *out);
 """
 
 _C_SOURCE = """
 #include <stdint.h>
 #include <string.h>
-""" + _STRUCT + _SELECT_STRUCT + """
+""" + _STRUCT + _SELECT_STRUCT + _SPAN_STRUCT + """
 
 /* Account and release one dropped flit row (fault mode): bump the
  * flit-drop counter, flag the packet damaged, record a lost tail in the
@@ -466,11 +510,18 @@ static int64_t draw(bitgen_t *bg, int64_t bound)
     return (int64_t)(m >> 32);
 }
 
-/* The load-time self-test's C half: out[i] = integers(bounds[i]). */
+/* The load-time self-test's C half: out[i] = integers(bounds[i]), and
+ * Generator.random(k) as the Bernoulli draw of kcycles makes it. */
 void kdraws(bitgen_t *bg, int64_t k, const int64_t *bounds, int64_t *out)
 {
     for (int64_t i = 0; i < k; i++)
         out[i] = draw(bg, bounds[i]);
+}
+
+void kdoubles(bitgen_t *bg, int64_t k, double *out)
+{
+    for (int64_t i = 0; i < k; i++)
+        out[i] = bg->next_double(bg->state);
 }
 
 /* Row scratch array `i` (of 13) behind the two cap x width matrices. */
@@ -600,6 +651,49 @@ static void sel_compact(const Selector *s, bitgen_t *bg, int64_t m,
     }
 }
 
+/* FatTreeNCARouting.select_route, packet by packet: strip digits to the
+ * NCA level, one draw over the parents (the CSR slice's tail: every
+ * higher-level neighbor has a larger id) per up-hop, then down through
+ * the first lower-level neighbor one hop closer to dst.  Callers pass
+ * level-0 switches only, so an up-hop always has parents and nca
+ * descents end at dst. */
+static void sel_ftnca(const Selector *s, bitgen_t *bg, int64_t m,
+                      const int64_t *src, const int64_t *dst,
+                      int64_t *out, int64_t *ol)
+{
+    int64_t n = s->n, W = s->width, K = s->ft_k, spl = s->ft_spl;
+    for (int64_t j = 0; j < m; j++) {
+        int64_t cur = src[j], to = dst[j], len = 1, nca = 0;
+        int64_t *path = out + j * W;
+        path[0] = cur;
+        for (int64_t a = cur % spl, b = to % spl; a != b; a /= K, b /= K)
+            nca++;
+        for (int64_t up = 0; up < nca; up++) {
+            int64_t hi = s->g_indptr[cur + 1];
+            int64_t lo = lower_bound(s->g_indices, s->g_indptr[cur], hi,
+                                     (cur / spl + 1) * spl);
+            cur = s->g_indices[lo + draw(bg, hi - lo)];
+            if (len < W)
+                path[len] = cur;
+            len++;
+        }
+        for (int64_t down = 0; down < nca; down++) {
+            int64_t closer = s->dist[cur * n + to] - 1, below = cur / spl - 1;
+            for (int64_t e = s->g_indptr[cur]; e < s->g_indptr[cur + 1]; e++) {
+                int64_t v = s->g_indices[e];
+                if (v / spl == below && s->dist[v * n + to] == closer) {
+                    cur = v;
+                    break;
+                }
+            }
+            if (len < W)
+                path[len] = cur;
+            len++;
+        }
+        ol[j] = len;
+    }
+}
+
 /* CongestionView.output_occupancy(r, next_hop): credit debt + backlog. */
 static int64_t occupancy(const SimState *st, const Selector *s,
                          int64_t r, int64_t next_hop)
@@ -610,11 +704,12 @@ static int64_t occupancy(const SimState *st, const Selector *s,
 }
 
 /* The batch protocol of policy.select_routes for the five vectorized
- * policies.  Paths land in the first cap x width scratch matrix, their
- * lengths in row array 0; returns the longest length — the caller
- * checks it against the slot stride (rows wider than `width` were
- * truncated, not written out of bounds) — or -1, before anything is
- * drawn or written, when a router id is out of range. */
+ * policies and FT-NCA.  Paths land in the first cap x width scratch
+ * matrix, their lengths in row array 0; returns the longest length — the
+ * caller checks it against the slot stride (rows wider than `width` were
+ * truncated, not written out of bounds) — or, before anything is drawn
+ * or written, -1 when a router id is out of range and -2 when FT-NCA is
+ * handed a switch above level 0 (the Python body's business). */
 int64_t kselect(const SimState *st, const Selector *s, bitgen_t *bg,
                 int64_t k, const int64_t *srcs, const int64_t *dsts)
 {
@@ -625,13 +720,18 @@ int64_t kselect(const SimState *st, const Selector *s, bitgen_t *bg,
             return -1;
     int64_t *paths = s->work, *alt = s->work + s->cap * W;
     int64_t *lens = scratch(s, 0), *alt_lens = scratch(s, 1);
-    if (s->mode == 1)
+    if (s->mode == 5) {
+        for (int64_t i = 0; i < k; i++)
+            if (srcs[i] >= s->ft_spl || dsts[i] >= s->ft_spl)
+                return -2;
+        sel_ftnca(s, bg, k, srcs, dsts, paths, lens);
+    } else if (s->mode == 1)
         sel_valiant(s, bg, k, srcs, dsts, 0, paths, lens);
     else if (s->mode == 2)
         sel_compact(s, bg, k, srcs, dsts, 0, paths, lens);
     else
         walk(s, bg, k, srcs, dsts, 0, paths, 0, 0, lens);
-    if (s->mode >= 3) {
+    if (s->mode == 3 || s->mode == 4) {
         /* UGAL: Valiant candidates for the rows with a first hop —
          * UGAL_PF only for those whose min-path output buffer is over
          * threshold, and from Compact Valiant — then the queue x hops
@@ -670,6 +770,93 @@ int64_t kselect(const SimState *st, const Selector *s, bitgen_t *bg,
         if (lens[i] > max_len)
             max_len = lens[i];
     return max_len;
+}
+
+/* ------------------------------------------------------------------
+ * Open-loop spans: cycles [now, until) of the protocol in engine.py end
+ * to end — FlatSimulator._inject (Bernoulli draw, destination pick,
+ * select_routes, _fill_packet_slots) and _kernel_cycle, in that order,
+ * on the caller's bit stream.  Returns SPAN_DONE, or earlier with
+ * out->now = the cycle not yet started: SPAN_GROW / SPAN_FLUSH at a
+ * cycle boundary when the pools lack room for one worst-case cycle (E
+ * packets) or the sample buffers for E more tails — Python makes room
+ * and calls again — and SPAN_TOO_LONG where the per-cycle path raises.
+ * The counters in `out` accumulate across calls.
+ * ------------------------------------------------------------------ */
+int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
+                const Injector *inj, int64_t now, int64_t until, SpanOut *out)
+{
+    int64_t E = st->E, ps = st->ps, W = sel->width;
+    const int64_t *paths = sel->work, *lens = scratch(sel, 0);
+    for (; now < until; now++) {
+        out->now = now;
+        if (inj->prob > 0.0
+                && (*st->free_top < E * ps || *st->pkt_free_top < E))
+            return SPAN_GROW;
+        if (out->samples + E > inj->sample_cap)
+            return SPAN_FLUSH;
+
+        /* Step 1: rng.random(E) < prob, then the winners' destinations
+         * (one bounded draw each, in endpoint order), then the routes. */
+        int64_t k = 0;
+        if (inj->prob > 0.0)
+            for (int64_t e = 0; e < E; e++)
+                if (bg->next_double(bg->state) < inj->prob)
+                    inj->winners[k++] = e;
+        if (k) {
+            for (int64_t j = 0; j < k; j++) {
+                int64_t src = st->ep_router[inj->winners[j]];
+                int64_t at = inj->pos[src];
+                if (!inj->permutation) {
+                    int64_t d = draw(bg, inj->n_term - 1);
+                    at = d < at ? d : d + 1;
+                }
+                inj->srcs[j] = src;
+                inj->dsts[j] = inj->table[at];
+            }
+            int64_t max_len = kselect(st, sel, bg, k, inj->srcs, inj->dsts);
+            /* KernelSpan.bind vouched for every id kselect refuses, so
+             * a negative result is only kept out of the memcpy here. */
+            if (max_len < 0 || max_len > st->stride) {
+                out->max_len = max_len;
+                return SPAN_TOO_LONG;
+            }
+            /* Slots come off the stack as one block, in stack order;
+             * each route row takes the batch's max_len columns, like
+             * the matrix assignment it mirrors. */
+            int64_t top = (*st->pkt_free_top -= k);
+            for (int64_t j = 0; j < k; j++) {
+                int64_t pid = inj->slots[j] = st->pkt_free[top + j];
+                memcpy(st->route_buf + pid * st->stride, paths + j * W,
+                       max_len * sizeof(int64_t));
+                st->pkt_len[pid] = lens[j];
+                st->pkt_dst[pid] = paths[j * W + lens[j] - 1];
+                st->pkt_t_created[pid] = now;
+                st->pkt_measured[pid] = (int8_t)inj->measuring;
+            }
+            kinject(st, now, k, inj->slots, inj->winners);
+            out->packets += k;
+            if (inj->measuring)
+                out->injected_flits += k * ps;
+        }
+
+        /* Steps 2-3, then the measured tails' samples in grant order
+         * (a recycled slot keeps its row until the next injection). */
+        int64_t n_ej;
+        kfeed(st, now);
+        int64_t n_tail = kroute(st, now, &n_ej);
+        if (inj->measuring)
+            out->ejected_flits += n_ej;
+        for (int64_t i = 0; i < n_tail; i++) {
+            int64_t pid = st->tail_pids[i];
+            if (!st->pkt_measured[pid])
+                continue;
+            inj->lat[out->samples] = now - st->pkt_t_created[pid];
+            inj->hops[out->samples++] = st->pkt_len[pid] - 1;
+        }
+    }
+    out->now = until;
+    return SPAN_DONE;
 }
 """
 
@@ -764,13 +951,16 @@ def bitgen_of(ffi, rng):
 
 
 def _draws_match(module) -> bool:
-    """Whether C ``draw`` reproduces ``Generator.integers`` on this numpy.
+    """Whether the C draws reproduce ``Generator``'s on this numpy.
 
     Two throw-away generators from one seed: a few hundred bounded draws
     through each, both as one array-of-bounds call (the ECMP tie draw)
-    and as ``integers(bound, size=)`` calls (the Valiant intermediates).
-    Values and the final bit-generator state must agree — the state
-    covers draws that consume the stream without changing a value.
+    and as ``integers(bound, size=)`` calls (the Valiant intermediates,
+    the uniform destinations), interleaved with ``random(size)`` blocks
+    (the Bernoulli draw of ``kcycles``) the way a simulated cycle
+    alternates them.  Values and the final bit-generator state must
+    agree — the state covers draws that consume the stream without
+    changing a value, and a 32-bit half left buffered across a double.
     """
     import numpy as np
 
@@ -780,34 +970,38 @@ def _draws_match(module) -> bool:
     bounds = np.tile(
         np.array([1, 2, 3, 7, 57, 2**31 + 1], dtype=np.int64), 40
     )
-    blocks = [bounds] + [np.full(16, b, dtype=np.int64) for b in bounds[:6]]
-    want = [theirs.integers(bounds)] + [
-        theirs.integers(int(b[0]), size=b.size) for b in blocks[1:]
-    ]
+    blocks = [bounds] + [np.full(15, b, dtype=np.int64) for b in bounds[:6]]
     bg = bitgen_of(ffi, ours)
-    for block, expected in zip(blocks, want):
+    for i, block in enumerate(blocks):
+        want = theirs.integers(block if i == 0 else int(block[0]), size=block.size)
         got = np.empty_like(block)
         lib.kdraws(
             bg, block.size, ffi.from_buffer("int64_t[]", block),
             ffi.from_buffer("int64_t[]", got),
         )
-        if not np.array_equal(got, expected):
+        uniform = np.empty(57)
+        lib.kdoubles(bg, uniform.size, ffi.from_buffer("double[]", uniform))
+        if not (
+            np.array_equal(got, want)
+            and np.array_equal(uniform, theirs.random(uniform.size))
+        ):
             return False
     return ours.bit_generator.state == theirs.bit_generator.state
 
 
 def _check_draws(module) -> bool:
-    """Run the draw self-test; a failure costs ``kselect``, not the kernel.
+    """Run the draw self-test; a failure costs the draws, not the kernel.
 
-    The cycle entry points draw nothing, so they stay in service either
-    way; simulators consult ``module.select_ok`` before offering
-    compiled route selection (the numpy ``select_routes`` bodies are
-    bit-identical, so a decline only costs speed).
+    ``kinject``/``kfeed``/``kroute`` draw nothing, so they stay in
+    service either way; simulators consult ``module.select_ok`` before
+    offering compiled route selection or whole-cycle spans (the numpy
+    bodies and the per-cycle path are bit-identical, so a decline only
+    costs speed).
     """
     try:
         if _draws_match(module):
             return True
-        reason = "its bounded draws differ from numpy's Generator.integers"
+        reason = "its draws differ from numpy's Generator.integers/random"
     except Exception as exc:
         reason = f"draw self-test failed: {type(exc).__name__}: {exc}"
     _diagnose(reason, what="route-selection")

@@ -91,6 +91,22 @@ tail-completion reporting workload mode needs — in a compiled kernel for
 *every* mode (open-loop, workload, fault, and combined), with Python
 keeping only epoch deltas (step 0) and dependency/retransmit bookkeeping.
 Results stay bit-identical either way; see :mod:`repro.flitsim._kernel`.
+
+**Spans**: the run loops (:meth:`SimulatorCore.run`, its drain, and the
+drain of the time-series driver) move time through
+:meth:`SimulatorCore.advance`, whose default is ``step()`` ``n`` times.
+The flat engine overrides it for plain open-loop cells — no workload, no
+fault timeline, a stock policy and traffic pattern, nothing hooked onto
+either instance — and executes steps 1-3 of all ``n`` cycles inside one
+compiled call (``kcycles``) on the simulator's own bit stream: the
+Bernoulli draw, the destination pick, route selection, packet-slot fill,
+injection, feed, router phase and the latency samples of measured tails.
+``step()`` remains the definition: a span leaves the generator, the
+:class:`SimResult` and every state array exactly where ``n`` steps would
+(``tests/test_kcycles.py``), so drivers that sample between cycles keep
+calling ``step()`` and mix freely with spans.  The conditions are listed
+in :mod:`repro.flitsim.kspan`; ``sim.span_cycles`` counts the cycles that
+ran this way.
 """
 
 from __future__ import annotations
@@ -99,6 +115,8 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.utils.validation import check_sim_windows
 
 __all__ = [
     "SimConfig",
@@ -167,6 +185,11 @@ class SimResult:
         self.latencies = np.asarray(self.latencies, dtype=np.float64)
         self.hop_counts = np.asarray(self.hop_counts, dtype=np.int64)
         return self
+
+    @property
+    def finalized(self) -> bool:
+        """Whether :meth:`finalize` ran: the samples no longer accumulate."""
+        return isinstance(self.latencies, np.ndarray)
 
     @property
     def accepted_load(self) -> float:
@@ -255,7 +278,10 @@ class SimulatorCore:
     """Run-loop and congestion-view surface shared by both engines.
 
     Subclasses provide ``step()`` plus the state the protocol requires
-    (``now``, ``load``, ``_measuring``, ``_stat``).
+    (``now``, ``load``, ``_measuring``, ``_stat``).  The run loops move
+    time through :meth:`advance`, which an engine may override to cover
+    a whole span of cycles at once as long as the state it leaves is the
+    state ``step()`` that many times would.
     """
 
     #: closed-loop workload state; engine constructors set per instance
@@ -272,20 +298,33 @@ class SimulatorCore:
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def advance(self, n: int) -> None:
+        """Simulate ``n`` cycles with the window flags as they stand."""
+        for _ in range(n):
+            self.step()
+
+    def _require_unfinished(self) -> None:
+        """A simulator produces one result; its samples are packed then."""
+        if self._stat.finalized:
+            raise RuntimeError(
+                "this simulator has already produced its result; build a "
+                "new one to run again"
+            )
+
     def run(self, warmup: int = 600, measure: int = 1200, drain: int = 300) -> SimResult:
         """Warm up, measure, optionally drain; returns the window's stats."""
+        check_sim_windows(warmup, measure, drain)
         if self._wl is not None:
             raise RuntimeError(
                 "this simulator drives a workload; use run_workload()"
             )
         if self._fault is not None:
             self._fault.begin_run(self.policy)
-        for _ in range(warmup):
-            self.step()
+        self._require_unfinished()
+        self.advance(warmup)
         self._measuring = True
         start = self.now
-        for _ in range(measure):
-            self.step()
+        self.advance(measure)
         self._stat.cycles = self.now - start
         self._measuring = False
         self._drain(drain)
@@ -304,8 +343,7 @@ class SimulatorCore:
         """
         if drain:
             saved_load, self.load = self.load, 0.0
-            for _ in range(drain):
-                self.step()
+            self.advance(drain)
             self.load = saved_load
 
     def run_workload(self, max_cycles: int = 200_000):
@@ -326,6 +364,7 @@ class SimulatorCore:
 
         if self._fault is not None:
             self._fault.begin_run(self.policy)
+        self._require_unfinished()
         self._measuring = True
         state = self._wl
         while not state.done and self.now < max_cycles:

@@ -24,6 +24,9 @@ queued flit:
   the policy's batched ``select_routes``.
 * **Congestion view** — ``output_occupancy`` is an O(1) read of the
   incrementally maintained per-output backlog counters plus credit debt.
+* **Spans** — ``advance(n)`` runs ``n`` open-loop cycles, injection
+  included, inside one compiled call when nothing needs Python between
+  them (:mod:`repro.flitsim.kspan`); ``step()`` stays the definition.
 
 The topology-dependent port geometry (a CSR port map — O(E), not the
 seed's dense O(N^2) matrix) is memoized per topology object in
@@ -51,6 +54,7 @@ from repro.flitsim.engine import (
     validate_sim_args,
 )
 from repro.flitsim.kselect import KernelSelector
+from repro.flitsim.kspan import KernelSpan
 from repro.flitsim.traffic import TrafficPattern
 from repro.routing.policies import RoutingPolicy, routes_as_matrix
 from repro.topologies.base import Topology
@@ -322,6 +326,16 @@ class FlatSimulator(SimulatorCore):
             if self._kernel is not None and self._kernel.select_ok
             else None
         )
+        #: whole-cycle spans for an open-loop run (None: cycle by cycle)
+        self._kspan = (
+            KernelSpan(self)
+            if self._kselect is not None
+            and self._wl is None
+            and self._fault is None
+            else None
+        )
+        #: cycles :meth:`advance` executed inside ``kcycles``
+        self.span_cycles = 0
 
     # ------------------------------------------------------------------
     # CongestionView protocol
@@ -518,6 +532,8 @@ class FlatSimulator(SimulatorCore):
         st.src_head, st.src_tail = ptr(self.src_head), ptr(self.src_tail)
         st.ep_credit = ptr(self.ep_credit)
         st.pkt_len, st.pkt_dst = ptr(self.pkt_len), ptr(self.pkt_dst)
+        st.pkt_t_created = ptr(self.pkt_t_created)
+        st.pkt_measured = bptr(self.pkt_measured)
         st.route_buf = ptr(self.route_buf)
         st.pkt_free = ptr(self._pslot_stack)
         st.pkt_free_top = ptr(self._pslot_top)
@@ -615,6 +631,22 @@ class FlatSimulator(SimulatorCore):
         if self._kernel is not None:
             self._bind_kernel_state()
 
+    def _reserve_cycle(self) -> None:
+        """Room for one worst-case open-loop cycle: a packet per endpoint.
+
+        Applied before every Bernoulli draw — by :meth:`_inject` and, on
+        ``kcycles``' request, by the span driver — so the pools grow at
+        the same cycle, to the same size, whichever way the cycle runs,
+        and a span never has to stop mid-cycle for memory.
+        """
+        E = self.fab.E
+        flits = E * self.config.packet_size
+        if self.free_top < flits:
+            self._grow_pool(flits - self.free_top)
+        slots = int(self._pslot_top[0])
+        if slots < E:
+            self._grow_pkt_pool(E - slots)
+
     def _alloc_pkt_slots(self, k: int) -> np.ndarray:
         if int(self._pslot_top[0]) < k:
             self._grow_pkt_pool(k - int(self._pslot_top[0]))
@@ -639,10 +671,7 @@ class FlatSimulator(SimulatorCore):
         k = lens.size
         max_len = int(lens.max())
         if max_len > self.route_stride:
-            raise ValueError(
-                f"route of {max_len - 1} hops exceeds the policy's "
-                f"declared max_hops={self.policy.max_hops}"
-            )
+            raise self._route_too_long(max_len)
         slots = self._alloc_pkt_slots(k)
         route_rows = self.route_buf.reshape(self.pkt_cap, self.route_stride)
         # The matrix may carry padding columns wider than any surviving
@@ -662,6 +691,12 @@ class FlatSimulator(SimulatorCore):
         if self._measuring:
             self._stat.injected_flits += k * self.config.packet_size
         return slots, k
+
+    def _route_too_long(self, max_len: int) -> ValueError:
+        return ValueError(
+            f"route of {max_len - 1} hops exceeds the policy's "
+            f"declared max_hops={self.policy.max_hops}"
+        )
 
     def _chain_flits(self, slots, k):
         """Allocate and intra-link the flit rows of ``k`` fresh packets.
@@ -685,6 +720,7 @@ class FlatSimulator(SimulatorCore):
         prob = self.load / ps
         if prob <= 0.0:
             return
+        self._reserve_cycle()
         rng = self.rng
         fab = self.fab
         winners = np.flatnonzero(rng.random(fab.E) < prob)
@@ -709,8 +745,6 @@ class FlatSimulator(SimulatorCore):
         slots, k = self._fill_packet_slots(srcs, dsts)
 
         if self._kernel is not None:
-            if self.free_top < k * ps:
-                self._grow_pool(k * ps - self.free_top)
             ffi = self._kernel.ffi
             self._kernel.lib.kinject(
                 self._st,
@@ -1172,6 +1206,23 @@ class FlatSimulator(SimulatorCore):
             self.ep_credit[int(fab.ep_off[r]) : int(fab.ep_off[r + 1])] = depth
             self.dead_row[r * fab.O + fab.OE] = False
 
+    def _bind_link_counters(self) -> None:
+        """Show the kernel the link counters iff the measure window is open.
+
+        Outside it (or with none attached) the kernel sees NULL and
+        skips the increment branch.
+        """
+        if self._ltel_buf is not None:
+            self._st.link_flits = (
+                self._ltel_buf if self._measuring else self._kernel.ffi.NULL
+            )
+        if self._ltel_win_buf is not None:
+            self._st.link_flits_win = (
+                self._ltel_win_buf
+                if self._measuring
+                else self._kernel.ffi.NULL
+            )
+
     def _kernel_cycle(self) -> None:
         """Feed + route phase in one C pass (same protocol, same arrays).
 
@@ -1187,18 +1238,7 @@ class FlatSimulator(SimulatorCore):
         ft = self._fault
         if ft is not None:
             self._fcnt[:] = 0
-        if self._ltel_buf is not None:
-            # Counters are live only inside the measure window; outside
-            # it the kernel sees NULL and skips the increment branch.
-            self._st.link_flits = (
-                self._ltel_buf if self._measuring else self._kernel.ffi.NULL
-            )
-        if self._ltel_win_buf is not None:
-            self._st.link_flits_win = (
-                self._ltel_win_buf
-                if self._measuring
-                else self._kernel.ffi.NULL
-            )
+        self._bind_link_counters()
         lib.kfeed(self._st, self.now)
         n_tail = lib.kroute(self._st, self.now, self._n_ej)
         n_ej = self._n_ej[0]
@@ -1228,6 +1268,17 @@ class FlatSimulator(SimulatorCore):
                 dmg = int(self.pkt_damaged[done].sum())
                 if dmg:
                     ft.note_damaged_deliveries(dmg)
+
+    def advance(self, n: int) -> None:
+        """``step()`` ``n`` times — as one ``kcycles`` span when eligible.
+
+        The conditions are :class:`~repro.flitsim.kspan.KernelSpan`'s;
+        either way leaves the same generator, result and state arrays.
+        """
+        if n > 0 and self._kspan is not None and self._kspan.bind(self):
+            self._kspan.run(self, n)
+        else:
+            super().advance(n)
 
     def step(self) -> None:
         """Advance the simulation by one cycle."""

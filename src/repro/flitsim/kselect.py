@@ -11,13 +11,21 @@ The numpy ``select_routes`` bodies in :mod:`repro.routing.policies`
 *define* the stream; the C code mirrors them and this module decides,
 from what it can observe, when the mirror applies.  It serves exactly
 :class:`MinimalRouting`, :class:`ValiantRouting`,
-:class:`CompactValiantRouting`, :class:`UGALRouting` and
-:class:`UGALPFRouting` (exact types — a subclass may override any step)
-over tables in the plain narrow layout: C-contiguous int16
-``dist``/``first``/``multi_data``, uint8 ``count``.  Anything else — a
+:class:`CompactValiantRouting`, :class:`UGALRouting`,
+:class:`UGALPFRouting` and :class:`FatTreeNCARouting` (exact types — a
+subclass may override any step; FT-NCA on exactly the stock
+:class:`~repro.topologies.fattree.FatTree` wiring) over tables in the
+plain narrow layout: C-contiguous int16 ``dist``/``first``/``multi_data``,
+uint8 ``count``.  Anything else — a
 :class:`~repro.routing.tables.RowPatchedDist` fault epoch, N >= 32768, a
-non-``Generator`` rng, an empty batch — declines with ``None`` and the
-caller's numpy body runs; no table is ever copied or densified to fit.
+non-``Generator`` rng, an empty batch, an FT-NCA endpoint above level 0
+— declines with ``None`` and the caller's numpy body runs; no table is
+ever copied or densified to fit.
+
+The same binding serves whole-cycle spans (:mod:`repro.flitsim.kspan`):
+:meth:`KernelSelector.bind` is everything :meth:`KernelSelector.select`
+does short of the call, and ``kcycles`` runs the ``kselect`` body on the
+struct it leaves behind.
 """
 
 from __future__ import annotations
@@ -27,11 +35,13 @@ import numpy as np
 from repro.flitsim._kernel import bitgen_of
 from repro.routing.policies import (
     CompactValiantRouting,
+    FatTreeNCARouting,
     MinimalRouting,
     UGALPFRouting,
     UGALRouting,
     ValiantRouting,
 )
+from repro.topologies.fattree import FatTree
 
 __all__ = ["KernelSelector"]
 
@@ -42,6 +52,7 @@ _MODES = {
     CompactValiantRouting: 2,
     UGALRouting: 3,
     UGALPFRouting: 4,
+    FatTreeNCARouting: 5,
 }
 
 #: row scratch arrays behind the two path matrices (see ``scratch()`` in C)
@@ -86,12 +97,19 @@ class KernelSelector:
         self._usable = False
         self._rng = None
         self._bitgen = None
-        self._grow(64)
+        # An open-loop cycle injects at most one packet per endpoint, so
+        # only workload batches ever outgrow this.
+        self._grow(max(64, sim.fab.E))
 
     def _grow(self, cap: int) -> None:
-        """Scratch for ``cap`` packets: O(batch * stride) int64."""
+        """Scratch for ``cap`` packets: O(batch * stride) int64.
+
+        Zeroed, not empty: route rows are copied out at the batch's
+        longest length, so the columns past a shorter route's end reach
+        the route buffer — dead there, but equal between equal runs.
+        """
         self._cap = cap
-        self._work = np.empty(cap * (2 * self._width + _ROW_ARRAYS), np.int64)
+        self._work = np.zeros(cap * (2 * self._width + _ROW_ARRAYS), np.int64)
         self._paths = self._work[: cap * self._width].reshape(cap, self._width)
         self._lens = self._work[2 * cap * self._width :][:cap]
         self._sel.cap = cap
@@ -117,6 +135,13 @@ class KernelSelector:
                 type(sub) is not kind or sub.tables is not tables
             ):
                 return False
+        if self._sel.mode == 5:
+            # The C descent reads the stock k-ary n-tree wiring off the
+            # switch ids.
+            ft = policy.ft
+            if type(ft) is not FatTree or ft is not tables.topo:
+                return False
+            self._sel.ft_k, self._sel.ft_spl = ft.k, ft.switches_per_level
         cands = tables._candidate_table()
         graph = policy.topo.graph
         layout = (
@@ -148,24 +173,23 @@ class KernelSelector:
         sel.n_multi = cands.multi_pairs.size
         return True
 
-    def select(self, sim, srcs, dsts, rng):
-        """``sim.policy.select_routes(srcs, dsts, rng, sim)`` in C, or None."""
+    def bind(self, sim, rng, k: int) -> bool:
+        """Ready the C state for a batch of up to ``k``; False to decline.
+
+        Everything :meth:`select` needs before the call: the tables
+        ``sim.policy`` points at now, the adaptive policies' bias and
+        threshold, ``rng``'s bit stream, scratch for ``k`` packets.
+        """
         policy = sim.policy
         if policy.tables is not self._tables:
             self._tables = policy.tables
             self._usable = self._bind_tables(policy)
-        k = len(srcs)
-        if (
-            not self._usable
-            or k == 0
-            or len(dsts) != k
-            or type(rng) is not np.random.Generator
-        ):
-            return None
+        if not self._usable or type(rng) is not np.random.Generator:
+            return False
         sel = self._sel
-        if sel.mode >= 3:
+        if sel.mode in (3, 4):
             if type(policy.bias) is not int:
-                return None
+                return False
             sel.bias = policy.bias
             if sel.mode == 4:
                 sel.over = policy.threshold * max(sim.output_capacity(), 1)
@@ -174,15 +198,26 @@ class KernelSelector:
             self._bitgen = bitgen_of(self._kernel.ffi, rng)
         if k > self._cap:
             self._grow(max(k, 2 * self._cap))
+        return True
+
+    def select(self, sim, srcs, dsts, rng):
+        """``sim.policy.select_routes(srcs, dsts, rng, sim)`` in C, or None."""
+        k = len(srcs)
+        if k == 0 or len(dsts) != k or not self.bind(sim, rng, k):
+            return None
         ffi = self._kernel.ffi
         srcs = np.ascontiguousarray(srcs, dtype=np.int64)
         dsts = np.ascontiguousarray(dsts, dtype=np.int64)
         with rng.bit_generator.lock:
             max_len = self._kernel.lib.kselect(
-                sim._st, sel, self._bitgen, k,
+                sim._st, self._sel, self._bitgen, k,
                 ffi.from_buffer("int64_t[]", srcs),
                 ffi.from_buffer("int64_t[]", dsts),
             )
+        if max_len == -2:
+            return None
         if max_len < 0:
-            raise IndexError(f"router id out of range [0, {sel.n}) in batch")
+            raise IndexError(
+                f"router id out of range [0, {self._sel.n}) in batch"
+            )
         return self._paths[:k, : min(max_len, self._width)], self._lens[:k]

@@ -25,8 +25,9 @@ Implemented policies:
 ``select_routes`` — the batched per-cycle entry point — **defines each
 policy's RNG stream**: which bounded draws are made, in which order.
 The flat engine's C kernel carries a mirror of the five vectorized
-bodies (``kselect`` in :mod:`repro.flitsim._kernel`) that a policy
-reaches by asking its ``congestion`` argument (:func:`_accelerated`);
+bodies and of FT-NCA's sequential one (``kselect`` in
+:mod:`repro.flitsim._kernel`) that a policy reaches by asking its
+``congestion`` argument (:func:`_accelerated`);
 the numpy bodies here stay the definition, the oracle the reference
 engine runs, and the only path without a compiler.  Changing a draw
 here means changing the C mirror in the same commit — the twin tests in
@@ -599,6 +600,15 @@ class FatTreeNCARouting(RoutingPolicy):
             cur = int(hops[level[hops] == level[cur] - 1][0])
             path.append(cur)
         return path
+
+    def select_routes(self, srcs, dsts, rng, congestion=ZERO_CONGESTION):
+        # The batch is the sequential default — :meth:`select_route`
+        # packet by packet is the definition — unless the congestion
+        # view runs that same sequence compiled.
+        routes = _accelerated(FatTreeNCARouting, self, srcs, dsts, rng, congestion)
+        if routes is not None:
+            return routes
+        return RoutingPolicy.select_routes(self, srcs, dsts, rng, congestion)
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
-__all__ = ["check_positive_int", "check_probability", "check_in_range"]
+import operator
+
+__all__ = [
+    "check_positive_int",
+    "check_probability",
+    "check_in_range",
+    "check_sim_windows",
+]
 
 
 def check_positive_int(value, name: str) -> int:
@@ -33,3 +40,22 @@ def check_in_range(value, lo, hi, name: str):
     if not (lo <= value <= hi):
         raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
     return value
+
+
+def check_sim_windows(warmup, measure, drain) -> None:
+    """Raise ``ValueError`` naming the first bad simulation window length.
+
+    ``warmup`` and ``drain`` may be empty; ``measure`` divides every
+    per-cycle statistic, so it must cover at least one cycle.
+    """
+    for name, value, floor in (
+        ("warmup", warmup, 0), ("measure", measure, 1), ("drain", drain, 0),
+    ):
+        try:
+            ok = operator.index(value) >= floor
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"{name} must be an integer >= {floor}, got {value!r}"
+            )

@@ -110,20 +110,28 @@ class Workload:
     # Validation
     # ------------------------------------------------------------------
     def _check_acyclic(self) -> None:
-        """Kahn's algorithm: every message must be reachable from roots."""
+        """Kahn's algorithm: every message must be reachable from roots.
+
+        Level-synchronous: each round retires a whole frontier by
+        gathering its members' dependents spans from the CSR in one
+        concatenated index and decrementing them together.
+        """
         pending = self.dep_counts.copy()
-        frontier = list(np.flatnonzero(pending == 0))
-        seen = len(frontier)
+        frontier = np.flatnonzero(pending == 0)
+        seen = frontier.size
         indptr, indices = self.dependents_indptr, self.dependents_indices
-        while frontier:
-            nxt: list = []
-            for mid in frontier:
-                for d in indices[indptr[mid] : indptr[mid + 1]]:
-                    pending[d] -= 1
-                    if pending[d] == 0:
-                        nxt.append(int(d))
-            seen += len(nxt)
-            frontier = nxt
+        while frontier.size:
+            starts = indptr[frontier]
+            counts = indptr[frontier + 1] - starts
+            ends = np.cumsum(counts)
+            touched = indices[
+                np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1])
+            ]
+            np.subtract.at(pending, touched, 1)
+            # A message fed by several frontier members appears once per
+            # edge; it joins the next frontier once.
+            frontier = np.unique(touched[pending[touched] == 0])
+            seen += frontier.size
         if seen != self.num_messages:
             raise ValueError(
                 f"workload {self.name!r} dependency graph has a cycle "

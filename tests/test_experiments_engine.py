@@ -71,6 +71,28 @@ class TestSpec:
             tiny_spec(loads=())
 
 
+    @pytest.mark.parametrize(
+        "windows,field",
+        [
+            (dict(measure=0), "measure"),
+            (dict(measure=-1), "measure"),
+            (dict(warmup=-1), "warmup"),
+            (dict(drain=-3), "drain"),
+            (dict(drain=2.5), "drain"),
+            (dict(warmup="80"), "warmup"),
+        ],
+    )
+    def test_bad_window_rejected_at_construction(self, windows, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+            tiny_spec(**windows)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            tiny_spec().with_(**windows)
+
+    def test_smallest_windows_accepted(self):
+        spec = tiny_spec(warmup=0, measure=1, drain=0)
+        assert (spec.warmup, spec.measure, spec.drain) == (0, 1, 0)
+
+
 class TestDerivedSeeds:
     def test_deterministic_and_distinct(self):
         s1 = derive_seed(7, "a", "b", 0.2)

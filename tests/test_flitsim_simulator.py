@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import PolarFly
 from repro.flitsim import (
+    FlatSimulator,
     NetworkSimulator,
     SimConfig,
     TornadoTraffic,
@@ -59,6 +60,41 @@ class TestValidation:
         valiant = ValiantRouting(tables)  # 4-hop worst case
         with pytest.raises(ValueError):
             NetworkSimulator(pf, valiant, tr, 0.5, config=SimConfig(num_vcs=2))
+
+
+#: bad (warmup, measure, drain) -> the field the error must name
+BAD_WINDOWS = [
+    (dict(measure=0), "measure"),
+    (dict(measure=-5), "measure"),
+    (dict(warmup=-1), "warmup"),
+    (dict(drain=-1), "drain"),
+    (dict(warmup=10.5), "warmup"),
+    (dict(measure=None), "measure"),
+    (dict(warmup=-1, measure=0), "warmup"),
+]
+
+
+@pytest.mark.parametrize("engine", [NetworkSimulator, FlatSimulator])
+class TestRunContract:
+    @pytest.mark.parametrize("windows,field", BAD_WINDOWS)
+    def test_bad_window_names_the_field(self, pf, minimal, engine, windows, field):
+        sim = engine(pf, minimal, UniformTraffic(pf), 0.3, seed=0)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+            sim.run(**{"warmup": 5, "measure": 5, "drain": 5, **windows})
+        assert sim.now == 0  # rejected before a cycle ran
+
+    def test_empty_warmup_and_drain_are_fine(self, pf, minimal, engine):
+        sim = engine(pf, minimal, UniformTraffic(pf), 0.3, seed=0)
+        res = sim.run(warmup=0, measure=1, drain=0)
+        assert res.cycles == 1 and sim.now == 1
+
+    def test_second_run_says_the_result_is_out(self, pf, minimal, engine):
+        sim = engine(pf, minimal, UniformTraffic(pf), 0.3, seed=0)
+        first = sim.run(warmup=20, measure=40, drain=20)
+        samples = first.latencies.copy()
+        with pytest.raises(RuntimeError, match="already produced its result"):
+            sim.run(warmup=20, measure=40, drain=20)
+        assert sim.now == 80 and np.array_equal(first.latencies, samples)
 
 
 class TestConservation:

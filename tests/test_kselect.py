@@ -23,6 +23,7 @@ from repro.routing.policies import (
     MinimalRouting,
     UGALRouting,
     ValiantRouting,
+    routes_as_matrix,
 )
 from repro.routing.tables import RoutingTables, RowPatchedDist
 from repro.topologies.base import Topology
@@ -89,7 +90,8 @@ def assert_same_selection(ksim, nsim, srcs, dsts, seed, expect_kernel=True):
     want = nsim.policy.select_routes(srcs, dsts, r2, congestion=nsim)
     assert served_by_kernel(ksim, got) == expect_kernel
     assert not served_by_kernel(nsim, want)
-    (gp, gl), (wp, wl) = got, want
+    # FT-NCA's Python body returns a list of paths.
+    (gp, gl), (wp, wl) = routes_as_matrix(got), routes_as_matrix(want)
     assert np.array_equal(gl, wl)
     for i in range(len(srcs)):
         assert np.array_equal(gp[i, : gl[i]], wp[i, : wl[i]]), i
@@ -129,6 +131,43 @@ def test_kselect_matches_numpy_body(topo_spec, policy_spec):
         detours += int((lens != tables.dist[srcs, dsts] + 1).sum())
     if policy_spec != "min":
         assert detours > 0, "the batches must exercise the detour branch"
+
+
+@needs_kernel
+def test_ftnca_matches_select_route():
+    """Mode 5 against the sequential ``select_route`` definition."""
+    topo, tables = tables_for("fattree:k=4,n=3")
+    ksim, nsim = twins(topo, lambda: POLICIES.create("ftnca", tables))
+    assert ksim.rng.bit_generator.state == nsim.rng.bit_generator.state
+    assert np.array_equal(ksim.backlog, nsim.backlog) and ksim.backlog.any()
+    edge = topo.switches_per_level
+    g = np.random.default_rng(2)
+    lens_seen = set()
+    for trial in range(25):
+        k = 1 if trial % 5 == 0 else int(g.integers(2, 90))
+        srcs, dsts = g.integers(edge, size=k), g.integers(edge, size=k)
+        dsts[0] = srcs[0]
+        paths, lens = assert_same_selection(ksim, nsim, srcs, dsts, seed=trial)
+        lens_seen.update(lens.tolist())
+        for i in range(k):
+            # Up to the NCA level and down again, never past the top.
+            level = np.asarray(paths[i, : lens[i]]) // edge
+            assert level.tolist() == [*range(lens[i] // 2 + 1), *range(lens[i] // 2)[::-1]]
+    assert lens_seen == {1, 3, 5}
+    # A switch above level 0 is the Python body's business: declined
+    # before any draw, and the two bodies still agree (or fail alike).
+    srcs, dsts = np.array([0, edge]), np.array([3, 2])
+    r1, r2 = np.random.default_rng(0), np.random.default_rng(0)
+    outcomes = []
+    for sim, rng in ((ksim, r1), (nsim, r2)):
+        try:
+            routes = sim.policy.select_routes(srcs, dsts, rng, congestion=sim)
+            assert not served_by_kernel(sim, routes)
+            outcomes.append([list(map(int, r)) for r in routes])
+        except (ValueError, IndexError) as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
+    assert r1.bit_generator.state == r2.bit_generator.state
 
 
 @needs_kernel

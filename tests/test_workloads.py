@@ -131,6 +131,34 @@ class TestValidation:
                 Message(1, 0, 4, (0,)),
             ])
 
+    def test_cycle_behind_a_chain_counts_the_unreachable(self):
+        # 0 -> 1 retire; 2 <-> 3 feed each other and 4 hangs off them.
+        with pytest.raises(ValueError) as err:
+            Workload("loop", [
+                Message(0, 1, 4),
+                Message(1, 2, 4, (0,)),
+                Message(2, 3, 4, (1, 3)),
+                Message(3, 2, 4, (2,)),
+                Message(3, 4, 4, (3,)),
+            ])
+        assert str(err.value) == (
+            "workload 'loop' dependency graph has a cycle "
+            "(3 unreachable messages)"
+        )
+
+    def test_diamond_and_repeated_edges_are_acyclic(self):
+        # 3 waits on both arms of the diamond (two frontier members feed
+        # it in one round), 4 names the same prerequisite twice.
+        wl = Workload("diamond", [
+            Message(0, 1, 4),
+            Message(1, 2, 4, (0,)),
+            Message(1, 3, 4, (0,)),
+            Message(2, 0, 4, (1, 2)),
+            Message(3, 0, 4, (3, 3)),
+        ])
+        assert wl.dep_counts.tolist() == [0, 1, 1, 2, 2]
+        assert wl.roots.tolist() == [0]
+
     def test_self_send_rejected(self):
         with pytest.raises(ValueError, match="src != dst"):
             Workload("bad", [Message(3, 3, 4)])

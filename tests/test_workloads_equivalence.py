@@ -120,6 +120,19 @@ def test_flat_matches_reference_all_workloads(
             assert_identical(ref, sim.run_workload(max_cycles=100_000))
 
 
+@pytest.mark.parametrize("engine", [NetworkSimulator, FlatSimulator])
+def test_second_run_workload_says_the_result_is_out(pf, tables, engine):
+    policy = POLICIES.create("min", tables)
+    wl = WORKLOADS.create("alltoall:size=8", pf)
+    sim = engine(
+        pf, policy, None, 0.0, config=auto_sim_config(policy), seed=7, workload=wl
+    )
+    first = sim.run_workload()
+    with pytest.raises(RuntimeError, match="already produced its result"):
+        sim.run_workload()
+    assert sim.workload_result is first and sim.now == first.cycles
+
+
 def test_same_seed_is_deterministic(pf, tables):
     policy = POLICIES.create("ugal-pf", tables)
     wl = WORKLOADS.create("allreduce:algo=ring,size=64", pf)
