@@ -46,6 +46,8 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro import obs
 from repro.experiments.cache import ResultCache
 from repro.experiments.registry import (
@@ -363,7 +365,7 @@ def simulate_point(
     :class:`~repro.faults.FaultResult` as ``.fault`` (size the config
     via :func:`~repro.faults.prepare_fault_policy` first, or pass
     ``config=None`` after preparing the policy).  ``link_telemetry=True``
-    attaches the flat engine's per-link flit counters (measure window
+    attaches the engine's per-link flit counters (measure window
     only) and hangs the nonzero ``{(u, v): flits}`` map on the result as
     ``.link_flits`` — counters never perturb simulation results.  A
     nonzero ``window`` collects a per-window time series through
@@ -377,8 +379,7 @@ def simulate_point(
         topo, policy, traffic, float(load), config=config, seed=seed,
         engine=engine, faults=faults,
     )
-    want_links = link_telemetry and hasattr(sim, "attach_link_telemetry")
-    if want_links:
+    if link_telemetry:
         sim.attach_link_telemetry()
     if window:
         from repro.flitsim.telemetry import run_with_timeseries
@@ -392,7 +393,7 @@ def simulate_point(
         res = sim.run(warmup=warmup, measure=measure, drain=drain)
     if sim.fault_result is not None:
         res.fault = sim.fault_result
-    if want_links:
+    if link_telemetry:
         res.link_flits = sim.link_flit_counts()
     return res
 
@@ -519,19 +520,12 @@ def run_cell(cell: dict) -> dict:
                 faults=faults,
                 window=cell.get("window", 0),
             )
-        stats = {
-            "offered_load": cell["load"],
-            "accepted_load": res.achieved_throughput,
-            "avg_latency": res.avg_packet_latency,
-            "p50_latency": res.packet_latency_percentile(50),
-            "p99_latency": res.packet_latency_percentile(99),
-            "avg_hops": res.avg_hops,
-            "cycles": res.cycles,
-            "num_endpoints": res.num_endpoints,
-            "injected_flits": res.injected_flits,
-            "ejected_flits": res.ejected_flits,
-            "num_packets": int(len(res.packet_latencies)),
-        }
+        stats = _point_stats(
+            res,
+            offered_load=cell["load"],
+            accepted_load=res.achieved_throughput,
+            latencies=res.packet_latencies,
+        )
         stats.update(res.summary())
         if faults is not None:
             stats.update(res.fault.summary())
@@ -566,23 +560,37 @@ def run_cell(cell: dict) -> dict:
                 [int(u), int(v), int(c)] for (u, v), c in ranked[:8]
             ],
         )
-    stats = {
-        "offered_load": res.offered_load,
-        "accepted_load": res.accepted_load,
-        "avg_latency": res.avg_latency,
-        "p50_latency": res.p50_latency,
-        "p99_latency": res.p99_latency,
+    stats = _point_stats(res, res.offered_load, res.accepted_load, res.latencies)
+    if faults is not None:
+        stats.update(res.fault.summary())
+    _timeseries_stats(res, stats, cell, obs_on)
+    return stats
+
+
+def _point_stats(res, offered_load: float, accepted_load: float, latencies) -> dict:
+    """The sweep-point statistics of a cell, from either result type.
+
+    ``latencies`` is the result's per-packet sample array; an open-loop
+    :class:`SimResult` and a closed-loop ``WorkloadResult`` name it (and
+    the two loads) differently but share every other field.
+    """
+
+    def stat(reduce, *args) -> float:
+        return float(reduce(latencies, *args)) if len(latencies) else float("nan")
+
+    return {
+        "offered_load": offered_load,
+        "accepted_load": accepted_load,
+        "avg_latency": stat(np.mean),
+        "p50_latency": stat(np.percentile, 50),
+        "p99_latency": stat(np.percentile, 99),
         "avg_hops": res.avg_hops,
         "cycles": res.cycles,
         "num_endpoints": res.num_endpoints,
         "injected_flits": res.injected_flits,
         "ejected_flits": res.ejected_flits,
-        "num_packets": int(len(res.latencies)),
+        "num_packets": int(len(latencies)),
     }
-    if faults is not None:
-        stats.update(res.fault.summary())
-    _timeseries_stats(res, stats, cell, obs_on)
-    return stats
 
 
 def _timeseries_stats(res, stats: dict, cell: dict, obs_on: bool) -> None:

@@ -35,22 +35,16 @@ __all__ = [
     "cell_hash",
     "cell_cost",
     "CELL_VERSION",
-    "WINDOWED_CELL_VERSION",
 ]
 
 #: bump to invalidate cached artifacts when cell semantics change
-#: (4: dynamic fault-injection cells — optional fault axis; fault-free
-#: cell hashes unchanged.  3: closed-loop workload cells — workload
-#: axis, run-to-completion windows — joining the v2
+#: (5: one version for every cell — windowed cells, which carried 5
+#: alone since they gained their ``timeseries`` block, no longer differ
+#: from the rest.  4: dynamic fault-injection cells — optional fault
+#: axis; fault-free cell hashes unchanged.  3: closed-loop workload
+#: cells — workload axis, run-to-completion windows — joining the v2
 #: synchronous-router-phase protocol)
-CELL_VERSION = 4
-
-#: the version stamped on cells that carry the optional ``window``
-#: field (time-series collection enabled): those cells gained a
-#: ``timeseries`` result block, so their artifacts need refreshing —
-#: while the untouched non-windowed fleet keeps validating against
-#: :data:`CELL_VERSION` (5: per-window time-series persistence)
-WINDOWED_CELL_VERSION = 5
+CELL_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -239,13 +233,11 @@ class ExperimentSpec:
             for window in ("warmup", "measure", "drain"):
                 del cell[window]
         if self.window:
-            # Only windowed cells carry the field and the bumped
-            # version: enabling time-series collection changes the key
-            # (a windowed result is a superset) and refreshes any stale
-            # artifact under it, while the non-windowed fleet's keys and
-            # CELL_VERSION validation stay byte-for-byte unchanged.
+            # Only windowed cells carry the field: enabling time-series
+            # collection changes the key (a windowed result is a
+            # superset) while the non-windowed fleet's keys stay
+            # byte-for-byte unchanged.
             cell["window"] = int(self.window)
-            cell["version"] = WINDOWED_CELL_VERSION
         cell["key"] = cell_hash(cell)
         return cell
 

@@ -92,20 +92,31 @@ tail-completion reporting workload mode needs — in a compiled kernel for
 keeping only epoch deltas (step 0) and dependency/retransmit bookkeeping.
 Results stay bit-identical either way; see :mod:`repro.flitsim._kernel`.
 
-**Spans**: the run loops (:meth:`SimulatorCore.run`, its drain, and the
-drain of the time-series driver) move time through
-:meth:`SimulatorCore.advance`, whose default is ``step()`` ``n`` times.
-The flat engine overrides it for plain open-loop cells — no workload, no
-fault timeline, a stock policy and traffic pattern, nothing hooked onto
-either instance — and executes steps 1-3 of all ``n`` cycles inside one
-compiled call (``kcycles``) on the simulator's own bit stream: the
-Bernoulli draw, the destination pick, route selection, packet-slot fill,
-injection, feed, router phase and the latency samples of measured tails.
-``step()`` remains the definition: a span leaves the generator, the
+**One run loop**: every entry point — :meth:`SimulatorCore.run`,
+:meth:`SimulatorCore.run_workload` and the observed runs of
+:mod:`repro.flitsim.telemetry` — is :meth:`SimulatorCore._drive`, which
+owns the protocol (window validation, fault ``begin_run``, the measure
+flag, the zero-load drain, finalization) and hands the measure phase to
+a list of :class:`RunObserver`\\ s.  A run with no observers is the plain
+run; link counters, occupancy sampling and window records are observers.
+
+**Spans**: the driver moves time only through
+:meth:`SimulatorCore.advance`, whose default is ``step()`` ``n`` times,
+and asks for the whole stretch up to the next deadline (phase end or an
+observer's wake-up) at once.  The flat engine overrides ``advance`` for
+plain open-loop cells — no workload, no fault timeline, a stock policy
+and traffic pattern, nothing hooked onto either instance — and executes
+steps 1-3 of all ``n`` cycles inside one compiled call (``kcycles``) on
+the simulator's own bit stream: the Bernoulli draw, the destination
+pick, route selection, packet-slot fill, injection, feed, router phase,
+link counters and the latency samples of measured tails.  ``step()``
+remains the definition: a span leaves the generator, the
 :class:`SimResult` and every state array exactly where ``n`` steps would
-(``tests/test_kcycles.py``), so drivers that sample between cycles keep
-calling ``step()`` and mix freely with spans.  The conditions are listed
-in :mod:`repro.flitsim.kspan`; ``sim.span_cycles`` counts the cycles that
+(``tests/test_kcycles.py``), so observers sample between spans and see
+what they would between steps — an observed run keeps its spans, cut at
+its wake-ups.  Closed-loop runs advance one cycle at a time (completion
+is checked every cycle).  The span conditions are listed in
+:mod:`repro.flitsim.kspan`; ``sim.span_cycles`` counts the cycles that
 ran this way.
 """
 
@@ -121,6 +132,7 @@ from repro.utils.validation import check_sim_windows
 __all__ = [
     "SimConfig",
     "SimResult",
+    "RunObserver",
     "SimulatorCore",
     "make_fault_state",
     "EJECT",
@@ -274,11 +286,39 @@ def make_fault_state(faults, topo, policy):
     return FaultState(faults, topo, policy)
 
 
+class RunObserver:
+    """A watcher of the measure phase, driven by :meth:`SimulatorCore._drive`.
+
+    The driver calls :meth:`start` once the measure window is open (no
+    measured cycle has run yet), :meth:`wake` whenever ``sim.now`` reaches
+    ``wake_at`` (cycles are absolute; the observer moves ``wake_at`` on),
+    and :meth:`end` when the window has closed, before the drain.
+    Observers read the simulator between cycles through the surface both
+    engines implement — ``attach_link_telemetry``, ``link_flit_counts``,
+    ``flush_window_link_counts``, ``link_occupancy`` — and never write it.
+    """
+
+    #: absolute cycle of the next :meth:`wake` (None: no wake-ups)
+    wake_at = None
+    #: a :class:`~repro.obs.timeseries.WindowSeries` for the fault
+    #: result's recovery analytics (None: this observer collects none)
+    series = None
+
+    def start(self, sim, start: int) -> None:
+        """The measure window opened at cycle ``start``."""
+
+    def wake(self, sim) -> None:
+        """``sim.now == wake_at``: sample, then set the next ``wake_at``."""
+
+    def end(self, sim) -> None:
+        """The measure window closed at ``sim.now``."""
+
+
 class SimulatorCore:
-    """Run-loop and congestion-view surface shared by both engines.
+    """Run protocol and congestion-view surface shared by both engines.
 
     Subclasses provide ``step()`` plus the state the protocol requires
-    (``now``, ``load``, ``_measuring``, ``_stat``).  The run loops move
+    (``now``, ``load``, ``_measuring``, ``_stat``).  :meth:`_drive` moves
     time through :meth:`advance`, which an engine may override to cover
     a whole span of cycles at once as long as the state it leaves is the
     state ``step()`` that many times would.
@@ -298,6 +338,18 @@ class SimulatorCore:
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def link_occupancy(self) -> np.ndarray:  # pragma: no cover - abstract
+        """Buffered flits per directed link, in the graph's CSR edge order.
+
+        Credit-derived: port capacity minus the free downstream slots
+        of every hop class.  Both engines return bit-equal arrays.
+        """
+        raise NotImplementedError
+
+    def sampled_occupancy_total(self) -> int:
+        """Total buffered flits across all links, as one int."""
+        return int(self.link_occupancy().sum())
+
     def advance(self, n: int) -> None:
         """Simulate ``n`` cycles with the window flags as they stand."""
         for _ in range(n):
@@ -311,40 +363,85 @@ class SimulatorCore:
                 "new one to run again"
             )
 
-    def run(self, warmup: int = 600, measure: int = 1200, drain: int = 300) -> SimResult:
-        """Warm up, measure, optionally drain; returns the window's stats."""
-        check_sim_windows(warmup, measure, drain)
-        if self._wl is not None:
-            raise RuntimeError(
-                "this simulator drives a workload; use run_workload()"
-            )
+    def _drive(self, warmup=0, measure=0, drain=0, observers=(), max_cycles=None):
+        """The run protocol: warm up, measure under ``observers``, drain.
+
+        Every public entry point ends here.  Open loop, the measure
+        phase is ``measure`` cycles long and time moves deadline to
+        deadline — the nearest of the phase end and an observer's
+        ``wake_at`` — in one :meth:`advance` each, so an observed run
+        keeps whatever spans the engine offers.  With ``max_cycles`` the
+        run is closed loop: measured from the first cycle, no warmup or
+        drain, and advanced one cycle at a time because the workload may
+        complete on any of them.  Returns the :class:`SimResult`, or the
+        :class:`~repro.workloads.WorkloadResult` of a closed-loop run.
+        """
+        state = self._wl
+        closed = max_cycles is not None
+        if closed:
+            if state is None:
+                raise RuntimeError(
+                    "no workload attached; pass workload= at construction"
+                )
+        else:
+            check_sim_windows(warmup, measure, drain)
+            if state is not None:
+                raise RuntimeError(
+                    "this simulator drives a workload; use run_workload() "
+                    "or run_workload_with_timeseries()"
+                )
         if self._fault is not None:
             self._fault.begin_run(self.policy)
         self._require_unfinished()
         self.advance(warmup)
         self._measuring = True
         start = self.now
-        self.advance(measure)
+        end = max_cycles if closed else start + measure
+        for ob in observers:
+            ob.start(self, start)
+        while self.now < end and not (closed and state.done):
+            if closed:
+                deadline = self.now + 1
+            else:
+                deadline = min(
+                    [end] + [ob.wake_at for ob in observers if ob.wake_at is not None]
+                )
+            self.advance(deadline - self.now)
+            for ob in observers:
+                if ob.wake_at == self.now:
+                    ob.wake(self)
         self._stat.cycles = self.now - start
         self._measuring = False
+        series = None
+        for ob in observers:
+            ob.end(self)
+            if ob.series is not None:
+                series = ob.series
         self._drain(drain)
         self.result = self._stat.finalize()
         if self._fault is not None:
-            self.fault_result = self._fault.build_result(self._stat)
-        return self._stat
+            self.fault_result = self._fault.build_result(self._stat, series=series)
+        if not closed:
+            return self._stat
+        from repro.workloads.result import build_workload_result
+
+        self.workload_result = build_workload_result(state, self._stat, self.topo)
+        return self.workload_result
 
     def _drain(self, drain: int) -> None:
-        """Step ``drain`` cycles at zero offered load (post-measure).
+        """Advance ``drain`` cycles at zero offered load (post-measure).
 
         Measured packets still in flight keep recording latency samples
-        while they eject — :meth:`run` and the windowed drivers in
-        :mod:`repro.flitsim.telemetry` share this so their results stay
-        bit-identical.
+        while they eject.
         """
         if drain:
             saved_load, self.load = self.load, 0.0
             self.advance(drain)
             self.load = saved_load
+
+    def run(self, warmup: int = 600, measure: int = 1200, drain: int = 300) -> SimResult:
+        """Warm up, measure, optionally drain; returns the window's stats."""
+        return self._drive(warmup, measure, drain)
 
     def run_workload(self, max_cycles: int = 200_000):
         """Run the attached workload to completion (or ``max_cycles``).
@@ -356,26 +453,7 @@ class SimulatorCore:
         finishes.  Returns a
         :class:`~repro.workloads.WorkloadResult`.
         """
-        if self._wl is None:
-            raise RuntimeError(
-                "no workload attached; pass workload= at construction"
-            )
-        from repro.workloads.result import build_workload_result
-
-        if self._fault is not None:
-            self._fault.begin_run(self.policy)
-        self._require_unfinished()
-        self._measuring = True
-        state = self._wl
-        while not state.done and self.now < max_cycles:
-            self.step()
-        self._stat.cycles = self.now
-        self._measuring = False
-        self._stat.finalize()
-        if self._fault is not None:
-            self.fault_result = self._fault.build_result(self._stat)
-        self.workload_result = build_workload_result(state, self._stat, self.topo)
-        return self.workload_result
+        return self._drive(max_cycles=max_cycles)
 
 
 def _engine_classes() -> dict:

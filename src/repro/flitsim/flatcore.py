@@ -216,6 +216,7 @@ class FlatSimulator(SimulatorCore):
         # Credit state: link outputs carry vc_depth per hop class;
         # padding columns (port >= deg) stay 0 and are never addressed.
         valid = np.arange(max(fab.D, 1))[None, :] < fab.deg[:, None]
+        self._link_ports = valid
         self.credits = np.zeros((fab.n, max(fab.D, 1), V), dtype=np.int64)
         self.credits[valid] = config.vc_depth
         self.ep_credit = np.full(fab.E, config.vc_depth, dtype=np.int64)
@@ -389,16 +390,16 @@ class FlatSimulator(SimulatorCore):
     # ------------------------------------------------------------------
     # Per-link telemetry (observability; never perturbs results)
     # ------------------------------------------------------------------
-    def attach_link_telemetry(self, windowed: bool = False) -> "np.ndarray":
-        """Allocate (idempotently) per-link flit counters; the array.
+    def attach_link_telemetry(self, windowed: bool = False) -> None:
+        """Allocate (idempotently) per-link flit counters.
 
         Flat ``int64`` counters of shape ``n * max(D, 1)``, indexed
         ``router * Dp + out_port`` (the kernel credits layout).  A link
         grant is counted during the measure window only, *before* any
         fault doom filtering — the same accounting point as the
-        reference engine's ``run_with_telemetry`` forward hook, so the
-        two agree bit-exactly.  Works in both the numpy and C-kernel
-        route phases; attaching never changes simulation results.
+        reference engine's ``_forward``, so the two agree bit-exactly.
+        Works in both the numpy and C-kernel route phases; attaching
+        never changes simulation results.
 
         With ``windowed=True`` a second counter array of the same shape
         is allocated alongside: it ticks at the identical grant point
@@ -407,71 +408,54 @@ class FlatSimulator(SimulatorCore):
         keeps the whole-run totals.
         """
         if self._ltel is None:
-            self._ltel = np.zeros(
-                self.fab.n * self._ltel_dp, dtype=np.int64
-            )
-            if self._kernel is not None:
-                self._ltel_buf = self._kernel.ffi.from_buffer(
-                    "int64_t[]", self._ltel
-                )
+            self._ltel, self._ltel_buf = self._link_counter()
         if windowed and self._ltel_win is None:
-            self._ltel_win = np.zeros(
-                self.fab.n * self._ltel_dp, dtype=np.int64
-            )
-            if self._kernel is not None:
-                self._ltel_win_buf = self._kernel.ffi.from_buffer(
-                    "int64_t[]", self._ltel_win
-                )
-        return self._ltel
+            self._ltel_win, self._ltel_win_buf = self._link_counter()
+
+    def _link_counter(self):
+        """A zeroed counter array and its kernel view (None: no kernel)."""
+        arr = np.zeros(self.fab.n * self._ltel_dp, dtype=np.int64)
+        if self._kernel is None:
+            return arr, None
+        return arr, self._kernel.ffi.from_buffer("int64_t[]", arr)
+
+    def _link_dict(self, arr: "np.ndarray | None") -> dict:
+        """Nonzero entries of a counter array as ``{(u, v): flits}``."""
+        if arr is None:
+            return {}
+        nbr = self.fab.nbr_mat
+        counts = {}
+        for i in np.flatnonzero(arr).tolist():
+            r, out = divmod(i, self._ltel_dp)
+            counts[(r, int(nbr[r, out]))] = int(arr[i])
+        return counts
 
     def link_flit_counts(self) -> dict:
-        """Nonzero per-directed-link counts as ``{(u, v): flits}``.
+        """Whole-run nonzero ``{(u, v): flits}`` (source router, neighbor).
 
-        The dict form of the attached counter array, keyed like the
-        reference telemetry's ``link_flits`` (source router, neighbor).
         Empty when telemetry was never attached.
         """
-        if self._ltel is None:
-            return {}
-        fab = self.fab
-        counts = {}
-        for i in np.flatnonzero(self._ltel).tolist():
-            r, out = divmod(i, self._ltel_dp)
-            counts[(r, int(fab.nbr_mat[r, out]))] = int(self._ltel[i])
-        return counts
+        return self._link_dict(self._ltel)
 
     def flush_window_link_counts(self) -> dict:
-        """Drain the windowed counters: nonzero ``{(u, v): flits}``.
+        """This window's nonzero ``{(u, v): flits}``; zeroes the counters.
 
-        Reads the per-window array (nonzero entries only, keyed like
-        :meth:`link_flit_counts`) and zeroes it for the next window.
         Empty when windowed telemetry was never attached.
         """
-        if self._ltel_win is None:
-            return {}
-        fab = self.fab
-        counts = {}
-        for i in np.flatnonzero(self._ltel_win).tolist():
-            r, out = divmod(i, self._ltel_dp)
-            counts[(r, int(fab.nbr_mat[r, out]))] = int(self._ltel_win[i])
-        self._ltel_win[:] = 0
+        counts = self._link_dict(self._ltel_win)
+        if counts:
+            self._ltel_win[:] = 0
         return counts
 
-    def sampled_occupancy_total(self) -> int:
-        """Total buffered flits across all real ports, as one int.
+    def link_occupancy(self) -> np.ndarray:
+        """Buffered flits per directed link (see the engine contract).
 
-        The same credit-derived quantity ``run_with_telemetry`` samples
-        per port, summed — the reference engine's
-        ``sampled_occupancy_total`` computes it port by port, and the
-        per-port values are already pinned bit-equal, so the totals
-        agree exactly.
+        Padding credit columns (port >= deg) hold 0 credits, which would
+        read as a full buffer; the mask keeps real link ports only, in
+        router-major port order — the graph's CSR edge order.
         """
-        fab = self.fab
-        if fab.D == 0:
-            return 0
-        cap = self.config.port_capacity
-        port_mask = np.arange(self._ltel_dp)[None, :] < fab.deg[:, None]
-        return int((cap - self.credits.sum(axis=2))[port_mask].sum())
+        occ = self.config.port_capacity - self.credits.sum(axis=2)
+        return occ[self._link_ports]
 
     # ------------------------------------------------------------------
     # C kernel plumbing

@@ -141,6 +141,10 @@ class NetworkSimulator(SimulatorCore):
         self.result: "SimResult | None" = None
         self._measuring = False
         self._stat = SimResult(load, 0, topo.num_endpoints)
+        # Optional per-link grant counts (:meth:`attach_link_telemetry`):
+        # whole-run, and the per-window sibling a flush empties.
+        self._ltel: "dict | None" = None
+        self._ltel_win: "dict | None" = None
 
     # ------------------------------------------------------------------
     # CongestionView protocol
@@ -488,6 +492,13 @@ class NetworkSimulator(SimulatorCore):
                 self._stat.ejected_flits += 1
             return
         nxt = int(self.nbrs[r][out])
+        if self._ltel is not None and self._measuring:
+            # Count at grant time, before fault doom filtering — the
+            # flat engine's accounting point.
+            key = (r, nxt)
+            self._ltel[key] = self._ltel.get(key, 0) + 1
+            if self._ltel_win is not None:
+                self._ltel_win[key] = self._ltel_win.get(key, 0) + 1
         in_port = self.rev_port[r][out]
         ready = self.now + cfg.link_latency + cfg.router_pipeline
         nxt_flit = (pkt, seq, hop_idx + 1, ready)
@@ -501,21 +512,39 @@ class NetworkSimulator(SimulatorCore):
         self.credits[r][out][dvc] -= 1
         self._enqueue_voq(nxt, in_port, nxt_flit)
 
-    def sampled_occupancy_total(self) -> int:
-        """Total buffered flits across all real ports, as one int.
+    # ------------------------------------------------------------------
+    # Per-link telemetry (the surface run observers read; same names and
+    # accounting points as the flat engine's)
+    # ------------------------------------------------------------------
+    def attach_link_telemetry(self, windowed: bool = False) -> None:
+        """Start (idempotently) counting link grants in the measure window.
 
-        Sums the same credit-derived per-port occupancy that
-        ``run_with_telemetry`` samples; the flat engine's
-        ``sampled_occupancy_total`` computes the identical quantity
-        vectorized, so a windowed collector fed by either engine sees
-        bit-equal samples.
+        ``windowed=True`` also keeps a per-window count that
+        :meth:`flush_window_link_counts` reads out and empties.
         """
+        if self._ltel is None:
+            self._ltel = {}
+        if windowed and self._ltel_win is None:
+            self._ltel_win = {}
+
+    def link_flit_counts(self) -> dict:
+        """Whole-run ``{(u, v): flits}`` (empty when never attached)."""
+        return dict(self._ltel or ())
+
+    def flush_window_link_counts(self) -> dict:
+        """This window's ``{(u, v): flits}``; the next starts empty."""
+        if self._ltel_win is None:
+            return {}
+        counts, self._ltel_win = self._ltel_win, {}
+        return counts
+
+    def link_occupancy(self) -> np.ndarray:
+        """Buffered flits per directed link (see the engine contract)."""
         cap = self.config.port_capacity
-        total = 0
-        for r in range(self.topo.num_routers):
-            for port in range(len(self.nbrs[r])):
-                total += cap - sum(self.credits[r][port])
-        return int(total)
+        return np.array(
+            [cap - sum(vcs) for ports in self.credits for vcs in ports],
+            dtype=np.int64,
+        )
 
     def step(self) -> None:
         """Advance the simulation by one cycle."""

@@ -1,20 +1,24 @@
-"""Telemetry: per-link utilization and queue-depth sampling.
+"""Telemetry: run observers for link utilization, queue depth, windows.
 
-Wraps a :class:`~repro.flitsim.reference.NetworkSimulator` run with
-counters a network operator would scrape: flits carried per directed
-link, buffer occupancy samples, and derived hot-spot reports.  Used by
-the adversarial-traffic analyses to show *where* min-path routing
-concentrates load (the mechanistic story behind Figure 9).
+Counters a network operator would scrape — flits carried per directed
+link, buffer occupancy samples, per-window time series — collected by
+:class:`~repro.flitsim.engine.RunObserver`\\ s riding the one run loop
+(:meth:`SimulatorCore._drive <repro.flitsim.engine.SimulatorCore._drive>`).
+Used by the adversarial-traffic analyses to show *where* min-path
+routing concentrates load (the mechanistic story behind Figure 9).
 
-Telemetry instruments *both* engines: the reference engine by hooking
-its per-flit forward step, and the flat engine via vectorized counter
-arrays (:meth:`~repro.flitsim.flatcore.FlatSimulator.attach_link_telemetry`,
-with a counter-array hook inside the C kernel so kernel mode stays
-instrumented).  Both count a link grant at the same accounting point —
-before any fault doom filtering, during the measure window only — so
-per-link flit counts agree bit-exactly across engines (pinned by
-``tests/test_telemetry_flat.py``), which makes telemetry usable at
-scales where the reference engine is too slow.
+An observer never steps the simulator: the driver advances straight to
+the next wake-up, so an observed open-loop run on the flat engine stays
+inside ``kcycles`` spans (cut every ``sample_every`` cycles and at window
+boundaries) and its :class:`~repro.flitsim.engine.SimResult` *is* the
+plain ``run()``'s.  Observers read either engine through one surface —
+``attach_link_telemetry(windowed=)``, ``link_flit_counts()``,
+``flush_window_link_counts()``, ``link_occupancy()`` — and both engines
+count a link grant at the same point (grant time, before any fault doom
+filtering, during the measure window only), so link counts, occupancy
+maps and window records agree bit-exactly across the reference engine,
+the numpy flat path and the C kernel (``tests/test_run_observers.py``,
+``tests/test_telemetry_flat.py``, ``tests/test_timeseries.py``).
 """
 
 from __future__ import annotations
@@ -23,11 +27,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.flitsim.reference import NetworkSimulator
-from repro.obs.timeseries import TimeSeriesCollector, WindowSeries
+from repro.flitsim.engine import RunObserver, SimulatorCore
+from repro.obs.timeseries import TimeSeriesCollector
+from repro.utils.validation import check_cycle_count
 
 __all__ = [
     "LinkTelemetry",
+    "LinkCounts",
+    "OccupancySampler",
+    "WindowCloser",
     "run_with_telemetry",
     "run_with_timeseries",
     "run_workload_with_timeseries",
@@ -100,226 +108,152 @@ class LinkTelemetry:
         return float((n + 1 - 2 * (cum / cum[-1]).sum()) / n)
 
 
+class LinkCounts(RunObserver):
+    """Flits carried per directed link over the measure window."""
+
+    def __init__(self):
+        #: ``{(u, v): flits}``, nonzero links only (set at window end)
+        self.counts: dict = {}
+
+    def start(self, sim, start: int) -> None:
+        sim.attach_link_telemetry()
+
+    def end(self, sim) -> None:
+        self.counts = sim.link_flit_counts()
+
+
+class OccupancySampler(RunObserver):
+    """Per-link buffer occupancy, sampled every ``sample_every`` cycles.
+
+    The first sample follows the first measured cycle.
+    """
+
+    def __init__(self, sample_every: int = 8):
+        check_cycle_count(sample_every, "sample_every")
+        self.sample_every = sample_every
+        self.samples = 0
+        #: ``{(u, v): mean sampled occupancy}``, nonzero links only (set
+        #: at window end)
+        self.mean: dict = {}
+
+    def start(self, sim, start: int) -> None:
+        self.wake_at = start + 1
+        self._sum = np.zeros(sim.topo.graph.indices.size, dtype=np.int64)
+
+    def wake(self, sim) -> None:
+        self._sum += sim.link_occupancy()
+        self.samples += 1
+        self.wake_at += self.sample_every
+
+    def end(self, sim) -> None:
+        graph = sim.topo.graph
+        src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+        hot = np.flatnonzero(self._sum)
+        self.mean = {
+            (u, v): total / self.samples
+            for u, v, total in zip(
+                src[hot].tolist(), graph.indices[hot].tolist(), self._sum[hot].tolist()
+            )
+        }
+
+
+class WindowCloser(RunObserver):
+    """Feeds a :class:`~repro.obs.timeseries.TimeSeriesCollector`.
+
+    Samples total occupancy every ``sample_every`` cycles and closes a
+    record every ``window`` cycles — sample first when both fall on one
+    cycle — plus a last, shorter one for whatever the measure phase
+    leaves open.  Fault events are attributed to the window they were
+    applied in through a cursor into the fault state's marks.
+    """
+
+    def __init__(self, window: int = 64, sample_every: int = 8, top_links: int = 8):
+        check_cycle_count(window, "window")
+        check_cycle_count(sample_every, "sample_every")
+        self.window = window
+        self.sample_every = sample_every
+        self.top_links = top_links
+
+    def start(self, sim, start: int) -> None:
+        sim.attach_link_telemetry(windowed=True)
+        self._start = start
+        self._next_sample = start + 1
+        self._next_close = start + self.window
+        self.wake_at = self._next_sample
+        self._marks_seen = len(sim._fault.marks) if sim._fault is not None else 0
+        self._col = TimeSeriesCollector(
+            self.window, top_links=self.top_links, start_cycle=start
+        )
+        self.series = self._col.series
+        self._col.prime(
+            sim._stat.injected_flits,
+            sim._stat.ejected_flits,
+            self._dropped(sim),
+            len(sim._stat.latencies),
+        )
+
+    @staticmethod
+    def _dropped(sim) -> int:
+        return sim._fault.dropped_flits if sim._fault is not None else 0
+
+    def wake(self, sim) -> None:
+        if sim.now == self._next_sample:
+            self._col.occupancy_sample(sim.sampled_occupancy_total())
+            self._next_sample += self.sample_every
+        if sim.now == self._next_close:
+            self._close(sim)
+            self._next_close += self.window
+        self.wake_at = min(self._next_sample, self._next_close)
+
+    def end(self, sim) -> None:
+        if sim.now > self._next_close - self.window:
+            self._close(sim)
+
+    def _close(self, sim) -> None:
+        faults = []
+        if sim._fault is not None:
+            new = sim._fault.marks[self._marks_seen :]
+            self._marks_seen = len(sim._fault.marks)
+            faults = [c - self._start for c, _ in new]
+        self._col.close_window(
+            sim.now - self._start,
+            sim._stat.injected_flits,
+            sim._stat.ejected_flits,
+            self._dropped(sim),
+            sim._stat.latencies,
+            sim.flush_window_link_counts(),
+            faults,
+        )
+
+
+def _observe(sim, observers, **phases):
+    """``sim._drive`` under ``observers``, for a ``sim`` of unchecked type."""
+    if not isinstance(sim, SimulatorCore):
+        raise TypeError(
+            f"telemetry instruments a flitsim simulator; got {type(sim).__name__}"
+        )
+    return sim._drive(observers=observers, **phases)
+
+
 def run_with_telemetry(
     sim, warmup: int = 300, measure: int = 600, sample_every: int = 8
 ):
     """Run ``sim`` collecting link telemetry during the measurement window.
 
-    Returns ``(SimResult, LinkTelemetry)``.  Accepts either engine: the
-    reference engine derives link counts by intercepting its per-flit
-    forward step, the flat engine by attaching its vectorized counter
-    arrays (numpy or C-kernel route phase alike).  Occupancy is sampled
-    every ``sample_every`` cycles from credit state in both.  The two
-    engines' per-link flit counts are bit-identical for the same seed.
+    Returns ``(SimResult, LinkTelemetry)``: :meth:`SimulatorCore.run
+    <repro.flitsim.engine.SimulatorCore.run>` without a drain, under a
+    :class:`LinkCounts` and an :class:`OccupancySampler`.  Accepts
+    either engine; per-link flit counts and occupancies are
+    bit-identical across them for the same seed.
     """
-    if isinstance(sim, NetworkSimulator):
-        return _run_reference_telemetry(sim, warmup, measure, sample_every)
-    from repro.flitsim.flatcore import FlatSimulator
-
-    if isinstance(sim, FlatSimulator):
-        return _run_flat_telemetry(sim, warmup, measure, sample_every)
-    raise TypeError(
-        "run_with_telemetry instruments the reference or flat engine; got "
-        f"{type(sim).__name__}"
+    links, occupancy = LinkCounts(), OccupancySampler(sample_every)
+    res = _observe(sim, (links, occupancy), warmup=warmup, measure=measure)
+    return res, LinkTelemetry(
+        cycles=measure,
+        num_directed_links=2 * sim.topo.num_links,
+        link_flits=links.counts,
+        mean_occupancy=occupancy.mean,
     )
-
-
-def _run_reference_telemetry(
-    sim: NetworkSimulator, warmup: int, measure: int, sample_every: int
-):
-    """The forward-hook path for the dict-of-deques reference engine."""
-    telemetry = LinkTelemetry(
-        cycles=measure, num_directed_links=2 * sim.topo.num_links
-    )
-    counting = False
-    original_forward = sim._forward
-
-    def counted_forward(r, flit, out, dvc):
-        if counting and out != -1:  # EJECT is -1
-            nxt = int(sim.nbrs[r][out])
-            key = (r, nxt)
-            telemetry.link_flits[key] = telemetry.link_flits.get(key, 0) + 1
-        return original_forward(r, flit, out, dvc)
-
-    sim._forward = counted_forward
-    occupancy_sum: dict = {}
-    samples = 0
-    try:
-        for _ in range(warmup):
-            sim.step()
-        counting = True
-        sim._measuring = True
-        start = sim.now
-        for i in range(measure):
-            sim.step()
-            if i % sample_every == 0:
-                samples += 1
-                for r in range(sim.topo.num_routers):
-                    for port, v in enumerate(sim.nbrs[r]):
-                        occ = sim.config.port_capacity - sum(sim.credits[r][port])
-                        if occ:
-                            key = (r, int(v))
-                            occupancy_sum[key] = occupancy_sum.get(key, 0) + occ
-        sim._stat.cycles = sim.now - start
-        sim._measuring = False
-    finally:
-        sim._forward = original_forward
-    telemetry.mean_occupancy = {
-        k: s / max(samples, 1) for k, s in occupancy_sum.items()
-    }
-    sim.result = sim._stat.finalize()
-    return sim._stat, telemetry
-
-
-def _run_flat_telemetry(sim, warmup: int, measure: int, sample_every: int):
-    """The counter-array path for the struct-of-arrays flat engine.
-
-    Mirrors the reference loop exactly (same warmup/measure windows,
-    same post-step sampling cycles, no drain) so the collected counts
-    are bit-comparable.  Works with both the numpy route phase and the
-    C kernel — :meth:`attach_link_telemetry` instruments either.
-    """
-    fab = sim.fab
-    telemetry = LinkTelemetry(
-        cycles=measure, num_directed_links=2 * sim.topo.num_links
-    )
-    ltel = sim.attach_link_telemetry()
-    base = ltel.copy()
-    Dp = sim._ltel_dp
-    cap = sim.config.port_capacity
-    # Padding credit columns (port >= deg) hold 0 credits, which would
-    # read as a full buffer; mask to real link ports, like the reference
-    # loop's iteration over nbrs[r].
-    port_mask = np.arange(Dp)[None, :] < fab.deg[:, None]
-    occupancy_sum = np.zeros((fab.n, Dp), dtype=np.int64)
-    samples = 0
-    for _ in range(warmup):
-        sim.step()
-    sim._measuring = True
-    start = sim.now
-    for i in range(measure):
-        sim.step()
-        if i % sample_every == 0:
-            samples += 1
-            occupancy_sum += cap - sim.credits.sum(axis=2)
-    sim._stat.cycles = sim.now - start
-    sim._measuring = False
-    delta = ltel - base
-    for idx in np.flatnonzero(delta).tolist():
-        r, out = divmod(idx, Dp)
-        telemetry.link_flits[(r, int(fab.nbr_mat[r, out]))] = int(delta[idx])
-    occupancy_sum[~port_mask] = 0
-    rr, oo = np.nonzero(occupancy_sum)
-    telemetry.mean_occupancy = {
-        (int(r), int(fab.nbr_mat[r, o])): occupancy_sum[r, o] / max(samples, 1)
-        for r, o in zip(rr.tolist(), oo.tolist())
-    }
-    sim.result = sim._stat.finalize()
-    return sim._stat, telemetry
-
-
-# ---------------------------------------------------------------------------
-# Windowed time series (repro.obs.timeseries drivers)
-
-
-class _RefProbe:
-    """Windowed link counting + occupancy reads for the reference engine.
-
-    Counts link grants in a ``_forward`` wrapper at the same accounting
-    point as ``run_with_telemetry`` (grant time, before fault doom
-    filtering, EJECT excluded); the window dict is copied and cleared at
-    each flush.
-    """
-
-    def __init__(self, sim: NetworkSimulator):
-        self.sim = sim
-        self.counts: dict = {}
-        self._counting = False
-        self._orig = sim._forward
-
-        def counted(r, flit, out, dvc):
-            if self._counting and out != -1:  # EJECT is -1
-                key = (r, int(sim.nbrs[r][out]))
-                self.counts[key] = self.counts.get(key, 0) + 1
-            return self._orig(r, flit, out, dvc)
-
-        sim._forward = counted
-
-    def begin(self) -> None:
-        self._counting = True
-
-    def occupancy_total(self) -> int:
-        return self.sim.sampled_occupancy_total()
-
-    def flush_links(self) -> dict:
-        counts, self.counts = self.counts, {}
-        return counts
-
-    def end(self) -> None:
-        self._counting = False
-        self.sim._forward = self._orig
-
-
-class _FlatProbe:
-    """Windowed counter arrays + occupancy reads for the flat engine.
-
-    ``attach_link_telemetry(windowed=True)`` instruments both the numpy
-    route phase and the C kernel (the ``link_flits_win`` struct field);
-    the counters tick only while the measure window is open, so no
-    explicit begin/end gating is needed here.
-    """
-
-    def __init__(self, sim):
-        self.sim = sim
-        sim.attach_link_telemetry(windowed=True)
-
-    def begin(self) -> None:
-        pass
-
-    def occupancy_total(self) -> int:
-        return self.sim.sampled_occupancy_total()
-
-    def flush_links(self) -> dict:
-        return self.sim.flush_window_link_counts()
-
-    def end(self) -> None:
-        pass
-
-
-def _make_probe(sim):
-    if isinstance(sim, NetworkSimulator):
-        return _RefProbe(sim)
-    from repro.flitsim.flatcore import FlatSimulator
-
-    if isinstance(sim, FlatSimulator):
-        return _FlatProbe(sim)
-    raise TypeError(
-        "time-series collection instruments the reference or flat engine; "
-        f"got {type(sim).__name__}"
-    )
-
-
-def _dropped(sim) -> int:
-    return sim._fault.dropped_flits if sim._fault is not None else 0
-
-
-def _close_window(sim, col, probe, end, start, marks_seen):
-    """Close one window at measure-relative ``end``; new marks cursor."""
-    faults = []
-    if sim._fault is not None:
-        new = sim._fault.marks[marks_seen:]
-        marks_seen = len(sim._fault.marks)
-        faults = [c - start for c, _ in new]
-    col.close_window(
-        end,
-        sim._stat.injected_flits,
-        sim._stat.ejected_flits,
-        _dropped(sim),
-        sim._stat.latencies,
-        probe.flush_links(),
-        faults,
-    )
-    return marks_seen
 
 
 def run_with_timeseries(
@@ -333,58 +267,24 @@ def run_with_timeseries(
 ):
     """Run ``sim`` open-loop, collecting a windowed time series.
 
-    Returns ``(SimResult, WindowSeries)``.  The run protocol is
-    :meth:`~repro.flitsim.engine.SimulatorCore.run` exactly — fault
-    ``begin_run``, warmup, measure, zero-load drain, finalize — so the
-    returned :class:`SimResult` is bit-identical to an uninstrumented
-    ``run()`` with the same phases.  On top, the measure phase is split
-    into ``window``-cycle windows (the last may be shorter): per-window
-    injected/ejected/dropped deltas, latency percentiles, occupancy
-    samples every ``sample_every`` cycles, per-link flit counts (top
-    ``top_links`` by heat plus the total), and fault-event markers.
-    Window records are bit-identical across the reference engine, the
-    numpy flat path, and the C kernel.  Latencies recorded during the
-    drain (measured packets still in flight) intentionally fall outside
-    all windows.  When faults are attached, the simulator's
-    ``fault_result`` gains series-derived recovery analytics.
+    Returns ``(SimResult, WindowSeries)``.  The run is
+    :meth:`~repro.flitsim.engine.SimulatorCore.run` under a
+    :class:`WindowCloser`, so the returned :class:`SimResult` is
+    bit-identical to an uninstrumented ``run()`` with the same phases.
+    On top, the measure phase is split into ``window``-cycle windows
+    (the last may be shorter): per-window injected/ejected/dropped
+    deltas, latency percentiles, occupancy samples every
+    ``sample_every`` cycles, per-link flit counts (top ``top_links`` by
+    heat plus the total), and fault-event markers.  Window records are
+    bit-identical across the reference engine, the numpy flat path, and
+    the C kernel.  Latencies recorded during the drain (measured packets
+    still in flight) intentionally fall outside all windows.  When
+    faults are attached, the simulator's ``fault_result`` gains
+    series-derived recovery analytics.
     """
-    probe = _make_probe(sim)
-    if sim._wl is not None:
-        raise RuntimeError("this simulator drives a workload; "
-                           "use run_workload_with_timeseries()")
-    if sim._fault is not None:
-        sim._fault.begin_run(sim.policy)
-    for _ in range(warmup):
-        sim.step()
-    probe.begin()
-    sim._measuring = True
-    start = sim.now
-    col = TimeSeriesCollector(window, top_links=top_links, start_cycle=start)
-    col.prime(
-        sim._stat.injected_flits,
-        sim._stat.ejected_flits,
-        _dropped(sim),
-        len(sim._stat.latencies),
-    )
-    marks_seen = len(sim._fault.marks) if sim._fault is not None else 0
-    for i in range(measure):
-        sim.step()
-        if i % sample_every == 0:
-            col.occupancy_sample(probe.occupancy_total())
-        if (i + 1) % window == 0 or (i + 1) == measure:
-            marks_seen = _close_window(
-                sim, col, probe, i + 1, start, marks_seen
-            )
-    sim._stat.cycles = sim.now - start
-    sim._measuring = False
-    probe.end()
-    sim._drain(drain)
-    sim.result = sim._stat.finalize()
-    if sim._fault is not None:
-        sim.fault_result = sim._fault.build_result(
-            sim._stat, series=col.series
-        )
-    return sim._stat, col.series
+    windows = WindowCloser(window, sample_every, top_links)
+    res = _observe(sim, (windows,), warmup=warmup, measure=measure, drain=drain)
+    return res, windows.series
 
 
 def run_workload_with_timeseries(
@@ -396,50 +296,12 @@ def run_workload_with_timeseries(
 ):
     """Run the attached workload, collecting a windowed time series.
 
-    Returns ``(WorkloadResult, WindowSeries)``.  Mirrors
+    Returns ``(WorkloadResult, WindowSeries)``:
     :meth:`~repro.flitsim.engine.SimulatorCore.run_workload` (measured
     from cycle 0, exits when the collective completes or at
-    ``max_cycles``) while closing a window every ``window`` cycles plus
-    a final partial window at completion.
+    ``max_cycles``) under a :class:`WindowCloser` — a window every
+    ``window`` cycles plus a final partial one at completion.
     """
-    if sim._wl is None:
-        raise RuntimeError(
-            "no workload attached; pass workload= at construction"
-        )
-    from repro.workloads.result import build_workload_result
-
-    probe = _make_probe(sim)
-    if sim._fault is not None:
-        sim._fault.begin_run(sim.policy)
-    probe.begin()
-    sim._measuring = True
-    state = sim._wl
-    start = sim.now
-    col = TimeSeriesCollector(window, top_links=top_links, start_cycle=start)
-    col.prime(
-        sim._stat.injected_flits,
-        sim._stat.ejected_flits,
-        _dropped(sim),
-        len(sim._stat.latencies),
-    )
-    marks_seen = len(sim._fault.marks) if sim._fault is not None else 0
-    i = 0
-    while not state.done and sim.now < max_cycles:
-        sim.step()
-        if i % sample_every == 0:
-            col.occupancy_sample(probe.occupancy_total())
-        i += 1
-        if i % window == 0:
-            marks_seen = _close_window(sim, col, probe, i, start, marks_seen)
-    if i % window != 0 and i > 0:
-        marks_seen = _close_window(sim, col, probe, i, start, marks_seen)
-    sim._stat.cycles = sim.now
-    sim._measuring = False
-    probe.end()
-    sim._stat.finalize()
-    if sim._fault is not None:
-        sim.fault_result = sim._fault.build_result(
-            sim._stat, series=col.series
-        )
-    sim.workload_result = build_workload_result(state, sim._stat, sim.topo)
-    return sim.workload_result, col.series
+    windows = WindowCloser(window, sample_every, top_links)
+    res = _observe(sim, (windows,), max_cycles=max_cycles)
+    return res, windows.series

@@ -13,12 +13,12 @@ the total, so memory stays bounded at large radix), and the fault-event
 markers that landed inside the window.
 
 The collector is engine-agnostic and deliberately free of simulator
-imports: the drivers in :mod:`repro.flitsim.telemetry`
-(``run_with_timeseries`` / ``run_workload_with_timeseries``) feed it
-from the reference engine, the numpy flat path, and the C-kernel path at
-the *same accounting points* as ``run_with_telemetry``, so the closed
-windows are bit-identical across all three (pinned by
-``tests/test_timeseries.py``).
+imports: the ``WindowCloser`` run observer in
+:mod:`repro.flitsim.telemetry` (behind ``run_with_timeseries`` /
+``run_workload_with_timeseries``) feeds it from the reference engine,
+the numpy flat path, and the C-kernel path at the *same accounting
+points* as ``run_with_telemetry``, so the closed windows are
+bit-identical across all three (pinned by ``tests/test_timeseries.py``).
 
 On top of the raw series:
 
@@ -132,14 +132,15 @@ def _stats(vals: np.ndarray, pcts=(50.0, 99.0)) -> dict:
 class TimeSeriesCollector:
     """Accumulates one run's windowed telemetry from cumulative counters.
 
-    The driver owns the loop; the collector owns the deltas.  Protocol:
+    The run observer owns the schedule; the collector owns the deltas.
+    Protocol:
 
     1. :meth:`prime` once at measure start with the current cumulative
        counter values (drop counters tick during warmup too);
     2. :meth:`occupancy_sample` on each sampled cycle;
     3. :meth:`close_window` at each window boundary with the cumulative
        counters, the latency sample list, the window's per-link flit
-       counts (already flushed by the engine probe), and any fault
+       counts (already flushed from the engine), and any fault
        markers that fired inside the window.
 
     Everything numeric is computed with the same numpy reductions

@@ -202,6 +202,22 @@ class TestSweepEvents:
             )
             assert len({e["pid"] for e in evs}) > 1
 
+    def test_reference_engine_emits_the_same_cell_telemetry(
+        self, monkeypatch, tmp_path
+    ):
+        top_links = {}
+        for engine in ("flat", "reference"):
+            monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+            monkeypatch.setenv(obs.OBS_ENV, f"dir={tmp_path / engine}")
+            SweepRunner(cache=None, max_workers=1).run(small_spec())
+            top_links[engine] = {
+                e["key"]: e["top_links"]
+                for e in obs.read_events(tmp_path / engine)
+                if e["ev"] == "cell.telemetry"
+            }
+        assert len(top_links["reference"]) == 4
+        assert top_links["reference"] == top_links["flat"]
+
     def test_events_do_not_change_results(self, monkeypatch, tmp_path):
         monkeypatch.delenv(obs.OBS_ENV, raising=False)
         clean = SweepRunner(cache=None, max_workers=1).run(small_spec())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils import check_in_range, check_positive_int, check_probability, make_rng
+from repro.utils.validation import check_cycle_count
 
 
 class TestMakeRng:
@@ -38,6 +39,13 @@ class TestValidation:
         assert check_probability(0, "p") == 0.0
         with pytest.raises(ValueError):
             check_probability(1.5, "p")
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, None, "64"])
+    def test_cycle_count_names_the_field(self, bad):
+        check_cycle_count(np.int64(64), "window")
+        check_cycle_count(0, "drain", floor=0)
+        with pytest.raises(ValueError, match="^window must be an integer >= 1, got"):
+            check_cycle_count(bad, "window")
 
     def test_in_range(self):
         assert check_in_range(3, 1, 5, "v") == 3
