@@ -18,11 +18,14 @@ longer than the intact worst case, so :meth:`pin_policy` walks the
 policy through every epoch's tables once, ratcheting ``max_hops`` to the
 global ceiling before VC counts and route buffers are derived from it.
 
-During the run, engines call :meth:`advance` at the top of every cycle;
-on an event cycle it returns the epoch's :class:`FaultDelta` (sorted
+During the run, engines call :meth:`advance` at the top of a cycle; on
+an event cycle it returns the epoch's :class:`FaultDelta` (sorted
 newly-dead/newly-alive links and routers plus the repaired tables) and
 the engine applies the masks and drops in the canonical order documented
-in :mod:`repro.flitsim.engine`.  Drop/blackhole/retransmit accounting
+in :mod:`repro.flitsim.engine`.  ``step()`` asks every cycle; the run
+loop makes :meth:`next_epoch_start` one of its deadlines, so an engine
+that covers whole spans of cycles at once asks only at the start of
+each span.  Drop/blackhole/retransmit accounting
 flows back through the ``note_*`` methods, keeping the counters — and
 the retransmit queue order, which feeds route selection and therefore
 the RNG stream — identical across engines.
@@ -222,12 +225,23 @@ class FaultState:
         self._started = True
         policy.retable(self.epochs[0].tables)
 
+    def next_epoch_start(self, now: int) -> "int | None":
+        """First cycle after ``now`` an unapplied epoch starts (None: never).
+
+        The run loop's fault deadline: an epoch due *at* ``now`` belongs
+        to the coming cycle, whose :meth:`advance` call applies it.
+        """
+        for epoch in self.epochs[self._next :]:
+            if epoch.start > now:
+                return epoch.start
+        return None
+
     def advance(self, now: int) -> "FaultDelta | None":
         """The epoch delta taking effect at cycle ``now`` (None if any).
 
-        Engines call this at the top of every cycle, before injection,
-        and apply the returned delta (masks, drops, policy retable) in
-        the canonical order.  Survival masks update here so injection
+        Engines call this at the top of a cycle, before injection, and
+        apply the returned delta (masks, drops, policy retable) in the
+        canonical order.  Survival masks update here so injection
         filters and the applying engine agree within the cycle.
         """
         if self._next >= len(self.epochs) or now < self.epochs[self._next].start:
@@ -260,21 +274,21 @@ class FaultState:
         _obs_counter("faults.flit_drops").inc(int(count))
 
     def note_tail_drop(self, mid: int) -> None:
-        """A packet's tail flit was lost: the packet is gone.
+        """A packet's tail flit was lost: the packet is gone."""
+        self.note_tail_drops((mid,))
+
+    def note_tail_drops(self, mids) -> None:
+        """Packets whose tail flits were lost, in drop order (-1: open loop).
 
         Workload packets (``mid >= 0``) re-enter the retransmit queue
         when the timeline enables it; queue order is drop order, which
         both engines produce identically.
         """
-        self.dropped_packets += 1
-        _obs_counter("faults.tail_drops").inc()
-        if mid >= 0 and self.retransmit_enabled:
-            self._rt_queue.append(int(mid))
-
-    def note_tail_drops(self, mids) -> None:
-        """Batched :meth:`note_tail_drop`, preserving array order."""
-        for mid in np.asarray(mids, dtype=np.int64):
-            self.note_tail_drop(int(mid))
+        mids = np.asarray(mids, dtype=np.int64)
+        self.dropped_packets += mids.size
+        _obs_counter("faults.tail_drops").inc(mids.size)
+        if self.retransmit_enabled:
+            self._rt_queue.extend(mids[mids >= 0].tolist())
 
     def note_blackholed(self, packets: int) -> None:
         """Packets that could never inject (dead source or destination)."""
@@ -314,7 +328,8 @@ class FaultState:
         q = np.asarray(self._rt_queue, dtype=np.int64)
         self._rt_queue = []
         ok = self.router_alive[workload.src[q]] & self.router_alive[workload.dst[q]]
-        self.blackholed_packets += int((~ok).sum())
+        if not ok.all():
+            self.note_blackholed(int((~ok).sum()))
         kept = q[ok]
         self.retransmitted_packets += int(kept.size)
         return kept

@@ -10,12 +10,14 @@ no extension to build at install time.
 The kernel is **universal**: it executes the full cycle protocol in
 every mode, not just open loop.
 
-* *Workload mode* needs no extra C state — ``kinject`` appends packet
-  flit chains to arbitrary (possibly repeated) endpoint FIFOs, and the
-  per-cycle **completion ring buffer** ``tail_pids`` (filled by
-  ``kroute`` in grant order, the latency-recording order) carries every
-  ejected tail back to Python, where the workload eligibility state
-  machine maps packet slots to message ids.
+* *Workload mode* needs no extra C state on the per-cycle path —
+  ``kinject`` appends packet flit chains to arbitrary (possibly
+  repeated) endpoint FIFOs, and the per-cycle **completion ring buffer**
+  ``tail_pids`` (filled by ``kroute`` in grant order, the
+  latency-recording order) carries every ejected tail back to Python,
+  where the workload eligibility state machine maps packet slots to
+  message ids.  A span runs that state machine itself, over the
+  :class:`~repro.workloads.state.WorkloadState`'s own arrays.
 * *Fault mode* sets ``fault_mode`` and binds the death mask
   (``dead_row``), per-packet outstanding-flit counters (``pkt_live``,
   replacing tail-order slot recycling, since drops retire packets out
@@ -27,7 +29,9 @@ every mode, not just open loop.
   without consuming the upstream credit — bit-identical to the numpy
   path and the reference engine.  Epoch-boundary table swaps and
   event-time queue drops stay in Python (they are rare); they mutate
-  the very arrays the kernel is bound to, so no re-binding is needed.
+  the very arrays the kernel is bound to, so no re-binding is needed,
+  and ``kselect`` follows a repaired epoch's row-patched distance view
+  through a per-row indirection.
 
 * *Route selection* (``kselect``) is the same module's second job: the
   batch protocol of ``policy.select_routes`` for exactly
@@ -48,16 +52,23 @@ every mode, not just open loop.
   ``module.select_ok``; on a mismatch every simulator keeps the numpy
   bodies and the per-cycle path.
 
-* *Spans* (``kcycles``) compose the entries above into whole open-loop
-  cycles: the Bernoulli draw (``next_double`` per endpoint, none at zero
-  load), the destination pick, ``kselect``, packet-slot fill,
-  ``kinject``, ``kfeed``, ``kroute`` and the latency samples of measured
-  tails, for as many cycles as the caller asks — returning early, at a
-  cycle boundary, only when Python must grow a pool or flush the sample
-  buffers.  It calls the same functions the per-cycle path calls one by
-  one, so there is one copy of the cycle logic; the per-cycle sequence
-  in :class:`~repro.flitsim.flatcore.FlatSimulator` defines the result
-  and :mod:`repro.flitsim.kspan` decides when a span may stand in for it.
+* *Spans* (``kcycles``) compose the entries above into whole cycles:
+  injection — the Bernoulli draw (``next_double`` per endpoint, none at
+  zero load) and the destination pick, or closed loop the ready queue
+  drained FIFO into packets with a round-robin endpoint each —
+  ``kselect``, packet-slot fill, ``kinject``, ``kfeed``, ``kroute``, the
+  latency samples of measured tails and, closed loop, the completion
+  commit through the dependents CSR, for as many cycles as the caller
+  asks.  Between two fault epochs it also applies the survival masks to
+  the winners and their destinations and counts drops, damaged
+  deliveries and blackholed packets for Python to fold into the fault
+  state once per call.  It returns early, at a cycle boundary, only
+  when Python must grow a pool or the batch scratch, flush the sample
+  buffers, or the workload has completed.  It calls the same functions
+  the per-cycle path calls one by one, so there is one copy of the
+  cycle logic; the per-cycle sequence in
+  :class:`~repro.flitsim.flatcore.FlatSimulator` defines the result and
+  :mod:`repro.flitsim.kspan` decides when a span may stand in for it.
 
 * Loading is best-effort: no cffi, no C compiler, or any compile error
   yields ``None`` (with a one-line stderr diagnostic) and
@@ -115,6 +126,7 @@ typedef struct {
     int64_t *pool_pid, *pool_seq, *pool_hop, *pool_ready, *pool_next;
     int64_t *src_head, *src_tail, *ep_credit;
     int64_t *pkt_len, *pkt_dst, *pkt_t_created;
+    int64_t *pkt_msg;       /* owning workload message (-1 open loop) */
     int8_t *pkt_measured;
     int64_t *route_buf;
     int64_t *pkt_free, *pkt_free_top;
@@ -158,10 +170,14 @@ typedef struct {
     int64_t n, n_multi, bias, vc_depth;
     double over;            /* ugal-pf: threshold * capacity */
     int64_t ft_k, ft_spl;   /* ftnca: arity, switches per level */
-    /* RoutingTables: distance matrix + compact candidate table. */
-    int16_t *dist, *first, *multi_data;
+    /* RoutingTables: distance matrix + compact candidate table.  A
+     * fault epoch's RowPatchedDist binds as its base matrix plus the
+     * rows the failure changed: patch_row[r] is r's row in `patch`, -1
+     * for a base row (patch_row NULL: a plain matrix). */
+    int16_t *dist, *patch, *first, *multi_data;
+    int64_t *patch_row;
     uint8_t *count;
-    int64_t *multi_pairs, *multi_indptr;
+    int32_t *multi_pairs, *multi_indptr;
     /* CSR of policy.topo.graph — the *degraded* graph in a fault epoch,
      * unlike SimState's adj_* port map of the intact fabric. */
     int64_t *g_indptr, *g_indices;
@@ -172,10 +188,13 @@ typedef struct {
 } Selector;
 """
 
-#: the open-loop injection process of one ``kcycles`` span, its counters,
-#: and why it handed control back (``lib.SPAN_*`` on the host side)
+#: the injection process of one ``kcycles`` span — Bernoulli or, with a
+#: ``Workload``, the closed-loop message state machine — its counters, and
+#: why it handed control back (``lib.SPAN_*`` on the host side)
 _SPAN_STRUCT = """
 enum { SPAN_DONE, SPAN_GROW, SPAN_FLUSH, SPAN_TOO_LONG };
+/* Cells of Workload.tally. */
+enum { WL_READY_LEN, WL_COMPLETED, WL_FLIT_HOPS };
 
 typedef struct {
     double prob;            /* load / packet_size; <= 0 draws nothing */
@@ -185,15 +204,37 @@ typedef struct {
      * source's own position. */
     int64_t permutation, n_term;
     int64_t *pos, *table;
-    int64_t *winners, *srcs, *dsts, *slots;     /* scratch, E each */
+    /* Scratch, `cap` each (cap >= E): per packet of the cycle its
+     * endpoint, routers, slot and — closed loop — message. */
+    int64_t cap;
+    int64_t *winners, *srcs, *dsts, *slots, *mids;
+    /* FaultState's survival masks while some router is dead, else NULL:
+     * dead endpoints cannot win, dead destinations blackhole. */
+    int8_t *ep_alive, *router_alive;
     /* Latency / hop count of measured tails, in grant order. */
     int64_t *lat, *hops;
     int64_t sample_cap;
 } Injector;
 
+/* WorkloadState's own arrays (workloads/state.py): the span reads and
+ * writes the very object the per-cycle path and the reference engine
+ * drive through its Python methods. */
+typedef struct {
+    int64_t n_msgs;
+    int64_t *src, *dst, *pkts;          /* per message, read-only */
+    int64_t *dep_indptr, *dep_indices;  /* dependents CSR, read-only */
+    int64_t *ready, *tally;             /* FIFO buffer; WL_* cells */
+    int64_t *rem_pkts, *pending, *eligible_cycle, *complete_cycle;
+    int64_t *inj_rr;
+    int64_t *fin;           /* scratch: messages finishing this cycle */
+} Workload;
+
 typedef struct {
     int64_t now;            /* first cycle not yet executed */
     int64_t packets, injected_flits, ejected_flits, samples;
+    /* Fault accounting, for FaultState's note_* once per call. */
+    int64_t dropped_flits, tail_drops, damaged, blackholed;
+    int64_t need;           /* SPAN_GROW: packets the cycle must hold */
     int64_t max_len;        /* kselect's result at SPAN_TOO_LONG */
 } SpanOut;
 """
@@ -206,13 +247,15 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected);
 int64_t kselect(const SimState *st, const Selector *sel, bitgen_t *bg,
                 int64_t k, const int64_t *srcs, const int64_t *dsts);
 int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
-                const Injector *inj, int64_t now, int64_t until, SpanOut *out);
+                const Injector *inj, const Workload *wl,
+                int64_t now, int64_t until, SpanOut *out);
 void kdraws(bitgen_t *bg, int64_t k, const int64_t *bounds, int64_t *out);
 void kdoubles(bitgen_t *bg, int64_t k, double *out);
 """
 
 _C_SOURCE = """
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 """ + _STRUCT + _SELECT_STRUCT + _SPAN_STRUCT + """
 
@@ -536,6 +579,31 @@ static int64_t row_of(const int64_t *row, int64_t j)
     return row ? row[j] : j;
 }
 
+/* tables.dist[r, c], through the row indirection of a patched epoch. */
+static int64_t dist_at(const Selector *s, int64_t r, int64_t c)
+{
+    if (s->patch_row) {
+        int64_t p = s->patch_row[r];
+        if (p >= 0)
+            return s->patch[p * s->n + c];
+    }
+    return s->dist[r * s->n + c];
+}
+
+/* Row of `pair` in the overflow CSR: searchsorted over its int32 keys. */
+static int64_t multi_row(const Selector *s, int64_t pair)
+{
+    int64_t lo = 0, hi = s->n_multi;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (s->multi_pairs[mid] < pair)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
 /* RoutingTables.shortest_paths_batch(from, to, rng) over m rows:
  * column-major (for each path column, the rows still walking in row
  * order), one draw per tied pair, overflow CSR only for picks > 0.
@@ -551,7 +619,7 @@ static void walk(const Selector *s, bitgen_t *bg, int64_t m,
     for (int64_t j = 0; j < m; j++) {
         int64_t r = row_of(row, j);
         int64_t pos = off0 + (base ? base[r] : 0);
-        wl[j] = s->dist[from[j] * n + to[j]] + 1;
+        wl[j] = dist_at(s, from[j], to[j]) + 1;
         if (wl[j] > max_len)
             max_len = wl[j];
         cur[j] = from[j];
@@ -567,11 +635,9 @@ static void walk(const Selector *s, bitgen_t *bg, int64_t m,
             int64_t cnt = s->count[pair];
             if (cnt > 1) {
                 int64_t pick = draw(bg, cnt);
-                if (pick > 0) {
-                    int64_t mi = lower_bound(
-                        s->multi_pairs, 0, s->n_multi, pair);
-                    nxt = s->multi_data[s->multi_indptr[mi] + pick];
-                }
+                if (pick > 0)
+                    nxt = s->multi_data[
+                        s->multi_indptr[multi_row(s, pair)] + pick];
             }
             cur[j] = nxt;
             int64_t r = row_of(row, j);
@@ -621,13 +687,13 @@ static void sel_compact(const Selector *s, bitgen_t *bg, int64_t m,
                         const int64_t *src, const int64_t *dst,
                         const int64_t *row, int64_t *out, int64_t *ol)
 {
-    int64_t n = s->n, W = s->width;
+    int64_t W = s->width;
     int64_t *s2 = scratch(s, 6), *d2 = scratch(s, 7), *r2 = scratch(s, 8);
     int64_t *mid = scratch(s, 9), *wl = scratch(s, 11);
     for (int far = 1; far >= 0; far--) {
         int64_t c = 0;
         for (int64_t j = 0; j < m; j++) {
-            if ((s->dist[src[j] * n + dst[j]] > 1) != far)
+            if ((dist_at(s, src[j], dst[j]) > 1) != far)
                 continue;
             s2[c] = src[j];
             d2[c] = dst[j];
@@ -661,7 +727,7 @@ static void sel_ftnca(const Selector *s, bitgen_t *bg, int64_t m,
                       const int64_t *src, const int64_t *dst,
                       int64_t *out, int64_t *ol)
 {
-    int64_t n = s->n, W = s->width, K = s->ft_k, spl = s->ft_spl;
+    int64_t W = s->width, K = s->ft_k, spl = s->ft_spl;
     for (int64_t j = 0; j < m; j++) {
         int64_t cur = src[j], to = dst[j], len = 1, nca = 0;
         int64_t *path = out + j * W;
@@ -678,10 +744,10 @@ static void sel_ftnca(const Selector *s, bitgen_t *bg, int64_t m,
             len++;
         }
         for (int64_t down = 0; down < nca; down++) {
-            int64_t closer = s->dist[cur * n + to] - 1, below = cur / spl - 1;
+            int64_t closer = dist_at(s, cur, to) - 1, below = cur / spl - 1;
             for (int64_t e = s->g_indptr[cur]; e < s->g_indptr[cur + 1]; e++) {
                 int64_t v = s->g_indices[e];
-                if (v / spl == below && s->dist[v * n + to] == closer) {
+                if (v / spl == below && dist_at(s, v, to) == closer) {
                     cur = v;
                     break;
                 }
@@ -773,37 +839,155 @@ int64_t kselect(const SimState *st, const Selector *s, bitgen_t *bg,
 }
 
 /* ------------------------------------------------------------------
- * Open-loop spans: cycles [now, until) of the protocol in engine.py end
- * to end — FlatSimulator._inject (Bernoulli draw, destination pick,
- * select_routes, _fill_packet_slots) and _kernel_cycle, in that order,
- * on the caller's bit stream.  Returns SPAN_DONE, or earlier with
- * out->now = the cycle not yet started: SPAN_GROW / SPAN_FLUSH at a
- * cycle boundary when the pools lack room for one worst-case cycle (E
- * packets) or the sample buffers for E more tails — Python makes room
- * and calls again — and SPAN_TOO_LONG where the per-cycle path raises.
- * The counters in `out` accumulate across calls.
+ * Spans: cycles [now, until) of the protocol in engine.py end to end —
+ * FlatSimulator._inject or _inject_workload, then _kernel_cycle, then
+ * WorkloadState.commit — on the caller's bit stream and the caller's
+ * arrays.  The injection process is Bernoulli, or with `wl` the closed
+ * loop's ready queue; fault mode (st->fault_mode, between two epoch
+ * boundaries — the deltas themselves stay in Python) adds the survival
+ * masks and the drop accounting.  Every mode test below runs once per
+ * cycle, never per endpoint or per flit.  The host never asks for a
+ * workload and fault mode together: the retransmit queue is Python's.
  * ------------------------------------------------------------------ */
-int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
-                const Injector *inj, int64_t now, int64_t until, SpanOut *out)
+
+static int cmp_int64(const void *a, const void *b)
 {
-    int64_t E = st->E, ps = st->ps, W = sel->width;
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Packets the ready queue expands to (WorkloadState.pop_ready, sized). */
+static int64_t ready_packets(const Workload *wl)
+{
+    int64_t k = 0;
+    for (int64_t i = 0; i < wl->tally[WL_READY_LEN]; i++)
+        k += wl->pkts[wl->ready[i]];
+    return k;
+}
+
+/* Drain the ready queue, FIFO, into packets: message-major,
+ * packet-minor — the order the batch is routed and injected in. */
+static void pop_ready(const Workload *wl, const Injector *inj)
+{
+    int64_t j = 0;
+    for (int64_t i = 0; i < wl->tally[WL_READY_LEN]; i++) {
+        int64_t m = wl->ready[i];
+        for (int64_t p = 0; p < wl->pkts[m]; p++, j++) {
+            inj->mids[j] = m;
+            inj->srcs[j] = wl->src[m];
+            inj->dsts[j] = wl->dst[m];
+        }
+    }
+    wl->tally[WL_READY_LEN] = 0;
+}
+
+/* WorkloadState.note_tails + commit over this cycle's ejected tails: a
+ * message completes with its last packet; completions are processed in
+ * ascending id order, and the dependents they release join the ready
+ * queue in ascending id order, eligible from the next cycle.  Returns
+ * whether every message has now completed. */
+static int64_t commit_tails(const SimState *st, const Workload *wl,
+                            int64_t n_tail, int64_t now)
+{
+    int64_t nf = 0, hops = 0;
+    for (int64_t i = 0; i < n_tail; i++) {
+        int64_t pid = st->tail_pids[i], m = st->pkt_msg[pid];
+        hops += st->pkt_len[pid] - 1;
+        if (--wl->rem_pkts[m] == 0)
+            wl->fin[nf++] = m;
+    }
+    wl->tally[WL_FLIT_HOPS] += hops * st->ps;
+    if (nf == 0)
+        return 0;
+    qsort(wl->fin, nf, sizeof(int64_t), cmp_int64);
+    int64_t was = wl->tally[WL_READY_LEN], len = was;
+    for (int64_t i = 0; i < nf; i++) {
+        int64_t m = wl->fin[i];
+        wl->complete_cycle[m] = now;
+        for (int64_t e = wl->dep_indptr[m]; e < wl->dep_indptr[m + 1]; e++) {
+            int64_t d = wl->dep_indices[e];
+            if (--wl->pending[d] == 0) {
+                wl->eligible_cycle[d] = now;
+                wl->ready[len++] = d;
+            }
+        }
+    }
+    qsort(wl->ready + was, len - was, sizeof(int64_t), cmp_int64);
+    wl->tally[WL_READY_LEN] = len;
+    wl->tally[WL_COMPLETED] += nf;
+    return wl->tally[WL_COMPLETED] == wl->n_msgs;
+}
+
+/* FlatSimulator._inject's two filters while a router is dead: keep the
+ * winners on live endpoints; then, destinations drawn, the packets
+ * bound for a live router.  Each returns the count kept, in order. */
+static int64_t alive_winners(const Injector *inj, int64_t k)
+{
+    int64_t keep = 0;
+    for (int64_t j = 0; j < k; j++)
+        if (inj->ep_alive[inj->winners[j]])
+            inj->winners[keep++] = inj->winners[j];
+    return keep;
+}
+
+static int64_t alive_destinations(const Injector *inj, int64_t k)
+{
+    int64_t keep = 0;
+    for (int64_t j = 0; j < k; j++) {
+        if (!inj->router_alive[inj->dsts[j]])
+            continue;
+        inj->winners[keep] = inj->winners[j];
+        inj->srcs[keep] = inj->srcs[j];
+        inj->dsts[keep++] = inj->dsts[j];
+    }
+    return keep;
+}
+
+/* Returns SPAN_DONE at `until` — or, closed loop, at the end of the
+ * cycle that completed the workload — or earlier with out->now = the
+ * cycle not yet started: SPAN_GROW / SPAN_FLUSH at a cycle boundary,
+ * before anything is drawn or popped, when the pools and scratch lack
+ * room for the cycle's out->need packets (E for a Bernoulli draw, the
+ * whole ready queue closed loop) or the sample buffers for E more tails
+ * — Python makes room and calls again — and SPAN_TOO_LONG where the
+ * per-cycle path raises.  The counters in `out` accumulate across
+ * calls. */
+int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
+                const Injector *inj, const Workload *wl,
+                int64_t now, int64_t until, SpanOut *out)
+{
+    int64_t E = st->E, ps = st->ps, W = sel->width, fm = st->fault_mode;
     const int64_t *paths = sel->work, *lens = scratch(sel, 0);
     for (; now < until; now++) {
         out->now = now;
-        if (inj->prob > 0.0
-                && (*st->free_top < E * ps || *st->pkt_free_top < E))
+        int64_t k = 0;
+        if (wl) {
+            k = ready_packets(wl);
+            if (k > inj->cap || k > sel->cap
+                    || *st->free_top < k * ps || *st->pkt_free_top < k) {
+                out->need = k;
+                return SPAN_GROW;
+            }
+        } else if (inj->prob > 0.0
+                && (*st->free_top < E * ps || *st->pkt_free_top < E)) {
+            out->need = E;
             return SPAN_GROW;
+        }
         if (out->samples + E > inj->sample_cap)
             return SPAN_FLUSH;
 
-        /* Step 1: rng.random(E) < prob, then the winners' destinations
-         * (one bounded draw each, in endpoint order), then the routes. */
-        int64_t k = 0;
-        if (inj->prob > 0.0)
+        /* Step 1.  Closed loop: the ready queue.  Open loop:
+         * rng.random(E) < prob over every endpoint — dead ones just
+         * cannot win — then the winners' destinations (one bounded draw
+         * each, in endpoint order), dead ones blackholed. */
+        if (wl) {
+            pop_ready(wl, inj);
+        } else if (inj->prob > 0.0) {
             for (int64_t e = 0; e < E; e++)
                 if (bg->next_double(bg->state) < inj->prob)
                     inj->winners[k++] = e;
-        if (k) {
+            if (inj->ep_alive)
+                k = alive_winners(inj, k);
             for (int64_t j = 0; j < k; j++) {
                 int64_t src = st->ep_router[inj->winners[j]];
                 int64_t at = inj->pos[src];
@@ -814,6 +998,13 @@ int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
                 inj->srcs[j] = src;
                 inj->dsts[j] = inj->table[at];
             }
+            if (inj->router_alive) {
+                int64_t live = alive_destinations(inj, k);
+                out->blackholed += k - live;
+                k = live;
+            }
+        }
+        if (k) {
             int64_t max_len = kselect(st, sel, bg, k, inj->srcs, inj->dsts);
             /* KernelSpan.bind vouched for every id kselect refuses, so
              * a negative result is only kept out of the memcpy here. */
@@ -834,6 +1025,20 @@ int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
                 st->pkt_t_created[pid] = now;
                 st->pkt_measured[pid] = (int8_t)inj->measuring;
             }
+            if (fm)
+                for (int64_t j = 0; j < k; j++) {
+                    st->pkt_live[inj->slots[j]] = ps;
+                    st->pkt_damaged[inj->slots[j]] = 0;
+                }
+            if (wl)
+                /* The message's source router deals its endpoints out
+                 * round-robin, packet by packet in batch order. */
+                for (int64_t j = 0; j < k; j++) {
+                    int64_t r = inj->srcs[j];
+                    st->pkt_msg[inj->slots[j]] = inj->mids[j];
+                    inj->winners[j] =
+                        st->ep_off[r] + wl->inj_rr[r]++ % st->conc[r];
+                }
             kinject(st, now, k, inj->slots, inj->winners);
             out->packets += k;
             if (inj->measuring)
@@ -843,6 +1048,8 @@ int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
         /* Steps 2-3, then the measured tails' samples in grant order
          * (a recycled slot keeps its row until the next injection). */
         int64_t n_ej;
+        if (fm)
+            st->fcnt[0] = st->fcnt[1] = 0;
         kfeed(st, now);
         int64_t n_tail = kroute(st, now, &n_ej);
         if (inj->measuring)
@@ -854,8 +1061,18 @@ int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
             inj->lat[out->samples] = now - st->pkt_t_created[pid];
             inj->hops[out->samples++] = st->pkt_len[pid] - 1;
         }
+        if (fm) {
+            out->dropped_flits += st->fcnt[0];
+            out->tail_drops += st->fcnt[1];
+            for (int64_t i = 0; i < n_tail; i++)
+                out->damaged += st->pkt_damaged[st->tail_pids[i]];
+        }
+        if (wl && n_tail && commit_tails(st, wl, n_tail, now)) {
+            now++;
+            break;
+        }
     }
-    out->now = until;
+    out->now = now;
     return SPAN_DONE;
 }
 """

@@ -102,22 +102,25 @@ run; link counters, occupancy sampling and window records are observers.
 
 **Spans**: the driver moves time only through
 :meth:`SimulatorCore.advance`, whose default is ``step()`` ``n`` times,
-and asks for the whole stretch up to the next deadline (phase end or an
-observer's wake-up) at once.  The flat engine overrides ``advance`` for
-plain open-loop cells — no workload, no fault timeline, a stock policy
-and traffic pattern, nothing hooked onto either instance — and executes
-steps 1-3 of all ``n`` cycles inside one compiled call (``kcycles``) on
-the simulator's own bit stream: the Bernoulli draw, the destination
-pick, route selection, packet-slot fill, injection, feed, router phase,
-link counters and the latency samples of measured tails.  ``step()``
+and asks for the whole stretch up to the next deadline (phase end, an
+observer's wake-up or a fault epoch) at once.  The flat engine overrides
+``advance`` for cells with a stock policy and traffic pattern and
+nothing hooked onto either instance, and executes steps 1-3 of all ``n``
+cycles inside one compiled call (``kcycles``) on the simulator's own bit
+stream: the Bernoulli draw, the destination pick, route selection,
+packet-slot fill, injection, feed, router phase, link counters and the
+latency samples of measured tails.  ``step()``
 remains the definition: a span leaves the generator, the
 :class:`SimResult` and every state array exactly where ``n`` steps would
 (``tests/test_kcycles.py``), so observers sample between spans and see
 what they would between steps — an observed run keeps its spans, cut at
-its wake-ups.  Closed-loop runs advance one cycle at a time (completion
-is checked every cycle).  The span conditions are listed in
-:mod:`repro.flitsim.kspan`; ``sim.span_cycles`` counts the cycles that
-ran this way.
+its wake-ups.  Closed-loop and faulted cells run the same way: a span
+carries the message state machine over the workload state's own arrays
+and returns the cycle the workload completes, and fault epochs are
+deadlines of the run loop, so an epoch delta is applied in Python at the
+head of a span exactly where ``step()`` applies it.  The span conditions
+are listed in :mod:`repro.flitsim.kspan`; ``sim.span_cycles`` counts the
+cycles that ran this way.
 """
 
 from __future__ import annotations
@@ -351,8 +354,15 @@ class SimulatorCore:
         return int(self.link_occupancy().sum())
 
     def advance(self, n: int) -> None:
-        """Simulate ``n`` cycles with the window flags as they stand."""
+        """Simulate ``n`` cycles with the window flags as they stand.
+
+        A closed-loop run stops early, the cycle after the last
+        message's tail flit ejects.
+        """
+        state = self._wl
         for _ in range(n):
+            if state is not None and state.done:
+                return
             self.step()
 
     def _require_unfinished(self) -> None:
@@ -366,14 +376,14 @@ class SimulatorCore:
     def _drive(self, warmup=0, measure=0, drain=0, observers=(), max_cycles=None):
         """The run protocol: warm up, measure under ``observers``, drain.
 
-        Every public entry point ends here.  Open loop, the measure
-        phase is ``measure`` cycles long and time moves deadline to
-        deadline — the nearest of the phase end and an observer's
-        ``wake_at`` — in one :meth:`advance` each, so an observed run
-        keeps whatever spans the engine offers.  With ``max_cycles`` the
-        run is closed loop: measured from the first cycle, no warmup or
-        drain, and advanced one cycle at a time because the workload may
-        complete on any of them.  Returns the :class:`SimResult`, or the
+        Every public entry point ends here, and time moves deadline to
+        deadline (:meth:`_run_to`), so a run keeps whatever spans the
+        engine offers.  Open loop, the measure phase is ``measure``
+        cycles long.  With ``max_cycles`` the run is closed loop:
+        measured from the first cycle, no warmup or drain, and over when
+        the workload completes — :meth:`advance` returns early there —
+        or at cycle ``max_cycles``, whichever comes first.  Returns the
+        :class:`SimResult`, or the
         :class:`~repro.workloads.WorkloadResult` of a closed-loop run.
         """
         state = self._wl
@@ -393,23 +403,12 @@ class SimulatorCore:
         if self._fault is not None:
             self._fault.begin_run(self.policy)
         self._require_unfinished()
-        self.advance(warmup)
+        self._run_to(self.now + warmup)
         self._measuring = True
         start = self.now
-        end = max_cycles if closed else start + measure
         for ob in observers:
             ob.start(self, start)
-        while self.now < end and not (closed and state.done):
-            if closed:
-                deadline = self.now + 1
-            else:
-                deadline = min(
-                    [end] + [ob.wake_at for ob in observers if ob.wake_at is not None]
-                )
-            self.advance(deadline - self.now)
-            for ob in observers:
-                if ob.wake_at == self.now:
-                    ob.wake(self)
+        self._run_to(max_cycles if closed else start + measure, observers)
         self._stat.cycles = self.now - start
         self._measuring = False
         series = None
@@ -428,6 +427,27 @@ class SimulatorCore:
         self.workload_result = build_workload_result(state, self._stat, self.topo)
         return self.workload_result
 
+    def _run_to(self, end: int, observers=()) -> None:
+        """Move time to cycle ``end``, one :meth:`advance` per deadline.
+
+        The deadlines are ``end``, every observer's ``wake_at`` and the
+        start of the next fault epoch, so an engine that runs a whole
+        ``advance`` at once meets an epoch only as the first cycle of
+        one — where ``step()`` applies it.  Stops short when a workload
+        completes.
+        """
+        state, fault = self._wl, self._fault
+        while self.now < end and not (state is not None and state.done):
+            stops = [end] + [ob.wake_at for ob in observers if ob.wake_at is not None]
+            if fault is not None:
+                epoch = fault.next_epoch_start(self.now)
+                if epoch is not None:
+                    stops.append(epoch)
+            self.advance(min(stops) - self.now)
+            for ob in observers:
+                if ob.wake_at == self.now:
+                    ob.wake(self)
+
     def _drain(self, drain: int) -> None:
         """Advance ``drain`` cycles at zero offered load (post-measure).
 
@@ -436,7 +456,7 @@ class SimulatorCore:
         """
         if drain:
             saved_load, self.load = self.load, 0.0
-            self.advance(drain)
+            self._run_to(self.now + drain)
             self.load = saved_load
 
     def run(self, warmup: int = 600, measure: int = 1200, drain: int = 300) -> SimResult:

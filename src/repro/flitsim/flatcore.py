@@ -24,9 +24,10 @@ queued flit:
   the policy's batched ``select_routes``.
 * **Congestion view** — ``output_occupancy`` is an O(1) read of the
   incrementally maintained per-output backlog counters plus credit debt.
-* **Spans** — ``advance(n)`` runs ``n`` open-loop cycles, injection
-  included, inside one compiled call when nothing needs Python between
-  them (:mod:`repro.flitsim.kspan`); ``step()`` stays the definition.
+* **Spans** — ``advance(n)`` runs ``n`` cycles — open loop, closed loop
+  or between two fault epochs — injection included, inside one compiled
+  call when nothing needs Python between them
+  (:mod:`repro.flitsim.kspan`); ``step()`` stays the definition.
 
 The topology-dependent port geometry (a CSR port map — O(E), not the
 seed's dense O(N^2) matrix) is memoized per topology object in
@@ -300,10 +301,11 @@ class FlatSimulator(SimulatorCore):
 
         # Optional C cycle kernel (same protocol, same arrays) in every
         # mode — open loop, closed loop, faults, and combined; falls
-        # back to the pure-numpy phases when unavailable.  Workload
-        # dependency bookkeeping and epoch-boundary fault deltas stay in
-        # Python and communicate through the bound arrays and the
-        # per-cycle ring buffers (tail_pids, drop_tail_pids).
+        # back to the pure-numpy phases when unavailable.  Epoch-boundary
+        # fault deltas stay in Python and, on the per-cycle path, so
+        # does the workload's dependency bookkeeping, fed by the bound
+        # arrays and the per-cycle ring buffers (tail_pids,
+        # drop_tail_pids).
         self._kernel = load_kernel()
         if self._kernel is not None:
             ffi = self._kernel.ffi
@@ -327,14 +329,8 @@ class FlatSimulator(SimulatorCore):
             if self._kernel is not None and self._kernel.select_ok
             else None
         )
-        #: whole-cycle spans for an open-loop run (None: cycle by cycle)
-        self._kspan = (
-            KernelSpan(self)
-            if self._kselect is not None
-            and self._wl is None
-            and self._fault is None
-            else None
-        )
+        #: whole-cycle spans (None: cycle by cycle)
+        self._kspan = KernelSpan(self) if self._kselect is not None else None
         #: cycles :meth:`advance` executed inside ``kcycles``
         self.span_cycles = 0
 
@@ -517,6 +513,7 @@ class FlatSimulator(SimulatorCore):
         st.ep_credit = ptr(self.ep_credit)
         st.pkt_len, st.pkt_dst = ptr(self.pkt_len), ptr(self.pkt_dst)
         st.pkt_t_created = ptr(self.pkt_t_created)
+        st.pkt_msg = ptr(self.pkt_msg)
         st.pkt_measured = bptr(self.pkt_measured)
         st.route_buf = ptr(self.route_buf)
         st.pkt_free = ptr(self._pslot_stack)
@@ -615,21 +612,22 @@ class FlatSimulator(SimulatorCore):
         if self._kernel is not None:
             self._bind_kernel_state()
 
-    def _reserve_cycle(self) -> None:
-        """Room for one worst-case open-loop cycle: a packet per endpoint.
+    def _reserve(self, packets: int) -> None:
+        """Room for ``packets`` more packets in the flit and packet pools.
 
-        Applied before every Bernoulli draw — by :meth:`_inject` and, on
-        ``kcycles``' request, by the span driver — so the pools grow at
-        the same cycle, to the same size, whichever way the cycle runs,
-        and a span never has to stop mid-cycle for memory.
+        Applied before the cycle's packets are drawn or popped — one per
+        endpoint ahead of a Bernoulli draw, the whole ready queue closed
+        loop — by the per-cycle path and, on ``kcycles``' request, by
+        the span driver, so the pools grow at the same cycle, to the
+        same size, whichever way the cycle runs, and a span never has to
+        stop mid-cycle for memory.
         """
-        E = self.fab.E
-        flits = E * self.config.packet_size
+        flits = packets * self.config.packet_size
         if self.free_top < flits:
             self._grow_pool(flits - self.free_top)
         slots = int(self._pslot_top[0])
-        if slots < E:
-            self._grow_pkt_pool(E - slots)
+        if slots < packets:
+            self._grow_pkt_pool(packets - slots)
 
     def _alloc_pkt_slots(self, k: int) -> np.ndarray:
         if int(self._pslot_top[0]) < k:
@@ -704,7 +702,7 @@ class FlatSimulator(SimulatorCore):
         prob = self.load / ps
         if prob <= 0.0:
             return
-        self._reserve_cycle()
+        self._reserve(self.fab.E)
         rng = self.rng
         fab = self.fab
         winners = np.flatnonzero(rng.random(fab.E) < prob)
@@ -781,6 +779,7 @@ class FlatSimulator(SimulatorCore):
         if pkt_mid.size == 0:
             return
         fab = self.fab
+        self._reserve(pkt_mid.size)
         srcs = st.workload.src[pkt_mid]
         dsts = st.workload.dst[pkt_mid]
         slots, k = self._fill_packet_slots(srcs, dsts, pkt_mid=pkt_mid)
@@ -789,9 +788,6 @@ class FlatSimulator(SimulatorCore):
         if self._kernel is not None:
             # kinject appends sequentially, so several packets landing
             # on one endpoint keep injection order automatically.
-            ps = self.config.packet_size
-            if self.free_top < k * ps:
-                self._grow_pool(k * ps - self.free_top)
             ffi = self._kernel.ffi
             self._kernel.lib.kinject(
                 self._st,
@@ -1258,18 +1254,27 @@ class FlatSimulator(SimulatorCore):
 
         The conditions are :class:`~repro.flitsim.kspan.KernelSpan`'s;
         either way leaves the same generator, result and state arrays.
+        A fault epoch due at the first cycle is applied here, where that
+        cycle's ``step()`` would apply it; one falling later in the
+        stretch declines the span (the run loop never asks for one).
         """
-        if n > 0 and self._kspan is not None and self._kspan.bind(self):
-            self._kspan.run(self, n)
-        else:
-            super().advance(n)
+        if n > 0 and self._kspan is not None:
+            self._fault_phase()
+            if self._kspan.bind(self, n):
+                self._kspan.run(self, n)
+                return
+        super().advance(n)
 
-    def step(self) -> None:
-        """Advance the simulation by one cycle."""
+    def _fault_phase(self) -> None:
+        """Protocol step 0: apply the epoch taking effect this cycle."""
         if self._fault is not None:
             delta = self._fault.advance(self.now)
             if delta is not None:
                 self._apply_fault_delta(delta)
+
+    def step(self) -> None:
+        """Advance the simulation by one cycle."""
+        self._fault_phase()
         if self._wl is not None:
             self._inject_workload()
         else:

@@ -16,11 +16,13 @@ from what it can observe, when the mirror applies.  It serves exactly
 subclass may override any step; FT-NCA on exactly the stock
 :class:`~repro.topologies.fattree.FatTree` wiring) over tables in the
 plain narrow layout: C-contiguous int16 ``dist``/``first``/``multi_data``,
-uint8 ``count``.  Anything else — a
-:class:`~repro.routing.tables.RowPatchedDist` fault epoch, N >= 32768, a
-non-``Generator`` rng, an empty batch, an FT-NCA endpoint above level 0
-— declines with ``None`` and the caller's numpy body runs; no table is
-ever copied or densified to fit.
+uint8 ``count``, int32 overflow-CSR keys and offsets.  A fault epoch's
+:class:`~repro.routing.tables.RowPatchedDist` binds as it is stored —
+the shared base matrix, the patch block and the row map between them —
+so a ``linkflap`` epoch selects in C like the intact network.  Anything
+else — N >= 32768, a non-``Generator`` rng, an empty batch, an FT-NCA
+endpoint above level 0 — declines with ``None`` and the caller's numpy
+body runs; no table is ever copied or densified to fit.
 
 The same binding serves whole-cycle spans (:mod:`repro.flitsim.kspan`):
 :meth:`KernelSelector.bind` is everything :meth:`KernelSelector.select`
@@ -41,6 +43,7 @@ from repro.routing.policies import (
     UGALRouting,
     ValiantRouting,
 )
+from repro.routing.tables import RowPatchedDist
 from repro.topologies.fattree import FatTree
 
 __all__ = ["KernelSelector"]
@@ -73,8 +76,8 @@ class KernelSelector:
     ``select(sim, srcs, dsts, rng)`` returns ``(paths, lens)`` **views
     of scratch the selector owns**, valid until the next call, or
     ``None`` to decline.  The binding follows ``policy.tables`` by
-    identity, so a fault-epoch ``retable`` re-binds (or declines, for a
-    row-patched epoch) on the next call.  The simulator is an argument,
+    identity, so a fault-epoch ``retable`` re-binds on the next call.
+    The simulator is an argument,
     not a member: it owns the selector, and a back-reference would keep
     every finished simulator alive until a cycle collection.
     """
@@ -121,9 +124,19 @@ class KernelSelector:
         """Point the C state at ``policy.tables``; False to decline."""
         tables = policy.tables
         n = tables.topo.num_routers
-        # Checked before the candidate table is asked for: deriving one
-        # from a row-patched view would densify it.
-        if not _plain(tables.dist, np.int16) or tables.dist.shape != (n, n):
+        dist = tables.dist
+        patch = ()
+        if type(dist) is RowPatchedDist:
+            # Bound as stored: C reads row r from the patch block when
+            # patch_row[r] >= 0, else from the base.
+            patch = (
+                ("patch", dist.patch, np.int16),
+                ("patch_row", dist.row_of, np.int64),
+            )
+            if dist.patch.shape != (dist.rows.size, n):
+                return False
+            dist = dist.base
+        if not _plain(dist, np.int16) or dist.shape != (n, n):
             return False
         # Adaptive policies draw detours from sub-policies; the C code
         # assumes the stock ones on the same tables.
@@ -145,12 +158,13 @@ class KernelSelector:
         cands = tables._candidate_table()
         graph = policy.topo.graph
         layout = (
-            ("dist", tables.dist, np.int16),
+            ("dist", dist, np.int16),
+            *patch,
             ("first", cands.first, np.int16),
             ("multi_data", cands.multi_data, np.int16),
             ("count", cands.count, np.uint8),
-            ("multi_pairs", cands.multi_pairs, np.int64),
-            ("multi_indptr", cands.multi_indptr, np.int64),
+            ("multi_pairs", cands.multi_pairs, np.int32),
+            ("multi_indptr", cands.multi_indptr, np.int32),
             ("g_indptr", graph.indptr, np.int64),
             ("g_indices", graph.indices, np.int64),
         )
@@ -159,6 +173,7 @@ class KernelSelector:
         ffi, sel = self._kernel.ffi, self._sel
         # The cffi views keep their arrays alive while C points at them.
         self._bound = []
+        sel.patch = sel.patch_row = ffi.NULL
         for field, arr, dtype in layout:
             view = ffi.from_buffer(f"{np.dtype(dtype).name}_t[]", arr)
             self._bound.append(view)

@@ -64,6 +64,16 @@ def _value_dtype(n: int):
     return np.int16 if n <= np.iinfo(np.int16).max else np.int32
 
 
+def _index_dtype(limit: int):
+    """Narrowest signed dtype holding offsets / keys ``0..limit``.
+
+    The overflow CSR's pair keys are below ``n * n`` and its offsets end
+    at the candidate total; int32 halves both arrays whenever they fit
+    (any n below 46 341), and is the width ``kselect`` binds.
+    """
+    return np.int32 if limit <= np.iinfo(np.int32).max else np.int64
+
+
 def _count_dtype(max_degree: int):
     """Narrowest unsigned dtype holding per-pair candidate counts."""
     if max_degree < 2**8:
@@ -82,9 +92,10 @@ class _CandidateTable:
     - ``count``: candidates per pair (uint8 for any realistic radix),
     - ``first``: the lowest-id candidate per pair (int16 when router
       ids fit; -1 for unset/unreachable pairs),
-    - an overflow CSR (``multi_pairs`` sorted int64 keys,
-      ``multi_indptr``, ``multi_data``) listing *all* candidates, in
-      ascending id order, only for the pairs with an ECMP tie.
+    - an overflow CSR (``multi_pairs`` sorted keys and ``multi_indptr``
+      offsets, int32 whenever ``n * n`` and the candidate total fit,
+      and ``multi_data``) listing *all* candidates, in ascending id
+      order, only for the pairs with an ECMP tie.
 
     Deterministic serving reads ``first``; tie-breaking draws an index
     and only touches the overflow CSR for nonzero picks, so the RNG
@@ -123,6 +134,7 @@ class _CandidateTable:
         width = int(degree.max()) if n else 0
         vdt = _value_dtype(n)
         cdt = _count_dtype(width)
+        kdt = _index_dtype(n * n)
         count = np.empty((n, n), dtype=cdt)
         first = np.empty((n, n), dtype=vdt)
         # One extra column of -1: the "slot" of a pair with no candidate.
@@ -144,7 +156,7 @@ class _CandidateTable:
             cmp_dist = np.asarray(dist)
         one = cmp_dist.dtype.type(1)
         pairs, sizes, data = (
-            [np.empty(0, dtype=t)] for t in (np.int64, cdt, vdt)
+            [np.empty(0, dtype=t)] for t in (kdt, cdt, vdt)
         )
         step = graph._block_rows(width * n * cmp_dist.itemsize)
         for lo in range(0, n, step):
@@ -165,11 +177,12 @@ class _CandidateTable:
                 d = tied - r * n
                 hit = np.flatnonzero(on_path[r, :, d])
                 which = hit // width
-                pairs.append(tied + lo * n)
+                pairs.append((tied + lo * n).astype(kdt))
                 sizes.append(cnt[r, d])
                 data.append(rows[r[which], hit - which * width])
         sizes = np.concatenate(sizes)
-        multi_indptr = np.zeros(sizes.size + 1, dtype=np.int64)
+        total = int(sizes.sum(dtype=np.int64))
+        multi_indptr = np.zeros(sizes.size + 1, dtype=_index_dtype(total))
         np.cumsum(sizes, out=multi_indptr[1:])
         return cls(
             n,
@@ -197,7 +210,12 @@ class _CandidateTable:
                 pos = np.flatnonzero(pick > 0)
                 if pos.size:
                     sel = multi[pos]
-                    mi = np.searchsorted(self.multi_pairs, pairs[sel])
+                    # Keys in the table's own width: a wider needle
+                    # would make searchsorted upcast the whole key array.
+                    mi = np.searchsorted(
+                        self.multi_pairs,
+                        pairs[sel].astype(self.multi_pairs.dtype, copy=False),
+                    )
                     nxt[sel] = self.multi_data[
                         self.multi_indptr[mi] + pick[pos]
                     ]
@@ -251,7 +269,7 @@ class RowPatchedDist:
     The base is never written.
     """
 
-    __slots__ = ("base", "rows", "patch", "shape", "dtype", "_row_of", "_max")
+    __slots__ = ("base", "rows", "patch", "shape", "dtype", "row_of", "_max")
 
     def __init__(self, base, rows, patch):
         self.base = np.asarray(base)
@@ -259,8 +277,10 @@ class RowPatchedDist:
         self.patch = np.asarray(patch)
         self.shape = self.base.shape
         self.dtype = self.base.dtype
-        self._row_of = np.full(self.shape[0], -1, dtype=np.int64)
-        self._row_of[self.rows] = np.arange(self.rows.size, dtype=np.int64)
+        #: patch-block row of each matrix row (-1: a base row); the
+        #: indirection ``kselect`` binds as well
+        self.row_of = np.full(self.shape[0], -1, dtype=np.int64)
+        self.row_of[self.rows] = np.arange(self.rows.size, dtype=np.int64)
         self._max = None
 
     @property
@@ -303,13 +323,13 @@ class RowPatchedDist:
 
     def _take_rows(self, i):
         if isinstance(i, (int, np.integer)):
-            p = int(self._row_of[i])
+            p = int(self.row_of[i])
             return self.patch[p] if p >= 0 else self.base[i]
         i = np.asarray(i)
         if i.dtype == bool:
             i = np.flatnonzero(i)
         out = self.base[i]
-        pi = self._row_of[i]
+        pi = self.row_of[i]
         m = pi >= 0
         if m.any():
             out[m] = self.patch[pi[m]]
@@ -317,7 +337,7 @@ class RowPatchedDist:
 
     def _take_pairs(self, i, j):
         out = self.base[i, j]
-        pi = self._row_of[i]
+        pi = self.row_of[i]
         if out.ndim == 0:
             p = int(pi)
             return self.patch[p, j] if p >= 0 else out

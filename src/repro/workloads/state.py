@@ -26,6 +26,13 @@ which both engines drive at the same points of the cycle:
    decrements dependents' pending counts, and appends newly eligible
    messages to the ready queue (ascending id) — injectable from the
    *next* cycle, mirroring hardware's one-cycle dependency turnaround.
+
+Everything that moves during a run is an int64 array — the ready queue
+is a buffer with its length in :attr:`WorkloadState._tally`, beside the
+completed-message and flit-hop tallies — so the flat engine's compiled
+spans (``kcycles``, :mod:`repro.flitsim.kspan`) walk and write this very
+object in place, between the same Python calls the per-cycle path and
+the reference engine make.  There is one state, not a C mirror.
 """
 
 from __future__ import annotations
@@ -35,6 +42,9 @@ import numpy as np
 from repro.workloads.message import Workload
 
 __all__ = ["WorkloadState"]
+
+#: cells of ``WorkloadState._tally`` (``WL_*`` in the kernel source)
+_READY_LEN, _COMPLETED, _FLIT_HOPS = range(3)
 
 
 class WorkloadState:
@@ -53,11 +63,14 @@ class WorkloadState:
         self.complete_cycle = np.full(m, -1, dtype=np.int64)
         roots = workload.roots
         self.eligible_cycle[roots] = 0
-        #: FIFO of eligible-but-not-yet-injected message ids
-        self.ready: list = [int(r) for r in roots]
-        self.completed = 0
-        #: total link traversals weighted by flits (wire flits x hops)
-        self.flit_hops = 0
+        #: FIFO of eligible-but-not-yet-injected message ids: the first
+        #: ``_tally[_READY_LEN]`` entries.  A message turns eligible
+        #: once, so one slot each is room for any queue.
+        self.ready = np.empty(m, dtype=np.int64)
+        self.ready[: roots.size] = roots
+        #: queue length, completed messages, flit hops (see properties)
+        self._tally = np.zeros(3, dtype=np.int64)
+        self._tally[_READY_LEN] = roots.size
         #: per-router round-robin injection counters (raw, mod at use)
         self._inj_rr = np.zeros(topo.num_routers, dtype=np.int64)
         self._conc = np.asarray(topo.concentration, dtype=np.int64)
@@ -66,6 +79,16 @@ class WorkloadState:
     # ------------------------------------------------------------------
     # Progress
     # ------------------------------------------------------------------
+    @property
+    def completed(self) -> int:
+        """Messages whose last packet's tail flit has ejected."""
+        return int(self._tally[_COMPLETED])
+
+    @property
+    def flit_hops(self) -> int:
+        """Total link traversals weighted by flits (wire flits x hops)."""
+        return int(self._tally[_FLIT_HOPS])
+
     @property
     def done(self) -> bool:
         """True once every message's tail flit has ejected."""
@@ -81,11 +104,9 @@ class WorkloadState:
     # ------------------------------------------------------------------
     def pop_ready(self) -> np.ndarray:
         """Drain the ready queue (FIFO order) as an id array."""
-        if not self.ready:
-            return np.empty(0, dtype=np.int64)
-        out = np.asarray(self.ready, dtype=np.int64)
-        self.ready = []
-        return out
+        k = int(self._tally[_READY_LEN])
+        self._tally[_READY_LEN] = 0
+        return self.ready[:k].copy()
 
     def next_endpoint(self, router: int) -> int:
         """Scalar round-robin endpoint (local index) at ``router``."""
@@ -139,7 +160,7 @@ class WorkloadState:
         mids = np.asarray(mids, dtype=np.int64)
         if mids.size == 0:
             return
-        self.flit_hops += int(flit_hops)
+        self._tally[_FLIT_HOPS] += int(flit_hops)
         if mids.size == 1:
             # The common steady-state case: one tail this cycle.
             m = int(mids[0])
@@ -165,7 +186,7 @@ class WorkloadState:
         )
         self._fin_now = []
         self.complete_cycle[fin] = now
-        self.completed += int(fin.size)
+        self._tally[_COMPLETED] += fin.size
         indptr = self.workload.dependents_indptr
         indices = self.workload.dependents_indices
         if fin.size == 1:
@@ -193,4 +214,6 @@ class WorkloadState:
             newly = touched[self.pending[touched] == 0]
         if newly.size:
             self.eligible_cycle[newly] = now
-            self.ready.extend(int(x) for x in newly)
+            k = int(self._tally[_READY_LEN])
+            self.ready[k : k + newly.size] = newly
+            self._tally[_READY_LEN] = k + newly.size

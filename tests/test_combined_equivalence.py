@@ -15,6 +15,7 @@ import contextlib
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import PolarFly
 from repro.experiments import FAULTS, POLICIES, WORKLOADS
 from repro.experiments.runner import auto_sim_config
@@ -143,3 +144,27 @@ def test_kernel_engages_in_combined_mode(pf, tables):
     assert sim._kernel is not None
     res = sim.run_workload(max_cycles=60_000)
     assert res.completed_messages > 0
+
+
+#: (workload, routerdown timeline): routers die with messages still to
+#: inject or to retransmit, so packets are blackholed on both paths —
+#: whole ready messages, and retransmit-queue entries
+BLACKHOLE_CELLS = [
+    ("incast:reply=true,size=32",
+     "routerdown:cycle=20,count=2,duration=250,seed=3"),
+    ("alltoall:size=8", "routerdown:cycle=10,count=3,duration=400,seed=1"),
+    ("allreduce:algo=ring,size=64",
+     "routerdown:cycle=50,count=2,duration=300,seed=2"),
+]
+
+
+@pytest.mark.parametrize("cls", [NetworkSimulator, FlatSimulator])
+@pytest.mark.parametrize("wspec,fault_spec", BLACKHOLE_CELLS)
+def test_blackhole_counter_matches_the_result(pf, tables, wspec, fault_spec, cls):
+    """``faults.blackholed_packets`` counts retransmit-path blackholes too."""
+    counter = obs.counter("faults.blackholed_packets")
+    before = counter.value
+    sim = build(pf, tables, wspec, fault_spec, "min", cls, seed=3)
+    sim.run_workload(max_cycles=60_000)
+    assert sim.fault_result.blackholed_packets > 0
+    assert counter.value - before == sim.fault_result.blackholed_packets

@@ -134,9 +134,9 @@ def test_flat_matches_reference_open_loop(pf, tables, fault_spec, policy_spec):
 
 def test_flat_matches_reference_linkflap_ugal(pf, tables):
     # The compiled route selector follows policy.tables by identity:
-    # served in C on the intact epochs, declined (numpy body) while the
-    # flapped links leave a row-patched distance view, re-bound when
-    # they come back — all three must stay on one RNG stream.
+    # bound to the intact tables, re-bound to the row-patched distance
+    # view the flapped links leave, and back when they return — all
+    # three epochs must stay on the reference engine's RNG stream.
     check_open_loop(
         pf, tables, "ugal", FAULT_SPECS[0], 0.6,
         dict(warmup=200, measure=400, drain=150),

@@ -229,41 +229,46 @@ def test_other_views_policies_and_subclasses_decline():
 
 @needs_kernel
 @pytest.mark.parametrize("policy_spec", ["valiant", "ugal", "ugal-pf"])
-def test_retable_rebinds_and_row_patched_epochs_decline(policy_spec):
+def test_retable_rebinds_row_patched_epochs_too(policy_spec):
     topo, base = tables_for(PF_SPEC)
     u = 3
     v = int(topo.graph.neighbors(u)[0])
-    patched = fault_epoch_tables(topo, failed_links=[(u, v)], base=base)
-    assert isinstance(patched.dist, RowPatchedDist)
     dead = 11
-    masked = fault_epoch_tables(topo, failed_routers=[dead])
-    assert type(masked.dist) is np.ndarray and not masked.alive_routers[dead]
+    # The tables the fault subsystem builds for a linkflap and for a
+    # routerdown epoch: repaired from the base, so the former is a
+    # row-patched view of the base matrix; a dead router changes every
+    # row (plain matrix), and brings an alive mask.
+    flap = fault_epoch_tables(topo, failed_links=[(u, v)], base=base)
+    down = fault_epoch_tables(topo, failed_routers=[dead], base=base)
+    assert type(flap.dist) is RowPatchedDist and flap.alive_routers is None
+    assert 0 < flap.dist.rows.size < topo.num_routers
+    assert type(down.dist) is np.ndarray and not down.alive_routers[dead]
 
     def policy_of():
         # Pre-walk the epochs (as prepare_fault_policy does) so the slot
         # stride covers the degraded worst case.
         policy = POLICIES.create(policy_spec, base)
-        for tables in (patched, masked, base):
+        for tables in (flap, down, base):
             policy.retable(tables)
         return policy
 
     ksim, nsim = twins(topo, policy_of, cycles=120)
-    alive = np.flatnonzero(masked.alive_routers)
+    alive = np.flatnonzero(down.alive_routers)
     g = np.random.default_rng(5)
-    for tables, expect_kernel in (
-        (patched, False), (base, True), (masked, True), (patched, False),
-        (base, True),
-    ):
+    for tables in (flap, base, down, flap, base):
         ksim.policy.retable(tables)
         nsim.policy.retable(tables)
+        repaired = 0
         for trial in range(6):
             srcs, dsts = g.choice(alive, size=40), g.choice(alive, size=40)
-            paths, lens = assert_same_selection(
-                ksim, nsim, srcs, dsts, seed=trial, expect_kernel=expect_kernel
-            )
-            if tables is masked:
+            paths, lens = assert_same_selection(ksim, nsim, srcs, dsts, seed=trial)
+            if tables.alive_routers is not None:
                 for i in range(40):
                     assert dead not in paths[i, : lens[i]]
+            repaired += int((tables.dist[srcs, dsts] != base.dist[srcs, dsts]).sum())
+        # The batches crossed pairs whose distance the failure changed:
+        # for flap, entries only the patch block holds.
+        assert (repaired > 0) == (tables is not base)
 
 
 # ----------------------------------------------------------------------

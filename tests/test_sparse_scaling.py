@@ -33,6 +33,7 @@ from repro.routing.degraded import fault_epoch_tables, reroute_after_failures
 from repro.routing.tables import (
     RoutingTables,
     RowPatchedDist,
+    _index_dtype,
     per_source_candidate_csr,
 )
 from repro.utils.graph import Graph
@@ -122,8 +123,33 @@ class TestCsrPortMap:
         assert fab.edge_keys.size < n * n or n <= 2
 
 
+#: (largest key or offset the array must hold, dtype chosen) around the
+#: int32 ceiling: n*n for the overflow CSR's keys (the last n that fits
+#: is 46 340), the candidate total for its offsets
+INDEX_DTYPES = [
+    (0, np.int32),
+    (1547 * 1547, np.int32),
+    (46_340 * 46_340, np.int32),
+    (2**31 - 1, np.int32),
+    (2**31, np.int64),
+    (46_341 * 46_341, np.int64),
+    (6321 * 6321 * 80, np.int64),
+]
+
+
+@pytest.mark.parametrize("limit,dtype", INDEX_DTYPES)
+def test_overflow_csr_index_dtype(limit, dtype):
+    assert _index_dtype(limit) is dtype
+    assert np.iinfo(dtype).max >= limit
+
+
 class TestFrontierCandidates:
     """The compact candidate table against its oracles."""
+
+    def test_overflow_csr_indexes_are_int32(self, cand_topo):
+        tab = RoutingTables(cand_topo)._candidate_table()
+        assert tab.multi_pairs.dtype == tab.multi_indptr.dtype == np.int32
+        assert int(tab.multi_indptr[-1]) == tab.multi_data.size
 
     def test_matches_per_source_oracle(self, cand_topo):
         tables = RoutingTables(cand_topo)
