@@ -4,7 +4,7 @@ The flat engine's per-cycle work (feed, arbitration, credit flow,
 forwarding) is a few hundred tiny array operations; at small network
 sizes the numpy dispatch overhead dominates.  This module compiles the
 same cycle protocol (see :mod:`repro.flitsim.engine`) as one C pass over
-the very same flat int64 arrays, via :mod:`cffi` — no new dependencies,
+the very same flat arrays, via :mod:`cffi` — no new dependencies,
 no extension to build at install time.
 
 The kernel is **universal**: it executes the full cycle protocol in
@@ -87,16 +87,34 @@ every mode, not just open loop.
 The C code mirrors the *reference* engine's decision loop (routers
 ascending, link outputs then ejection, circular round-robin scan,
 decide-all-then-apply) — the simplest shape to audit against
-``reference.py`` side by side.  The decide loop is occupancy-driven: it
-reads ``backlog[r*O + out]`` for every (router, out) row and enters the
-P-wide input scan only where that is positive.  ``backlog`` is the
-exact sum of the row's ``voq_count`` entries — every mutation site, C
-and numpy, moves the two together (pinned per cycle by
-``tests/test_flitsim_saturation.py``) — so a skipped row holds no flit,
-grants nothing, and leaves its round-robin pointer untouched: the
-result is bit-identical to the full scan, while the per-cycle cost is
-N*O row reads plus work proportional to flits in flight instead of
-N*(d+1)*P queue probes.
+``reference.py`` side by side.  The decide loop is occupancy-driven at
+both levels, rows and inputs.  It reads ``backlog[r*O + out]`` for every
+(router, out) row and looks inside only where that is positive;
+``backlog`` is the exact sum of the row's VOQ counts, so a skipped row
+holds no flit, grants nothing, and leaves its round-robin pointer
+untouched.  Inside a row it walks the set bits of the row's occupancy
+mask ``row_mask`` — ``ceil(I / 64)`` ``uint64`` words per row, bit ``in``
+set exactly while VOQ (router, in, out) is non-empty — circularly from
+the ``rr`` pointer by count-trailing-zeros, which visits the non-empty
+inputs in the very order the P-wide scan of every input did, applies the
+same ready / credit tests and updates ``rr`` the same way: bit-identical
+grants for work proportional to flits in flight instead of N*(d+1)*P
+queue probes, out of a mask that stays cache-resident (~460 KB at PF
+q=37, where the probes it replaces were 40 cache lines per row).  The
+mask is kernel-only state: C ``enqueue`` sets a bit on the
+empty→non-empty edge, ``kroute``'s apply clears it when a granted head
+has no successor, and ``FlatSimulator._drop_vq`` — the one Python site
+that empties a VOQ on the kernel path — clears it with the queue.  Every
+mutation site, C and numpy, moves ``backlog`` and the counts together,
+and ``tests/test_flitsim_saturation.py`` pins both invariants after
+every cycle.
+
+A VOQ is one packed ``int32`` record ``{head, tail, count, pad}`` (16
+bytes: a queue operation touches one cache line) in the ``(NV, 4)`` array
+``FlatSimulator._voq``, bound as the single pointer ``voq``; head and
+tail are flit-pool rows — hence the pool's loud 2**31 - 1 row ceiling —
+and ``count == 0`` is the only emptiness test, so the array starts
+zeroed.  Everything else the kernel is bound to stays flat ``int64``.
 """
 
 from __future__ import annotations
@@ -122,7 +140,12 @@ typedef struct {
     int16_t *rev;
     int64_t *adj_indptr, *adj_indices;
     int64_t *ep_router, *ep_inport, *ep_off;
-    int64_t *voq_head, *voq_tail, *voq_count, *backlog, *rr, *credits;
+    /* One 16-byte record per VOQ, (router * I + in) * O + out. */
+    int32_t *voq;
+    /* Per (router, out) row, ceil(I / 64) words: bit `in` is set exactly
+     * while VOQ (router, in, out) holds a flit. */
+    uint64_t *row_mask;
+    int64_t *backlog, *rr, *credits;
     int64_t *pool_pid, *pool_seq, *pool_hop, *pool_ready, *pool_next;
     int64_t *src_head, *src_tail, *ep_credit;
     int64_t *pkt_len, *pkt_dst, *pkt_t_created;
@@ -300,16 +323,48 @@ static int64_t port_of(const SimState *st, int64_t r, int64_t v)
     return lower_bound(st->adj_indices, lo, st->adj_indptr[r + 1], v) - lo;
 }
 
-/* Append flit f to VOQ vq (row = router*O + out for the backlog). */
-static void enqueue(SimState *st, int64_t vq, int64_t f, int64_t row)
+/* Columns of a VOQ record and its width in int32s (the fourth pads it to
+ * 16 bytes).  Head and tail are flit-pool rows, meaningful only while
+ * the count is positive: count == 0 is the one emptiness test. */
+enum { VQ_HEAD, VQ_TAIL, VQ_COUNT, VQ_REC = 4 };
+
+/* Words per row of row_mask. */
+static int64_t mask_words(const SimState *st)
 {
+    return (st->I + 63) >> 6;
+}
+
+/* Index of the lowest set bit of x != 0. */
+static int ctz64(uint64_t x)
+{
+#if defined(__GNUC__) || defined(__clang__)
+    return __builtin_ctzll(x);
+#else
+    int k = 0;
+    while (!(x & 1)) {
+        x >>= 1;
+        k++;
+    }
+    return k;
+#endif
+}
+
+/* Append flit f to VOQ (router, in, out): record vq, row = router*O + out
+ * for the backlog and the occupancy mask. */
+static void enqueue(SimState *st, int64_t vq, int64_t f, int64_t row,
+                    int64_t in)
+{
+    int32_t *q = st->voq + vq * VQ_REC;
     st->pool_next[f] = -1;
-    if (st->voq_count[vq] == 0)
-        st->voq_head[vq] = f;
-    else
-        st->pool_next[st->voq_tail[vq]] = f;
-    st->voq_tail[vq] = f;
-    st->voq_count[vq] += 1;
+    if (q[VQ_COUNT] == 0) {
+        q[VQ_HEAD] = (int32_t)f;
+        st->row_mask[row * mask_words(st) + (in >> 6)] |=
+            (uint64_t)1 << (in & 63);
+    } else {
+        st->pool_next[q[VQ_TAIL]] = f;
+    }
+    q[VQ_TAIL] = (int32_t)f;
+    q[VQ_COUNT] += 1;
     st->backlog[row] += 1;
 }
 
@@ -386,8 +441,65 @@ void kfeed(SimState *st, int64_t now)
         if (st->src_head[e] < 0)
             st->src_tail[e] = -1;
         st->ep_credit[e] -= 1;
-        enqueue(st, (r * I + st->ep_inport[e]) * O + out, f, r * O + out);
+        int64_t in = st->ep_inport[e];
+        enqueue(st, (r * I + in) * O + out, f, r * O + out, in);
     }
+}
+
+/* Arbitrate one (router, out) row that holds flits: a circular scan of
+ * its P input ports from the rr pointer, up to `limit` grants appended
+ * at g_vq / g_f[ng...]; returns the new grant count.  The scan visits
+ * the set bits of the row's occupancy mask only — the non-empty inputs,
+ * in circular order: [ptr, P) then [0, ptr).  No bit at or above P is
+ * ever set, so the first leg simply runs to the end of the last word. */
+static int64_t arbitrate(SimState *st, int64_t r, int64_t out, int64_t now,
+                         int64_t ng)
+{
+    int64_t I = st->I, O = st->O, OE = st->OE, V = st->V;
+    int64_t MW = mask_words(st), P = st->ports[r];
+    int64_t row = r * O + out;
+    int64_t limit = 1;
+    if (out == OE && st->conc[r] > 1)
+        limit = st->conc[r];
+    const uint64_t *mask = st->row_mask + row * MW;
+    const int64_t *credits = st->credits + (r * st->Dp + out) * V;
+    int64_t ptr = st->rr[row];
+    int64_t granted = 0, last = -1;
+    int64_t lo = ptr, hi = MW << 6;
+    for (int leg = 0; leg < 2 && granted < limit; leg++) {
+        for (int64_t w = lo >> 6; (w << 6) < hi; w++) {
+            uint64_t bits = mask[w];
+            if (w == lo >> 6)
+                bits &= ~(uint64_t)0 << (lo & 63);
+            if (((w + 1) << 6) > hi)
+                bits &= ~(~(uint64_t)0 << (hi & 63));
+            while (bits && granted < limit) {
+                int64_t in = (w << 6) + ctz64(bits);
+                bits &= bits - 1;
+                int64_t vq = (r * I + in) * O + out;
+                int64_t f = st->voq[vq * VQ_REC + VQ_HEAD];
+                if (st->pool_ready[f] > now)
+                    continue;
+                if (out != OE) {
+                    int64_t dvc = st->pool_hop[f];
+                    if (dvc > V - 1)
+                        dvc = V - 1;
+                    if (credits[dvc] <= 0)
+                        continue;
+                }
+                st->g_vq[ng] = vq;
+                st->g_f[ng] = f;
+                ng++;
+                last = in;
+                granted++;
+            }
+        }
+        lo = 0;
+        hi = ptr;
+    }
+    if (last >= 0)
+        st->rr[row] = (last + 1) % P;
+    return ng;
 }
 
 /* Protocol step 3: decide every grant from current state, then apply.
@@ -396,54 +508,21 @@ void kfeed(SimState *st, int64_t now)
 int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
 {
     int64_t n = st->n, I = st->I, O = st->O, OE = st->OE;
-    int64_t Dp = st->Dp, V = st->V;
+    int64_t Dp = st->Dp, V = st->V, MW = mask_words(st);
     int64_t ng = 0;
 
-    /* Decide: routers ascending, link outputs ascending, eject last;
-     * per output a circular scan of input ports from the rr pointer.
-     * backlog[row] is the sum of voq_count over the row's inputs, so an
-     * empty row can grant nothing and leaves rr untouched: only rows
-     * holding flits pay the P-wide scan. */
+    /* Decide: routers ascending, link outputs ascending, eject last.
+     * backlog[row] is the sum of the row's VOQ counts, so an empty row
+     * can grant nothing and leaves rr untouched: only rows holding
+     * flits are arbitrated. */
     for (int64_t r = 0; r < n; r++) {
         int64_t d = st->deg[r];
-        int64_t P = st->ports[r];
-        for (int64_t oi = 0; oi <= d; oi++) {
-            int64_t out = (oi == d) ? OE : oi;
-            int64_t row = r * O + out;
-            if (st->backlog[row] <= 0)
-                continue;
-            int64_t limit = 1;
-            if (out == OE && st->conc[r] > 1)
-                limit = st->conc[r];
-            int64_t ptr = st->rr[row];
-            int64_t granted = 0, last = -1;
-            for (int64_t s = 0; s < P; s++) {
-                int64_t in = ptr + s;
-                if (in >= P)
-                    in -= P;
-                int64_t vq = (r * I + in) * O + out;
-                if (st->voq_count[vq] <= 0)
-                    continue;
-                int64_t f = st->voq_head[vq];
-                if (st->pool_ready[f] > now)
-                    continue;
-                if (out != OE) {
-                    int64_t dvc = st->pool_hop[f];
-                    if (dvc > V - 1)
-                        dvc = V - 1;
-                    if (st->credits[(r * Dp + out) * V + dvc] <= 0)
-                        continue;
-                }
-                st->g_vq[ng] = vq;
-                st->g_f[ng] = f;
-                ng++;
-                last = in;
-                if (++granted >= limit)
-                    break;
-            }
-            if (last >= 0)
-                st->rr[row] = (last + 1) % P;
-        }
+        const int64_t *backlog = st->backlog + r * O;
+        for (int64_t out = 0; out < d; out++)
+            if (backlog[out] > 0)
+                ng = arbitrate(st, r, out, now, ng);
+        if (backlog[OE] > 0)
+            ng = arbitrate(st, r, OE, now, ng);
     }
 
     /* Apply. */
@@ -455,12 +534,17 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
         int64_t t = vq / O;
         int64_t in = t % I;
         int64_t r = t / I;
+        int64_t row = r * O + out;
         int64_t nx = st->pool_next[f];
-        st->voq_head[vq] = nx;
-        st->voq_count[vq] -= 1;
-        if (nx < 0)
-            st->voq_tail[vq] = -1;
-        st->backlog[r * O + out] -= 1;
+        int32_t *q = st->voq + vq * VQ_REC;
+        q[VQ_HEAD] = (int32_t)nx;
+        q[VQ_COUNT] -= 1;
+        if (nx < 0) {
+            q[VQ_TAIL] = -1;
+            st->row_mask[row * MW + (in >> 6)] &=
+                ~((uint64_t)1 << (in & 63));
+        }
+        st->backlog[row] -= 1;
 
         int64_t pid = st->pool_pid[f];
         int64_t hop = st->pool_hop[f];
@@ -520,7 +604,7 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
             st->credits[(r * Dp + out) * V + dvc] -= 1;
             st->pool_hop[f] = hop + 1;
             st->pool_ready[f] = now + st->hop_latency;
-            enqueue(st, (nxt * I + in2) * O + out2, f, nxt * O + out2);
+            enqueue(st, (nxt * I + in2) * O + out2, f, nxt * O + out2, in2);
         }
     }
     *n_ejected = n_ej;

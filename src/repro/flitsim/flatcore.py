@@ -11,9 +11,10 @@ queued flit:
   ``next`` column, so enqueue/dequeue never allocates.
 * **Routes** — selected once per packet and stored in a flattened route
   buffer with per-packet offsets; per-flit state is just the hop index.
-* **VOQs** — head/tail/count arrays over a dense
+* **VOQs** — packed int32 ``{head, tail, count}`` records over a dense
   ``(router, in_port, out_port)`` index (ejection is the last output
-  column), giving O(1) enqueue, dequeue, and occupancy checks.
+  column), read through the ``voq_head`` / ``voq_tail`` / ``voq_count``
+  column views, giving O(1) enqueue, dequeue, and occupancy checks.
 * **Credits** — one ``(router, out_port, vc)`` int array; injection
   credits one array over endpoints.
 * **Arbitration** — per (router, output) round-robin pointers; each
@@ -65,6 +66,10 @@ __all__ = ["FlatFabric", "FlatSimulator", "fabric_for"]
 
 #: initial flit-pool capacity (rows); grows by doubling
 _POOL_CAP = 4096
+
+#: most flit-pool rows a simulator may hold: VOQ records store pool row
+#: ids as int32
+_POOL_MAX = int(np.iinfo(np.int32).max)
 
 #: initial packet-table capacity; grows by doubling
 _PKT_CAP = 1024
@@ -222,10 +227,17 @@ class FlatSimulator(SimulatorCore):
         self.credits[valid] = config.vc_depth
         self.ep_credit = np.full(fab.E, config.vc_depth, dtype=np.int64)
 
-        # VOQ state: intrusive linked lists through the flit pool.
-        self.voq_head = np.full(fab.NV, -1, dtype=np.int64)
-        self.voq_tail = np.full(fab.NV, -1, dtype=np.int64)
-        self.voq_count = np.zeros(fab.NV, dtype=np.int64)
+        # VOQ state: intrusive linked lists through the flit pool, one
+        # packed int32 record {head, tail, count, pad} per VOQ (16
+        # bytes: a queue operation touches one cache line), bound to
+        # the C kernel as one pointer and read here through column
+        # views.  Zero-initialised, so construction writes nothing:
+        # ``count == 0`` is the only emptiness test, head and tail are
+        # pool rows that mean something only while it is positive.
+        self._voq = np.zeros((fab.NV, 4), dtype=np.int32)
+        self.voq_head = self._voq[:, 0]
+        self.voq_tail = self._voq[:, 1]
+        self.voq_count = self._voq[:, 2]
         #: flits queued per (router, out) — the O(1) occupancy counters
         self.backlog = np.zeros(n * O, dtype=np.int64)
         #: round-robin pointers per (router, out)
@@ -320,6 +332,12 @@ class FlatSimulator(SimulatorCore):
             if self._fault is not None:
                 self._drop_tails = np.empty(max(grant_cap, 1), dtype=np.int64)
                 self._fcnt = np.zeros(2, dtype=np.int64)
+            #: kernel-only occupancy bitmask per (router, out) row: bit
+            #: ``in`` of the row's ceil(I / 64) words is set exactly while
+            #: VOQ (router, in, out) is non-empty.  C sets and clears it
+            #: as queues fill and drain; :meth:`_drop_vq` is the one
+            #: Python site that empties a VOQ on the kernel path.
+            self.row_mask = np.zeros((n * O, (I + 63) // 64), dtype=np.uint64)
             self._n_ej = ffi.new("int64_t *")
             self._st = ffi.new("SimState *")
             self._bind_kernel_state()
@@ -501,8 +519,8 @@ class FlatSimulator(SimulatorCore):
         st.adj_indices = ptr(fab.adj_indices)
         st.ep_router, st.ep_inport = ptr(fab.ep_router), ptr(fab.ep_inport)
         st.ep_off = ptr(fab.ep_off)
-        st.voq_head, st.voq_tail = ptr(self.voq_head), ptr(self.voq_tail)
-        st.voq_count = ptr(self.voq_count)
+        st.voq = bind(self._voq, np.int32, "int32_t[]")
+        st.row_mask = bind(self.row_mask, np.uint64, "uint64_t[]")
         st.backlog, st.rr, st.credits = (
             ptr(self.backlog), ptr(self.rr), ptr(self.credits),
         )
@@ -547,6 +565,11 @@ class FlatSimulator(SimulatorCore):
         old = self.pool_cap
         extra = max(min_extra, old)
         cap = old + extra
+        if cap > _POOL_MAX:
+            raise OverflowError(
+                f"pool_cap={cap} flit-pool rows exceed the int32 row ids "
+                f"of the VOQ records (at most {_POOL_MAX})"
+            )
         for name in ("pool_pid", "pool_seq", "pool_hop", "pool_ready", "pool_next"):
             arr = getattr(self, name)
             new = np.empty(cap, dtype=arr.dtype)
@@ -1115,9 +1138,9 @@ class FlatSimulator(SimulatorCore):
         """
         fab = self.fab
         vq = (r * fab.I + in_port) * fab.O + out
-        f = int(self.voq_head[vq])
-        if f < 0:
+        if self.voq_count[vq] == 0:
             return
+        f = int(self.voq_head[vq])
         chain = []
         while f >= 0:
             chain.append(f)
@@ -1126,6 +1149,10 @@ class FlatSimulator(SimulatorCore):
         self.voq_head[vq] = -1
         self.voq_tail[vq] = -1
         self.voq_count[vq] = 0
+        if self._kernel is not None:
+            self.row_mask[r * fab.O + out, in_port >> 6] &= ~np.uint64(
+                1 << (in_port & 63)
+            )
         self.backlog[r * fab.O + out] -= rows.size
         if return_credit:
             deg = int(fab.deg[r])

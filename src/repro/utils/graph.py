@@ -63,7 +63,11 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if np.any(edge_arr[:, 0] == edge_arr[:, 1]):
                 raise ValueError("self-loops are not allowed")
-            edge_arr = np.unique(edge_arr, axis=0)
+            # Dedupe on the scalar key u * n + v: the same rows in the
+            # same (lexicographic) order as np.unique(axis=0), without
+            # its sort of a structured view.
+            keys = np.unique(edge_arr[:, 0] * self.n + edge_arr[:, 1])
+            edge_arr = np.stack(np.divmod(keys, self.n), axis=1)
         self._edge_array = edge_arr
         # Build CSR from the symmetrized edge list.
         src = np.concatenate([edge_arr[:, 0], edge_arr[:, 1]])

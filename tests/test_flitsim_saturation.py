@@ -21,6 +21,7 @@ from repro.flitsim import (
     NetworkSimulator,
     SimConfig,
     UniformTraffic,
+    flatcore,
 )
 from repro.flitsim._kernel import load_kernel, numpy_fallback
 from repro.routing import (
@@ -159,6 +160,20 @@ def assert_backlog_is_voq_row_sum(sim):
         sim.backlog.reshape(fab.n, fab.O),
         sim.voq_count.reshape(fab.n, fab.I, fab.O).sum(axis=1),
     )
+    if sim._kernel is not None:
+        assert_row_mask_is_voq_occupancy(sim)
+
+
+def assert_row_mask_is_voq_occupancy(sim):
+    """Bit ``in`` of ``row_mask[r, out]`` is set iff VOQ (r, in, out) holds a flit."""
+    fab = sim.fab
+    words = sim.row_mask.reshape(fab.n, fab.O, -1)
+    ins = np.arange(fab.I)
+    bits = (words[:, :, ins >> 6] >> (ins & 63).astype(np.uint64)) & np.uint64(1)
+    occupied = sim.voq_count.reshape(fab.n, fab.I, fab.O) > 0
+    assert np.array_equal(bits.astype(bool), occupied.transpose(0, 2, 1))
+    # No stray bit at or above I in the last word either.
+    assert not (words[:, :, -1] >> np.uint64((fab.I - 1) % 64) >> np.uint64(1)).any()
 
 
 @pytest.mark.parametrize(
@@ -180,7 +195,11 @@ class TestBacklogMirrorsVoqCounts:
     The C kernel's decide loop skips (router, out) rows whose backlog is
     zero, so the counter must be exact at every mutation site of both
     cycle paths: feed, grant, forward, wire kills, event-time queue
-    drops, and epoch table swaps.
+    drops, and epoch table swaps.  Within a row it visits only the
+    inputs whose ``row_mask`` bit is set, so on the kernel path the same
+    holds bit by bit: ``bit(row_mask[r, out], in) == (voq_count[r, in,
+    out] > 0)`` — a stale bit would read the head of an empty queue, and
+    the event-time flush in ``_drop_vq`` is where one could come from.
     """
 
     def test_open_loop(self, pf, tables, path):
@@ -241,3 +260,33 @@ class TestBacklogMirrorsVoqCounts:
         drain_to_quiescence(sim)
         assert sim.live_flits() == 0
         assert (sim.backlog == 0).all()
+
+
+CAP = flatcore._POOL_CAP
+
+
+@pytest.mark.parametrize(
+    "ceiling,min_extra,grown_to",
+    [
+        (2 * CAP, 1, 2 * CAP),  # doubling lands exactly on the ceiling
+        (2 * CAP - 1, 1, None),  # one row short of it
+        (3 * CAP, 2 * CAP, 3 * CAP),  # a burst larger than doubling
+        (3 * CAP, 2 * CAP + 1, None),
+    ],
+)
+def test_flit_pool_growth_stops_loudly_at_the_int32_ceiling(
+    pf, tables, monkeypatch, ceiling, min_extra, grown_to
+):
+    """VOQ records hold pool rows as int32: growth past that must not wrap."""
+    assert flatcore._POOL_MAX == 2**31 - 1
+    monkeypatch.setattr(flatcore, "_POOL_MAX", ceiling)
+    sim = FlatSimulator(pf, MinimalRouting(tables), UniformTraffic(pf), 0.5, seed=1)
+    if grown_to is not None:
+        sim._grow_pool(min_extra)
+        assert sim.pool_cap == sim.free_top == grown_to
+        return
+    with pytest.raises(OverflowError, match=rf"pool_cap={CAP + max(min_extra, CAP)}"):
+        sim._grow_pool(min_extra)
+    # Refused before anything was replaced: the simulator still runs.
+    assert sim.pool_cap == sim.free_top == sim.pool_next.size == CAP
+    sim.run(warmup=0, measure=20, drain=40)

@@ -181,8 +181,8 @@ def assert_same_result(a, b, what=""):
 
 #: arrays every entry of which is protocol state (or deterministically dead)
 WHOLE = (
-    "credits", "ep_credit", "voq_head", "voq_tail", "voq_count", "backlog",
-    "rr", "src_head", "src_tail", "pkt_dst", "pkt_msg", "pkt_measured",
+    "credits", "ep_credit", "voq_head", "voq_tail", "voq_count", "row_mask",
+    "backlog", "rr", "src_head", "src_tail", "pkt_dst", "pkt_msg", "pkt_measured",
     "route_buf", "_free_top", "_pslot_top",
 )
 #: the same under a fault timeline / of a WorkloadState / of a FaultState
@@ -291,6 +291,91 @@ def test_spans_match_steps_and_reference(topo_spec, policy_spec):
                 assert (sim.packets_injected > 0) == (load > 0)
                 injected += sim.packets_injected
     assert injected > 1000
+
+
+@pytest.mark.parametrize("conc", [55, 56, 57])
+def test_input_masks_up_to_and_past_one_word(conc):
+    """I = 63 / 64 / 65 input ports: ``row_mask`` rows of one word, one
+    full word, and two words with a single bit in the second.
+
+    Saturated tornado keeps every injection VOQ of a link row busy, so
+    the round-robin pointers travel the whole port range — across the
+    word boundary and around the partial last word.
+    """
+    sim = three_ways(
+        f"polarfly:conc={conc},q=7", "ugal-pf", "tornado", 0.9, 4, seed=3,
+        windows=(20, 150, 30),
+    )
+    fab = sim.fab
+    assert fab.I == conc + 8
+    assert sim.row_mask.shape == (fab.n * fab.O, 2 if conc == 57 else 1)
+    # Pointers rest at both ends of the port range: a walk from the top
+    # starts in the last word and wraps into the first.
+    assert sim.rr.max() >= fab.I - 3 and (sim.rr < 8).any()
+
+
+class HomeOrTornado(TornadoTraffic):
+    """Half the packets stay on their source router (a coin per packet).
+
+    Not a stock pattern, so every engine takes it cycle by cycle; the
+    local packets enter the ejection row from the injection inputs, the
+    only way that row sees an input past the link ports.  ``watch`` (an
+    array view) is sampled at every call, i.e. every cycle.
+    """
+
+    def __init__(self, topo):
+        super().__init__(topo)
+        self.watch, self.seen = (), set()
+
+    def dest_routers(self, src_routers, rng):
+        self.seen.update(np.asarray(self.watch).tolist())
+        src = np.asarray(src_routers, dtype=np.int64)
+        home = rng.integers(2, size=src.size) == 0
+        return np.where(home, src, super().dest_routers(src, rng))
+
+
+def test_ejection_grants_walk_across_the_word_boundary():
+    """``limit = conc`` grants per walk, over both words of a 65-port row."""
+    spec = "polarfly:conc=57,q=7"
+    topo, _ = tables_for(spec)
+    args = (spec, "ugal-pf", None, 1.0)
+    kernel = build(*args)
+    with kmod.numpy_fallback():
+        numpy_path = build(*args)
+    ref = build(*args, engine=NetworkSimulator)
+    sims = (kernel, numpy_path, ref)
+    fab = kernel.fab
+    for sim in sims:
+        sim.traffic = HomeOrTornado(topo)
+    kernel.traffic.watch = kernel.rr[fab.OE :: fab.O]
+    results = [sim.run(10, 60, 30) for sim in sims]
+    assert kernel._kernel is not None and numpy_path._kernel is None
+    assert kernel.span_cycles == 0
+    for other, result in zip(sims[1:], results[1:]):
+        assert_same_result(results[0], result)
+        assert kernel.rng.bit_generator.state == other.rng.bit_generator.state
+    for name in ("voq_count", "backlog", "rr", "credits", "ep_credit"):
+        assert np.array_equal(getattr(kernel, name), getattr(numpy_path, name)), name
+    assert (results[0].hop_counts == 0).sum() > 1000
+    # Ejection pointers rested all over the injection inputs, bit 64 too:
+    # walks of up to 57 grants that start in either word and wrap.
+    assert {63, 64} < kernel.traffic.seen and len(kernel.traffic.seen) > 32
+
+
+@pytest.mark.parametrize(
+    "name,relaid",
+    [
+        ("_voq", lambda a: a.astype(np.int64)),
+        ("_voq", lambda a: a[::2]),
+        ("row_mask", lambda a: a.astype(np.int64)),
+        ("row_mask", lambda a: np.asfortranarray(np.tile(a, 2))),
+    ],
+)
+def test_bind_refuses_a_relaid_voq_record_or_mask_buffer(name, relaid):
+    sim = build("polarfly:conc=57,q=7", "min", "uniform", 0.5)
+    setattr(sim, name, relaid(getattr(sim, name)))
+    with pytest.raises(TypeError, match="kernel buffer must be C-contiguous"):
+        sim._bind_kernel_state()
 
 
 def test_spec_tables_cover_every_registered_generator():

@@ -29,6 +29,27 @@ class TestConstruction:
         assert g.num_edges == 1
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
 
+    def test_edge_array_is_the_row_wise_unique(self):
+        """The scalar-key dedupe keeps ``np.unique(axis=0)``'s rows, order and layout."""
+        from repro.experiments.registry import TOPOLOGIES
+
+        rng = np.random.default_rng(3)
+        inputs = [
+            (5, np.array([[3, 1], [1, 3], [0, 4], [1, 3], [4, 0], [2, 1], [0, 1]])),
+        ]
+        for name in TOPOLOGIES.names():
+            g = TOPOLOGIES.create(TOPOLOGIES.example(name)).graph
+            e = g.edges()
+            # Every edge once, a third of them again reversed, shuffled.
+            inputs.append((g.n, rng.permutation(np.concatenate([e, e[::3, ::-1]]))))
+        for n, rows in inputs:
+            got = Graph(n, rows).edges()
+            want = np.unique(np.sort(rows, axis=1), axis=0)
+            assert got.dtype == want.dtype == np.int64
+            assert got.flags.c_contiguous and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(Graph(n, [tuple(r) for r in rows.tolist()]).edges(), want)
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Graph(2, [(0, 0)])
