@@ -78,7 +78,6 @@ from repro.flitsim import (
     RandomPermutationTraffic,
     OneHopPermutationTraffic,
     TwoHopPermutationTraffic,
-    run_load_sweep,
     LoadSweep,
 )
 from repro.fields import GF
@@ -139,7 +138,6 @@ __all__ = [
     "RandomPermutationTraffic",
     "OneHopPermutationTraffic",
     "TwoHopPermutationTraffic",
-    "run_load_sweep",
     "LoadSweep",
     "GF",
     "Combo",

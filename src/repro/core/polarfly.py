@@ -18,10 +18,10 @@ Construction is **sparse**: instead of the O(N^2) all-pairs dot product,
 each vertex enumerates the ``q+1`` points of its *polar line* (the
 projective line of vectors orthogonal to it) directly — O(N*q) work and
 memory, which is what unlocks the q=53/q=79 tier.  The dense all-pairs
-adjacency remains available as :meth:`PolarFly._build_adjacency`, the
-golden oracle the sparse edge list is pinned against in the tests.  All
-arithmetic is vectorized GF(q) table gathers; no Python loop touches a
-vertex pair.
+dot product survives only as ``dense_polar_adjacency`` in
+``tests/oracles.py``, which ``tests/test_core_polarfly.py`` pins the
+sparse edge list against.  All arithmetic is vectorized GF(q) table
+gathers; no Python loop touches a vertex pair.
 """
 
 from __future__ import annotations
@@ -128,7 +128,8 @@ class PolarFly(Topology):
         ``c_j`` independent of it; the line is ``{p1} ∪ {p2 + t*p1}`` for
         ``t`` in GF(q) — ``q + 1`` projective points per vertex, no N^2
         structure anywhere.  Pinned against the dense dot-product oracle
-        (:meth:`_build_adjacency`) by the golden construction tests.
+        by ``test_sparse_edges_match_dense_dot_product`` in
+        ``tests/test_core_polarfly.py``.
         """
         f, v = self.field, self.vectors
         n = v.shape[0]
@@ -148,19 +149,6 @@ class PolarFly(Topology):
         dst = nbr.ravel()
         keep = src != dst  # quadrics lie on their own polar line
         return Graph(n, np.column_stack([src[keep], dst[keep]]))
-
-    def _build_adjacency(self) -> np.ndarray:
-        """Dense boolean adjacency oracle: dot(v, w) == 0, diagonal cleared.
-
-        One broadcasted field-dot over all N^2 pairs.  Not called on the
-        construction path (see :meth:`_build_graph`); kept as the golden
-        oracle the sparse polar-line edge list is pinned against.
-        """
-        v = self.vectors
-        dots = self.field.dot(v[:, None, :], v[None, :, :])
-        adj = dots == 0
-        np.fill_diagonal(adj, False)
-        return adj
 
     def _classify_vertices(self, graph: Graph) -> None:
         v = self.vectors

@@ -66,6 +66,7 @@ from repro.flitsim.engine import (
     make_simulator,
 )
 from repro.flitsim.sweep import LoadSweep, SweepPoint
+from repro.utils.env import env_positive
 
 __all__ = [
     "SweepRunner",
@@ -87,9 +88,6 @@ WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 
 #: environment override for the per-cell wall-clock timeout (seconds)
 TIMEOUT_ENV = "REPRO_SWEEP_TIMEOUT"
-
-#: environment override for the cells-per-chunk size
-CHUNK_ENV = "REPRO_SWEEP_CHUNK"
 
 #: progress heartbeat: seconds between one-line stderr summaries (off
 #: unless set; independent of ``REPRO_OBS``)
@@ -132,10 +130,7 @@ def default_worker_count() -> int:
     sweeps are embarrassingly parallel and the determinism contract
     makes the count result-invisible.
     """
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+    return env_positive(WORKERS_ENV, int) or os.cpu_count() or 1
 
 
 def _estimate_routers(topo_spec: str) -> int:
@@ -175,9 +170,9 @@ def cell_timeout(cell: dict) -> float:
     the cell's simulated-cycle count times an estimated router count —
     generous enough that it only ever fires on a genuine hang.
     """
-    env = os.environ.get(TIMEOUT_ENV, "").strip()
-    if env:
-        return float(env)
+    env = env_positive(TIMEOUT_ENV, float)
+    if env is not None:
+        return env
     cycles = cell_cost(cell)
     routers = _estimate_routers(cell["topology"])
     return max(TIMEOUT_FLOOR_S, cycles * routers * TIMEOUT_PER_CYCLE_ROUTER_S)
@@ -739,11 +734,11 @@ class SweepRunner:
         pool persists across :meth:`run` calls (use :meth:`close` or a
         ``with`` block to reap it eagerly — garbage collection does too).
     chunk_cells:
-        Cells per dispatched chunk.  ``None`` reads
-        ``$REPRO_SWEEP_CHUNK``, defaulting to a dynamic size targeting
-        :data:`CHUNKS_PER_WORKER` chunks per worker — small chunks keep
-        checkpoint commits fine-grained and kill the static-ordering
-        tail, while topology affinity still amortizes construction.
+        Cells per dispatched chunk.  ``None`` picks a dynamic size
+        targeting :data:`CHUNKS_PER_WORKER` chunks per worker — small
+        chunks keep checkpoint commits fine-grained and kill the
+        static-ordering tail, while topology affinity still amortizes
+        construction.
 
     Resilience
     ----------
@@ -797,9 +792,6 @@ class SweepRunner:
             max_workers = default_worker_count()
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if chunk_cells is None:
-            env = os.environ.get(CHUNK_ENV, "").strip()
-            chunk_cells = int(env) if env else None
         if chunk_cells is not None and chunk_cells < 1:
             raise ValueError("chunk_cells must be >= 1")
         self.cache = cache
@@ -1040,6 +1032,8 @@ class SweepRunner:
         self, item: _WorkItem, inflight: dict, result: ExperimentResult
     ) -> None:
         """Submit one work item, respawning the pool if submit fails."""
+        # before the pool exists: a bad $REPRO_SWEEP_TIMEOUT raises here
+        budget = _chunk_deadline(item.cells)
         for _ in range(2):
             pool = self._ensure_pool()
             try:
@@ -1048,7 +1042,7 @@ class SweepRunner:
                 self._restart_pool(result)
                 continue
             item.t0 = time.monotonic()
-            inflight[fut] = (item, item.t0 + _chunk_deadline(item.cells))
+            inflight[fut] = (item, item.t0 + budget)
             obs.emit(
                 "chunk.dispatch",
                 chunk=_chunk_label(item.cells),

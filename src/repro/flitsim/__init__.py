@@ -33,7 +33,7 @@ from repro.flitsim.traffic import (
     one_hop_permutation,
     two_hop_permutation,
 )
-from repro.flitsim.sweep import SweepPoint, LoadSweep, run_load_sweep, saturation_load
+from repro.flitsim.sweep import SweepPoint, LoadSweep, saturation_load
 from repro.flitsim.patterns_extra import (
     BitComplementTraffic,
     ShiftTraffic,
@@ -76,6 +76,5 @@ __all__ = [
     "two_hop_permutation",
     "SweepPoint",
     "LoadSweep",
-    "run_load_sweep",
     "saturation_load",
 ]

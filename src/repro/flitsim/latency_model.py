@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.flitsim.simulator import SimConfig
+from repro.flitsim.engine import SimConfig
 from repro.topologies.base import Topology
 
 __all__ = ["LatencyModel"]

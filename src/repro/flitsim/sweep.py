@@ -7,17 +7,13 @@ the paper plots: average latency vs offered load, plus accepted throughput
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.flitsim.simulator import SimConfig, SimResult
-from repro.flitsim.traffic import TrafficPattern
-from repro.routing.policies import RoutingPolicy
-from repro.topologies.base import Topology
+from repro.flitsim.engine import SimResult
 
-__all__ = ["SweepPoint", "LoadSweep", "run_load_sweep", "saturation_load"]
+__all__ = ["SweepPoint", "LoadSweep", "saturation_load"]
 
 
 @dataclass
@@ -62,9 +58,9 @@ class LoadSweep:
     def throughputs(self) -> np.ndarray:
         return np.array([p.accepted_load for p in self.points])
 
-    def saturation_load(self, efficiency=None) -> float:
+    def saturation_load(self) -> float:
         """The curve's saturation throughput (see :func:`saturation_load`)."""
-        return saturation_load(self.points, efficiency)
+        return saturation_load(self.points)
 
     def rows(self) -> list[dict]:
         """Table rows (one per load point) for report printing."""
@@ -79,56 +75,11 @@ class LoadSweep:
         ]
 
 
-def saturation_load(points, efficiency=None) -> float:
+def saturation_load(points) -> float:
     """The plateau (maximum) of accepted load over the sweep.
 
     This is the paper's saturation-throughput metric: below saturation
     accepted tracks offered, past it accepted flattens at the plateau,
     so the maximum accepted load IS the saturation throughput.
-
-    .. deprecated::
-        ``efficiency`` never affected the result (the historical pre/post
-        saturation branches computed the same maximum); passing it warns
-        and the parameter will be removed.
     """
-    if efficiency is not None:
-        warnings.warn(
-            "saturation_load(efficiency=...) is deprecated: the parameter "
-            "has never affected the result and will be removed",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     return max((p.accepted_load for p in points), default=0.0)
-
-
-def run_load_sweep(
-    topo: Topology,
-    policy: RoutingPolicy,
-    traffic: TrafficPattern,
-    loads,
-    label: str = "",
-    config: SimConfig = SimConfig(),
-    warmup: int = 600,
-    measure: int = 1200,
-    drain: int = 300,
-    seed=0,
-    engine: str | None = None,
-) -> LoadSweep:
-    """Simulate every load in ``loads`` and return the resulting curve.
-
-    Compatibility wrapper over the shared sweep engine
-    (:class:`repro.experiments.runner.SweepRunner`), for callers holding
-    already-built objects.  Spec-string callers should build an
-    :class:`~repro.experiments.spec.ExperimentSpec` instead and gain
-    caching and process-parallel execution.  ``engine`` pins a simulator
-    engine (``"flat"``/``"reference"``) without mutating the
-    ``$REPRO_SIM_ENGINE`` environment.
-    """
-    # Imported lazily: experiments sits above flitsim in the layering.
-    from repro.experiments.runner import SweepRunner
-
-    return SweepRunner().run_objects(
-        topo, policy, traffic, loads, label=label, config=config,
-        warmup=warmup, measure=measure, drain=drain, seed=seed,
-        engine=engine,
-    )

@@ -5,8 +5,7 @@ span timers, and a JSONL event sink shared by the sweep scheduler, the
 result cache, both simulator engines, and the fault layer.  Everything
 is **off by default**: with ``REPRO_OBS`` unset, :func:`emit` returns
 after one dict lookup and :func:`span` hands back a shared no-op context
-manager, so instrumented hot paths cost nothing measurable (gated by the
-``obs_overhead`` perfbench cell).
+manager, so instrumented hot paths cost nothing measurable.
 
 Configuration
 -------------
@@ -72,8 +71,7 @@ Event names and their extra fields:
 ``cache.corrupt``   key  (artifact present but unreadable → quarantined)
 ``span``            name, secs, ok, plus caller fields.  Span names in
                     tree: ``sweep.run``, ``sweep.chunk`` (scheduler
-                    side), ``sweep.cell`` (worker side, sampled),
-                    ``bench.phase`` (perfbench construct/route/simulate)
+                    side), ``sweep.cell`` (worker side, sampled)
 ``counters``        counters, gauges, histograms — a registry snapshot
                     (see :meth:`repro.obs.metrics.Registry.snapshot`)
 

@@ -41,7 +41,6 @@ from repro.utils.rng import make_rng
 __all__ = [
     "RoutingTables",
     "RowPatchedDist",
-    "per_source_candidate_csr",
     "PATH_CACHE_ENV",
     "PATH_CACHE_MB_ENV",
 ]
@@ -500,8 +499,9 @@ class RoutingTables:
         """Dense ``(indptr, data)`` CSR materialized from the compact table.
 
         Kept as the oracle-shaped view the golden tests compare against
-        :func:`per_source_candidate_csr`; serving paths use the compact
-        table directly and never allocate the ``n*n + 1`` indptr.
+        the per-source build in ``tests/oracles.py``; serving paths use
+        the compact table directly and never allocate the ``n*n + 1``
+        indptr.
         """
         return self._candidate_table().dense_csr()
 
@@ -638,26 +638,3 @@ class RoutingTables:
                     cur = full
                 paths[act, col] = nxt
         return paths, lens
-
-
-def per_source_candidate_csr(graph, dist) -> tuple:
-    """The seed per-source candidate-CSR build, kept as the golden oracle.
-
-    The compact table (materialized through
-    :meth:`RoutingTables._candidate_csr`) is pinned to produce identical
-    rows.  ``data`` is int64 as in the seed; the golden comparison is
-    value-wise.
-    """
-    n = graph.n
-    dist = np.asarray(dist)
-    indptr = np.zeros(n * n + 1, dtype=np.int64)
-    chunks = []
-    for s in range(n):
-        nbrs = graph.neighbors(s)
-        on_path = dist[nbrs, :] == dist[s, :][None, :] - 1
-        dst_idx, nbr_idx = np.nonzero(on_path.T)
-        indptr[s * n + 1 : s * n + n + 1] = np.bincount(dst_idx, minlength=n)
-        chunks.append(nbrs[nbr_idx].astype(np.int64))
-    np.cumsum(indptr, out=indptr)
-    data = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
-    return indptr, data

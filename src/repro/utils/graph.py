@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Graph", "bfs_distances_reference"]
+__all__ = ["Graph"]
 
 #: working-set bytes of one source-row block of the row-streamed passes —
 #: the batched BFS's int64 dedupe stamp (so also the distance blocks the
@@ -384,35 +384,3 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.num_edges})"
-
-
-def bfs_distances_reference(graph: Graph, source: int) -> np.ndarray:
-    """The seed per-source frontier BFS, kept as the golden oracle.
-
-    Batched :meth:`Graph.all_pairs_distances` is pinned bit-identical to
-    this implementation by the golden tests, and the construction
-    benchmark measures its per-source cost as the speedup baseline.
-    """
-    dist = np.full(graph.n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        level += 1
-        starts = graph.indptr[frontier]
-        stops = graph.indptr[frontier + 1]
-        total = int((stops - starts).sum())
-        if total == 0:
-            break
-        out = np.empty(total, dtype=np.int64)
-        pos = 0
-        for s, t in zip(starts, stops):
-            out[pos : pos + (t - s)] = graph.indices[s:t]
-            pos += t - s
-        cand = out[dist[out] < 0]
-        if cand.size == 0:
-            break
-        cand = np.unique(cand)
-        dist[cand] = level
-        frontier = cand
-    return dist

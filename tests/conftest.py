@@ -6,10 +6,48 @@ immutable, so sharing them across tests is safe and keeps the suite fast.
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.core import PolarFly, ClusterLayout
+from repro.flitsim._kernel import load_kernel, numpy_fallback
 from repro.routing import RoutingTables
+
+
+def _flat_variants():
+    variants = [("flat-numpy", numpy_fallback, False)]
+    if load_kernel() is not None:
+        variants.append(("flat-kernel", contextlib.nullcontext, True))
+    return variants
+
+
+@pytest.fixture(scope="session")
+def flat_variants():
+    """(label, context factory, expects kernel) for both flat cycle paths.
+
+    Build the simulator inside ``with ctx():`` to pin it to that path.
+    """
+    return _flat_variants()
+
+
+@pytest.hookimpl(trylast=True)  # after a test's own marks: ids end in the label
+def pytest_generate_tests(metafunc):
+    """A ``flat_path`` argument runs the test once per flat cycle path."""
+    if "flat_path" in metafunc.fixturenames:
+        labels, contexts, _ = zip(*_flat_variants())
+        metafunc.parametrize("flat_path", contexts, ids=labels)
+
+
+@pytest.fixture(scope="module")
+def pf():
+    """The q=7, two-endpoint fabric the equivalence suites share."""
+    return PolarFly(7, concentration=2)
+
+
+@pytest.fixture(scope="module")
+def tables(pf):
+    return RoutingTables(pf)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import pytest
 
 from repro import PolarFly, SimConfig, Topology
 from repro.fields import GF
-from repro.flitsim.simulator import SimResult
+from repro.flitsim.engine import SimResult
 from repro.flitsim.sweep import SweepPoint, saturation_load
 from repro.utils.graph import Graph
 

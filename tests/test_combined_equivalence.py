@@ -10,19 +10,15 @@ C kernel, when a compiler is present) must produce bit-identical
 and retransmit accounting, damaged deliveries, the lot.
 """
 
-import contextlib
-
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import PolarFly
 from repro.experiments import FAULTS, POLICIES, WORKLOADS
 from repro.experiments.runner import auto_sim_config
 from repro.faults import prepare_fault_policy
 from repro.flitsim import FlatSimulator, NetworkSimulator
-from repro.flitsim._kernel import load_kernel, numpy_fallback
-from repro.routing.tables import RoutingTables
+from repro.flitsim._kernel import load_kernel
 
 #: (workload, fault timeline, policy) — every registered fault
 #: generator appears, paired with distinct collectives and policies.
@@ -48,24 +44,6 @@ COMBOS = [
         "min",
     ),
 ]
-
-
-@pytest.fixture(scope="module")
-def pf():
-    return PolarFly(7, concentration=2)
-
-
-@pytest.fixture(scope="module")
-def tables(pf):
-    return RoutingTables(pf)
-
-
-def flat_variants():
-    """(label, context factory, expects kernel) for both flat cycle paths."""
-    variants = [("flat-numpy", numpy_fallback, False)]
-    if load_kernel() is not None:
-        variants.append(("flat-kernel", contextlib.nullcontext, True))
-    return variants
 
 
 def build(pf, tables, wspec, fault_spec, policy_spec, cls, seed):
@@ -119,13 +97,15 @@ def test_combos_cover_every_registered_fault_generator():
     COMBOS,
     ids=[f"{w.split(':')[0]}-{f.split(':')[0]}-{p}" for w, f, p in COMBOS],
 )
-def test_all_engines_agree(pf, tables, wspec, fault_spec, policy_spec):
+def test_all_engines_agree(
+    pf, tables, flat_variants, wspec, fault_spec, policy_spec
+):
     sim = build(pf, tables, wspec, fault_spec, policy_spec,
                 NetworkSimulator, seed=3)
     ref = sim.run_workload(max_cycles=60_000)
     fref = sim.fault_result
     assert fref.applied_events > 0, "timeline must actually fire in-window"
-    for label, ctx, expect_kernel in flat_variants():
+    for label, ctx, expect_kernel in flat_variants:
         with ctx():
             fsim = build(pf, tables, wspec, fault_spec, policy_spec,
                          FlatSimulator, seed=3)

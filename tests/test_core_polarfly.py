@@ -4,6 +4,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from oracles import dense_polar_adjacency
 
 from repro.core import PolarFly, feasible_q_for_radix, polarfly_order, polarfly_radix
 
@@ -129,6 +130,15 @@ class TestVectors:
         F = pf7.field
         dots = F.dot(pf7.vectors, pf7.vectors)
         assert np.array_equal(dots == 0, pf7.quadric_mask)
+
+    @pytest.mark.parametrize("q", (5, 7, 9, 11))
+    def test_sparse_edges_match_dense_dot_product(self, q):
+        # Orthogonal edges alone would pass with edges missing; the
+        # all-pairs definition pins the polar-line list both ways.
+        pf = PolarFly(q)
+        assert np.array_equal(
+            pf.graph.adjacency_matrix(), dense_polar_adjacency(pf)
+        )
 
 
 class TestAlgebraicRouting:

@@ -2,6 +2,7 @@
 trips, worker-count independence, and the object escape hatch."""
 
 import math
+import os
 
 import pytest
 
@@ -13,7 +14,13 @@ from repro.experiments import (
     SweepRunner,
     cell_hash,
 )
-from repro.experiments.runner import auto_sim_config, run_cell
+from repro.experiments.runner import (
+    TIMEOUT_FLOOR_S,
+    auto_sim_config,
+    cell_timeout,
+    default_worker_count,
+    run_cell,
+)
 from repro.flitsim import UniformTraffic
 from repro.routing import MinimalRouting, RoutingTables
 from repro.utils.rng import derive_seed
@@ -230,27 +237,45 @@ class TestRunner:
         with pytest.raises(ValueError):
             SweepRunner(max_workers=0)
 
+    @pytest.mark.parametrize(
+        "name,raw,want",
+        [
+            # unset and empty fall through to the derived defaults
+            ("REPRO_SWEEP_WORKERS", None, os.cpu_count() or 1),
+            ("REPRO_SWEEP_WORKERS", "  ", os.cpu_count() or 1),
+            ("REPRO_SWEEP_WORKERS", " 3 ", 3),
+            ("REPRO_SWEEP_WORKERS", "two", "an integer >= 1, got 'two'"),
+            ("REPRO_SWEEP_WORKERS", "1.5", "an integer >= 1, got '1.5'"),
+            ("REPRO_SWEEP_WORKERS", "0", "an integer >= 1, got '0'"),
+            ("REPRO_SWEEP_WORKERS", "-2", "an integer >= 1, got '-2'"),
+            ("REPRO_SWEEP_TIMEOUT", None, TIMEOUT_FLOOR_S),
+            ("REPRO_SWEEP_TIMEOUT", "0.5", 0.5),
+            ("REPRO_SWEEP_TIMEOUT", "soon", "a finite number > 0, got 'soon'"),
+            ("REPRO_SWEEP_TIMEOUT", "0", "a finite number > 0, got '0'"),
+            ("REPRO_SWEEP_TIMEOUT", "-1", "a finite number > 0, got '-1'"),
+            ("REPRO_SWEEP_TIMEOUT", "nan", "a finite number > 0, got 'nan'"),
+            ("REPRO_SWEEP_TIMEOUT", "inf", "a finite number > 0, got 'inf'"),
+        ],
+    )
+    def test_env_overrides_are_validated(self, monkeypatch, name, raw, want):
+        read = {
+            "REPRO_SWEEP_WORKERS": default_worker_count,
+            "REPRO_SWEEP_TIMEOUT": lambda: cell_timeout(tiny_spec().cells()[0]),
+        }[name]
+        if raw is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, raw)
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as err:
+                read()
+            assert f"${name} must be {want}" in str(err.value)
+        else:
+            assert read() == want
+
 
 class TestObjectPath:
-    def test_run_objects_matches_run_load_sweep(self):
-        from repro.flitsim import run_load_sweep
-
-        pf = PolarFly(5, concentration=2)
-        tables = RoutingTables(pf)
-        args = dict(loads=(0.3,), warmup=80, measure=160, drain=40, seed=3)
-        a = SweepRunner().run_objects(
-            pf, MinimalRouting(tables), UniformTraffic(pf), **args
-        )
-        b = run_load_sweep(
-            pf, MinimalRouting(tables), UniformTraffic(pf),
-            config=auto_sim_config(MinimalRouting(tables)), **args,
-        )
-        assert a.points == b.points
-        assert a.label == "PF(q=5)"
-
     def test_engine_parameter_threads_through(self):
-        from repro.flitsim import run_load_sweep
-
         pf = PolarFly(5, concentration=2)
         tables = RoutingTables(pf)
         args = dict(loads=(0.3,), warmup=80, measure=160, drain=40, seed=3)
@@ -258,9 +283,8 @@ class TestObjectPath:
             pf, MinimalRouting(tables), UniformTraffic(pf),
             engine="reference", **args,
         )
-        flat = run_load_sweep(
+        flat = SweepRunner().run_objects(
             pf, MinimalRouting(tables), UniformTraffic(pf),
-            config=auto_sim_config(MinimalRouting(tables)),
             engine="flat", **args,
         )
         # engines are result-equivalent, so pinning either one must

@@ -9,8 +9,6 @@ open-loop and closed-loop modes; and faulted sweep cells are
 cache-stable and identical at any worker count.
 """
 
-import contextlib
-
 import numpy as np
 import pytest
 
@@ -27,19 +25,11 @@ from repro.experiments import (
 from repro.experiments.runner import auto_sim_config
 from repro.faults import prepare_fault_policy
 from repro.flitsim import FlatSimulator, NetworkSimulator
-from repro.flitsim._kernel import load_kernel, numpy_fallback
 from repro.flitsim.traffic import UniformTraffic
 from repro.routing.tables import RoutingTables
 
 PF_SPEC = "polarfly:conc=2,q=7"
 
-
-def flat_variants():
-    """(label, context factory, expects kernel) for both flat cycle paths."""
-    variants = [("flat-numpy", numpy_fallback, False)]
-    if load_kernel() is not None:
-        variants.append(("flat-kernel", contextlib.nullcontext, True))
-    return variants
 
 #: one spec per registered generator, sized so events land inside the
 #: simulated window and exercise repair (ups as well as downs)
@@ -49,16 +39,6 @@ FAULT_SPECS = [
     "routerdown:cycle=300,count=1,duration=350,seed=3",
     "progressive:frac=0.08,steps=3,period=180,start=200,seed=4",
 ]
-
-
-@pytest.fixture(scope="module")
-def pf():
-    return PolarFly(7, concentration=2)
-
-
-@pytest.fixture(scope="module")
-def tables(pf):
-    return RoutingTables(pf)
 
 
 def build(pf, tables, policy_spec, fault_spec, cls, **sim_kwargs):
@@ -100,7 +80,7 @@ def test_specs_cover_every_registered_generator():
     )
 
 
-def check_open_loop(pf, tables, policy_spec, fault_spec, load, windows):
+def check_open_loop(pf, tables, flat_variants, policy_spec, fault_spec, load, windows):
     """Reference vs both flat cycle paths on one faulted open-loop cell."""
     sim = build(
         pf, tables, policy_spec, fault_spec, NetworkSimulator,
@@ -109,7 +89,7 @@ def check_open_loop(pf, tables, policy_spec, fault_spec, load, windows):
     ra = sim.run(**windows)
     fa = sim.fault_result
     assert fa.applied_events > 0, "timeline must actually fire in-window"
-    for label, ctx, expect_kernel in flat_variants():
+    for label, ctx, expect_kernel in flat_variants:
         with ctx():
             fsim = build(
                 pf, tables, policy_spec, fault_spec, FlatSimulator,
@@ -125,31 +105,33 @@ def check_open_loop(pf, tables, policy_spec, fault_spec, load, windows):
 
 @pytest.mark.parametrize("fault_spec", FAULT_SPECS)
 @pytest.mark.parametrize("policy_spec", ["min", "ugal-pf"])
-def test_flat_matches_reference_open_loop(pf, tables, fault_spec, policy_spec):
+def test_flat_matches_reference_open_loop(
+    pf, tables, flat_variants, fault_spec, policy_spec
+):
     check_open_loop(
-        pf, tables, policy_spec, fault_spec, 0.4,
+        pf, tables, flat_variants, policy_spec, fault_spec, 0.4,
         dict(warmup=200, measure=400, drain=150),
     )
 
 
-def test_flat_matches_reference_linkflap_ugal(pf, tables):
+def test_flat_matches_reference_linkflap_ugal(pf, tables, flat_variants):
     # The compiled route selector follows policy.tables by identity:
     # bound to the intact tables, re-bound to the row-patched distance
     # view the flapped links leave, and back when they return — all
     # three epochs must stay on the reference engine's RNG stream.
     check_open_loop(
-        pf, tables, "ugal", FAULT_SPECS[0], 0.6,
+        pf, tables, flat_variants, "ugal", FAULT_SPECS[0], 0.6,
         dict(warmup=200, measure=400, drain=150),
     )
 
 
-def test_flat_matches_reference_sparse_regime():
+def test_flat_matches_reference_sparse_regime(flat_variants):
     # PolarFly q=13 at load 0.05: nearly every (router, out) row is
     # empty, the rows the C kernel's decide loop skips; the flapping
     # links go down and come back inside the 150 simulated cycles.
     pf13 = PolarFly(13, concentration=2)
     check_open_loop(
-        pf13, RoutingTables(pf13), "ugal-pf",
+        pf13, RoutingTables(pf13), flat_variants, "ugal-pf",
         "linkflap:count=12,cycle=40,duration=60,seed=1", 0.05,
         dict(warmup=30, measure=90, drain=30),
     )
@@ -163,13 +145,13 @@ def test_flat_matches_reference_sparse_regime():
         "routerdown:cycle=150,count=1,duration=300,seed=3",
     ],
 )
-def test_flat_matches_reference_closed_loop(pf, tables, fault_spec):
+def test_flat_matches_reference_closed_loop(pf, tables, flat_variants, fault_spec):
     wl = WORKLOADS.create("allreduce:algo=ring,size=64", pf)
     sim = build(pf, tables, "ugal-pf", fault_spec, NetworkSimulator,
                 seed=3, workload=wl)
     ra = sim.run_workload(max_cycles=60_000)
     fa = sim.fault_result
-    for label, ctx, expect_kernel in flat_variants():
+    for label, ctx, expect_kernel in flat_variants:
         with ctx():
             fsim = build(
                 pf, tables, "ugal-pf", fault_spec, FlatSimulator,

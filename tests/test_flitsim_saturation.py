@@ -7,8 +7,6 @@ router mixed in.  Both engines must agree bit-for-bit, and a fully
 drained network must return every credit it borrowed.
 """
 
-import contextlib
-
 import numpy as np
 import pytest
 
@@ -23,7 +21,6 @@ from repro.flitsim import (
     UniformTraffic,
     flatcore,
 )
-from repro.flitsim._kernel import load_kernel, numpy_fallback
 from repro.routing import (
     MinimalRouting,
     RoutingTables,
@@ -176,19 +173,6 @@ def assert_row_mask_is_voq_occupancy(sim):
     assert not (words[:, :, -1] >> np.uint64((fab.I - 1) % 64) >> np.uint64(1)).any()
 
 
-@pytest.mark.parametrize(
-    "path",
-    [
-        pytest.param(numpy_fallback, id="flat-numpy"),
-        pytest.param(
-            contextlib.nullcontext,
-            id="flat-kernel",
-            marks=pytest.mark.skipif(
-                load_kernel() is None, reason="C kernel unavailable"
-            ),
-        ),
-    ],
-)
 class TestBacklogMirrorsVoqCounts:
     """``backlog[r, out] == sum_in voq_count[r, in, out]`` after every cycle.
 
@@ -202,8 +186,8 @@ class TestBacklogMirrorsVoqCounts:
     the event-time flush in ``_drop_vq`` is where one could come from.
     """
 
-    def test_open_loop(self, pf, tables, path):
-        with path():
+    def test_open_loop(self, pf, tables, flat_path):
+        with flat_path():
             sim = FlatSimulator(
                 pf, UGALPFRouting(tables), UniformTraffic(pf), 0.8, seed=5
             )
@@ -215,10 +199,10 @@ class TestBacklogMirrorsVoqCounts:
         assert sim.live_flits() == 0
         assert (sim.backlog == 0).all()
 
-    def test_closed_loop(self, pf, tables, path):
+    def test_closed_loop(self, pf, tables, flat_path):
         policy = UGALPFRouting(tables)
         wl = WORKLOADS.create("alltoall:size=8", pf)
-        with path():
+        with flat_path():
             sim = FlatSimulator(
                 pf, policy, None, 0.0, config=auto_sim_config(policy),
                 seed=3, workload=wl,
@@ -239,11 +223,11 @@ class TestBacklogMirrorsVoqCounts:
             "progressive:frac=0.08,steps=3,period=90,start=100,seed=4",
         ],
     )
-    def test_across_fault_epochs(self, pf, tables, path, fault_spec):
+    def test_across_fault_epochs(self, pf, tables, flat_path, fault_spec):
         timeline = FAULTS.create(fault_spec, pf)
         policy = MinimalRouting(tables)
         prepare_fault_policy(policy, timeline, pf)
-        with path():
+        with flat_path():
             sim = FlatSimulator(
                 pf, policy, UniformTraffic(pf), 0.6,
                 config=auto_sim_config(policy), seed=7, faults=timeline,

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import PolarFly
-from repro.flitsim import LoadSweep, UniformTraffic, run_load_sweep
+from repro.experiments import SweepRunner
+from repro.flitsim import LoadSweep, SimConfig, UniformTraffic
+from repro.flitsim.engine import SimResult
 from repro.flitsim.sweep import SweepPoint
 from repro.routing import MinimalRouting, RoutingTables
 
@@ -13,12 +15,13 @@ from repro.routing import MinimalRouting, RoutingTables
 def sweep():
     pf = PolarFly(5, concentration=2)
     tables = RoutingTables(pf)
-    return run_load_sweep(
+    return SweepRunner().run_objects(
         pf,
         MinimalRouting(tables),
         UniformTraffic(pf),
         loads=(0.1, 0.4, 0.8),
         label="PF5-MIN",
+        config=SimConfig(),
         warmup=200,
         measure=400,
         drain=150,
@@ -46,20 +49,6 @@ class TestSweep:
         sat = sweep.saturation_load()
         assert 0.1 <= sat <= 1.0
 
-    def test_efficiency_parameter_deprecated(self, sweep):
-        from repro.flitsim.sweep import saturation_load
-
-        with pytest.warns(DeprecationWarning):
-            deprecated = saturation_load(sweep.points, efficiency=0.95)
-        with pytest.warns(DeprecationWarning):
-            assert sweep.saturation_load(efficiency=0.95) == deprecated
-        # never affected the result, and not passing it never warns
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert saturation_load(sweep.points) == deprecated
-
     def test_rows(self, sweep):
         rows = sweep.rows()
         assert len(rows) == 3
@@ -68,8 +57,6 @@ class TestSweep:
 
 class TestSweepPoint:
     def test_from_result_roundtrip(self):
-        from repro.flitsim.simulator import SimResult
-
         res = SimResult(0.5, 100, 10)
         res.ejected_flits = 250
         res.latencies = [10, 20]

@@ -16,13 +16,13 @@ from repro import (
     RoutingTables,
     SimConfig,
     SlimFly,
+    SweepRunner,
     TornadoTraffic,
     UGALPFRouting,
     UGALRouting,
     UniformTraffic,
     replicate_nonquadric_clusters,
     replicate_quadrics,
-    run_load_sweep,
 )
 from repro.analysis import bisection_fraction, link_failure_sweep
 
@@ -45,11 +45,12 @@ class TestFullStackPolarFly:
     def test_sweep_produces_classic_curve(self):
         pf = PolarFly(5, concentration=2)
         tables = RoutingTables(pf)
-        sweep = run_load_sweep(
+        sweep = SweepRunner().run_objects(
             pf,
             MinimalRouting(tables),
             UniformTraffic(pf),
             loads=(0.1, 0.5, 0.9),
+            config=SimConfig(),
             warmup=200,
             measure=400,
             drain=150,

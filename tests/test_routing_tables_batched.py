@@ -7,16 +7,16 @@ topology — large-radix scaling must not change a single routed path.
 
 import numpy as np
 import pytest
+from oracles import bfs_distances_reference, per_source_candidate_csr
 
 from repro.experiments.registry import TOPOLOGIES
 from repro.routing.tables import (
     PATH_CACHE_ENV,
     PATH_CACHE_MB_ENV,
     RoutingTables,
-    per_source_candidate_csr,
 )
 from repro.topologies.base import Topology
-from repro.utils.graph import Graph, bfs_distances_reference
+from repro.utils.graph import Graph
 
 
 @pytest.fixture(scope="module", params=sorted(TOPOLOGIES.names()))

@@ -37,7 +37,7 @@ from repro.flitsim import (
     run_with_timeseries,
     run_workload_with_timeseries,
 )
-from repro.flitsim._kernel import load_kernel, numpy_fallback
+from repro.flitsim._kernel import load_kernel
 from repro.flitsim.telemetry import LinkCounts, OccupancySampler, WindowCloser
 from repro.routing.tables import RoutingTables
 
@@ -60,18 +60,13 @@ OBSERVER_SETS = {
 }
 
 
-def paths():
+@pytest.fixture(scope="module")
+def paths(flat_variants):
     """(label, engine class, construction context, runs as spans)."""
-    kernel = load_kernel()
-    out = [
-        ("reference", NetworkSimulator, contextlib.nullcontext, False),
-        ("flat-numpy", FlatSimulator, numpy_fallback, False),
+    return [("reference", NetworkSimulator, contextlib.nullcontext, False)] + [
+        (label, FlatSimulator, ctx, kernel and load_kernel().select_ok)
+        for label, ctx, kernel in flat_variants
     ]
-    if kernel is not None:
-        out.append(
-            ("flat-kernel", FlatSimulator, contextlib.nullcontext, kernel.select_ok)
-        )
-    return out
 
 
 _memo: dict = {}
@@ -118,9 +113,11 @@ def collected(observers) -> dict:
 
 @pytest.mark.parametrize("observer_set", OBSERVER_SETS)
 @pytest.mark.parametrize("topo_spec,policy_spec,load", CELLS)
-def test_observers_leave_the_run_alone(topo_spec, policy_spec, load, observer_set):
+def test_observers_leave_the_run_alone(
+    paths, topo_spec, policy_spec, load, observer_set
+):
     seen = {}
-    for label, engine, ctx, spans in paths():
+    for label, engine, ctx, spans in paths:
         what = f"{label} {observer_set}"
         with ctx():
             plain = build(engine, topo_spec, policy_spec, load)
@@ -177,10 +174,12 @@ def assert_same_workload_result(a, b, what=""):
     [("allreduce:algo=ring,size=64", None), ("alltoall:size=8", FAULT_SPEC)],
     ids=["clean", "faulted"],
 )
-def test_windowed_workload_equals_plain_run_workload(workload_spec, fault_spec):
+def test_windowed_workload_equals_plain_run_workload(
+    paths, workload_spec, fault_spec
+):
     topo_spec = CELLS[0][0]
     series = {}
-    for label, engine, ctx, _ in paths():
+    for label, engine, ctx, _ in paths:
         with ctx():
             plain = build(engine, topo_spec, "ugal-pf", fault_spec=fault_spec,
                           workload_spec=workload_spec)

@@ -8,12 +8,9 @@ must agree bit-exactly on PolarFly q=7 — on the pure-numpy cycle path
 the simulated results themselves.
 """
 
-import contextlib
-
 import numpy as np
 import pytest
 
-from repro.core import PolarFly
 from repro.experiments import FAULTS, POLICIES
 from repro.experiments.runner import auto_sim_config
 from repro.faults import prepare_fault_policy
@@ -22,29 +19,9 @@ from repro.flitsim import (
     NetworkSimulator,
     run_with_telemetry,
 )
-from repro.flitsim._kernel import load_kernel, numpy_fallback
 from repro.flitsim.traffic import TornadoTraffic, UniformTraffic
-from repro.routing.tables import RoutingTables
 
 WINDOW = dict(warmup=120, measure=240, sample_every=8)
-
-
-def flat_variants():
-    """(label, context factory, expects kernel) for both flat cycle paths."""
-    variants = [("flat-numpy", numpy_fallback, False)]
-    if load_kernel() is not None:
-        variants.append(("flat-kernel", contextlib.nullcontext, True))
-    return variants
-
-
-@pytest.fixture(scope="module")
-def pf():
-    return PolarFly(7, concentration=2)
-
-
-@pytest.fixture(scope="module")
-def tables(pf):
-    return RoutingTables(pf)
 
 
 def build(pf, tables, cls, policy_spec="min", traffic_cls=UniformTraffic,
@@ -86,11 +63,11 @@ def assert_results_identical(a, b):
     ],
     ids=["min-uniform", "min-tornado", "ugalpf-uniform"],
 )
-def test_flat_telemetry_bit_matches_reference(pf, tables, policy_spec,
-                                              traffic_cls, load):
+def test_flat_telemetry_bit_matches_reference(pf, tables, flat_variants,
+                                              policy_spec, traffic_cls, load):
     ref_sim = build(pf, tables, NetworkSimulator, policy_spec, traffic_cls, load)
     ref_res, ref_tel = run_with_telemetry(ref_sim, **WINDOW)
-    for label, ctx, expects_kernel in flat_variants():
+    for label, ctx, expects_kernel in flat_variants:
         with ctx():
             flat_sim = build(
                 pf, tables, FlatSimulator, policy_spec, traffic_cls, load
@@ -102,14 +79,14 @@ def test_flat_telemetry_bit_matches_reference(pf, tables, policy_spec,
         assert flat_tel.link_flits, label  # a loaded run carries flits
 
 
-def test_faulted_telemetry_counts_before_drop(pf, tables):
+def test_faulted_telemetry_counts_before_drop(pf, tables, flat_variants):
     # Doomed flits (downed link ahead) still count at the grant point in
     # both engines — the counting-before-doom-filter placement contract.
     fault = "linkflap:count=3,cycle=150,duration=120,seed=1"
     ref_sim = build(pf, tables, NetworkSimulator, "ugal-pf", load=0.4,
                     fault_spec=fault)
     _, ref_tel = run_with_telemetry(ref_sim, **WINDOW)
-    for label, ctx, _ in flat_variants():
+    for label, ctx, _ in flat_variants:
         with ctx():
             flat_sim = build(pf, tables, FlatSimulator, "ugal-pf", load=0.4,
                              fault_spec=fault)

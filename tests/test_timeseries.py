@@ -14,13 +14,11 @@ extraction, Chrome-trace export, and the ``LinkTelemetry.gini()``
 idle-link universe pin.
 """
 
-import contextlib
 import json
 
 import numpy as np
 import pytest
 
-from repro.core import PolarFly
 from repro.experiments import FAULTS, POLICIES, WORKLOADS
 from repro.experiments.runner import auto_sim_config
 from repro.faults import prepare_fault_policy
@@ -30,7 +28,6 @@ from repro.flitsim import (
     run_with_timeseries,
     run_workload_with_timeseries,
 )
-from repro.flitsim._kernel import load_kernel, numpy_fallback
 from repro.flitsim.telemetry import LinkTelemetry
 from repro.flitsim.traffic import UniformTraffic
 from repro.obs.timeseries import (
@@ -42,28 +39,9 @@ from repro.obs.timeseries import (
     steady_state_window,
     write_chrome_trace,
 )
-from repro.routing.tables import RoutingTables
 
 WINDOW = dict(warmup=120, measure=240, window=64, sample_every=8, drain=80)
 FAULT_SPEC = "linkflap:count=3,cycle=150,duration=120,seed=1"
-
-
-def flat_variants():
-    """(label, context factory, expects kernel) for both flat cycle paths."""
-    variants = [("flat-numpy", numpy_fallback, False)]
-    if load_kernel() is not None:
-        variants.append(("flat-kernel", contextlib.nullcontext, True))
-    return variants
-
-
-@pytest.fixture(scope="module")
-def pf():
-    return PolarFly(7, concentration=2)
-
-
-@pytest.fixture(scope="module")
-def tables(pf):
-    return RoutingTables(pf)
 
 
 def build(pf, tables, cls, policy_spec="min", load=0.5, seed=7,
@@ -99,11 +77,13 @@ class TestTriEngineGolden:
         "policy_spec,load", [("min", 0.5), ("ugal-pf", 0.6)],
         ids=["min", "ugal-pf"],
     )
-    def test_open_loop_windows_match(self, pf, tables, policy_spec, load):
+    def test_open_loop_windows_match(
+        self, pf, tables, flat_variants, policy_spec, load
+    ):
         ref = build(pf, tables, NetworkSimulator, policy_spec, load)
         ref_res, ref_series = run_with_timeseries(ref, **WINDOW)
         assert len(ref_series) == 4  # ceil(240 / 64)
-        for label, ctx, expects_kernel in flat_variants():
+        for label, ctx, expects_kernel in flat_variants:
             with ctx():
                 flat = build(pf, tables, FlatSimulator, policy_spec, load)
             assert (flat._kernel is not None) == expects_kernel, label
@@ -121,12 +101,14 @@ class TestTriEngineGolden:
         )
         assert all(w["link_total"] > 0 for w in ref_series.windows)
 
-    def test_faulted_windows_match_and_carry_markers(self, pf, tables):
+    def test_faulted_windows_match_and_carry_markers(
+        self, pf, tables, flat_variants
+    ):
         ref = build(pf, tables, NetworkSimulator, "ugal-pf", load=0.4,
                     fault_spec=FAULT_SPEC)
         _, ref_series = run_with_timeseries(ref, **WINDOW)
         assert ref_series.fault_cycles(), "events must land in measure"
-        for label, ctx, _ in flat_variants():
+        for label, ctx, _ in flat_variants:
             with ctx():
                 flat = build(pf, tables, FlatSimulator, "ugal-pf", load=0.4,
                              fault_spec=FAULT_SPEC)
@@ -138,7 +120,7 @@ class TestTriEngineGolden:
             summary = flat.fault_result.summary()
             assert "fault_recovery_cycles" in summary
 
-    def test_workload_windows_match(self, pf, tables):
+    def test_workload_windows_match(self, pf, tables, flat_variants):
         wl = "allreduce:algo=ring,size=64"
         ref = build(pf, tables, NetworkSimulator, "ugal-pf",
                     workload_spec=wl)
@@ -146,7 +128,7 @@ class TestTriEngineGolden:
             ref, window=64, sample_every=8
         )
         assert len(ref_series) >= 2
-        for label, ctx, _ in flat_variants():
+        for label, ctx, _ in flat_variants:
             with ctx():
                 flat = build(pf, tables, FlatSimulator, "ugal-pf",
                              workload_spec=wl)

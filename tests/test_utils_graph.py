@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from oracles import bfs_distances_reference
 
-from repro.utils.graph import Graph, bfs_distances_reference
+from repro.utils.graph import Graph
 
 
 def path_graph(n):

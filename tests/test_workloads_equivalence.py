@@ -9,12 +9,9 @@ included), and workload sweeps are deterministic across worker counts
 and cache round trips.
 """
 
-import contextlib
-
 import numpy as np
 import pytest
 
-from repro.core import PolarFly
 from repro.experiments import (
     Combo,
     ExperimentSpec,
@@ -25,28 +22,8 @@ from repro.experiments import (
 )
 from repro.experiments.runner import auto_sim_config, simulate_workload
 from repro.flitsim import FlatSimulator, NetworkSimulator
-from repro.flitsim._kernel import load_kernel, numpy_fallback
-from repro.routing.tables import RoutingTables
 
 PF_SPEC = "polarfly:conc=2,q=7"
-
-
-def flat_variants():
-    """(label, context factory, expects kernel) for both flat cycle paths."""
-    variants = [("flat-numpy", numpy_fallback, False)]
-    if load_kernel() is not None:
-        variants.append(("flat-kernel", contextlib.nullcontext, True))
-    return variants
-
-
-@pytest.fixture(scope="module")
-def pf():
-    return PolarFly(7, concentration=2)
-
-
-@pytest.fixture(scope="module")
-def tables(pf):
-    return RoutingTables(pf)
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +76,7 @@ def test_specs_cover_every_registered_workload(trace_path):
 
 @pytest.mark.parametrize("policy_spec", ["min", "ugal-pf"])
 def test_flat_matches_reference_all_workloads(
-    pf, tables, trace_path, policy_spec
+    pf, tables, flat_variants, trace_path, policy_spec
 ):
     policy = POLICIES.create(policy_spec, tables)
     cfg = auto_sim_config(policy)
@@ -109,7 +86,7 @@ def test_flat_matches_reference_all_workloads(
             pf, policy, None, 0.0, config=cfg, seed=7, workload=wl
         ).run_workload(max_cycles=100_000)
         assert ref.finished, wspec
-        for label, ctx, expect_kernel in flat_variants():
+        for label, ctx, expect_kernel in flat_variants:
             with ctx():
                 sim = FlatSimulator(
                     pf, policy, None, 0.0, config=cfg, seed=7, workload=wl
