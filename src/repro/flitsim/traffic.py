@@ -161,25 +161,22 @@ def _distance_permutation(topo: Topology, hops: int, seed=0) -> np.ndarray:
     image array aligned with the topology's terminal list.
     """
     rng = make_rng(seed)
-    graph = topo.graph
     terminals = np.flatnonzero(topo.concentration > 0)
     if terminals.size == 0:
         terminals = np.arange(topo.num_routers)
-    term_pos = {int(t): i for i, t in enumerate(terminals)}
     n = terminals.size
+    # One batched BFS from every terminal; column i of ``at_hops`` is the
+    # i-th terminal, so a row's nonzeros are candidate terminal positions.
+    dist = topo.graph.all_pairs_distances(terminals, dtype=np.int16)
+    at_hops = dist[:, terminals] == hops
     candidates: list[list[int]] = []
-    for v in terminals:
-        dist = graph.bfs_distances(int(v))
-        cand = [
-            term_pos[int(u)]
-            for u in np.flatnonzero(dist == hops)
-            if int(u) in term_pos
-        ]
-        if not cand:
+    for v, row in zip(terminals, at_hops):
+        cand = np.flatnonzero(row)
+        if not cand.size:
             raise ValueError(
                 f"router {int(v)} has no terminal at exactly {hops} hops"
             )
-        candidates.append([int(c) for c in rng.permutation(cand)])
+        candidates.append(rng.permutation(cand).tolist())
 
     match_of_dst = np.full(n, -1, dtype=np.int64)
 

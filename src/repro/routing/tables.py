@@ -2,9 +2,9 @@
 
 The paper notes table-based routing is the method of choice for ER graphs
 (Section IV-D); the same tables also serve every baseline topology.  The
-distance matrix comes from one level-synchronous *batched* BFS
-(:meth:`repro.utils.graph.Graph.all_pairs_distances`, expanded in
-cache-sized source blocks) and is stored as int16 (N x N).  The
+distance matrix comes from one bit-parallel all-sources BFS
+(:meth:`repro.utils.graph.Graph.all_pairs_distances`, 64 sources per
+machine word) and is stored as int16 (N x N).  The
 minimal-next-hop candidates are then read straight off it by one
 sort-free builder (:meth:`_CandidateTable.from_distances`) that streams
 source-row blocks and emits every array in its final order, into a
@@ -394,9 +394,8 @@ class RoutingTables:
     ):
         if alive is None and not topo.is_connected():
             raise ValueError("routing tables require a connected topology")
-        # One batched all-sources BFS (expanded in cache-sized source
-        # blocks inside the call) filling the int16 matrix directly, then
-        # the one candidate builder every table uses.
+        # One bit-parallel all-sources BFS filling the int16 matrix
+        # directly, then the one candidate builder every table uses.
         dist = topo.graph.all_pairs_distances(dtype=np.int16)
         self._init_from(topo, dist, path_cache, alive)
         self._candidate_table()

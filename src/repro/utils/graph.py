@@ -1,9 +1,11 @@
 """A compact undirected-graph kernel shared by all subsystems.
 
 The graph is stored in CSR form (``indptr``/``indices``), which keeps
-neighbor iteration allocation-free and makes the BFS kernels below pure
-numpy frontier expansions — no per-vertex Python objects, no adjacency
-copies (guides: vectorize loops, prefer views over copies).
+neighbor iteration allocation-free.  Every distance query runs one
+bit-parallel BFS (:meth:`Graph.all_pairs_distances`): each vertex holds
+one bit per source, 64 sources to a machine word, and a level is one
+``bitwise_or.reduceat`` over the CSR — on diameter-2/3 graphs like
+PolarFly and PolarStar, two or three whole-graph passes.
 
 Only what the reproduction needs is implemented: construction from edge
 lists, BFS distances (single-source and all-sources batched), diameter /
@@ -19,9 +21,9 @@ import numpy as np
 
 __all__ = ["Graph"]
 
-#: working-set bytes of one source-row block of the row-streamed passes —
-#: the batched BFS's int64 dedupe stamp (so also the distance blocks the
-#: diameter / ASPL consumers materialize) and the routing tables'
+#: working-set bytes of one row block of the row-streamed passes — the
+#: BFS's gathered neighbor words of a vertex block, the distance blocks the
+#: diameter / ASPL consumers materialize, and the routing tables'
 #: candidate comparison.  Measured flat within 256 KB-1 MB on every size
 #: from q=19 to q=79 and both PolarStars; 4 MB and up lose to page faults.
 _BLOCK_BYTES = 1 << 19
@@ -133,18 +135,22 @@ class Graph:
     def all_pairs_distances(self, sources=None, dtype=np.int64) -> np.ndarray:
         """Hop distances from many sources at once; unreachable pairs get -1.
 
-        Level-synchronous batched BFS: the frontier is a set of
-        ``(source row, vertex)`` pairs over a whole block of sources
-        simultaneously, and one level is a handful of CSR gathers
-        (``np.repeat`` over the frontier's neighbor slices) — no
-        per-source Python loop.  Row ``i`` equals
+        Bit-parallel level-synchronous BFS over all sources together:
+        ``reach[t]`` holds one bit per source, 64 to a ``uint64`` word
+        (bit ``j & 63`` of word ``j >> 6``), set once
+        ``dist(sources[j], t) <= level``.  One level is ``reach[t] |= OR
+        of reach[u] over u in N(t)`` — a ``np.bitwise_or.reduceat`` over
+        the gathered CSR rows of each block of vertices — after which the
+        newly set bits are unpacked block by block and ``level`` lands in
+        the result through a transposed view of them.  Row ``i`` equals
         ``bfs_distances(sources[i])`` exactly; ``sources=None`` yields the
         full ``n x n`` distance matrix.
 
-        The sources are expanded :data:`_BLOCK_BYTES` of dedupe stamp at a
-        time, so the frontier arrays and the int64 dedupe stamp stay
-        cache-sized whatever the caller asks for: the only allocation
-        that scales with ``len(sources) * n`` is the result itself.
+        The loop stops once every pair is settled (a diameter-2 graph
+        pays two levels, not three) or a level adds nothing (the -1s of
+        a disconnected graph stay).  Besides the result, it holds two
+        bit matrices of ``n * len(sources) / 8`` bytes each and one
+        :data:`_BLOCK_BYTES` block of gathered words or unpacked bits.
 
         ``dtype`` sizes the output (routing tables store int16); a graph
         whose eccentricity does not fit raises :class:`OverflowError`.
@@ -153,63 +159,65 @@ class Graph:
             src = np.arange(self.n, dtype=np.int64)
         else:
             src = np.asarray(sources, dtype=np.int64).ravel()
-        dist = np.full((src.size, self.n), -1, dtype=dtype)
-        step = self._block_rows(8 * self.n)
-        for lo in range(0, src.size, step):
-            self._bfs_block(src[lo : lo + step], dist[lo : lo + step])
-        return dist
-
-    def _bfs_block(self, src: np.ndarray, dist: np.ndarray) -> None:
-        """Fill ``dist`` (all -1, one row per entry of ``src``) in place."""
         k = src.size
-        rows = np.arange(k, dtype=np.int64)
-        dist[rows, src] = 0
-        f_row, f_v = rows, src
-        # Remaining unset entries: once every pair is settled (e.g. after
-        # level 2 on a diameter-2 graph) the loop exits without paying
-        # the final, fruitless frontier expansion.
-        unknown = k * (self.n - 1)
-        # Scratch stamp matrix for sort-free frontier deduplication: the
-        # level's pairs scatter their positions in, and only the entries
-        # that read their own position back survive (last write wins).
-        # Never reset: a (row, vertex) pair is stamped at most once, so
-        # stale stamps are never compared against.
-        stamp = np.empty((k, self.n), dtype=np.int64)
-        level = 0
-        ceiling = np.iinfo(dist.dtype).max
+        dist = np.full((k, self.n), -1, dtype=dtype)
+        col = np.arange(k, dtype=np.int64)
+        dist[col, src] = 0
+        words = -(-k // 64)
+        reach = np.zeros((self.n, words), dtype=np.uint64)
+        np.bitwise_or.at(
+            reach, (src, col >> 6), np.uint64(1) << (col & 63).astype(np.uint64)
+        )
+        nxt = np.empty_like(reach)
+        # Gather blocks, sized by a row's neighbor words: the CSR slice
+        # each reads, and the reduceat offsets of its rows with neighbors
+        # (reduceat hands an empty segment the next row's value).
         indptr, indices = self.indptr, self.indices
-        while f_v.size and unknown > 0:
+        step = self._block_rows(8 * words * (indices.size // max(self.n, 1) + 2))
+        blocks = []
+        for a in range(0, self.n, step):
+            b = min(a + step, self.n)
+            rows = np.flatnonzero(indptr[a + 1 : b + 1] > indptr[a:b])
+            offsets = indptr[a:b][rows] - indptr[a]
+            blocks.append((a, b, indices[indptr[a] : indptr[b]], rows, offsets))
+        # Write blocks, sized by a row's unpacked bits and level term.
+        wstep = self._block_rows(k * (1 + dist.itemsize))
+        unknown = k * (self.n - 1)
+        ceiling = np.iinfo(dist.dtype).max
+        level = 0
+        while unknown > 0:
             level += 1
-            starts = indptr[f_v]
-            counts = indptr[f_v + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
+            for a, b, nbrs, rows, offsets in blocks:
+                new = nxt[a:b]
+                np.copyto(new, reach[a:b])
+                if offsets.size:
+                    new[rows] |= np.bitwise_or.reduceat(reach[nbrs], offsets)
+            added = 0
+            for a in range(0, self.n, wstep):
+                # '<u8', not native uint64: the unpack reads the words'
+                # bytes, least significant first, on any host.
+                fresh = nxt[a : a + wstep] & ~reach[a : a + wstep]
+                fresh = fresh.astype("<u8", copy=False)
+                if not fresh.any():
+                    continue
+                if level > ceiling:
+                    raise OverflowError(
+                        f"BFS level {level} does not fit distance dtype "
+                        f"{dist.dtype.name} (max {ceiling})"
+                    )
+                bits = np.unpackbits(
+                    fresh.view(np.uint8), axis=1, count=k, bitorder="little"
+                ).view(bool)
+                # Fresh pairs are still -1, so subtracting -1 - level sets
+                # them to level: branch-free, unlike a masked copy.
+                block = dist[:, a : a + wstep]
+                np.subtract(block, bits.T * dist.dtype.type(-1 - level), out=block)
+                added += int(np.count_nonzero(bits))
+            if not added:
                 break
-            # Gather every frontier vertex's neighbor slice in one shot:
-            # global position minus the slice's exclusive prefix sum is
-            # the offset within its CSR slice.
-            cum = np.cumsum(counts)
-            gather = np.arange(total, dtype=np.int64) + np.repeat(
-                starts - cum + counts, counts
-            )
-            nbr = indices[gather]
-            row = np.repeat(f_row, counts)
-            fresh = dist[row, nbr] < 0
-            row, nbr = row[fresh], nbr[fresh]
-            if row.size == 0:
-                break
-            if level > ceiling:
-                raise OverflowError(
-                    f"BFS level {level} does not fit distance dtype "
-                    f"{dist.dtype.name} (max {ceiling})"
-                )
-            pos = np.arange(row.size, dtype=np.int64)
-            stamp[row, nbr] = pos
-            keep = stamp[row, nbr] == pos
-            row, nbr = row[keep], nbr[keep]
-            dist[row, nbr] = level
-            unknown -= row.size
-            f_row, f_v = row, nbr
+            unknown -= added
+            reach, nxt = nxt, reach
+        return dist
 
     def bfs_distances(self, source: int) -> np.ndarray:
         """Hop distances from ``source``; unreachable vertices get -1."""
@@ -220,14 +228,8 @@ class Graph:
         return self.all_pairs_distances(np.asarray(sources, dtype=np.int64))
 
     def _block_rows(self, row_bytes: int) -> int:
-        """Source rows per block of a pass that works on ``row_bytes`` each."""
+        """Rows per block of a pass that works on ``row_bytes`` per row."""
         return max(1, _BLOCK_BYTES // max(row_bytes, 1))
-
-    def _source_blocks(self, sources: np.ndarray):
-        """Source chunks, one BFS block each, for the streaming consumers."""
-        step = self._block_rows(8 * self.n)
-        for i in range(0, len(sources), step):
-            yield sources[i : i + step]
 
     def eccentricity(self, v: int) -> int:
         """Max distance from ``v``; -1 when the graph is disconnected."""
@@ -242,37 +244,13 @@ class Graph:
         ``sample`` limits the number of BFS sources (lower bound estimate)
         for large failure sweeps; exact when None.
         """
-        sources = np.arange(self.n)
-        if sample is not None and sample < self.n:
-            from repro.utils.rng import make_rng
-
-            sources = make_rng(rng).choice(self.n, size=sample, replace=False)
-        worst = 0
-        for block in self._source_blocks(sources):
-            dist = self.all_pairs_distances(block)
-            if bool((dist < 0).any()):
-                return -1
-            worst = max(worst, int(dist.max()))
-        return worst
+        return self.diameter_and_aspl(sample, rng)[0]
 
     def average_shortest_path_length(
         self, sample: int | None = None, rng=None
     ) -> float:
         """Mean pairwise hop distance; ``inf`` when disconnected."""
-        sources = np.arange(self.n)
-        if sample is not None and sample < self.n:
-            from repro.utils.rng import make_rng
-
-            sources = make_rng(rng).choice(self.n, size=sample, replace=False)
-        total = 0
-        count = 0
-        for block in self._source_blocks(sources):
-            dist = self.all_pairs_distances(block)
-            if bool((dist < 0).any()):
-                return float("inf")
-            total += int(dist.sum())
-            count += dist.shape[0] * (self.n - 1)
-        return total / count if count else 0.0
+        return self.diameter_and_aspl(sample, rng)[1]
 
     def diameter_and_aspl(
         self, sample: int | None = None, rng=None
@@ -281,20 +259,22 @@ class Graph:
 
         Failure sweeps need both per checkpoint; computing them
         separately pays the all-pairs expansion twice (and, when
-        sampling, draws two different source sets).  Returns
-        ``(-1, inf)`` on the first disconnected block, without expanding
-        the remaining sources.
+        sampling, draws two different source sets).  The sources are
+        expanded in whole 64-source words, each block's int64 distance
+        rows about :data:`_BLOCK_BYTES`.  Returns ``(-1, inf)`` on the
+        first disconnected block, without expanding the remaining sources.
         """
         sources = np.arange(self.n)
         if sample is not None and sample < self.n:
             from repro.utils.rng import make_rng
 
             sources = make_rng(rng).choice(self.n, size=sample, replace=False)
+        step = 64 * -(-self._block_rows(8 * self.n) // 64)
         worst = 0
         total = 0
         count = 0
-        for block in self._source_blocks(sources):
-            dist = self.all_pairs_distances(block)
+        for lo in range(0, sources.size, step):
+            dist = self.all_pairs_distances(sources[lo : lo + step])
             if bool((dist < 0).any()):
                 return -1, float("inf")
             worst = max(worst, int(dist.max()))

@@ -71,14 +71,18 @@ def ring_allreduce(topo, size: int = 64) -> Workload:
     n = t.size
     chunk = max(1, int(size) // n)
     steps = 2 * (n - 1)
-    msgs = []
-    for s in range(steps):
-        for i in range(n):
-            deps = (int((s - 1) * n + (i - 1) % n),) if s else ()
-            msgs.append(
-                Message(int(t[i]), int(t[(i + 1) % n]), chunk, deps)
-            )
-    return Workload(f"allreduce-ring(size={size})", msgs, topo)
+    # Message id s * n + i: rank i's send at step s.
+    step, rank = np.divmod(np.arange(steps * n, dtype=np.int64), n)
+    later = step > 0
+    return Workload.from_arrays(
+        f"allreduce-ring(size={size})",
+        t[rank],
+        t[(rank + 1) % n],
+        np.full(rank.size, chunk),
+        later,
+        ((step - 1) * n + (rank - 1) % n)[later],
+        topo,
+    )
 
 
 def recursive_doubling_allreduce(topo, size: int = 64) -> Workload:
@@ -93,13 +97,18 @@ def recursive_doubling_allreduce(topo, size: int = 64) -> Workload:
     if p < 2:
         raise ValueError("recursive doubling needs >= 2 terminal routers")
     rounds = p.bit_length() - 1
-    msgs = []
-    for s in range(rounds):
-        for i in range(p):
-            partner = i ^ (1 << s)
-            deps = ((s - 1) * p + (i ^ (1 << (s - 1))),) if s else ()
-            msgs.append(Message(int(t[i]), int(t[partner]), int(size), deps))
-    return Workload(f"allreduce-rd(size={size})", msgs, topo)
+    # Message id s * p + i: rank i's send in round s.
+    rnd, rank = np.divmod(np.arange(rounds * p, dtype=np.int64), p)
+    later = rnd > 0
+    return Workload.from_arrays(
+        f"allreduce-rd(size={size})",
+        t[rank],
+        t[rank ^ (1 << rnd)],
+        np.full(rank.size, int(size)),
+        later,
+        ((rnd - 1) * p + (rank ^ (1 << np.maximum(rnd - 1, 0))))[later],
+        topo,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -109,13 +118,19 @@ def all_to_all(topo, size: int = 8) -> Workload:
     """Personalized all-to-all: every rank sends ``size`` flits to every
     other rank, dependency-free — ``N(N-1)`` concurrent messages."""
     t = terminal_routers(topo)
-    msgs = [
-        Message(int(a), int(b), int(size))
-        for a in t
-        for b in t
-        if a != b
-    ]
-    return Workload(f"alltoall(size={size})", msgs, topo)
+    n = t.size
+    a, b = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    off_diagonal = a != b
+    m = n * (n - 1)
+    return Workload.from_arrays(
+        f"alltoall(size={size})",
+        t[a[off_diagonal]],
+        t[b[off_diagonal]],
+        np.full(m, int(size)),
+        np.zeros(m, dtype=np.int64),
+        (),
+        topo,
+    )
 
 
 def _torus_grid(n: int) -> tuple:
@@ -139,41 +154,47 @@ def halo_exchange(topo, size: int = 16, iters: int = 2) -> Workload:
     t = terminal_routers(topo)
     n = t.size
     rows, cols = _torus_grid(n)
-
-    def nbrs(i: int) -> list:
-        r, c = divmod(i, cols)
-        cand = [
+    rank = np.arange(n, dtype=np.int64)
+    r, c = np.divmod(rank, cols)
+    # Up, down, left, right; a candidate equal to the rank itself or to
+    # an earlier candidate (small tori wrap onto themselves) is dropped.
+    cand = np.stack(
+        [
             ((r - 1) % rows) * cols + c,
             ((r + 1) % rows) * cols + c,
             r * cols + (c - 1) % cols,
             r * cols + (c + 1) % cols,
-        ]
-        out: list = []
-        for x in cand:
-            if x != i and x not in out:
-                out.append(x)
-        return out
-
-    neighbor = [nbrs(i) for i in range(n)]
-    # Message id layout: iteration-major, rank-major, neighbor-minor.
-    offsets = np.concatenate(
-        [[0], np.cumsum([len(x) for x in neighbor])]
-    ).astype(np.int64)
-    per_iter = int(offsets[-1])
-    # recv_ids[i] = ids (within one iteration) of messages arriving at i
-    recv_ids: list = [[] for _ in range(n)]
-    for i in range(n):
-        for j, v in enumerate(neighbor[i]):
-            recv_ids[v].append(int(offsets[i]) + j)
-    msgs = []
-    for k in range(int(iters)):
-        for i in range(n):
-            deps = (
-                tuple((k - 1) * per_iter + d for d in recv_ids[i]) if k else ()
-            )
-            for v in neighbor[i]:
-                msgs.append(Message(int(t[i]), int(t[v]), int(size), deps))
-    return Workload(f"halo(size={size},iters={iters})", msgs, topo)
+        ],
+        axis=1,
+    )
+    keep = cand != rank[:, None]
+    for j in range(1, cand.shape[1]):
+        keep[:, j] &= (cand[:, :j] != cand[:, j : j + 1]).all(axis=1)
+    # One iteration's messages, rank-major and neighbor-minor.
+    sender = np.repeat(rank, keep.sum(axis=1))
+    receiver = cand[keep]
+    per_iter = sender.size
+    # Each send of iteration k waits on every halo its sender received in
+    # iteration k - 1: the ids with that receiver, ascending.
+    received = np.argsort(receiver, kind="stable")
+    recv_count = np.bincount(receiver, minlength=n)
+    recv_end = np.cumsum(recv_count)
+    counts = recv_count[sender]
+    ends = np.cumsum(counts)
+    deps = received[
+        np.repeat(recv_end[sender] - ends, counts) + np.arange(ends[-1])
+    ]
+    reps = max(int(iters), 0)
+    later = np.arange(per_iter * reps) >= per_iter
+    return Workload.from_arrays(
+        f"halo(size={size},iters={iters})",
+        np.tile(t[sender], reps),
+        np.tile(t[receiver], reps),
+        np.full(per_iter * reps, int(size)),
+        np.where(later, np.tile(counts, reps), 0),
+        (deps + per_iter * np.arange(reps - 1)[:, None]).ravel(),
+        topo,
+    )
 
 
 def incast(topo, size: int = 32, root: int = 0, reply: bool = False) -> Workload:
@@ -183,13 +204,20 @@ def incast(topo, size: int = 32, root: int = 0, reply: bool = False) -> Workload
     t = terminal_routers(topo)
     if not 0 <= int(root) < t.size:
         raise ValueError(f"root must index a terminal rank [0, {t.size})")
-    server = int(t[int(root)])
-    workers = [int(x) for x in t if int(x) != server]
-    msgs = [Message(w, server, int(size)) for w in workers]
-    if reply:
-        barrier = tuple(range(len(workers)))
-        msgs.extend(Message(server, w, int(size), barrier) for w in workers)
-    return Workload(f"incast(size={size},reply={reply})", msgs, topo)
+    server = t[int(root)]
+    workers = t[t != server]
+    w = workers.size
+    # With ``reply``, w replies follow, each gated on all w incasts.
+    r = w if reply else 0
+    return Workload.from_arrays(
+        f"incast(size={size},reply={reply})",
+        np.concatenate([workers, np.full(r, server)]),
+        np.concatenate([np.full(w, server), workers[:r]]),
+        np.full(w + r, int(size)),
+        np.repeat([0, w], [w, r]),
+        np.tile(np.arange(w), r),
+        topo,
+    )
 
 
 # ----------------------------------------------------------------------

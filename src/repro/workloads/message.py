@@ -11,7 +11,8 @@ practice.
 
 :class:`Message` is one ``src -> dst`` transfer of ``size_flits`` flits
 with a tuple of prerequisite message ids; :class:`Workload` validates a
-set of messages into flat arrays (sources, destinations, sizes, a
+set of messages — or, via :meth:`Workload.from_arrays`, the same arrays
+built directly — into flat arrays (sources, destinations, sizes, a
 dependency CSR and its transpose) that both simulation engines and the
 eligibility bookkeeping (:mod:`repro.workloads.state`) consume directly.
 """
@@ -68,31 +69,51 @@ class Workload:
     """
 
     def __init__(self, name: str, messages, topo=None):
-        self.name = str(name)
         messages = list(messages)
-        m = len(messages)
+        self._init_arrays(
+            name,
+            [msg.src for msg in messages],
+            [msg.dst for msg in messages],
+            [msg.size_flits for msg in messages],
+            [len(msg.deps) for msg in messages],
+            [d for msg in messages for d in msg.deps],
+            topo,
+        )
+
+    @classmethod
+    def from_arrays(
+        cls, name: str, src, dst, size, dep_counts, flat_deps, topo=None
+    ) -> "Workload":
+        """Build from per-message arrays, with the same validation.
+
+        ``flat_deps`` lists every message's prerequisite ids back to back
+        in message order, ``dep_counts[i]`` of them for message ``i`` —
+        the arrays :class:`Message` lists flatten into, so generators can
+        emit them directly instead of one object per message.
+        """
+        workload = cls.__new__(cls)
+        workload._init_arrays(name, src, dst, size, dep_counts, flat_deps, topo)
+        return workload
+
+    def _init_arrays(self, name, src, dst, size, dep_counts, flat_deps, topo):
+        self.name = str(name)
+        self.src, self.dst, self.size, self.dep_counts, flat_deps = (
+            np.array(a, dtype=np.int64).ravel()
+            for a in (src, dst, size, dep_counts, flat_deps)
+        )
+        m = self.src.size
         if m == 0:
             raise ValueError("workload must contain at least one message")
-        self.src = np.fromiter((msg.src for msg in messages), count=m, dtype=np.int64)
-        self.dst = np.fromiter((msg.dst for msg in messages), count=m, dtype=np.int64)
-        self.size = np.fromiter(
-            (msg.size_flits for msg in messages), count=m, dtype=np.int64
-        )
+        if not self.dst.size == self.size.size == self.dep_counts.size == m:
+            raise ValueError("per-message arrays must have equal lengths")
         if np.any(self.size < 1):
             raise ValueError("message sizes must be >= 1 flit")
         if np.any(self.src == self.dst):
             raise ValueError("messages must have src != dst")
+        if np.any(self.dep_counts < 0) or self.dep_counts.sum() != flat_deps.size:
+            raise ValueError("dep_counts must partition flat_deps")
 
-        # Dependency CSR (deps of message i) and its transpose
-        # (dependents of message i), both built in one pass.
-        self.dep_counts = np.fromiter(
-            (len(msg.deps) for msg in messages), count=m, dtype=np.int64
-        )
-        flat_deps = np.fromiter(
-            (d for msg in messages for d in msg.deps),
-            count=int(self.dep_counts.sum()),
-            dtype=np.int64,
-        )
+        # Transposed dependency CSR (dependents of message i).
         if flat_deps.size and (flat_deps.min() < 0 or flat_deps.max() >= m):
             raise ValueError("dependency id out of range")
         owner = np.repeat(np.arange(m, dtype=np.int64), self.dep_counts)

@@ -75,3 +75,70 @@ def dense_polar_adjacency(pf) -> np.ndarray:
     adj = pf.field.dot(v[:, None, :], v[None, :, :]) == 0
     np.fill_diagonal(adj, False)
     return adj
+
+
+def message_list_workload(topo, kind: str, **kw):
+    """The seed's per-message :class:`Message`-list build of a generator.
+
+    ``ring_allreduce`` / ``recursive_doubling_allreduce`` / ``all_to_all``
+    / ``halo_exchange`` / ``incast`` now emit their arrays directly via
+    ``Workload.from_arrays``; each is pinned to build the same arrays as
+    this loop form.
+    """
+    from repro.workloads.generators import _torus_grid, terminal_routers
+    from repro.workloads.message import Message, Workload
+
+    t = [int(x) for x in terminal_routers(topo)]
+    n = len(t)
+    size = int(kw.get("size", 8))
+    msgs = []
+    if kind == "ring":
+        chunk = max(1, size // n)
+        for s in range(2 * (n - 1)):
+            for i in range(n):
+                deps = ((s - 1) * n + (i - 1) % n,) if s else ()
+                msgs.append(Message(t[i], t[(i + 1) % n], chunk, deps))
+    elif kind == "rd":
+        p = 1 << (n.bit_length() - 1)
+        for s in range(p.bit_length() - 1):
+            for i in range(p):
+                deps = ((s - 1) * p + (i ^ (1 << (s - 1))),) if s else ()
+                msgs.append(Message(t[i], t[i ^ (1 << s)], size, deps))
+    elif kind == "alltoall":
+        msgs = [Message(a, b, size) for a in t for b in t if a != b]
+    elif kind == "halo":
+        rows, cols = _torus_grid(n)
+        neighbor = []
+        for i in range(n):
+            r, c = divmod(i, cols)
+            out = []
+            for x in (
+                ((r - 1) % rows) * cols + c,
+                ((r + 1) % rows) * cols + c,
+                r * cols + (c - 1) % cols,
+                r * cols + (c + 1) % cols,
+            ):
+                if x != i and x not in out:
+                    out.append(x)
+            neighbor.append(out)
+        offsets = np.concatenate([[0], np.cumsum([len(x) for x in neighbor])])
+        per_iter = int(offsets[-1])
+        recv_ids = [[] for _ in range(n)]
+        for i in range(n):
+            for j, v in enumerate(neighbor[i]):
+                recv_ids[v].append(int(offsets[i]) + j)
+        for k in range(int(kw.get("iters", 2))):
+            for i in range(n):
+                deps = tuple((k - 1) * per_iter + d for d in recv_ids[i]) if k else ()
+                for v in neighbor[i]:
+                    msgs.append(Message(t[i], t[v], size, deps))
+    elif kind == "incast":
+        server = t[int(kw.get("root", 0))]
+        workers = [x for x in t if x != server]
+        msgs = [Message(w, server, size) for w in workers]
+        if kw.get("reply", False):
+            barrier = tuple(range(len(workers)))
+            msgs.extend(Message(server, w, size, barrier) for w in workers)
+    else:
+        raise ValueError(kind)
+    return Workload(kind, msgs, topo)

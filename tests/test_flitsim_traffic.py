@@ -118,6 +118,34 @@ class TestDistancePermutations:
         b = one_hop_permutation(pf, seed=1)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "spec, hops, seed, digest, head",
+        [
+            ("polarfly:conc=2,q=7", 1, 0, "60190249a59a9e30", [53, 6, 17, 49, 5, 32]),
+            ("polarfly:conc=2,q=7", 1, 3, "6d1066a47f1ef4fe", [56, 13, 31, 37, 19, 32]),
+            ("polarfly:conc=2,q=7", 2, 0, "647f0340b9f98bca", [44, 28, 8, 42, 50, 23]),
+            ("polarfly:conc=2,q=7", 2, 3, "396af7a8cb5df0d0", [23, 47, 43, 15, 28, 31]),
+            ("slimfly:conc=2,q=5", 1, 0, "3bacabd899d4f21b", [45, 41, 27, 28, 34, 25]),
+            ("slimfly:conc=2,q=5", 1, 3, "d769fc061ff57620", [45, 0, 3, 2, 34, 25]),
+            ("slimfly:conc=2,q=5", 2, 0, "0c2d5ee3c1ddc85f", [21, 34, 7, 18, 46, 31]),
+            ("slimfly:conc=2,q=5", 2, 3, "11a8e8c45f3d9cf4", [20, 37, 13, 46, 9, 35]),
+            # Terminals are a subset of the routers (the edge switches).
+            ("fattree:k=4,n=3", 2, 0, "0dd3e489ab0339ff", [3, 2, 0, 1, 5, 4]),
+            ("fattree:k=4,n=3", 2, 3, "b29f40597e35ae03", [3, 0, 1, 2, 5, 6]),
+        ],
+    )
+    def test_permutation_pinned(self, spec, hops, seed, digest, head):
+        """Fixed seeds give the same permutation as the per-terminal BFS loop."""
+        import hashlib
+
+        from repro.experiments.registry import TOPOLOGIES
+        from repro.flitsim.traffic import _distance_permutation
+
+        mapping = _distance_permutation(TOPOLOGIES.create(spec), hops, seed)
+        assert mapping[:6].tolist() == head
+        raw = np.ascontiguousarray(mapping, dtype="<i8").tobytes()
+        assert hashlib.sha256(raw).hexdigest()[:16] == digest
+
     def test_impossible_distance_raises(self):
         # Diameter-2 network has no 3-hop destinations.
         pf = PolarFly(5, concentration=1)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from oracles import bfs_distances_reference
 
 from repro.utils.graph import Graph
@@ -17,6 +19,30 @@ def cycle_graph(n):
 
 def complete_graph(n):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def random_graph(rng, n, degree):
+    """~``degree * n / 2`` random edges: isolated vertices and several
+    components at low degree."""
+    pairs = rng.integers(0, max(n, 1), size=(int(degree * n / 2), 2))
+    return Graph(n, pairs[pairs[:, 0] != pairs[:, 1]])
+
+
+def _assert_matches_reference(g, sources, dtype):
+    """Rows equal the per-source oracle, or the BFS raises exactly when
+    the oracle's distances overflow ``dtype``."""
+    rows = range(g.n) if sources is None else [int(s) for s in sources]
+    want = np.array(
+        [bfs_distances_reference(g, s) for s in rows], dtype=np.int64
+    ).reshape(len(rows), g.n)
+    ceiling = np.iinfo(dtype).max
+    if want.size and want.max() > ceiling:
+        with pytest.raises(OverflowError, match=f"level {ceiling + 1} "):
+            g.all_pairs_distances(sources, dtype=dtype)
+        return
+    got = g.all_pairs_distances(sources, dtype=dtype)
+    assert got.dtype == dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 class TestConstruction:
@@ -176,6 +202,61 @@ class TestBatchedBFS:
         assert g.all_pairs_distances([0], dtype=np.int16)[0, -1] == 199
         # 127 itself still fits.
         assert path_graph(128).all_pairs_distances([0], dtype=np.int8)[0, -1] == 127
+
+    def test_sources_across_word_boundaries(self):
+        # 63/64/65/129 sources: a partial word, one full word, a word and
+        # one bit, two words and one bit — on a graph with isolated
+        # vertices and several components.
+        g = random_graph(np.random.default_rng(5), 150, 1.2)
+        for k in (63, 64, 65, 129):
+            sources = np.random.default_rng(k).integers(0, g.n, size=k)
+            _assert_matches_reference(g, sources, np.int16)
+
+    def test_word_bit_order(self):
+        # Bit j of word j >> 6 is source j: on a path the distance from
+        # source s to t is |s - t|, so a misplaced bit or byte shows up
+        # as a row with the wrong minimum.
+        g = path_graph(70)
+        sources = np.arange(68, 3, -1)
+        got = g.all_pairs_distances(sources)
+        assert np.array_equal(got, np.abs(sources[:, None] - np.arange(70)))
+
+    def test_vertex_block_boundaries(self, monkeypatch):
+        # One vertex row per block, a ragged last block and one block all
+        # give the same matrix (and the same diameter/ASPL blocks).
+        g = random_graph(np.random.default_rng(8), 130, 1.5)
+        g = Graph(g.n, np.concatenate([g.edges(), [[0, 1], [1, 2]]]))
+        want = np.stack([bfs_distances_reference(g, s) for s in range(g.n)])
+        connected = path_graph(90)
+        want_stats = connected.diameter_and_aspl()
+        for rows in (1, 7, g.n + 3):
+            monkeypatch.setattr(Graph, "_block_rows", lambda self, row_bytes: rows)
+            assert np.array_equal(g.all_pairs_distances(), want)
+            assert connected.diameter_and_aspl() == want_stats
+            assert g.diameter_and_aspl() == (-1, float("inf"))
+
+    @given(data=st.data())
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_matches_reference_property(self, data):
+        """Any graph up to 200 vertices, any source multiset, any dtype."""
+        n = data.draw(st.integers(0, 200), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        degree = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 5.0]))
+        chain = data.draw(st.integers(0, n), label="chain")
+        k = data.draw(st.sampled_from([0, 1, 63, 64, 65, 129]) | st.integers(0, 300))
+        every_source = data.draw(st.booleans(), label="all")
+        dtype = data.draw(st.sampled_from([np.int8, np.int16, np.int64]))
+        g = random_graph(rng, n, degree)
+        if chain > 1:
+            # A long path through part of the graph: deep BFS levels
+            # (int8 overflows past 127).
+            walk = rng.permutation(n)[:chain]
+            g = Graph(n, np.concatenate([g.edges(), np.stack([walk[:-1], walk[1:]], 1)]))
+        # Unsorted, with repeats, possibly empty.
+        sources = None if every_source else rng.integers(0, max(n, 1), size=k if n else 0)
+        _assert_matches_reference(g, sources, dtype)
 
     def test_bfs_distances_delegates(self):
         g = Graph(7, [(0, 1), (1, 2), (4, 5)])

@@ -120,6 +120,65 @@ class TestGeneratorShapes:
         assert np.all(wl.src[workers:] == int(t[0]))
 
 
+class TestArrayBuild:
+    """The generators emit arrays directly, identical to the Message-list build."""
+
+    #: registered spec -> keyword arguments of the Message-list oracle
+    SPECS = {
+        "allreduce:algo=ring,size=64": ("ring", {"size": 64}),
+        "allreduce:algo=ring,size=3": ("ring", {"size": 3}),
+        "allreduce:algo=rd,size=16": ("rd", {"size": 16}),
+        "alltoall:size=8": ("alltoall", {"size": 8}),
+        "halo:iters=1,size=16": ("halo", {"size": 16, "iters": 1}),
+        "halo:iters=3,size=4": ("halo", {"size": 4, "iters": 3}),
+        "incast:size=32": ("incast", {"size": 32}),
+        "incast:reply=true,root=3,size=32": (
+            "incast", {"size": 32, "root": 3, "reply": True}
+        ),
+    }
+
+    def test_every_array_built_generator_is_covered(self):
+        # ``trace`` alone still builds Message objects (one per JSONL line).
+        covered = {WORKLOADS.parse(spec)[0] for spec in self.SPECS}
+        assert covered == set(WORKLOADS.names()) - {"trace"}
+
+    @pytest.mark.parametrize(
+        "topo_spec", ["polarfly:conc=2,q=7", "polarfly:conc=2,q=9", "fattree:k=4,n=3"]
+    )
+    def test_matches_message_list_build(self, topo_spec):
+        from oracles import message_list_workload
+
+        from repro.experiments.registry import TOPOLOGIES
+
+        topo = TOPOLOGIES.create(topo_spec)
+        for spec, (kind, kw) in self.SPECS.items():
+            got = WORKLOADS.create(spec, topo)
+            want = message_list_workload(topo, kind, **kw)
+            for attr in (
+                "src", "dst", "size", "dep_counts",
+                "dependents_indptr", "dependents_indices",
+            ):
+                a, b = getattr(got, attr), getattr(want, attr)
+                assert a.dtype == b.dtype == np.int64, (spec, attr)
+                assert np.array_equal(a, b), (topo_spec, spec, attr)
+
+    def test_from_arrays_validates_like_messages(self):
+        ok = Workload.from_arrays("ok", [0, 1], [1, 2], [4, 4], [0, 1], [0])
+        assert ok.messages() == [Message(0, 1, 4), Message(1, 2, 4, (0,))]
+        with pytest.raises(ValueError, match="cycle"):
+            Workload.from_arrays("bad", [0, 1], [1, 0], [4, 4], [1, 1], [1, 0])
+        with pytest.raises(ValueError, match="src != dst"):
+            Workload.from_arrays("bad", [3], [3], [4], [0], [])
+        with pytest.raises(ValueError, match="out of range"):
+            Workload.from_arrays("bad", [0], [1], [4], [1], [7])
+        with pytest.raises(ValueError, match="at least one"):
+            Workload.from_arrays("bad", [], [], [], [], [])
+        with pytest.raises(ValueError, match="equal lengths"):
+            Workload.from_arrays("bad", [0, 1], [1], [4, 4], [0, 0], [])
+        with pytest.raises(ValueError, match="partition"):
+            Workload.from_arrays("bad", [0], [1], [4], [2], [0])
+
+
 # ----------------------------------------------------------------------
 # Validation
 # ----------------------------------------------------------------------
