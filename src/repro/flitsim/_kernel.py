@@ -190,19 +190,19 @@ typedef struct {
 typedef struct {
     /* 0 min, 1 valiant, 2 compact valiant, 3 ugal, 4 ugal-pf, 5 ftnca */
     int64_t mode;
-    int64_t n, n_multi, bias, vc_depth;
+    int64_t n, bias, vc_depth;
     double over;            /* ugal-pf: threshold * capacity */
     int64_t ft_k, ft_spl;   /* ftnca: arity, switches per level */
     /* RoutingTables: distance matrix + compact candidate table.  A
      * fault epoch's RowPatchedDist binds as its base matrix plus the
      * rows the failure changed: patch_row[r] is r's row in `patch`, -1
      * for a base row (patch_row NULL: a plain matrix). */
-    int16_t *dist, *patch, *first, *multi_data;
+    int16_t *dist, *patch, *first;
     int64_t *patch_row;
     uint8_t *count;
-    int32_t *multi_pairs, *multi_indptr;
     /* CSR of policy.topo.graph — the *degraded* graph in a fault epoch,
-     * unlike SimState's adj_* port map of the intact fabric. */
+     * unlike SimState's adj_* port map of the intact fabric; tied next
+     * hops are found again by scanning its sorted rows. */
     int64_t *g_indptr, *g_indices;
     int8_t *alive;          /* NULL: every router alive */
     /* Scratch: cap * (2 * width + 13) int64; rows are `width` wide. */
@@ -674,23 +674,22 @@ static int64_t dist_at(const Selector *s, int64_t r, int64_t c)
     return s->dist[r * s->n + c];
 }
 
-/* Row of `pair` in the overflow CSR: searchsorted over its int32 keys. */
-static int64_t multi_row(const Selector *s, int64_t pair)
+/* Candidate `pick` of (cur, to), ascending id: the table builder's own
+ * predicate, dist[v, to] == dist[cur, to] - 1, over cur's sorted row. */
+static int64_t nth_hop(const Selector *s, int64_t cur, int64_t to, int64_t pick)
 {
-    int64_t lo = 0, hi = s->n_multi;
-    while (lo < hi) {
-        int64_t mid = lo + (hi - lo) / 2;
-        if (s->multi_pairs[mid] < pair)
-            lo = mid + 1;
-        else
-            hi = mid;
+    int64_t closer = dist_at(s, cur, to) - 1, v = cur;
+    for (int64_t e = s->g_indptr[cur]; e < s->g_indptr[cur + 1]; e++) {
+        v = s->g_indices[e];
+        if (dist_at(s, v, to) == closer && pick-- == 0)
+            break;
     }
-    return lo;
+    return v;
 }
 
 /* RoutingTables.shortest_paths_batch(from, to, rng) over m rows:
  * column-major (for each path column, the rows still walking in row
- * order), one draw per tied pair, overflow CSR only for picks > 0.
+ * order), one draw per tied pair, a neighbor scan only for picks > 0.
  * Row j's path goes to out[row[j]] (row NULL: j) from column
  * off0 + base[row[j]] (base NULL: 0) on; columns past the row width are
  * dropped, the lengths stay exact.  wl[j] receives the path length. */
@@ -720,8 +719,7 @@ static void walk(const Selector *s, bitgen_t *bg, int64_t m,
             if (cnt > 1) {
                 int64_t pick = draw(bg, cnt);
                 if (pick > 0)
-                    nxt = s->multi_data[
-                        s->multi_indptr[multi_row(s, pair)] + pick];
+                    nxt = nth_hop(s, cur[j], to[j], pick);
             }
             cur[j] = nxt;
             int64_t r = row_of(row, j);

@@ -15,8 +15,11 @@ from what it can observe, when the mirror applies.  It serves exactly
 :class:`UGALPFRouting` and :class:`FatTreeNCARouting` (exact types — a
 subclass may override any step; FT-NCA on exactly the stock
 :class:`~repro.topologies.fattree.FatTree` wiring) over tables in the
-plain narrow layout: C-contiguous int16 ``dist``/``first``/``multi_data``,
-uint8 ``count``, int32 overflow-CSR keys and offsets.  A fault epoch's
+plain narrow layout: C-contiguous int16 ``dist``/``first`` and uint8
+``count``; a tied pair's other candidates are found by scanning the
+source's row of the graph CSR (``policy.topo`` is ``tables.topo``:
+``retable`` swaps both), exactly as the table builder found them, so
+nothing else is bound.  A fault epoch's
 :class:`~repro.routing.tables.RowPatchedDist` binds as it is stored —
 the shared base matrix, the patch block and the row map between them —
 so a ``linkflap`` epoch selects in C like the intact network.  Anything
@@ -161,10 +164,7 @@ class KernelSelector:
             ("dist", dist, np.int16),
             *patch,
             ("first", cands.first, np.int16),
-            ("multi_data", cands.multi_data, np.int16),
             ("count", cands.count, np.uint8),
-            ("multi_pairs", cands.multi_pairs, np.int32),
-            ("multi_indptr", cands.multi_indptr, np.int32),
             ("g_indptr", graph.indptr, np.int64),
             ("g_indices", graph.indices, np.int64),
         )
@@ -185,7 +185,6 @@ class KernelSelector:
             sel.alive = view = ffi.from_buffer("int8_t[]", alive)
             self._bound.append(view)
         sel.n = n
-        sel.n_multi = cands.multi_pairs.size
         return True
 
     def bind(self, sim, rng, k: int) -> bool:

@@ -7,9 +7,9 @@ distance matrix comes from one bit-parallel all-sources BFS
 machine word) and is stored as int16 (N x N).  The
 minimal-next-hop candidates are then read straight off it by one
 sort-free builder (:meth:`_CandidateTable.from_distances`) that streams
-source-row blocks and emits every array in its final order, into a
-compact table — a per-pair count byte, a narrow lowest-id ``first`` hop,
-and an overflow CSR holding only the pairs with an ECMP tie — instead of
+source-row blocks into a compact table — a per-pair count byte and a
+narrow lowest-id ``first`` hop; the other candidates of an ECMP tie are
+found again on demand by scanning the source's neighbors — instead of
 the seed's dense ``n*n + 1`` int64 ``indptr``.  Fresh builds and
 fault-repair rebuilds share that builder, its peak memory is the output
 plus one block, and all of it is pinned bit-identical to the seed
@@ -63,16 +63,6 @@ def _value_dtype(n: int):
     return np.int16 if n <= np.iinfo(np.int16).max else np.int32
 
 
-def _index_dtype(limit: int):
-    """Narrowest signed dtype holding offsets / keys ``0..limit``.
-
-    The overflow CSR's pair keys are below ``n * n`` and its offsets end
-    at the candidate total; int32 halves both arrays whenever they fit
-    (any n below 46 341), and is the width ``kselect`` binds.
-    """
-    return np.int32 if limit <= np.iinfo(np.int32).max else np.int64
-
-
 def _count_dtype(max_degree: int):
     """Narrowest unsigned dtype holding per-pair candidate counts."""
     if max_degree < 2**8:
@@ -85,31 +75,30 @@ def _count_dtype(max_degree: int):
 class _CandidateTable:
     """Compact minimal-next-hop candidates over all ``(src, dst)`` pairs.
 
-    Three flat pieces replace the seed's dense CSR (whose ``n*n + 1``
-    int64 ``indptr`` alone is 320 MB at q=79):
+    Two flat ``n * n`` arrays replace the seed's dense CSR (whose
+    ``n*n + 1`` int64 ``indptr`` alone is 320 MB at q=79):
 
     - ``count``: candidates per pair (uint8 for any realistic radix),
     - ``first``: the lowest-id candidate per pair (int16 when router
       ids fit; -1 for unset/unreachable pairs),
-    - an overflow CSR (``multi_pairs`` sorted keys and ``multi_indptr``
-      offsets, int32 whenever ``n * n`` and the candidate total fit,
-      and ``multi_data``) listing *all* candidates, in ascending id
-      order, only for the pairs with an ECMP tie.
 
+    next to ``nbr``, the builder's padded ``[n, W + 1]`` neighbor rows
+    (``W`` the maximum degree), and the distance matrix it read.
     Deterministic serving reads ``first``; tie-breaking draws an index
-    and only touches the overflow CSR for nonzero picks, so the RNG
-    stream and every served hop are bit-identical to the dense layout's.
+    per tied pair and resolves a nonzero pick with :meth:`nth_hop`, which
+    re-runs the builder's predicate over the source's sorted neighbor
+    row.  Nothing is stored per tie, and the RNG stream and every served
+    hop are bit-identical to the dense layout's.
     """
 
-    __slots__ = ("n", "count", "first", "multi_pairs", "multi_indptr", "multi_data")
+    __slots__ = ("n", "count", "first", "nbr", "dist")
 
-    def __init__(self, n, count, first, multi_pairs, multi_indptr, multi_data):
+    def __init__(self, n, count, first, nbr, dist):
         self.n = int(n)
         self.count = count
         self.first = first
-        self.multi_pairs = multi_pairs
-        self.multi_indptr = multi_indptr
-        self.multi_data = multi_data
+        self.nbr = nbr
+        self.dist = dist
 
     @classmethod
     def from_distances(cls, graph, dist) -> "_CandidateTable":
@@ -117,26 +106,23 @@ class _CandidateTable:
 
         Neighbor ``v`` of ``s`` is a candidate toward ``dst`` iff
         ``dist[v, dst] == dist[s, dst] - 1``.  The CSR is padded into a
-        rectangular ``nbr[n, D]`` whose pad is the router itself — never
-        one hop closer than itself, so irregular-degree and dead-router
-        rows need no special case — and the test runs for a block of
-        source rows against all ``D`` neighbor slots and every
+        rectangular ``nbr[n, W + 1]`` whose pad is the router itself —
+        never one hop closer than itself, so irregular-degree and
+        dead-router rows need no special case — and the test runs for a
+        block of source rows against all ``W`` neighbor slots and every
         destination at once.  Reducing that boolean block over the slot
-        axis gives ``count`` and the lowest set slot (``first``); one
-        ``flatnonzero`` over the slot columns of the tied pairs lists
-        their candidates as (src, dst, ascending neighbor id), which is
-        the overflow CSR's final order.  Nothing is sorted or merged, and
-        the only transient is one block's comparison workspace.
+        axis gives ``count`` and the lowest set slot (``first``; the last
+        column, -1, stands for "no slot set").  Nothing is sorted or
+        merged, and the only transient is one block's comparison
+        workspace.
         """
         n = graph.n
         degree = graph.degree()
         width = int(degree.max()) if n else 0
         vdt = _value_dtype(n)
         cdt = _count_dtype(width)
-        kdt = _index_dtype(n * n)
         count = np.empty((n, n), dtype=cdt)
         first = np.empty((n, n), dtype=vdt)
-        # One extra column of -1: the "slot" of a pair with no candidate.
         nbr = np.repeat(np.arange(n, dtype=vdt), width + 1).reshape(n, width + 1)
         nbr[:, width] = -1
         slot = np.arange(graph.indices.size, dtype=np.int64) - np.repeat(
@@ -154,43 +140,41 @@ class _CandidateTable:
         else:
             cmp_dist = np.asarray(dist)
         one = cmp_dist.dtype.type(1)
-        pairs, sizes, data = (
-            [np.empty(0, dtype=t)] for t in (kdt, cdt, vdt)
-        )
         step = graph._block_rows(width * n * cmp_dist.itemsize)
+        # Flat offset of each block row's -1 column: slot width - best of
+        # row r is element pad[r] - best of the flattened block, so one
+        # flat take (no broadcast 2-D index) gathers ``first``.
+        pad = np.arange(min(step, n), dtype=np.intp)[:, None] * (width + 1) + width
         for lo in range(0, n, step):
             rows = nbr[lo : lo + step]
             on_path = (
                 cmp_dist[rows[:, :width]]
                 == (cmp_dist[lo : lo + step] - one)[:, None, :]
             )
-            cnt = on_path.sum(axis=1, dtype=cdt)
-            count[lo : lo + step] = cnt
+            count[lo : lo + step] = on_path.sum(axis=1, dtype=cdt)
             best = (on_path.view(np.uint8) * weight).max(axis=1, initial=0)
-            first[lo : lo + step] = np.take_along_axis(
-                rows, width - best.astype(np.intp), axis=1
+            first[lo : lo + step] = np.take(
+                rows.reshape(-1), pad[: rows.shape[0]] - best
             )
-            tied = np.flatnonzero(cnt.reshape(-1) >= 2)
-            if tied.size:
-                r = tied // n
-                d = tied - r * n
-                hit = np.flatnonzero(on_path[r, :, d])
-                which = hit // width
-                pairs.append((tied + lo * n).astype(kdt))
-                sizes.append(cnt[r, d])
-                data.append(rows[r[which], hit - which * width])
-        sizes = np.concatenate(sizes)
-        total = int(sizes.sum(dtype=np.int64))
-        multi_indptr = np.zeros(sizes.size + 1, dtype=_index_dtype(total))
-        np.cumsum(sizes, out=multi_indptr[1:])
-        return cls(
-            n,
-            count.reshape(-1),
-            first.reshape(-1),
-            np.concatenate(pairs),
-            multi_indptr,
-            np.concatenate(data),
-        )
+        return cls(n, count.reshape(-1), first.reshape(-1), nbr, dist)
+
+    def nth_hop(self, pairs, pick) -> np.ndarray:
+        """Candidate ``pick`` (0-based, ascending id) of each pair key, int64.
+
+        The builder's predicate again, for these pairs only: gather
+        ``dist`` over the source's neighbor row, then take the first
+        column where the running count of one-hop-closer neighbors
+        exceeds ``pick``.  Every ``pick`` must be below the pair's
+        ``count``.
+        """
+        cur, dst = np.divmod(pairs, self.n)
+        rows = self.nbr[cur, :-1]
+        closer = self.dist[cur, dst] - 1
+        on_path = self.dist[rows, dst[:, None]] == closer[:, None]
+        cdt = self.count.dtype
+        seen = on_path.cumsum(axis=1, dtype=cdt)
+        col = (seen > pick.astype(cdt)[:, None]).argmax(axis=1)
+        return rows[np.arange(rows.shape[0]), col].astype(np.int64)
 
     def next_hops(self, pairs, rng=None) -> np.ndarray:
         """One candidate per pair key, int64.
@@ -198,7 +182,7 @@ class _CandidateTable:
         Deterministic mode returns ``first``.  With ``rng``, a uniform
         index is drawn per tied pair (one vectorized ``integers`` call
         over int64 counts — the exact draw the dense CSR path made) and
-        nonzero picks are resolved through the overflow CSR.
+        nonzero picks are resolved by :meth:`nth_hop`.
         """
         nxt = self.first[pairs].astype(np.int64)
         if rng is not None:
@@ -209,50 +193,12 @@ class _CandidateTable:
                 pos = np.flatnonzero(pick > 0)
                 if pos.size:
                     sel = multi[pos]
-                    # Keys in the table's own width: a wider needle
-                    # would make searchsorted upcast the whole key array.
-                    mi = np.searchsorted(
-                        self.multi_pairs,
-                        pairs[sel].astype(self.multi_pairs.dtype, copy=False),
-                    )
-                    nxt[sel] = self.multi_data[
-                        self.multi_indptr[mi] + pick[pos]
-                    ]
+                    nxt[sel] = self.nth_hop(pairs[sel], pick[pos])
         return nxt
 
-    def dense_csr(self) -> tuple:
-        """Materialize the seed-shaped dense ``(indptr, data)`` CSR.
-
-        Only tests and oracle comparisons call this — it allocates the
-        O(n^2) ``indptr`` the compact layout exists to avoid.
-        """
-        n = self.n
-        indptr = np.zeros(n * n + 1, dtype=np.int64)
-        np.cumsum(self.count, dtype=np.int64, out=indptr[1:])
-        data = np.empty(int(indptr[-1]), dtype=np.int32)
-        single = np.flatnonzero(self.count == 1)
-        data[indptr[single]] = self.first[single]
-        if self.multi_pairs.size:
-            sizes = np.diff(self.multi_indptr)
-            dest = np.repeat(indptr[self.multi_pairs], sizes) + (
-                np.arange(self.multi_data.size, dtype=np.int64)
-                - np.repeat(self.multi_indptr[:-1], sizes)
-            )
-            data[dest] = self.multi_data
-        return indptr, data
-
     def nbytes(self) -> int:
-        """Total bytes across the table's arrays (for perf reporting)."""
-        return sum(
-            a.nbytes
-            for a in (
-                self.count,
-                self.first,
-                self.multi_pairs,
-                self.multi_indptr,
-                self.multi_data,
-            )
-        )
+        """Total bytes across the table's own arrays (for perf reporting)."""
+        return self.count.nbytes + self.first.nbytes + self.nbr.nbytes
 
 
 class RowPatchedDist:
@@ -493,16 +439,6 @@ class RoutingTables:
                 self.topo.graph, self.dist
             )
         return self._cands
-
-    def _candidate_csr(self) -> tuple:
-        """Dense ``(indptr, data)`` CSR materialized from the compact table.
-
-        Kept as the oracle-shaped view the golden tests compare against
-        the per-source build in ``tests/oracles.py``; serving paths use
-        the compact table directly and never allocate the ``n*n + 1``
-        indptr.
-        """
-        return self._candidate_table().dense_csr()
 
     def _path_cache_enabled(self) -> bool:
         """Whether the unique-path cache may be built and served.

@@ -44,10 +44,9 @@ def bfs_distances_reference(graph, source: int) -> np.ndarray:
 def per_source_candidate_csr(graph, dist) -> tuple:
     """The seed per-source candidate-CSR build.
 
-    The compact table (materialized through
-    ``RoutingTables._candidate_csr``) is pinned to produce identical
-    rows.  ``data`` is int64 as in the seed; the golden comparison is
-    value-wise.
+    The compact table (materialized through :func:`compact_candidate_csr`)
+    is pinned to produce identical rows.  ``data`` is int64 as in the
+    seed; the golden comparison is value-wise.
     """
     n = graph.n
     dist = np.asarray(dist)
@@ -61,6 +60,29 @@ def per_source_candidate_csr(graph, dist) -> tuple:
         chunks.append(nbrs[nbr_idx].astype(np.int64))
     np.cumsum(indptr, out=indptr)
     data = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
+    return indptr, data
+
+
+def compact_candidate_csr(tables) -> tuple:
+    """The seed-shaped dense ``(indptr, data)`` CSR of a compact table.
+
+    Rebuilt from ``count`` and ``first`` plus the serving scan
+    (``nth_hop``) for every nonzero pick of every tied pair, so the
+    golden comparison against :func:`per_source_candidate_csr` covers
+    what serving can return.  Allocates the O(n^2) ``indptr`` the
+    compact layout exists to avoid.
+    """
+    tab = tables._candidate_table()
+    count = tab.count.astype(np.int64)
+    indptr = np.zeros(tab.n * tab.n + 1, dtype=np.int64)
+    np.cumsum(count, out=indptr[1:])
+    have = np.flatnonzero(count)
+    pairs = np.repeat(have, count[have])
+    pick = np.arange(pairs.size, dtype=np.int64) - indptr[pairs]
+    data = tab.first[pairs].astype(np.int32)
+    tied = np.flatnonzero(pick > 0)
+    if tied.size:
+        data[tied] = tab.nth_hop(pairs[tied], pick[tied])
     return indptr, data
 
 

@@ -117,7 +117,8 @@ def random_batches(n, trials=25, seed=1):
 @pytest.mark.parametrize("topo_spec", list(TOPOLOGY_TIES))
 def test_kselect_matches_numpy_body(topo_spec, policy_spec):
     topo, tables = tables_for(topo_spec)
-    assert tables._candidate_table().multi_pairs.size == TOPOLOGY_TIES[topo_spec]
+    tied = int((tables._candidate_table().count >= 2).sum())
+    assert tied == TOPOLOGY_TIES[topo_spec]
     ksim, nsim = twins(topo, lambda: POLICIES.create(policy_spec, tables))
     assert ksim._kernel is not None and nsim._kernel is None
     # 150 loaded cycles through select_routes already agree ...
@@ -269,6 +270,37 @@ def test_retable_rebinds_row_patched_epochs_too(policy_spec):
         # The batches crossed pairs whose distance the failure changed:
         # for flap, entries only the patch block holds.
         assert (repaired > 0) == (tables is not base)
+
+
+@needs_kernel
+def test_tie_scan_follows_fault_epochs():
+    """A pick > 0 scans the epoch's graph row against the epoch's
+    distances: a row-patched link flap and a dead router on PolarStar,
+    whose tied pairs PolarFly does not have."""
+    spec = "polarstar:conc=2,q=3,sq=5"
+    topo, base = tables_for(spec)
+    edges = topo.graph.edges()
+    flap = fault_epoch_tables(topo, failed_links=[tuple(edges[3])], base=base)
+    down = fault_epoch_tables(topo, failed_routers=[5], base=base)
+    assert type(flap.dist) is RowPatchedDist
+    assert not down.alive_routers[5]
+
+    def policy_of():
+        policy = POLICIES.create("min", base)
+        for tables in (flap, down, base):
+            policy.retable(tables)
+        return policy
+
+    ksim, nsim = twins(topo, policy_of, cycles=60)
+    alive = np.flatnonzero(down.alive_routers)
+    g = np.random.default_rng(7)
+    for tables in (flap, down):
+        ksim.policy.retable(tables)
+        nsim.policy.retable(tables)
+        assert (tables._candidate_table().count >= 2).any()
+        for trial in range(6):
+            srcs, dsts = g.choice(alive, size=60), g.choice(alive, size=60)
+            assert_same_selection(ksim, nsim, srcs, dsts, seed=trial)
 
 
 # ----------------------------------------------------------------------

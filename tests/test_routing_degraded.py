@@ -8,6 +8,7 @@ disconnection.
 
 import numpy as np
 import pytest
+from oracles import compact_candidate_csr
 
 from repro.core import PolarFly
 from repro.routing.degraded import (
@@ -43,8 +44,8 @@ def test_incremental_matches_fresh_build(pf, base, seed, k):
     incr = reroute_after_failures(pf, failed, base=base)
 
     assert np.array_equal(fresh.dist, incr.dist)
-    fi, fd = fresh._candidate_csr()
-    ii, idata = incr._candidate_csr()
+    fi, fd = compact_candidate_csr(fresh)
+    ii, idata = compact_candidate_csr(incr)
     assert np.array_equal(fi, ii)
     assert np.array_equal(fd, idata)
 

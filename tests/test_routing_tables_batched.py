@@ -7,7 +7,11 @@ topology — large-radix scaling must not change a single routed path.
 
 import numpy as np
 import pytest
-from oracles import bfs_distances_reference, per_source_candidate_csr
+from oracles import (
+    bfs_distances_reference,
+    compact_candidate_csr,
+    per_source_candidate_csr,
+)
 
 from repro.experiments.registry import TOPOLOGIES
 from repro.routing.tables import (
@@ -35,7 +39,7 @@ class TestGoldenConstruction:
 
     def test_candidate_csr_matches_per_source(self, topo):
         tables = RoutingTables(topo)
-        indptr, data = tables._candidate_csr()
+        indptr, data = compact_candidate_csr(tables)
         ref_indptr, ref_data = per_source_candidate_csr(topo.graph, tables.dist)
         assert np.array_equal(indptr, ref_indptr)
         assert np.array_equal(data, ref_data)
@@ -72,7 +76,7 @@ class TestCandidateBuilderDtypeEdges:
     def test_matches_per_source_oracle(self, name):
         graph = self.GRAPHS[name]
         tables = RoutingTables(Topology(name, graph, 1))
-        indptr, data = tables._candidate_csr()
+        indptr, data = compact_candidate_csr(tables)
         ref_indptr, ref_data = per_source_candidate_csr(graph, tables.dist)
         assert np.array_equal(indptr, ref_indptr)
         assert np.array_equal(data, ref_data)

@@ -10,8 +10,10 @@ dense oracle it replaced:
   source-row blocks of the finished distance matrix, used by fresh
   builds and fault repair alike — against the seed per-source CSR
   oracle, on the topologies that actually carry ECMP ties or irregular
-  degree, across row-block boundaries and on a fault epoch, plus a
-  traced-memory ceiling (no N x N transient beyond the output);
+  degree, across row-block boundaries and on a fault epoch; its tie
+  serving scan for every pick of every tied pair; plus a traced-memory
+  ceiling (no N x N transient beyond the output) and a byte ceiling
+  (nothing stored per tie);
 * :class:`~repro.routing.tables.RowPatchedDist` against the equivalent
   dense matrix over its full indexing surface;
 * and the headline structural guarantee: constructing the q=31 tier
@@ -26,16 +28,12 @@ import types
 
 import numpy as np
 import pytest
-from oracles import per_source_candidate_csr
+from oracles import compact_candidate_csr, per_source_candidate_csr
 
 from repro.experiments.registry import TOPOLOGIES
 from repro.flitsim.flatcore import FlatFabric
 from repro.routing.degraded import fault_epoch_tables, reroute_after_failures
-from repro.routing.tables import (
-    RoutingTables,
-    RowPatchedDist,
-    _index_dtype,
-)
+from repro.routing.tables import RoutingTables, RowPatchedDist
 from repro.utils.graph import Graph
 
 SPECS = [
@@ -71,9 +69,20 @@ def cand_topo(request):
     return TOPOLOGIES.create(request.param)
 
 
+#: tie-serving grid: the ECMP-free families (nothing to scan) next to
+#: every family with ties
+SERVE_SPECS = {
+    "polarfly7": "polarfly:conc=2,q=7",
+    "polarfly9": "polarfly:conc=2,q=9",
+    "slimfly5": "slimfly:conc=2,q=5",
+    **TIE_SPECS,
+    "polarstar5x9": "polarstar:conc=2,q=5,sq=9",
+}
+
+
 def _assert_same_table(got, want):
-    """All five candidate-table arrays equal in dtype and value."""
-    for name in ("count", "first", "multi_pairs", "multi_indptr", "multi_data"):
+    """The candidate table's three arrays equal in dtype and value."""
+    for name in ("count", "first", "nbr"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
@@ -123,37 +132,51 @@ class TestCsrPortMap:
         assert fab.edge_keys.size < n * n or n <= 2
 
 
-#: (largest key or offset the array must hold, dtype chosen) around the
-#: int32 ceiling: n*n for the overflow CSR's keys (the last n that fits
-#: is 46 340), the candidate total for its offsets
-INDEX_DTYPES = [
-    (0, np.int32),
-    (1547 * 1547, np.int32),
-    (46_340 * 46_340, np.int32),
-    (2**31 - 1, np.int32),
-    (2**31, np.int64),
-    (46_341 * 46_341, np.int64),
-    (6321 * 6321 * 80, np.int64),
-]
+class _Picks:
+    """An rng stand-in whose one ``integers`` call returns set picks."""
+
+    def __init__(self, picks):
+        self.picks = picks
+
+    def integers(self, high):
+        assert high.shape == self.picks.shape
+        assert (self.picks < high).all()
+        return self.picks
 
 
-@pytest.mark.parametrize("limit,dtype", INDEX_DTYPES)
-def test_overflow_csr_index_dtype(limit, dtype):
-    assert _index_dtype(limit) is dtype
-    assert np.iinfo(dtype).max >= limit
+def _assert_serves_every_pick(tables) -> int:
+    """Every pick of every tied pair through ``next_hops`` equals the
+    per-source oracle's candidate; returns the number of tied pairs."""
+    tab = tables._candidate_table()
+    indptr, data = per_source_candidate_csr(
+        tables.topo.graph, np.asarray(tables.dist)
+    )
+    count = np.diff(indptr)
+    assert np.array_equal(tab.count, count)
+    tied = np.flatnonzero(count >= 2)
+    sizes = count[tied]
+    pairs = np.repeat(tied, sizes)
+    pick = np.arange(pairs.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    got = tab.next_hops(pairs, _Picks(pick))
+    assert np.array_equal(got, data[indptr[pairs] + pick])
+    return tied.size
 
 
 class TestFrontierCandidates:
     """The compact candidate table against its oracles."""
 
-    def test_overflow_csr_indexes_are_int32(self, cand_topo):
+    def test_table_holds_count_first_nbr_only(self, cand_topo):
         tab = RoutingTables(cand_topo)._candidate_table()
-        assert tab.multi_pairs.dtype == tab.multi_indptr.dtype == np.int32
-        assert int(tab.multi_indptr[-1]) == tab.multi_data.size
+        n = cand_topo.num_routers
+        width = int(cand_topo.graph.degree().max())
+        assert tab.count.dtype == np.uint8 and tab.count.shape == (n * n,)
+        assert tab.first.dtype == tab.nbr.dtype == np.int16
+        assert tab.nbr.shape == (n, width + 1)
+        assert tab.nbytes() == 3 * n * n + 2 * n * (width + 1)
 
     def test_matches_per_source_oracle(self, cand_topo):
         tables = RoutingTables(cand_topo)
-        indptr, data = tables._candidate_csr()
+        indptr, data = compact_candidate_csr(tables)
         o_indptr, o_data = per_source_candidate_csr(
             cand_topo.graph, np.asarray(tables.dist)
         )
@@ -162,8 +185,7 @@ class TestFrontierCandidates:
 
     def test_row_block_boundaries(self, cand_topo, monkeypatch):
         # One row per block, a prime number of rows (ragged last block)
-        # and a single block must all emit the same arrays: the overflow
-        # CSR is a plain concatenation of the blocks' runs.
+        # and a single block must all emit the same arrays.
         want = RoutingTables(cand_topo)
         for rows in (1, 7, cand_topo.num_routers + 3):
             monkeypatch.setattr(
@@ -176,7 +198,7 @@ class TestFrontierCandidates:
     def test_next_hops_serve_matches_dense_csr(self, topo):
         tables = RoutingTables(topo)
         tab = tables._candidate_table()
-        indptr, data = tables._candidate_csr()
+        indptr, data = compact_candidate_csr(tables)
         n = topo.num_routers
         pairs = np.random.default_rng(9).integers(0, n * n, size=500)
         rng1 = np.random.default_rng(5)
@@ -195,6 +217,23 @@ class TestFrontierCandidates:
         # Deterministic serving returns the lowest-id candidate.
         det = tab.next_hops(pairs)
         assert np.array_equal(det[have], data[indptr[pairs[have]]])
+
+    @pytest.mark.parametrize("spec", SERVE_SPECS.values(), ids=SERVE_SPECS)
+    def test_tie_scan_serves_every_pick(self, spec):
+        topo = TOPOLOGIES.create(spec)
+        tied = _assert_serves_every_pick(RoutingTables(topo))
+        assert (tied > 0) == (not spec.startswith(("polarfly", "slimfly")))
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13])
+    def test_polarfly_has_no_ties(self, q):
+        # Any two distinct vertices of ER_q share exactly one neighbor
+        # (two polar lines meet in one point), so every pair has exactly
+        # one minimal next hop and serving never scans — prime or not.
+        topo = TOPOLOGIES.create(f"polarfly:conc=2,q={q}")
+        n = topo.num_routers
+        count = RoutingTables(topo)._candidate_table().count.reshape(n, n)
+        assert count.max() == 1
+        assert np.array_equal(count, 1 - np.eye(n, dtype=np.uint8))
 
 
 class TestRowPatchedDist:
@@ -281,8 +320,11 @@ class TestDegradedRowSparse:
         fresh = fault_epoch_tables(topo, links, failed_routers=dead)
         assert isinstance(inc.dist, RowPatchedDist) == (not dead)
         assert np.array_equal(np.asarray(inc.dist), fresh.dist)
-        assert inc._candidate_table().multi_pairs.size
+        assert (inc._candidate_table().count >= 2).any()
         _assert_same_table(inc._candidate_table(), fresh._candidate_table())
+        # Every tied pick is served by scanning the epoch's own view: the
+        # RowPatchedDist, or the dense matrix with its dead router.
+        assert _assert_serves_every_pick(inc) > 0
 
     def test_untouched_failure_shares_base_dist(self):
         # Removing no edges keeps the identical dist object.
@@ -319,24 +361,34 @@ def _reachable_arrays(*roots):
 
 
 def test_build_memory_stays_near_output_at_q31():
-    """Traced peak of ``RoutingTables(topo)`` <= 3x what it returns.
+    """Traced peak of ``RoutingTables(topo)`` <= 3x what it returns, and
+    the candidate table is ``count`` + ``first`` + ``nbr``, nothing more.
 
     The streamed build's transients are one BFS block and one comparison
     block (1.6x measured at q=31, 1.27x at q=53 where the blocks are a
     smaller share); an N x N int64 stamp, candidate triples or sort keys
     would read 17x, as the one-block fused build did.  q=53 (N=2863) is
     the sparse-tier size, where such a transient would cost 65 MB.
+    PolarStar (9,17) has 1.1 M tied pairs, so any per-tie array that
+    comes back breaks the byte ceiling by megabytes.
     """
-    for q in (31, 53):
-        topo = TOPOLOGIES.create(f"polarfly:conc=2,q={q}")
+    for spec in (
+        "polarfly:conc=2,q=31",
+        "polarfly:conc=2,q=53",
+        "polarstar:conc=2,q=9,sq=17",
+    ):
+        topo = TOPOLOGIES.create(spec)
         tracemalloc.start()
         try:
             tables = RoutingTables(topo)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        output = tables.dist.nbytes + tables._candidate_table().nbytes()
-        assert peak <= 3 * output, (q, peak, output)
+        tab = tables._candidate_table()
+        n, width = topo.num_routers, int(topo.graph.degree().max())
+        assert tab.nbytes() <= 3 * n * n + 2 * n * (width + 1), spec
+        output = tables.dist.nbytes + tab.nbytes()
+        assert peak <= 3 * output, (spec, peak, output)
 
 
 def test_no_wide_dense_structures_at_q31():
