@@ -88,11 +88,15 @@ The C code mirrors the *reference* engine's decision loop (routers
 ascending, link outputs then ejection, circular round-robin scan,
 decide-all-then-apply) — the simplest shape to audit against
 ``reference.py`` side by side.  The decide loop is occupancy-driven at
-both levels, rows and inputs.  It reads ``backlog[r*O + out]`` for every
-(router, out) row and looks inside only where that is positive;
-``backlog`` is the exact sum of the row's VOQ counts, so a skipped row
-holds no flit, grants nothing, and leaves its round-robin pointer
-untouched.  Inside a row it walks the set bits of the row's occupancy
+both levels, rows and inputs.  It walks the set bits of ``busy_rows`` —
+one bit per (router, out) row, ``ceil(n*O / 64)`` ``uint64`` words (7 KB
+at PF q=37), bit ``r*O + out`` set exactly while ``backlog[r*O + out]``
+is positive — in ascending order, which is routers ascending, link
+outputs ascending, ejection (column ``OE = O - 1``) last; ``backlog`` is
+the exact sum of the row's VOQ counts, so a skipped row holds no flit,
+grants nothing, and leaves its round-robin pointer untouched, and an
+idle cycle costs a 7 KB read instead of one per row.  Inside a row it
+walks the set bits of the row's occupancy
 mask ``row_mask`` — ``ceil(I / 64)`` ``uint64`` words per row, bit ``in``
 set exactly while VOQ (router, in, out) is non-empty — circularly from
 the ``rr`` pointer by count-trailing-zeros, which visits the non-empty
@@ -100,13 +104,14 @@ inputs in the very order the P-wide scan of every input did, applies the
 same ready / credit tests and updates ``rr`` the same way: bit-identical
 grants for work proportional to flits in flight instead of N*(d+1)*P
 queue probes, out of a mask that stays cache-resident (~460 KB at PF
-q=37, where the probes it replaces were 40 cache lines per row).  The
-mask is kernel-only state: C ``enqueue`` sets a bit on the
-empty→non-empty edge, ``kroute``'s apply clears it when a granted head
-has no successor, and ``FlatSimulator._drop_vq`` — the one Python site
-that empties a VOQ on the kernel path — clears it with the queue.  Every
-mutation site, C and numpy, moves ``backlog`` and the counts together,
-and ``tests/test_flitsim_saturation.py`` pins both invariants after
+q=37, where the probes it replaces were 40 cache lines per row).  Both
+masks are kernel-only state: C ``enqueue`` sets a bit on the
+empty→non-empty edge of a queue or a row, ``kroute``'s apply clears it
+when a granted head has no successor or the row's backlog reaches 0,
+and ``FlatSimulator._drop_vq`` — the one Python site that empties a VOQ
+on the kernel path — clears them with the queue.  Every mutation site,
+C and numpy, moves ``backlog`` and the counts together, and
+``tests/test_flitsim_saturation.py`` pins the three invariants after
 every cycle.
 
 A VOQ is one packed ``int32`` record ``{head, tail, count, pad}`` (16
@@ -114,7 +119,20 @@ bytes: a queue operation touches one cache line) in the ``(NV, 4)`` array
 ``FlatSimulator._voq``, bound as the single pointer ``voq``; head and
 tail are flit-pool rows — hence the pool's loud 2**31 - 1 row ceiling —
 and ``count == 0`` is the only emptiness test, so the array starts
-zeroed.  Everything else the kernel is bound to stays flat ``int64``.
+zeroed.  A flit is one 16-byte ``Flit`` record ``{next, pid, ready, hop,
+seq}`` (three ``int32``, two ``int16``) of the structured array
+``FlatSimulator._pool``, bound as the single pointer ``pool``; a grant
+is one ``int32`` ``Grant`` record ``{f, r, in, out}``, so apply rebuilds
+the VOQ index by multiplying instead of dividing it apart.  The route
+phase never searches a neighbor row: ``kinject`` resolves every hop's
+output port once per packet into ``route_port`` (``int16``, one
+``stride``-wide row per packet slot, kernel-only state like
+``row_mask``) — ``OE`` where the packet ejects — and ``kfeed`` and
+apply only read it.  The narrowed fields fail loudly at their ceilings
+in :class:`~repro.flitsim.flatcore.FlatSimulator`: ``packet_size`` and
+the route stride at construction, the cycle count before a ready stamp
+could pass 2**31 - 1.  Everything else the kernel is bound to stays
+flat ``int64``.
 """
 
 from __future__ import annotations
@@ -132,6 +150,19 @@ from repro.utils.env import env_disabled
 __all__ = ["load_kernel", "kernel_enabled", "numpy_fallback", "bitgen_of"]
 
 _STRUCT = """
+/* One flit-pool row (16 bytes): the next row in its queue, its packet
+ * slot, the cycle it may compete from, its hop index and sequence number
+ * within the packet. */
+typedef struct {
+    int32_t next, pid, ready;
+    int16_t hop, seq;
+} Flit;
+
+/* One grant of a cycle: the winning flit and its VOQ's coordinates. */
+typedef struct {
+    int32_t f, r, in, out;
+} Grant;
+
 typedef struct {
     int64_t n, E, I, O, OE, Dp, V, ps, hop_latency, stride;
     int64_t fault_mode;
@@ -145,16 +176,24 @@ typedef struct {
     /* Per (router, out) row, ceil(I / 64) words: bit `in` is set exactly
      * while VOQ (router, in, out) holds a flit. */
     uint64_t *row_mask;
+    /* ceil(n * O / 64) words: bit r * O + out is set exactly while
+     * backlog[r * O + out] > 0. */
+    uint64_t *busy_rows;
     int64_t *backlog, *rr, *credits;
-    int64_t *pool_pid, *pool_seq, *pool_hop, *pool_ready, *pool_next;
+    Flit *pool;
     int64_t *src_head, *src_tail, *ep_credit;
     int64_t *pkt_len, *pkt_dst, *pkt_t_created;
     int64_t *pkt_msg;       /* owning workload message (-1 open loop) */
     int8_t *pkt_measured;
     int64_t *route_buf;
+    /* Per packet slot, `stride` output ports: route_port[pid * stride + h]
+     * is the port the packet leaves router route[h] by (OE: ejection),
+     * resolved once by kinject. */
+    int16_t *route_port;
     int64_t *pkt_free, *pkt_free_top;
     int64_t *free_stack, *free_top;
-    int64_t *g_vq, *g_f, *tail_pids;
+    Grant *grants;
+    int64_t *tail_pids;
     /* Fault mode only (fault_mode == 0 leaves these NULL): the
      * (router, out) death mask, outstanding-flit counters and damaged
      * flags per packet slot, the tail-drop ring buffer (drop order),
@@ -289,10 +328,10 @@ _C_SOURCE = """
  * outstanding-flit count hits zero. */
 static void drop_flit(SimState *st, int64_t f)
 {
-    int64_t pid = st->pool_pid[f];
+    int64_t pid = st->pool[f].pid;
     st->fcnt[0] += 1;
     st->pkt_damaged[pid] = 1;
-    if (st->pool_seq[f] == st->ps - 1)
+    if (st->pool[f].seq == st->ps - 1)
         st->drop_tail_pids[st->fcnt[1]++] = pid;
     st->free_stack[(*st->free_top)++] = f;
     if (--st->pkt_live[pid] == 0)
@@ -316,7 +355,8 @@ static int64_t lower_bound(const int64_t *a, int64_t lo, int64_t hi,
 /* Output port of router r toward adjacent vertex v: the offset of v in
  * r's sorted CSR neighbor slice (binary search over adj_indices).  The
  * CSR port map replaces the former dense n*n port matrix; callers only
- * pass genuinely adjacent (r, v) pairs. */
+ * pass genuinely adjacent (r, v) pairs.  The cycle path never searches:
+ * kinject resolves every hop's port once per packet (route_port). */
 static int64_t port_of(const SimState *st, int64_t r, int64_t v)
 {
     int64_t lo = st->adj_indptr[r];
@@ -355,25 +395,42 @@ static void enqueue(SimState *st, int64_t vq, int64_t f, int64_t row,
                     int64_t in)
 {
     int32_t *q = st->voq + vq * VQ_REC;
-    st->pool_next[f] = -1;
+    st->pool[f].next = -1;
     if (q[VQ_COUNT] == 0) {
         q[VQ_HEAD] = (int32_t)f;
         st->row_mask[row * mask_words(st) + (in >> 6)] |=
             (uint64_t)1 << (in & 63);
     } else {
-        st->pool_next[q[VQ_TAIL]] = f;
+        st->pool[q[VQ_TAIL]].next = (int32_t)f;
     }
     q[VQ_TAIL] = (int32_t)f;
     q[VQ_COUNT] += 1;
-    st->backlog[row] += 1;
+    if (st->backlog[row]++ == 0)
+        st->busy_rows[row >> 6] |= (uint64_t)1 << (row & 63);
 }
 
-/* Protocol step 1 plumbing: pool rows + FIFO chains for k new packets
- * (RNG, routing, and the packet table are written by the caller).
- * winners[j] is packet j's endpoint; repeats are fine — sequential
- * appends keep per-endpoint FIFO order, which is all the protocol
- * observes — so the same call serves Bernoulli winners (distinct) and
- * workload batches (several packets may land on one endpoint). */
+/* The route_port row of packet slot pid, from its route row: the port
+ * out of route[h] toward route[h + 1], or OE where the packet ejects —
+ * at hop 0 only for a one-router route, later at the first router that
+ * is its destination (a Valiant leg through dst ejects there). */
+static void fill_ports(SimState *st, int64_t pid)
+{
+    const int64_t *route = st->route_buf + pid * st->stride;
+    int16_t *port = st->route_port + pid * st->stride;
+    int64_t len = st->pkt_len[pid], dst = st->pkt_dst[pid];
+    port[0] = (int16_t)(len == 1 ? st->OE : port_of(st, route[0], route[1]));
+    for (int64_t h = 1; h < len; h++)
+        port[h] = (int16_t)(route[h] == dst
+                            ? st->OE : port_of(st, route[h], route[h + 1]));
+}
+
+/* Protocol step 1 plumbing: output ports, pool rows and FIFO chains for
+ * k new packets (RNG, routing, and the packet table are written by the
+ * caller).  winners[j] is packet j's endpoint; repeats are fine —
+ * sequential appends keep per-endpoint FIFO order, which is all the
+ * protocol observes — so the same call serves Bernoulli winners
+ * (distinct) and workload batches (several packets may land on one
+ * endpoint). */
 void kinject(SimState *st, int64_t now, int64_t k,
              const int64_t *slots, const int64_t *winners)
 {
@@ -382,21 +439,23 @@ void kinject(SimState *st, int64_t now, int64_t k,
         int64_t e = winners[j];
         int64_t pid = slots[j];
         int64_t first = -1, prev = -1;
+        fill_ports(st, pid);
         for (int64_t s = 0; s < ps; s++) {
             int64_t f = st->free_stack[--(*st->free_top)];
-            st->pool_pid[f] = pid;
-            st->pool_seq[f] = s;
-            st->pool_hop[f] = 0;
-            st->pool_ready[f] = now;
-            st->pool_next[f] = -1;
+            Flit *fl = st->pool + f;
+            fl->next = -1;
+            fl->pid = (int32_t)pid;
+            fl->ready = (int32_t)now;
+            fl->hop = 0;
+            fl->seq = (int16_t)s;
             if (prev >= 0)
-                st->pool_next[prev] = f;
+                st->pool[prev].next = (int32_t)f;
             else
                 first = f;
             prev = f;
         }
         if (st->src_tail[e] >= 0)
-            st->pool_next[st->src_tail[e]] = first;
+            st->pool[st->src_tail[e]].next = (int32_t)first;
         else
             st->src_head[e] = first;
         st->src_tail[e] = prev;
@@ -410,26 +469,21 @@ void kinject(SimState *st, int64_t now, int64_t k,
 void kfeed(SimState *st, int64_t now)
 {
     (void)now;
-    int64_t I = st->I, O = st->O, OE = st->OE;
+    int64_t I = st->I, O = st->O;
     int64_t fm = st->fault_mode;
     for (int64_t e = 0; e < st->E; e++) {
         int64_t f = st->src_head[e];
         if (f < 0)
             continue;
         /* Outside fault mode nothing precedes the credit check, so a
-         * blocked endpoint skips the port search; under faults the
+         * blocked endpoint skips the port read; under faults the
          * doomed-head drop below is decided first and needs `out`. */
         if (!fm && st->ep_credit[e] <= 0)
             continue;
         int64_t r = st->ep_router[e];
-        int64_t pid = st->pool_pid[f];
-        int64_t out;
-        if (st->pkt_len[pid] == 1)
-            out = OE;
-        else
-            out = port_of(st, r, st->route_buf[pid * st->stride + 1]);
+        int64_t out = st->route_port[st->pool[f].pid * st->stride];
         if (fm && st->dead_row[r * O + out]) {
-            st->src_head[e] = st->pool_next[f];
+            st->src_head[e] = st->pool[f].next;
             if (st->src_head[e] < 0)
                 st->src_tail[e] = -1;
             drop_flit(st, f);
@@ -437,7 +491,7 @@ void kfeed(SimState *st, int64_t now)
         }
         if (st->ep_credit[e] <= 0)
             continue;
-        st->src_head[e] = st->pool_next[f];
+        st->src_head[e] = st->pool[f].next;
         if (st->src_head[e] < 0)
             st->src_tail[e] = -1;
         st->ep_credit[e] -= 1;
@@ -448,7 +502,7 @@ void kfeed(SimState *st, int64_t now)
 
 /* Arbitrate one (router, out) row that holds flits: a circular scan of
  * its P input ports from the rr pointer, up to `limit` grants appended
- * at g_vq / g_f[ng...]; returns the new grant count.  The scan visits
+ * at grants[ng...]; returns the new grant count.  The scan visits
  * the set bits of the row's occupancy mask only — the non-empty inputs,
  * in circular order: [ptr, P) then [0, ptr).  No bit at or above P is
  * ever set, so the first leg simply runs to the end of the last word. */
@@ -477,19 +531,22 @@ static int64_t arbitrate(SimState *st, int64_t r, int64_t out, int64_t now,
                 int64_t in = (w << 6) + ctz64(bits);
                 bits &= bits - 1;
                 int64_t vq = (r * I + in) * O + out;
-                int64_t f = st->voq[vq * VQ_REC + VQ_HEAD];
-                if (st->pool_ready[f] > now)
+                int32_t f = st->voq[vq * VQ_REC + VQ_HEAD];
+                const Flit *fl = st->pool + f;
+                if (fl->ready > now)
                     continue;
                 if (out != OE) {
-                    int64_t dvc = st->pool_hop[f];
+                    int64_t dvc = fl->hop;
                     if (dvc > V - 1)
                         dvc = V - 1;
                     if (credits[dvc] <= 0)
                         continue;
                 }
-                st->g_vq[ng] = vq;
-                st->g_f[ng] = f;
-                ng++;
+                Grant *g = st->grants + ng++;
+                g->f = f;
+                g->r = (int32_t)r;
+                g->in = (int32_t)in;
+                g->out = (int32_t)out;
                 last = in;
                 granted++;
             }
@@ -497,8 +554,9 @@ static int64_t arbitrate(SimState *st, int64_t r, int64_t out, int64_t now,
         lo = 0;
         hi = ptr;
     }
+    /* last < P: the pointer wraps to 0 past the last input. */
     if (last >= 0)
-        st->rr[row] = (last + 1) % P;
+        st->rr[row] = last + 1 == P ? 0 : last + 1;
     return ng;
 }
 
@@ -511,32 +569,35 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
     int64_t Dp = st->Dp, V = st->V, MW = mask_words(st);
     int64_t ng = 0;
 
-    /* Decide: routers ascending, link outputs ascending, eject last.
-     * backlog[row] is the sum of the row's VOQ counts, so an empty row
-     * can grant nothing and leaves rr untouched: only rows holding
-     * flits are arbitrated. */
-    for (int64_t r = 0; r < n; r++) {
-        int64_t d = st->deg[r];
-        const int64_t *backlog = st->backlog + r * O;
-        for (int64_t out = 0; out < d; out++)
-            if (backlog[out] > 0)
-                ng = arbitrate(st, r, out, now, ng);
-        if (backlog[OE] > 0)
-            ng = arbitrate(st, r, OE, now, ng);
+    /* Decide: routers ascending, link outputs ascending, eject last —
+     * ascending row = r * O + out, ejection being column OE = O - 1.
+     * An empty row can grant nothing and leaves rr untouched, so only
+     * the rows whose busy_rows bit is set are arbitrated. */
+    int64_t r = 0, base = 0;
+    for (int64_t w = 0; w < (n * O + 63) >> 6; w++) {
+        uint64_t bits = st->busy_rows[w];
+        while (bits) {
+            int64_t row = (w << 6) + ctz64(bits);
+            bits &= bits - 1;
+            while (row >= base + O) {
+                r++;
+                base += O;
+            }
+            ng = arbitrate(st, r, row - base, now, ng);
+        }
     }
 
-    /* Apply. */
+    /* Apply: a grant carries its VOQ's coordinates, and the next
+     * router's output port is the packet's route_port at the new hop. */
     int64_t n_tail = 0, n_ej = 0;
     int64_t fm = st->fault_mode;
     for (int64_t i = 0; i < ng; i++) {
-        int64_t vq = st->g_vq[i], f = st->g_f[i];
-        int64_t out = vq % O;
-        int64_t t = vq / O;
-        int64_t in = t % I;
-        int64_t r = t / I;
+        const Grant *g = st->grants + i;
+        int64_t f = g->f, r = g->r, in = g->in, out = g->out;
         int64_t row = r * O + out;
-        int64_t nx = st->pool_next[f];
-        int32_t *q = st->voq + vq * VQ_REC;
+        Flit *fl = st->pool + f;
+        int64_t nx = fl->next;
+        int32_t *q = st->voq + ((r * I + in) * O + out) * VQ_REC;
         q[VQ_HEAD] = (int32_t)nx;
         q[VQ_COUNT] -= 1;
         if (nx < 0) {
@@ -544,11 +605,11 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
             st->row_mask[row * MW + (in >> 6)] &=
                 ~((uint64_t)1 << (in & 63));
         }
-        st->backlog[row] -= 1;
+        if (--st->backlog[row] == 0)
+            st->busy_rows[row >> 6] &= ~((uint64_t)1 << (row & 63));
 
-        int64_t pid = st->pool_pid[f];
-        int64_t hop = st->pool_hop[f];
-        int64_t off = pid * st->stride;
+        int64_t pid = fl->pid;
+        int64_t hop = fl->hop;
         if (in < st->deg[r]) {
             /* Link input `in` is fed by exactly one upstream port. */
             int64_t up = st->nbr[r * Dp + in];
@@ -563,7 +624,7 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
 
         if (out == OE) {
             n_ej++;
-            if (st->pool_seq[f] == st->ps - 1)
+            if (fl->seq == st->ps - 1)
                 st->tail_pids[n_tail++] = pid;
             st->free_stack[(*st->free_top)++] = f;
             /* Slot recycling: tail order when nothing can drop; by
@@ -574,23 +635,19 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
             if (fm) {
                 if (--st->pkt_live[pid] == 0)
                     st->pkt_free[(*st->pkt_free_top)++] = pid;
-            } else if (st->pool_seq[f] == st->ps - 1) {
+            } else if (fl->seq == st->ps - 1) {
                 st->pkt_free[(*st->pkt_free_top)++] = pid;
             }
         } else {
             int64_t nxt = st->nbr[r * Dp + out];
             int64_t in2 = st->rev[r * Dp + out];
-            int64_t out2;
+            int64_t out2 = st->route_port[pid * st->stride + hop + 1];
             /* Telemetry counts at grant time, before the fault doom
              * check below — the reference hook's accounting point. */
             if (st->link_flits)
                 st->link_flits[r * Dp + out] += 1;
             if (st->link_flits_win)
                 st->link_flits_win[r * Dp + out] += 1;
-            if (nxt == st->pkt_dst[pid])
-                out2 = OE;
-            else
-                out2 = port_of(st, nxt, st->route_buf[off + hop + 2]);
             if (fm && st->dead_row[nxt * O + out2]) {
                 /* Dead output at the next router: the flit evaporates
                  * on the wire, in grant order, and the credit toward
@@ -602,8 +659,8 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
             if (dvc > V - 1)
                 dvc = V - 1;
             st->credits[(r * Dp + out) * V + dvc] -= 1;
-            st->pool_hop[f] = hop + 1;
-            st->pool_ready[f] = now + st->hop_latency;
+            fl->hop = (int16_t)(hop + 1);
+            fl->ready = (int32_t)(now + st->hop_latency);
             enqueue(st, (nxt * I + in2) * O + out2, f, nxt * O + out2, in2);
         }
     }

@@ -5,12 +5,17 @@ numpy state instead of per-flit Python objects, so a cycle is a handful
 of vectorized array passes rather than an interpreter loop over every
 queued flit:
 
-* **Flit pool** — flits are rows of preallocated int arrays (packet id,
-  flit sequence number, hop index, ready cycle, next-pointer).  A free
-  list recycles rows; queues are intrusive linked lists through the
-  ``next`` column, so enqueue/dequeue never allocates.
+* **Flit pool** — a flit is one 16-byte record of a preallocated
+  structured array (next-pointer, packet id and ready cycle as int32,
+  hop index and flit sequence number as int16), read through the
+  ``pool_next`` / ``pool_pid`` / ``pool_ready`` / ``pool_hop`` /
+  ``pool_seq`` field views.  A free list recycles rows; queues are
+  intrusive linked lists through the ``next`` field, so
+  enqueue/dequeue never allocates.
 * **Routes** — selected once per packet and stored in a flattened route
   buffer with per-packet offsets; per-flit state is just the hop index.
+  With the C kernel, each hop's output port is resolved once per packet
+  too, into the kernel-only ``route_port`` rows.
 * **VOQs** — packed int32 ``{head, tail, count}`` records over a dense
   ``(router, in_port, out_port)`` index (ejection is the last output
   column), read through the ``voq_head`` / ``voq_tail`` / ``voq_count``
@@ -67,12 +72,32 @@ __all__ = ["FlatFabric", "FlatSimulator", "fabric_for"]
 #: initial flit-pool capacity (rows); grows by doubling
 _POOL_CAP = 4096
 
-#: most flit-pool rows a simulator may hold: VOQ records store pool row
-#: ids as int32
+#: most flit-pool rows (and packet slots) a simulator may hold: VOQ
+#: records store pool row ids, flit records packet slot ids, as int32
 _POOL_MAX = int(np.iinfo(np.int32).max)
 
 #: initial packet-table capacity; grows by doubling
 _PKT_CAP = 1024
+
+#: one flit-pool row, field for field the kernel's ``Flit`` struct
+_FLIT = np.dtype(
+    [("next", np.int32), ("pid", np.int32), ("ready", np.int32),
+     ("hop", np.int16), ("seq", np.int16)],
+    align=True,
+)
+
+#: one grant of a kernel cycle: the kernel's ``Grant`` struct
+_GRANT = np.dtype(
+    [("f", np.int32), ("r", np.int32), ("in", np.int32), ("out", np.int32)],
+    align=True,
+)
+
+#: largest packet_size and route stride: a flit record holds its
+#: sequence number and hop index as int16
+_SEQ_MAX = _HOP_MAX = int(np.iinfo(np.int16).max)
+
+#: latest cycle a flit record's int32 ready stamp can hold
+_READY_MAX = int(np.iinfo(np.int32).max)
 
 
 class FlatFabric:
@@ -212,6 +237,18 @@ class FlatSimulator(SimulatorCore):
         # degraded ceiling, which sizes the route stride and VC check.
         self._fault = make_fault_state(faults, topo, policy)
         validate_sim_args(topo, policy, load, config)
+        self.route_stride = policy.max_hops + 1
+        if config.packet_size > _SEQ_MAX:
+            raise ValueError(
+                f"packet_size={config.packet_size} exceeds the int16 flit "
+                f"sequence numbers of the flit records (at most {_SEQ_MAX})"
+            )
+        if self.route_stride > _HOP_MAX:
+            raise ValueError(
+                f"route stride {self.route_stride} (policy max_hops + 1) "
+                f"exceeds the int16 hop index of the flit records (at most "
+                f"{_HOP_MAX})"
+            )
         self._wl = make_workload_state(workload, config, topo)
 
         fab = fabric_for(topo)
@@ -251,14 +288,12 @@ class FlatSimulator(SimulatorCore):
         self._row_ports = fab.P_arr[row_router]
         self._IO = fab.I * O
 
-        # Flit pool + free list.  The stack top lives in a one-element
-        # array so the C kernel can mutate it in place.
+        # Flit pool + free list: one record per flit, bound to the C
+        # kernel as one pointer and read here through field views.  The
+        # stack top lives in a one-element array so the C kernel can
+        # mutate it in place.
         self.pool_cap = _POOL_CAP
-        self.pool_pid = np.empty(self.pool_cap, dtype=np.int64)
-        self.pool_seq = np.empty(self.pool_cap, dtype=np.int64)
-        self.pool_hop = np.empty(self.pool_cap, dtype=np.int64)
-        self.pool_ready = np.empty(self.pool_cap, dtype=np.int64)
-        self.pool_next = np.empty(self.pool_cap, dtype=np.int64)
+        self._set_pool(np.empty(self.pool_cap, dtype=_FLIT))
         self.free_stack = np.arange(self.pool_cap, dtype=np.int64)
         self._free_top = np.array([self.pool_cap], dtype=np.int64)
 
@@ -268,7 +303,6 @@ class FlatSimulator(SimulatorCore):
         # fixed-stride row of the route buffer (stride = the policy's
         # worst-case route length), identified by a pool slot that is
         # freed when the tail flit ejects.
-        self.route_stride = policy.max_hops + 1
         self.pkt_cap = _PKT_CAP
         self.pkt_t_created = np.empty(self.pkt_cap, dtype=np.int64)
         self.pkt_len = np.empty(self.pkt_cap, dtype=np.int64)
@@ -326,8 +360,7 @@ class FlatSimulator(SimulatorCore):
             # per-cycle drops by the feed slots (≤ E) plus the link
             # grants — so grant_cap caps both ring buffers.
             grant_cap = n * O + fab.E
-            self._g_vq = np.empty(grant_cap, dtype=np.int64)
-            self._g_f = np.empty(grant_cap, dtype=np.int64)
+            self._grants = np.empty(grant_cap, dtype=_GRANT)
             self._tail_pids = np.empty(max(grant_cap, 1), dtype=np.int64)
             if self._fault is not None:
                 self._drop_tails = np.empty(max(grant_cap, 1), dtype=np.int64)
@@ -338,6 +371,16 @@ class FlatSimulator(SimulatorCore):
             #: as queues fill and drain; :meth:`_drop_vq` is the one
             #: Python site that empties a VOQ on the kernel path.
             self.row_mask = np.zeros((n * O, (I + 63) // 64), dtype=np.uint64)
+            #: kernel-only bit per (router, out) row, set exactly while
+            #: the row's ``backlog`` is positive: the rows ``kroute``
+            #: arbitrates, walked in ascending order
+            self.busy_rows = np.zeros((n * O + 63) // 64, dtype=np.uint64)
+            #: kernel-only output port per packet slot and hop, the
+            #: route buffer's layout: ``kinject`` resolves a packet's
+            #: ports once, the cycle path only reads them.
+            self.route_port = np.zeros(
+                self.pkt_cap * self.route_stride, dtype=np.int16
+            )
             self._n_ej = ffi.new("int64_t *")
             self._st = ffi.new("SimState *")
             self._bind_kernel_state()
@@ -521,12 +564,11 @@ class FlatSimulator(SimulatorCore):
         st.ep_off = ptr(fab.ep_off)
         st.voq = bind(self._voq, np.int32, "int32_t[]")
         st.row_mask = bind(self.row_mask, np.uint64, "uint64_t[]")
+        st.busy_rows = bind(self.busy_rows, np.uint64, "uint64_t[]")
         st.backlog, st.rr, st.credits = (
             ptr(self.backlog), ptr(self.rr), ptr(self.credits),
         )
-        st.pool_pid, st.pool_seq = ptr(self.pool_pid), ptr(self.pool_seq)
-        st.pool_hop, st.pool_ready = ptr(self.pool_hop), ptr(self.pool_ready)
-        st.pool_next = ptr(self.pool_next)
+        st.pool = bind(self._pool, _FLIT, "Flit[]")
         st.src_head, st.src_tail = ptr(self.src_head), ptr(self.src_tail)
         st.ep_credit = ptr(self.ep_credit)
         st.pkt_len, st.pkt_dst = ptr(self.pkt_len), ptr(self.pkt_dst)
@@ -534,10 +576,11 @@ class FlatSimulator(SimulatorCore):
         st.pkt_msg = ptr(self.pkt_msg)
         st.pkt_measured = bptr(self.pkt_measured)
         st.route_buf = ptr(self.route_buf)
+        st.route_port = bind(self.route_port, np.int16, "int16_t[]")
         st.pkt_free = ptr(self._pslot_stack)
         st.pkt_free_top = ptr(self._pslot_top)
         st.free_stack, st.free_top = ptr(self.free_stack), ptr(self._free_top)
-        st.g_vq, st.g_f = ptr(self._g_vq), ptr(self._g_f)
+        st.grants = bind(self._grants, _GRANT, "Grant[]")
         st.tail_pids = ptr(self._tail_pids)
         st.fault_mode = 0 if self._fault is None else 1
         if self._fault is not None:
@@ -561,6 +604,13 @@ class FlatSimulator(SimulatorCore):
     # ------------------------------------------------------------------
     # Pool + table growth
     # ------------------------------------------------------------------
+    def _set_pool(self, pool: np.ndarray) -> None:
+        """Install the flit records and their per-field views."""
+        self._pool = pool
+        self.pool_next, self.pool_pid = pool["next"], pool["pid"]
+        self.pool_ready = pool["ready"]
+        self.pool_hop, self.pool_seq = pool["hop"], pool["seq"]
+
     def _grow_pool(self, min_extra: int) -> None:
         old = self.pool_cap
         extra = max(min_extra, old)
@@ -570,11 +620,9 @@ class FlatSimulator(SimulatorCore):
                 f"pool_cap={cap} flit-pool rows exceed the int32 row ids "
                 f"of the VOQ records (at most {_POOL_MAX})"
             )
-        for name in ("pool_pid", "pool_seq", "pool_hop", "pool_ready", "pool_next"):
-            arr = getattr(self, name)
-            new = np.empty(cap, dtype=arr.dtype)
-            new[:old] = arr
-            setattr(self, name, new)
+        pool = np.empty(cap, dtype=_FLIT)
+        pool[:old] = self._pool
+        self._set_pool(pool)
         top = self.free_top
         stack = np.empty(cap, dtype=np.int64)
         stack[:top] = self.free_stack[:top]
@@ -601,6 +649,11 @@ class FlatSimulator(SimulatorCore):
         old = self.pkt_cap
         extra = max(min_extra, old)
         cap = old + extra
+        if cap > _POOL_MAX:
+            raise OverflowError(
+                f"pkt_cap={cap} packet slots exceed the int32 packet ids "
+                f"of the flit records (at most {_POOL_MAX})"
+            )
         stride = self.route_stride
         for name, fill in (
             ("pkt_t_created", None), ("pkt_len", None), ("pkt_dst", -1),
@@ -625,6 +678,11 @@ class FlatSimulator(SimulatorCore):
         route_buf = np.zeros(cap * stride, dtype=np.int64)
         route_buf[: old * stride] = self.route_buf
         self.route_buf = route_buf
+        if self._kernel is not None:
+            # Live packets keep the ports kinject resolved for them.
+            route_port = np.zeros(cap * stride, dtype=np.int16)
+            route_port[: old * stride] = self.route_port
+            self.route_port = route_port
         top = int(self._pslot_top[0])
         stack = np.empty(cap, dtype=np.int64)
         stack[:top] = self._pslot_stack[:top]
@@ -863,7 +921,7 @@ class FlatSimulator(SimulatorCore):
         self.src_tail[ids[nxt < 0]] = -1
         self.ep_credit[ids] -= 1
         routers = fab.ep_router[ids]
-        pid = self.pool_pid[flits]
+        pid = self.pool_pid[flits].astype(np.int64)
         out = np.full(ids.size, fab.OE, dtype=np.int64)
         multi = self.pkt_len[pid] > 1
         out[multi] = fab.ports_toward(
@@ -886,7 +944,7 @@ class FlatSimulator(SimulatorCore):
         if cand.size == 0:
             return
         flits = self.src_head[cand]
-        pid = self.pool_pid[flits]
+        pid = self.pool_pid[flits].astype(np.int64)
         routers = fab.ep_router[cand]
         out = np.full(cand.size, fab.OE, dtype=np.int64)
         multi = self.pkt_len[pid] > 1
@@ -996,7 +1054,7 @@ class FlatSimulator(SimulatorCore):
         self.voq_tail[vq_w[succ < 0]] = -1
         np.add.at(self.backlog, row_w, -1)
 
-        pid_w = self.pool_pid[flit]
+        pid_w = self.pool_pid[flit].astype(np.int64)
         hop_w = self.pool_hop[flit]
         off_w = pid_w * self.route_stride
         deg_w = fab.deg[r_w]
@@ -1149,11 +1207,12 @@ class FlatSimulator(SimulatorCore):
         self.voq_head[vq] = -1
         self.voq_tail[vq] = -1
         self.voq_count[vq] = 0
+        row = r * fab.O + out
+        self.backlog[row] -= rows.size
         if self._kernel is not None:
-            self.row_mask[r * fab.O + out, in_port >> 6] &= ~np.uint64(
-                1 << (in_port & 63)
-            )
-        self.backlog[r * fab.O + out] -= rows.size
+            self.row_mask[row, in_port >> 6] &= ~np.uint64(1 << (in_port & 63))
+            if self.backlog[row] == 0:
+                self.busy_rows[row >> 6] &= ~np.uint64(1 << (row & 63))
         if return_credit:
             deg = int(fab.deg[r])
             if in_port < deg:
@@ -1284,7 +1343,15 @@ class FlatSimulator(SimulatorCore):
         A fault epoch due at the first cycle is applied here, where that
         cycle's ``step()`` would apply it; one falling later in the
         stretch declines the span (the run loop never asks for one).
+        Cycles whose ready stamps would pass the int32 ceiling are never
+        started: the stretch runs up to them, then raises.
         """
+        room = max(self._cycles_left(), 0)
+        if n > room:
+            self.advance(room)
+            if self._wl is None or not self._wl.done:
+                raise self._clock_overflow()
+            return
         if n > 0 and self._kspan is not None:
             self._fault_phase()
             if self._kspan.bind(self, n):
@@ -1299,8 +1366,21 @@ class FlatSimulator(SimulatorCore):
             if delta is not None:
                 self._apply_fault_delta(delta)
 
+    def _cycles_left(self) -> int:
+        """Cycles from ``now`` whose flits' ready stamps fit in int32."""
+        return _READY_MAX - self._hop_latency - self.now + 1
+
+    def _clock_overflow(self) -> OverflowError:
+        return OverflowError(
+            f"now={self.now}: a flit forwarded this cycle would be ready at "
+            f"cycle {self.now + self._hop_latency}, past the int32 ready "
+            f"stamps of the flit records (at most {_READY_MAX})"
+        )
+
     def step(self) -> None:
         """Advance the simulation by one cycle."""
+        if self._cycles_left() < 1:
+            raise self._clock_overflow()
         self._fault_phase()
         if self._wl is not None:
             self._inject_workload()

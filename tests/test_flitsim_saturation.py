@@ -7,11 +7,13 @@ router mixed in.  Both engines must agree bit-for-bit, and a fully
 drained network must return every credit it borrowed.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.core import PolarFly
-from repro.experiments import FAULTS, WORKLOADS
+from repro.experiments import FAULTS, POLICIES, TOPOLOGIES, TRAFFICS, WORKLOADS
 from repro.experiments.runner import auto_sim_config
 from repro.faults import prepare_fault_policy
 from repro.flitsim import (
@@ -21,6 +23,7 @@ from repro.flitsim import (
     UniformTraffic,
     flatcore,
 )
+from repro.flitsim._kernel import load_kernel, numpy_fallback
 from repro.routing import (
     MinimalRouting,
     RoutingTables,
@@ -151,6 +154,8 @@ class TestSaturationBackpressure:
 
 
 def assert_backlog_is_voq_row_sum(sim):
+    """The per-cycle invariants: ``backlog`` is the VOQ counts' row sum;
+    on the kernel path the occupancy masks and route ports hold too."""
     fab = sim.fab
     assert (sim.backlog >= 0).all()
     assert np.array_equal(
@@ -159,10 +164,45 @@ def assert_backlog_is_voq_row_sum(sim):
     )
     if sim._kernel is not None:
         assert_row_mask_is_voq_occupancy(sim)
+        assert_route_ports_follow_routes(sim)
+
+
+def assert_route_ports_follow_routes(sim):
+    """Every live packet's ``route_port`` row is its route's output ports.
+
+    Recomputed from the route row with ``fab.ports_toward``: hop 0 ejects
+    only on a one-router route, a later hop at the first router that is
+    the route's destination, and every other hop leaves toward the next
+    router.  Returns how many live hops eject before the route's end (a
+    Valiant leg passing through the destination).
+    """
+    fab, stride = sim.fab, sim.route_stride
+    live = np.ones(sim.pkt_cap, dtype=bool)
+    live[sim._pslot_stack[: int(sim._pslot_top[0])]] = False
+    pids = np.flatnonzero(live)
+    routes = sim.route_buf.reshape(sim.pkt_cap, stride)[pids]
+    lens = sim.pkt_len[pids]
+    hops = np.arange(stride)[None, :]
+    on_route = hops < lens[:, None]
+    ahead = np.zeros_like(routes)
+    ahead[:, :-1] = routes[:, 1:]
+    ports = fab.ports_toward(
+        np.where(on_route, routes, 0), np.where(on_route, ahead, 0)
+    )
+    dst = routes[np.arange(pids.size), lens - 1]
+    eject = routes == dst[:, None]
+    eject[:, 0] = lens == 1
+    want = np.where(eject, fab.OE, ports)
+    got = sim.route_port.reshape(sim.pkt_cap, stride)[pids]
+    assert np.array_equal(got[on_route], want[on_route])
+    return int((eject & (hops < lens[:, None] - 1)).sum())
 
 
 def assert_row_mask_is_voq_occupancy(sim):
-    """Bit ``in`` of ``row_mask[r, out]`` is set iff VOQ (r, in, out) holds a flit."""
+    """Bit ``in`` of ``row_mask[r, out]`` is set iff VOQ (r, in, out) holds a flit.
+
+    And bit ``r * O + out`` of ``busy_rows`` iff that row's backlog is positive.
+    """
     fab = sim.fab
     words = sim.row_mask.reshape(fab.n, fab.O, -1)
     ins = np.arange(fab.I)
@@ -171,6 +211,11 @@ def assert_row_mask_is_voq_occupancy(sim):
     assert np.array_equal(bits.astype(bool), occupied.transpose(0, 2, 1))
     # No stray bit at or above I in the last word either.
     assert not (words[:, :, -1] >> np.uint64((fab.I - 1) % 64) >> np.uint64(1)).any()
+    # One level up: bit ``row`` of ``busy_rows`` iff the row holds a flit.
+    rows = np.arange(fab.n * fab.O)
+    busy = (sim.busy_rows[rows >> 6] >> (rows & 63).astype(np.uint64)) & np.uint64(1)
+    assert np.array_equal(busy.astype(bool), sim.backlog > 0)
+    assert not (sim.busy_rows[-1] >> np.uint64((rows[-1] % 64)) >> np.uint64(1)).any()
 
 
 class TestBacklogMirrorsVoqCounts:
@@ -184,6 +229,9 @@ class TestBacklogMirrorsVoqCounts:
     holds bit by bit: ``bit(row_mask[r, out], in) == (voq_count[r, in,
     out] > 0)`` — a stale bit would read the head of an empty queue, and
     the event-time flush in ``_drop_vq`` is where one could come from.
+    The kernel path also never searches a port on the cycle path: it
+    reads the ``route_port`` row ``kinject`` filled, which must equal
+    the live packet's route recomputed port by port.
     """
 
     def test_open_loop(self, pf, tables, flat_path):
@@ -274,3 +322,177 @@ def test_flit_pool_growth_stops_loudly_at_the_int32_ceiling(
     # Refused before anything was replaced: the simulator still runs.
     assert sim.pool_cap == sim.free_top == sim.pool_next.size == CAP
     sim.run(warmup=0, measure=20, drain=40)
+
+
+#: (ceiling, patched to, error, message, cycle the run stops at) — the
+#: fields the flit records narrow, each one side of its ceiling and the
+#: other: packet_size=4 (int16 sequence numbers), the route stride
+#: max_hops + 1 = 3 on PolarFly q=5 (int16 hop index, route_port rows),
+#: and the ready stamp now + 3 (int32) of an 80-cycle run
+NARROWED = [
+    ("_SEQ_MAX", 4, None, None, 80),
+    ("_SEQ_MAX", 3, ValueError, r"packet_size=4 exceeds the int16", None),
+    ("_HOP_MAX", 3, None, None, 80),
+    ("_HOP_MAX", 2, ValueError, r"route stride 3 \(policy max_hops", None),
+    ("_READY_MAX", 82, None, None, 80),
+    ("_READY_MAX", 81, OverflowError, r"now=79: .* ready at cycle 82", 79),
+    ("_READY_MAX", 3, OverflowError, r"now=1: .* ready at cycle 4", 1),
+]
+
+
+@pytest.mark.parametrize("ceiling,value,error,match,stops_at", NARROWED)
+def test_narrowed_flit_fields_stop_loudly_at_their_ceilings(
+    pf, tables, flat_path, monkeypatch, ceiling, value, error, match, stops_at
+):
+    """Construction refuses what the records cannot hold; time stops short."""
+    assert getattr(flatcore, ceiling) == {"_READY_MAX": 2**31 - 1}.get(
+        ceiling, 2**15 - 1
+    )
+    monkeypatch.setattr(flatcore, ceiling, value)
+
+    def build():
+        with flat_path():
+            return FlatSimulator(
+                pf, MinimalRouting(tables), UniformTraffic(pf), 0.5, seed=1
+            )
+
+    if stops_at is None:
+        with pytest.raises(error, match=match):
+            build()
+        return
+    sim = build()
+    if error is None:
+        sim.run(warmup=20, measure=60, drain=0)
+    else:
+        with pytest.raises(error, match=match):
+            sim.run(warmup=20, measure=60, drain=0)
+    # Every cycle before the ceiling ran — as spans where the kernel
+    # offers them — and none past it.
+    assert sim.now == stops_at
+    if sim._kspan is not None:
+        assert sim.span_cycles == stops_at
+
+
+def test_packet_table_growth_stops_loudly_at_the_int32_ceiling(
+    pf, tables, monkeypatch
+):
+    """Flit records hold packet slot ids as int32, like pool rows."""
+    monkeypatch.setattr(flatcore, "_POOL_MAX", 2 * flatcore._PKT_CAP - 1)
+    sim = FlatSimulator(pf, MinimalRouting(tables), UniformTraffic(pf), 0.5, seed=1)
+    with pytest.raises(OverflowError, match=rf"pkt_cap={2 * flatcore._PKT_CAP}"):
+        sim._grow_pkt_pool(1)
+    assert sim.pkt_cap == int(sim._pslot_top[0]) == flatcore._PKT_CAP
+
+
+#: the kernel's record structs, field by field: (name, C type, offset)
+RECORDS = {
+    "Flit": (
+        flatcore._FLIT,
+        [("next", "int32_t", 0), ("pid", "int32_t", 4), ("ready", "int32_t", 8),
+         ("hop", "int16_t", 12), ("seq", "int16_t", 14)],
+    ),
+    "Grant": (
+        flatcore._GRANT,
+        [("f", "int32_t", 0), ("r", "int32_t", 4), ("in", "int32_t", 8),
+         ("out", "int32_t", 12)],
+    ),
+}
+
+
+@pytest.mark.skipif(load_kernel() is None, reason="C kernel unavailable")
+@pytest.mark.parametrize("struct", sorted(RECORDS))
+def test_record_dtypes_match_the_kernel_structs(struct):
+    """A reordered or retyped C field fails here, not as silent corruption."""
+    ffi = load_kernel().ffi
+    dtype, fields = RECORDS[struct]
+    assert ffi.sizeof(struct) == dtype.itemsize == 16
+    assert [name for name, _ in ffi.typeof(struct).fields] == list(dtype.names)
+    assert list(dtype.names) == [name for name, _, _ in fields]
+    for name, ctype, offset in fields:
+        np_type, np_offset = dtype.fields[name]
+        assert ffi.offsetof(struct, name) == np_offset == offset, name
+        assert ffi.sizeof(ctype) == np_type.itemsize, name
+        assert np_type == np.dtype(ctype[:-2]), name
+
+
+SPAN_KERNEL = pytest.mark.skipif(
+    load_kernel() is None or not load_kernel().select_ok,
+    reason="C kernel (or its draw self-test) unavailable",
+)
+
+
+@SPAN_KERNEL
+@pytest.mark.parametrize(
+    "topo_spec,policy_spec,traffic_spec,load",
+    [
+        # 44 % of the pairs have tied minimal next hops, drawn in kselect
+        ("polarstar:conc=2,q=5,sq=9", "min", "uniform", 0.6),
+        # 65 input ports: two-word occupancy masks
+        ("polarfly:conc=57,q=7", "ugal-pf", "tornado", 0.9),
+        # src -> mid legs that pass through dst eject there
+        ("polarfly:conc=2,q=5", "valiant", "uniform", 0.5),
+    ],
+)
+def test_route_ports_follow_routes_through_one_cycle_spans(
+    topo_spec, policy_spec, traffic_spec, load
+):
+    """The per-cycle checks above, with each cycle run as a ``kcycles`` span."""
+    topo = TOPOLOGIES.create(topo_spec)
+    policy = POLICIES.create(policy_spec, RoutingTables(topo))
+    sim = FlatSimulator(
+        topo, policy, TRAFFICS.create(traffic_spec, topo), load,
+        config=auto_sim_config(policy), seed=6,
+    )
+    early = 0
+    for _ in range(80):
+        sim.advance(1)
+        assert_backlog_is_voq_row_sum(sim)
+        early += assert_route_ports_follow_routes(sim)
+    assert sim.span_cycles == sim.now == 80
+    assert (early > 0) == (policy_spec == "valiant")
+
+
+@SPAN_KERNEL
+@pytest.mark.parametrize(
+    "faults", [None, "linkflap:count=6,cycle=40,duration=60,seed=1"]
+)
+def test_packet_table_grows_mid_span_with_live_packets(
+    pf, tables, monkeypatch, faults
+):
+    """A packet-table grow inside ``kcycles`` keeps the live ports.
+
+    A tiny first table makes every few cycles of a loaded run a
+    ``SPAN_GROW`` return with packets in flight; the grown
+    ``route_port`` must carry their rows over, or their flits turn at
+    the wrong ports and the run leaves the numpy path's.
+    """
+    monkeypatch.setattr(flatcore, "_PKT_CAP", 16)
+    sims = []
+    for path in (contextlib.nullcontext, numpy_fallback):
+        policy = MinimalRouting(tables)
+        timeline = None
+        if faults is not None:
+            timeline = FAULTS.create(faults, pf)
+            prepare_fault_policy(policy, timeline, pf)
+        with path():
+            sims.append(FlatSimulator(
+                pf, policy, UniformTraffic(pf), 0.9,
+                config=auto_sim_config(policy), seed=8, faults=timeline,
+            ))
+    spans, numpy_sim = sims
+    grows = []
+    grow = spans._grow_pkt_pool
+
+    def counted_grow(min_extra):
+        grows.append(spans.pkt_cap - int(spans._pslot_top[0]))
+        grow(min_extra)
+
+    spans._grow_pkt_pool = counted_grow
+    runs = [sim.run(warmup=40, measure=120, drain=60) for sim in sims]
+    assert spans.span_cycles == spans.now == 220
+    assert sum(live > 0 for live in grows) >= 2, grows
+    assert_identical(*runs)
+    assert spans.pkt_cap == numpy_sim.pkt_cap > 16
+    for name in ("voq_count", "backlog", "credits", "ep_credit"):
+        assert np.array_equal(getattr(spans, name), getattr(numpy_sim, name)), name
+    assert_route_ports_follow_routes(spans)

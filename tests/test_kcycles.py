@@ -183,7 +183,7 @@ def assert_same_result(a, b, what=""):
 WHOLE = (
     "credits", "ep_credit", "voq_head", "voq_tail", "voq_count", "row_mask",
     "backlog", "rr", "src_head", "src_tail", "pkt_dst", "pkt_msg", "pkt_measured",
-    "route_buf", "_free_top", "_pslot_top",
+    "route_buf", "route_port", "_free_top", "_pslot_top",
 )
 #: the same under a fault timeline / of a WorkloadState / of a FaultState
 FAULT_WHOLE = ("dead_row", "pkt_live", "pkt_damaged")
