@@ -177,6 +177,10 @@ class Registry:
             raise TypeError(
                 f"bad arguments for {self.kind} {spec!r}: {exc}"
             ) from exc
+        except ValueError as exc:
+            # A bare "invalid literal for int()" names neither the spec
+            # nor the kind of thing it was meant to build.
+            raise ValueError(f"bad value in {self.kind} {spec!r}: {exc}") from exc
 
 
 #: topology constructors (see ``repro/topologies`` and ``repro/core``)

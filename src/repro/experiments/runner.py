@@ -224,15 +224,10 @@ class _Heartbeat:
     def __init__(self, result: "ExperimentResult", total: int):
         self.result = result
         self.total = total
-        self.print_line = False
-        interval = None
-        env = os.environ.get(PROGRESS_ENV, "").strip()
-        if env:
-            try:
-                interval = max(0.1, float(env))
-                self.print_line = True
-            except ValueError:
-                pass
+        interval = env_positive(PROGRESS_ENV, float)
+        self.print_line = interval is not None
+        if interval is not None:
+            interval = max(0.1, interval)
         self.obs_on = obs.enabled()
         if interval is None and self.obs_on:
             interval = _OBS_PROGRESS_DEFAULT_S

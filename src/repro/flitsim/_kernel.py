@@ -145,9 +145,13 @@ import shutil
 import sys
 import tempfile
 
+import numpy as np
+
 from repro.utils.env import env_disabled
 
-__all__ = ["load_kernel", "kernel_enabled", "numpy_fallback", "bitgen_of"]
+__all__ = [
+    "load_kernel", "kernel_enabled", "numpy_fallback", "bitgen_of", "bind_struct",
+]
 
 _STRUCT = """
 /* One flit-pool row (16 bytes): the next row in its queue, its packet
@@ -1306,6 +1310,68 @@ def bitgen_of(ffi, rng):
     return ffi.cast("bitgen_t *", rng.bit_generator.ctypes.bit_generator.value)
 
 
+#: struct ctype -> {field: None for a scalar, else (the C array type of
+#: its buffer, the numpy dtype — or record size — the buffer must have)}
+_SCHEMAS: dict = {}
+
+
+def _schema(ffi, struct) -> dict:
+    """What each field of ``struct`` takes, read off its C declaration."""
+    if struct not in _SCHEMAS:
+        _SCHEMAS[struct] = schema = {}
+        for name, field in struct.fields:
+            item = field.type.item if field.type.kind == "pointer" else None
+            if item is None:
+                schema[name] = None
+            elif item.kind == "struct":  # a record: any dtype of its size
+                schema[name] = (f"{item.cname}[]", ffi.sizeof(item))
+            else:  # numpy bool is one byte; the kernel reads/writes int8
+                want = "bool" if item.cname == "int8_t" else item.cname[:-2]
+                schema[name] = (f"{item.cname}[]", np.dtype(want))
+    return _SCHEMAS[struct]
+
+
+def bind_struct(ffi, ptr, fields: dict) -> dict:
+    """Set fields of the C struct ``*ptr``; returns the keep-alive views.
+
+    The C declaration is the only schema.  A scalar field is assigned as
+    given; a pointer field takes ``None`` (NULL) or a C-contiguous array
+    whose dtype matches the pointee — ``bool`` for ``int8_t``, a record
+    dtype of equal ``ffi.sizeof`` for a struct such as ``Flit`` — and
+    anything else raises ``TypeError`` naming the struct and the field.
+    Fields left out keep their value (``ffi.new`` zero-fills: NULL).
+    The result maps each pointer field to its cffi view (``None``: NULL),
+    which keeps the array alive; hold it as long as the binding stands.
+    """
+    struct = ffi.typeof(ptr).item
+    schema = _schema(ffi, struct)
+    refs = {}
+    for name, value in fields.items():
+        if name not in schema:
+            raise TypeError(f"{struct.cname} has no field {name!r}")
+        if schema[name] is None:
+            setattr(ptr, name, value)
+            continue
+        ctype, want = schema[name]
+        if value is not None:
+            dtype, record = value.dtype, type(want) is int
+            if record:
+                fits = dtype.names is not None and dtype.itemsize == want
+            else:
+                fits = dtype is want or dtype == want
+            if not (fits and value.flags.c_contiguous):
+                what = f"{want}-byte {ctype[:-2]} records" if record else want
+                raise TypeError(
+                    f"{struct.cname}.{name}: kernel buffer must be "
+                    f"C-contiguous {what}, got {dtype} "
+                    f"(c_contiguous={value.flags.c_contiguous})"
+                )
+            value = ffi.from_buffer(ctype, value)
+        setattr(ptr, name, ffi.NULL if value is None else value)
+        refs[name] = value
+    return refs
+
+
 def _draws_match(module) -> bool:
     """Whether the C draws reproduce ``Generator``'s on this numpy.
 
@@ -1318,8 +1384,6 @@ def _draws_match(module) -> bool:
     agree — the state covers draws that consume the stream without
     changing a value, and a 32-bit half left buffered across a double.
     """
-    import numpy as np
-
     ffi, lib = module.ffi, module.lib
     ours = np.random.Generator(np.random.PCG64(0))
     theirs = np.random.Generator(np.random.PCG64(0))

@@ -51,7 +51,7 @@ import weakref
 
 import numpy as np
 
-from repro.flitsim._kernel import load_kernel
+from repro.flitsim._kernel import bind_struct, load_kernel
 from repro.flitsim.engine import (
     SimConfig,
     SimResult,
@@ -98,6 +98,44 @@ _SEQ_MAX = _HOP_MAX = int(np.iinfo(np.int16).max)
 
 #: latest cycle a flit record's int32 ready stamp can hold
 _READY_MAX = int(np.iinfo(np.int32).max)
+
+#: the per-packet-slot arrays, declared once for allocation and growth:
+#: attribute, dtype, fill (None: unwritten until a packet takes the
+#: slot), whether a slot's row is ``route_stride`` wide, and the
+#: attribute that must be set for it to exist (None: always).
+#: ``pkt_msg`` is the owning workload message (-1 open loop);
+#: ``route_port`` the kernel-only output port per hop, which ``kinject``
+#: resolves once per packet and the cycle path only reads; ``pkt_live``
+#: / ``pkt_damaged`` the fault mode's outstanding flits (drops retire a
+#: packet out of tail order, so slot recycling counts flits) and
+#: damaged flag.
+_PKT_ARRAYS = (
+    ("pkt_t_created", np.int64, None, False, None),
+    ("pkt_len", np.int64, None, False, None),
+    ("pkt_dst", np.int64, -1, False, None),
+    ("pkt_msg", np.int64, -1, False, None),
+    ("pkt_measured", np.bool_, False, False, None),
+    ("route_buf", np.int64, 0, True, None),
+    ("route_port", np.int16, 0, True, "_kernel"),
+    ("pkt_live", np.int64, 0, False, "_fault"),
+    ("pkt_damaged", np.bool_, False, False, "_fault"),
+)
+
+
+def _filled(size: int, dtype, fill) -> np.ndarray:
+    if fill is None:
+        return np.empty(size, dtype=dtype)
+    return np.full(size, fill, dtype=dtype) if fill else np.zeros(size, dtype=dtype)
+
+
+def _grown_free_stack(stack, top_arr, old: int, cap: int) -> np.ndarray:
+    """``stack`` widened to ``cap`` ids with ``old .. cap - 1`` pushed."""
+    top = int(top_arr[0])
+    grown = np.empty(cap, dtype=np.int64)
+    grown[:top] = stack[:top]
+    grown[top : top + cap - old] = np.arange(old, cap)
+    top_arr[0] = top + cap - old
+    return grown
 
 
 class FlatFabric:
@@ -297,6 +335,15 @@ class FlatSimulator(SimulatorCore):
         self.free_stack = np.arange(self.pool_cap, dtype=np.int64)
         self._free_top = np.array([self.pool_cap], dtype=np.int64)
 
+        # Optional C cycle kernel (same protocol, same arrays) in every
+        # mode — open loop, closed loop, faults, and combined; falls
+        # back to the pure-numpy phases when unavailable.  Epoch-boundary
+        # fault deltas stay in Python and, on the per-cycle path, so
+        # does the workload's dependency bookkeeping, fed by the bound
+        # arrays and the per-cycle ring buffers (tail_pids,
+        # drop_tail_pids).
+        self._kernel = load_kernel()
+
         # Packet table + route buffer, slot-recycled so memory stays
         # O(in-flight packets), not O(packets ever injected): each
         # packet occupies one row of the pkt_* arrays and one
@@ -304,13 +351,15 @@ class FlatSimulator(SimulatorCore):
         # worst-case route length), identified by a pool slot that is
         # freed when the tail flit ejects.
         self.pkt_cap = _PKT_CAP
-        self.pkt_t_created = np.empty(self.pkt_cap, dtype=np.int64)
-        self.pkt_len = np.empty(self.pkt_cap, dtype=np.int64)
-        self.pkt_dst = np.full(self.pkt_cap, -1, dtype=np.int64)
-        #: owning workload message id per packet slot (-1 open loop)
-        self.pkt_msg = np.full(self.pkt_cap, -1, dtype=np.int64)
-        self.pkt_measured = np.zeros(self.pkt_cap, dtype=bool)
-        self.route_buf = np.zeros(self.pkt_cap * self.route_stride, dtype=np.int64)
+        #: (attribute, dtype, fill, elements per slot) of this
+        #: simulator's share of :data:`_PKT_ARRAYS`
+        self._slot_arrays = [
+            (name, dtype, fill, self.route_stride if wide else 1)
+            for name, dtype, fill, wide, owner in _PKT_ARRAYS
+            if owner is None or getattr(self, owner) is not None
+        ]
+        for name, dtype, fill, width in self._slot_arrays:
+            setattr(self, name, _filled(self.pkt_cap * width, dtype, fill))
         self._pslot_stack = np.arange(self.pkt_cap, dtype=np.int64)
         self._pslot_top = np.array([self.pkt_cap], dtype=np.int64)
         #: monotone count of packets ever injected (slots are recycled)
@@ -331,28 +380,14 @@ class FlatSimulator(SimulatorCore):
         # per cycle and the C kernel a NULL pointer it never follows.
         self._ltel: "np.ndarray | None" = None
         self._ltel_dp = max(fab.D, 1)
-        self._ltel_buf = None
         # Windowed sibling: flushed and zeroed at each window boundary
         # by a time-series collector (attach_link_telemetry(windowed=True)).
         self._ltel_win: "np.ndarray | None" = None
-        self._ltel_win_buf = None
 
-        # Fault-mode state: per-(router, output-column) death mask and
-        # outstanding-flit counts per packet slot (drops can retire a
-        # packet out of tail order, so slot recycling counts flits).
+        # Fault-mode state: per-(router, output-column) death mask.
         if self._fault is not None:
             self.dead_row = np.zeros(n * O, dtype=bool)
-            self.pkt_live = np.zeros(self.pkt_cap, dtype=np.int64)
-            self.pkt_damaged = np.zeros(self.pkt_cap, dtype=bool)
 
-        # Optional C cycle kernel (same protocol, same arrays) in every
-        # mode — open loop, closed loop, faults, and combined; falls
-        # back to the pure-numpy phases when unavailable.  Epoch-boundary
-        # fault deltas stay in Python and, on the per-cycle path, so
-        # does the workload's dependency bookkeeping, fed by the bound
-        # arrays and the per-cycle ring buffers (tail_pids,
-        # drop_tail_pids).
-        self._kernel = load_kernel()
         if self._kernel is not None:
             ffi = self._kernel.ffi
             # Grants per cycle are bounded by one per (router, link
@@ -375,12 +410,6 @@ class FlatSimulator(SimulatorCore):
             #: the row's ``backlog`` is positive: the rows ``kroute``
             #: arbitrates, walked in ascending order
             self.busy_rows = np.zeros((n * O + 63) // 64, dtype=np.uint64)
-            #: kernel-only output port per packet slot and hop, the
-            #: route buffer's layout: ``kinject`` resolves a packet's
-            #: ports once, the cycle path only reads them.
-            self.route_port = np.zeros(
-                self.pkt_cap * self.route_stride, dtype=np.int16
-            )
             self._n_ej = ffi.new("int64_t *")
             self._st = ffi.new("SimState *")
             self._bind_kernel_state()
@@ -464,17 +493,11 @@ class FlatSimulator(SimulatorCore):
         :meth:`flush_window_link_counts`, while the cumulative array
         keeps the whole-run totals.
         """
+        size = self.fab.n * self._ltel_dp
         if self._ltel is None:
-            self._ltel, self._ltel_buf = self._link_counter()
+            self._ltel = np.zeros(size, dtype=np.int64)
         if windowed and self._ltel_win is None:
-            self._ltel_win, self._ltel_win_buf = self._link_counter()
-
-    def _link_counter(self):
-        """A zeroed counter array and its kernel view (None: no kernel)."""
-        arr = np.zeros(self.fab.n * self._ltel_dp, dtype=np.int64)
-        if self._kernel is None:
-            return arr, None
-        return arr, self._kernel.ffi.from_buffer("int64_t[]", arr)
+            self._ltel_win = np.zeros(size, dtype=np.int64)
 
     def _link_dict(self, arr: "np.ndarray | None") -> dict:
         """Nonzero entries of a counter array as ``{(u, v): flits}``."""
@@ -518,88 +541,57 @@ class FlatSimulator(SimulatorCore):
     # C kernel plumbing
     # ------------------------------------------------------------------
     def _bind_kernel_state(self) -> None:
-        """(Re)point the kernel's state struct at the current arrays.
+        """Point the kernel's ``SimState`` at this simulator's arrays.
 
-        Called at construction and whenever a growable array is
-        replaced; keeps the cffi buffer objects alive on the instance.
-        Every binding asserts dtype and C-contiguity here, once — a
-        future refactor that changes a buffer's layout fails loudly at
-        bind time instead of silently mis-binding the C view.
+        The mapping is the whole binding: :func:`bind_struct` reads each
+        field's C type off the ``SimState`` declaration and refuses an
+        array of another dtype or layout, naming the field, so a new
+        field costs one struct line and one entry here.  Fields left out
+        stay NULL: the fault mode's without a fault timeline, and the
+        link counters, which :meth:`_bind_link_counters` shows the
+        kernel during the measure window only.  Called once, at
+        construction; a grow re-points its own pool's fields alone
+        (:meth:`_pool_fields`, :meth:`_pkt_fields`).
         """
-        ffi = self._kernel.ffi
-        fab = self.fab
-        st = self._st
-        refs = []
-
-        def bind(arr, dtype, ctype):
-            if arr.dtype != dtype or not arr.flags.c_contiguous:
-                raise TypeError(
-                    f"kernel buffer must be C-contiguous {np.dtype(dtype)}, "
-                    f"got {arr.dtype} "
-                    f"(c_contiguous={arr.flags.c_contiguous})"
-                )
-            buf = ffi.from_buffer(ctype, arr)
-            refs.append(buf)
-            return buf
-
-        def ptr(arr):
-            return bind(arr, np.int64, "int64_t[]")
-
-        def bptr(arr):
-            # numpy bool is one byte; the kernel reads/writes int8.
-            return bind(arr, np.bool_, "int8_t[]")
-
-        st.n, st.E, st.I, st.O, st.OE = fab.n, fab.E, fab.I, fab.O, fab.OE
-        st.Dp = max(fab.D, 1)
-        st.V = self.config.num_vcs
-        st.ps = self.config.packet_size
-        st.hop_latency = self._hop_latency
-        st.stride = self.route_stride
-        st.deg, st.ports, st.conc = ptr(fab.deg), ptr(fab.P_arr), ptr(fab.conc)
-        st.nbr = ptr(fab.nbr_mat)
-        st.rev = bind(fab.rev_mat, np.int16, "int16_t[]")
-        st.adj_indptr = ptr(fab.adj_indptr)
-        st.adj_indices = ptr(fab.adj_indices)
-        st.ep_router, st.ep_inport = ptr(fab.ep_router), ptr(fab.ep_inport)
-        st.ep_off = ptr(fab.ep_off)
-        st.voq = bind(self._voq, np.int32, "int32_t[]")
-        st.row_mask = bind(self.row_mask, np.uint64, "uint64_t[]")
-        st.busy_rows = bind(self.busy_rows, np.uint64, "uint64_t[]")
-        st.backlog, st.rr, st.credits = (
-            ptr(self.backlog), ptr(self.rr), ptr(self.credits),
-        )
-        st.pool = bind(self._pool, _FLIT, "Flit[]")
-        st.src_head, st.src_tail = ptr(self.src_head), ptr(self.src_tail)
-        st.ep_credit = ptr(self.ep_credit)
-        st.pkt_len, st.pkt_dst = ptr(self.pkt_len), ptr(self.pkt_dst)
-        st.pkt_t_created = ptr(self.pkt_t_created)
-        st.pkt_msg = ptr(self.pkt_msg)
-        st.pkt_measured = bptr(self.pkt_measured)
-        st.route_buf = ptr(self.route_buf)
-        st.route_port = bind(self.route_port, np.int16, "int16_t[]")
-        st.pkt_free = ptr(self._pslot_stack)
-        st.pkt_free_top = ptr(self._pslot_top)
-        st.free_stack, st.free_top = ptr(self.free_stack), ptr(self._free_top)
-        st.grants = bind(self._grants, _GRANT, "Grant[]")
-        st.tail_pids = ptr(self._tail_pids)
-        st.fault_mode = 0 if self._fault is None else 1
+        fab, cfg = self.fab, self.config
+        fields = {
+            "n": fab.n, "E": fab.E, "I": fab.I, "O": fab.O, "OE": fab.OE,
+            "Dp": max(fab.D, 1), "V": cfg.num_vcs, "ps": cfg.packet_size,
+            "hop_latency": self._hop_latency, "stride": self.route_stride,
+            "fault_mode": int(self._fault is not None),
+            "deg": fab.deg, "ports": fab.P_arr, "conc": fab.conc,
+            "nbr": fab.nbr_mat, "rev": fab.rev_mat, "adj_indptr": fab.adj_indptr,
+            "adj_indices": fab.adj_indices, "ep_router": fab.ep_router,
+            "ep_inport": fab.ep_inport, "ep_off": fab.ep_off, "voq": self._voq,
+            "row_mask": self.row_mask, "busy_rows": self.busy_rows,
+            "backlog": self.backlog, "rr": self.rr, "credits": self.credits,
+            "src_head": self.src_head, "src_tail": self.src_tail,
+            "ep_credit": self.ep_credit, "free_top": self._free_top,
+            "pkt_free_top": self._pslot_top, "grants": self._grants,
+            "tail_pids": self._tail_pids,
+            **self._pool_fields(), **self._pkt_fields(),
+        }
         if self._fault is not None:
-            st.dead_row = bptr(self.dead_row)
-            st.pkt_live = ptr(self.pkt_live)
-            st.pkt_damaged = bptr(self.pkt_damaged)
-            st.drop_tail_pids = ptr(self._drop_tails)
-            st.fcnt = ptr(self._fcnt)
-        else:
-            st.dead_row = ffi.NULL
-            st.pkt_live = ffi.NULL
-            st.pkt_damaged = ffi.NULL
-            st.drop_tail_pids = ffi.NULL
-            st.fcnt = ffi.NULL
-        # Link telemetry binds per cycle (measure window only); outside
-        # it the kernel sees NULL and skips counting entirely.
-        st.link_flits = ffi.NULL
-        st.link_flits_win = ffi.NULL
-        self._st_refs = refs
+            fields.update(
+                dead_row=self.dead_row, drop_tail_pids=self._drop_tails,
+                fcnt=self._fcnt,
+            )
+        self._st_refs = {}
+        self._bind(fields)
+
+    def _bind(self, fields: dict) -> None:
+        """Point ``SimState``'s ``fields`` at arrays, keeping them alive."""
+        self._st_refs.update(bind_struct(self._kernel.ffi, self._st, fields))
+
+    def _pool_fields(self) -> dict:
+        """The ``SimState`` fields :meth:`_grow_pool` replaces."""
+        return {"pool": self._pool, "free_stack": self.free_stack}
+
+    def _pkt_fields(self) -> dict:
+        """The ``SimState`` fields :meth:`_grow_pkt_pool` replaces."""
+        fields = {name: getattr(self, name) for name, *_ in self._slot_arrays}
+        fields["pkt_free"] = self._pslot_stack
+        return fields
 
     # ------------------------------------------------------------------
     # Pool + table growth
@@ -623,15 +615,12 @@ class FlatSimulator(SimulatorCore):
         pool = np.empty(cap, dtype=_FLIT)
         pool[:old] = self._pool
         self._set_pool(pool)
-        top = self.free_top
-        stack = np.empty(cap, dtype=np.int64)
-        stack[:top] = self.free_stack[:top]
-        stack[top : top + extra] = np.arange(old, cap)
-        self.free_stack = stack
-        self._free_top[0] = top + extra
+        self.free_stack = _grown_free_stack(
+            self.free_stack, self._free_top, old, cap
+        )
         self.pool_cap = cap
         if self._kernel is not None:
-            self._bind_kernel_state()
+            self._bind(self._pool_fields())
 
     def _alloc(self, k: int) -> np.ndarray:
         if self.free_top < k:
@@ -654,44 +643,17 @@ class FlatSimulator(SimulatorCore):
                 f"pkt_cap={cap} packet slots exceed the int32 packet ids "
                 f"of the flit records (at most {_POOL_MAX})"
             )
-        stride = self.route_stride
-        for name, fill in (
-            ("pkt_t_created", None), ("pkt_len", None), ("pkt_dst", -1),
-            ("pkt_msg", -1),
-        ):
-            arr = getattr(self, name)
-            new = np.empty(cap, dtype=np.int64) if fill is None else np.full(
-                cap, fill, dtype=np.int64
-            )
-            new[:old] = arr
-            setattr(self, name, new)
-        measured = np.zeros(cap, dtype=bool)
-        measured[:old] = self.pkt_measured
-        self.pkt_measured = measured
-        if self._fault is not None:
-            live = np.zeros(cap, dtype=np.int64)
-            live[:old] = self.pkt_live
-            self.pkt_live = live
-            damaged = np.zeros(cap, dtype=bool)
-            damaged[:old] = self.pkt_damaged
-            self.pkt_damaged = damaged
-        route_buf = np.zeros(cap * stride, dtype=np.int64)
-        route_buf[: old * stride] = self.route_buf
-        self.route_buf = route_buf
-        if self._kernel is not None:
-            # Live packets keep the ports kinject resolved for them.
-            route_port = np.zeros(cap * stride, dtype=np.int16)
-            route_port[: old * stride] = self.route_port
-            self.route_port = route_port
-        top = int(self._pslot_top[0])
-        stack = np.empty(cap, dtype=np.int64)
-        stack[:top] = self._pslot_stack[:top]
-        stack[top : top + extra] = np.arange(old, cap)
-        self._pslot_stack = stack
-        self._pslot_top[0] = top + extra
+        for name, dtype, fill, width in self._slot_arrays:
+            # Live packets keep their rows, kinject's ports included.
+            grown = _filled(cap * width, dtype, fill)
+            grown[: old * width] = getattr(self, name)
+            setattr(self, name, grown)
+        self._pslot_stack = _grown_free_stack(
+            self._pslot_stack, self._pslot_top, old, cap
+        )
         self.pkt_cap = cap
         if self._kernel is not None:
-            self._bind_kernel_state()
+            self._bind(self._pkt_fields())
 
     def _reserve(self, packets: int) -> None:
         """Room for ``packets`` more packets in the flit and packet pools.
@@ -1276,18 +1238,15 @@ class FlatSimulator(SimulatorCore):
         """Show the kernel the link counters iff the measure window is open.
 
         Outside it (or with none attached) the kernel sees NULL and
-        skips the increment branch.
+        skips the increment branch.  Once per span or kernel cycle: the
+        window flag is constant over either, and no grow touches them.
         """
-        if self._ltel_buf is not None:
-            self._st.link_flits = (
-                self._ltel_buf if self._measuring else self._kernel.ffi.NULL
-            )
-        if self._ltel_win_buf is not None:
-            self._st.link_flits_win = (
-                self._ltel_win_buf
-                if self._measuring
-                else self._kernel.ffi.NULL
-            )
+        if self._ltel is not None:
+            on = self._measuring
+            self._bind({
+                "link_flits": self._ltel if on else None,
+                "link_flits_win": self._ltel_win if on else None,
+            })
 
     def _kernel_cycle(self) -> None:
         """Feed + route phase in one C pass (same protocol, same arrays).

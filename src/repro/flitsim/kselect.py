@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.flitsim._kernel import bitgen_of
+from repro.flitsim._kernel import bind_struct, bitgen_of
 from repro.routing.policies import (
     CompactValiantRouting,
     FatTreeNCARouting,
@@ -94,11 +94,12 @@ class KernelSelector:
     def __init__(self, sim, mode: int):
         self._kernel = sim._kernel
         self._sel = self._kernel.ffi.new("Selector *")
-        self._sel.mode = mode
-        self._sel.vc_depth = sim.config.vc_depth
         # One column beyond a one-router stride: the UGAL occupancy
         # reads need each path's first hop even when it is over-long.
-        self._sel.width = self._width = max(sim.route_stride, 2)
+        self._width = max(sim.route_stride, 2)
+        #: ``{field: view}`` keeping the bound arrays alive
+        self._refs = {}
+        self._bind(mode=mode, vc_depth=sim.config.vc_depth, width=self._width)
         self._tables = None
         self._usable = False
         self._rng = None
@@ -118,25 +119,25 @@ class KernelSelector:
         self._work = np.zeros(cap * (2 * self._width + _ROW_ARRAYS), np.int64)
         self._paths = self._work[: cap * self._width].reshape(cap, self._width)
         self._lens = self._work[2 * cap * self._width :][:cap]
-        self._sel.cap = cap
-        self._sel.work = self._work_buf = self._kernel.ffi.from_buffer(
-            "int64_t[]", self._work
-        )
+        self._bind(cap=cap, work=self._work)
+
+    def _bind(self, **fields) -> None:
+        """Point ``Selector``'s ``fields`` at arrays, keeping them alive."""
+        self._refs.update(bind_struct(self._kernel.ffi, self._sel, fields))
 
     def _bind_tables(self, policy) -> bool:
         """Point the C state at ``policy.tables``; False to decline."""
         tables = policy.tables
         n = tables.topo.num_routers
         dist = tables.dist
-        patch = ()
+        patch = {"patch": None, "patch_row": None}
         if type(dist) is RowPatchedDist:
             # Bound as stored: C reads row r from the patch block when
             # patch_row[r] >= 0, else from the base.
-            patch = (
-                ("patch", dist.patch, np.int16),
-                ("patch_row", dist.row_of, np.int64),
-            )
-            if dist.patch.shape != (dist.rows.size, n):
+            patch = {"patch": dist.patch, "patch_row": dist.row_of}
+            if dist.patch.shape != (dist.rows.size, n) or not (
+                _plain(dist.patch, np.int16) and _plain(dist.row_of, np.int64)
+            ):
                 return False
             dist = dist.base
         if not _plain(dist, np.int16) or dist.shape != (n, n):
@@ -157,34 +158,20 @@ class KernelSelector:
             ft = policy.ft
             if type(ft) is not FatTree or ft is not tables.topo:
                 return False
-            self._sel.ft_k, self._sel.ft_spl = ft.k, ft.switches_per_level
+            self._bind(ft_k=ft.k, ft_spl=ft.switches_per_level)
         cands = tables._candidate_table()
         graph = policy.topo.graph
-        layout = (
-            ("dist", dist, np.int16),
-            *patch,
-            ("first", cands.first, np.int16),
-            ("count", cands.count, np.uint8),
-            ("g_indptr", graph.indptr, np.int64),
-            ("g_indices", graph.indices, np.int64),
-        )
-        if not all(_plain(arr, dtype) for _, arr, dtype in layout):
+        if not (
+            _plain(cands.first, np.int16) and _plain(cands.count, np.uint8)
+            and _plain(graph.indptr, np.int64)
+            and _plain(graph.indices, np.int64)
+        ):
             return False
-        ffi, sel = self._kernel.ffi, self._sel
-        # The cffi views keep their arrays alive while C points at them.
-        self._bound = []
-        sel.patch = sel.patch_row = ffi.NULL
-        for field, arr, dtype in layout:
-            view = ffi.from_buffer(f"{np.dtype(dtype).name}_t[]", arr)
-            self._bound.append(view)
-            setattr(sel, field, view)
-        alive = tables.alive_routers
-        if alive is None:
-            sel.alive = ffi.NULL
-        else:
-            sel.alive = view = ffi.from_buffer("int8_t[]", alive)
-            self._bound.append(view)
-        sel.n = n
+        self._bind(
+            n=n, dist=dist, **patch, first=cands.first, count=cands.count,
+            g_indptr=graph.indptr, g_indices=graph.indices,
+            alive=tables.alive_routers,
+        )
         return True
 
     def bind(self, sim, rng, k: int) -> bool:

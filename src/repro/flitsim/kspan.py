@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.flitsim._kernel import bind_struct
 from repro.flitsim.kselect import _plain
 from repro.flitsim.traffic import PermutationTraffic, UniformTraffic
 
@@ -78,34 +79,29 @@ class KernelSpan:
         self._kernel = sim._kernel
         ffi = self._kernel.ffi
         E = sim.fab.E
-        self._inj = inj = ffi.new("Injector *")
+        self._inj = ffi.new("Injector *")
         self._out = ffi.new("SpanOut *")
+        #: ``{field: view}`` keeping the injector's arrays alive
+        self._refs = {}
         # Every cycle ejects at most one tail per endpoint, so room for E
         # more samples at a cycle boundary is room for the cycle.
-        self._samples = np.empty((2, max(4 * E, 1024)), dtype=np.int64)
-        self._sample_refs = [
-            ffi.from_buffer("int64_t[]", row) for row in self._samples
-        ]
-        inj.lat, inj.hops = self._sample_refs
-        inj.sample_cap = self._samples.shape[1]
+        self._samples = lat, hops = np.empty((2, max(4 * E, 1024)), dtype=np.int64)
+        self._bind(lat=lat, hops=hops, sample_cap=lat.size)
         # An open-loop cycle injects at most one packet per endpoint;
         # only a workload's ready queue outgrows this.
         self._grow_scratch(E)
-        self._traffic_refs = ()
         #: the ``Workload *`` over ``sim._wl`` and what keeps it alive
         self._wl = ffi.NULL
         self._wl_refs = ()
 
+    def _bind(self, **fields) -> None:
+        """Point ``Injector``'s ``fields`` at arrays, keeping them alive."""
+        self._refs.update(bind_struct(self._kernel.ffi, self._inj, fields))
+
     def _grow_scratch(self, cap: int) -> None:
         """Per-packet scratch for a cycle of up to ``cap`` packets."""
-        ffi, inj = self._kernel.ffi, self._inj
         self._scratch = np.empty((len(_SCRATCH), cap), dtype=np.int64)
-        self._scratch_refs = [
-            ffi.from_buffer("int64_t[]", row) for row in self._scratch
-        ]
-        for name, ref in zip(_SCRATCH, self._scratch_refs):
-            setattr(inj, name, ref)
-        inj.cap = cap
+        self._bind(cap=cap, **dict(zip(_SCRATCH, self._scratch)))
 
     def _bind_traffic(self, sim) -> bool:
         """Point the injector at ``sim.traffic``'s arrays; False to decline."""
@@ -135,12 +131,7 @@ class KernelSpan:
             return False
         if table.min() < 0 or table.max() >= n:
             return False
-        ffi, inj = self._kernel.ffi, self._inj
-        self._traffic_refs = (
-            ffi.from_buffer("int64_t[]", pos), ffi.from_buffer("int64_t[]", table),
-        )
-        inj.pos, inj.table = self._traffic_refs
-        inj.permutation, inj.n_term = permutation, table.size
+        self._bind(pos=pos, table=table, permutation=permutation, n_term=table.size)
         return True
 
     def _bind_workload(self, sim) -> bool:
@@ -172,14 +163,11 @@ class KernelSpan:
             for arr, size in sized.values()
         ):
             return False
-        ffi = self._kernel.ffi
-        self._wl = wl = ffi.new("Workload *")
-        wl.n_msgs = m
-        self._wl_refs = [
-            ffi.from_buffer("int64_t[]", arr) for arr, _ in sized.values()
-        ]
-        for name, ref in zip(sized, self._wl_refs):
-            setattr(wl, name, ref)
+        self._wl = self._kernel.ffi.new("Workload *")
+        self._wl_refs = bind_struct(
+            self._kernel.ffi, self._wl,
+            {"n_msgs": m, **{name: arr for name, (arr, _) in sized.items()}},
+        )
         return True
 
     def bind(self, sim, n: int) -> bool:
@@ -219,19 +207,17 @@ class KernelSpan:
 
     def run(self, sim, n: int) -> None:
         """``sim.step()`` ``n`` times, inside ``kcycles`` (after :meth:`bind`)."""
-        lib, ffi = self._kernel.lib, self._kernel.ffi
+        lib = self._kernel.lib
         inj, out, st = self._inj, self._out, sim._st
         state, fault = sim._wl, sim._fault
-        inj.prob = sim.load / sim.config.packet_size
-        inj.measuring = sim._measuring
-        masks = (ffi.NULL, ffi.NULL)
-        if fault is not None and fault.any_dead_router:
-            # Constant over the span: epochs only start at its head.
-            masks = [
-                ffi.from_buffer("int8_t[]", mask)
-                for mask in (fault.ep_alive, fault.router_alive)
-            ]
-        inj.ep_alive, inj.router_alive = masks
+        # Constant over the span, masks too: epochs only start at its head.
+        dead = fault is not None and fault.any_dead_router
+        self._bind(
+            prob=sim.load / sim.config.packet_size, measuring=sim._measuring,
+            ep_alive=fault.ep_alive if dead else None,
+            router_alive=fault.router_alive if dead else None,
+        )
+        sim._bind_link_counters()
         out.packets = out.injected_flits = out.ejected_flits = out.samples = 0
         out.dropped_flits = out.tail_drops = out.damaged = out.blackholed = 0
         selector = sim._kselect
@@ -239,9 +225,6 @@ class KernelSpan:
         try:
             with sim.rng.bit_generator.lock:
                 while sim.now < until and not (state is not None and state.done):
-                    # Per call, not per span: growing the pools rebinds
-                    # the kernel state, which drops the link counters.
-                    sim._bind_link_counters()
                     reason = lib.kcycles(
                         st, selector._sel, selector._bitgen, inj, self._wl,
                         sim.now, until, out,

@@ -4,7 +4,14 @@ re-serializes to itself; unknown/malformed specs fail loudly."""
 import pytest
 
 from repro.core import PolarFly
-from repro.experiments import POLICIES, TOPOLOGIES, TRAFFICS, WORKLOADS, Registry
+from repro.experiments import (
+    FAULTS,
+    POLICIES,
+    TOPOLOGIES,
+    TRAFFICS,
+    WORKLOADS,
+    Registry,
+)
 from repro.routing import RoutingTables
 from repro.topologies.base import Topology
 
@@ -84,6 +91,33 @@ class TestErrors:
     def test_bad_arguments_name_the_spec(self):
         with pytest.raises(TypeError, match="polarfly"):
             TOPOLOGIES.create("polarfly:bogus=1,q=5")
+
+    @pytest.mark.parametrize(
+        "registry,spec,cause",
+        [
+            pytest.param(
+                registry, spec, cause, id=registry.kind.replace(" ", "-")
+            )
+            for registry, spec, cause in [
+                (TOPOLOGIES, "polarfly:q=abc", "invalid literal for int()"),
+                (POLICIES, "ugal-pf:threshold=abc", "could not convert string"),
+                (TRAFFICS, "hotspot:fraction=2", "fraction must be in (0, 1]"),
+                (WORKLOADS, "allreduce:algo=bogus", "unknown all-reduce algo"),
+                (FAULTS, "mtbf:mtbf=-3", "mtbf needs mtbf > 0"),
+            ]
+        ],
+    )
+    def test_bad_values_name_the_kind_and_spec(self, pf_tables, registry, spec, cause):
+        """A factory's ValueError comes back naming what was being built."""
+        args = {TOPOLOGIES: (), POLICIES: (pf_tables,)}.get(
+            registry, (pf_tables.topo,)
+        )
+        with pytest.raises(ValueError) as err:
+            registry.create(spec, *args)
+        assert str(err.value).startswith(f"bad value in {registry.kind} {spec!r}: ")
+        assert cause in str(err.value)
+        assert type(err.value.__cause__) is ValueError
+        assert cause in str(err.value.__cause__)
 
     def test_duplicate_registration_rejected(self):
         reg = Registry("thing")

@@ -362,20 +362,53 @@ def test_ejection_grants_walk_across_the_word_boundary():
     assert {63, 64} < kernel.traffic.seen and len(kernel.traffic.seen) > 32
 
 
+#: an 8-byte record where SimState.pool holds 16-byte Flit records
+_SHORT_FLIT = np.dtype([("next", np.int32), ("pid", np.int32)])
+
+
+#: (struct, owner's attribute, C field, relaid buffer, test id)
+RELAID = [
+    ("SimState", "_voq", "voq", lambda a: a.astype(np.int64), "_voq-<lambda>0"),
+    ("SimState", "_voq", "voq", lambda a: a[::2], "_voq-<lambda>1"),
+    (
+        "SimState", "row_mask", "row_mask", lambda a: a.astype(np.int64),
+        "row_mask-<lambda>0",
+    ),
+    (
+        "SimState", "row_mask", "row_mask",
+        lambda a: np.asfortranarray(np.tile(a, 2)), "row_mask-<lambda>1",
+    ),
+    # an int8_t field (bool on the numpy side) given int64
+    (
+        "SimState", "pkt_measured", "pkt_measured", lambda a: a.astype(np.int64),
+        "pkt_measured-int64",
+    ),
+    (
+        "SimState", "_pool", "pool", lambda a: np.zeros(a.size, _SHORT_FLIT),
+        "pool-8-byte-record",
+    ),
+    ("Selector", "_work", "work", lambda a: a.astype(np.int32), "work-int32"),
+    ("Injector", "_samples", "lat", lambda a: a[0].astype(float), "lat-float64"),
+    ("Injector", "_scratch", "winners", lambda a: a[:, ::2][0], "winners-strided"),
+]
+
+
 @pytest.mark.parametrize(
-    "name,relaid",
-    [
-        ("_voq", lambda a: a.astype(np.int64)),
-        ("_voq", lambda a: a[::2]),
-        ("row_mask", lambda a: a.astype(np.int64)),
-        ("row_mask", lambda a: np.asfortranarray(np.tile(a, 2))),
-    ],
+    "struct,attr,field,relaid",
+    [pytest.param(*row[:4], id=row[4]) for row in RELAID],
 )
-def test_bind_refuses_a_relaid_voq_record_or_mask_buffer(name, relaid):
+def test_bind_refuses_a_relaid_voq_record_or_mask_buffer(struct, attr, field, relaid):
+    """Every binder refuses a buffer C would misread, naming the field."""
     sim = build("polarfly:conc=57,q=7", "min", "uniform", 0.5)
-    setattr(sim, name, relaid(getattr(sim, name)))
-    with pytest.raises(TypeError, match="kernel buffer must be C-contiguous"):
-        sim._bind_kernel_state()
+    owner = {"SimState": sim, "Selector": sim._kselect, "Injector": sim._kspan}[struct]
+    bad = relaid(getattr(owner, attr))
+    match = rf"^{struct}\.{field}: kernel buffer must be C-contiguous"
+    with pytest.raises(TypeError, match=match):
+        if owner is sim:
+            setattr(sim, attr, bad)
+            sim._bind_kernel_state()
+        else:
+            owner._bind(**{field: bad})
 
 
 def test_spec_tables_cover_every_registered_generator():
@@ -445,8 +478,8 @@ def test_saturation_forces_grow_and_flush_returns_mid_span():
     assert returns["flush"] > 3  # one per window end plus the forced ones
     assert_same_result(got, run_by_steps(steps, *windows))
     assert_same_state(spans, steps)
-    # Growing rebinds the kernel state mid-window; the link counters must
-    # come back with it and keep counting to the end of the span.
+    # A grow mid-window re-points its own pool only; the link counters
+    # stay bound and keep counting to the end of the span.
     assert returns["grow_measuring"] >= 1
     assert spans.link_flit_counts() == steps.link_flit_counts()
     assert spans.flush_window_link_counts() == steps.flush_window_link_counts()
@@ -679,8 +712,8 @@ def test_alltoall_burst_grows_scratch_and_pools_inside_a_span():
     assert spans.span_cycles == spans.now == got.cycles
     assert_same_result(got, run_workload_by_steps(steps))
     assert_same_state(spans, steps)
-    # Growing rebinds the kernel state inside the span; the link
-    # counters must come back with it.
+    # The grows inside the span re-point their own pools only; the link
+    # counters stay bound through them.
     assert spans.link_flit_counts() == steps.link_flit_counts()
     assert sum(spans.link_flit_counts().values()) == got.flit_hops
     assert spans.flush_window_link_counts() == steps.flush_window_link_counts()

@@ -1,0 +1,238 @@
+"""The kernel boundary: every C struct field bound, and grows stay local.
+
+``bind_struct`` takes each field's C type from the struct declaration,
+so a field added to a struct but missing from its binder's mapping
+would stay NULL — and C would follow it.  The table below names, per
+struct and mode, the pointer fields that must stay NULL; every other
+pointer field of ``ffi.typeof(struct).fields`` must be bound.  The grow
+test pins the other half of the contract: a pool grow re-points its own
+pool's fields and nothing else, so the link counters bound for a span
+survive a ``SPAN_GROW`` return mid-window.
+"""
+
+import numpy as np
+import pytest
+
+from repro.experiments.registry import (
+    FAULTS,
+    POLICIES,
+    TOPOLOGIES,
+    TRAFFICS,
+    WORKLOADS,
+)
+from repro.experiments.runner import auto_sim_config
+from repro.faults import prepare_fault_policy
+from repro.flitsim import FlatSimulator, NetworkSimulator, flatcore
+from repro.flitsim._kernel import load_kernel
+from repro.routing.tables import RoutingTables, RowPatchedDist
+
+pytestmark = pytest.mark.skipif(
+    load_kernel() is None or not load_kernel().select_ok,
+    reason="C kernel (or its draw self-test) unavailable",
+)
+
+PF = "polarfly:conc=2,q=7"
+LINKFLAP = "linkflap:count=2,cycle=5,duration=200,seed=1"
+ALLREDUCE = "allreduce:algo=ring,size=64"
+
+_tables: dict = {}
+
+
+def build(
+    traffic_spec="uniform", load=0.5, workload=None, faults=None,
+    engine=FlatSimulator,
+):
+    """A ``min``-routed simulator on PolarFly q=7; specs as strings."""
+    if PF not in _tables:
+        topo = TOPOLOGIES.create(PF)
+        _tables[PF] = (topo, RoutingTables(topo))
+    topo, tables = _tables[PF]
+    policy = POLICIES.create("min", tables)
+    if workload is not None:
+        workload = WORKLOADS.create(workload, topo)
+    if faults is not None:
+        faults = FAULTS.create(faults, topo)
+        prepare_fault_policy(policy, faults, topo)
+    traffic = TRAFFICS.create(traffic_spec, topo) if traffic_spec else None
+    return engine(
+        topo, policy, traffic, load, config=auto_sim_config(policy), seed=4,
+        workload=workload, faults=faults,
+    )
+
+
+def advanced(sim, cycles=10, measuring=False):
+    """``sim`` after ``cycles`` cycles as spans, window flag as given."""
+    if sim._fault is not None:
+        sim._fault.begin_run(sim.policy)
+    sim._measuring = measuring
+    sim._run_to(cycles)  # fault epochs are deadlines, as in run()
+    assert sim.span_cycles == sim.now == cycles
+    return sim
+
+
+def sim_state(**kw):
+    return advanced(build(**kw))._st
+
+
+def selector():
+    sim = advanced(build())
+    assert sim._kselect.bind(sim, sim.rng, 1)
+    return sim._kselect._sel
+
+
+def injector(**kw):
+    sim = build(**kw)
+    assert sim._kspan.bind(sim, 1)
+    return sim._kspan._inj
+
+
+def telemetry_state():
+    sim = build()
+    sim.attach_link_telemetry(windowed=True)
+    return advanced(sim, measuring=True)._st
+
+
+def row_patched_selector():
+    sim = advanced(build(faults=LINKFLAP))
+    assert type(sim.policy.tables.dist) is RowPatchedDist
+    assert sim._kselect.bind(sim, sim.rng, 1)
+    return sim._kselect._sel
+
+
+def router_down_injector():
+    """The injector of the last span, run with a router dead."""
+    sim = advanced(build(faults="routerdown:count=1,cycle=5,duration=200,seed=3"))
+    assert sim._fault.any_dead_router
+    return sim._kspan._inj
+
+
+def workload():
+    sim = build(traffic_spec=None, load=0.0, workload=ALLREDUCE)
+    assert sim._kspan.bind(sim, 1)
+    return sim._kspan._wl
+
+
+FAULT_FIELDS = {"dead_row", "pkt_live", "pkt_damaged", "drop_tail_pids", "fcnt"}
+LINK_FIELDS = {"link_flits", "link_flits_win"}
+
+#: (struct, mode, the bound pointer, the pointer fields that stay NULL)
+BINDINGS = [
+    ("SimState", "open loop", sim_state, FAULT_FIELDS | LINK_FIELDS),
+    (
+        "SimState", "closed loop",
+        lambda: sim_state(traffic_spec=None, load=0.0, workload=ALLREDUCE),
+        FAULT_FIELDS | LINK_FIELDS,
+    ),
+    ("SimState", "faulted", lambda: sim_state(faults=LINKFLAP), LINK_FIELDS),
+    (
+        "SimState", "link telemetry, measure window open", telemetry_state,
+        FAULT_FIELDS,
+    ),
+    ("Selector", "plain tables", selector, {"patch", "patch_row", "alive"}),
+    ("Selector", "RowPatchedDist", row_patched_selector, {"alive"}),
+    ("Injector", "uniform", injector, {"ep_alive", "router_alive"}),
+    (
+        "Injector", "permutation", lambda: injector(traffic_spec="tornado"),
+        {"ep_alive", "router_alive"},
+    ),
+    ("Injector", "a router down", router_down_injector, set()),
+    ("Workload", "allreduce", workload, set()),
+]
+
+
+@pytest.mark.parametrize(
+    "struct,bound,nulls",
+    [pytest.param(s, b, n, id=f"{s}-{m}") for s, m, b, n in BINDINGS],
+)
+def test_every_pointer_field_is_bound_unless_its_mode_leaves_it_null(
+    struct, bound, nulls
+):
+    ffi = load_kernel().ffi
+    ptr = bound()
+    assert ffi.typeof(ptr).item is ffi.typeof(struct)
+    pointers = [
+        name for name, field in ffi.typeof(struct).fields
+        if field.type.kind == "pointer"
+    ]
+    assert nulls <= set(pointers)
+    for name in pointers:
+        assert (getattr(ptr, name) == ffi.NULL) == (name in nulls), name
+
+
+def test_the_table_has_a_row_for_every_struct_with_pointers():
+    """bitgen_t aside: numpy's own struct, cast from the generator."""
+    ffi = load_kernel().ffi
+    with_pointers = {
+        name for name in ffi.list_types()[0]
+        if ffi.typeof(name).kind == "struct" and any(
+            field.type.kind == "pointer" for _, field in ffi.typeof(name).fields
+        )
+    }
+    assert {struct for struct, *_ in BINDINGS} == with_pointers - {"bitgen_t"}
+
+
+#: the SimState fields each grow replaces — everything else must keep
+#: its address, the link counters and the fault mode's pointers included
+OWN_FIELDS = {
+    "_grow_pool": {"pool", "free_stack"},
+    "_grow_pkt_pool": {
+        "pkt_t_created", "pkt_len", "pkt_dst", "pkt_msg", "pkt_measured",
+        "route_buf", "route_port", "pkt_live", "pkt_damaged", "pkt_free",
+    },
+}
+
+
+def test_a_grow_re_points_only_its_own_pool(monkeypatch):
+    """Windowed link telemetry on a faulted cell, pools grown mid-window.
+
+    Tiny first pools make the saturated run come back from ``kcycles``
+    for room again and again, with the measure window open; each grow
+    may move its own pool's arrays and no other field of ``SimState``.
+    """
+    monkeypatch.setattr(flatcore, "_POOL_CAP", 64)
+    monkeypatch.setattr(flatcore, "_PKT_CAP", 16)
+    faults = "linkflap:count=4,cycle=60,duration=100,seed=1"
+    args = dict(traffic_spec="uniform", load=1.0, faults=faults)
+    sim, ref = build(**args), build(**args, engine=NetworkSimulator)
+    for s in (sim, ref):
+        s.attach_link_telemetry(windowed=True)
+    ffi = sim._kernel.ffi
+    pointers = [
+        name for name, field in ffi.typeof("SimState").fields
+        if field.type.kind == "pointer"
+    ]
+
+    def addresses():
+        return {
+            name: int(ffi.cast("uintptr_t", getattr(sim._st, name)))
+            for name in pointers
+        }
+
+    grows = []
+    for method in OWN_FIELDS:
+        def watched(min_extra, grow=getattr(sim, method), method=method):
+            before = addresses()
+            grow(min_extra)
+            after = addresses()
+            moved = {name for name in pointers if before[name] != after[name]}
+            grows.append((method, sim._measuring, moved, after))
+
+        setattr(sim, method, watched)
+    windows = (20, 200, 40)
+    got, want = sim.run(*windows), ref.run(*windows)
+    assert sim.span_cycles == sim.now == sum(windows)
+    assert {method for method, measuring, *_ in grows if measuring} == set(
+        OWN_FIELDS
+    ), [(method, measuring) for method, measuring, *_ in grows]
+    for method, measuring, moved, after in grows:
+        assert moved == OWN_FIELDS[method], method
+        assert all(after[name] for name in FAULT_FIELDS), method
+        if measuring:
+            assert after["link_flits"] and after["link_flits_win"], method
+    assert got.injected_flits == want.injected_flits
+    assert got.ejected_flits == want.ejected_flits
+    assert np.array_equal(got.latencies, want.latencies)
+    assert np.array_equal(got.hop_counts, want.hop_counts)
+    assert sim._fault.dropped_flits == ref._fault.dropped_flits > 0
+    assert sim.link_flit_counts() == ref.link_flit_counts()
+    assert sim.flush_window_link_counts() == ref.flush_window_link_counts()

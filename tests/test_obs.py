@@ -16,6 +16,7 @@ import pytest
 
 from repro import obs
 from repro.experiments import ExperimentSpec, ResultCache, SweepRunner
+from repro.experiments.runner import ExperimentResult, _Heartbeat
 from repro.obs.metrics import Registry
 
 FAST = dict(warmup=80, measure=160, drain=40)
@@ -267,6 +268,22 @@ class TestHeartbeat:
         monkeypatch.delenv("REPRO_SWEEP_PROGRESS", raising=False)
         SweepRunner(cache=None, max_workers=1).run(small_spec())
         assert "[sweep]" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["abc", "-5", "nan", "0", "inf"])
+    def test_bad_interval_raises_naming_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SWEEP_PROGRESS", raw)
+        with pytest.raises(
+            ValueError,
+            match=rf"^\$REPRO_SWEEP_PROGRESS must be a finite number > 0, "
+            rf"got '{raw}'$",
+        ):
+            SweepRunner(cache=None, max_workers=1).run(small_spec())
+
+    @pytest.mark.parametrize("raw,interval", [("0.001", 0.1), (" 2.5 ", 2.5)])
+    def test_interval_keeps_its_floor(self, monkeypatch, raw, interval):
+        monkeypatch.setenv("REPRO_SWEEP_PROGRESS", raw)
+        hb = _Heartbeat(ExperimentResult(spec=small_spec()), total=4)
+        assert hb.print_line and hb.interval == interval
 
 
 class TestChaosEvents:
