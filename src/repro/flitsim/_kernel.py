@@ -93,42 +93,45 @@ one bit per (router, out) row, ``ceil(n*O / 64)`` ``uint64`` words (7 KB
 at PF q=37), bit ``r*O + out`` set exactly while ``backlog[r*O + out]``
 is positive — in ascending order, which is routers ascending, link
 outputs ascending, ejection (column ``OE = O - 1``) last; ``backlog`` is
-the exact sum of the row's VOQ counts, so a skipped row holds no flit,
+the exact sum of the row's queue lengths, so a skipped row holds no flit,
 grants nothing, and leaves its round-robin pointer untouched, and an
 idle cycle costs a 7 KB read instead of one per row.  Inside a row it
-walks the set bits of the row's occupancy
-mask ``row_mask`` — ``ceil(I / 64)`` ``uint64`` words per row, bit ``in``
-set exactly while VOQ (router, in, out) is non-empty — circularly from
-the ``rr`` pointer by count-trailing-zeros, which visits the non-empty
-inputs in the very order the P-wide scan of every input did, applies the
-same ready / credit tests and updates ``rr`` the same way: bit-identical
-grants for work proportional to flits in flight instead of N*(d+1)*P
-queue probes, out of a mask that stays cache-resident (~460 KB at PF
-q=37, where the probes it replaces were 40 cache lines per row).  Both
+walks the set bits of the row's occupancy mask ``row_mask`` —
+``ceil(I / 64)`` ``uint64`` words per row, bit ``in`` set exactly while
+VOQ (router, in, out) is non-empty — circularly from the ``rr`` pointer
+by count-trailing-zeros, in one pass over the row's words at any width,
+which visits the non-empty inputs in the very order the P-wide scan of
+every input did, applies the same ready / credit tests and updates
+``rr`` the same way: bit-identical grants for work proportional to
+flits in flight instead of N*(d+1)*P queue probes, out of a mask that
+stays cache-resident (~460 KB at PF q=37, where the probes it replaces
+were 40 cache lines per row).  Both
 masks are kernel-only state: C ``enqueue`` sets a bit on the
 empty→non-empty edge of a queue or a row, ``kroute``'s apply clears it
 when a granted head has no successor or the row's backlog reaches 0,
 and ``FlatSimulator._drop_vq`` — the one Python site that empties a VOQ
 on the kernel path — clears them with the queue.  Every mutation site,
-C and numpy, moves ``backlog`` and the counts together, and
+C and numpy, moves ``backlog`` with the queues, and
 ``tests/test_flitsim_saturation.py`` pins the three invariants after
 every cycle.
 
-A VOQ is one packed ``int32`` record ``{head, tail, count, pad}`` (16
-bytes: a queue operation touches one cache line) in the ``(NV, 4)`` array
-``FlatSimulator._voq``, bound as the single pointer ``voq``; head and
-tail are flit-pool rows — hence the pool's loud 2**31 - 1 row ceiling —
-and ``count == 0`` is the only emptiness test, so the array starts
-zeroed.  A flit is one 16-byte ``Flit`` record ``{next, pid, ready, hop,
-seq}`` (three ``int32``, two ``int16``) of the structured array
-``FlatSimulator._pool``, bound as the single pointer ``pool``; a grant
-is one ``int32`` ``Grant`` record ``{f, r, in, out}``, so apply rebuilds
-the VOQ index by multiplying instead of dividing it apart.  The route
-phase never searches a neighbor row: ``kinject`` resolves every hop's
-output port once per packet into ``route_port`` (``int16``, one
-``stride``-wide row per packet slot, kernel-only state like
-``row_mask``) — ``OE`` where the packet ejects — and ``kfeed`` and
-apply only read it.  The narrowed fields fail loudly at their ceilings
+A VOQ is one packed ``int32`` record ``{head + 1, tail}`` (8 bytes) in
+the ``(NV, 2)`` array ``FlatSimulator._voq``, bound as the single pointer
+``voq``; head and tail are flit-pool rows — hence the pool's loud
+2**31 - 1 row ceiling, below which ``head + 1`` fits too — and a zero
+head field is the only emptiness test.  Emptying a queue zeroes its
+record, so the array starts zeroed (``np.zeros``, no fill pass) and an
+empty VOQ is always an all-zero record; queue lengths are not stored,
+``backlog`` holds their row sums.  A flit is one 16-byte ``Flit``
+record ``{next, pid, ready, hop, seq}`` (three ``int32``, two
+``int16``) of the structured array ``FlatSimulator._pool``, bound as
+the single pointer ``pool``; a grant is one ``int32`` ``Grant`` record
+``{f, r, in, out}``, so apply rebuilds the VOQ index by multiplying
+instead of dividing it apart.  The route phase never searches a
+neighbor row: ``kinject`` resolves every hop's output port once per
+packet into ``route_port`` (``int16``, one ``stride``-wide row per
+packet slot, kernel-only state like ``row_mask``) — ``OE`` where the
+packet ejects — and ``kfeed`` and apply only read it.  The narrowed fields fail loudly at their ceilings
 in :class:`~repro.flitsim.flatcore.FlatSimulator`: ``packet_size`` and
 the route stride at construction, the cycle count before a ready stamp
 could pass 2**31 - 1.  Everything else the kernel is bound to stays
@@ -175,7 +178,8 @@ typedef struct {
     int16_t *rev;
     int64_t *adj_indptr, *adj_indices;
     int64_t *ep_router, *ep_inport, *ep_off;
-    /* One 16-byte record per VOQ, (router * I + in) * O + out. */
+    /* One 8-byte record {head + 1, tail} per VOQ, (router * I + in) * O
+     * + out; all zero while the queue is empty. */
     int32_t *voq;
     /* Per (router, out) row, ceil(I / 64) words: bit `in` is set exactly
      * while VOQ (router, in, out) holds a flit. */
@@ -209,8 +213,9 @@ typedef struct {
     int64_t *fcnt;
     /* Per-link flit counters (n * Dp, indexed r * Dp + out): NULL
      * unless link telemetry is attached AND the measure window is open
-     * — the host rebinds it every cycle, so the disabled path costs one
-     * predictable branch per forwarded flit. */
+     * — the host binds it once per span (per cycle on the step path),
+     * so the disabled path costs one predictable branch per forwarded
+     * flit. */
     int64_t *link_flits;
     /* Windowed per-link counters (same n * Dp layout): NULL unless a
      * time-series collector is attached; the host flushes and zeroes
@@ -367,10 +372,11 @@ static int64_t port_of(const SimState *st, int64_t r, int64_t v)
     return lower_bound(st->adj_indices, lo, st->adj_indptr[r + 1], v) - lo;
 }
 
-/* Columns of a VOQ record and its width in int32s (the fourth pads it to
- * 16 bytes).  Head and tail are flit-pool rows, meaningful only while
- * the count is positive: count == 0 is the one emptiness test. */
-enum { VQ_HEAD, VQ_TAIL, VQ_COUNT, VQ_REC = 4 };
+/* Columns of a VOQ record and its width in int32s (8 bytes).  VQ_HEAD
+ * holds the head's flit-pool row plus one, so 0 is the one emptiness
+ * test; VQ_TAIL is the last row of the chain.  Emptying a queue zeroes
+ * both, so an empty VOQ is always an all-zero record. */
+enum { VQ_HEAD, VQ_TAIL, VQ_REC };
 
 /* Words per row of row_mask. */
 static int64_t mask_words(const SimState *st)
@@ -400,15 +406,14 @@ static void enqueue(SimState *st, int64_t vq, int64_t f, int64_t row,
 {
     int32_t *q = st->voq + vq * VQ_REC;
     st->pool[f].next = -1;
-    if (q[VQ_COUNT] == 0) {
-        q[VQ_HEAD] = (int32_t)f;
+    if (q[VQ_HEAD] == 0) {
+        q[VQ_HEAD] = (int32_t)(f + 1);
         st->row_mask[row * mask_words(st) + (in >> 6)] |=
             (uint64_t)1 << (in & 63);
     } else {
         st->pool[q[VQ_TAIL]].next = (int32_t)f;
     }
     q[VQ_TAIL] = (int32_t)f;
-    q[VQ_COUNT] += 1;
     if (st->backlog[row]++ == 0)
         st->busy_rows[row >> 6] |= (uint64_t)1 << (row & 63);
 }
@@ -506,10 +511,12 @@ void kfeed(SimState *st, int64_t now)
 
 /* Arbitrate one (router, out) row that holds flits: a circular scan of
  * its P input ports from the rr pointer, up to `limit` grants appended
- * at grants[ng...]; returns the new grant count.  The scan visits
- * the set bits of the row's occupancy mask only — the non-empty inputs,
- * in circular order: [ptr, P) then [0, ptr).  No bit at or above P is
- * ever set, so the first leg simply runs to the end of the last word. */
+ * at grants[ng...]; returns the new grant count.  The scan visits the
+ * set bits of the row's occupancy mask only — the non-empty inputs — in
+ * circular order [ptr, P) then [0, ptr), as one pass over MW + 1 words:
+ * the bits >= ptr of ptr's word, the words after it, the words before
+ * it (wrapping), then the bits < ptr of ptr's word.  No bit at or above
+ * P is ever set, so no visit needs an upper bound. */
 static int64_t arbitrate(SimState *st, int64_t r, int64_t out, int64_t now,
                          int64_t ng)
 {
@@ -520,43 +527,44 @@ static int64_t arbitrate(SimState *st, int64_t r, int64_t out, int64_t now,
     if (out == OE && st->conc[r] > 1)
         limit = st->conc[r];
     const uint64_t *mask = st->row_mask + row * MW;
+    /* The row's VOQs (r, in, out), in = 0, 1, ...: O records apart. */
+    const int32_t *voq = st->voq + (r * I * O + out) * VQ_REC;
     const int64_t *credits = st->credits + (r * st->Dp + out) * V;
     int64_t ptr = st->rr[row];
     int64_t granted = 0, last = -1;
-    int64_t lo = ptr, hi = MW << 6;
-    for (int leg = 0; leg < 2 && granted < limit; leg++) {
-        for (int64_t w = lo >> 6; (w << 6) < hi; w++) {
-            uint64_t bits = mask[w];
-            if (w == lo >> 6)
-                bits &= ~(uint64_t)0 << (lo & 63);
-            if (((w + 1) << 6) > hi)
-                bits &= ~(~(uint64_t)0 << (hi & 63));
-            while (bits && granted < limit) {
-                int64_t in = (w << 6) + ctz64(bits);
-                bits &= bits - 1;
-                int64_t vq = (r * I + in) * O + out;
-                int32_t f = st->voq[vq * VQ_REC + VQ_HEAD];
-                const Flit *fl = st->pool + f;
-                if (fl->ready > now)
-                    continue;
-                if (out != OE) {
-                    int64_t dvc = fl->hop;
-                    if (dvc > V - 1)
-                        dvc = V - 1;
-                    if (credits[dvc] <= 0)
-                        continue;
-                }
-                Grant *g = st->grants + ng++;
-                g->f = f;
-                g->r = (int32_t)r;
-                g->in = (int32_t)in;
-                g->out = (int32_t)out;
-                last = in;
-                granted++;
-            }
+    int64_t w = ptr >> 6, left = MW;    /* word visits after this one */
+    uint64_t upper = ~(uint64_t)0 << (ptr & 63);
+    uint64_t bits = mask[w] & upper;
+    for (;;) {
+        if (!bits) {
+            if (left-- == 0)
+                break;
+            if (++w == MW)
+                w = 0;
+            bits = left ? mask[w] : mask[w] & ~upper;
+            continue;
         }
-        lo = 0;
-        hi = ptr;
+        int64_t in = (w << 6) + ctz64(bits);
+        bits &= bits - 1;
+        int32_t f = voq[in * O * VQ_REC + VQ_HEAD] - 1;
+        const Flit *fl = st->pool + f;
+        if (fl->ready > now)
+            continue;
+        if (out != OE) {
+            int64_t dvc = fl->hop;
+            if (dvc > V - 1)
+                dvc = V - 1;
+            if (credits[dvc] <= 0)
+                continue;
+        }
+        Grant *g = st->grants + ng++;
+        g->f = f;
+        g->r = (int32_t)r;
+        g->in = (int32_t)in;
+        g->out = (int32_t)out;
+        last = in;
+        if (++granted == limit)
+            break;
     }
     /* last < P: the pointer wraps to 0 past the last input. */
     if (last >= 0)
@@ -602,10 +610,9 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
         Flit *fl = st->pool + f;
         int64_t nx = fl->next;
         int32_t *q = st->voq + ((r * I + in) * O + out) * VQ_REC;
-        q[VQ_HEAD] = (int32_t)nx;
-        q[VQ_COUNT] -= 1;
+        q[VQ_HEAD] = (int32_t)(nx + 1);
         if (nx < 0) {
-            q[VQ_TAIL] = -1;
+            q[VQ_TAIL] = 0;
             st->row_mask[row * MW + (in >> 6)] &=
                 ~((uint64_t)1 << (in & 63));
         }

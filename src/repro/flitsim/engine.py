@@ -154,6 +154,13 @@ ENGINE_ENV = "REPRO_SIM_ENGINE"
 DEFAULT_ENGINE = "flat"
 
 
+#: (field, smallest legal value) of every SimConfig knob
+_CONFIG_FLOORS = (
+    ("packet_size", 1), ("num_vcs", 1), ("vc_depth", 1),
+    ("link_latency", 0), ("router_pipeline", 0),
+)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulator knobs (defaults are the paper's, scaled where noted)."""
@@ -170,6 +177,13 @@ class SimConfig:
     link_latency: int = 1
     #: router pipeline latency applied on arrival before a flit may compete
     router_pipeline: int = 2
+
+    def __post_init__(self) -> None:
+        for name, least in _CONFIG_FLOORS:
+            if getattr(self, name) < least:
+                raise ValueError(
+                    f"SimConfig.{name} must be >= {least}, got {getattr(self, name)!r}"
+                )
 
     @property
     def port_capacity(self) -> int:

@@ -16,10 +16,12 @@ queued flit:
   buffer with per-packet offsets; per-flit state is just the hop index.
   With the C kernel, each hop's output port is resolved once per packet
   too, into the kernel-only ``route_port`` rows.
-* **VOQs** — packed int32 ``{head, tail, count}`` records over a dense
+* **VOQs** — 8-byte int32 ``{head + 1, tail}`` records over a dense
   ``(router, in_port, out_port)`` index (ejection is the last output
-  column), read through the ``voq_head`` / ``voq_tail`` / ``voq_count``
-  column views, giving O(1) enqueue, dequeue, and occupancy checks.
+  column), read through the ``voq_head`` / ``voq_tail`` column views,
+  giving O(1) enqueue, dequeue, and emptiness checks: ``voq_head == 0``
+  is empty, and an empty VOQ is an all-zero record.  Queue lengths
+  live only in the per-(router, out) ``backlog`` sums.
 * **Credits** — one ``(router, out_port, vc)`` int array; injection
   credits one array over endpoints.
 * **Arbitration** — per (router, output) round-robin pointers; each
@@ -73,7 +75,9 @@ __all__ = ["FlatFabric", "FlatSimulator", "fabric_for"]
 _POOL_CAP = 4096
 
 #: most flit-pool rows (and packet slots) a simulator may hold: VOQ
-#: records store pool row ids, flit records packet slot ids, as int32
+#: records store pool row ids, flit records packet slot ids, as int32.
+#: A VOQ head is stored as its row plus one, which rows below 2**31 - 1
+#: keep within int32 too.
 _POOL_MAX = int(np.iinfo(np.int32).max)
 
 #: initial packet-table capacity; grows by doubling
@@ -303,16 +307,16 @@ class FlatSimulator(SimulatorCore):
         self.ep_credit = np.full(fab.E, config.vc_depth, dtype=np.int64)
 
         # VOQ state: intrusive linked lists through the flit pool, one
-        # packed int32 record {head, tail, count, pad} per VOQ (16
-        # bytes: a queue operation touches one cache line), bound to
-        # the C kernel as one pointer and read here through column
-        # views.  Zero-initialised, so construction writes nothing:
-        # ``count == 0`` is the only emptiness test, head and tail are
-        # pool rows that mean something only while it is positive.
-        self._voq = np.zeros((fab.NV, 4), dtype=np.int32)
+        # packed int32 record {head + 1, tail} per VOQ (8 bytes), bound
+        # to the C kernel as one pointer and read here through column
+        # views.  ``voq_head == 0`` is the only emptiness test and
+        # emptying a queue zeroes its record, so the zero-initialised
+        # array (``np.zeros``, no fill pass) starts all-empty and every
+        # entry is protocol state.  Queue lengths are not stored: the
+        # ``backlog`` row sums are all the engine reads.
+        self._voq = np.zeros((fab.NV, 2), dtype=np.int32)
         self.voq_head = self._voq[:, 0]
         self.voq_tail = self._voq[:, 1]
-        self.voq_count = self._voq[:, 2]
         #: flits queued per (router, out) — the O(1) occupancy counters
         self.backlog = np.zeros(n * O, dtype=np.int64)
         #: round-robin pointers per (router, out)
@@ -940,19 +944,18 @@ class FlatSimulator(SimulatorCore):
     def _enqueue(self, vq, flits, routers, outs) -> None:
         """Append ``flits`` to VOQs ``vq`` (distinct per call, by design)."""
         self.pool_next[flits] = -1
-        empty = self.voq_count[vq] == 0
+        empty = self.voq_head[vq] == 0
         occupied = ~empty
-        self.voq_head[vq[empty]] = flits[empty]
+        self.voq_head[vq[empty]] = flits[empty] + 1
         self.pool_next[self.voq_tail[vq[occupied]]] = flits[occupied]
         self.voq_tail[vq] = flits
-        self.voq_count[vq] += 1
         np.add.at(self.backlog, routers * self.fab.O + outs, 1)
 
     # ------------------------------------------------------------------
     # Router phase (protocol step 3): decide synchronously, apply at once
     # ------------------------------------------------------------------
     def _route_phase(self) -> None:
-        occ = np.flatnonzero(self.voq_count > 0)
+        occ = np.flatnonzero(self.voq_head != 0)
         if occ.size == 0:
             return
         fab = self.fab
@@ -961,7 +964,7 @@ class FlatSimulator(SimulatorCore):
         V = self.config.num_vcs
 
         # Eligibility of every nonempty VOQ head.
-        heads = self.voq_head[occ]
+        heads = self.voq_head[occ] - 1
         out_c = occ % O
         ok = self.pool_ready[heads] <= now
         lnk = ok & (out_c != OE)
@@ -1011,9 +1014,8 @@ class FlatSimulator(SimulatorCore):
 
         # ---- Apply: pop winners, return credits, forward/eject. ----
         succ = self.pool_next[flit]
-        self.voq_head[vq_w] = succ
-        self.voq_count[vq_w] -= 1
-        self.voq_tail[vq_w[succ < 0]] = -1
+        self.voq_head[vq_w] = succ + 1
+        self.voq_tail[vq_w[succ < 0]] = 0
         np.add.at(self.backlog, row_w, -1)
 
         pid_w = self.pool_pid[flit].astype(np.int64)
@@ -1158,17 +1160,15 @@ class FlatSimulator(SimulatorCore):
         """
         fab = self.fab
         vq = (r * fab.I + in_port) * fab.O + out
-        if self.voq_count[vq] == 0:
+        if self.voq_head[vq] == 0:
             return
-        f = int(self.voq_head[vq])
+        f = int(self.voq_head[vq]) - 1
         chain = []
         while f >= 0:
             chain.append(f)
             f = int(self.pool_next[f])
         rows = np.asarray(chain, dtype=np.int64)
-        self.voq_head[vq] = -1
-        self.voq_tail[vq] = -1
-        self.voq_count[vq] = 0
+        self._voq[vq] = 0
         row = r * fab.O + out
         self.backlog[row] -= rows.size
         if self._kernel is not None:

@@ -36,6 +36,7 @@ here means changing the C mirror in the same commit — the twin tests in
 
 from __future__ import annotations
 
+import operator
 from typing import Protocol
 
 import numpy as np
@@ -397,10 +398,16 @@ class UGALRouting(RoutingPolicy):
     The packet takes the Valiant path iff
     ``occ(min_port) * H_min > occ(val_port) * H_val + bias`` — the
     standard UGAL comparison with a small min-path bias to avoid
-    needless diversion at low load.
+    needless diversion at low load.  ``bias`` must be an integer
+    (anything ``operator.index`` accepts); the C route selector
+    compares in integers too.
     """
 
     def __init__(self, tables: RoutingTables, bias: int = 1):
+        try:
+            bias = operator.index(bias)
+        except TypeError:
+            raise ValueError(f"bias must be an integer, got {bias!r}") from None
         super().__init__(tables)
         self.valiant = ValiantRouting(tables)
         self.bias = bias

@@ -3,11 +3,33 @@
 Each is the seed's readable per-source / all-pairs form of something
 ``src/`` now builds batched or sparse.  Nothing under ``src/`` imports
 them; they live here so an oracle can stay slow and obvious.
+:func:`walk_voqs` recovers what ``src/`` no longer stores at all, each
+VOQ's length.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def walk_voqs(sim):
+    """Each VOQ's length and last pool row, walking its chain through ``pool_next``.
+
+    A VOQ record stores its head row plus one (0: empty) and its tail;
+    the walk reads only the head, so the tail can be checked against it.
+    """
+    lengths = np.zeros(sim.fab.NV, dtype=np.int64)
+    last = np.zeros(sim.fab.NV, dtype=np.int64)
+    vq = np.flatnonzero(sim.voq_head != 0)
+    f = sim.voq_head[vq].astype(np.int64) - 1
+    while vq.size:
+        assert lengths.max() <= sim.pool_cap, "a VOQ chain loops"
+        lengths[vq] += 1
+        last[vq] = f
+        f = sim.pool_next[f].astype(np.int64)
+        more = f >= 0
+        vq, f = vq[more], f[more]
+    return lengths, last
 
 
 def bfs_distances_reference(graph, source: int) -> np.ndarray:

@@ -95,15 +95,22 @@ class TestErrors:
     @pytest.mark.parametrize(
         "registry,spec,cause",
         [
-            pytest.param(
-                registry, spec, cause, id=registry.kind.replace(" ", "-")
-            )
-            for registry, spec, cause in [
-                (TOPOLOGIES, "polarfly:q=abc", "invalid literal for int()"),
-                (POLICIES, "ugal-pf:threshold=abc", "could not convert string"),
-                (TRAFFICS, "hotspot:fraction=2", "fraction must be in (0, 1]"),
-                (WORKLOADS, "allreduce:algo=bogus", "unknown all-reduce algo"),
-                (FAULTS, "mtbf:mtbf=-3", "mtbf needs mtbf > 0"),
+            pytest.param(registry, spec, cause, id=name)
+            for name, registry, spec, cause in [
+                ("topology", TOPOLOGIES, "polarfly:q=abc", "invalid literal for int()"),
+                (
+                    "routing-policy", POLICIES, "ugal-pf:threshold=abc",
+                    "could not convert string",
+                ),
+                ("ugal-bias-str", POLICIES, "ugal:bias=abc", "bias must be an integer"),
+                ("ugal-bias-float", POLICIES, "ugal:bias=1.5", "bias must be an integer"),
+                ("ugal-pf-bias-str", POLICIES, "ugal-pf:bias=x", "bias must be an integer"),
+                (
+                    "traffic-pattern", TRAFFICS, "hotspot:fraction=2",
+                    "fraction must be in (0, 1]",
+                ),
+                ("workload", WORKLOADS, "allreduce:algo=bogus", "unknown all-reduce algo"),
+                ("fault-timeline", FAULTS, "mtbf:mtbf=-3", "mtbf needs mtbf > 0"),
             ]
         ],
     )

@@ -32,6 +32,8 @@ from repro.routing import (
 )
 from repro.topologies.base import Topology
 
+from oracles import walk_voqs
+
 
 def drain_to_quiescence(sim, max_cycles=6000):
     """Step at zero load until nothing is left in flight."""
@@ -107,7 +109,7 @@ class TestSaturationBackpressure:
         assert (flat.credits[valid] == cfg.vc_depth).all()
         assert (flat.ep_credit == cfg.vc_depth).all()
         assert (flat.backlog == 0).all()
-        assert (flat.voq_count == 0).all()
+        assert not flat._voq.any()
         assert int(flat._pslot_top[0]) == flat.pkt_cap
         assert flat.packets_injected > flat.pkt_cap // 2  # slots reused
 
@@ -154,16 +156,22 @@ class TestSaturationBackpressure:
 
 
 def assert_backlog_is_voq_row_sum(sim):
-    """The per-cycle invariants: ``backlog`` is the VOQ counts' row sum;
-    on the kernel path the occupancy masks and route ports hold too."""
+    """The per-cycle invariants: ``backlog`` is the row sum of the VOQ
+    lengths, an empty VOQ is an all-zero record and a non-empty one's
+    tail ends its chain; on the kernel path the occupancy masks and
+    route ports hold too."""
     fab = sim.fab
+    lengths, last = walk_voqs(sim)
     assert (sim.backlog >= 0).all()
     assert np.array_equal(
         sim.backlog.reshape(fab.n, fab.O),
-        sim.voq_count.reshape(fab.n, fab.I, fab.O).sum(axis=1),
+        lengths.reshape(fab.n, fab.I, fab.O).sum(axis=1),
     )
+    empty = lengths == 0
+    assert not sim._voq[empty].any()
+    assert np.array_equal(sim.voq_tail[~empty], last[~empty])
     if sim._kernel is not None:
-        assert_row_mask_is_voq_occupancy(sim)
+        assert_row_mask_is_voq_occupancy(sim, lengths)
         assert_route_ports_follow_routes(sim)
 
 
@@ -198,16 +206,17 @@ def assert_route_ports_follow_routes(sim):
     return int((eject & (hops < lens[:, None] - 1)).sum())
 
 
-def assert_row_mask_is_voq_occupancy(sim):
+def assert_row_mask_is_voq_occupancy(sim, lengths):
     """Bit ``in`` of ``row_mask[r, out]`` is set iff VOQ (r, in, out) holds a flit.
 
-    And bit ``r * O + out`` of ``busy_rows`` iff that row's backlog is positive.
+    ``lengths`` are the VOQ lengths :func:`walk_voqs` found.  And bit
+    ``r * O + out`` of ``busy_rows`` iff that row's backlog is positive.
     """
     fab = sim.fab
     words = sim.row_mask.reshape(fab.n, fab.O, -1)
     ins = np.arange(fab.I)
     bits = (words[:, :, ins >> 6] >> (ins & 63).astype(np.uint64)) & np.uint64(1)
-    occupied = sim.voq_count.reshape(fab.n, fab.I, fab.O) > 0
+    occupied = lengths.reshape(fab.n, fab.I, fab.O) > 0
     assert np.array_equal(bits.astype(bool), occupied.transpose(0, 2, 1))
     # No stray bit at or above I in the last word either.
     assert not (words[:, :, -1] >> np.uint64((fab.I - 1) % 64) >> np.uint64(1)).any()
@@ -219,16 +228,20 @@ def assert_row_mask_is_voq_occupancy(sim):
 
 
 class TestBacklogMirrorsVoqCounts:
-    """``backlog[r, out] == sum_in voq_count[r, in, out]`` after every cycle.
+    """``backlog[r, out] == sum_in len(VOQ (r, in, out))`` after every cycle.
 
     The C kernel's decide loop skips (router, out) rows whose backlog is
     zero, so the counter must be exact at every mutation site of both
     cycle paths: feed, grant, forward, wire kills, event-time queue
     drops, and epoch table swaps.  Within a row it visits only the
     inputs whose ``row_mask`` bit is set, so on the kernel path the same
-    holds bit by bit: ``bit(row_mask[r, out], in) == (voq_count[r, in,
-    out] > 0)`` — a stale bit would read the head of an empty queue, and
+    holds bit by bit: ``bit(row_mask[r, out], in) == (len(VOQ (r, in,
+    out)) > 0)`` — a stale bit would read the head of an empty queue, and
     the event-time flush in ``_drop_vq`` is where one could come from.
+    The lengths come from walking each chain through ``pool_next``; the
+    records themselves must be all zero when empty (the whole ``_voq``
+    array is compared between paths) and name the chain's last row as
+    tail when not.
     The kernel path also never searches a port on the cycle path: it
     reads the ``route_port`` row ``kinject`` filled, which must equal
     the live packet's route recomputed port by port.
@@ -493,6 +506,9 @@ def test_packet_table_grows_mid_span_with_live_packets(
     assert sum(live > 0 for live in grows) >= 2, grows
     assert_identical(*runs)
     assert spans.pkt_cap == numpy_sim.pkt_cap > 16
-    for name in ("voq_count", "backlog", "credits", "ep_credit"):
+    # The two paths take pool rows off the free stack in different
+    # orders, so the records differ; the queue lengths may not.
+    assert np.array_equal(walk_voqs(spans)[0], walk_voqs(numpy_sim)[0])
+    for name in ("backlog", "credits", "ep_credit"):
         assert np.array_equal(getattr(spans, name), getattr(numpy_sim, name)), name
     assert_route_ports_follow_routes(spans)

@@ -61,6 +61,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             NetworkSimulator(pf, valiant, tr, 0.5, config=SimConfig(num_vcs=2))
 
+    @pytest.mark.parametrize(
+        "field,bad,floor",
+        [
+            ("packet_size", 0, 1),  # was a bare ZeroDivisionError in a span
+            ("packet_size", -4, 1),
+            ("num_vcs", 0, 1),
+            ("vc_depth", 0, 1),  # ran with accepted load 0
+            ("link_latency", -3, 0),  # ran with a negative hop latency
+            ("router_pipeline", -1, 0),
+        ],
+    )
+    def test_bad_config_names_the_field(self, field, bad, floor):
+        with pytest.raises(ValueError, match=rf"SimConfig\.{field} must be >= {floor}"):
+            SimConfig(**{field: bad})
+        assert getattr(SimConfig(**{field: floor}), field) == floor
+
 
 #: bad (warmup, measure, drain) -> the field the error must name
 BAD_WINDOWS = [
