@@ -305,7 +305,7 @@ _TOPO_MEMO: dict = {}
 
 #: memo entries kept per process — the pool now persists across run()
 #: calls, so without a bound a worker would accumulate every topology it
-#: ever simulated (N x N tables, path caches, fabrics).  Topology-affine
+#: ever simulated (N x N tables, fabrics).  Topology-affine
 #: chunks make eviction churn rare.
 _TOPO_MEMO_CAP = 8
 
@@ -767,9 +767,9 @@ class SweepRunner:
     -----
     Because the pool persists, workers snapshot the environment when
     first spawned: flipping env knobs (``$REPRO_SIM_ENGINE``,
-    ``$REPRO_PATH_CACHE``, ``$REPRO_SWEEP_TIMEOUT``, ``$REPRO_CHAOS``,
-    ``$REPRO_OBS``) between :meth:`run` calls requires :meth:`close`
-    first so the next pool re-reads them.  On platforms whose default start method is
+    ``$REPRO_SWEEP_TIMEOUT``, ``$REPRO_CHAOS``, ``$REPRO_OBS``) between
+    :meth:`run` calls requires :meth:`close` first so the next pool
+    re-reads them.  On platforms whose default start method is
     *spawn* (macOS, Windows), scripts using a multi-worker runner need
     the standard ``if __name__ == "__main__":`` guard; set
     ``REPRO_SWEEP_WORKERS=1`` to force inline execution instead.

@@ -97,9 +97,7 @@ def _incremental_tables(
         # No row touched a failed edge: the base matrix is exact and can
         # be shared as-is (RoutingTables never mutates its dist).
         new_dist = dist
-    return RoutingTables.from_distances(
-        degraded, new_dist, path_cache=base._path_cache_opt, alive=alive
-    )
+    return RoutingTables.from_distances(degraded, new_dist, alive=alive)
 
 
 def reroute_after_failures(

@@ -36,6 +36,7 @@ here means changing the C mirror in the same commit — the twin tests in
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Protocol
 
@@ -498,13 +499,19 @@ class UGALPFRouting(UGALRouting):
 
     Divert to the (compact) Valiant path only when the min-path output
     buffer is more than ``threshold`` (default 2/3) full *and* the UGAL
-    queue comparison still favors the detour.
+    queue comparison still favors the detour.  ``threshold`` must be
+    finite and >= 0 (above 1 the policy never diverts).
     """
 
     def __init__(self, tables: RoutingTables, threshold: float = 2.0 / 3.0, bias: int = 1):
+        threshold = float(threshold)
+        if not (math.isfinite(threshold) and threshold >= 0):
+            raise ValueError(
+                f"threshold must be finite and >= 0, got {threshold!r}"
+            )
         super().__init__(tables, bias=bias)
         self.compact = CompactValiantRouting(tables)
-        self.threshold = float(threshold)
+        self.threshold = threshold
         self.max_hops = self.compact.max_hops
 
     def retable(self, tables: RoutingTables) -> None:

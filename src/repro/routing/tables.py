@@ -15,13 +15,10 @@ fault-repair rebuilds share that builder, its peak memory is the output
 plus one block, and all of it is pinned bit-identical to the seed
 per-source builds by golden tests, so large-radix networks (q=79,
 N=6321, ~40M pairs) construct in seconds without changing a single
-routed path.
-
-Path buffers are int32; the unique-path cache stores int16 entries when
-router ids fit and streams its build in row chunks, so enabling it never
-allocates more than its steady-state footprint.  The cache is
-memory-capped (``$REPRO_PATH_CACHE_MB``, default 256) and can be disabled
-outright (``$REPRO_PATH_CACHE=0`` or ``path_cache=False``).
+routed path.  Batched extraction
+(:meth:`RoutingTables.shortest_paths_batch`) walks that table one path
+column at a time — the numpy definition of route selection that the C
+selector reproduces draw for draw.
 
 Fault-epoch tables wrap the intact distance matrix in
 :class:`RowPatchedDist` — only the BFS rows a failure actually changed
@@ -30,32 +27,12 @@ are stored densely.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.topologies.base import Topology
-from repro.utils.env import env_disabled
 from repro.utils.rng import make_rng
 
-__all__ = [
-    "RoutingTables",
-    "RowPatchedDist",
-    "PATH_CACHE_ENV",
-    "PATH_CACHE_MB_ENV",
-]
-
-#: set to ``0`` (or ``false``/``off``/``no``) to disable the unique-path
-#: cache entirely
-PATH_CACHE_ENV = "REPRO_PATH_CACHE"
-
-#: memory budget (MiB) the unique-path cache must fit under to be built
-PATH_CACHE_MB_ENV = "REPRO_PATH_CACHE_MB"
-
-_PATH_CACHE_DEFAULT_MB = 256.0
-
-#: pair-entry bound per chunk of the streamed unique-path cache build
-_PATH_CHUNK_ENTRIES = 1 << 20
+__all__ = ["RoutingTables", "RowPatchedDist"]
 
 
 def _value_dtype(n: int):
@@ -320,10 +297,6 @@ class RoutingTables:
     topo:
         Any :class:`~repro.topologies.base.Topology`; the router graph
         must be connected (unless ``alive`` marks failed routers).
-    path_cache:
-        ``True``/``False`` forces the unique-path cache on or off;
-        ``None`` (default) defers to ``$REPRO_PATH_CACHE`` and the
-        ``$REPRO_PATH_CACHE_MB`` memory cap.
     alive:
         Optional boolean mask of surviving routers for fault-epoch
         tables.  Dead routers stay in the vertex set with -1 distances;
@@ -332,27 +305,18 @@ class RoutingTables:
         fault subsystem guarantees no route ever targets a dead router.
     """
 
-    def __init__(
-        self,
-        topo: Topology,
-        path_cache: "bool | None" = None,
-        alive: "np.ndarray | None" = None,
-    ):
+    def __init__(self, topo: Topology, alive: "np.ndarray | None" = None):
         if alive is None and not topo.is_connected():
             raise ValueError("routing tables require a connected topology")
         # One bit-parallel all-sources BFS filling the int16 matrix
         # directly, then the one candidate builder every table uses.
         dist = topo.graph.all_pairs_distances(dtype=np.int16)
-        self._init_from(topo, dist, path_cache, alive)
+        self._init_from(topo, dist, alive)
         self._candidate_table()
 
     @classmethod
     def from_distances(
-        cls,
-        topo: Topology,
-        dist,
-        path_cache: "bool | None" = None,
-        alive: "np.ndarray | None" = None,
+        cls, topo: Topology, dist, alive: "np.ndarray | None" = None
     ) -> "RoutingTables":
         """Tables over an externally computed distance matrix.
 
@@ -360,15 +324,15 @@ class RoutingTables:
         (:func:`repro.routing.degraded.reroute_after_failures`) patches
         only the BFS rows a failure could have changed — handing over a
         :class:`RowPatchedDist` view instead of a dense copy — and
-        builds the rest of the table state through here; the lazy caches
-        are rebuilt on demand, so served paths are identical to a fresh
-        build's.
+        builds the rest of the table state through here; the candidate
+        table is rebuilt on demand, so served paths are identical to a
+        fresh build's.
         """
         self = cls.__new__(cls)
-        self._init_from(topo, dist, path_cache, alive)
+        self._init_from(topo, dist, alive)
         return self
 
-    def _init_from(self, topo, dist, path_cache, alive) -> None:
+    def _init_from(self, topo, dist, alive) -> None:
         self.topo = topo
         self.dist = dist
         #: surviving-router mask for fault epochs (None: all alive)
@@ -379,14 +343,9 @@ class RoutingTables:
             sub = dist[np.ix_(self.alive_routers, self.alive_routers)]
             if sub.size and bool((sub < 0).any()):
                 raise ValueError("failures disconnect the network")
-        self._path_cache_opt = path_cache
-        self._path_cache_on: "bool | None" = None
         # Compact table of minimal next-hop candidates per (src, dst)
         # pair, for the batched path extractor.
         self._cands: "_CandidateTable | None" = None
-        # Lazily-built cache of the pairs whose shortest path is unique
-        # (no ECMP tie anywhere along it).
-        self._unique_paths: "tuple | None" = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -440,83 +399,6 @@ class RoutingTables:
             )
         return self._cands
 
-    def _path_cache_enabled(self) -> bool:
-        """Whether the unique-path cache may be built and served.
-
-        An explicit ``path_cache=`` argument wins; otherwise
-        ``$REPRO_PATH_CACHE=0`` disables it, and the estimated footprint
-        (narrow path entries + unique flags over all n^2 pairs) must
-        fit under ``$REPRO_PATH_CACHE_MB`` MiB — q=31 (N=993) needs
-        about 7 MB, comfortably inside the 256 MB default.
-
-        The decision is memoized: this sits on the per-cycle routing hot
-        path, and the ``dist.max()`` footprint estimate is O(n^2).
-        """
-        if self._path_cache_on is None:
-            self._path_cache_on = self._decide_path_cache()
-        return self._path_cache_on
-
-    def _decide_path_cache(self) -> bool:
-        if self._path_cache_opt is not None:
-            return bool(self._path_cache_opt)
-        if env_disabled(PATH_CACHE_ENV):
-            return False
-        n = self.topo.num_routers
-        width = int(self.dist.max()) + 1
-        psize = np.dtype(_value_dtype(n)).itemsize
-        raw = os.environ.get(PATH_CACHE_MB_ENV, _PATH_CACHE_DEFAULT_MB)
-        try:
-            budget_mb = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"${PATH_CACHE_MB_ENV} must be a number of MiB, got {raw!r}"
-            ) from None
-        return n * n * (psize * width + 1) <= budget_mb * 2**20
-
-    def _unique_path_cache(self) -> tuple:
-        """Streamed ``(paths, unique)`` cache over all pairs, lazily.
-
-        ``unique[pair]`` marks pairs whose shortest path has no ECMP tie
-        at any step; for those, ``paths[pair]`` is *the* path and batched
-        extraction is a single gather with zero RNG draws (the batch
-        protocol only draws where there is a tie to break).  Pairs with
-        ties are never served from the cache.
-
-        The build walks row chunks (~1M pairs at a time), so its
-        transient scratch stays bounded no matter how large the fabric;
-        path entries are int16 when router ids fit, and lengths are not
-        stored at all — they are ``dist + 1``, recomputed on serve.
-        """
-        if self._unique_paths is None:
-            n = self.topo.num_routers
-            tab = self._candidate_table()
-            width = int(self.dist.max()) + 1
-            paths = np.zeros((n * n, width), dtype=_value_dtype(n))
-            unique = np.ones(n * n, dtype=bool)
-            dsts_row = np.arange(n, dtype=np.int64)
-            step = max(1, _PATH_CHUNK_ENTRIES // max(n, 1))
-            for lo in range(0, n, step):
-                rows = np.arange(lo, min(lo + step, n), dtype=np.int64)
-                sl = slice(lo * n, (lo + rows.size) * n)
-                pview = paths[sl]
-                uview = unique[sl]
-                srcs = np.repeat(rows, n)
-                dsts = np.tile(dsts_row, rows.size)
-                lens = (
-                    np.asarray(self.dist[rows]).ravel().astype(np.int64) + 1
-                )
-                pview[:, 0] = srcs
-                cur = srcs.copy()
-                for col in range(1, width):
-                    act = lens > col
-                    pair = cur[act] * n + dsts[act]
-                    uview[act] &= tab.count[pair] == 1
-                    nxt = tab.first[pair].astype(np.int64)
-                    cur[act] = nxt
-                    pview[act, col] = nxt
-            self._unique_paths = (paths, unique)
-        return self._unique_paths
-
     def shortest_paths_batch(self, srcs, dsts, rng=None) -> tuple:
         """Vectorized ECMP shortest paths for a batch of (src, dst) pairs.
 
@@ -530,46 +412,19 @@ class RoutingTables:
         """
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
-        k = srcs.size
-        n = self.topo.num_routers
-        if k and self._path_cache_enabled():
-            # Serve the batch from the unique-path cache when no row
-            # needs a tie-break — draw-free, so RNG-stream identical.
-            cache_paths, unique = self._unique_path_cache()
-            pairs = srcs * n + dsts
-            if unique[pairs].all():
-                lens = self.dist[srcs, dsts].astype(np.int64) + 1
-                # Trim to this batch's width so callers see the same
-                # shape contract as the general extractor.
-                return (
-                    cache_paths[pairs][:, : int(lens.max())].astype(
-                        np.int32, copy=False
-                    ),
-                    lens,
-                )
         lens = self.dist[srcs, dsts].astype(np.int64) + 1
-        if k == 0:
+        if srcs.size == 0:
             return np.empty((0, 1), dtype=np.int32), lens
+        n = self.topo.num_routers
         tab = self._candidate_table()
         max_len = int(lens.max())
-        paths = np.empty((k, max_len), dtype=np.int32)
+        paths = np.empty((srcs.size, max_len), dtype=np.int32)
         paths[:, 0] = srcs
-        cur = srcs
+        cur = srcs.copy()
         for col in range(1, max_len):
             # A row is still walking while col < lens - 1 + 1.
             act = np.flatnonzero(lens > col)
-            whole = act.size == cur.size
-            pair = (cur if whole else cur[act]) * n + (
-                dsts if whole else dsts[act]
-            )
-            nxt = tab.next_hops(pair, rng)
-            if whole and col + 1 < max_len:
-                cur = nxt
-                paths[:, col] = nxt
-            else:
-                if not whole:
-                    full = cur.copy() if cur is srcs else cur
-                    full[act] = nxt
-                    cur = full
-                paths[act, col] = nxt
+            nxt = tab.next_hops(cur[act] * n + dsts[act], rng)
+            cur[act] = nxt
+            paths[act, col] = nxt
         return paths, lens

@@ -15,9 +15,8 @@ def env_disabled(name: str) -> bool:
 
     ``0``, ``false``, ``off`` and ``no`` — surrounding whitespace and
     case ignored — switch a default-on feature off; unset, empty, or
-    anything else leaves it on.  Shared by every on/off knob
-    (``REPRO_FLAT_KERNEL``, ``REPRO_PATH_CACHE``) so the same word means
-    the same thing for each.
+    anything else leaves it on.  The one parser for on/off knobs
+    (``REPRO_FLAT_KERNEL``), so a new knob means the same words too.
     """
     return os.environ.get(name, "").strip().lower() in _FALSY
 

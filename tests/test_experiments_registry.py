@@ -106,6 +106,18 @@ class TestErrors:
                 ("ugal-bias-float", POLICIES, "ugal:bias=1.5", "bias must be an integer"),
                 ("ugal-pf-bias-str", POLICIES, "ugal-pf:bias=x", "bias must be an integer"),
                 (
+                    "ugal-pf-threshold-negative", POLICIES, "ugal-pf:threshold=-1",
+                    "threshold must be finite and >= 0",
+                ),
+                (
+                    "ugal-pf-threshold-nan", POLICIES, "ugal-pf:threshold=nan",
+                    "threshold must be finite and >= 0",
+                ),
+                (
+                    "ugal-pf-threshold-inf", POLICIES, "ugal-pf:threshold=inf",
+                    "threshold must be finite and >= 0",
+                ),
+                (
                     "traffic-pattern", TRAFFICS, "hotspot:fraction=2",
                     "fraction must be in (0, 1]",
                 ),

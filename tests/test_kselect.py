@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.registry import POLICIES, TOPOLOGIES, TRAFFICS
-from repro.experiments.runner import auto_sim_config
+from repro.experiments.runner import SweepRunner, auto_sim_config
+from repro.experiments.spec import Combo, ExperimentSpec
 from repro.flitsim import FlatSimulator, NetworkSimulator
 from repro.flitsim import _kernel as kmod
 from repro.flitsim._kernel import load_kernel, numpy_fallback
@@ -389,20 +390,13 @@ def test_valiant_rejects_fewer_than_three_alive_routers():
 )
 def test_falsy_env_words_mean_the_same_for_every_knob(monkeypatch, value, off):
     monkeypatch.setenv("REPRO_FLAT_KERNEL", value)
-    monkeypatch.setenv("REPRO_PATH_CACHE", value)
     assert env_disabled("REPRO_FLAT_KERNEL") == off
     assert kmod.kernel_enabled() == (not off)
-    topo, _ = tables_for(PF_SPEC)
-    tables = RoutingTables.from_distances(topo, tables_for(PF_SPEC)[1].dist)
-    assert tables._path_cache_enabled() == (not off)
 
 
 def test_unset_env_leaves_both_knobs_on(monkeypatch):
     monkeypatch.delenv("REPRO_FLAT_KERNEL", raising=False)
-    monkeypatch.delenv("REPRO_PATH_CACHE", raising=False)
     assert kmod.kernel_enabled()
-    topo, base = tables_for(PF_SPEC)
-    assert RoutingTables.from_distances(topo, base.dist)._path_cache_enabled()
 
 
 @needs_kernel
@@ -416,3 +410,45 @@ def test_out_of_range_router_id_raises_before_any_draw():
         with pytest.raises(IndexError, match="out of range"):
             ksim.policy.select_routes(np.array(srcs), np.array(dsts), rng, ksim)
     assert rng.bit_generator.state == before
+
+
+RING = "allreduce:algo=ring,size=64"
+FLAP = "linkflap:count=2,cycle=60,duration=100,seed=1"
+#: one cell of every stock production shape that selects routes
+PRODUCTION_COMBOS = {
+    **{p: Combo(PF_SPEC, p, "uniform") for p in FIVE},
+    "polarstar-min": Combo("polarstar:conc=2,q=3,sq=5", "min", "uniform"),
+    "fattree-ftnca": Combo("fattree:k=4,n=3", "ftnca", "uniform"),
+    "allreduce": Combo(PF_SPEC, "min", workload=RING),
+    "linkflap": Combo(PF_SPEC, "ugal", "uniform", faults=FLAP),
+    "allreduce-linkflap": Combo(PF_SPEC, "min", workload=RING, faults=FLAP),
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("name", sorted(PRODUCTION_COMBOS))
+def test_production_cells_never_reach_the_numpy_extractor(monkeypatch, name):
+    """Every stock cell selects in C: the numpy bodies are only the oracle.
+
+    A decline to them is bit-identical, only slower, so no equivalence
+    test would notice one; counting the table walks they make does —
+    the batched extractor, and ``min_next_hops`` for the scalar bodies
+    (FT-NCA's numpy path routes packet by packet).
+    """
+    calls = []
+    for method in ("shortest_paths_batch", "min_next_hops"):
+        walk = getattr(RoutingTables, method)
+
+        def counted(self, *args, _walk=walk, **kwargs):
+            calls.append(_walk.__name__)
+            return _walk(self, *args, **kwargs)
+
+        monkeypatch.setattr(RoutingTables, method, counted)
+    combo = PRODUCTION_COMBOS[name]
+    spec = ExperimentSpec(
+        combos=(combo,), loads=(0.0,) if combo.workload else (0.6,),
+        warmup=50, measure=100, drain=50, root_seed=3,
+    )
+    result = SweepRunner(cache=None, max_workers=1).run(spec)
+    assert len(result.cells) == 1
+    assert calls == []

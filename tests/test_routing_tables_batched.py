@@ -14,11 +14,7 @@ from oracles import (
 )
 
 from repro.experiments.registry import TOPOLOGIES
-from repro.routing.tables import (
-    PATH_CACHE_ENV,
-    PATH_CACHE_MB_ENV,
-    RoutingTables,
-)
+from repro.routing.tables import RoutingTables
 from repro.topologies.base import Topology
 from repro.utils.graph import Graph
 
@@ -86,49 +82,3 @@ class TestCandidateBuilderDtypeEdges:
         tab = RoutingTables(Topology("wide", graph, 1))._candidate_table()
         assert tab.count.dtype == np.uint16
         assert tab.count[0 * graph.n + 1] == 300
-
-
-class TestPathCacheGating:
-    def _paths(self, tables, n):
-        rng = np.random.default_rng(9)
-        srcs = rng.integers(0, n, size=30)
-        dsts = rng.integers(0, n, size=30)
-        return srcs, dsts, tables.shortest_paths_batch(srcs, dsts)
-
-    def test_cache_off_matches_cache_on(self):
-        topo = TOPOLOGIES.create("polarfly:conc=2,q=5")
-        on = RoutingTables(topo, path_cache=True)
-        off = RoutingTables(topo, path_cache=False)
-        assert on._path_cache_enabled() and not off._path_cache_enabled()
-        srcs, dsts, (p1, l1) = self._paths(on, topo.num_routers)
-        _, _, (p2, l2) = self._paths(off, topo.num_routers)
-        assert np.array_equal(l1, l2)
-        for i in range(srcs.size):
-            assert np.array_equal(p1[i, : l1[i]], p2[i, : l2[i]])
-        # the disabled table never built the dense cache
-        assert off._unique_paths is None
-
-    def test_env_disable(self, monkeypatch):
-        topo = TOPOLOGIES.create("petersen:p=2")
-        monkeypatch.setenv(PATH_CACHE_ENV, "0")
-        assert not RoutingTables(topo)._path_cache_enabled()
-        monkeypatch.setenv(PATH_CACHE_ENV, "1")
-        assert RoutingTables(topo)._path_cache_enabled()
-
-    def test_memory_cap(self, monkeypatch):
-        topo = TOPOLOGIES.create("petersen:p=2")
-        monkeypatch.setenv(PATH_CACHE_MB_ENV, "0.0001")
-        assert not RoutingTables(topo)._path_cache_enabled()
-        monkeypatch.delenv(PATH_CACHE_MB_ENV)
-        assert RoutingTables(topo)._path_cache_enabled()
-
-    def test_malformed_memory_cap_names_the_variable(self, monkeypatch):
-        topo = TOPOLOGIES.create("petersen:p=2")
-        monkeypatch.setenv(PATH_CACHE_MB_ENV, "256MB")
-        with pytest.raises(ValueError, match=r"REPRO_PATH_CACHE_MB.*'256MB'"):
-            RoutingTables(topo)._path_cache_enabled()
-
-    def test_explicit_flag_beats_env(self, monkeypatch):
-        topo = TOPOLOGIES.create("petersen:p=2")
-        monkeypatch.setenv(PATH_CACHE_ENV, "0")
-        assert RoutingTables(topo, path_cache=True)._path_cache_enabled()

@@ -394,11 +394,10 @@ def test_build_memory_stays_near_output_at_q31():
 def test_no_wide_dense_structures_at_q31():
     """The sparse-tier guarantee, asserted on the q=31 default path.
 
-    After building topology, routing tables (including the unique-path
-    cache and candidate table), and the flat fabric, the only structures
-    allowed to scale as N^2 are the int16 distance matrix and equally
-    narrow companions (<= 2 bytes/pair: path-cache rows, uint8/int16
-    candidate count/first, bool unique flags).  A dense port matrix,
+    After building topology, routing tables (including the candidate
+    table), and the flat fabric, the only structures allowed to scale as
+    N^2 are the int16 distance matrix and equally narrow companions
+    (<= 2 bytes/pair: uint8/int16 candidate count/first).  A dense port matrix,
     int64 candidate indptr, or dense congestion view would all trip the
     itemsize check.
     """
@@ -406,8 +405,6 @@ def test_no_wide_dense_structures_at_q31():
     n = topo.num_routers
     tables = RoutingTables(topo)
     tables._candidate_table()
-    if tables._path_cache_enabled():
-        tables._unique_path_cache()
     fab = FlatFabric(topo)
     assert not hasattr(fab, "port_mat")
     offenders = [

@@ -1,4 +1,7 @@
-"""Unit tests for validation helpers and RNG coercion."""
+"""Unit tests for validation helpers, RNG coercion and the env-knob docs."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,3 +54,20 @@ class TestValidation:
         assert check_in_range(3, 1, 5, "v") == 3
         with pytest.raises(ValueError):
             check_in_range(9, 1, 5, "v")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_env_knob_is_documented_and_every_documented_knob_exists():
+    """The README names exactly the ``REPRO_*`` variables the code reads."""
+    literal = re.compile(r"""["'](REPRO_[A-Z_]*[A-Z])["']""")
+    in_code = {
+        name
+        for top in ("src", "benchmarks", "tools")
+        for path in (ROOT / top).rglob("*.py")
+        for name in literal.findall(path.read_text(encoding="utf-8"))
+    }
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    in_readme = set(re.findall(r"REPRO_[A-Z_]*[A-Z]", readme))
+    assert in_code == in_readme
