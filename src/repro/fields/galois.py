@@ -124,7 +124,8 @@ class FiniteField:
         self._add = (summed * weights).sum(axis=2)
         negd = (p - digits) % p
         self._neg = (negd * weights).sum(axis=1)
-        self._sub = self._add[:, self._neg]
+        # Row-major like the others: the C route selector binds it as is.
+        self._sub = np.ascontiguousarray(self._add[:, self._neg])
 
         # Multiplication via discrete logs of a primitive element.
         self.primitive_element = self._find_primitive()

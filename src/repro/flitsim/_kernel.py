@@ -37,8 +37,11 @@ every mode, not just open loop.
   batch protocol of ``policy.select_routes`` for exactly
   ``MinimalRouting``, ``ValiantRouting``, ``CompactValiantRouting``,
   ``UGALRouting``, ``UGALPFRouting`` and ``FatTreeNCARouting``, over
-  the routing tables' existing arrays and the caller's own
-  ``numpy.random.Generator`` bit stream (``bitgen_t``).  **The numpy
+  the routing tables' existing arrays — or, on an intact PolarFly,
+  over the vertex vectors and GF(q)'s tables, deriving distances and
+  next hops from coordinates (paper §IV-D) so that no table is built —
+  and the caller's own ``numpy.random.Generator`` bit stream
+  (``bitgen_t``).  **The numpy
   ``select_routes`` bodies in
   :mod:`repro.routing.policies` define the stream — which draws, with
   which bounds, in which order — and the C code mirrors them literally**
@@ -253,6 +256,12 @@ typedef struct {
      * hops are found again by scanning its sorted rows. */
     int64_t *g_indptr, *g_indices;
     int8_t *alive;          /* NULL: every router alive */
+    /* Coordinate mode — an intact PolarFly (routing/algebraic.py's
+     * coordinates_apply); dist, patch, first and count are then NULL:
+     * the n x 3 left-normalised vertex vectors and GF(q)'s add, sub and
+     * mul tables (q x q) and inverses (q).  pf_vec NULL: table mode. */
+    int64_t q;
+    int64_t *pf_vec, *gf_add, *gf_sub, *gf_mul, *gf_inv;
     /* Scratch: cap * (2 * width + 13) int64; rows are `width` wide. */
     int64_t cap, width;
     int64_t *work;
@@ -731,9 +740,43 @@ static int64_t row_of(const int64_t *row, int64_t j)
     return row ? row[j] : j;
 }
 
-/* tables.dist[r, c], through the row indirection of a patched epoch. */
+/* Coordinate mode: the GF(q) dot product of vertices a and b. */
+static int64_t pf_dot(const Selector *s, int64_t a, int64_t b)
+{
+    const int64_t *u = s->pf_vec + 3 * a, *v = s->pf_vec + 3 * b;
+    const int64_t *add = s->gf_add, *mul = s->gf_mul;
+    int64_t q = s->q;
+    int64_t xy = add[mul[u[0] * q + v[0]] * q + mul[u[1] * q + v[1]]];
+    return add[xy * q + mul[u[2] * q + v[2]]];
+}
+
+/* Coordinate mode, a != b non-adjacent: their one common neighbour, the
+ * cross product a x b left-normalised and coded as
+ * PolarFly._vertex_codes codes it ([1, y, z] -> y q + z, [0, 1, z] ->
+ * q^2 + z, [0, 0, 1] -> q^2 + q). */
+static int64_t pf_mid(const Selector *s, int64_t a, int64_t b)
+{
+    const int64_t *u = s->pf_vec + 3 * a, *v = s->pf_vec + 3 * b;
+    const int64_t *sub = s->gf_sub, *mul = s->gf_mul;
+    int64_t q = s->q;
+    int64_t c0 = sub[mul[u[1] * q + v[2]] * q + mul[u[2] * q + v[1]]];
+    int64_t c1 = sub[mul[u[2] * q + v[0]] * q + mul[u[0] * q + v[2]]];
+    int64_t c2 = sub[mul[u[0] * q + v[1]] * q + mul[u[1] * q + v[0]]];
+    if (c0) {
+        int64_t k = s->gf_inv[c0];
+        return mul[k * q + c1] * q + mul[k * q + c2];
+    }
+    if (c1)
+        return q * q + mul[s->gf_inv[c1] * q + c2];
+    return q * q + q;
+}
+
+/* tables.dist[r, c], through the row indirection of a patched epoch; in
+ * coordinate mode 0 on the diagonal, 1 for orthogonal vertices, else 2. */
 static int64_t dist_at(const Selector *s, int64_t r, int64_t c)
 {
+    if (s->pf_vec)
+        return r == c ? 0 : pf_dot(s, r, c) == 0 ? 1 : 2;
     if (s->patch_row) {
         int64_t p = s->patch_row[r];
         if (p >= 0)
@@ -758,6 +801,10 @@ static int64_t nth_hop(const Selector *s, int64_t cur, int64_t to, int64_t pick)
 /* RoutingTables.shortest_paths_batch(from, to, rng) over m rows:
  * column-major (for each path column, the rows still walking in row
  * order), one draw per tied pair, a neighbor scan only for picks > 0.
+ * Coordinate mode reads the one minimal next hop — the destination on
+ * a row's last column, else (the first hop of a distance-2 pair) the
+ * common neighbour — with a count of 1: ER_q has no tied pair, so the
+ * table walk draws nothing there either.
  * Row j's path goes to out[row[j]] (row NULL: j) from column
  * off0 + base[row[j]] (base NULL: 0) on; columns past the row width are
  * dropped, the lengths stay exact.  wl[j] receives the path length. */
@@ -781,9 +828,14 @@ static void walk(const Selector *s, bitgen_t *bg, int64_t m,
         for (int64_t j = 0; j < m; j++) {
             if (wl[j] <= col)
                 continue;
-            int64_t pair = cur[j] * n + to[j];
-            int64_t nxt = s->first[pair];
-            int64_t cnt = s->count[pair];
+            int64_t nxt, cnt = 1;
+            if (s->pf_vec)
+                nxt = col == wl[j] - 1 ? to[j] : pf_mid(s, cur[j], to[j]);
+            else {
+                int64_t pair = cur[j] * n + to[j];
+                nxt = s->first[pair];
+                cnt = s->count[pair];
+            }
             if (cnt > 1) {
                 int64_t pick = draw(bg, cnt);
                 if (pick > 0)

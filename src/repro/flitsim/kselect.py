@@ -14,18 +14,29 @@ from what it can observe, when the mirror applies.  It serves exactly
 :class:`CompactValiantRouting`, :class:`UGALRouting`,
 :class:`UGALPFRouting` and :class:`FatTreeNCARouting` (exact types — a
 subclass may override any step; FT-NCA on exactly the stock
-:class:`~repro.topologies.fattree.FatTree` wiring) over tables in the
-plain narrow layout: C-contiguous int16 ``dist``/``first`` and uint8
-``count``; a tied pair's other candidates are found by scanning the
-source's row of the graph CSR (``policy.topo`` is ``tables.topo``:
-``retable`` swaps both), exactly as the table builder found them, so
-nothing else is bound.  A fault epoch's
-:class:`~repro.routing.tables.RowPatchedDist` binds as it is stored —
-the shared base matrix, the patch block and the row map between them —
-so a ``linkflap`` epoch selects in C like the intact network.  Anything
-else — N >= 32768, a non-``Generator`` rng, an empty batch, an FT-NCA
-endpoint above level 0 — declines with ``None`` and the caller's numpy
-body runs; no table is ever copied or densified to fit.
+:class:`~repro.topologies.fattree.FatTree` wiring) in one of two modes.
+
+* *Coordinates*, when :func:`~repro.routing.algebraic.coordinates_apply`
+  says the tables are an intact PolarFly's: the vertex vectors and the
+  field's add/sub/mul/inv tables are bound instead of any table, and C
+  derives each distance (0, 1 for a zero dot product, else 2) and next
+  hop (the destination, or the cross-product midpoint) from them.  ER_q
+  has no tied pair, so the routes and the (absent) tie-break draws are
+  the table walk's; nothing N x N is read, so the tables are never built.
+* *Tables*, for everything else, in the plain narrow layout:
+  C-contiguous int16 ``dist``/``first`` and uint8 ``count``; a tied
+  pair's other candidates are found by scanning the source's row of the
+  graph CSR (``policy.topo`` is ``tables.topo``: ``retable`` swaps
+  both), exactly as the table builder found them, so nothing else is
+  bound.  A fault epoch's :class:`~repro.routing.tables.RowPatchedDist`
+  binds as it is stored — the shared base matrix, the patch block and
+  the row map between them — so a ``linkflap`` epoch selects in C like
+  the intact network.
+
+Anything else — table mode past the int16 layout (N >= 32768 off ER_q,
+announced by one stderr line), a non-``Generator`` rng, an empty batch,
+an FT-NCA endpoint above level 0 — declines with ``None`` and the
+caller's numpy body runs; no table is ever copied or densified to fit.
 
 The same binding serves whole-cycle spans (:mod:`repro.flitsim.kspan`):
 :meth:`KernelSelector.bind` is everything :meth:`KernelSelector.select`
@@ -37,7 +48,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.flitsim._kernel import bind_struct, bitgen_of
+from repro.flitsim._kernel import _diagnose, bind_struct, bitgen_of
+from repro.routing.algebraic import coordinates_apply
 from repro.routing.policies import (
     CompactValiantRouting,
     FatTreeNCARouting,
@@ -129,19 +141,6 @@ class KernelSelector:
         """Point the C state at ``policy.tables``; False to decline."""
         tables = policy.tables
         n = tables.topo.num_routers
-        dist = tables.dist
-        patch = {"patch": None, "patch_row": None}
-        if type(dist) is RowPatchedDist:
-            # Bound as stored: C reads row r from the patch block when
-            # patch_row[r] >= 0, else from the base.
-            patch = {"patch": dist.patch, "patch_row": dist.row_of}
-            if dist.patch.shape != (dist.rows.size, n) or not (
-                _plain(dist.patch, np.int16) and _plain(dist.row_of, np.int64)
-            ):
-                return False
-            dist = dist.base
-        if not _plain(dist, np.int16) or dist.shape != (n, n):
-            return False
         # Adaptive policies draw detours from sub-policies; the C code
         # assumes the stock ones on the same tables.
         for name, kind in (
@@ -152,26 +151,62 @@ class KernelSelector:
                 type(sub) is not kind or sub.tables is not tables
             ):
                 return False
+        graph = policy.topo.graph
+        if not (
+            _plain(graph.indptr, np.int64) and _plain(graph.indices, np.int64)
+        ):
+            return False
+        # Every bind sets both modes' fields: a retable may switch modes.
+        fields = {
+            "n": n, "g_indptr": graph.indptr, "g_indices": graph.indices,
+            "alive": tables.alive_routers, "dist": None, "patch": None,
+            "patch_row": None, "first": None, "count": None, "q": 0,
+            "pf_vec": None, "gf_add": None, "gf_sub": None, "gf_mul": None,
+            "gf_inv": None,
+        }
+        if coordinates_apply(tables):
+            # Distances and next hops from the vertex vectors: no table
+            # is read, so none is built.
+            field = tables.topo.field
+            fields.update(
+                q=field.q, pf_vec=tables.topo.vectors, gf_add=field._add,
+                gf_sub=field._sub, gf_mul=field._mul, gf_inv=field._inv,
+            )
+            self._bind(**fields)
+            return True
+        dist = tables.dist
+        if type(dist) is RowPatchedDist:
+            # Bound as stored: C reads row r from the patch block when
+            # patch_row[r] >= 0, else from the base.
+            if dist.patch.shape != (dist.rows.size, n) or not (
+                _plain(dist.patch, np.int16) and _plain(dist.row_of, np.int64)
+            ):
+                return False
+            fields.update(patch=dist.patch, patch_row=dist.row_of)
+            dist = dist.base
         if self._sel.mode == 5:
             # The C descent reads the stock k-ary n-tree wiring off the
             # switch ids.
             ft = policy.ft
             if type(ft) is not FatTree or ft is not tables.topo:
                 return False
-            self._bind(ft_k=ft.k, ft_spl=ft.switches_per_level)
+            fields.update(ft_k=ft.k, ft_spl=ft.switches_per_level)
         cands = tables._candidate_table()
-        graph = policy.topo.graph
+        if dist.dtype != np.int16 or cands.first.dtype != np.int16:
+            _diagnose(
+                f"the routing tables of {n} routers hold {dist.dtype} "
+                f"distances and {cands.first.dtype} next hops; kselect "
+                "reads int16 tables",
+                what="route-selection",
+            )
+            return False
         if not (
-            _plain(cands.first, np.int16) and _plain(cands.count, np.uint8)
-            and _plain(graph.indptr, np.int64)
-            and _plain(graph.indices, np.int64)
+            _plain(dist, np.int16) and dist.shape == (n, n)
+            and _plain(cands.first, np.int16) and _plain(cands.count, np.uint8)
         ):
             return False
-        self._bind(
-            n=n, dist=dist, **patch, first=cands.first, count=cands.count,
-            g_indptr=graph.indptr, g_indices=graph.indices,
-            alive=tables.alive_routers,
-        )
+        fields.update(dist=dist, first=cands.first, count=cands.count)
+        self._bind(**fields)
         return True
 
     def bind(self, sim, rng, k: int) -> bool:

@@ -6,6 +6,16 @@ endpoint coordinates alone: the cross product ``s x d`` left-normalized,
 "in the worst case needing only two multiplies and three adds in F_q ...
 then at most another two multiplies" — no O(N^2) state.
 
+Any two ER_q vertices share exactly one neighbour, so PolarFly has no
+ECMP tie: coordinates give every pair's one minimal next hop, which is
+the candidate table's ``first`` hop, and no tie-break draw is ever made.
+:func:`coordinates_apply` is the one rule for when tables may be served
+that way — the compiled route selector (:mod:`repro.flitsim.kselect`)
+then routes from the vertex vectors and the field's tables and never
+reads an N x N array, and :attr:`RoutingTables.max_distance
+<repro.routing.tables.RoutingTables.max_distance>` answers the diameter
+without building one.
+
 :class:`AlgebraicMinimalRouting` is a drop-in
 :class:`~repro.routing.policies.RoutingPolicy` that derives routes purely
 from GF(q) arithmetic on the vertex vectors.  Tests assert it produces
@@ -18,7 +28,24 @@ from __future__ import annotations
 from repro.core.polarfly import PolarFly
 from repro.routing.policies import RoutingPolicy, ZERO_CONGESTION
 
-__all__ = ["AlgebraicMinimalRouting"]
+__all__ = ["AlgebraicMinimalRouting", "coordinates_apply"]
+
+
+def coordinates_apply(tables) -> bool:
+    """Whether ``tables`` may be served from PolarFly coordinates.
+
+    Exactly an intact ER_q: the topology's type is :class:`PolarFly`
+    itself (a subclass may rewire the graph), every router is alive,
+    and the tables derive their own distances — not a fault epoch's
+    repaired or row-patched matrix handed over by
+    :meth:`~repro.routing.tables.RoutingTables.from_distances`.
+    Everything else is served from the tables.
+    """
+    return (
+        type(tables.topo) is PolarFly
+        and tables.alive_routers is None
+        and not tables.given_distances
+    )
 
 
 class AlgebraicMinimalRouting(RoutingPolicy):

@@ -231,11 +231,11 @@ class MinimalRouting(RoutingPolicy):
 
     def __init__(self, tables: RoutingTables):
         super().__init__(tables)
-        self.max_hops = int(tables.dist.max())
+        self.max_hops = tables.max_distance
 
     def retable(self, tables: RoutingTables) -> None:
         super().retable(tables)
-        self.max_hops = max(self.max_hops, int(tables.dist.max()))
+        self.max_hops = max(self.max_hops, tables.max_distance)
 
     def select_route(self, src, dst, rng, congestion=ZERO_CONGESTION):
         return self._sp(src, dst, rng)
@@ -253,12 +253,12 @@ class ValiantRouting(RoutingPolicy):
     def __init__(self, tables: RoutingTables):
         super().__init__(tables)
         self._require_intermediates(tables)
-        self.max_hops = 2 * int(tables.dist.max())
+        self.max_hops = 2 * tables.max_distance
 
     def retable(self, tables: RoutingTables) -> None:
         self._require_intermediates(tables)
         RoutingPolicy.retable(self, tables)
-        self.max_hops = max(self.max_hops, 2 * int(tables.dist.max()))
+        self.max_hops = max(self.max_hops, 2 * tables.max_distance)
 
     def _require_intermediates(self, tables: RoutingTables) -> None:
         """Reject tables on which the intermediate redraw cannot end.
@@ -339,7 +339,7 @@ class CompactValiantRouting(ValiantRouting):
 
     def __init__(self, tables: RoutingTables):
         super().__init__(tables)
-        self.max_hops = 2 * int(tables.dist.max())
+        self.max_hops = 2 * tables.max_distance
 
     def select_route(self, src, dst, rng, congestion=ZERO_CONGESTION):
         if self.tables.distance(src, dst) <= 1:

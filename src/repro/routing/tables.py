@@ -4,7 +4,13 @@ The paper notes table-based routing is the method of choice for ER graphs
 (Section IV-D); the same tables also serve every baseline topology.  The
 distance matrix comes from one bit-parallel all-sources BFS
 (:meth:`repro.utils.graph.Graph.all_pairs_distances`, 64 sources per
-machine word) and is stored as int16 (N x N).  The
+machine word) and is stored as int16 (N x N).  Both it and the candidate
+table below are built on first use, not by the constructor: an intact
+PolarFly (:func:`repro.routing.algebraic.coordinates_apply`) is routed
+from coordinates by the compiled selector and its diameter is known
+(:attr:`RoutingTables.max_distance`), so a production cell on it builds
+neither, while the numpy ``select_routes`` bodies, the reference engine,
+fault repair and every other topology build them exactly as before.  The
 minimal-next-hop candidates are then read straight off it by one
 sort-free builder (:meth:`_CandidateTable.from_distances`) that streams
 source-row blocks into a compact table — a per-pair count byte and a
@@ -308,11 +314,10 @@ class RoutingTables:
     def __init__(self, topo: Topology, alive: "np.ndarray | None" = None):
         if alive is None and not topo.is_connected():
             raise ValueError("routing tables require a connected topology")
-        # One bit-parallel all-sources BFS filling the int16 matrix
-        # directly, then the one candidate builder every table uses.
-        dist = topo.graph.all_pairs_distances(dtype=np.int16)
-        self._init_from(topo, dist, alive)
-        self._candidate_table()
+        # The distance matrix and the candidate table are built on first
+        # use (see ``dist``): an intact PolarFly served from coordinates
+        # never needs either.
+        self._init_from(topo, None, alive)
 
     @classmethod
     def from_distances(
@@ -334,18 +339,49 @@ class RoutingTables:
 
     def _init_from(self, topo, dist, alive) -> None:
         self.topo = topo
-        self.dist = dist
+        self._dist = dist
+        #: True when the distances were handed over (:meth:`from_distances`)
+        #: rather than derived from ``topo`` on first use
+        self.given_distances = dist is not None
         #: surviving-router mask for fault epochs (None: all alive)
         self.alive_routers = (
             np.asarray(alive, dtype=bool) if alive is not None else None
         )
         if self.alive_routers is not None:
-            sub = dist[np.ix_(self.alive_routers, self.alive_routers)]
+            sub = self.dist[np.ix_(self.alive_routers, self.alive_routers)]
             if sub.size and bool((sub < 0).any()):
                 raise ValueError("failures disconnect the network")
         # Compact table of minimal next-hop candidates per (src, dst)
         # pair, for the batched path extractor.
         self._cands: "_CandidateTable | None" = None
+
+    @property
+    def dist(self):
+        """The hop-distance matrix, int16 (N x N), built on first use.
+
+        One bit-parallel all-sources BFS fills it directly.  Tables over
+        an external matrix (:meth:`from_distances`) hold theirs from the
+        start.
+        """
+        if self._dist is None:
+            self._dist = self.topo.graph.all_pairs_distances(dtype=np.int16)
+        return self._dist
+
+    @property
+    def max_distance(self) -> int:
+        """The largest distance the tables serve (the diameter).
+
+        2 for tables served from PolarFly coordinates
+        (:func:`~repro.routing.algebraic.coordinates_apply`) — ER_q's
+        diameter, so nothing is built — else ``dist.max()``.
+        """
+        # Imported here: repro.routing.algebraic imports the policies,
+        # which import this module.
+        from repro.routing.algebraic import coordinates_apply
+
+        if coordinates_apply(self):
+            return 2
+        return int(self.dist.max())
 
     # ------------------------------------------------------------------
     # Queries
@@ -389,9 +425,9 @@ class RoutingTables:
     def _candidate_table(self) -> _CandidateTable:
         """The compact candidate table, derived from ``dist`` on first use.
 
-        Fresh builds call this from ``__init__``; tables over an external
-        distance matrix (:meth:`from_distances`, i.e. fault repair) build
-        it on demand — the same builder either way.
+        Fresh tables and tables over an external distance matrix
+        (:meth:`from_distances`, i.e. fault repair) alike build it on
+        demand, with the same builder.
         """
         if self._cands is None:
             self._cands = _CandidateTable.from_distances(

@@ -10,6 +10,10 @@ pool's fields and nothing else, so the link counters bound for a span
 survive a ``SPAN_GROW`` return mid-window.
 """
 
+import contextlib
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -23,6 +27,7 @@ from repro.experiments.registry import (
 from repro.experiments.runner import auto_sim_config
 from repro.faults import prepare_fault_policy
 from repro.flitsim import FlatSimulator, NetworkSimulator, flatcore
+from repro.flitsim import _kernel as kmod
 from repro.flitsim._kernel import load_kernel
 from repro.routing.tables import RoutingTables, RowPatchedDist
 
@@ -32,6 +37,8 @@ pytestmark = pytest.mark.skipif(
 )
 
 PF = "polarfly:conc=2,q=7"
+#: a table-routed family (an intact PolarFly routes from coordinates)
+SF = "slimfly:conc=2,q=5"
 LINKFLAP = "linkflap:count=2,cycle=5,duration=200,seed=1"
 ALLREDUCE = "allreduce:algo=ring,size=64"
 
@@ -40,13 +47,15 @@ _tables: dict = {}
 
 def build(
     traffic_spec="uniform", load=0.5, workload=None, faults=None,
-    engine=FlatSimulator,
+    engine=FlatSimulator, topo_spec=PF, tables=None,
 ):
-    """A ``min``-routed simulator on PolarFly q=7; specs as strings."""
-    if PF not in _tables:
-        topo = TOPOLOGIES.create(PF)
-        _tables[PF] = (topo, RoutingTables(topo))
-    topo, tables = _tables[PF]
+    """A ``min``-routed simulator on ``tables``, by default the shared
+    tables of ``topo_spec`` (PolarFly q=7); specs as strings."""
+    if tables is None:
+        if topo_spec not in _tables:
+            _tables[topo_spec] = RoutingTables(TOPOLOGIES.create(topo_spec))
+        tables = _tables[topo_spec]
+    topo = tables.topo
     policy = POLICIES.create("min", tables)
     if workload is not None:
         workload = WORKLOADS.create(workload, topo)
@@ -74,9 +83,26 @@ def sim_state(**kw):
     return advanced(build(**kw))._st
 
 
-def selector():
-    sim = advanced(build())
+def selector(topo_spec=PF):
+    sim = advanced(build(topo_spec=topo_spec))
     assert sim._kselect.bind(sim, sim.rng, 1)
+    return sim._kselect._sel
+
+
+def int32_next_hop_selector():
+    """Tables in the layout a network past 32 767 routers gets off ER_q
+    (int32 ``first``): the selector declines, binds no table, and says
+    so on one stderr line."""
+    tables = RoutingTables(TOPOLOGIES.create(SF))
+    cands = tables._candidate_table()
+    cands.first = cands.first.astype(np.int32)
+    sim = build(tables=tables)
+    err = io.StringIO()
+    with mock.patch.object(kmod, "_diagnosed", set()), contextlib.redirect_stderr(err):
+        assert not sim._kselect.bind(sim, sim.rng, 1)
+    assert "C route-selection kernel unavailable" in err.getvalue()
+    assert "int16 distances and int32 next hops" in err.getvalue()
+    assert err.getvalue().count("\n") == 1
     return sim._kselect._sel
 
 
@@ -114,6 +140,9 @@ def workload():
 
 FAULT_FIELDS = {"dead_row", "pkt_live", "pkt_damaged", "drop_tail_pids", "fcnt"}
 LINK_FIELDS = {"link_flits", "link_flits_win"}
+#: Selector's table mode and its coordinate mode (an intact PolarFly)
+TABLE_FIELDS = {"dist", "patch", "patch_row", "first", "count"}
+COORD_FIELDS = {"pf_vec", "gf_add", "gf_sub", "gf_mul", "gf_inv"}
 
 #: (struct, mode, the bound pointer, the pointer fields that stay NULL)
 BINDINGS = [
@@ -128,8 +157,16 @@ BINDINGS = [
         "SimState", "link telemetry, measure window open", telemetry_state,
         FAULT_FIELDS,
     ),
-    ("Selector", "plain tables", selector, {"patch", "patch_row", "alive"}),
-    ("Selector", "RowPatchedDist", row_patched_selector, {"alive"}),
+    (
+        "Selector", "plain tables", lambda: selector(SF),
+        {"patch", "patch_row", "alive"} | COORD_FIELDS,
+    ),
+    ("Selector", "coordinates", selector, TABLE_FIELDS | {"alive"}),
+    ("Selector", "RowPatchedDist", row_patched_selector, {"alive"} | COORD_FIELDS),
+    (
+        "Selector", "int32 next hops, declined loudly", int32_next_hop_selector,
+        TABLE_FIELDS | COORD_FIELDS | {"g_indptr", "g_indices", "alive"},
+    ),
     ("Injector", "uniform", injector, {"ep_alive", "router_alive"}),
     (
         "Injector", "permutation", lambda: injector(traffic_spec="tornado"),

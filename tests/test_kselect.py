@@ -6,12 +6,18 @@ contract checked here, per call: equal lengths, equal routes, and an
 equal ``rng.bit_generator.state`` afterwards (which also catches a draw
 that happened to leave the values alone) — on topologies *with* ECMP
 ties, which PolarFly (the usual equivalence fixture) does not have, and
-on loaded simulators, so the UGAL variants really divert.
+on loaded simulators, so the UGAL variants really divert.  On an intact
+PolarFly the selector routes from coordinates instead of the tables
+(:func:`~repro.routing.algebraic.coordinates_apply`): the twins then
+compare that mode against the numpy table bodies, prime and non-prime
+fields alike, and a second oracle — :meth:`PolarFly.minimal_path`, the
+paper's §IV-D definition — is checked on every pair.
 """
 
 import numpy as np
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.registry import POLICIES, TOPOLOGIES, TRAFFICS
 from repro.experiments.runner import SweepRunner, auto_sim_config
 from repro.experiments.spec import Combo, ExperimentSpec
@@ -26,7 +32,7 @@ from repro.routing.policies import (
     ValiantRouting,
     routes_as_matrix,
 )
-from repro.routing.tables import RoutingTables, RowPatchedDist
+from repro.routing.tables import RoutingTables, RowPatchedDist, _CandidateTable
 from repro.topologies.base import Topology
 from repro.utils.env import env_disabled
 from repro.utils.graph import Graph
@@ -40,6 +46,8 @@ PF_SPEC = "polarfly:conc=2,q=7"
 #: topology -> tied (src, dst) pairs in its candidate table
 TOPOLOGY_TIES = {
     PF_SPEC: 0,
+    "polarfly:conc=2,q=9": 0,
+    "polarfly:conc=2,q=8": 0,
     "slimfly:conc=2,q=5": 0,
     "dragonfly:a=4,h=2,p=2": 378,
     "dragonfly:a=3,h=6,p=2": 1444,
@@ -122,6 +130,10 @@ def test_kselect_matches_numpy_body(topo_spec, policy_spec):
     assert tied == TOPOLOGY_TIES[topo_spec]
     ksim, nsim = twins(topo, lambda: POLICIES.create(policy_spec, tables))
     assert ksim._kernel is not None and nsim._kernel is None
+    # An intact PolarFly selects from coordinates, everything else from
+    # the tables.
+    coordinates = ksim._kselect._sel.pf_vec != ksim._kernel.ffi.NULL
+    assert coordinates == topo_spec.startswith("polarfly")
     # 150 loaded cycles through select_routes already agree ...
     assert ksim.rng.bit_generator.state == nsim.rng.bit_generator.state
     assert np.array_equal(ksim.backlog, nsim.backlog)
@@ -133,6 +145,39 @@ def test_kselect_matches_numpy_body(topo_spec, policy_spec):
         detours += int((lens != tables.dist[srcs, dsts] + 1).sum())
     if policy_spec != "min":
         assert detours > 0, "the batches must exercise the detour branch"
+
+
+@needs_kernel
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
+def test_coordinate_mode_routes_every_pair_as_the_paper_does(q):
+    """Every ordered pair of ER_q through coordinate-mode ``min``: the
+    route :meth:`PolarFly.minimal_path` computes (one dot and one cross
+    product, not the tables), the table walk's route, and no draw —
+    over prime, prime-power and characteristic-2 fields."""
+    topo = TOPOLOGIES.create(f"polarfly:conc=2,q={q}")
+    tables = RoutingTables(topo)
+    policy = MinimalRouting(tables)
+    sim = FlatSimulator(
+        topo, policy, TRAFFICS.create("uniform", topo), 0.0,
+        config=auto_sim_config(policy), seed=0,
+    )
+    n = topo.num_routers
+    srcs, dsts = np.divmod(np.arange(n * n), n)
+    rng = np.random.default_rng(q)
+    before = rng.bit_generator.state
+    routes = policy.select_routes(srcs, dsts, rng, congestion=sim)
+    assert served_by_kernel(sim, routes)
+    assert sim._kselect._sel.pf_vec != sim._kernel.ffi.NULL
+    assert tables._dist is None and tables._cands is None
+    assert rng.bit_generator.state == before
+    paths, lens = routes
+    want, want_lens = tables.shortest_paths_batch(srcs, dsts, rng)
+    assert np.array_equal(lens, want_lens)
+    assert np.array_equal(lens - 1, tables.dist[srcs, dsts])
+    for i in range(n * n):
+        path = paths[i, : lens[i]].tolist()
+        assert path == topo.minimal_path(int(srcs[i]), int(dsts[i])), i
+        assert path == want[i, : lens[i]].tolist(), i
 
 
 @needs_kernel
@@ -452,3 +497,48 @@ def test_production_cells_never_reach_the_numpy_extractor(monkeypatch, name):
     result = SweepRunner(cache=None, max_workers=1).run(spec)
     assert len(result.cells) == 1
     assert calls == []
+
+
+#: intact-PolarFly production cells (the five policies, ring all-reduce,
+#: and one q=37 cell) and the two that run on repaired tables
+BUILD_COMBOS = {
+    **{name: PRODUCTION_COMBOS[name] for name in (*FIVE, "allreduce")},
+    "q37-min": Combo("polarfly:conc=2,q=37", "min", "uniform"),
+    **{name: PRODUCTION_COMBOS[name] for name in ("linkflap", "allreduce-linkflap")},
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("name", list(BUILD_COMBOS))
+def test_intact_polarfly_cells_build_no_routing_table(monkeypatch, name):
+    """An intact ER_q cell routes from coordinates, so it never pays the
+    all-sources BFS or the candidate-table build; a fault epoch's
+    repaired tables still build both.  Counted per call, on a fresh
+    topology memo, so the cell builds whatever it needs itself."""
+    builds = []
+    apsp = Graph.all_pairs_distances
+    derive = _CandidateTable.from_distances.__func__
+
+    def all_pairs_distances(self, sources=None, *args, **kwargs):
+        if sources is None:
+            builds.append("bfs")
+        return apsp(self, sources, *args, **kwargs)
+
+    def from_distances(cls, *args):
+        builds.append("candidates")
+        return derive(cls, *args)
+
+    monkeypatch.setattr(Graph, "all_pairs_distances", all_pairs_distances)
+    monkeypatch.setattr(_CandidateTable, "from_distances", classmethod(from_distances))
+    monkeypatch.setattr(runner, "_TOPO_MEMO", {})
+    combo = BUILD_COMBOS[name]
+    spec = ExperimentSpec(
+        combos=(combo,), loads=(0.0,) if combo.workload else (0.6,),
+        warmup=50, measure=100, drain=50, root_seed=3,
+    )
+    result = SweepRunner(cache=None, max_workers=1).run(spec)
+    assert len(result.cells) == 1
+    if combo.faults:
+        assert {"bfs", "candidates"} <= set(builds), builds
+    else:
+        assert builds == []

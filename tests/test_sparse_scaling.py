@@ -187,6 +187,7 @@ class TestFrontierCandidates:
         # One row per block, a prime number of rows (ragged last block)
         # and a single block must all emit the same arrays.
         want = RoutingTables(cand_topo)
+        want._candidate_table()  # built lazily: build it before the patch
         for rows in (1, 7, cand_topo.num_routers + 3):
             monkeypatch.setattr(
                 Graph, "_block_rows", lambda self, row_bytes: rows
@@ -361,7 +362,8 @@ def _reachable_arrays(*roots):
 
 
 def test_build_memory_stays_near_output_at_q31():
-    """Traced peak of ``RoutingTables(topo)`` <= 3x what it returns, and
+    """Traced peak of building ``RoutingTables(topo)``'s distance matrix
+    and candidate table <= 3x what they hold, and
     the candidate table is ``count`` + ``first`` + ``nbr``, nothing more.
 
     The streamed build's transients are one BFS block and one comparison
@@ -380,11 +382,13 @@ def test_build_memory_stays_near_output_at_q31():
         topo = TOPOLOGIES.create(spec)
         tracemalloc.start()
         try:
+            # The constructor builds nothing; the first use builds both
+            # the distance matrix and the candidate table.
             tables = RoutingTables(topo)
+            tab = tables._candidate_table()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tab = tables._candidate_table()
         n, width = topo.num_routers, int(topo.graph.degree().max())
         assert tab.nbytes() <= 3 * n * n + 2 * n * (width + 1), spec
         output = tables.dist.nbytes + tab.nbytes()
