@@ -39,7 +39,10 @@ every mode, not just open loop.
   ``UGALRouting``, ``UGALPFRouting`` and ``FatTreeNCARouting``, over
   the routing tables' existing arrays — or, on an intact PolarFly,
   over the vertex vectors and GF(q)'s tables, deriving distances and
-  next hops from coordinates (paper §IV-D) so that no table is built —
+  next hops from coordinates (paper §IV-D) so that no table is built,
+  and on an intact PolarStar over those of its ER_q structure graph
+  plus the Paley supernode and the two matchings, enumerating each
+  pair's tied next hops from the two factors —
   and the caller's own ``numpy.random.Generator`` bit stream
   (``bitgen_t``).  **The numpy
   ``select_routes`` bodies in
@@ -262,6 +265,14 @@ typedef struct {
      * mul tables (q x q) and inverses (q).  pf_vec NULL: table mode. */
     int64_t q;
     int64_t *pf_vec, *gf_add, *gf_sub, *gf_mul, *gf_inv;
+    /* ... and on an intact PolarStar (the same rule), whose ER_q
+     * structure graph the fields above then describe, its supernode
+     * layer: the order sq (0: not PolarStar), the Paley(sq) adjacency
+     * (sq x sq), the matchings x -> eta x and x -> eta^-1 x, ER_q's CSR,
+     * and room for one pair's tied next hops (radix entries). */
+    int64_t sq;
+    int8_t *ps_adj;
+    int64_t *ps_up, *ps_down, *er_indptr, *er_indices, *ps_hops;
     /* Scratch: cap * (2 * width + 13) int64; rows are `width` wide. */
     int64_t cap, width;
     int64_t *work;
@@ -771,10 +782,107 @@ static int64_t pf_mid(const Selector *s, int64_t a, int64_t b)
     return q * q + q;
 }
 
+/* PolarStar mode: x carried from supernode a to its ER_q neighbour b by
+ * their matching — eta x up the edge (a < b), eta^-1 x down it. */
+static int64_t ps_match(const Selector *s, int64_t a, int64_t b, int64_t x)
+{
+    return a < b ? s->ps_up[x] : s->ps_down[x];
+}
+
+/* PolarStar mode: x carried from supernode a through w on to b. */
+static int64_t ps_via(const Selector *s, int64_t a, int64_t w, int64_t b,
+                      int64_t x)
+{
+    return ps_match(s, w, b, ps_match(s, a, w, x));
+}
+
+/* PolarStar mode: the distance from (u, x) = r to (v, y) = c.  Within a
+ * supernode it is Paley's; adjacent supernodes are 1 apart on the
+ * matching and 2 otherwise; any other pair is 2 apart when the two
+ * matchings through their common ER_q neighbour u x v land on y, else 3
+ * (routing/algebraic.py derives the rule). */
+static int64_t ps_dist(const Selector *s, int64_t r, int64_t c)
+{
+    int64_t sq = s->sq, u = r / sq, x = r % sq, v = c / sq, y = c % sq;
+    if (u == v)
+        return x == y ? 0 : s->ps_adj[x * sq + y] ? 1 : 2;
+    if (pf_dot(s, u, v) == 0)
+        return ps_match(s, u, v, x) == y ? 1 : 2;
+    return ps_via(s, u, pf_mid(s, u, v), v, x) == y ? 2 : 3;
+}
+
+/* PolarStar mode, a = (u, x) and b = (v, y) at distance >= 2: a's
+ * minimal next hops towards b, written to ps_hops in ascending id order
+ * — the candidate table's, so a draw's pick is the table walk's pick —
+ * and counted.  Enumerated from the factors, with w = u x v:
+ *  - one supernode: the common Paley neighbours of x and y;
+ *  - adjacent supernodes: (u, M_vu y) if Paley-adjacent to x, else
+ *    (v, M_uv x) — eta is a non-residue, so exactly one of the two is —
+ *    and (w, M_uw x) when w is a third supernode carrying x to y;
+ *  - otherwise (w, M_uw x), alone at distance 2; at distance 3 also
+ *    (u, y carried back through w) if Paley-adjacent to x, and each
+ *    other neighbour u' of u whose matchings through u' x v carry x to
+ *    y.  Those take three matchings, so y = eta^(+-1 or +-3) x, and u's
+ *    ER_q row is scanned only then. */
+static int64_t ps_hops(const Selector *s, int64_t a, int64_t b)
+{
+    int64_t sq = s->sq, u = a / sq, x = a % sq, v = b / sq, y = b % sq;
+    const int8_t *adj = s->ps_adj;
+    const int64_t *up = s->ps_up, *down = s->ps_down;
+    int64_t *out = s->ps_hops, c = 0;
+    if (u == v) {
+        for (int64_t z = 0; z < sq; z++)
+            if (adj[x * sq + z] && adj[z * sq + y])
+                out[c++] = u * sq + z;
+        return c;
+    }
+    int64_t w = pf_mid(s, u, v);
+    if (pf_dot(s, u, v) == 0) {
+        int64_t xu = ps_match(s, v, u, y);
+        out[c++] = adj[x * sq + xu] ? u * sq + xu : v * sq + ps_match(s, u, v, x);
+        if (w != u && w != v && ps_via(s, u, w, v, x) == y) {
+            int64_t hop = w * sq + ps_match(s, u, w, x);
+            if (hop < out[0]) {
+                out[1] = out[0];
+                out[0] = hop;
+            } else
+                out[1] = hop;
+            c++;
+        }
+        return c;
+    }
+    if (ps_via(s, u, w, v, x) == y) {
+        out[0] = w * sq + ps_match(s, u, w, x);
+        return 1;
+    }
+    int64_t xu = ps_via(s, v, w, u, y), intra = adj[x * sq + xu];
+    const int64_t *nb = &w, *end = &w + 1;
+    if (y == up[x] || y == up[up[up[x]]] || y == down[x]
+            || y == down[down[down[x]]]) {
+        nb = s->er_indices + s->er_indptr[u];
+        end = s->er_indices + s->er_indptr[u + 1];
+    }
+    for (; nb < end; nb++) {
+        int64_t u2 = *nb, x2 = ps_match(s, u, u2, x);
+        if (intra && u < u2) {
+            out[c++] = u * sq + xu;
+            intra = 0;
+        }
+        if (u2 == w || ps_via(s, u2, pf_mid(s, u2, v), v, x2) == y)
+            out[c++] = u2 * sq + x2;
+    }
+    if (intra)
+        out[c++] = u * sq + xu;
+    return c;
+}
+
 /* tables.dist[r, c], through the row indirection of a patched epoch; in
- * coordinate mode 0 on the diagonal, 1 for orthogonal vertices, else 2. */
+ * coordinate mode 0 on the diagonal, 1 for orthogonal vertices, else 2
+ * (PolarStar: ps_dist). */
 static int64_t dist_at(const Selector *s, int64_t r, int64_t c)
 {
+    if (s->sq)
+        return ps_dist(s, r, c);
     if (s->pf_vec)
         return r == c ? 0 : pf_dot(s, r, c) == 0 ? 1 : 2;
     if (s->patch_row) {
@@ -804,7 +912,8 @@ static int64_t nth_hop(const Selector *s, int64_t cur, int64_t to, int64_t pick)
  * Coordinate mode reads the one minimal next hop — the destination on
  * a row's last column, else (the first hop of a distance-2 pair) the
  * common neighbour — with a count of 1: ER_q has no tied pair, so the
- * table walk draws nothing there either.
+ * table walk draws nothing there either.  PolarStar mode draws over the
+ * ps_hops list, which holds the table's candidates in the table's order.
  * Row j's path goes to out[row[j]] (row NULL: j) from column
  * off0 + base[row[j]] (base NULL: 0) on; columns past the row width are
  * dropped, the lengths stay exact.  wl[j] receives the path length. */
@@ -829,8 +938,12 @@ static void walk(const Selector *s, bitgen_t *bg, int64_t m,
             if (wl[j] <= col)
                 continue;
             int64_t nxt, cnt = 1;
-            if (s->pf_vec)
-                nxt = col == wl[j] - 1 ? to[j] : pf_mid(s, cur[j], to[j]);
+            if (s->pf_vec && col == wl[j] - 1)
+                nxt = to[j];
+            else if (s->sq)
+                nxt = s->ps_hops[draw(bg, ps_hops(s, cur[j], to[j]))];
+            else if (s->pf_vec)
+                nxt = pf_mid(s, cur[j], to[j]);
             else {
                 int64_t pair = cur[j] * n + to[j];
                 nxt = s->first[pair];
@@ -1343,12 +1456,27 @@ def _find_built(cache: str, name: str) -> "str | None":
     return None
 
 
+#: the compiler flags every build uses
+_COMPILE_ARGS = ("-O2",)
+
+
+def _module_name() -> str:
+    """The cached build's module name: a hash of everything it is built
+    from — the C source, the cffi prototypes and the compiler flags — so
+    a change to any of them compiles afresh instead of loading a stale
+    ``.so``."""
+    digest = hashlib.sha256()
+    for part in (_C_SOURCE, _CDEF, *_COMPILE_ARGS):
+        digest.update(part.encode() + b"\0")
+    return f"_repro_flit_kernel_{digest.hexdigest()[:16]}"
+
+
 def _build(cache: str, name: str) -> "str | None":
     import cffi
 
     ffi = cffi.FFI()
     ffi.cdef(_CDEF)
-    ffi.set_source(name, _C_SOURCE, extra_compile_args=["-O2"])
+    ffi.set_source(name, _C_SOURCE, extra_compile_args=list(_COMPILE_ARGS))
     os.makedirs(cache, exist_ok=True)
     # Build in a private directory, then move into the shared cache —
     # concurrent workers may race to compile the same source hash.
@@ -1505,8 +1633,7 @@ def load_kernel():
         return _module
     _cached = True
     try:
-        digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-        name = f"_repro_flit_kernel_{digest}"
+        name = _module_name()
         cache = _cache_dir()
         path = _find_built(cache, name)
         if path is None:

@@ -17,12 +17,18 @@ subclass may override any step; FT-NCA on exactly the stock
 :class:`~repro.topologies.fattree.FatTree` wiring) in one of two modes.
 
 * *Coordinates*, when :func:`~repro.routing.algebraic.coordinates_apply`
-  says the tables are an intact PolarFly's: the vertex vectors and the
-  field's add/sub/mul/inv tables are bound instead of any table, and C
-  derives each distance (0, 1 for a zero dot product, else 2) and next
-  hop (the destination, or the cross-product midpoint) from them.  ER_q
-  has no tied pair, so the routes and the (absent) tie-break draws are
-  the table walk's; nothing N x N is read, so the tables are never built.
+  says the tables are an intact PolarFly's or PolarStar's: the vertex
+  vectors and the field's add/sub/mul/inv tables are bound instead of
+  any table, and C derives each distance (0, 1 for a zero dot product,
+  else 2) and next hop (the destination, or the cross-product midpoint)
+  from them.  ER_q has no tied pair, so the routes and the (absent)
+  tie-break draws are the table walk's.  On PolarStar those are the
+  structure graph's, and the supernode layer is bound beside them — the
+  Paley adjacency, the matchings x -> eta x and x -> eta^-1 x, ER_q's
+  CSR and a next-hop buffer as long as the radix — from which C derives
+  each distance and lists each pair's tied next hops in ascending id
+  order, the candidate table's, so the draw and the pick are the table
+  walk's too.  Nothing N x N is read, so the tables are never built.
 * *Tables*, for everything else, in the plain narrow layout:
   C-contiguous int16 ``dist``/``first`` and uint8 ``count``; a tied
   pair's other candidates are found by scanning the source's row of the
@@ -33,10 +39,11 @@ subclass may override any step; FT-NCA on exactly the stock
   the row map between them — so a ``linkflap`` epoch selects in C like
   the intact network.
 
-Anything else — table mode past the int16 layout (N >= 32768 off ER_q,
-announced by one stderr line), a non-``Generator`` rng, an empty batch,
-an FT-NCA endpoint above level 0 — declines with ``None`` and the
-caller's numpy body runs; no table is ever copied or densified to fit.
+Anything else — table mode past the int16 layout (N >= 32768 off ER_q
+and PolarStar, announced by one stderr line), a non-``Generator`` rng,
+an empty batch, an FT-NCA endpoint above level 0 — declines with
+``None`` and the caller's numpy body runs; no table is ever copied or
+densified to fit.
 
 The same binding serves whole-cycle spans (:mod:`repro.flitsim.kspan`):
 :meth:`KernelSelector.bind` is everything :meth:`KernelSelector.select`
@@ -60,6 +67,7 @@ from repro.routing.policies import (
 )
 from repro.routing.tables import RowPatchedDist
 from repro.topologies.fattree import FatTree
+from repro.topologies.polarstar import PolarStar
 
 __all__ = ["KernelSelector"]
 
@@ -75,6 +83,22 @@ _MODES = {
 
 #: row scratch arrays behind the two path matrices (see ``scratch()`` in C)
 _ROW_ARRAYS = 13
+
+
+def _supernode_layer(ps: PolarStar) -> dict:
+    """``Selector``'s PolarStar fields: Paley(sq), the two matchings,
+    ER_q's CSR and a next-hop buffer as long as the radix."""
+    f, sq = ps.supernode_field, ps.sq
+    xs = f.elements()
+    adj = np.zeros((sq, sq), dtype=bool)
+    adj[xs[:, None], f.add(xs[:, None], f.squares()[None, :])] = True
+    up = f.mul(ps.eta, xs)
+    er = ps.structure.graph
+    return {
+        "sq": sq, "ps_adj": adj, "ps_up": up, "ps_down": np.argsort(up),
+        "er_indptr": er.indptr, "er_indices": er.indices,
+        "ps_hops": np.empty(int(ps.graph.degree().max()), np.int64),
+    }
 
 
 def _plain(arr, dtype) -> bool:
@@ -156,20 +180,27 @@ class KernelSelector:
             _plain(graph.indptr, np.int64) and _plain(graph.indices, np.int64)
         ):
             return False
-        # Every bind sets both modes' fields: a retable may switch modes.
+        # Every bind sets every mode's fields: a retable may switch modes.
         fields = {
             "n": n, "g_indptr": graph.indptr, "g_indices": graph.indices,
             "alive": tables.alive_routers, "dist": None, "patch": None,
             "patch_row": None, "first": None, "count": None, "q": 0,
             "pf_vec": None, "gf_add": None, "gf_sub": None, "gf_mul": None,
-            "gf_inv": None,
+            "gf_inv": None, "sq": 0, "ps_adj": None, "ps_up": None,
+            "ps_down": None, "er_indptr": None, "er_indices": None,
+            "ps_hops": None,
         }
         if coordinates_apply(tables):
-            # Distances and next hops from the vertex vectors: no table
-            # is read, so none is built.
-            field = tables.topo.field
+            # Distances and next hops from the vertex vectors (of a
+            # PolarStar's structure graph, with its supernode layer): no
+            # table is read, so none is built.
+            er = tables.topo
+            if type(er) is PolarStar:
+                fields.update(_supernode_layer(er))
+                er = er.structure
+            field = er.field
             fields.update(
-                q=field.q, pf_vec=tables.topo.vectors, gf_add=field._add,
+                q=field.q, pf_vec=er.vectors, gf_add=field._add,
                 gf_sub=field._sub, gf_mul=field._mul, gf_inv=field._inv,
             )
             self._bind(**fields)

@@ -6,8 +6,9 @@ distance matrix comes from one bit-parallel all-sources BFS
 (:meth:`repro.utils.graph.Graph.all_pairs_distances`, 64 sources per
 machine word) and is stored as int16 (N x N).  Both it and the candidate
 table below are built on first use, not by the constructor: an intact
-PolarFly (:func:`repro.routing.algebraic.coordinates_apply`) is routed
-from coordinates by the compiled selector and its diameter is known
+PolarFly or PolarStar (:func:`repro.routing.algebraic.coordinates_apply`)
+is routed from coordinates — PolarStar's ties from its two factors — by
+the compiled selector and its diameter is known
 (:attr:`RoutingTables.max_distance`), so a production cell on it builds
 neither, while the numpy ``select_routes`` bodies, the reference engine,
 fault repair and every other topology build them exactly as before.  The
@@ -315,8 +316,8 @@ class RoutingTables:
         if alive is None and not topo.is_connected():
             raise ValueError("routing tables require a connected topology")
         # The distance matrix and the candidate table are built on first
-        # use (see ``dist``): an intact PolarFly served from coordinates
-        # never needs either.
+        # use (see ``dist``): an intact PolarFly or PolarStar served from
+        # coordinates never needs either.
         self._init_from(topo, None, alive)
 
     @classmethod
@@ -371,16 +372,17 @@ class RoutingTables:
     def max_distance(self) -> int:
         """The largest distance the tables serve (the diameter).
 
-        2 for tables served from PolarFly coordinates
-        (:func:`~repro.routing.algebraic.coordinates_apply`) — ER_q's
-        diameter, so nothing is built — else ``dist.max()``.
+        For tables served from coordinates
+        (:func:`~repro.routing.algebraic.coordinates_apply`) the
+        family's diameter — 2 for ER_q, 3 for PolarStar — so nothing is
+        built; else ``dist.max()``.
         """
         # Imported here: repro.routing.algebraic imports the policies,
         # which import this module.
-        from repro.routing.algebraic import coordinates_apply
+        from repro.routing.algebraic import _DIAMETER, coordinates_apply
 
         if coordinates_apply(self):
-            return 2
+            return _DIAMETER[type(self.topo)]
         return int(self.dist.max())
 
     # ------------------------------------------------------------------

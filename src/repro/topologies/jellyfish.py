@@ -24,12 +24,22 @@ def random_regular_graph(n: int, r: int, rng=None, max_tries: int = 200) -> Grap
     Pairing (configuration) model: shuffle ``n*r`` stubs and pair them
     off; conflicting pairs (self-loops/multi-edges) are retried with edge
     swaps against randomly chosen good edges, restarting on the rare
-    unfixable draw.  Requires ``n*r`` even and ``r < n``.
+    unfixable draw.  Requires ``n*r`` even and ``r < n``, and — the
+    graph must be connected — ``r >= 1``, ``r >= 2`` once ``n > 2``.
     """
     if r >= n:
-        raise ValueError("degree must be smaller than vertex count")
+        raise ValueError(
+            f"degree r must be smaller than the vertex count n; got r={r}, n={n}"
+        )
+    if r < 1 or (r == 1 and n > 2):
+        raise ValueError(
+            f"degree r={r} is too small: a connected r-regular graph on "
+            f"n={n} vertices needs r >= {1 if n <= 2 else 2}"
+        )
     if (n * r) % 2:
-        raise ValueError("n*r must be even for an r-regular graph")
+        raise ValueError(
+            f"n*r must be even for an r-regular graph; got n={n}, r={r}"
+        )
     rng = make_rng(rng)
     for _ in range(max_tries):
         stubs = np.repeat(np.arange(n), r)

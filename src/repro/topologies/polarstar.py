@@ -41,7 +41,12 @@ the Paley degree ``(sq - 1) / 2`` does not exceed the ER_q degree
 
 Everything is vectorized edge-array construction: O(N * radix) work and
 memory, no dense N x N structure — this family is the scale exerciser
-for the sparse routing/simulation tier.
+for the sparse routing/simulation tier.  Routing needs none either: the
+same case split gives every distance and every tied minimal next hop in
+closed form (:mod:`repro.routing.algebraic`), so the compiled route
+selector serves an intact PS(q, sq) from the structure graph's vertex
+vectors, the Paley adjacency and the two matchings, and its routing
+tables are never built.
 """
 
 from __future__ import annotations
@@ -114,7 +119,8 @@ class PolarStar(Topology):
         sq = int(sq) or default_supernode_order(int(q))
         if is_prime_power(sq) is None or sq % 4 != 1 or sq < 5:
             raise ValueError(
-                f"supernode order must be a prime power = 1 (mod 4), >= 5; got {sq}"
+                "supernode order sq must be a prime power = 1 (mod 4), >= 5; "
+                f"got sq={sq}"
             )
         self.q = int(q)
         self.sq = int(sq)

@@ -98,6 +98,20 @@ class TestErrors:
             pytest.param(registry, spec, cause, id=name)
             for name, registry, spec, cause in [
                 ("topology", TOPOLOGIES, "polarfly:q=abc", "invalid literal for int()"),
+                ("jellyfish-r0", TOPOLOGIES, "jellyfish:n=25,p=2,r=0", "degree r=0"),
+                ("jellyfish-r1", TOPOLOGIES, "jellyfish:n=25,p=2,r=1", "degree r=1"),
+                (
+                    "jellyfish-r-too-big", TOPOLOGIES, "jellyfish:n=8,p=2,r=8",
+                    "got r=8, n=8",
+                ),
+                (
+                    "jellyfish-parity", TOPOLOGIES, "jellyfish:n=25,p=2,r=3",
+                    "got n=25, r=3",
+                ),
+                (
+                    "polarstar-sq", TOPOLOGIES, "polarstar:conc=2,q=3,sq=7",
+                    "supernode order sq must be",
+                ),
                 (
                     "routing-policy", POLICIES, "ugal-pf:threshold=abc",
                     "could not convert string",

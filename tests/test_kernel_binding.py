@@ -37,6 +37,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 PF = "polarfly:conc=2,q=7"
+PS = "polarstar:conc=2,q=3,sq=5"
 #: a table-routed family (an intact PolarFly routes from coordinates)
 SF = "slimfly:conc=2,q=5"
 LINKFLAP = "linkflap:count=2,cycle=5,duration=200,seed=1"
@@ -140,9 +141,11 @@ def workload():
 
 FAULT_FIELDS = {"dead_row", "pkt_live", "pkt_damaged", "drop_tail_pids", "fcnt"}
 LINK_FIELDS = {"link_flits", "link_flits_win"}
-#: Selector's table mode and its coordinate mode (an intact PolarFly)
+#: Selector's table mode and its coordinate mode (an intact PolarFly;
+#: an intact PolarStar binds the supernode layer too)
 TABLE_FIELDS = {"dist", "patch", "patch_row", "first", "count"}
-COORD_FIELDS = {"pf_vec", "gf_add", "gf_sub", "gf_mul", "gf_inv"}
+STAR_FIELDS = {"ps_adj", "ps_up", "ps_down", "er_indptr", "er_indices", "ps_hops"}
+COORD_FIELDS = {"pf_vec", "gf_add", "gf_sub", "gf_mul", "gf_inv"} | STAR_FIELDS
 
 #: (struct, mode, the bound pointer, the pointer fields that stay NULL)
 BINDINGS = [
@@ -161,7 +164,8 @@ BINDINGS = [
         "Selector", "plain tables", lambda: selector(SF),
         {"patch", "patch_row", "alive"} | COORD_FIELDS,
     ),
-    ("Selector", "coordinates", selector, TABLE_FIELDS | {"alive"}),
+    ("Selector", "coordinates", selector, TABLE_FIELDS | STAR_FIELDS | {"alive"}),
+    ("Selector", "polarstar", lambda: selector(PS), TABLE_FIELDS | {"alive"}),
     ("Selector", "RowPatchedDist", row_patched_selector, {"alive"} | COORD_FIELDS),
     (
         "Selector", "int32 next hops, declined loudly", int32_next_hop_selector,

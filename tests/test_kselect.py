@@ -7,11 +7,13 @@ equal ``rng.bit_generator.state`` afterwards (which also catches a draw
 that happened to leave the values alone) — on topologies *with* ECMP
 ties, which PolarFly (the usual equivalence fixture) does not have, and
 on loaded simulators, so the UGAL variants really divert.  On an intact
-PolarFly the selector routes from coordinates instead of the tables
-(:func:`~repro.routing.algebraic.coordinates_apply`): the twins then
-compare that mode against the numpy table bodies, prime and non-prime
-fields alike, and a second oracle — :meth:`PolarFly.minimal_path`, the
-paper's §IV-D definition — is checked on every pair.
+PolarFly or PolarStar the selector routes from coordinates instead of the
+tables (:func:`~repro.routing.algebraic.coordinates_apply`): the twins
+then compare that mode against the numpy table bodies, prime and
+non-prime fields alike — on PolarStar every ordered pair, whose ties the
+selector enumerates from the two factors — and for PolarFly a second
+oracle, :meth:`PolarFly.minimal_path` (the paper's §IV-D definition), is
+checked on every pair.
 """
 
 import numpy as np
@@ -36,6 +38,7 @@ from repro.routing.tables import RoutingTables, RowPatchedDist, _CandidateTable
 from repro.topologies.base import Topology
 from repro.utils.env import env_disabled
 from repro.utils.graph import Graph
+from test_polarstar import INSTANCES as PS_INSTANCES
 
 needs_kernel = pytest.mark.skipif(
     load_kernel() is None or not load_kernel().select_ok,
@@ -53,6 +56,7 @@ TOPOLOGY_TIES = {
     "dragonfly:a=3,h=6,p=2": 1444,
     "jellyfish:n=57,p=2,r=8,seed=7": 1560,
     "polarstar:conc=2,q=3,sq=5": 1484,
+    "polarstar:conc=2,q=4,sq=9": 14932,
 }
 FIVE = ["min", "valiant", "compact-valiant", "ugal", "ugal-pf"]
 
@@ -102,8 +106,10 @@ def assert_same_selection(ksim, nsim, srcs, dsts, seed, expect_kernel=True):
     # FT-NCA's Python body returns a list of paths.
     (gp, gl), (wp, wl) = routes_as_matrix(got), routes_as_matrix(want)
     assert np.array_equal(gl, wl)
-    for i in range(len(srcs)):
-        assert np.array_equal(gp[i, : gl[i]], wp[i, : wl[i]]), i
+    width = int(gl.max(initial=0))
+    live = np.arange(width) < gl[:, None]
+    differ = (gp[:, :width] != wp[:, :width]) & live
+    assert not differ.any(), np.flatnonzero(differ.any(axis=1))[:5]
     assert r1.bit_generator.state == r2.bit_generator.state
     return gp.copy(), gl.copy()
 
@@ -130,10 +136,12 @@ def test_kselect_matches_numpy_body(topo_spec, policy_spec):
     assert tied == TOPOLOGY_TIES[topo_spec]
     ksim, nsim = twins(topo, lambda: POLICIES.create(policy_spec, tables))
     assert ksim._kernel is not None and nsim._kernel is None
-    # An intact PolarFly selects from coordinates, everything else from
-    # the tables.
-    coordinates = ksim._kselect._sel.pf_vec != ksim._kernel.ffi.NULL
-    assert coordinates == topo_spec.startswith("polarfly")
+    # An intact PolarFly or PolarStar selects from coordinates (PolarStar
+    # with its supernode layer), everything else from the tables.
+    sel = ksim._kselect._sel
+    coordinates = sel.pf_vec != ksim._kernel.ffi.NULL
+    assert coordinates == topo_spec.startswith(("polarfly", "polarstar"))
+    assert sel.sq == (topo.sq if topo_spec.startswith("polarstar") else 0)
     # 150 loaded cycles through select_routes already agree ...
     assert ksim.rng.bit_generator.state == nsim.rng.bit_generator.state
     assert np.array_equal(ksim.backlog, nsim.backlog)
@@ -178,6 +186,29 @@ def test_coordinate_mode_routes_every_pair_as_the_paper_does(q):
         path = paths[i, : lens[i]].tolist()
         assert path == topo.minimal_path(int(srcs[i]), int(dsts[i])), i
         assert path == want[i, : lens[i]].tolist(), i
+
+
+@needs_kernel
+@pytest.mark.parametrize("policy_spec", FIVE)
+@pytest.mark.parametrize("q,sq", PS_INSTANCES)
+def test_polarstar_factor_mode_routes_every_pair_as_the_tables_do(q, sq, policy_spec):
+    """Every ordered pair of PS(q, sq), in one batch on loaded twins:
+    the factor-mode selector's paths, lengths and draws equal the numpy
+    body's over the built tables, whose ties it reproduces — same
+    candidates, same order — without reading them."""
+    topo = TOPOLOGIES.create(f"polarstar:conc=2,q={q},sq={sq}")
+    tables = RoutingTables(topo)
+    ksim, nsim = twins(
+        topo, lambda: POLICIES.create(policy_spec, tables), cycles=40
+    )
+    sel = ksim._kselect._sel
+    assert sel.sq == sq and sel.dist == ksim._kernel.ffi.NULL
+    assert ksim.backlog.any()
+    n = topo.num_routers
+    srcs, dsts = np.divmod(np.arange(n * n), n)
+    _, lens = assert_same_selection(ksim, nsim, srcs, dsts, seed=q * sq)
+    if policy_spec == "min":
+        assert np.array_equal(lens - 1, tables.dist[srcs, dsts])
 
 
 @needs_kernel
@@ -391,6 +422,30 @@ def test_draw_self_test_passes_and_is_cheap():
     assert min(times) < 0.01  # measured: ~0.15 ms; budget is 1 ms of setup
 
 
+@pytest.mark.parametrize(
+    "part,changed",
+    [
+        ("_COMPILE_ARGS", ("-O3",)),
+        ("_COMPILE_ARGS", ("-O2", "-g")),
+        # The parts are delimited: text moved across a boundary counts.
+        ("_COMPILE_ARGS", ("-O", "2")),
+        ("_CDEF", kmod._CDEF + "int64_t kextra(void);"),
+        ("_C_SOURCE", kmod._C_SOURCE + "/* */"),
+    ],
+)
+def test_kernel_cache_key_covers_source_prototypes_and_flags(
+    monkeypatch, part, changed
+):
+    """The cached build is named by everything it is compiled from, so
+    a changed prototype or compiler flag never loads a stale ``.so``."""
+    name = kmod._module_name()
+    module = load_kernel()
+    if module is not None:
+        assert module.__name__ == name
+    monkeypatch.setattr(kmod, part, changed)
+    assert kmod._module_name() != name
+
+
 @needs_kernel
 def test_failed_draw_self_test_declines_every_kselect(monkeypatch, capsys):
     module = load_kernel()
@@ -499,22 +554,27 @@ def test_production_cells_never_reach_the_numpy_extractor(monkeypatch, name):
     assert calls == []
 
 
-#: intact-PolarFly production cells (the five policies, ring all-reduce,
-#: and one q=37 cell) and the two that run on repaired tables
+PS_SPEC = "polarstar:conc=2,q=3,sq=5"
+#: intact production cells (on PolarFly the five policies, ring
+#: all-reduce and one q=37 cell; on PolarStar the five policies and the
+#: PS(9, 17) cell) and the three that run on repaired tables
 BUILD_COMBOS = {
     **{name: PRODUCTION_COMBOS[name] for name in (*FIVE, "allreduce")},
     "q37-min": Combo("polarfly:conc=2,q=37", "min", "uniform"),
+    **{f"polarstar-{p}": Combo(PS_SPEC, p, "uniform") for p in FIVE},
+    "ps9-min": Combo("polarstar:conc=2,q=9,sq=17", "min", "uniform"),
     **{name: PRODUCTION_COMBOS[name] for name in ("linkflap", "allreduce-linkflap")},
+    "polarstar-linkflap": Combo(PS_SPEC, "ugal", "uniform", faults=FLAP),
 }
 
 
 @needs_kernel
 @pytest.mark.parametrize("name", list(BUILD_COMBOS))
 def test_intact_polarfly_cells_build_no_routing_table(monkeypatch, name):
-    """An intact ER_q cell routes from coordinates, so it never pays the
-    all-sources BFS or the candidate-table build; a fault epoch's
-    repaired tables still build both.  Counted per call, on a fresh
-    topology memo, so the cell builds whatever it needs itself."""
+    """An intact ER_q or PolarStar cell routes from coordinates, so it
+    never pays the all-sources BFS or the candidate-table build; a fault
+    epoch's repaired tables still build both.  Counted per call, on a
+    fresh topology memo, so the cell builds whatever it needs itself."""
     builds = []
     apsp = Graph.all_pairs_distances
     derive = _CandidateTable.from_distances.__func__

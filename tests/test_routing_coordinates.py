@@ -1,10 +1,11 @@
-"""Which routing tables are served from PolarFly coordinates, and the
-diameter every table declares.
+"""Which routing tables are served from coordinates, and the diameter
+every table declares.
 
 :func:`~repro.routing.algebraic.coordinates_apply` is the one rule: an
-intact ER_q of exactly the :class:`~repro.core.polarfly.PolarFly` type.
-Such tables answer :attr:`~repro.routing.tables.RoutingTables.max_distance`
-(2) without an all-pairs BFS; every other table answers ``dist.max()``.
+intact network of exactly the :class:`~repro.core.polarfly.PolarFly` or
+:class:`~repro.topologies.polarstar.PolarStar` type.  Such tables answer
+:attr:`~repro.routing.tables.RoutingTables.max_distance` (2 and 3)
+without an all-pairs BFS; every other table answers ``dist.max()``.
 The declared diameter must be the measured one on every registered
 family, and each stock policy's ``max_hops`` — which sizes the VC budget
 and the route stride — must keep the value it had while every table was
@@ -19,6 +20,7 @@ from repro.experiments.registry import POLICIES, TOPOLOGIES
 from repro.routing.algebraic import coordinates_apply
 from repro.routing.degraded import fault_epoch_tables
 from repro.routing.tables import RoutingTables
+from repro.topologies.polarstar import PolarStar
 
 
 def _hops(diameter, ftnca=None):
@@ -73,35 +75,50 @@ class RewiredPolarFly(PolarFly):
     """A subclass may change the graph: it must not take the shortcut."""
 
 
+class RewiredPolarStar(PolarStar):
+    """The same for PolarStar."""
+
+
 def _pf():
     return PolarFly(5, concentration=2)
 
 
-def _epoch(links=0, routers=()):
+def _ps():
+    return PolarStar(3, sq=5, concentration=2)
+
+
+def _epoch(make=_pf, links=0, routers=()):
     """Repaired tables with the first ``links`` edges and ``routers`` out."""
-    pf = _pf()
-    failed = [tuple(edge) for edge in pf.graph.edges()[:links]]
+    topo = make()
+    failed = [tuple(edge) for edge in topo.graph.edges()[:links]]
     return fault_epoch_tables(
-        pf, failed, failed_routers=routers, base=RoutingTables(pf)
+        topo, failed, failed_routers=routers, base=RoutingTables(topo)
     )
 
 
-#: (case, tables factory, served from coordinates)
+def _cases(prefix, make, rewired):
+    """(case, tables factory, served from coordinates) for one family."""
+    return [
+        (f"{prefix}intact", lambda: RoutingTables(make()), True),
+        (f"{prefix}subclass", lambda: RoutingTables(rewired()), False),
+        (
+            f"{prefix}alive mask",
+            lambda: RoutingTables(t := make(), alive=np.ones(t.num_routers, bool)),
+            False,
+        ),
+        (
+            f"{prefix}given distances",
+            lambda: RoutingTables.from_distances(make(), RoutingTables(make()).dist),
+            False,
+        ),
+        (f"{prefix}link flap epoch", lambda: _epoch(make, links=1), False),
+        (f"{prefix}router down epoch", lambda: _epoch(make, routers=[3]), False),
+    ]
+
+
 CASES = [
-    ("intact", lambda: RoutingTables(_pf()), True),
-    ("subclass", lambda: RoutingTables(RewiredPolarFly(5, concentration=2)), False),
-    (
-        "alive mask",
-        lambda: RoutingTables(pf := _pf(), alive=np.ones(pf.num_routers, bool)),
-        False,
-    ),
-    (
-        "given distances",
-        lambda: RoutingTables.from_distances(_pf(), RoutingTables(_pf()).dist),
-        False,
-    ),
-    ("link flap epoch", lambda: _epoch(links=1), False),
-    ("router down epoch", lambda: _epoch(routers=[3]), False),
+    *_cases("", _pf, lambda: RewiredPolarFly(5, concentration=2)),
+    *_cases("polarstar ", _ps, lambda: RewiredPolarStar(3, sq=5, concentration=2)),
     ("slimfly", lambda: RoutingTables(TOPOLOGIES.create("slimfly:conc=2,q=5")), False),
 ]
 
