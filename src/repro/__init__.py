@@ -60,10 +60,8 @@ from repro.routing import (
     ValiantRouting,
     CompactValiantRouting,
     UGALRouting,
-    UGALGRouting,
     UGALPFRouting,
     FatTreeNCARouting,
-    AlgebraicMinimalRouting,
     degraded_topology,
     reroute_after_failures,
 )
@@ -122,10 +120,8 @@ __all__ = [
     "ValiantRouting",
     "CompactValiantRouting",
     "UGALRouting",
-    "UGALGRouting",
     "UGALPFRouting",
     "FatTreeNCARouting",
-    "AlgebraicMinimalRouting",
     "degraded_topology",
     "reroute_after_failures",
     "FlatSimulator",

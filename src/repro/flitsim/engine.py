@@ -30,7 +30,8 @@ equivalence tests pin this):
    Routers are processed in ascending index order, outputs in ascending
    port order with ejection last — the order latency samples are
    recorded in.
-4. ``output_occupancy`` is an O(1) read of incrementally-maintained
+4. ``output_occupancies`` (the congestion view ``select_routes`` reads)
+   is, per (router, next hop), an O(1) read of incrementally-maintained
    per-output backlog counters plus first-hop-class credit debt.
 
 **Workload mode** (closed loop): constructing a simulator with a

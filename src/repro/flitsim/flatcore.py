@@ -30,8 +30,9 @@ queued flit:
 * **Injection** — one Bernoulli draw per cycle across all endpoints and
   one batched destination draw (``TrafficPattern.dest_routers``), then
   the policy's batched ``select_routes``.
-* **Congestion view** — ``output_occupancy`` is an O(1) read of the
-  incrementally maintained per-output backlog counters plus credit debt.
+* **Congestion view** — ``output_occupancies`` is a vectorized read of
+  the incrementally maintained per-output backlog counters plus credit
+  debt.
 * **Spans** — ``advance(n)`` runs ``n`` cycles — open loop, closed loop
   or between two fault epochs — injection included, inside one compiled
   call when nothing needs Python between them
@@ -65,7 +66,7 @@ from repro.flitsim.engine import (
 from repro.flitsim.kselect import KernelSelector
 from repro.flitsim.kspan import KernelSpan
 from repro.flitsim.traffic import TrafficPattern
-from repro.routing.policies import RoutingPolicy, routes_as_matrix
+from repro.routing.policies import RoutingPolicy
 from repro.topologies.base import Topology
 from repro.utils.rng import make_rng
 
@@ -153,7 +154,7 @@ class FlatFabric:
     precomputed global edge keys (:meth:`ports_toward`) instead of the
     seed's dense O(N^2) ``port_mat`` — at q=79 (N=6321) that matrix
     alone was 320 MB; the CSR port map is O(E).  The congestion view
-    (`output_occupancy`) reads ports through the same lookup, so the
+    (`output_occupancies`) reads ports through the same lookup, so the
     whole per-cycle state stays O(N x radix).  Port ids fit int16
     (radix << 2^15), which halves the gather traffic on ``rev_mat``.
     """
@@ -431,17 +432,9 @@ class FlatSimulator(SimulatorCore):
     # ------------------------------------------------------------------
     # CongestionView protocol
     # ------------------------------------------------------------------
-    def output_occupancy(self, router: int, next_hop: int) -> int:
-        """O(1) UGAL-L signal: credit debt + maintained VOQ backlog."""
-        port = self.fab.port_toward(router, next_hop)
-        return int(
-            self.config.vc_depth
-            - self.credits[router, port, 0]
-            + self.backlog[router * self.fab.O + port]
-        )
-
     def output_occupancies(self, routers, next_hops) -> np.ndarray:
-        """Vectorized occupancy reads for batched route selection."""
+        """The UGAL-L signal per (router, next hop): credit debt plus the
+        maintained VOQ backlog toward that output, vectorized."""
         fab = self.fab
         ports = fab.ports_toward(routers, next_hops)
         return (
@@ -695,8 +688,7 @@ class FlatSimulator(SimulatorCore):
         the caller materializes the flit chains (numpy or C kernel) and
         appends them to source FIFOs.
         """
-        routes = self.policy.select_routes(srcs, dsts, self.rng, congestion=self)
-        mat, lens = routes_as_matrix(routes)
+        mat, lens = self.policy.select_routes(srcs, dsts, self.rng, congestion=self)
         k = lens.size
         max_len = int(lens.max())
         if max_len > self.route_stride:

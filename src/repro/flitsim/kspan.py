@@ -14,8 +14,9 @@ this module only decides, from what it can observe, when that holds:
 
 * the C kernel is loaded and its draw self-test passed, and
   :class:`~repro.flitsim.kselect.KernelSelector` binds the policy (exact
-  stock type — every registered one but ``ugal-g`` — PolarFly or
-  PolarStar coordinates or narrow tables, a ``numpy.random.Generator``);
+  stock type — every registered policy has a compiled selector —
+  PolarFly or PolarStar coordinates or narrow tables, a
+  ``numpy.random.Generator``);
 * ``policy.select_routes`` is not shadowed on the *instance*: a tracer or
   test spy bound there must keep seeing every call;
 * **open loop**: the traffic is exactly

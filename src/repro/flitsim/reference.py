@@ -117,7 +117,7 @@ class NetworkSimulator(SimulatorCore):
         ]
         # Incrementally-maintained flit backlog per link output: the
         # number of flits queued in this router's VOQs for that output.
-        # Makes output_occupancy an O(1) read instead of a per-decision
+        # Makes each output_occupancies read O(1) instead of a per-decision
         # re-sum over the by_out key sets.
         self.out_backlog = [[0] * len(self.nbrs[r]) for r in range(n)]
         # Unbounded per-endpoint source FIFOs plus per-endpoint injection
@@ -149,32 +149,23 @@ class NetworkSimulator(SimulatorCore):
     # ------------------------------------------------------------------
     # CongestionView protocol
     # ------------------------------------------------------------------
-    def output_occupancy(self, router: int, next_hop: int) -> int:
-        """Output-queue length estimate toward ``next_hop`` in flits.
+    def output_occupancies(self, routers, next_hops) -> np.ndarray:
+        """Output-queue length estimates toward each ``next_hops[i]``.
 
         The UGAL-L signal: downstream first-hop-class occupancy (from
         credits) plus the flits queued in this router's own VOQs waiting
         for that output — together, the backlog a newly injected packet
-        would sit behind.  O(1): the VOQ share is the incrementally
-        maintained ``out_backlog`` counter.
+        would sit behind.  Read pair by pair (this is the oracle), each
+        O(1): the VOQ share is the incrementally maintained
+        ``out_backlog`` counter.
         """
-        port = self.port_of[router][next_hop]
-        return (
-            self.config.vc_depth
-            - self.credits[router][port][0]
-            + self.out_backlog[router][port]
-        )
-
-    def output_occupancies(self, routers, next_hops) -> np.ndarray:
-        """Batched occupancy reads (sequential — this is the oracle)."""
-        return np.fromiter(
-            (
-                self.output_occupancy(int(r), int(v))
-                for r, v in zip(routers, next_hops)
-            ),
-            count=len(routers),
-            dtype=np.int64,
-        )
+        depth = self.config.vc_depth
+        occ = np.empty(len(routers), dtype=np.int64)
+        for i, (r, v) in enumerate(zip(routers, next_hops)):
+            r = int(r)
+            port = self.port_of[r][int(v)]
+            occ[i] = depth - self.credits[r][port][0] + self.out_backlog[r][port]
+        return occ
 
     # ------------------------------------------------------------------
     # Injection

@@ -13,12 +13,10 @@ from repro.routing.policies import (
     ValiantRouting,
     CompactValiantRouting,
     UGALRouting,
-    UGALGRouting,
     UGALPFRouting,
     FatTreeNCARouting,
     ZERO_CONGESTION,
 )
-from repro.routing.algebraic import AlgebraicMinimalRouting
 from repro.routing.degraded import (
     degraded_topology,
     fault_epoch_tables,
@@ -32,8 +30,6 @@ from repro.routing.paths import (
 
 __all__ = [
     "RoutingTables",
-    "UGALGRouting",
-    "AlgebraicMinimalRouting",
     "degraded_topology",
     "fault_epoch_tables",
     "reroute_after_failures",

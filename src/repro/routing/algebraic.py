@@ -6,6 +6,9 @@ the unique 2-hop midpoint can also be computed *in the router* from the
 endpoint coordinates alone: the cross product ``s x d`` left-normalized,
 "in the worst case needing only two multiplies and three adds in F_q ...
 then at most another two multiplies" — no O(N^2) state.
+:meth:`PolarFly.intermediate <repro.core.polarfly.PolarFly.intermediate>`
+and :meth:`~repro.core.polarfly.PolarFly.minimal_path` are that per-hop
+rule.
 
 Any two ER_q vertices share exactly one neighbour, so PolarFly has no
 ECMP tie: coordinates give every pair's one minimal next hop, which is
@@ -38,21 +41,14 @@ PolarStar, the supernode layer) and never reads an N x N array, and
 :attr:`RoutingTables.max_distance
 <repro.routing.tables.RoutingTables.max_distance>` answers the diameter
 — 2 and 3 — without building one.
-
-:class:`AlgebraicMinimalRouting` is a drop-in
-:class:`~repro.routing.policies.RoutingPolicy` that derives routes purely
-from GF(q) arithmetic on the vertex vectors.  Tests assert it produces
-exactly the same routes as the BFS table implementation; the cost bench
-uses it to demonstrate O(1)-state routing.
 """
 
 from __future__ import annotations
 
 from repro.core.polarfly import PolarFly
-from repro.routing.policies import RoutingPolicy, ZERO_CONGESTION
 from repro.topologies.polarstar import PolarStar
 
-__all__ = ["AlgebraicMinimalRouting", "coordinates_apply"]
+__all__ = ["coordinates_apply"]
 
 #: topology type served from coordinates -> its diameter
 _DIAMETER = {PolarFly: 2, PolarStar: 3}
@@ -75,50 +71,3 @@ def coordinates_apply(tables) -> bool:
         and not tables.given_distances
     )
 
-
-class AlgebraicMinimalRouting(RoutingPolicy):
-    """Minimal PolarFly routing computed from coordinates, not tables.
-
-    Parameters
-    ----------
-    pf:
-        The PolarFly topology (works on any prime power q).
-
-    Notes
-    -----
-    ``tables`` is intentionally absent: the point of this policy is that
-    a router needs only its own and the destination's 3-vectors.  The
-    ``max_hops`` bound is the ER graph diameter, 2.
-    """
-
-    max_hops = 2
-
-    def __init__(self, pf: PolarFly):
-        # RoutingPolicy's constructor expects tables; this policy carries
-        # the topology directly instead.
-        self.pf = pf
-        self.topo = pf
-        self.tables = None
-
-    def retable(self, tables) -> None:
-        raise NotImplementedError(
-            "dynamic fault repair is not supported for table-free "
-            "algebraic routing (routes derive from intact coordinates)"
-        )
-
-    def select_route(self, src: int, dst: int, rng, congestion=ZERO_CONGESTION):
-        """The unique minimal route, via one dot and one cross product."""
-        return self.pf.minimal_path(src, dst)
-
-    def next_hop(self, current: int, dst: int) -> int:
-        """Hardware-style per-hop decision from coordinates only.
-
-        At the source of a 2-hop pair this returns the cross-product
-        midpoint; at the midpoint (or any neighbor of ``dst``) it returns
-        ``dst``.
-        """
-        if current == dst:
-            raise ValueError("already at destination")
-        if self.pf.are_adjacent(current, dst):
-            return dst
-        return self.pf.intermediate(current, dst)

@@ -22,10 +22,12 @@ Implemented policies:
 * :class:`FatTreeNCARouting` — up/down least-common-ancestor routing for
   k-ary n-trees (the FT-NCA baseline).
 
-``select_routes`` — the batched per-cycle entry point — **defines each
-policy's RNG stream**: which bounded draws are made, in which order.
+``select_routes`` is each policy's one route selector: both engines
+call it once per cycle with the batch of injections, and it returns a
+padded ``(paths, lens)`` pair.  It **defines each policy's RNG stream**:
+which bounded draws are made, in which order.
 The flat engine's C kernel carries a mirror of the five vectorized
-bodies and of FT-NCA's sequential one (``kselect`` in
+bodies and of FT-NCA's packet-by-packet one (``kselect`` in
 :mod:`repro.flitsim._kernel`) that a policy reaches by asking its
 ``congestion`` argument (:func:`_accelerated`);
 the numpy bodies here stay the definition, the oracle the reference
@@ -45,7 +47,6 @@ import numpy as np
 from repro.experiments.registry import POLICIES
 from repro.routing.tables import RoutingTables
 from repro.topologies.fattree import FatTree
-from repro.utils.rng import make_rng
 
 __all__ = [
     "CongestionView",
@@ -56,7 +57,6 @@ __all__ = [
     "UGALRouting",
     "UGALPFRouting",
     "FatTreeNCARouting",
-    "routes_as_matrix",
     "iter_routes",
 ]
 
@@ -64,12 +64,9 @@ __all__ = [
 class CongestionView(Protocol):
     """Local congestion info a router can legally observe (credits)."""
 
-    def output_occupancy(self, router: int, next_hop: int) -> int:
-        """Flits currently occupying the output buffer toward ``next_hop``."""
-        ...
-
     def output_occupancies(self, routers, next_hops) -> np.ndarray:
-        """Batched :meth:`output_occupancy` over parallel index arrays."""
+        """Flits occupying each ``routers[i]``'s output buffer toward
+        ``next_hops[i]`` (parallel index arrays)."""
         ...
 
     def output_capacity(self) -> int:
@@ -79,9 +76,6 @@ class CongestionView(Protocol):
 
 class _ZeroCongestion:
     """Congestion view used outside a simulation (everything idle)."""
-
-    def output_occupancy(self, router: int, next_hop: int) -> int:
-        return 0
 
     def output_occupancies(self, routers, next_hops) -> np.ndarray:
         return np.zeros(len(routers), dtype=np.int64)
@@ -94,36 +88,13 @@ ZERO_CONGESTION = _ZeroCongestion()
 
 
 # ----------------------------------------------------------------------
-# Route-batch plumbing
+# Route-batch plumbing: a batch is a padded ``(paths, lens)`` pair
 # ----------------------------------------------------------------------
-# ``select_routes`` may return either a plain list of paths or a
-# ``(paths, lens)`` padded-matrix pair (the vectorized policies do).
-# The two helpers below are how the engines consume either form.
-def routes_as_matrix(routes) -> tuple:
-    """Normalize a ``select_routes`` result to a padded ``(paths, lens)``.
-
-    Identity for the matrix form the vectorized policies return; list
-    results are packed into a fresh padded matrix.
-    """
-    if isinstance(routes, tuple):
-        return routes
-    lens = np.fromiter((len(r) for r in routes), count=len(routes), dtype=np.int64)
-    paths = np.zeros((len(routes), int(lens.max()) if len(routes) else 1),
-                     dtype=np.int64)
-    for i, route in enumerate(routes):
-        paths[i, : len(route)] = route
-    return paths, lens
-
-
 def iter_routes(routes):
-    """Iterate a ``select_routes`` result as per-packet router tuples."""
-    if isinstance(routes, tuple):
-        paths, lens = routes
-        for i in range(lens.size):
-            yield tuple(paths[i, : lens[i]])
-    else:
-        for r in routes:
-            yield tuple(r)
+    """Iterate a ``(paths, lens)`` route batch as per-packet router tuples."""
+    paths, lens = routes
+    for i in range(lens.size):
+        yield tuple(paths[i, : lens[i]])
 
 
 def _splice(first_mat, first_lens, second_mat, second_lens) -> tuple:
@@ -195,35 +166,19 @@ class RoutingPolicy:
         self.tables = tables
         self.topo = tables.topo
 
-    def select_route(
-        self, src: int, dst: int, rng, congestion: CongestionView = ZERO_CONGESTION
-    ) -> list[int]:
-        """Return the router path ``[src, ..., dst]`` for a new packet."""
-        raise NotImplementedError
-
     def select_routes(
         self, srcs, dsts, rng, congestion: CongestionView = ZERO_CONGESTION
-    ):
+    ) -> tuple:
         """Routes for a batch of same-cycle injections, in order.
 
         The simulator's per-cycle entry point (both engines call it once
-        with all Bernoulli winners), and the method that *defines* a
-        policy's RNG-consumption protocol — vectorized overrides draw in
-        batch order, so they need not consume the stream like repeated
-        scalar :meth:`select_route` calls would.
-
-        May return a list of paths or a padded ``(paths, lens)`` matrix
-        pair; engines consume either via :func:`routes_as_matrix` /
-        :func:`iter_routes`.  The default selects sequentially.
+        with all Bernoulli winners) and the method that *defines* a
+        policy's RNG-consumption protocol.  Returns ``(paths, lens)``: a
+        padded ``[k, width]`` matrix whose row ``i`` holds packet ``i``'s
+        router path ``[src, ..., dst]`` in columns ``0..lens[i]-1``, and
+        the ``k`` path lengths.
         """
-        return [
-            self.select_route(int(s), int(d), rng, congestion)
-            for s, d in zip(srcs, dsts)
-        ]
-
-    # Helper: shortest path with random ECMP tie-breaks.
-    def _sp(self, src: int, dst: int, rng) -> list[int]:
-        return self.tables.shortest_path(src, dst, rng=rng)
+        raise NotImplementedError
 
 
 class MinimalRouting(RoutingPolicy):
@@ -236,9 +191,6 @@ class MinimalRouting(RoutingPolicy):
     def retable(self, tables: RoutingTables) -> None:
         super().retable(tables)
         self.max_hops = max(self.max_hops, tables.max_distance)
-
-    def select_route(self, src, dst, rng, congestion=ZERO_CONGESTION):
-        return self._sp(src, dst, rng)
 
     def select_routes(self, srcs, dsts, rng, congestion=ZERO_CONGESTION):
         routes = _accelerated(MinimalRouting, self, srcs, dsts, rng, congestion)
@@ -265,7 +217,7 @@ class ValiantRouting(RoutingPolicy):
 
         An intermediate must be alive and differ from both source and
         destination; with fewer than three alive routers the rejection
-        loops below (and their C mirror) would spin forever.
+        loop below (and its C mirror) would spin forever.
         """
         alive = tables.alive_routers
         count = tables.topo.num_routers if alive is None else int(alive.sum())
@@ -274,14 +226,6 @@ class ValiantRouting(RoutingPolicy):
                 f"{type(self).__name__} needs at least 3 alive routers to "
                 f"draw an intermediate, got {count}"
             )
-
-    def random_intermediate(self, src: int, dst: int, rng) -> int:
-        n = self.topo.num_routers
-        alive = self.tables.alive_routers
-        while True:
-            r = int(rng.integers(n))
-            if r != src and r != dst and (alive is None or alive[r]):
-                return r
 
     def random_intermediates(self, srcs, dsts, rng) -> np.ndarray:
         """Batched intermediates: draw all, redraw collisions until clean.
@@ -302,12 +246,6 @@ class ValiantRouting(RoutingPolicy):
             if bad.size == 0:
                 return mids
             mids[bad] = rng.integers(n, size=bad.size)
-
-    def select_route(self, src, dst, rng, congestion=ZERO_CONGESTION):
-        mid = self.random_intermediate(src, dst, rng)
-        first = self._sp(src, mid, rng)
-        second = self._sp(mid, dst, rng)
-        return first + second[1:]
 
     def select_routes(self, srcs, dsts, rng, congestion=ZERO_CONGESTION):
         routes = _accelerated(ValiantRouting, self, srcs, dsts, rng, congestion)
@@ -340,16 +278,6 @@ class CompactValiantRouting(ValiantRouting):
     def __init__(self, tables: RoutingTables):
         super().__init__(tables)
         self.max_hops = 2 * tables.max_distance
-
-    def select_route(self, src, dst, rng, congestion=ZERO_CONGESTION):
-        if self.tables.distance(src, dst) <= 1:
-            return super().select_route(src, dst, rng, congestion)
-        nbrs = self.topo.graph.neighbors(src)
-        mid = int(nbrs[int(rng.integers(nbrs.size))])
-        if mid == dst:
-            return self._sp(src, dst, rng)
-        tail = self._sp(mid, dst, rng)
-        return [src] + tail
 
     def select_routes(self, srcs, dsts, rng, congestion=ZERO_CONGESTION):
         routes = _accelerated(CompactValiantRouting, self, srcs, dsts, rng, congestion)
@@ -419,21 +347,6 @@ class UGALRouting(RoutingPolicy):
         self.valiant.retable(tables)
         self.max_hops = max(self.max_hops, self.valiant.max_hops)
 
-    def _valiant_candidate(self, src, dst, rng):
-        return self.valiant.select_route(src, dst, rng)
-
-    def select_route(self, src, dst, rng, congestion=ZERO_CONGESTION):
-        min_path = self._sp(src, dst, rng)
-        if len(min_path) < 2:
-            return min_path
-        val_path = self._valiant_candidate(src, dst, rng)
-        q_min = congestion.output_occupancy(src, min_path[1])
-        q_val = congestion.output_occupancy(src, val_path[1])
-        h_min, h_val = len(min_path) - 1, len(val_path) - 1
-        if q_min * h_min > q_val * h_val + self.bias:
-            return val_path
-        return min_path
-
     def _valiant_candidates_batch(self, srcs, dsts, rng, congestion):
         return self.valiant.select_routes(srcs, dsts, rng, congestion)
 
@@ -460,40 +373,6 @@ class UGALRouting(RoutingPolicy):
         )
 
 
-class UGALGRouting(UGALRouting):
-    """UGAL-G: the globally-informed UGAL upper bound.
-
-    Instead of only the injecting router's local queues, compare the
-    summed output occupancy along the *entire* candidate paths.  Real
-    hardware cannot see remote queues instantaneously, so UGAL-G is the
-    idealized reference adaptive router (BookSim ships the same variant);
-    the gap between UGAL-L and UGAL-G measures how much the local
-    approximation costs.
-    """
-
-    def _path_cost(self, path, congestion) -> int:
-        return sum(
-            congestion.output_occupancy(a, b) for a, b in zip(path, path[1:])
-        )
-
-    def select_route(self, src, dst, rng, congestion=ZERO_CONGESTION):
-        min_path = self._sp(src, dst, rng)
-        if len(min_path) < 2:
-            return min_path
-        val_path = self._valiant_candidate(src, dst, rng)
-        q_min = self._path_cost(min_path, congestion)
-        q_val = self._path_cost(val_path, congestion)
-        h_min, h_val = len(min_path) - 1, len(val_path) - 1
-        if q_min * h_min > q_val * h_val + self.bias:
-            return val_path
-        return min_path
-
-    def select_routes(self, srcs, dsts, rng, congestion=ZERO_CONGESTION):
-        # Whole-path costs don't vectorize over the local view; the
-        # idealized baseline keeps the sequential default.
-        return RoutingPolicy.select_routes(self, srcs, dsts, rng, congestion)
-
-
 class UGALPFRouting(UGALRouting):
     """UGAL_PF (Section VII-C): Compact Valiant + adaptation threshold.
 
@@ -518,20 +397,6 @@ class UGALPFRouting(UGALRouting):
         super().retable(tables)
         self.compact.retable(tables)
         self.max_hops = max(self.max_hops, self.compact.max_hops)
-
-    def _valiant_candidate(self, src, dst, rng):
-        return self.compact.select_route(src, dst, rng)
-
-    def select_route(self, src, dst, rng, congestion=ZERO_CONGESTION):
-        min_path = self._sp(src, dst, rng)
-        if len(min_path) < 2:
-            return min_path
-        occ_frac = congestion.output_occupancy(
-            src, min_path[1]
-        ) / max(congestion.output_capacity(), 1)
-        if occ_frac <= self.threshold:
-            return min_path
-        return super().select_route(src, dst, rng, congestion)
 
     def _valiant_candidates_batch(self, srcs, dsts, rng, congestion):
         return self.compact.select_routes(srcs, dsts, rng, congestion)
@@ -579,7 +444,7 @@ class FatTreeNCARouting(RoutingPolicy):
         self.ft: FatTree = tables.topo
         self.max_hops = 2 * (self.ft.n_levels - 1)
         # Per-switch level and up-neighbours (ascending id, the CSR
-        # order), built once: select_route runs per packet per hop.
+        # order), built once: the numpy body walks packet by packet.
         graph = self.ft.graph
         self._level = np.arange(graph.n) // self.ft.switches_per_level
         self._ups = []
@@ -594,35 +459,33 @@ class FatTreeNCARouting(RoutingPolicy):
             "dynamic fault repair is not supported for FT-NCA routing"
         )
 
-    def select_route(self, src, dst, rng, congestion=ZERO_CONGESTION):
-        ft = self.ft
-        if src == dst:
-            return [src]
-        nca = ft.nca_level(src, dst)
-        path = [src]
-        cur = src
-        # Ascend with random parent choice.
-        for _ in range(nca):
-            ups = self._ups[cur]
-            cur = ups[int(rng.integers(len(ups)))]
-            path.append(cur)
-        # Descend: at each level pick the unique child on a shortest path
-        # to dst (digit-determined).
-        level = self._level
-        while cur != dst:
-            hops = self.tables.min_next_hops(cur, dst)
-            cur = int(hops[level[hops] == level[cur] - 1][0])
-            path.append(cur)
-        return path
-
     def select_routes(self, srcs, dsts, rng, congestion=ZERO_CONGESTION):
-        # The batch is the sequential default — :meth:`select_route`
-        # packet by packet is the definition — unless the congestion
-        # view runs that same sequence compiled.
         routes = _accelerated(FatTreeNCARouting, self, srcs, dsts, rng, congestion)
         if routes is not None:
             return routes
-        return RoutingPolicy.select_routes(self, srcs, dsts, rng, congestion)
+        # Packet by packet, in batch order: one parent draw per up-hop.
+        level = self._level
+        walked = []
+        for src, dst in zip(map(int, srcs), map(int, dsts)):
+            path = [src]
+            cur = src
+            # Ascend with random parent choice.
+            for _ in range(self.ft.nca_level(src, dst)):
+                ups = self._ups[cur]
+                cur = ups[int(rng.integers(len(ups)))]
+                path.append(cur)
+            # Descend: at each level pick the unique child on a shortest
+            # path to dst (digit-determined).
+            while cur != dst:
+                hops = self.tables.min_next_hops(cur, dst)
+                cur = int(hops[level[hops] == level[cur] - 1][0])
+                path.append(cur)
+            walked.append(path)
+        lens = np.fromiter(map(len, walked), count=len(walked), dtype=np.int64)
+        paths = np.zeros((lens.size, int(lens.max(initial=1))), dtype=np.int64)
+        for row, path in zip(paths, walked):
+            row[: len(path)] = path
+        return paths, lens
 
 
 # ----------------------------------------------------------------------
@@ -646,11 +509,6 @@ def _compact_valiant_from_spec(tables) -> CompactValiantRouting:
 @POLICIES.register("ugal", example="ugal:bias=1")
 def _ugal_from_spec(tables, bias: int = 1) -> UGALRouting:
     return UGALRouting(tables, bias=bias)
-
-
-@POLICIES.register("ugal-g", example="ugal-g:bias=1")
-def _ugal_g_from_spec(tables, bias: int = 1) -> UGALGRouting:
-    return UGALGRouting(tables, bias=bias)
 
 
 @POLICIES.register("ugal-pf", example="ugal-pf:bias=1,threshold=0.5")

@@ -25,11 +25,15 @@ every dependency structure matches the textbook algorithm:
   synchronous parameter-server barrier).
 * **trace** — replay of a JSONL message trace (see :func:`load_trace`
   for the schema), for workloads captured from real applications.
+
+Every generator's ``size`` (and halo's ``iters``) must be an integer
+>= 1; anything else raises a ``ValueError`` naming the field.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 
 import numpy as np
 
@@ -55,6 +59,17 @@ def terminal_routers(topo) -> np.ndarray:
     return terminals
 
 
+def _positive_int(name: str, value) -> int:
+    """``value`` as an integer >= 1, or a ValueError naming ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 # ----------------------------------------------------------------------
 # All-reduce
 # ----------------------------------------------------------------------
@@ -67,9 +82,10 @@ def ring_allreduce(topo, size: int = 64) -> Workload:
     received the previous step — a length-``2(N-1)`` chain per rank,
     ``2(N-1) * N`` messages total.
     """
+    size = _positive_int("size", size)
     t = terminal_routers(topo)
     n = t.size
-    chunk = max(1, int(size) // n)
+    chunk = max(1, size // n)
     steps = 2 * (n - 1)
     # Message id s * n + i: rank i's send at step s.
     step, rank = np.divmod(np.arange(steps * n, dtype=np.int64), n)
@@ -92,6 +108,7 @@ def recursive_doubling_allreduce(topo, size: int = 64) -> Workload:
     full ``size``-flit vector, gated on the message received in round
     ``s - 1``.  ``P * log2(P)`` messages.
     """
+    size = _positive_int("size", size)
     t = terminal_routers(topo)
     p = 1 << (int(t.size).bit_length() - 1)
     if p < 2:
@@ -104,7 +121,7 @@ def recursive_doubling_allreduce(topo, size: int = 64) -> Workload:
         f"allreduce-rd(size={size})",
         t[rank],
         t[rank ^ (1 << rnd)],
-        np.full(rank.size, int(size)),
+        np.full(rank.size, size),
         later,
         ((rnd - 1) * p + (rank ^ (1 << np.maximum(rnd - 1, 0))))[later],
         topo,
@@ -117,6 +134,7 @@ def recursive_doubling_allreduce(topo, size: int = 64) -> Workload:
 def all_to_all(topo, size: int = 8) -> Workload:
     """Personalized all-to-all: every rank sends ``size`` flits to every
     other rank, dependency-free — ``N(N-1)`` concurrent messages."""
+    size = _positive_int("size", size)
     t = terminal_routers(topo)
     n = t.size
     a, b = np.divmod(np.arange(n * n, dtype=np.int64), n)
@@ -126,7 +144,7 @@ def all_to_all(topo, size: int = 8) -> Workload:
         f"alltoall(size={size})",
         t[a[off_diagonal]],
         t[b[off_diagonal]],
-        np.full(m, int(size)),
+        np.full(m, size),
         np.zeros(m, dtype=np.int64),
         (),
         topo,
@@ -151,6 +169,7 @@ def halo_exchange(topo, size: int = 16, iters: int = 2) -> Workload:
     ``size``-flit halo to each distinct torus neighbor, gated on all
     halos it received the previous iteration.
     """
+    size, iters = _positive_int("size", size), _positive_int("iters", iters)
     t = terminal_routers(topo)
     n = t.size
     rows, cols = _torus_grid(n)
@@ -184,15 +203,14 @@ def halo_exchange(topo, size: int = 16, iters: int = 2) -> Workload:
     deps = received[
         np.repeat(recv_end[sender] - ends, counts) + np.arange(ends[-1])
     ]
-    reps = max(int(iters), 0)
-    later = np.arange(per_iter * reps) >= per_iter
+    later = np.arange(per_iter * iters) >= per_iter
     return Workload.from_arrays(
         f"halo(size={size},iters={iters})",
-        np.tile(t[sender], reps),
-        np.tile(t[receiver], reps),
-        np.full(per_iter * reps, int(size)),
-        np.where(later, np.tile(counts, reps), 0),
-        (deps + per_iter * np.arange(reps - 1)[:, None]).ravel(),
+        np.tile(t[sender], iters),
+        np.tile(t[receiver], iters),
+        np.full(per_iter * iters, size),
+        np.where(later, np.tile(counts, iters), 0),
+        (deps + per_iter * np.arange(iters - 1)[:, None]).ravel(),
         topo,
     )
 
@@ -201,6 +219,7 @@ def incast(topo, size: int = 32, root: int = 0, reply: bool = False) -> Workload
     """Parameter-server incast: every worker sends ``size`` flits to the
     ``root``-th terminal router; with ``reply`` the server answers each
     worker, gated on *all* incast messages (the sync barrier)."""
+    size = _positive_int("size", size)
     t = terminal_routers(topo)
     if not 0 <= int(root) < t.size:
         raise ValueError(f"root must index a terminal rank [0, {t.size})")
@@ -213,7 +232,7 @@ def incast(topo, size: int = 32, root: int = 0, reply: bool = False) -> Workload
         f"incast(size={size},reply={reply})",
         np.concatenate([workers, np.full(r, server)]),
         np.concatenate([np.full(w, server), workers[:r]]),
-        np.full(w + r, int(size)),
+        np.full(w + r, size),
         np.repeat([0, w], [w, r]),
         np.tile(np.arange(w), r),
         topo,

@@ -136,6 +136,23 @@ class TestErrors:
                     "fraction must be in (0, 1]",
                 ),
                 ("workload", WORKLOADS, "allreduce:algo=bogus", "unknown all-reduce algo"),
+                (
+                    "ring-size-zero", WORKLOADS, "allreduce:algo=ring,size=0",
+                    "size must be >= 1, got 0",
+                ),
+                (
+                    "ring-size-negative", WORKLOADS, "allreduce:algo=ring,size=-4",
+                    "size must be >= 1, got -4",
+                ),
+                (
+                    "ring-size-float", WORKLOADS, "allreduce:algo=ring,size=2.5",
+                    "size must be an integer, got 2.5",
+                ),
+                ("rd-size-zero", WORKLOADS, "allreduce:algo=rd,size=0", "size must be >= 1"),
+                ("alltoall-size-zero", WORKLOADS, "alltoall:size=0", "size must be >= 1"),
+                ("halo-iters-zero", WORKLOADS, "halo:iters=0", "iters must be >= 1, got 0"),
+                ("halo-size-float", WORKLOADS, "halo:size=1.5", "size must be an integer"),
+                ("incast-size-negative", WORKLOADS, "incast:size=-1", "size must be >= 1"),
                 ("fault-timeline", FAULTS, "mtbf:mtbf=-3", "mtbf needs mtbf > 0"),
             ]
         ],

@@ -27,7 +27,7 @@ FT_SPEC = "fattree:k=4,n=2"
 # the rows the C kernel's decide loop skips.
 SPARSE_SPEC = "polarfly:conc=2,q=13"
 
-#: (topology, policy, traffic, load) — ≥ 8 cells, all 7 registered
+#: (topology, policy, traffic, load) — ≥ 8 cells, all 6 registered
 #: policies, loads from light to saturating.
 CELLS = [
     (PF_SPEC, "min", "uniform", 0.3),
@@ -35,7 +35,6 @@ CELLS = [
     (PF_SPEC, "valiant", "uniform", 0.4),
     (PF_SPEC, "compact-valiant", "tornado", 0.5),
     (PF_SPEC, "ugal", "uniform", 0.6),
-    (PF_SPEC, "ugal-g", "uniform", 0.5),
     (PF_SPEC, "ugal-pf", "tornado", 0.7),
     (PF_SPEC, "ugal-pf", "perm1hop:seed=1", 0.8),
     (PF_SPEC, "ugal-pf", "hotspot:fraction=0.3", 0.4),

@@ -1,5 +1,5 @@
-"""Unit tests for traffic extras, telemetry, latency model, UGAL-G and
-degraded routing."""
+"""Unit tests for traffic extras, telemetry, latency model and degraded
+routing."""
 
 import numpy as np
 import pytest
@@ -19,8 +19,6 @@ from repro.flitsim import (
 from repro.routing import (
     MinimalRouting,
     RoutingTables,
-    UGALGRouting,
-    UGALRouting,
     degraded_topology,
     reroute_after_failures,
 )
@@ -158,31 +156,6 @@ class TestLatencyModel:
         aspl = float(np.mean(tables.dist[tables.dist > 0]))
         model = LatencyModel(pf, avg_hops=aspl)
         assert 0.8 <= model.saturation_load <= 1.0
-
-
-class TestUGALG:
-    def test_idle_stays_minimal(self, pf, tables):
-        policy = UGALGRouting(tables)
-        rng = make_rng(0)
-        for _ in range(20):
-            s, d = map(int, rng.integers(0, pf.num_routers, 2))
-            if s == d:
-                continue
-            path = policy.select_route(s, d, rng)
-            assert len(path) - 1 == tables.distance(s, d)
-
-    def test_at_least_as_good_as_local_on_tornado(self, pf, tables):
-        tor = TornadoTraffic(pf)
-        results = {}
-        for name, policy in (
-            ("local", UGALRouting(tables)),
-            ("global", UGALGRouting(tables)),
-        ):
-            cfg = SimConfig(num_vcs=max(4, policy.max_hops - 1), vc_depth=8)
-            sim = NetworkSimulator(pf, policy, tor, 0.7, config=cfg, seed=8)
-            results[name] = sim.run(warmup=250, measure=500, drain=200)
-        # Global information shouldn't hurt throughput materially.
-        assert results["global"].accepted_load >= results["local"].accepted_load - 0.08
 
 
 class TestDegradedRouting:

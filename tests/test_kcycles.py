@@ -645,18 +645,21 @@ def test_other_traffic_families(traffic_spec):
     assert sim.span_cycles == (0 if traffic_spec.startswith("hotspot") else sum(WINDOWS))
 
 
-def test_ugal_g_declines():
-    # No compiled selector, so no span either — in any mode.
-    sim, steps = (build(PF_SPEC, "ugal-g", "uniform", 0.5) for _ in range(2))
-    assert_same_result(sim.run(*WINDOWS), run_by_steps(steps, *WINDOWS))
-    assert sim._kselect is None and sim.span_cycles == 0
-    sim = build(PF_SPEC, "ugal-g", None, 0.0, workload=WORKLOAD_SPECS["halo"])
-    ref = build(
-        PF_SPEC, "ugal-g", None, 0.0, workload=WORKLOAD_SPECS["halo"],
-        engine=NetworkSimulator,
-    )
-    assert_same_result(sim.run_workload(), ref.run_workload())
-    assert sim._kspan is None and sim.span_cycles == 0
+def test_subclass_declines_closed_loop():
+    # The closed-loop half of test_subclasses_decline: no compiled
+    # selector for a subclass, so no span on a workload either, and the
+    # per-cycle run still matches the reference engine.
+    topo, tables = tables_for(PF_SPEC)
+    sims = []
+    for engine in (FlatSimulator, NetworkSimulator):
+        policy = TweakedMinimal(tables)
+        sims.append(engine(
+            topo, policy, None, 0.0, config=auto_sim_config(policy, packet_size=4),
+            seed=3, workload=WORKLOADS.create(WORKLOAD_SPECS["halo"], topo),
+        ))
+    flat, ref = sims
+    assert_same_result(flat.run_workload(), ref.run_workload())
+    assert flat._kspan is None and flat.span_cycles == 0
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from repro.routing.policies import (
     MinimalRouting,
     UGALRouting,
     ValiantRouting,
-    routes_as_matrix,
+    iter_routes,
 )
 from repro.routing.tables import RoutingTables, RowPatchedDist, _CandidateTable
 from repro.topologies.base import Topology
@@ -103,8 +103,7 @@ def assert_same_selection(ksim, nsim, srcs, dsts, seed, expect_kernel=True):
     want = nsim.policy.select_routes(srcs, dsts, r2, congestion=nsim)
     assert served_by_kernel(ksim, got) == expect_kernel
     assert not served_by_kernel(nsim, want)
-    # FT-NCA's Python body returns a list of paths.
-    (gp, gl), (wp, wl) = routes_as_matrix(got), routes_as_matrix(want)
+    (gp, gl), (wp, wl) = got, want
     assert np.array_equal(gl, wl)
     width = int(gl.max(initial=0))
     live = np.arange(width) < gl[:, None]
@@ -212,8 +211,8 @@ def test_polarstar_factor_mode_routes_every_pair_as_the_tables_do(q, sq, policy_
 
 
 @needs_kernel
-def test_ftnca_matches_select_route():
-    """Mode 5 against the sequential ``select_route`` definition."""
+def test_ftnca_matches_numpy_body():
+    """Mode 5 against the packet-by-packet numpy ``select_routes`` body."""
     topo, tables = tables_for("fattree:k=4,n=3")
     ksim, nsim = twins(topo, lambda: POLICIES.create("ftnca", tables))
     assert ksim.rng.bit_generator.state == nsim.rng.bit_generator.state
@@ -241,7 +240,7 @@ def test_ftnca_matches_select_route():
         try:
             routes = sim.policy.select_routes(srcs, dsts, rng, congestion=sim)
             assert not served_by_kernel(sim, routes)
-            outcomes.append([list(map(int, r)) for r in routes])
+            outcomes.append([list(map(int, r)) for r in iter_routes(routes)])
         except (ValueError, IndexError) as exc:
             outcomes.append(type(exc))
     assert outcomes[0] == outcomes[1]
@@ -295,14 +294,14 @@ def test_other_views_policies_and_subclasses_decline():
     paths, lens = policy.select_routes(empty, empty, np.random.default_rng(0), flat)
     assert paths.shape == (0, 1) and lens.size == 0
 
-    for other in (POLICIES.create("ugal-g", tables), TweakedUGAL(tables)):
-        sim = FlatSimulator(
-            topo, other, traffic, 0.5, config=auto_sim_config(other), seed=1
-        )
-        # The kernel cycles, but selection (sub-policy calls included)
-        # stays with the numpy/sequential bodies.
-        assert sim._kernel is not None and sim._kselect is None
-        sim.run(warmup=10, measure=20, drain=10)
+    other = TweakedUGAL(tables)
+    sim = FlatSimulator(
+        topo, other, traffic, 0.5, config=auto_sim_config(other), seed=1
+    )
+    # The kernel cycles, but selection (sub-policy calls included)
+    # stays with the numpy bodies.
+    assert sim._kernel is not None and sim._kselect is None
+    sim.run(warmup=10, measure=20, drain=10)
 
 
 @needs_kernel

@@ -17,6 +17,7 @@ from repro.routing import (
     count_paths_up_to,
     enumerate_paths,
 )
+from repro.routing.policies import iter_routes
 from repro.topologies import FatTree
 from repro.utils.graph import Graph
 from repro.utils.rng import make_rng
@@ -81,15 +82,27 @@ class TestRoutingTables:
             RoutingTables(Topology("broken", topo_graph, 1))
 
 
+def _pairs(n, count, seed):
+    """Random ``(src, dst)`` router pairs with ``src != dst``, as arrays."""
+    srcs, dsts = make_rng(seed).integers(0, n, (2, count))
+    keep = srcs != dsts
+    return srcs[keep], dsts[keep]
+
+
+def _routes(policy, srcs, dsts, rng, congestion=ZERO_CONGESTION):
+    """One ``select_routes`` batch (the numpy body) as per-packet lists."""
+    batch = policy.select_routes(
+        np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64),
+        rng, congestion,
+    )
+    return [list(map(int, route)) for route in iter_routes(batch)]
+
+
 class TestMinimalRouting:
     def test_paths_are_minimal(self, pf, tables):
         policy = MinimalRouting(tables)
-        rng = make_rng(0)
-        for _ in range(30):
-            s, d = map(int, rng.integers(0, pf.num_routers, 2))
-            if s == d:
-                continue
-            path = policy.select_route(s, d, rng)
+        srcs, dsts = _pairs(pf.num_routers, 30, seed=0)
+        for s, d, path in zip(srcs, dsts, _routes(policy, srcs, dsts, make_rng(0))):
             _check_path(pf, path, s, d)
             assert len(path) - 1 == tables.distance(s, d)
 
@@ -100,39 +113,38 @@ class TestMinimalRouting:
 class TestValiantRouting:
     def test_paths_valid(self, pf, tables):
         policy = ValiantRouting(tables)
-        rng = make_rng(0)
-        for _ in range(30):
-            s, d = map(int, rng.integers(0, pf.num_routers, 2))
-            if s == d:
-                continue
-            path = policy.select_route(s, d, rng)
+        srcs, dsts = _pairs(pf.num_routers, 30, seed=0)
+        for s, d, path in zip(srcs, dsts, _routes(policy, srcs, dsts, make_rng(0))):
             _check_path(pf, path, s, d)
             assert len(path) - 1 <= 4
 
     def test_intermediate_not_endpoint(self, pf, tables):
         policy = ValiantRouting(tables)
-        rng = make_rng(1)
-        for _ in range(50):
-            mid = policy.random_intermediate(3, 9, rng)
-            assert mid not in (3, 9)
+        mids = policy.random_intermediates(np.full(50, 3), np.full(50, 9), make_rng(1))
+        assert not np.isin(mids, (3, 9)).any()
+        srcs, dsts = _pairs(pf.num_routers, 200, seed=1)
+        mids = policy.random_intermediates(srcs, dsts, make_rng(1))
+        assert np.all((mids != srcs) & (mids != dsts))
 
     def test_spreads_paths(self, pf, tables):
         # Valiant must produce many distinct paths for a fixed pair.
         policy = ValiantRouting(tables)
-        rng = make_rng(2)
-        paths = {tuple(policy.select_route(0, 9, rng)) for _ in range(60)}
+        paths = {tuple(p) for p in _routes(policy, [0] * 60, [9] * 60, make_rng(2))}
         assert len(paths) > 10
+
+
+def _far_pairs(tables, count, seed):
+    """Random pairs more than one hop apart."""
+    srcs, dsts = _pairs(tables.topo.num_routers, count, seed)
+    far = tables.dist[srcs, dsts] > 1
+    return srcs[far], dsts[far]
 
 
 class TestCompactValiant:
     def test_detour_bounded_three_hops(self, pf, tables):
         policy = CompactValiantRouting(tables)
-        rng = make_rng(0)
-        for _ in range(60):
-            s, d = map(int, rng.integers(0, pf.num_routers, 2))
-            if s == d or tables.distance(s, d) <= 1:
-                continue
-            path = policy.select_route(s, d, rng)
+        srcs, dsts = _far_pairs(tables, 60, seed=0)
+        for s, d, path in zip(srcs, dsts, _routes(policy, srcs, dsts, make_rng(0))):
             _check_path(pf, path, s, d)
             assert len(path) - 1 <= 3
             # First hop is a neighbor-intermediate.
@@ -142,21 +154,16 @@ class TestCompactValiant:
         # The paper's bounce-back scenario cannot occur for non-adjacent
         # endpoints: the source never reappears later in the path.
         policy = CompactValiantRouting(tables)
-        rng = make_rng(3)
-        for _ in range(80):
-            s, d = map(int, rng.integers(0, pf.num_routers, 2))
-            if s == d or tables.distance(s, d) <= 1:
-                continue
-            path = policy.select_route(s, d, rng)
+        srcs, dsts = _far_pairs(tables, 80, seed=3)
+        for s, path in zip(srcs, _routes(policy, srcs, dsts, make_rng(3))):
             assert s not in path[1:]
 
     def test_adjacent_falls_back_to_general_valiant(self, pf, tables):
         policy = CompactValiantRouting(tables)
-        rng = make_rng(4)
         e = pf.graph.edges()[0]
         s, d = int(e[0]), int(e[1])
         lengths = {
-            len(policy.select_route(s, d, rng)) - 1 for _ in range(40)
+            len(path) - 1 for path in _routes(policy, [s] * 40, [d] * 40, make_rng(4))
         }
         # General Valiant: up to 4 hops possible.
         assert max(lengths) >= 3
@@ -170,8 +177,14 @@ class _FakeCongestion:
         self.occ = occ
         self.capacity = capacity
 
-    def output_occupancy(self, router, next_hop):
-        return self.occ if (router, next_hop) in self.hot else 0
+    def output_occupancies(self, routers, next_hops):
+        return np.array(
+            [
+                self.occ if (int(r), int(v)) in self.hot else 0
+                for r, v in zip(routers, next_hops)
+            ],
+            dtype=np.int64,
+        )
 
     def output_capacity(self):
         return self.capacity
@@ -180,63 +193,54 @@ class _FakeCongestion:
 class TestUGAL:
     def test_idle_network_stays_minimal(self, pf, tables):
         policy = UGALRouting(tables)
-        rng = make_rng(0)
-        for _ in range(30):
-            s, d = map(int, rng.integers(0, pf.num_routers, 2))
-            if s == d:
-                continue
-            path = policy.select_route(s, d, rng, ZERO_CONGESTION)
+        srcs, dsts = _pairs(pf.num_routers, 30, seed=0)
+        routes = _routes(policy, srcs, dsts, make_rng(0), ZERO_CONGESTION)
+        for s, d, path in zip(srcs, dsts, routes):
             assert len(path) - 1 == tables.distance(s, d)
 
     def test_congestion_diverts(self, pf, tables):
         policy = UGALRouting(tables)
-        rng = make_rng(1)
         s, d = 0, 37
         min_path = tables.shortest_path(s, d)
         hot = {(s, min_path[1])}
-        diverted = 0
-        for _ in range(30):
-            path = policy.select_route(s, d, rng, _FakeCongestion(hot))
+        routes = _routes(policy, [s] * 30, [d] * 30, make_rng(1), _FakeCongestion(hot))
+        for path in routes:
             _check_path(pf, path, s, d)
-            if path[1] != min_path[1]:
-                diverted += 1
+        diverted = sum(path[1] != min_path[1] for path in routes)
         assert diverted > 20  # nearly always avoids the hot port
 
     def test_ugalpf_threshold_blocks_diversion(self, pf, tables):
         # Below the 2/3 occupancy threshold UGAL_PF must stay minimal even
         # if the min-path queue is (slightly) longer than alternatives.
         policy = UGALPFRouting(tables, threshold=2 / 3)
-        rng = make_rng(2)
         s, d = 0, 37
         min_path = tables.shortest_path(s, d)
         mild = _FakeCongestion({(s, min_path[1])}, occ=4, capacity=8)
-        for _ in range(20):
-            path = policy.select_route(s, d, rng, mild)
+        for path in _routes(policy, [s] * 20, [d] * 20, make_rng(2), mild):
             assert path[1] == min_path[1]
 
     def test_ugalpf_diverts_over_threshold(self, pf, tables):
         policy = UGALPFRouting(tables, threshold=2 / 3)
-        rng = make_rng(3)
         s, d = 0, 37
         min_path = tables.shortest_path(s, d)
         heavy = _FakeCongestion({(s, min_path[1])}, occ=100, capacity=8)
         diverted = sum(
-            policy.select_route(s, d, rng, heavy)[1] != min_path[1]
-            for _ in range(30)
+            path[1] != min_path[1]
+            for path in _routes(policy, [s] * 30, [d] * 30, make_rng(3), heavy)
         )
         assert diverted > 20
 
     def test_ugalpf_detour_is_compact(self, pf, tables):
         policy = UGALPFRouting(tables)
-        rng = make_rng(4)
         s, d = 0, 37
-        if tables.distance(s, d) == 2:
-            heavy = _FakeCongestion(
-                {(s, tables.shortest_path(s, d)[1])}, occ=100
-            )
-            for _ in range(30):
-                path = policy.select_route(s, d, rng, heavy)
-                assert len(path) - 1 <= 3
+        assert tables.distance(s, d) == 2
+        min_path = tables.shortest_path(s, d)
+        heavy = _FakeCongestion({(s, min_path[1])}, occ=100)
+        routes = _routes(policy, [s] * 30, [d] * 30, make_rng(4), heavy)
+        assert any(path[1] != min_path[1] for path in routes)
+        for path in routes:
+            _check_path(pf, path, s, d)
+            assert len(path) - 1 <= 3
 
 
 class TestFatTreeNCA:
@@ -250,12 +254,8 @@ class TestFatTreeNCA:
 
     def test_up_down_paths(self, ft, ft_tables):
         policy = FatTreeNCARouting(ft_tables)
-        rng = make_rng(0)
-        for _ in range(40):
-            s, d = map(int, rng.integers(0, ft.switches_per_level, 2))
-            if s == d:
-                continue
-            path = policy.select_route(s, d, rng)
+        srcs, dsts = _pairs(ft.switches_per_level, 40, seed=0)
+        for s, d, path in zip(srcs, dsts, _routes(policy, srcs, dsts, make_rng(0))):
             _check_path(ft, path, s, d)
             levels = [ft.switch_level(v) for v in path]
             peak = levels.index(max(levels))
@@ -264,12 +264,8 @@ class TestFatTreeNCA:
 
     def test_path_length_is_2_nca(self, ft, ft_tables):
         policy = FatTreeNCARouting(ft_tables)
-        rng = make_rng(1)
-        for _ in range(30):
-            s, d = map(int, rng.integers(0, ft.switches_per_level, 2))
-            if s == d:
-                continue
-            path = policy.select_route(s, d, rng)
+        srcs, dsts = _pairs(ft.switches_per_level, 30, seed=1)
+        for s, d, path in zip(srcs, dsts, _routes(policy, srcs, dsts, make_rng(1))):
             assert len(path) - 1 == 2 * ft.nca_level(s, d)
 
     def test_requires_fattree(self, tables):

@@ -27,7 +27,7 @@ def _hops(diameter, ftnca=None):
     """Stock ``max_hops`` on a network of this diameter: minimal routing
     takes the diameter, every detouring policy twice it."""
     hops = {"min": diameter}
-    for name in ("valiant", "compact-valiant", "ugal", "ugal-g", "ugal-pf"):
+    for name in ("valiant", "compact-valiant", "ugal", "ugal-pf"):
         hops[name] = 2 * diameter
     if ftnca is not None:
         hops["ftnca"] = ftnca
