@@ -14,13 +14,18 @@ Spec grammar::
     name:key=value,key=value  # keyword overrides
 
 Values parse as bool (``true``/``false``), int, float, or bare string, in
-that order.  :meth:`Registry.canonical` re-serializes a spec with sorted
-keys, so equal specs hash equally regardless of key order.
+that order.  A value given to a factory parameter annotated ``int`` (or
+``int | None``) must have parsed as an int: ``q=5.5`` or ``count=true``
+is refused, naming the field, rather than truncated into another cell's
+object under its own cache key.  :meth:`Registry.canonical`
+re-serializes a spec with sorted keys, so equal specs hash equally
+regardless of key order.
 """
 
 from __future__ import annotations
 
 import importlib
+import inspect
 
 __all__ = ["Registry", "TOPOLOGIES", "POLICIES", "TRAFFICS", "WORKLOADS", "FAULTS"]
 
@@ -69,6 +74,9 @@ class Registry:
         self._providers = tuple(providers)
         self._factories: dict = {}
         self._examples: dict = {}
+        #: name -> the factory's parameters annotated ``int`` (or
+        #: ``int | None``: no spec value parses as None)
+        self._int_params: dict = {}
         self._loaded = False
 
     # ------------------------------------------------------------------
@@ -88,6 +96,11 @@ class Registry:
                 raise ValueError(f"duplicate {self.kind} name {name!r}")
             self._factories[name] = factory
             self._examples[name] = example or name
+            self._int_params[name] = frozenset(
+                key
+                for key, param in inspect.signature(factory).parameters.items()
+                if param.annotation in (int, "int", "int | None")
+            )
             return factory
 
         return decorator
@@ -168,8 +181,12 @@ class Registry:
         inject a seed into a traffic spec that omitted one).
         """
         name, kwargs = self.parse(spec)
-        kwargs.update(extra)
         try:
+            for key in sorted(self._int_params[name] & kwargs.keys()):
+                value = kwargs[key]
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValueError(f"{key} must be an integer, got {value!r}")
+            kwargs.update(extra)
             return self._factories[name](*args, **kwargs)
         except TypeError as exc:
             # Chain the original so a TypeError raised deep inside the

@@ -113,7 +113,7 @@ packet-slot fill, injection, feed, router phase, link counters and the
 latency samples of measured tails.  ``step()``
 remains the definition: a span leaves the generator, the
 :class:`SimResult` and every state array exactly where ``n`` steps would
-(``tests/test_kcycles.py``), so observers sample between spans and see
+(``tests/test_differential.py``), so observers sample between spans and see
 what they would between steps — an observed run keeps its spans, cut at
 its wake-ups.  Closed-loop and faulted cells run the same way: a span
 carries the message state machine over the workload state's own arrays

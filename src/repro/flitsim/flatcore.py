@@ -45,7 +45,7 @@ topology (the runner's per-process topology memo keeps the object alive)
 pay its construction once.
 
 Results are bit-identical to :class:`repro.flitsim.reference.NetworkSimulator`
-for the same seed — pinned by ``tests/test_flitsim_equivalence.py``.
+for the same seed — pinned by ``tests/test_differential.py``.
 """
 
 from __future__ import annotations

@@ -109,5 +109,5 @@ def _shift_from_spec(topo, offset: int = 1) -> ShiftTraffic:
 
 
 @TRAFFICS.register("hotspot", example="hotspot:fraction=0.2")
-def _hotspot_from_spec(topo, fraction: float = 0.2, hotspot: "int | None" = None) -> HotspotTraffic:
+def _hotspot_from_spec(topo, fraction: float = 0.2, hotspot: int | None = None) -> HotspotTraffic:
     return HotspotTraffic(topo, fraction=fraction, hotspot=hotspot)

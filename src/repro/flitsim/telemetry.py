@@ -17,8 +17,7 @@ plain ``run()``'s.  Observers read either engine through one surface —
 count a link grant at the same point (grant time, before any fault doom
 filtering, during the measure window only), so link counts, occupancy
 maps and window records agree bit-exactly across the reference engine,
-the numpy flat path and the C kernel (``tests/test_run_observers.py``,
-``tests/test_telemetry_flat.py``, ``tests/test_timeseries.py``).
+the numpy flat path and the C kernel (``tests/test_differential.py``).
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ imports: the ``WindowCloser`` run observer in
 ``run_workload_with_timeseries``) feeds it from the reference engine,
 the numpy flat path, and the C-kernel path at the *same accounting
 points* as ``run_with_telemetry``, so the closed windows are
-bit-identical across all three (pinned by ``tests/test_timeseries.py``).
+bit-identical across all three (pinned by ``tests/test_differential.py``).
 
 On top of the raw series:
 

@@ -7,11 +7,6 @@ structural analyses — can share one graph representation and one RNG policy.
 
 from repro.utils.rng import make_rng, derive_seed
 from repro.utils.graph import Graph
-from repro.utils.validation import (
-    check_positive_int,
-    check_probability,
-    check_in_range,
-)
 from repro.utils.export import (
     to_edge_list,
     to_dot,
@@ -25,9 +20,6 @@ __all__ = [
     "make_rng",
     "derive_seed",
     "Graph",
-    "check_positive_int",
-    "check_probability",
-    "check_in_range",
     "to_edge_list",
     "to_dot",
     "to_json",

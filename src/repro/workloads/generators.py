@@ -27,7 +27,8 @@ every dependency structure matches the textbook algorithm:
   for the schema), for workloads captured from real applications.
 
 Every generator's ``size`` (and halo's ``iters``) must be an integer
->= 1; anything else raises a ``ValueError`` naming the field.
+>= 1 (not a float, not a bool); anything else raises a ``ValueError``
+naming the field.
 """
 
 from __future__ import annotations
@@ -61,10 +62,9 @@ def terminal_routers(topo) -> np.ndarray:
 
 def _positive_int(name: str, value) -> int:
     """``value`` as an integer >= 1, or a ValueError naming ``name``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     return value

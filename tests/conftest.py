@@ -9,10 +9,19 @@ from __future__ import annotations
 import contextlib
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.core import PolarFly, ClusterLayout
 from repro.flitsim._kernel import load_kernel, numpy_fallback
 from repro.routing import RoutingTables
+
+
+#: the differential harness's long slice, several times tier-1's cells:
+#: ``pytest tests/test_differential.py --hypothesis-profile=differential-long``
+settings.register_profile(
+    "differential-long", max_examples=1000, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def _flat_variants():

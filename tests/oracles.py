@@ -5,11 +5,39 @@ Each is the seed's readable per-source / all-pairs form of something
 them; they live here so an oracle can stay slow and obvious.
 :func:`walk_voqs` recovers what ``src/`` no longer stores at all, each
 VOQ's length.
+
+The cycle-path oracles follow: :func:`build` / :func:`cell_sim` make a
+simulator the way ``run_cell`` does, :func:`run_by_steps` /
+:func:`run_workload_by_steps` spell a run out cycle by cycle, and
+:func:`four_ways` runs one sweep cell record on every cycle path —
+whole-cycle spans, kernel ``step()``, numpy ``step()`` and the reference
+engine — and checks them against each other.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import json
+from types import SimpleNamespace
+
 import numpy as np
+
+from repro.experiments.registry import (
+    FAULTS,
+    POLICIES,
+    TOPOLOGIES,
+    TRAFFICS,
+    WORKLOADS,
+)
+from repro.experiments.runner import auto_sim_config
+from repro.faults import prepare_fault_policy
+from repro.flitsim import FlatSimulator, NetworkSimulator
+from repro.flitsim._kernel import numpy_fallback
+from repro.flitsim.engine import SimulatorCore
+from repro.flitsim.telemetry import LinkCounts, OccupancySampler, WindowCloser
+from repro.routing.tables import RoutingTables
+from repro.workloads.result import build_workload_result
 
 
 def walk_voqs(sim):
@@ -18,17 +46,27 @@ def walk_voqs(sim):
     A VOQ record stores its head row plus one (0: empty) and its tail;
     the walk reads only the head, so the tail can be checked against it.
     """
-    lengths = np.zeros(sim.fab.NV, dtype=np.int64)
-    last = np.zeros(sim.fab.NV, dtype=np.int64)
-    vq = np.flatnonzero(sim.voq_head != 0)
-    f = sim.voq_head[vq].astype(np.int64) - 1
-    while vq.size:
-        assert lengths.max() <= sim.pool_cap, "a VOQ chain loops"
-        lengths[vq] += 1
-        last[vq] = f
+    return _walk_chains(sim, sim.voq_head.astype(np.int64) - 1)
+
+
+def walk_fifos(sim):
+    """Each endpoint's source-FIFO length and last pool row."""
+    return _walk_chains(sim, sim.src_head)
+
+
+def _walk_chains(sim, first):
+    """Lengths and last rows of the ``pool_next`` chains from ``first`` (-1: none)."""
+    lengths = np.zeros(first.size, dtype=np.int64)
+    last = np.zeros(first.size, dtype=np.int64)
+    q = np.flatnonzero(first >= 0)
+    f = first[q].astype(np.int64)
+    while q.size:
+        assert lengths.max() <= sim.pool_cap, "a chain loops"
+        lengths[q] += 1
+        last[q] = f
         f = sim.pool_next[f].astype(np.int64)
         more = f >= 0
-        vq, f = vq[more], f[more]
+        q, f = q[more], f[more]
     return lengths, last
 
 
@@ -186,3 +224,317 @@ def message_list_workload(topo, kind: str, **kw):
     else:
         raise ValueError(kind)
     return Workload(kind, msgs, topo)
+
+
+# ----------------------------------------------------------------------
+# Cycle paths
+# ----------------------------------------------------------------------
+_memo: dict = {}
+
+
+def tables_for(spec):
+    """``(topology, RoutingTables)`` of a topology spec, built once."""
+    if spec not in _memo:
+        topo = TOPOLOGIES.create(spec)
+        _memo[spec] = (topo, RoutingTables(topo))
+    return _memo[spec]
+
+
+def build(
+    topo_spec, policy_spec, traffic_spec, load, packet_size=4, seed=3,
+    engine=FlatSimulator, workload=None, faults=None, **sizing,
+):
+    """One simulator; ``workload`` / ``faults`` are spec strings or objects.
+
+    ``sizing`` (``port_budget`` / ``num_vcs`` / ``vc_depth``) goes to
+    ``auto_sim_config`` after the fault timeline has set the policy's
+    hop ceiling, as in ``run_cell``.
+    """
+    topo, tables = tables_for(topo_spec)
+    policy = POLICIES.create(policy_spec, tables)
+    traffic = TRAFFICS.create(traffic_spec, topo) if traffic_spec else None
+    if isinstance(workload, str):
+        workload = WORKLOADS.create(workload, topo)
+    if isinstance(faults, str):
+        faults = FAULTS.create(faults, topo)
+    if faults is not None:
+        prepare_fault_policy(policy, faults, topo)
+    config = auto_sim_config(policy, packet_size=packet_size, **sizing)
+    return engine(
+        topo, policy, traffic, load, config=config, seed=seed,
+        workload=workload, faults=faults,
+    )
+
+
+def cell_sim(cell, engine=FlatSimulator):
+    """The simulator ``run_cell`` builds for the sweep cell record ``cell``."""
+    return build(
+        cell["topology"], cell["policy"], cell["traffic"], cell["load"],
+        cell["packet_size"], cell["seed"], engine,
+        workload=cell.get("workload"), faults=cell.get("faults"),
+        port_budget=cell["port_budget"], num_vcs=cell["num_vcs"],
+        vc_depth=cell["vc_depth"],
+    )
+
+
+def run_by_steps(sim, warmup, measure, drain):
+    """``SimulatorCore.run`` spelled out cycle by cycle."""
+    if sim._fault is not None:
+        sim._fault.begin_run(sim.policy)
+    for _ in range(warmup):
+        sim.step()
+    sim._measuring = True
+    start = sim.now
+    for _ in range(measure):
+        sim.step()
+    sim._stat.cycles = sim.now - start
+    sim._measuring = False
+    saved, sim.load = sim.load, 0.0
+    for _ in range(drain):
+        sim.step()
+    sim.load = saved
+    return sim._stat.finalize()
+
+
+def run_workload_by_steps(sim, max_cycles=200_000):
+    """``SimulatorCore.run_workload`` spelled out cycle by cycle."""
+    if sim._fault is not None:
+        sim._fault.begin_run(sim.policy)
+    sim._measuring = True
+    while sim.now < max_cycles and not sim._wl.done:
+        sim.step()
+    sim._stat.cycles = sim.now
+    sim._measuring = False
+    return build_workload_result(sim._wl, sim._stat.finalize(), sim.topo)
+
+
+def assert_same_result(a, b, what=""):
+    """Equal ``SimResult``\\ s or ``WorkloadResult``\\ s.
+
+    Summaries compare NaN-aware: a closed-loop run that completes no
+    message has NaN message latencies on every path.
+    """
+    assert type(a) is type(b), what
+    assert a.cycles == b.cycles, what
+    assert a.injected_flits == b.injected_flits, what
+    assert a.ejected_flits == b.ejected_flits, what
+    assert np.array_equal(a.hop_counts, b.hop_counts), what
+    if hasattr(a, "latencies"):
+        assert np.array_equal(a.latencies, b.latencies), what
+        return
+    assert np.array_equal(a.packet_latencies, b.packet_latencies), what
+    assert np.array_equal(a.msg_complete_cycles, b.msg_complete_cycles), what
+    assert np.array_equal(a.msg_latencies, b.msg_latencies), what
+    np.testing.assert_equal(a.summary(), b.summary(), err_msg=what)
+
+
+#: arrays every entry of which is protocol state (or deterministically dead)
+WHOLE = ("credits", "ep_credit", "backlog", "rr", "_free_top", "_pslot_top")
+#: arrays naming flit-pool rows or packet slots (or holding dead slots'
+#: leftovers), and those the C kernel alone keeps
+RECORDS = (
+    "_voq", "src_head", "src_tail", "pkt_dst", "pkt_msg", "pkt_measured",
+    "route_buf", "row_mask", "route_port",
+)
+#: the same under a fault timeline
+FAULT_RECORDS = ("pkt_live", "pkt_damaged")
+#: a live packet, whatever slot it sits in (and its route)
+PACKET_COLUMNS = ("pkt_dst", "pkt_msg", "pkt_measured", "pkt_t_created", "pkt_len")
+POOL_COLUMNS = ("pool_pid", "pool_seq", "pool_hop", "pool_ready", "pool_next")
+WORKLOAD_ARRAYS = (
+    "_tally", "rem_pkts", "pending", "eligible_cycle", "complete_cycle", "_inj_rr",
+)
+FAULT_FIELDS = (
+    "marks", "_next", "any_dead_router", "dropped_flits", "dropped_packets",
+    "damaged_packets", "blackholed_packets", "retransmitted_packets", "_rt_queue",
+)
+
+
+def _live(rows, free):
+    live = np.ones(rows, dtype=bool)
+    live[free] = False
+    return live
+
+
+def _packet_table(sim, names, by_slot):
+    """The live packets' ``names`` columns and routes, a row per packet:
+    in slot order, or sorted when slots may differ."""
+    live = _live(sim.pkt_cap, sim._pslot_stack[: int(sim._pslot_top[0])])
+    routes = sim.route_buf.reshape(sim.pkt_cap, -1)[live]
+    on_route = np.arange(routes.shape[1]) < sim.pkt_len[live][:, None]
+    table = np.hstack(
+        [getattr(sim, name)[live][:, None] for name in names]
+        + [np.where(on_route, routes, -1)]
+    )
+    return table if by_slot else table[np.lexsort(table.T[::-1])]
+
+
+def assert_same_state(a, b, what="", rows=True):
+    """Equal simulator state, array by array.
+
+    The pool and packet-table columns start as ``np.empty`` memory, so
+    they are compared on the live rows (those not on the free stacks),
+    and the stacks — like the workload's ready queue — on their live
+    prefix.  ``rows=False`` compares a kernel run with a numpy-path one:
+    the two take flit-pool rows and freed packet slots off their stacks
+    in their own orders, so queues compare by length and packets as a
+    set of rows.
+    """
+    assert (a.now, a.packets_injected) == (b.now, b.packets_injected), what
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state, what
+    assert (a.pool_cap, a.pkt_cap) == (b.pool_cap, b.pkt_cap), what
+    faulted = a._fault is not None
+    for name in WHOLE + (("dead_row",) if faulted else ()):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), (what, name)
+    for walk in (walk_voqs, walk_fifos):
+        assert np.array_equal(walk(a)[0], walk(b)[0]), (what, walk.__name__)
+    columns = PACKET_COLUMNS + (FAULT_RECORDS if faulted else ())
+    if rows:
+        for name in RECORDS + (FAULT_RECORDS if faulted else ()):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (what, name)
+        free, slots = a.free_top, int(a._pslot_top[0])
+        assert np.array_equal(a.free_stack[:free], b.free_stack[:free]), what
+        assert np.array_equal(a._pslot_stack[:slots], b._pslot_stack[:slots]), what
+        pool = _live(a.pool_cap, a.free_stack[:free])
+        for name in POOL_COLUMNS:
+            assert np.array_equal(getattr(a, name)[pool], getattr(b, name)[pool]), (
+                what, name,
+            )
+        columns = ("pkt_t_created", "pkt_len")
+    assert np.array_equal(
+        _packet_table(a, columns, rows), _packet_table(b, columns, rows)
+    ), what
+    if a._wl is not None:
+        for name in WORKLOAD_ARRAYS:
+            assert np.array_equal(getattr(a._wl, name), getattr(b._wl, name)), (
+                what, name,
+            )
+        queued = int(a._wl._tally[0])
+        assert np.array_equal(a._wl.ready[:queued], b._wl.ready[:queued]), what
+    if faulted:
+        for name in FAULT_FIELDS:
+            assert getattr(a._fault, name) == getattr(b._fault, name), (what, name)
+        for name in ("router_alive", "ep_alive"):
+            assert np.array_equal(
+                getattr(a._fault, name), getattr(b._fault, name)
+            ), (what, name)
+
+
+def assert_flits_conserved(sim, ref, what=""):
+    """Every live pool row of ``sim`` is queued once, in a VOQ or a source
+    FIFO, and its queues and credits hold what the reference engine's do."""
+    voqs, fifos = walk_voqs(sim)[0], walk_fifos(sim)[0]
+    assert voqs.sum() + fifos.sum() == sim.live_flits(), what
+    assert voqs.sum() == sum(len(q) for qs in ref.voq for q in qs.values()), what
+    assert fifos.tolist() == [len(q) for qs in ref.src_q for q in qs], what
+    assert sim.ep_credit.tolist() == [c for cs in ref.inj_credit for c in cs], what
+    for r, deg in enumerate(sim.fab.deg.tolist()):
+        assert sim.credits[r, :deg].tolist() == ref.credits[r], (what, r)
+
+
+#: the ways one cell runs: (name, engine, construction context, per cycle)
+PATHS = (
+    ("spans", FlatSimulator, contextlib.nullcontext, False),
+    ("kernel steps", FlatSimulator, contextlib.nullcontext, True),
+    ("numpy steps", FlatSimulator, numpy_fallback, True),
+    ("reference", NetworkSimulator, contextlib.nullcontext, False),
+)
+
+
+def observers_for(cell, links=False):
+    """A ``WindowCloser`` when the record has a ``window`` (as ``run_cell``
+    runs it), else link counts and occupancy samples when ``links``."""
+    if cell.get("window"):
+        return (WindowCloser(cell["window"]),)
+    return (LinkCounts(), OccupancySampler()) if links else ()
+
+
+def collected(observers) -> dict:
+    """What a set of observers gathered, keyed by observer type."""
+    out = {}
+    for ob in observers:
+        if isinstance(ob, LinkCounts):
+            out["links"] = ob.counts
+        elif isinstance(ob, OccupancySampler):
+            out["occupancy"] = (ob.samples, ob.mean)
+        else:
+            out["windows"] = ob.series.summary()
+    return out
+
+
+def four_ways(cell, links=False):
+    """Run the sweep cell record ``cell`` on every path of :data:`PATHS`
+    and check them against each other; ``{path: run}``.
+
+    The record is printed first, so a failure shows what ``run_cell``
+    replays verbatim.
+    """
+    print("cell:", json.dumps(cell, sort_keys=True), "links:", links)
+    runs = {}
+    for name, engine, path, per_cycle in PATHS:
+        with path():
+            sim = cell_sim(cell, engine)
+        if per_cycle:
+            sim.advance = functools.partial(SimulatorCore.advance, sim)
+        observers = observers_for(cell, links)
+        if cell.get("workload"):
+            result = sim._drive(max_cycles=cell["max_cycles"], observers=observers)
+        else:
+            result = sim._drive(
+                cell["warmup"], cell["measure"], cell["drain"], observers=observers
+            )
+        runs[name] = SimpleNamespace(sim=sim, result=result, seen=collected(observers))
+    first = runs["spans"]
+    spans, ref = first.sim, runs["reference"].sim
+    assert spans._kernel is not None and runs["numpy steps"].sim._kernel is None
+    # Hotspot draws its own stream and a combined cell's retransmit queue
+    # lives in Python: those stay on step(), every other cell is spans.
+    declined = cell["traffic"].startswith("hotspot") or bool(
+        cell.get("workload") and cell.get("faults")
+    )
+    assert spans.span_cycles == (0 if declined else spans.now)
+    for name, run in runs.items():
+        assert_same_result(first.result, run.result, name)
+        assert run.sim.rng.bit_generator.state == spans.rng.bit_generator.state, name
+        np.testing.assert_equal(run.seen, first.seen, err_msg=name)
+        if spans._fault is not None:
+            assert run.sim._fault.marks == spans._fault.marks, name
+            np.testing.assert_equal(
+                run.sim.fault_result.summary(), spans.fault_result.summary(),
+                err_msg=name,
+            )
+    if spans._fault is not None:
+        # Every epoch that starts inside the run applies on its first
+        # cycle, and a faulted cell sees at least one.
+        starts = [e.start for e in spans._fault.epochs[1:] if e.start < spans.now]
+        assert [c for c, _ in spans._fault.marks] == starts
+        assert spans._fault.applied_events >= 1
+        if cell.get("window"):
+            # A fault marker in a measured window feeds recovery
+            # analytics into the fault result, and only then.
+            marked = any(w["faults"] for w in first.seen["windows"]["windows"])
+            assert (spans.fault_result.recovery is not None) == marked
+            assert ("fault_recovery_cycles" in spans.fault_result.summary()) == marked
+    if cell.get("workload"):
+        result = first.result
+        assert result.finished or result.cycles == cell["max_cycles"]
+    assert_same_state(spans, runs["kernel steps"].sim)
+    assert_same_state(spans, runs["numpy steps"].sim, rows=False)
+    for name in ("spans", "kernel steps", "numpy steps"):
+        assert_flits_conserved(runs[name].sim, ref, name)
+    _check_observed(first.seen, first.result, cell.get("window"))
+    return runs
+
+
+def _check_observed(seen, result, window):
+    """What the observers saw covers exactly the measured cycles."""
+    cycles = result.cycles
+    if "occupancy" in seen:
+        assert seen["occupancy"][0] == (cycles + 7) // 8  # cycles 1, 9, 17, ...
+    if "windows" in seen:
+        windows = seen["windows"]["windows"]
+        bounds = [(w["start"], w["end"]) for w in windows]
+        assert bounds == [
+            (s, min(s + window, cycles)) for s in range(0, cycles, window)
+        ]
+        assert sum(w["ejected"] for w in windows) == result.ejected_flits

@@ -97,7 +97,7 @@ class TestErrors:
         [
             pytest.param(registry, spec, cause, id=name)
             for name, registry, spec, cause in [
-                ("topology", TOPOLOGIES, "polarfly:q=abc", "invalid literal for int()"),
+                ("topology", TOPOLOGIES, "polarfly:q=abc", "q must be an integer, got 'abc'"),
                 ("jellyfish-r0", TOPOLOGIES, "jellyfish:n=25,p=2,r=0", "degree r=0"),
                 ("jellyfish-r1", TOPOLOGIES, "jellyfish:n=25,p=2,r=1", "degree r=1"),
                 (
@@ -154,6 +154,31 @@ class TestErrors:
                 ("halo-size-float", WORKLOADS, "halo:size=1.5", "size must be an integer"),
                 ("incast-size-negative", WORKLOADS, "incast:size=-1", "size must be >= 1"),
                 ("fault-timeline", FAULTS, "mtbf:mtbf=-3", "mtbf needs mtbf > 0"),
+            ]
+        ]
+        + [
+            # A float or bool for an int parameter (the spec's last field)
+            # is refused, not truncated into another cell's object.
+            pytest.param(
+                registry, spec,
+                f"{spec.split(':')[1].split(',')[-1].split('=')[0]} must be an integer",
+                id=f"not-int-{spec}",
+            )
+            for registry, spec in [
+                (WORKLOADS, "incast:root=1.5"),
+                (TOPOLOGIES, "polarfly:conc=2,q=5.5"),
+                (TOPOLOGIES, "polarfly:q=5,conc=2.5"),
+                (TOPOLOGIES, "hyperx:L=2,S=3.9"),
+                (TOPOLOGIES, "polarstar:q=3,sq=5.5"),
+                (TOPOLOGIES, "jellyfish:n=25,p=2,r=4,seed=7.5"),
+                (FAULTS, "linkflap:count=2.7"),
+                (FAULTS, "linkflap:cycle=300.9"),
+                (FAULTS, "routerdown:count=1.5"),
+                (FAULTS, "mtbf:seed=2.5"),
+                (TRAFFICS, "shift:offset=1.5"),
+                (TRAFFICS, "randperm:seed=2.5"),
+                (TRAFFICS, "hotspot:hotspot=1.5"),
+                (WORKLOADS, "halo:iters=true"),
             ]
         ],
     )

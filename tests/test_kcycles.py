@@ -1,300 +1,53 @@
-"""``kcycles``: whole spans of cycles in C — open loop, closed loop, faulted.
+"""``kcycles``: the edges of whole spans of cycles in C.
 
 ``FlatSimulator.advance`` may hand a span of cycles to one C call; the
-per-cycle ``step()`` path defines what that call must leave behind.  The
-contract checked here, per cell: the run (spans), a hand-written
-``step()`` loop and the reference engine give equal results, an equal
-``rng.bit_generator.state`` — and, between the two flat runs, equal
-state arrays, workload state and fault state, so a span can be followed
-by steps (or another span) as if it had been steps all along.
-``span_cycles`` says which way a run went: a silent decline costs 2-3x
-and no equivalence test would notice.
+per-cycle ``step()`` path defines what that call must leave behind.
+``tests/test_differential.py`` checks that contract on registry-drawn
+cells; this file keeps the edges a drawn cell rarely reaches: arbitration
+masks past one word, pool and sample-buffer grows inside a span, spans
+interleaved with steps, fault epochs on window edges, what declines a
+span (a silent decline costs 2-3x and no equivalence check notices), the
+draw self-test and an overlong route.
 """
-
-import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
-from hypothesis import strategies as st
 
-from repro.experiments.registry import (
-    FAULTS,
-    POLICIES,
-    TOPOLOGIES,
-    TRAFFICS,
-    WORKLOADS,
-)
+from repro.experiments import Combo, ExperimentSpec
+from repro.experiments.registry import TRAFFICS, WORKLOADS
 from repro.experiments.runner import auto_sim_config
-from repro.faults import FaultEvent, FaultTimeline, prepare_fault_policy
+from repro.faults import FaultEvent, FaultTimeline
 from repro.flitsim import FlatSimulator, NetworkSimulator
 from repro.flitsim import _kernel as kmod
 from repro.flitsim._kernel import load_kernel
 from repro.flitsim.flatcore import _PKT_CAP, _POOL_CAP
-from repro.flitsim.telemetry import (
-    run_with_timeseries,
-    run_workload_with_timeseries,
-)
+from repro.flitsim.telemetry import run_with_timeseries
 from repro.flitsim.traffic import TornadoTraffic, UniformTraffic
 from repro.routing.policies import MinimalRouting
-from repro.routing.tables import RoutingTables
-from repro.workloads.result import build_workload_result
 
-from oracles import walk_voqs
+from oracles import (
+    assert_same_result,
+    assert_same_state,
+    build,
+    four_ways,
+    run_by_steps,
+    run_workload_by_steps,
+    tables_for,
+    walk_voqs,
+)
 
 pytestmark = pytest.mark.skipif(
     load_kernel() is None or not load_kernel().select_ok,
     reason="C kernel (or its draw self-test) unavailable",
 )
 
-#: the Table V small set and the policies the benchmark simulates on each
-TABLE_V = [
-    ("polarfly:conc=2,q=7", ("min", "ugal", "ugal-pf")),
-    ("slimfly:conc=2,q=5", ("min", "ugal")),
-    ("dragonfly:a=4,h=2,p=2", ("min", "ugal")),
-    ("dragonfly:a=3,h=6,p=2", ("min", "ugal")),
-    ("jellyfish:n=57,p=2,r=8,seed=7", ("min", "ugal")),
-    ("fattree:k=4,n=3", ("ftnca",)),
-]
-COMBOS = [(topo, policy) for topo, policies in TABLE_V for policy in policies]
-PF_SPEC = TABLE_V[0][0]
-
-#: one spec per registered workload (``trace`` reads a file, see
-#: :func:`workload_spec`) and per registered fault generator, the
-#: timelines pulled inside short windows
-WORKLOAD_SPECS = {
-    "allreduce": "allreduce:algo=ring,size=64",
-    "alltoall": "alltoall:size=8",
-    "halo": "halo:iters=2,size=16",
-    "incast": "incast:reply=true,size=32",
-    "trace": "trace",
-}
-FAULT_SPECS = {
-    "linkflap": "linkflap:count=2,cycle=40,duration=45,seed=1",
-    "mtbf": "mtbf:count=3,mtbf=30,mttr=35,seed=2,start=15",
-    "progressive": "progressive:frac=0.08,steps=3,period=30,start=25,seed=4",
-    "routerdown": "routerdown:count=2,cycle=35,duration=60,seed=3",
-}
-FAULT_WINDOWS = (30, 90, 40)
-
-_memo: dict = {}
-
-
-def tables_for(spec):
-    if spec not in _memo:
-        topo = TOPOLOGIES.create(spec)
-        _memo[spec] = (topo, RoutingTables(topo))
-    return _memo[spec]
-
-
-def build(
-    topo_spec, policy_spec, traffic_spec, load, packet_size=4, seed=3,
-    engine=FlatSimulator, workload=None, faults=None,
-):
-    """One simulator; ``workload`` / ``faults`` are spec strings or objects."""
-    topo, tables = tables_for(topo_spec)
-    policy = POLICIES.create(policy_spec, tables)
-    traffic = TRAFFICS.create(traffic_spec, topo) if traffic_spec else None
-    if isinstance(workload, str):
-        workload = WORKLOADS.create(workload, topo)
-    if isinstance(faults, str):
-        faults = FAULTS.create(faults, topo)
-    if faults is not None:
-        prepare_fault_policy(policy, faults, topo)
-    config = auto_sim_config(policy, packet_size=packet_size)
-    return engine(
-        topo, policy, traffic, load, config=config, seed=seed,
-        workload=workload, faults=faults,
-    )
-
-
-def workload_spec(name, tmp_path):
-    """``WORKLOAD_SPECS[name]``; ``trace`` gets a small DAG file to replay."""
-    if name != "trace":
-        return WORKLOAD_SPECS[name]
-    topo, _ = tables_for(PF_SPEC)
-    t = [int(r) for r in np.flatnonzero(topo.concentration)[:6]]
-    # A fan-out, a fan-in on all of it, then a chain: multi-packet
-    # messages, several completing (and several released) in one cycle.
-    records = [
-        {"id": f"out{i}", "src": t[0], "dst": t[i], "size": 4 * i}
-        for i in range(1, 6)
-    ]
-    records += [
-        {"id": f"in{i}", "src": t[i], "dst": t[0], "size": 9,
-         "deps": [f"out{j}" for j in range(1, 6)]}
-        for i in range(1, 6)
-    ]
-    records += [
-        {"id": "a", "src": t[1], "dst": t[2], "size": 1, "deps": ["in1", "in5"]},
-        {"id": "b", "src": t[2], "dst": t[3], "size": 17, "deps": ["a"]},
-    ]
-    path = tmp_path / "trace.jsonl"
-    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
-    return f"trace:path={path}"
-
-
-def run_by_steps(sim, warmup, measure, drain):
-    """``SimulatorCore.run`` spelled out cycle by cycle."""
-    if sim._fault is not None:
-        sim._fault.begin_run(sim.policy)
-    for _ in range(warmup):
-        sim.step()
-    sim._measuring = True
-    start = sim.now
-    for _ in range(measure):
-        sim.step()
-    sim._stat.cycles = sim.now - start
-    sim._measuring = False
-    saved, sim.load = sim.load, 0.0
-    for _ in range(drain):
-        sim.step()
-    sim.load = saved
-    return sim._stat.finalize()
-
-
-def run_workload_by_steps(sim, max_cycles=200_000):
-    """``SimulatorCore.run_workload`` spelled out cycle by cycle."""
-    if sim._fault is not None:
-        sim._fault.begin_run(sim.policy)
-    sim._measuring = True
-    while sim.now < max_cycles and not sim._wl.done:
-        sim.step()
-    sim._stat.cycles = sim.now
-    sim._measuring = False
-    return build_workload_result(sim._wl, sim._stat.finalize(), sim.topo)
-
-
-def assert_same_result(a, b, what=""):
-    """Equal ``SimResult``\\ s or ``WorkloadResult``\\ s."""
-    assert type(a) is type(b), what
-    assert a.cycles == b.cycles, what
-    assert a.injected_flits == b.injected_flits, what
-    assert a.ejected_flits == b.ejected_flits, what
-    assert np.array_equal(a.hop_counts, b.hop_counts), what
-    if hasattr(a, "latencies"):
-        assert np.array_equal(a.latencies, b.latencies), what
-        return
-    assert np.array_equal(a.packet_latencies, b.packet_latencies), what
-    assert np.array_equal(a.msg_complete_cycles, b.msg_complete_cycles), what
-    assert np.array_equal(a.msg_latencies, b.msg_latencies), what
-    assert a.summary() == b.summary(), what
-
-
-#: arrays every entry of which is protocol state (or deterministically dead)
-WHOLE = (
-    "credits", "ep_credit", "_voq", "row_mask", "backlog", "rr", "src_head",
-    "src_tail", "pkt_dst", "pkt_msg", "pkt_measured", "route_buf", "route_port",
-    "_free_top", "_pslot_top",
-)
-#: the same under a fault timeline / of a WorkloadState / of a FaultState
-FAULT_WHOLE = ("dead_row", "pkt_live", "pkt_damaged")
-WORKLOAD_ARRAYS = (
-    "_tally", "rem_pkts", "pending", "eligible_cycle", "complete_cycle", "_inj_rr",
-)
-FAULT_FIELDS = (
-    "marks", "_next", "any_dead_router", "dropped_flits", "dropped_packets",
-    "damaged_packets", "blackholed_packets", "retransmitted_packets", "_rt_queue",
-)
-
-
-def assert_same_state(a, b, what=""):
-    """Equal simulator state, array by array.
-
-    The pool and packet-table columns start as ``np.empty`` memory, so
-    they are compared on the live rows (those not on the free stacks),
-    and the stacks — like the workload's ready queue — on their live
-    prefix.
-    """
-    assert (a.now, a.packets_injected) == (b.now, b.packets_injected), what
-    assert a.rng.bit_generator.state == b.rng.bit_generator.state, what
-    assert (a.pool_cap, a.pkt_cap) == (b.pool_cap, b.pkt_cap), what
-    for name in WHOLE + (FAULT_WHOLE if a._fault is not None else ()):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), (what, name)
-    free, slots = a.free_top, int(a._pslot_top[0])
-    assert np.array_equal(a.free_stack[:free], b.free_stack[:free]), what
-    assert np.array_equal(a._pslot_stack[:slots], b._pslot_stack[:slots]), what
-    live = np.ones(a.pool_cap, dtype=bool)
-    live[a.free_stack[:free]] = False
-    for name in ("pool_pid", "pool_seq", "pool_hop", "pool_ready", "pool_next"):
-        assert np.array_equal(getattr(a, name)[live], getattr(b, name)[live]), (
-            what, name,
-        )
-    live = np.ones(a.pkt_cap, dtype=bool)
-    live[a._pslot_stack[:slots]] = False
-    for name in ("pkt_t_created", "pkt_len"):
-        assert np.array_equal(getattr(a, name)[live], getattr(b, name)[live]), (
-            what, name,
-        )
-    if a._wl is not None:
-        for name in WORKLOAD_ARRAYS:
-            assert np.array_equal(getattr(a._wl, name), getattr(b._wl, name)), (
-                what, name,
-            )
-        queued = int(a._wl._tally[0])
-        assert np.array_equal(a._wl.ready[:queued], b._wl.ready[:queued]), what
-    if a._fault is not None:
-        for name in FAULT_FIELDS:
-            assert getattr(a._fault, name) == getattr(b._fault, name), (what, name)
-        for name in ("router_alive", "ep_alive"):
-            assert np.array_equal(
-                getattr(a._fault, name), getattr(b._fault, name)
-            ), (what, name)
-
-
-def three_ways(
-    topo_spec, policy_spec, traffic_spec, load, packet_size, seed, windows,
-    workload=None, faults=None,
-):
-    """Spans, steps and the reference engine on one cell; the span simulator.
-
-    A workload runs closed loop to completion (``windows`` unused).  Only
-    a combined cell — workload *and* faults — stays off the spans.
-    """
-    args = (topo_spec, policy_spec, traffic_spec, load, packet_size, seed)
-    modes = dict(workload=workload, faults=faults)
-    what = f"{args} {windows} {modes}"
-    spans, steps = build(*args, **modes), build(*args, **modes)
-    ref = build(*args, engine=NetworkSimulator, **modes)
-    if workload is None:
-        got, by_steps, want = (
-            spans.run(*windows), run_by_steps(steps, *windows), ref.run(*windows)
-        )
-    else:
-        got, by_steps, want = (
-            spans.run_workload(), run_workload_by_steps(steps), ref.run_workload()
-        )
-    combined = workload is not None and faults is not None
-    assert spans.span_cycles == (0 if combined else spans.now), what
-    assert_same_result(got, by_steps, what)
-    assert steps.span_cycles == 0
-    assert_same_state(spans, steps, what)
-    assert_same_result(got, want, what)
-    assert spans.rng.bit_generator.state == ref.rng.bit_generator.state, what
-    if faults is not None:
-        assert spans._fault.marks == ref._fault.marks, what
-        assert spans.fault_result.summary() == ref.fault_result.summary(), what
-    return spans
+PF_SPEC = "polarfly:conc=2,q=7"
+HALO, ALLREDUCE = "halo:iters=2,size=16", "allreduce:algo=ring,size=64"
 
 
 # ----------------------------------------------------------------------
-# (a) every Table V cell shape: spans == steps == reference
+# (a) what a drawn cell rarely reaches
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("topo_spec,policy_spec", COMBOS)
-def test_spans_match_steps_and_reference(topo_spec, policy_spec):
-    injected = 0
-    for traffic_spec in ("uniform", "tornado", "randperm"):
-        for load in (0.0, 0.5, 1.0):
-            for packet_size in (1, 4):
-                sim = three_ways(
-                    topo_spec, policy_spec, traffic_spec, load, packet_size,
-                    seed=3, windows=(20, 50, 30),
-                )
-                assert (sim.packets_injected > 0) == (load > 0)
-                injected += sim.packets_injected
-    assert injected > 1000
-
-
 @pytest.mark.parametrize("conc", [55, 56, 57])
 def test_input_masks_up_to_and_past_one_word(conc):
     """I = 63 / 64 / 65 input ports: ``row_mask`` rows of one word, one
@@ -304,10 +57,11 @@ def test_input_masks_up_to_and_past_one_word(conc):
     the round-robin pointers travel the whole port range — across the
     word boundary and around the partial last word.
     """
-    sim = three_ways(
-        f"polarfly:conc={conc},q=7", "ugal-pf", "tornado", 0.9, 4, seed=3,
-        windows=(20, 150, 30),
+    spec = ExperimentSpec(
+        combos=(Combo(f"polarfly:conc={conc},q=7", "ugal-pf", "tornado"),),
+        loads=(0.9,), warmup=20, measure=150, drain=30, root_seed=3,
     )
+    sim = four_ways(spec.cells()[0])["spans"].sim
     fab = sim.fab
     assert fab.I == conc + 8
     assert sim.row_mask.shape == (fab.n * fab.O, 2 if conc == 57 else 1)
@@ -416,43 +170,6 @@ def test_bind_refuses_a_relaid_voq_record_or_mask_buffer(struct, attr, field, re
             owner._bind(**{field: bad})
 
 
-def test_spec_tables_cover_every_registered_generator():
-    assert set(WORKLOAD_SPECS) == set(WORKLOADS.names())
-    assert set(FAULT_SPECS) == set(FAULTS.names())
-
-
-@pytest.mark.parametrize("policy_spec", ["min", "ugal-pf"])
-@pytest.mark.parametrize("name", sorted(WORKLOAD_SPECS))
-def test_closed_loop_spans_match_steps_and_reference(name, policy_spec, tmp_path):
-    sim = three_ways(
-        PF_SPEC, policy_spec, None, 0.0, 4, seed=3, windows=None,
-        workload=workload_spec(name, tmp_path),
-    )
-    assert sim.workload_result.finished and sim.span_cycles == sim.now > 0
-
-
-@pytest.mark.parametrize("policy_spec", ["min", "ugal-pf"])
-@pytest.mark.parametrize("name", sorted(FAULT_SPECS))
-def test_faulted_spans_match_steps_and_reference(name, policy_spec):
-    sim = three_ways(
-        PF_SPEC, policy_spec, "uniform", 0.6, 4, seed=3, windows=FAULT_WINDOWS,
-        faults=FAULT_SPECS[name],
-    )
-    fault = sim._fault
-    assert fault.applied_events == len(fault.epochs) - 1 >= 2
-    assert fault.dropped_flits > 0
-    if name == "routerdown":
-        assert fault.blackholed_packets > 0
-
-
-def test_combined_cell_keeps_the_per_cycle_path():
-    three_ways(
-        PF_SPEC, "ugal-pf", None, 0.0, 4, seed=3, windows=None,
-        workload=WORKLOAD_SPECS["allreduce"],
-        faults="linkflap:count=3,cycle=120,duration=250,seed=5",
-    )
-
-
 def test_saturation_forces_grow_and_flush_returns_mid_span():
     args = (PF_SPEC, "min", "tornado", 1.0)
     spans, steps = build(*args), build(*args)
@@ -506,7 +223,7 @@ def test_spans_and_steps_interleave():
 
 def test_closed_loop_spans_and_steps_interleave():
     mixed, steps = (
-        build(PF_SPEC, "ugal-pf", None, 0.0, workload=WORKLOAD_SPECS["halo"])
+        build(PF_SPEC, "ugal-pf", None, 0.0, workload=HALO)
         for _ in range(2)
     )
     mixed._measuring = steps._measuring = True
@@ -521,19 +238,6 @@ def test_closed_loop_spans_and_steps_interleave():
         steps.step()
     assert_same_result(mixed._stat.finalize(), steps._stat.finalize())
     assert_same_state(mixed, steps)
-
-
-def test_link_telemetry_counts_inside_spans():
-    args = (PF_SPEC, "min", "uniform", 0.6)
-    spans, steps = build(*args), build(*args)
-    for sim in (spans, steps):
-        sim.attach_link_telemetry(windowed=True)
-    spans.run(40, 80, 40)
-    run_by_steps(steps, 40, 80, 40)
-    assert spans.span_cycles == 160
-    assert spans.link_flit_counts() == steps.link_flit_counts()
-    assert spans.link_flit_counts()
-    assert spans.flush_window_link_counts() == steps.flush_window_link_counts()
 
 
 # ----------------------------------------------------------------------
@@ -628,23 +332,6 @@ def test_subclasses_decline(policy_of, traffic_of):
     assert_same_result(got, want)
 
 
-def test_permutation_subclass_with_stock_dest_routers_qualifies():
-    sim = build(PF_SPEC, "min", "perm2hop:seed=1", 0.5)
-    steps = build(PF_SPEC, "min", "perm2hop:seed=1", 0.5)
-    assert_same_result(sim.run(*WINDOWS), run_by_steps(steps, *WINDOWS))
-    assert sim.span_cycles == sum(WINDOWS)
-    assert_same_state(sim, steps)
-
-
-@pytest.mark.parametrize("traffic_spec", ["hotspot:fraction=0.2", "bitcomp"])
-def test_other_traffic_families(traffic_spec):
-    sim = build(PF_SPEC, "ugal", traffic_spec, 0.5)
-    steps = build(PF_SPEC, "ugal", traffic_spec, 0.5)
-    assert_same_result(sim.run(*WINDOWS), run_by_steps(steps, *WINDOWS))
-    # Hotspot draws its own stream; bit-complement is a stock permutation.
-    assert sim.span_cycles == (0 if traffic_spec.startswith("hotspot") else sum(WINDOWS))
-
-
 def test_subclass_declines_closed_loop():
     # The closed-loop half of test_subclasses_decline: no compiled
     # selector for a subclass, so no span on a workload either, and the
@@ -655,7 +342,7 @@ def test_subclass_declines_closed_loop():
         policy = TweakedMinimal(tables)
         sims.append(engine(
             topo, policy, None, 0.0, config=auto_sim_config(policy, packet_size=4),
-            seed=3, workload=WORKLOADS.create(WORKLOAD_SPECS["halo"], topo),
+            seed=3, workload=WORKLOADS.create(HALO, topo),
         ))
     flat, ref = sims
     assert_same_result(flat.run_workload(), ref.run_workload())
@@ -704,7 +391,7 @@ def test_epochs_on_window_edges_apply_on_the_cycle_step_applies_them():
 def test_alltoall_burst_grows_scratch_and_pools_inside_a_span():
     args = (PF_SPEC, "ugal-pf", None, 0.0)
     spans, steps = (
-        build(*args, workload=WORKLOAD_SPECS["alltoall"]) for _ in range(2)
+        build(*args, workload="alltoall:size=8") for _ in range(2)
     )
     for sim in (spans, steps):
         sim.attach_link_telemetry(windowed=True)
@@ -730,7 +417,7 @@ def test_alltoall_burst_grows_scratch_and_pools_inside_a_span():
 def test_max_cycles_before_completion_is_unfinished_at_the_same_cycle():
     budget = 200
     sims = [
-        build(PF_SPEC, "min", None, 0.0, workload=WORKLOAD_SPECS["allreduce"],
+        build(PF_SPEC, "min", None, 0.0, workload=ALLREDUCE,
               engine=engine)
         for engine in (FlatSimulator, FlatSimulator, NetworkSimulator)
     ]
@@ -742,24 +429,10 @@ def test_max_cycles_before_completion_is_unfinished_at_the_same_cycle():
     assert_same_result(got, sims[2].run_workload(max_cycles=budget))
 
 
-def test_observed_closed_loop_run_keeps_its_spans():
-    spans, ref = (
-        build(PF_SPEC, "ugal-pf", None, 0.0, workload=WORKLOAD_SPECS["allreduce"],
-              engine=engine)
-        for engine in (FlatSimulator, NetworkSimulator)
-    )
-    got, series = run_workload_with_timeseries(spans, window=64)
-    want, ref_series = run_workload_with_timeseries(ref, window=64)
-    assert spans.span_cycles == got.cycles == spans.now
-    assert_same_result(got, want)
-    assert len(series.windows) == -(-got.cycles // 64)
-    assert series.summary() == ref_series.summary()
-
-
 def test_advance_across_an_epoch_start_steps_instead():
     # The run loop never asks for such a stretch; a direct caller gets
     # the per-cycle path, not a span that skips the epoch.
-    faults = FAULT_SPECS["linkflap"]
+    faults = "linkflap:count=2,cycle=40,duration=45,seed=1"
     mixed, steps = (
         build(PF_SPEC, "min", "uniform", 0.6, faults=faults) for _ in range(2)
     )
@@ -827,41 +500,3 @@ def test_overlong_route_raises_like_the_per_cycle_path():
     assert spans.now == steps.now
     assert spans.rng.bit_generator.state == steps.rng.bit_generator.state
     assert int(spans._pslot_top[0]) == int(steps._pslot_top[0]) == spans.pkt_cap
-
-
-# ----------------------------------------------------------------------
-# (c) generated cells
-# ----------------------------------------------------------------------
-@given(
-    combo=st.sampled_from(COMBOS),
-    traffic_spec=st.sampled_from(
-        ["uniform", "tornado", "randperm:seed=2", "bitcomp", "shift:offset=3"]
-    ),
-    workload=st.sampled_from(
-        [None, None, "allreduce:algo=rd,size=24", "halo:iters=1,size=9",
-         "incast:reply=true,size=6"]
-    ),
-    faults=st.sampled_from([None, None, *FAULT_SPECS.values()]),
-    load=st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
-    packet_size=st.integers(min_value=1, max_value=5),
-    windows=st.tuples(
-        st.integers(min_value=0, max_value=40),
-        st.integers(min_value=1, max_value=60),
-        st.integers(min_value=0, max_value=40),
-    ),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-@settings(
-    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
-def test_generated_cells_agree_three_ways(
-    combo, traffic_spec, workload, faults, load, packet_size, windows, seed
-):
-    # FT-NCA has no fault repair (its retable raises).
-    assume(not (faults and combo[1] == "ftnca"))
-    if workload is not None:
-        traffic_spec = None
-    three_ways(
-        *combo, traffic_spec, load, packet_size, seed, windows,
-        workload=workload, faults=faults,
-    )

@@ -14,7 +14,7 @@ from oracles import (
 )
 
 from repro.experiments.registry import TOPOLOGIES
-from repro.routing.tables import RoutingTables
+from repro.routing.tables import RoutingTables, _count_dtype, _value_dtype
 from repro.topologies.base import Topology
 from repro.utils.graph import Graph
 
@@ -82,3 +82,19 @@ class TestCandidateBuilderDtypeEdges:
         tab = RoutingTables(Topology("wide", graph, 1))._candidate_table()
         assert tab.count.dtype == np.uint16
         assert tab.count[0 * graph.n + 1] == 300
+
+    @pytest.mark.parametrize(
+        "narrow,size,dtype",
+        [
+            # router ids 0..n-1 and -1: int16 up to its max, then int32
+            (_value_dtype, 32_767, np.int16),
+            (_value_dtype, 32_768, np.int32),
+            # candidate counts up to the max degree: uint8, uint16, uint32
+            (_count_dtype, 255, np.uint8),
+            (_count_dtype, 256, np.uint16),
+            (_count_dtype, 65_535, np.uint16),
+            (_count_dtype, 65_536, np.uint32),
+        ],
+    )
+    def test_narrow_dtypes_switch_at_their_ceilings(self, narrow, size, dtype):
+        assert narrow(size) is dtype

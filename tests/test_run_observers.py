@@ -1,16 +1,11 @@
 """One run loop with observers: what watching a run may and may not change.
 
 Every entry point is ``SimulatorCore._drive``; link counters, occupancy
-sampling and window records ride it as observers.  The contract, on each
-of the three cycle paths (reference engine, numpy flat path, C kernel):
+sampling and window records ride it as observers, compared across the
+four cycle paths in ``tests/test_differential.py``.  Here, on each of
+the three engines (reference, numpy flat path, C kernel):
 
-* whatever is attached, the ``SimResult`` and the generator end where the
-  plain ``run()`` leaves them;
-* what the observers collected is equal across the three paths;
-* on the kernel path every cycle still runs inside ``kcycles`` — the
-  driver advances from wake-up to wake-up instead of stepping — also
-  when ``measure`` is a multiple of neither ``window`` nor
-  ``sample_every``;
+* the public observed runs keep their spans;
 * closed loop, a windowed run returns the plain ``run_workload()``'s
   ``WorkloadResult``;
 * the lifecycle guards of ``run()`` hold on all five entry points.
@@ -18,18 +13,10 @@ of the three cycle paths (reference engine, numpy flat path, C kernel):
 
 import contextlib
 
-import numpy as np
 import pytest
 
-from repro.experiments.registry import (
-    FAULTS,
-    POLICIES,
-    TOPOLOGIES,
-    TRAFFICS,
-    WORKLOADS,
-)
-from repro.experiments.runner import auto_sim_config, simulate_point
-from repro.faults import prepare_fault_policy
+from repro.experiments.registry import POLICIES, TRAFFICS
+from repro.experiments.runner import simulate_point
 from repro.flitsim import (
     FlatSimulator,
     NetworkSimulator,
@@ -38,26 +25,15 @@ from repro.flitsim import (
     run_workload_with_timeseries,
 )
 from repro.flitsim._kernel import load_kernel
-from repro.flitsim.telemetry import LinkCounts, OccupancySampler, WindowCloser
-from repro.routing.tables import RoutingTables
+
+from oracles import assert_same_result, build, tables_for
 
 #: 150 = 2 * 64 + 22 = 18 * 8 + 6: the last window and the last sampling
 #: interval are both cut short by the end of the measure phase
 PHASES = dict(warmup=60, measure=150, drain=50)
 FAULT_SPEC = "linkflap:count=3,cycle=30,duration=120,seed=1"
 
-CELLS = [
-    ("polarfly:conc=2,q=7", "ugal-pf", 0.5),
-    ("slimfly:conc=2,q=5", "min", 0.4),
-]
-
-OBSERVER_SETS = {
-    "none": (),
-    "links": (LinkCounts,),
-    "occupancy": (OccupancySampler,),
-    "windows": (WindowCloser,),
-    "all": (LinkCounts, OccupancySampler, WindowCloser),
-}
+CELL = ("polarfly:conc=2,q=7", "ugal-pf", 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -69,104 +45,16 @@ def paths(flat_variants):
     ]
 
 
-_memo: dict = {}
-
-
-def build(engine, topo_spec, policy_spec, load=0.0, fault_spec=None, workload_spec=None):
-    if topo_spec not in _memo:
-        topo = TOPOLOGIES.create(topo_spec)
-        _memo[topo_spec] = (topo, RoutingTables(topo))
-    topo, tables = _memo[topo_spec]
-    policy = POLICIES.create(policy_spec, tables)
-    faults = None
-    if fault_spec:
-        faults = FAULTS.create(fault_spec, topo)
-        prepare_fault_policy(policy, faults, topo)
-    workload = WORKLOADS.create(workload_spec, topo) if workload_spec else None
-    traffic = None if workload_spec else TRAFFICS.create("uniform", topo)
-    return engine(
-        topo, policy, traffic, load, config=auto_sim_config(policy), seed=7,
-        faults=faults, workload=workload,
-    )
-
-
-def assert_same_result(a, b, what=""):
-    assert a.cycles == b.cycles, what
-    assert a.injected_flits == b.injected_flits, what
-    assert a.ejected_flits == b.ejected_flits, what
-    assert np.array_equal(a.latencies, b.latencies), what
-    assert np.array_equal(a.hop_counts, b.hop_counts), what
-
-
-def collected(observers) -> dict:
-    """What a set of observers gathered, keyed by observer type."""
-    out = {}
-    for ob in observers:
-        if isinstance(ob, LinkCounts):
-            out["links"] = ob.counts
-        elif isinstance(ob, OccupancySampler):
-            out["occupancy"] = (ob.samples, ob.mean)
-        else:
-            out["windows"] = ob.series.summary()
-    return out
-
-
-@pytest.mark.parametrize("observer_set", OBSERVER_SETS)
-@pytest.mark.parametrize("topo_spec,policy_spec,load", CELLS)
-def test_observers_leave_the_run_alone(
-    paths, topo_spec, policy_spec, load, observer_set
-):
-    seen = {}
-    for label, engine, ctx, spans in paths:
-        what = f"{label} {observer_set}"
-        with ctx():
-            plain = build(engine, topo_spec, policy_spec, load)
-            sim = build(engine, topo_spec, policy_spec, load)
-        want = plain.run(**PHASES)
-        observers = [make() for make in OBSERVER_SETS[observer_set]]
-        got = sim._drive(**PHASES, observers=observers)
-        assert_same_result(got, want, what)
-        assert sim.rng.bit_generator.state == plain.rng.bit_generator.state, what
-        assert sim.now == plain.now == sum(PHASES.values()), what
-        if spans:
-            assert sim.span_cycles == sum(PHASES.values()), what
-        seen[label] = collected(observers)
-    first, *rest = seen.values()
-    for other in rest:
-        assert other == first
-    if "links" in first:
-        assert first["links"]
-    if "occupancy" in first:
-        samples, mean = first["occupancy"]
-        assert samples == 19 and mean  # cycles 1, 9, ..., 145 of 150
-    if "windows" in first:
-        bounds = [(w["start"], w["end"]) for w in first["windows"]["windows"]]
-        assert bounds == [(0, 64), (64, 128), (128, 150)]
-        counts = [w["occupancy"]["count"] for w in first["windows"]["windows"]]
-        assert counts == [8, 8, 3]
-
-
 def test_public_observed_runs_keep_their_spans():
     if load_kernel() is None or not load_kernel().select_ok:
         pytest.skip("C kernel (or its draw self-test) unavailable")
-    topo_spec, policy_spec, load = CELLS[0]
-    sim = build(FlatSimulator, topo_spec, policy_spec, load)
+    topo_spec, policy_spec, load = CELL
+    sim = build(topo_spec, policy_spec, "uniform", load, seed=7)
     run_with_telemetry(sim, warmup=60, measure=150, sample_every=8)
     assert sim.span_cycles == sim.now == 210
-    sim = build(FlatSimulator, topo_spec, policy_spec, load)
+    sim = build(topo_spec, policy_spec, "uniform", load, seed=7)
     run_with_timeseries(sim, window=64, **PHASES)
     assert sim.span_cycles == sim.now == 260
-
-
-def assert_same_workload_result(a, b, what=""):
-    assert a.summary() == b.summary(), what
-    assert (a.cycles, a.injected_flits, a.ejected_flits) == (
-        b.cycles, b.injected_flits, b.ejected_flits,
-    ), what
-    for name in (
-        "msg_latencies", "packet_latencies", "hop_counts", "msg_complete_cycles",
-    ):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), (what, name)
 
 
 @pytest.mark.parametrize(
@@ -177,17 +65,18 @@ def assert_same_workload_result(a, b, what=""):
 def test_windowed_workload_equals_plain_run_workload(
     paths, workload_spec, fault_spec
 ):
-    topo_spec = CELLS[0][0]
+    topo_spec = CELL[0]
     series = {}
     for label, engine, ctx, _ in paths:
         with ctx():
-            plain = build(engine, topo_spec, "ugal-pf", fault_spec=fault_spec,
-                          workload_spec=workload_spec)
-            sim = build(engine, topo_spec, "ugal-pf", fault_spec=fault_spec,
-                        workload_spec=workload_spec)
+            plain, sim = (
+                build(topo_spec, "ugal-pf", None, 0.0, seed=7, engine=engine,
+                      workload=workload_spec, faults=fault_spec)
+                for _ in range(2)
+            )
         want = plain.run_workload()
         got, windows = run_workload_with_timeseries(sim, window=64)
-        assert_same_workload_result(got, want, label)
+        assert_same_result(got, want, label)
         assert sim.rng.bit_generator.state == plain.rng.bit_generator.state, label
         assert windows.windows[-1]["end"] == got.cycles
         if fault_spec:
@@ -205,13 +94,12 @@ def test_windowed_workload_equals_plain_run_workload(
 # ----------------------------------------------------------------------
 # Lifecycle guards: the one driver gives every entry point run()'s
 # ----------------------------------------------------------------------
-def _open(topo_spec=CELLS[0][0], **kwargs):
-    return build(FlatSimulator, topo_spec, "min", 0.3, **kwargs)
+def _open(faults=None):
+    return build(CELL[0], "min", "uniform", 0.3, seed=7, faults=faults)
 
 
-def _closed(**kwargs):
-    return build(FlatSimulator, CELLS[0][0], "min", workload_spec="alltoall:size=8",
-                 **kwargs)
+def _closed():
+    return build(CELL[0], "min", None, 0.0, seed=7, workload="alltoall:size=8")
 
 
 SHORT = dict(warmup=10, measure=20)
@@ -277,9 +165,9 @@ def test_bad_argument_names_the_field(entry, bad, field):
 
 
 def test_faulted_run_with_telemetry_goes_through_begin_run():
-    plain = _open(fault_spec=FAULT_SPEC)
+    plain = _open(faults=FAULT_SPEC)
     plain.run(warmup=60, measure=150, drain=0)
-    sim = _open(fault_spec=FAULT_SPEC)
+    sim = _open(faults=FAULT_SPEC)
     res, tel = run_with_telemetry(sim, warmup=60, measure=150)
     assert sim.fault_result is not None
     assert sim.fault_result.summary() == plain.fault_result.summary()
@@ -291,9 +179,8 @@ def test_faulted_run_with_telemetry_goes_through_begin_run():
 
 
 def test_simulate_point_link_telemetry_on_the_reference_engine():
-    topo_spec, policy_spec, load = CELLS[0]
-    topo = TOPOLOGIES.create(topo_spec)
-    tables = RoutingTables(topo)
+    topo_spec, policy_spec, load = CELL
+    topo, tables = tables_for(topo_spec)
     maps = []
     for engine in ("reference", "flat"):
         res = simulate_point(

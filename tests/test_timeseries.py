@@ -1,13 +1,9 @@
-"""Windowed time-series telemetry: tri-engine bit-identity + analytics.
+"""Windowed time-series telemetry: non-perturbation + analytics.
 
-The golden contract: `run_with_timeseries` / `run_workload_with_timeseries`
-close windows at identical measure-relative cycle boundaries with
-identical accounting in the reference engine, the numpy flat path, and
-the C kernel — per-window flit/link counts, latency percentiles,
-occupancy samples, and fault markers all compare equal as whole window
-records on PolarFly q=7, in open-loop, faulted, and workload modes.
-Collecting a series must not perturb the simulation itself: the
-windowed run's SimResult is bit-identical to a plain ``run()``.
+Window records are compared across all four cycle paths, open loop,
+faulted and closed loop, in ``tests/test_differential.py``.  Collecting
+a series must not perturb the simulation itself: the windowed run's
+SimResult is bit-identical to a plain ``run()``.
 
 On top of the collector: steady-state detection, fault-recovery
 extraction, Chrome-trace export, and the ``LinkTelemetry.gini()``
@@ -16,20 +12,10 @@ idle-link universe pin.
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.experiments import FAULTS, POLICIES, WORKLOADS
-from repro.experiments.runner import auto_sim_config
-from repro.faults import prepare_fault_policy
-from repro.flitsim import (
-    FlatSimulator,
-    NetworkSimulator,
-    run_with_timeseries,
-    run_workload_with_timeseries,
-)
+from repro.flitsim import run_with_timeseries, run_workload_with_timeseries
 from repro.flitsim.telemetry import LinkTelemetry
-from repro.flitsim.traffic import UniformTraffic
 from repro.obs.timeseries import (
     TimeSeriesCollector,
     WindowSeries,
@@ -40,110 +26,12 @@ from repro.obs.timeseries import (
     write_chrome_trace,
 )
 
+from oracles import assert_same_result, build
+
 WINDOW = dict(warmup=120, measure=240, window=64, sample_every=8, drain=80)
+#: topology, policy, traffic, load
+CELL = ("polarfly:conc=2,q=7", "ugal-pf", "uniform", 0.5)
 FAULT_SPEC = "linkflap:count=3,cycle=150,duration=120,seed=1"
-
-
-def build(pf, tables, cls, policy_spec="min", load=0.5, seed=7,
-          fault_spec=None, workload_spec=None):
-    policy = POLICIES.create(policy_spec, tables)
-    faults = None
-    if fault_spec is not None:
-        faults = FAULTS.create(fault_spec, pf)
-        prepare_fault_policy(policy, faults, pf)
-    workload = (
-        WORKLOADS.create(workload_spec, pf) if workload_spec else None
-    )
-    traffic = None if workload_spec else UniformTraffic(pf)
-    return cls(
-        pf, policy, traffic, 0.0 if workload_spec else load,
-        config=auto_sim_config(policy), seed=seed, faults=faults,
-        workload=workload,
-    )
-
-
-def assert_results_identical(a, b):
-    assert a.injected_flits == b.injected_flits
-    assert a.ejected_flits == b.ejected_flits
-    assert a.cycles == b.cycles
-    assert np.array_equal(np.asarray(a.latencies), np.asarray(b.latencies))
-    assert np.array_equal(np.asarray(a.hop_counts), np.asarray(b.hop_counts))
-
-
-class TestTriEngineGolden:
-    """Per-window records bit-identical across all three cycle paths."""
-
-    @pytest.mark.parametrize(
-        "policy_spec,load", [("min", 0.5), ("ugal-pf", 0.6)],
-        ids=["min", "ugal-pf"],
-    )
-    def test_open_loop_windows_match(
-        self, pf, tables, flat_variants, policy_spec, load
-    ):
-        ref = build(pf, tables, NetworkSimulator, policy_spec, load)
-        ref_res, ref_series = run_with_timeseries(ref, **WINDOW)
-        assert len(ref_series) == 4  # ceil(240 / 64)
-        for label, ctx, expects_kernel in flat_variants:
-            with ctx():
-                flat = build(pf, tables, FlatSimulator, policy_spec, load)
-            assert (flat._kernel is not None) == expects_kernel, label
-            flat_res, flat_series = run_with_timeseries(flat, **WINDOW)
-            assert_results_identical(ref_res, flat_res)
-            # Whole window records, not just headline counts: link
-            # maps, percentiles, occupancy stats, boundaries.
-            assert flat_series.summary() == ref_series.summary(), label
-        # Windows tile the measure phase exactly, deltas conserve.
-        bounds = [(w["start"], w["end"]) for w in ref_series.windows]
-        assert bounds == [(0, 64), (64, 128), (128, 192), (192, 240)]
-        assert (
-            sum(w["ejected"] for w in ref_series.windows)
-            == ref_res.ejected_flits
-        )
-        assert all(w["link_total"] > 0 for w in ref_series.windows)
-
-    def test_faulted_windows_match_and_carry_markers(
-        self, pf, tables, flat_variants
-    ):
-        ref = build(pf, tables, NetworkSimulator, "ugal-pf", load=0.4,
-                    fault_spec=FAULT_SPEC)
-        _, ref_series = run_with_timeseries(ref, **WINDOW)
-        assert ref_series.fault_cycles(), "events must land in measure"
-        for label, ctx, _ in flat_variants:
-            with ctx():
-                flat = build(pf, tables, FlatSimulator, "ugal-pf", load=0.4,
-                             fault_spec=FAULT_SPEC)
-            _, flat_series = run_with_timeseries(flat, **WINDOW)
-            assert flat_series.summary() == ref_series.summary(), label
-            assert flat._fault.dropped_flits > 0, label
-            # The series feeds recovery analytics into the fault result.
-            assert flat.fault_result.recovery is not None
-            summary = flat.fault_result.summary()
-            assert "fault_recovery_cycles" in summary
-
-    def test_workload_windows_match(self, pf, tables, flat_variants):
-        wl = "allreduce:algo=ring,size=64"
-        ref = build(pf, tables, NetworkSimulator, "ugal-pf",
-                    workload_spec=wl)
-        ref_res, ref_series = run_workload_with_timeseries(
-            ref, window=64, sample_every=8
-        )
-        assert len(ref_series) >= 2
-        for label, ctx, _ in flat_variants:
-            with ctx():
-                flat = build(pf, tables, FlatSimulator, "ugal-pf",
-                             workload_spec=wl)
-            flat_res, flat_series = run_workload_with_timeseries(
-                flat, window=64, sample_every=8
-            )
-            assert flat_series.summary() == ref_series.summary(), label
-            assert flat_res.cycles == ref_res.cycles
-        # The final (possibly partial) window ends at the completion
-        # cycle and the deltas cover every ejected flit.
-        assert ref_series.windows[-1]["end"] == ref_res.cycles
-        assert (
-            sum(w["ejected"] for w in ref_series.windows)
-            == ref_res.ejected_flits
-        )
 
 
 class TestNonPerturbation:
@@ -151,25 +39,28 @@ class TestNonPerturbation:
 
     @pytest.mark.parametrize("fault_spec", [None, FAULT_SPEC],
                              ids=["clean", "faulted"])
-    def test_windowed_result_equals_plain_run(self, pf, tables, fault_spec):
-        plain = build(pf, tables, FlatSimulator, "ugal-pf",
-                      fault_spec=fault_spec)
+    def test_windowed_result_equals_plain_run(self, fault_spec):
+        plain = build(*CELL, seed=7, faults=fault_spec)
         plain_res = plain.run(warmup=120, measure=240, drain=80)
-        windowed = build(pf, tables, FlatSimulator, "ugal-pf",
-                         fault_spec=fault_spec)
+        windowed = build(*CELL, seed=7, faults=fault_spec)
         win_res, series = run_with_timeseries(windowed, **WINDOW)
-        assert_results_identical(plain_res, win_res)
+        assert_same_result(plain_res, win_res)
         assert len(series) == 4
+        assert all(w["link_total"] > 0 for w in series.windows)
         if fault_spec:
             a, b = plain.fault_result.summary(), windowed.fault_result.summary()
             # The windowed run adds recovery keys on top of an otherwise
-            # identical summary.
+            # identical summary: the series feeds recovery analytics
+            # into the fault result.
             assert {k: v for k, v in b.items()
                     if not k.startswith("fault_recovery_")} == a
             assert "fault_recovery_cycles" not in a
+            assert series.fault_cycles() and "fault_recovery_cycles" in b
+            assert windowed.fault_result.recovery is not None
+            assert windowed._fault.dropped_flits > 0
 
-    def test_rejects_wrong_loop_kind(self, pf, tables):
-        open_loop = build(pf, tables, FlatSimulator)
+    def test_rejects_wrong_loop_kind(self):
+        open_loop = build(*CELL)
         with pytest.raises(RuntimeError):
             run_workload_with_timeseries(open_loop)
         with pytest.raises(TypeError):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.utils import check_in_range, check_positive_int, check_probability, make_rng
+from repro.utils import make_rng
 from repro.utils.validation import check_cycle_count
 
 
@@ -23,37 +23,12 @@ class TestMakeRng:
 
 
 class TestValidation:
-    def test_positive_int_ok(self):
-        assert check_positive_int(5, "x") == 5
-        assert check_positive_int(np.int64(3), "x") == 3
-
-    def test_positive_int_rejects_zero_negative(self):
-        with pytest.raises(ValueError):
-            check_positive_int(0, "x")
-        with pytest.raises(ValueError):
-            check_positive_int(-2, "x")
-
-    def test_positive_int_rejects_fractional(self):
-        with pytest.raises(TypeError):
-            check_positive_int(2.5, "x")
-
-    def test_probability(self):
-        assert check_probability(0.5, "p") == 0.5
-        assert check_probability(0, "p") == 0.0
-        with pytest.raises(ValueError):
-            check_probability(1.5, "p")
-
     @pytest.mark.parametrize("bad", [0, -3, 2.5, None, "64"])
     def test_cycle_count_names_the_field(self, bad):
         check_cycle_count(np.int64(64), "window")
         check_cycle_count(0, "drain", floor=0)
         with pytest.raises(ValueError, match="^window must be an integer >= 1, got"):
             check_cycle_count(bad, "window")
-
-    def test_in_range(self):
-        assert check_in_range(3, 1, 5, "v") == 3
-        with pytest.raises(ValueError):
-            check_in_range(9, 1, 5, "v")
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -226,6 +226,23 @@ class TestValidation:
         with pytest.raises(ValueError, match=">= 1"):
             Workload("bad", [Message(0, 1, 0)])
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda pf: ring_allreduce(pf, size=2.5),
+            lambda pf: all_to_all(pf, size=2.5),
+            lambda pf: all_to_all(pf, size=True),
+            lambda pf: incast(pf, size=True),
+            lambda pf: halo_exchange(pf, iters=1.5),
+        ],
+        ids=["ring-float", "alltoall-float", "alltoall-bool", "incast-bool",
+             "halo-iters-float"],
+    )
+    def test_generator_sizes_must_be_integers(self, pf, make):
+        # The Python API refuses what the registry refuses in spec strings.
+        with pytest.raises(ValueError, match=r"^(size|iters) must be an integer"):
+            make(pf)
+
     def test_dep_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Workload("bad", [Message(0, 1, 4, (7,))])

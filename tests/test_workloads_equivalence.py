@@ -1,19 +1,15 @@
-"""Golden equivalence for the closed-loop path.
+"""The closed-loop path outside the cycle-path comparison.
 
-The workload engine's acceptance contract: for the same seed, the flat
-engine — on **both** cycle paths, pure numpy and the C kernel (when a
-compiler is present) — and the reference (dict-of-deques) engine return
-**bit-identical** :class:`~repro.workloads.WorkloadResult`\\ s on
-PolarFly q=7 across *every* registered workload generator (trace replay
-included), and workload sweeps are deterministic across worker counts
-and cache round trips.
+Every registered workload runs on all four cycle paths in
+``tests/test_differential.py``.  Here: a run's lifecycle, seed
+determinism, partial progress at ``max_cycles``, and workload sweeps
+deterministic across worker counts and cache round trips.
 """
 
 import numpy as np
 import pytest
 
 from repro.experiments import (
-    Combo,
     ExperimentSpec,
     POLICIES,
     ResultCache,
@@ -23,78 +19,9 @@ from repro.experiments import (
 from repro.experiments.runner import auto_sim_config, simulate_workload
 from repro.flitsim import FlatSimulator, NetworkSimulator
 
+from oracles import assert_same_result
+
 PF_SPEC = "polarfly:conc=2,q=7"
-
-
-@pytest.fixture(scope="module")
-def trace_path(tmp_path_factory, pf):
-    """A small diamond-DAG trace on terminal routers."""
-    t = np.flatnonzero(pf.concentration > 0)
-    path = tmp_path_factory.mktemp("traces") / "diamond.jsonl"
-    lines = [
-        f'{{"id": 0, "src": {t[0]}, "dst": {t[5]}, "size": 12}}',
-        f'{{"id": 1, "src": {t[5]}, "dst": {t[9]}, "size": 6, "deps": [0]}}',
-        f'{{"id": 2, "src": {t[5]}, "dst": {t[11]}, "size": 6, "deps": [0]}}',
-        f'{{"id": 3, "src": {t[9]}, "dst": {t[0]}, "size": 4, "deps": [1, 2]}}',
-    ]
-    path.write_text("\n".join(lines))
-    return str(path)
-
-
-def workload_specs(trace_path):
-    """Every registered workload as a (spec, extra-kwargs) pair."""
-    return [
-        ("allreduce:algo=ring,size=64", {}),
-        ("allreduce:algo=rd,size=16", {}),
-        ("alltoall:size=8", {}),
-        ("halo:iters=2,size=16", {}),
-        ("incast:reply=true,size=32", {}),
-        ("trace", {"path": trace_path}),
-    ]
-
-
-def assert_identical(a, b):
-    assert a.cycles == b.cycles
-    assert a.finished == b.finished
-    assert a.completed_messages == b.completed_messages
-    assert a.injected_flits == b.injected_flits
-    assert a.ejected_flits == b.ejected_flits
-    assert a.flit_hops == b.flit_hops
-    assert np.array_equal(a.msg_latencies, b.msg_latencies)
-    assert np.array_equal(a.msg_complete_cycles, b.msg_complete_cycles)
-    assert np.array_equal(a.packet_latencies, b.packet_latencies)
-    assert np.array_equal(a.hop_counts, b.hop_counts)
-    assert a.summary() == b.summary()
-
-
-def test_specs_cover_every_registered_workload(trace_path):
-    tested = {s.split(":")[0] for s, _ in workload_specs(trace_path)}
-    assert tested == set(WORKLOADS.names()), (
-        "equivalence grid must cover every registered workload"
-    )
-
-
-@pytest.mark.parametrize("policy_spec", ["min", "ugal-pf"])
-def test_flat_matches_reference_all_workloads(
-    pf, tables, flat_variants, trace_path, policy_spec
-):
-    policy = POLICIES.create(policy_spec, tables)
-    cfg = auto_sim_config(policy)
-    for wspec, kwargs in workload_specs(trace_path):
-        wl = WORKLOADS.create(wspec, pf, **kwargs)
-        ref = NetworkSimulator(
-            pf, policy, None, 0.0, config=cfg, seed=7, workload=wl
-        ).run_workload(max_cycles=100_000)
-        assert ref.finished, wspec
-        for label, ctx, expect_kernel in flat_variants:
-            with ctx():
-                sim = FlatSimulator(
-                    pf, policy, None, 0.0, config=cfg, seed=7, workload=wl
-                )
-            assert (sim._kernel is not None) == expect_kernel, (
-                f"{label} must {'use' if expect_kernel else 'skip'} the C kernel"
-            )
-            assert_identical(ref, sim.run_workload(max_cycles=100_000))
 
 
 @pytest.mark.parametrize("engine", [NetworkSimulator, FlatSimulator])
@@ -115,7 +42,7 @@ def test_same_seed_is_deterministic(pf, tables):
     wl = WORKLOADS.create("allreduce:algo=ring,size=64", pf)
     a = simulate_workload(pf, policy, wl, seed=3)
     b = simulate_workload(pf, policy, wl, seed=3)
-    assert_identical(a, b)
+    assert_same_result(a, b)
     c = simulate_workload(pf, policy, wl, seed=4)
     assert c.cycles != a.cycles or not np.array_equal(
         c.packet_latencies, a.packet_latencies
