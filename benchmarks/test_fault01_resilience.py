@@ -11,7 +11,6 @@ Jellyfish's resilience arguments are actually about — plus the drop
 accounting and the post-event latency transient.
 """
 
-import pytest
 from common import TABLE_V_SPECS, print_table, run_grid
 
 from repro.experiments import Combo

@@ -9,7 +9,6 @@ collective's completion time in cycles — the number a real training or
 HPC job experiences — plus the achieved bisection utilization.
 """
 
-import pytest
 from common import TABLE_V_SPECS, print_table, run_grid
 
 from repro.experiments import Combo

@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.topologies.base import Topology
 from repro.utils.graph import Graph
-from repro.utils.rng import make_rng
 
 __all__ = [
     "spectral_bisection",

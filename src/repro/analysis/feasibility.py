@@ -14,10 +14,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.polarfly import feasible_q_for_radix, polarfly_order
-from repro.fields.primes import is_prime_power
 from repro.topologies.hyperx import hyperx_order, hyperx_radix
 from repro.topologies.moore import moore_bound_diameter2
 from repro.topologies.slimfly import feasible_slimfly_q, slimfly_order

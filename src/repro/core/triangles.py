@@ -17,8 +17,6 @@ from __future__ import annotations
 from collections import Counter
 from math import comb
 
-import numpy as np
-
 from repro.core.layout import ClusterLayout
 from repro.core.polarfly import PolarFly
 

@@ -114,21 +114,24 @@ stays cache-resident (~460 KB at PF q=37, where the probes it replaces
 were 40 cache lines per row).  Both
 masks are kernel-only state: C ``enqueue`` sets a bit on the
 empty→non-empty edge of a queue or a row, ``kroute``'s apply clears it
-when a granted head has no successor or the row's backlog reaches 0,
+when a granted head was its queue's tail or the row's backlog reaches 0,
 and ``FlatSimulator._drop_vq`` — the one Python site that empties a VOQ
 on the kernel path — clears them with the queue.  Every mutation site,
 C and numpy, moves ``backlog`` with the queues, and
 ``tests/test_flitsim_saturation.py`` pins the three invariants after
 every cycle.
 
-A VOQ is one packed ``int32`` record ``{head + 1, tail}`` (8 bytes) in
-the ``(NV, 2)`` array ``FlatSimulator._voq``, bound as the single pointer
-``voq``; head and tail are flit-pool rows — hence the pool's loud
-2**31 - 1 row ceiling, below which ``head + 1`` fits too — and a zero
-head field is the only emptiness test.  Emptying a queue zeroes its
-record, so the array starts zeroed (``np.zeros``, no fill pass) and an
-empty VOQ is always an all-zero record; queue lengths are not stored,
-``backlog`` holds their row sums.  A flit is one 16-byte ``Flit``
+A VOQ is one ``int32`` record, its tail's flit-pool row plus one (0:
+empty), in the 1-D array ``FlatSimulator._voq``, bound as the single
+pointer ``voq`` — hence the pool's loud 2**31 - 1 row ceiling, below
+which ``tail + 1`` fits.  Chains are circular, the tail's ``next`` being
+the head, so the one record reaches both ends: enqueue links the new
+flit between tail and head, a pop relinks the tail past the old head or
+zeroes the record when the head was the tail.  Records are row-major,
+VOQ (r, in, out) at ``(r*O + out)*I + in``, so ``arbitrate`` reads a
+row's queues from consecutive addresses.  The array starts zeroed
+(``np.zeros``, no fill pass); queue lengths are not stored, ``backlog``
+holds their row sums.  A flit is one 16-byte ``Flit``
 record ``{next, pid, ready, hop, seq}`` (three ``int32``, two
 ``int16``) of the structured array ``FlatSimulator._pool``, bound as
 the single pointer ``pool``; a grant is one ``int32`` ``Grant`` record
@@ -184,8 +187,9 @@ typedef struct {
     int16_t *rev;
     int64_t *adj_indptr, *adj_indices;
     int64_t *ep_router, *ep_inport, *ep_off;
-    /* One 8-byte record {head + 1, tail} per VOQ, (router * I + in) * O
-     * + out; all zero while the queue is empty. */
+    /* One 4-byte record per VOQ, (router * O + out) * I + in: the tail's
+     * pool row plus one, 0 while the queue is empty.  The chain is
+     * circular, so the head is the tail's next. */
     int32_t *voq;
     /* Per (router, out) row, ceil(I / 64) words: bit `in` is set exactly
      * while VOQ (router, in, out) holds a flit. */
@@ -392,12 +396,6 @@ static int64_t port_of(const SimState *st, int64_t r, int64_t v)
     return lower_bound(st->adj_indices, lo, st->adj_indptr[r + 1], v) - lo;
 }
 
-/* Columns of a VOQ record and its width in int32s (8 bytes).  VQ_HEAD
- * holds the head's flit-pool row plus one, so 0 is the one emptiness
- * test; VQ_TAIL is the last row of the chain.  Emptying a queue zeroes
- * both, so an empty VOQ is always an all-zero record. */
-enum { VQ_HEAD, VQ_TAIL, VQ_REC };
-
 /* Words per row of row_mask. */
 static int64_t mask_words(const SimState *st)
 {
@@ -419,21 +417,25 @@ static int ctz64(uint64_t x)
 #endif
 }
 
-/* Append flit f to VOQ (router, in, out): record vq, row = router*O + out
- * for the backlog and the occupancy mask. */
-static void enqueue(SimState *st, int64_t vq, int64_t f, int64_t row,
-                    int64_t in)
+/* Append flit f to VOQ (router, in, out), row = router*O + out: its
+ * record is voq[row*I + in], the tail's pool row plus one (0: empty),
+ * and its chain is circular, the tail's next being the head.  The
+ * first flit links to itself; a later one goes between the tail and
+ * the head and becomes the tail. */
+static void enqueue(SimState *st, int64_t row, int64_t in, int64_t f)
 {
-    int32_t *q = st->voq + vq * VQ_REC;
-    st->pool[f].next = -1;
-    if (q[VQ_HEAD] == 0) {
-        q[VQ_HEAD] = (int32_t)(f + 1);
+    int32_t *q = st->voq + row * st->I + in;
+    Flit *fl = st->pool + f;
+    if (*q == 0) {
+        fl->next = (int32_t)f;
         st->row_mask[row * mask_words(st) + (in >> 6)] |=
             (uint64_t)1 << (in & 63);
     } else {
-        st->pool[q[VQ_TAIL]].next = (int32_t)f;
+        Flit *tail = st->pool + (*q - 1);
+        fl->next = tail->next;
+        tail->next = (int32_t)f;
     }
-    q[VQ_TAIL] = (int32_t)f;
+    *q = (int32_t)(f + 1);
     if (st->backlog[row]++ == 0)
         st->busy_rows[row >> 6] |= (uint64_t)1 << (row & 63);
 }
@@ -498,7 +500,7 @@ void kinject(SimState *st, int64_t now, int64_t k,
 void kfeed(SimState *st, int64_t now)
 {
     (void)now;
-    int64_t I = st->I, O = st->O;
+    int64_t O = st->O;
     int64_t fm = st->fault_mode;
     for (int64_t e = 0; e < st->E; e++) {
         int64_t f = st->src_head[e];
@@ -524,8 +526,7 @@ void kfeed(SimState *st, int64_t now)
         if (st->src_head[e] < 0)
             st->src_tail[e] = -1;
         st->ep_credit[e] -= 1;
-        int64_t in = st->ep_inport[e];
-        enqueue(st, (r * I + in) * O + out, f, r * O + out, in);
+        enqueue(st, r * O + out, st->ep_inport[e], f);
     }
 }
 
@@ -547,8 +548,8 @@ static int64_t arbitrate(SimState *st, int64_t r, int64_t out, int64_t now,
     if (out == OE && st->conc[r] > 1)
         limit = st->conc[r];
     const uint64_t *mask = st->row_mask + row * MW;
-    /* The row's VOQs (r, in, out), in = 0, 1, ...: O records apart. */
-    const int32_t *voq = st->voq + (r * I * O + out) * VQ_REC;
+    /* The row's VOQs (r, in, out), in = 0, 1, ...: consecutive records. */
+    const int32_t *voq = st->voq + row * I;
     const int64_t *credits = st->credits + (r * st->Dp + out) * V;
     int64_t ptr = st->rr[row];
     int64_t granted = 0, last = -1;
@@ -566,7 +567,7 @@ static int64_t arbitrate(SimState *st, int64_t r, int64_t out, int64_t now,
         }
         int64_t in = (w << 6) + ctz64(bits);
         bits &= bits - 1;
-        int32_t f = voq[in * O * VQ_REC + VQ_HEAD] - 1;
+        int32_t f = st->pool[voq[in] - 1].next;     /* the tail's next */
         const Flit *fl = st->pool + f;
         if (fl->ready > now)
             continue;
@@ -628,13 +629,15 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
         int64_t f = g->f, r = g->r, in = g->in, out = g->out;
         int64_t row = r * O + out;
         Flit *fl = st->pool + f;
-        int64_t nx = fl->next;
-        int32_t *q = st->voq + ((r * I + in) * O + out) * VQ_REC;
-        q[VQ_HEAD] = (int32_t)(nx + 1);
-        if (nx < 0) {
-            q[VQ_TAIL] = 0;
+        /* Pop the head f: the last flit empties the queue, any other
+         * is unlinked from behind the tail. */
+        int32_t *q = st->voq + row * I + in;
+        if (*q - 1 == f) {
+            *q = 0;
             st->row_mask[row * MW + (in >> 6)] &=
                 ~((uint64_t)1 << (in & 63));
+        } else {
+            st->pool[*q - 1].next = fl->next;
         }
         if (--st->backlog[row] == 0)
             st->busy_rows[row >> 6] &= ~((uint64_t)1 << (row & 63));
@@ -692,7 +695,7 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
             st->credits[(r * Dp + out) * V + dvc] -= 1;
             fl->hop = (int16_t)(hop + 1);
             fl->ready = (int32_t)(now + st->hop_latency);
-            enqueue(st, (nxt * I + in2) * O + out2, f, nxt * O + out2, in2);
+            enqueue(st, nxt * O + out2, in2, f);
         }
     }
     *n_ejected = n_ej;
@@ -1032,7 +1035,7 @@ static void sel_compact(const Selector *s, bitgen_t *bg, int64_t m,
     }
 }
 
-/* FatTreeNCARouting.select_route, packet by packet: strip digits to the
+/* FatTreeNCARouting.select_routes, packet by packet: strip digits to the
  * NCA level, one draw over the parents (the CSR slice's tail: every
  * higher-level neighbor has a larger id) per up-hop, then down through
  * the first lower-level neighbor one hop closer to dst.  Callers pass
@@ -1075,7 +1078,8 @@ static void sel_ftnca(const Selector *s, bitgen_t *bg, int64_t m,
     }
 }
 
-/* CongestionView.output_occupancy(r, next_hop): credit debt + backlog. */
+/* CongestionView.output_occupancies for one (r, next_hop) pair: credit
+ * debt + backlog. */
 static int64_t occupancy(const SimState *st, const Selector *s,
                          int64_t r, int64_t next_hop)
 {

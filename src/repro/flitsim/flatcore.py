@@ -16,12 +16,14 @@ queued flit:
   buffer with per-packet offsets; per-flit state is just the hop index.
   With the C kernel, each hop's output port is resolved once per packet
   too, into the kernel-only ``route_port`` rows.
-* **VOQs** — 8-byte int32 ``{head + 1, tail}`` records over a dense
-  ``(router, in_port, out_port)`` index (ejection is the last output
-  column), read through the ``voq_head`` / ``voq_tail`` column views,
-  giving O(1) enqueue, dequeue, and emptiness checks: ``voq_head == 0``
-  is empty, and an empty VOQ is an all-zero record.  Queue lengths
-  live only in the per-(router, out) ``backlog`` sums.
+* **VOQs** — one int32 record per queue, its tail's pool row plus one
+  (0: empty), over a dense row-major index: VOQ (router, in_port,
+  out_port) is record ``(router * O + out_port) * I + in_port``, so each
+  (router, out) row's queues are contiguous (ejection is the last
+  output column).  Chains are circular — the tail's ``next`` is the
+  head — which gives O(1) enqueue, dequeue and emptiness checks from
+  the one record.  Queue lengths live only in the per-(router, out)
+  ``backlog`` sums.
 * **Credits** — one ``(router, out_port, vc)`` int array; injection
   credits one array over endpoints.
 * **Arbitration** — per (router, output) round-robin pointers; each
@@ -77,7 +79,7 @@ _POOL_CAP = 4096
 
 #: most flit-pool rows (and packet slots) a simulator may hold: VOQ
 #: records store pool row ids, flit records packet slot ids, as int32.
-#: A VOQ head is stored as its row plus one, which rows below 2**31 - 1
+#: A VOQ record is its tail row plus one, which rows below 2**31 - 1
 #: keep within int32 too.
 _POOL_MAX = int(np.iinfo(np.int32).max)
 
@@ -307,17 +309,15 @@ class FlatSimulator(SimulatorCore):
         self.credits[valid] = config.vc_depth
         self.ep_credit = np.full(fab.E, config.vc_depth, dtype=np.int64)
 
-        # VOQ state: intrusive linked lists through the flit pool, one
-        # packed int32 record {head + 1, tail} per VOQ (8 bytes), bound
-        # to the C kernel as one pointer and read here through column
-        # views.  ``voq_head == 0`` is the only emptiness test and
-        # emptying a queue zeroes its record, so the zero-initialised
-        # array (``np.zeros``, no fill pass) starts all-empty and every
-        # entry is protocol state.  Queue lengths are not stored: the
+        # VOQ state: circular linked lists through the flit pool, one
+        # int32 record per VOQ — its tail row plus one, 0 when empty —
+        # at ``(r * O + out) * I + in``, bound to the C kernel as one
+        # pointer.  The tail's ``next`` is the head.  Emptying a queue
+        # zeroes its record, so the zero-initialised array
+        # (``np.zeros``, no fill pass) starts all-empty and every entry
+        # is protocol state.  Queue lengths are not stored: the
         # ``backlog`` row sums are all the engine reads.
-        self._voq = np.zeros((fab.NV, 2), dtype=np.int32)
-        self.voq_head = self._voq[:, 0]
-        self.voq_tail = self._voq[:, 1]
+        self._voq = np.zeros(fab.NV, dtype=np.int32)
         #: flits queued per (router, out) — the O(1) occupancy counters
         self.backlog = np.zeros(n * O, dtype=np.int64)
         #: round-robin pointers per (router, out)
@@ -329,7 +329,6 @@ class FlatSimulator(SimulatorCore):
         self._row_limit = np.ones(n * O, dtype=np.int64)
         self._row_limit[fab.OE :: O] = np.maximum(fab.conc, 1)
         self._row_ports = fab.P_arr[row_router]
-        self._IO = fab.I * O
 
         # Flit pool + free list: one record per flit, bound to the C
         # kernel as one pointer and read here through field views.  The
@@ -885,8 +884,7 @@ class FlatSimulator(SimulatorCore):
         out[multi] = fab.ports_toward(
             routers[multi], self.route_buf[pid[multi] * self.route_stride + 1]
         )
-        vq = (routers * fab.I + fab.ep_inport[ids]) * fab.O + out
-        self._enqueue(vq, flits, routers, out)
+        self._enqueue(routers * fab.O + out, fab.ep_inport[ids], flits)
 
     def _feed_with_faults(self) -> None:
         """Feed phase when a timeline is attached.
@@ -927,27 +925,37 @@ class FlatSimulator(SimulatorCore):
             self.ep_credit[ids_f] -= 1
             routers_f = routers[move][fd]
             out_f = out[move][fd]
-            vq = (routers_f * fab.I + fab.ep_inport[ids_f]) * fab.O + out_f
-            self._enqueue(vq, mflits[fd], routers_f, out_f)
+            self._enqueue(
+                routers_f * fab.O + out_f, fab.ep_inport[ids_f], mflits[fd]
+            )
 
     # ------------------------------------------------------------------
     # Queue plumbing
     # ------------------------------------------------------------------
-    def _enqueue(self, vq, flits, routers, outs) -> None:
-        """Append ``flits`` to VOQs ``vq`` (distinct per call, by design)."""
-        self.pool_next[flits] = -1
-        empty = self.voq_head[vq] == 0
-        occupied = ~empty
-        self.voq_head[vq[empty]] = flits[empty] + 1
-        self.pool_next[self.voq_tail[vq[occupied]]] = flits[occupied]
-        self.voq_tail[vq] = flits
-        np.add.at(self.backlog, routers * self.fab.O + outs, 1)
+    def _enqueue(self, rows, ins, flits) -> None:
+        """Append ``flits`` to the VOQs of (router, out) ``rows`` and
+        inputs ``ins`` (distinct per call, by design).
+
+        A flit entering an empty queue links to itself; any other goes
+        between its queue's tail and head and becomes the tail.
+        """
+        vq = rows * self.fab.I + ins
+        tails = self._voq[vq] - 1
+        old = tails >= 0
+        t = tails[old]
+        heads = flits.copy()
+        heads[old] = self.pool_next[t]
+        self.pool_next[flits] = heads
+        self.pool_next[t] = flits[old]
+        self._voq[vq] = flits + 1
+        np.add.at(self.backlog, rows, 1)
 
     # ------------------------------------------------------------------
     # Router phase (protocol step 3): decide synchronously, apply at once
     # ------------------------------------------------------------------
     def _route_phase(self) -> None:
-        occ = np.flatnonzero(self.voq_head != 0)
+        # Through a bool mask: nonzero over int32 scans ~8x slower.
+        occ = np.flatnonzero(self._voq != 0)
         if occ.size == 0:
             return
         fab = self.fab
@@ -955,20 +963,22 @@ class FlatSimulator(SimulatorCore):
         O, I, OE = fab.O, fab.I, fab.OE
         V = self.config.num_vcs
 
-        # Eligibility of every nonempty VOQ head.
-        heads = self.voq_head[occ] - 1
-        out_c = occ % O
+        # Eligibility of every nonempty VOQ head: its tail's successor.
+        tails = self._voq[occ] - 1
+        heads = self.pool_next[tails]
+        row_c = occ // I
+        out_c = row_c % O
         ok = self.pool_ready[heads] <= now
         lnk = ok & (out_c != OE)
-        vq_l = occ[lnk]
         dvc = np.minimum(self.pool_hop[heads[lnk]], V - 1)
-        ok[lnk] = self.credits[vq_l // self._IO, out_c[lnk], dvc] > 0
+        ok[lnk] = self.credits[row_c[lnk] // O, out_c[lnk], dvc] > 0
         if not ok.any():
             return
         vq_e = occ[ok]
         head_e = heads[ok]
-        in_e = (vq_e // O) % I
-        rows = (vq_e // self._IO) * O + out_c[ok]
+        tail_e = tails[ok]
+        in_e = vq_e % I
+        rows = row_c[ok]
 
         # One sort decides every grant: candidates ordered by
         # (router, output, circular distance from the rr pointer).  The
@@ -991,8 +1001,10 @@ class FlatSimulator(SimulatorCore):
 
         row_w = row_s[take]
         in_w = in_s[take]
-        vq_w = vq_e[order][take]
-        flit = head_e[order][take]
+        win = order[take]
+        vq_w = vq_e[win]
+        flit = head_e[win]
+        tail_w = tail_e[win]
         r_w = row_w // O
         out_w = row_w % O
 
@@ -1005,9 +1017,12 @@ class FlatSimulator(SimulatorCore):
         self.rr[row_last] = (in_w[last] + 1) % self._row_ports[row_last]
 
         # ---- Apply: pop winners, return credits, forward/eject. ----
-        succ = self.pool_next[flit]
-        self.voq_head[vq_w] = succ + 1
-        self.voq_tail[vq_w[succ < 0]] = 0
+        # A head that is its queue's tail empties the queue; any other
+        # is unlinked from behind the tail.
+        only = flit == tail_w
+        self._voq[vq_w[only]] = 0
+        rest = ~only
+        self.pool_next[tail_w[rest]] = self.pool_next[flit[rest]]
         np.add.at(self.backlog, row_w, -1)
 
         pid_w = self.pool_pid[flit].astype(np.int64)
@@ -1075,9 +1090,7 @@ class FlatSimulator(SimulatorCore):
                 )
                 self.pool_hop[fl] = hop2
                 self.pool_ready[fl] = now + self._hop_latency
-                self._enqueue(
-                    (nxt_r * I + in_next) * O + out_next, fl, nxt_r, out_next
-                )
+                self._enqueue(nxt_r * O + out_next, in_next, fl)
 
         # Eject the rest (already in recording order); tail flits
         # complete their packet.
@@ -1151,17 +1164,17 @@ class FlatSimulator(SimulatorCore):
         ``_drop_queue`` — the canonical order both engines share.
         """
         fab = self.fab
-        vq = (r * fab.I + in_port) * fab.O + out
-        if self.voq_head[vq] == 0:
+        row = r * fab.O + out
+        vq = row * fab.I + in_port
+        tail = int(self._voq[vq]) - 1
+        if tail < 0:
             return
-        f = int(self.voq_head[vq]) - 1
-        chain = []
-        while f >= 0:
-            chain.append(f)
-            f = int(self.pool_next[f])
+        # The circular chain, head (the tail's successor) to tail.
+        chain = [int(self.pool_next[tail])]
+        while chain[-1] != tail:
+            chain.append(int(self.pool_next[chain[-1]]))
         rows = np.asarray(chain, dtype=np.int64)
         self._voq[vq] = 0
-        row = r * fab.O + out
         self.backlog[row] -= rows.size
         if self._kernel is not None:
             self.row_mask[row, in_port >> 6] &= ~np.uint64(1 << (in_port & 63))

@@ -9,8 +9,6 @@ graph.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.utils.graph import Graph
 
 __all__ = ["count_paths_of_length", "enumerate_paths", "count_paths_up_to"]

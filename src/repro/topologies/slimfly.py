@@ -21,8 +21,6 @@ never silently produce a wrong baseline.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.experiments.registry import TOPOLOGIES
 from repro.fields import GF, is_prime_power
 from repro.topologies.base import Topology

@@ -43,29 +43,37 @@ from repro.workloads.result import build_workload_result
 def walk_voqs(sim):
     """Each VOQ's length and last pool row, walking its chain through ``pool_next``.
 
-    A VOQ record stores its head row plus one (0: empty) and its tail;
-    the walk reads only the head, so the tail can be checked against it.
+    A VOQ record stores its tail row plus one (0: empty) and the chain is
+    circular, so the walk starts at the head, ``pool_next[tail]``, and
+    ends at the row whose ``next`` is the head again; the record's tail
+    can be checked against that last row.
     """
-    return _walk_chains(sim, sim.voq_head.astype(np.int64) - 1)
+    tails = sim._voq.astype(np.int64) - 1
+    heads = np.where(tails >= 0, sim.pool_next[tails], -1).astype(np.int64)
+    return _walk_chains(sim, heads, heads)
 
 
 def walk_fifos(sim):
     """Each endpoint's source-FIFO length and last pool row."""
-    return _walk_chains(sim, sim.src_head)
+    return _walk_chains(sim, sim.src_head, -1)
 
 
-def _walk_chains(sim, first):
-    """Lengths and last rows of the ``pool_next`` chains from ``first`` (-1: none)."""
+def _walk_chains(sim, first, stop):
+    """Lengths and last rows of the ``pool_next`` chains from ``first``
+    (-1: none), each ending where its next row would be ``stop`` (-1, or
+    its own first row for a circular chain)."""
+    stop = np.broadcast_to(stop, first.shape)
     lengths = np.zeros(first.size, dtype=np.int64)
     last = np.zeros(first.size, dtype=np.int64)
     q = np.flatnonzero(first >= 0)
     f = first[q].astype(np.int64)
     while q.size:
-        assert lengths.max() <= sim.pool_cap, "a chain loops"
+        assert lengths.max() <= sim.pool_cap, "a chain never ends"
+        assert (f >= 0).all(), "a circular chain breaks off"
         lengths[q] += 1
         last[q] = f
         f = sim.pool_next[f].astype(np.int64)
-        more = f >= 0
+        more = f != stop[q]
         q, f = q[more], f[more]
     return lengths, last
 

@@ -1,7 +1,6 @@
 """Unit tests for bisection bandwidth analysis (Figure 12)."""
 
 import numpy as np
-import pytest
 
 from repro.analysis import bisection_cut, bisection_fraction, kernighan_lin_refine, spectral_bisection
 from repro.core import PolarFly

@@ -42,9 +42,20 @@ from repro.experiments.registry import (
     WORKLOADS,
 )
 from repro.experiments.runner import run_cell
+from repro.faults import FaultEvent, FaultTimeline
+from repro.flitsim import NetworkSimulator
 from repro.flitsim._kernel import load_kernel
+from repro.workloads.message import Message, Workload
 
-from oracles import cell_sim, four_ways, tables_for
+from oracles import (
+    PATHS,
+    assert_same_result,
+    build,
+    cell_sim,
+    four_ways,
+    run_workload_by_steps,
+    tables_for,
+)
 
 pytestmark = pytest.mark.skipif(
     load_kernel() is None or not load_kernel().select_ok,
@@ -377,6 +388,101 @@ def test_run_cell_replays_a_printed_record(mode, trace_dir):
         expect["timeseries"] = spans.seen["windows"]
     stats = run_cell(json.loads(json.dumps(cell)))  # the record as printed
     np.testing.assert_equal({k: stats[k] for k in expect}, expect)
+
+
+#: PolarFly q=5 with one endpoint per router: router 0 streams message 0
+#: to router 1, and sends message 2 once message 1 (router 5 to 6)
+#: completes
+RT_TOPO = "polarfly:conc=1,q=5"
+RT_MESSAGES = ((0, 1, 12), (5, 6, 1), (0, 2, 1, (1,)))
+
+
+def log_injections(sim):
+    """Wrap ``sim``'s closed-loop injection step.
+
+    The returned list gains one ``(cycle, retransmitted, new, fresh)``
+    entry per step: the message ids popped off the retransmit and ready
+    queues, and the messages of the packets endpoint 0's source FIFO
+    gained, front to back.
+    """
+    log, popped = [], {}
+
+    def keep(name, pop):
+        def popper(*args):
+            out = pop(*args)
+            popped[name] = out.tolist()
+            return out
+        return popper
+
+    inject, wl, ft = sim._inject_workload, sim._wl, sim._fault
+    wl.pop_ready = keep("new", wl.pop_ready)
+    if ft is not None:
+        ft.pop_retransmits = keep("rt", ft.pop_retransmits)
+
+    def step():
+        popped.clear()
+        inject()
+        log.append(
+            (sim.now, popped.get("rt", []), popped["new"], fresh_packets(sim, 0))
+        )
+
+    sim._inject_workload = step
+    return log
+
+
+def fresh_packets(sim, e):
+    """Messages of the packets created this cycle in endpoint ``e``'s
+    source FIFO, front to back."""
+    if isinstance(sim, NetworkSimulator):
+        r = int(sim.topo.endpoint_routers[e])
+        fifo = sim.src_q[r][e - int(sim.topo.endpoint_offsets[r])]
+        return [p.mid for p, seq, *_ in fifo if seq == 0 and p.t_created == sim.now]
+    mids, f = [], int(sim.src_head[e])
+    while f >= 0:
+        pid = int(sim.pool_pid[f])
+        if sim.pool_seq[f] == 0 and sim.pkt_t_created[pid] == sim.now:
+            mids.append(int(sim.pkt_msg[pid]))
+        f = int(sim.pool_next[f])
+    return mids
+
+
+def test_retransmits_enter_their_fifo_ahead_of_new_messages():
+    """A lost packet and a newly ready message meet in one injection step.
+
+    The link carrying message 0 dies on the cycle message 2 turns ready,
+    so that epoch's drops queue message 0's lost packets for the very
+    step that injects message 2, on the same source router.  On the
+    kernel-step, numpy-step and reference paths the retransmits must
+    enter the endpoint's FIFO first, and the runs must agree.
+    """
+    topo, _ = tables_for(RT_TOPO)
+    graph = topo.graph
+    via = next(int(m) for m in graph.neighbors(0) if 1 in graph.neighbors(m))
+    workload = Workload("rt-order", [Message(*m) for m in RT_MESSAGES], topo)
+    probe = build(
+        RT_TOPO, "min", None, 0.0, packet_size=1, engine=NetworkSimulator,
+        workload=workload,
+    )
+    log = log_injections(probe)
+    run_workload_by_steps(probe)
+    ready = next(now for now, _, new, _ in log if 2 in new)
+    faults = FaultTimeline([FaultEvent(ready, "link_down", 0, via)], name="cut")
+    runs = {}
+    for name, engine, path, _ in PATHS[1:]:
+        with path():
+            sim = build(
+                RT_TOPO, "min", None, 0.0, packet_size=1, engine=engine,
+                workload=workload, faults=faults,
+            )
+        log = log_injections(sim)
+        runs[name] = run_workload_by_steps(sim)
+        assert runs[name].finished, name
+        ((now, rt, new, fresh),) = [entry for entry in log if entry[1] and entry[2]]
+        assert (now, new) == (ready, [2]) and set(rt) == {0}, name
+        assert fresh == rt + new, name
+    first = runs.pop("kernel steps")
+    for name, result in runs.items():
+        assert_same_result(first, result, name)
 
 
 LONG = "differential-long"

@@ -157,22 +157,71 @@ class TestSaturationBackpressure:
 
 def assert_backlog_is_voq_row_sum(sim):
     """The per-cycle invariants: ``backlog`` is the row sum of the VOQ
-    lengths, an empty VOQ is an all-zero record and a non-empty one's
-    tail ends its chain; on the kernel path the occupancy masks and
-    route ports hold too."""
+    lengths, an empty VOQ has a zero record, a non-empty one's circular
+    chain comes back round to its tail, and each queue's head sits at
+    the coordinates its record's index names; on the kernel path the
+    occupancy masks and route ports hold too."""
     fab = sim.fab
     lengths, last = walk_voqs(sim)
     assert (sim.backlog >= 0).all()
     assert np.array_equal(
         sim.backlog.reshape(fab.n, fab.O),
-        lengths.reshape(fab.n, fab.I, fab.O).sum(axis=1),
+        lengths.reshape(fab.n, fab.O, fab.I).sum(axis=2),
     )
     empty = lengths == 0
     assert not sim._voq[empty].any()
-    assert np.array_equal(sim.voq_tail[~empty], last[~empty])
+    assert np.array_equal(sim._voq[~empty] - 1, last[~empty])
+    assert_voq_heads_match_their_index(sim)
     if sim._kernel is not None:
         assert_row_mask_is_voq_occupancy(sim, lengths)
         assert_route_ports_follow_routes(sim)
+
+
+def assert_voq_heads_match_their_index(sim):
+    """Record ``(r * O + out) * I + in`` queues flits at router ``r`` that
+    came in on input ``in`` and leave on output ``out``.
+
+    Checked on every queue's head, from its packet's route: the head's
+    hop names router ``r``; a link input is the port toward the previous
+    router, an injection input (hop 0) is past the link ports; the output
+    ejects where the route does and is otherwise the port toward the
+    next router.
+    """
+    fab, stride = sim.fab, sim.route_stride
+    vq = np.flatnonzero(sim._voq)
+    heads = sim.pool_next[sim._voq[vq] - 1]
+    row, ins = np.divmod(vq, fab.I)
+    r, out = np.divmod(row, fab.O)
+    pid = sim.pool_pid[heads].astype(np.int64)
+    hop = sim.pool_hop[heads].astype(np.int64)
+    base = pid * stride
+    assert np.array_equal(sim.route_buf[base + hop], r)
+    link = hop > 0
+    assert np.array_equal(ins < fab.deg[r], link)
+    assert np.array_equal(
+        fab.nbr_mat[r[link], ins[link]], sim.route_buf[base[link] + hop[link] - 1]
+    )
+    length = sim.pkt_len[pid]
+    eject = np.where(link, r == sim.pkt_dst[pid], length == 1)
+    assert np.array_equal(out == fab.OE, eject)
+    ahead = sim.route_buf[base[~eject] + hop[~eject] + 1]
+    assert np.array_equal(out[~eject], fab.ports_toward(r[~eject], ahead))
+
+
+def test_voq_records_are_four_bytes_row_major(pf, tables, flat_path):
+    """One int32 record per VOQ; row ``r * O + out`` owns ``[row * I, row * I + I)``."""
+    with flat_path():
+        sim = FlatSimulator(pf, MinimalRouting(tables), UniformTraffic(pf), 0.5, seed=1)
+    fab = sim.fab
+    assert sim._voq.dtype == np.int32 and sim._voq.shape == (fab.NV,)
+    assert sim._voq.nbytes == 4 * fab.NV == 4 * fab.n * fab.O * fab.I
+    for _ in range(30):
+        sim.step()
+    lengths, _ = walk_voqs(sim)
+    assert sim.backlog.any()
+    # Row ``row``'s I records, summed, are that row's backlog.
+    assert np.array_equal(lengths.reshape(-1, fab.I).sum(axis=1), sim.backlog)
+    assert_voq_heads_match_their_index(sim)
 
 
 def assert_route_ports_follow_routes(sim):
@@ -216,8 +265,8 @@ def assert_row_mask_is_voq_occupancy(sim, lengths):
     words = sim.row_mask.reshape(fab.n, fab.O, -1)
     ins = np.arange(fab.I)
     bits = (words[:, :, ins >> 6] >> (ins & 63).astype(np.uint64)) & np.uint64(1)
-    occupied = lengths.reshape(fab.n, fab.I, fab.O) > 0
-    assert np.array_equal(bits.astype(bool), occupied.transpose(0, 2, 1))
+    occupied = lengths.reshape(fab.n, fab.O, fab.I) > 0
+    assert np.array_equal(bits.astype(bool), occupied)
     # No stray bit at or above I in the last word either.
     assert not (words[:, :, -1] >> np.uint64((fab.I - 1) % 64) >> np.uint64(1)).any()
     # One level up: bit ``row`` of ``busy_rows`` iff the row holds a flit.
@@ -238,10 +287,11 @@ class TestBacklogMirrorsVoqCounts:
     holds bit by bit: ``bit(row_mask[r, out], in) == (len(VOQ (r, in,
     out)) > 0)`` — a stale bit would read the head of an empty queue, and
     the event-time flush in ``_drop_vq`` is where one could come from.
-    The lengths come from walking each chain through ``pool_next``; the
-    records themselves must be all zero when empty (the whole ``_voq``
-    array is compared between paths) and name the chain's last row as
-    tail when not.
+    The lengths come from walking each circular chain through
+    ``pool_next`` from the head, the tail's successor; the records
+    themselves must be zero when empty (the whole ``_voq`` array is
+    compared between paths) and name the chain's last row as tail when
+    not, and every head must sit at its record's (router, in, out).
     The kernel path also never searches a port on the cycle path: it
     reads the ``route_port`` row ``kinject`` filled, which must equal
     the live packet's route recomputed port by port.

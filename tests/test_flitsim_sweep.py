@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import PolarFly
 from repro.experiments import SweepRunner
-from repro.flitsim import LoadSweep, SimConfig, UniformTraffic
+from repro.flitsim import SimConfig, UniformTraffic
 from repro.flitsim.engine import SimResult
 from repro.flitsim.sweep import SweepPoint
 from repro.routing import MinimalRouting, RoutingTables

@@ -1,7 +1,6 @@
 """Integration tests: full pipelines across modules, mirroring the paper's
 experiments end to end at reduced scale."""
 
-import numpy as np
 import pytest
 
 from repro import (

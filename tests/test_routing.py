@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core import PolarFly
 from repro.routing import (
     CompactValiantRouting,
     FatTreeNCARouting,

@@ -6,7 +6,6 @@ are the invariants that catch scheduler/credit bugs.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
