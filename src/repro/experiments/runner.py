@@ -355,13 +355,12 @@ def simulate_point(
     :class:`~repro.faults.FaultResult` as ``.fault`` (size the config
     via :func:`~repro.faults.prepare_fault_policy` first, or pass
     ``config=None`` after preparing the policy).  ``link_telemetry=True``
-    attaches the engine's per-link flit counters (measure window
-    only) and hangs the nonzero ``{(u, v): flits}`` map on the result as
-    ``.link_flits`` — counters never perturb simulation results.  A
-    nonzero ``window`` collects a per-window time series through
-    :func:`~repro.flitsim.telemetry.run_with_timeseries` (result
-    bit-identical to the uninstrumented run) and hangs the
-    :class:`~repro.obs.timeseries.WindowSeries` as ``.timeseries``.
+    runs under a :class:`~repro.flitsim.telemetry.LinkCounts` observer
+    and hangs its nonzero ``{(u, v): flits}`` map of the measure window
+    (CSR edge order) on the result as ``.link_flits``.  A nonzero
+    ``window`` runs under a :class:`~repro.flitsim.telemetry.WindowCloser`
+    and hangs its :class:`~repro.obs.timeseries.WindowSeries` as
+    ``.timeseries``.  Observers never perturb simulation results.
     """
     if config is None:
         config = auto_sim_config(policy)
@@ -369,22 +368,20 @@ def simulate_point(
         topo, policy, traffic, float(load), config=config, seed=seed,
         engine=engine, faults=faults,
     )
-    if link_telemetry:
-        sim.attach_link_telemetry()
-    if window:
-        from repro.flitsim.telemetry import run_with_timeseries
+    observers = []
+    if link_telemetry or window:
+        from repro.flitsim.telemetry import LinkCounts, WindowCloser
 
-        res, series = run_with_timeseries(
-            sim, warmup=warmup, measure=measure, window=int(window),
-            drain=drain,
-        )
-        res.timeseries = series
-    else:
-        res = sim.run(warmup=warmup, measure=measure, drain=drain)
+        links = LinkCounts() if link_telemetry else None
+        windows = WindowCloser(int(window)) if window else None
+        observers = [ob for ob in (links, windows) if ob is not None]
+    res = sim._drive(warmup, measure, drain, observers=observers)
+    if window:
+        res.timeseries = windows.series
     if sim.fault_result is not None:
         res.fault = sim.fault_result
     if link_telemetry:
-        res.link_flits = sim.link_flit_counts()
+        res.link_flits = links.counts
     return res
 
 

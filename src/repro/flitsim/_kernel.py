@@ -86,9 +86,12 @@ every mode, not just open loop.
   is re-read on every :func:`load_kernel` call, so tests and benchmarks
   can toggle the cycle path per construction without reloading.
 * Compiled modules are cached under ``$REPRO_KERNEL_CACHE`` (default
-  ``~/.cache/repro-flitsim``) keyed by a hash of the C source, so the
-  compiler runs once per source revision, not once per process — test
-  runs and CI import the cached ``.so`` instead of recompiling.
+  ``~/.cache/repro-flitsim``) keyed by a hash of the C source and the
+  build's flags, ``$CC`` / ``$CFLAGS`` / ``$CPPFLAGS`` / ``$LDFLAGS``
+  included, so the compiler runs once per source revision and build
+  environment, not once per process — test runs and CI import the
+  cached ``.so`` instead of recompiling, and a sanitizer build never
+  shares a name with a plain one.
 
 The C code mirrors the *reference* engine's decision loop (routers
 ascending, link outputs then ejection, circular round-robin scan,
@@ -221,16 +224,12 @@ typedef struct {
     int8_t *pkt_damaged;
     int64_t *drop_tail_pids;
     int64_t *fcnt;
-    /* Per-link flit counters (n * Dp, indexed r * Dp + out): NULL
-     * unless link telemetry is attached AND the measure window is open
-     * — the host binds it once per span (per cycle on the step path),
-     * so the disabled path costs one predictable branch per forwarded
-     * flit. */
+    /* Cumulative per-link flit counters (n * Dp, indexed r * Dp + out):
+     * NULL until link telemetry is attached, then bound once and never
+     * re-pointed; every link grant counts, warmup and drain included
+     * (observers difference snapshots), and the detached path costs
+     * one predictable branch per forwarded flit. */
     int64_t *link_flits;
-    /* Windowed per-link counters (same n * Dp layout): NULL unless a
-     * time-series collector is attached; the host flushes and zeroes
-     * the array at each window boundary. */
-    int64_t *link_flits_win;
 } SimState;
 """
 
@@ -680,8 +679,6 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
              * check below — the reference hook's accounting point. */
             if (st->link_flits)
                 st->link_flits[r * Dp + out] += 1;
-            if (st->link_flits_win)
-                st->link_flits_win[r * Dp + out] += 1;
             if (fm && st->dead_row[nxt * O + out2]) {
                 /* Dead output at the next router: the flit evaporates
                  * on the wire, in grant order, and the credit toward
@@ -1462,15 +1459,19 @@ def _find_built(cache: str, name: str) -> "str | None":
 
 #: the compiler flags every build uses
 _COMPILE_ARGS = ("-O2",)
+#: the environment's build variables, which setuptools applies to the
+#: cffi build on top of :data:`_COMPILE_ARGS`
+_BUILD_ENV = ("CC", "CFLAGS", "CPPFLAGS", "LDFLAGS")
 
 
 def _module_name() -> str:
     """The cached build's module name: a hash of everything it is built
-    from — the C source, the cffi prototypes and the compiler flags — so
-    a change to any of them compiles afresh instead of loading a stale
-    ``.so``."""
+    from — the C source, the cffi prototypes, the compiler flags and the
+    environment's build variables (empty when unset) — so a change to
+    any of them compiles afresh instead of loading a stale ``.so``."""
+    env = (os.environ.get(var, "") for var in _BUILD_ENV)
     digest = hashlib.sha256()
-    for part in (_C_SOURCE, _CDEF, *_COMPILE_ARGS):
+    for part in (_C_SOURCE, _CDEF, *_COMPILE_ARGS, *env):
         digest.update(part.encode() + b"\0")
     return f"_repro_flit_kernel_{digest.hexdigest()[:16]}"
 

@@ -312,8 +312,9 @@ class RunObserver:
     ``wake_at`` (cycles are absolute; the observer moves ``wake_at`` on),
     and :meth:`end` when the window has closed, before the drain.
     Observers read the simulator between cycles through the surface both
-    engines implement — ``attach_link_telemetry``, ``link_flit_counts``,
-    ``flush_window_link_counts``, ``link_occupancy`` — and never write it.
+    engines implement — ``attach_link_telemetry``, ``link_flits``,
+    ``link_occupancy`` — and never write it; an observer that counts
+    over a window differences snapshots of the cumulative ``link_flits``.
     """
 
     #: absolute cycle of the next :meth:`wake` (None: no wake-ups)
@@ -361,6 +362,16 @@ class SimulatorCore:
 
         Credit-derived: port capacity minus the free downstream slots
         of every hop class.  Both engines return bit-equal arrays.
+        """
+        raise NotImplementedError
+
+    def link_flits(self) -> np.ndarray:  # pragma: no cover - abstract
+        """Flits granted per directed link, in the graph's CSR edge order.
+
+        One cumulative counter per link from :meth:`attach_link_telemetry`
+        on (all zero before), ticking at grant time, before any fault
+        doom check, in every phase of the run.  Both engines return
+        bit-equal arrays.
         """
         raise NotImplementedError
 

@@ -379,14 +379,11 @@ class FlatSimulator(SimulatorCore):
         self._measuring = False
         self._stat = SimResult(load, 0, fab.E)
 
-        # Optional per-link flit counters (:meth:`attach_link_telemetry`).
-        # None by default: the numpy route phase pays one identity check
-        # per cycle and the C kernel a NULL pointer it never follows.
+        # Optional cumulative per-link flit counters, (n, Dp) like the
+        # credits' first two axes (:meth:`attach_link_telemetry`).  None
+        # by default: the numpy route phase pays one identity check per
+        # cycle and the C kernel a NULL pointer it never follows.
         self._ltel: "np.ndarray | None" = None
-        self._ltel_dp = max(fab.D, 1)
-        # Windowed sibling: flushed and zeroed at each window boundary
-        # by a time-series collector (attach_link_telemetry(windowed=True)).
-        self._ltel_win: "np.ndarray | None" = None
 
         # Fault-mode state: per-(router, output-column) death mask.
         if self._fault is not None:
@@ -472,56 +469,29 @@ class FlatSimulator(SimulatorCore):
     # ------------------------------------------------------------------
     # Per-link telemetry (observability; never perturbs results)
     # ------------------------------------------------------------------
-    def attach_link_telemetry(self, windowed: bool = False) -> None:
-        """Allocate (idempotently) per-link flit counters.
+    def attach_link_telemetry(self) -> None:
+        """Allocate (idempotently) the per-link flit counters.
 
-        Flat ``int64`` counters of shape ``n * max(D, 1)``, indexed
-        ``router * Dp + out_port`` (the kernel credits layout).  A link
-        grant is counted during the measure window only, *before* any
-        fault doom filtering — the same accounting point as the
-        reference engine's ``_forward``, so the two agree bit-exactly.
-        Works in both the numpy and C-kernel route phases; attaching
-        never changes simulation results.
-
-        With ``windowed=True`` a second counter array of the same shape
-        is allocated alongside: it ticks at the identical grant point
-        but is read out and zeroed at window boundaries via
-        :meth:`flush_window_link_counts`, while the cumulative array
-        keeps the whole-run totals.
+        One ``int64`` per (router, output port), laid out as the kernel's
+        credits (``router * Dp + out_port``) and shown to the kernel
+        once.  Every link grant counts from then on, *before* any fault
+        doom filtering — the reference engine's accounting point, so the
+        two agree bit-exactly.  Attaching never changes simulation results.
         """
-        size = self.fab.n * self._ltel_dp
         if self._ltel is None:
-            self._ltel = np.zeros(size, dtype=np.int64)
-        if windowed and self._ltel_win is None:
-            self._ltel_win = np.zeros(size, dtype=np.int64)
+            self._ltel = np.zeros(self._link_ports.shape, dtype=np.int64)
+            if self._kernel is not None:
+                self._bind({"link_flits": self._ltel})
 
-    def _link_dict(self, arr: "np.ndarray | None") -> dict:
-        """Nonzero entries of a counter array as ``{(u, v): flits}``."""
-        if arr is None:
-            return {}
-        nbr = self.fab.nbr_mat
-        counts = {}
-        for i in np.flatnonzero(arr).tolist():
-            r, out = divmod(i, self._ltel_dp)
-            counts[(r, int(nbr[r, out]))] = int(arr[i])
-        return counts
+    def link_flits(self) -> np.ndarray:
+        """Flits granted per directed link (see the engine contract).
 
-    def link_flit_counts(self) -> dict:
-        """Whole-run nonzero ``{(u, v): flits}`` (source router, neighbor).
-
-        Empty when telemetry was never attached.
+        The padded layout masked to real link ports, as in
+        :meth:`link_occupancy`; all zero when never attached.
         """
-        return self._link_dict(self._ltel)
-
-    def flush_window_link_counts(self) -> dict:
-        """This window's nonzero ``{(u, v): flits}``; zeroes the counters.
-
-        Empty when windowed telemetry was never attached.
-        """
-        counts = self._link_dict(self._ltel_win)
-        if counts:
-            self._ltel_win[:] = 0
-        return counts
+        if self._ltel is None:
+            return np.zeros(self.topo.graph.indices.size, dtype=np.int64)
+        return self._ltel[self._link_ports]
 
     def link_occupancy(self) -> np.ndarray:
         """Buffered flits per directed link (see the engine contract).
@@ -544,10 +514,9 @@ class FlatSimulator(SimulatorCore):
         array of another dtype or layout, naming the field, so a new
         field costs one struct line and one entry here.  Fields left out
         stay NULL: the fault mode's without a fault timeline, and the
-        link counters, which :meth:`_bind_link_counters` shows the
-        kernel during the measure window only.  Called once, at
-        construction; a grow re-points its own pool's fields alone
-        (:meth:`_pool_fields`, :meth:`_pkt_fields`).
+        link counters until :meth:`attach_link_telemetry` binds them.
+        Called once, at construction; a grow re-points its own pool's
+        fields alone (:meth:`_pool_fields`, :meth:`_pkt_fields`).
         """
         fab, cfg = self.fab, self.config
         fields = {
@@ -1049,15 +1018,10 @@ class FlatSimulator(SimulatorCore):
         if fwd.size:
             fl = flit[fwd]
             r_f, out_f = r_w[fwd], out_w[fwd]
-            if self._measuring:
+            if self._ltel is not None:
                 # Count at grant time, before fault doom filtering — the
                 # reference telemetry hook's accounting point.
-                if self._ltel is not None:
-                    np.add.at(self._ltel, r_f * self._ltel_dp + out_f, 1)
-                if self._ltel_win is not None:
-                    np.add.at(
-                        self._ltel_win, r_f * self._ltel_dp + out_f, 1
-                    )
+                np.add.at(self._ltel, (r_f, out_f), 1)
             hop_f = hop_w[fwd]
             nxt_r = fab.nbr_mat[r_f, out_f]
             in_next = fab.rev_mat[r_f, out_f]
@@ -1239,20 +1203,6 @@ class FlatSimulator(SimulatorCore):
             self.ep_credit[int(fab.ep_off[r]) : int(fab.ep_off[r + 1])] = depth
             self.dead_row[r * fab.O + fab.OE] = False
 
-    def _bind_link_counters(self) -> None:
-        """Show the kernel the link counters iff the measure window is open.
-
-        Outside it (or with none attached) the kernel sees NULL and
-        skips the increment branch.  Once per span or kernel cycle: the
-        window flag is constant over either, and no grow touches them.
-        """
-        if self._ltel is not None:
-            on = self._measuring
-            self._bind({
-                "link_flits": self._ltel if on else None,
-                "link_flits_win": self._ltel_win if on else None,
-            })
-
     def _kernel_cycle(self) -> None:
         """Feed + route phase in one C pass (same protocol, same arrays).
 
@@ -1268,7 +1218,6 @@ class FlatSimulator(SimulatorCore):
         ft = self._fault
         if ft is not None:
             self._fcnt[:] = 0
-        self._bind_link_counters()
         lib.kfeed(self._st, self.now)
         n_tail = lib.kroute(self._st, self.now, self._n_ej)
         n_ej = self._n_ej[0]

@@ -218,7 +218,6 @@ class KernelSpan:
             ep_alive=fault.ep_alive if dead else None,
             router_alive=fault.router_alive if dead else None,
         )
-        sim._bind_link_counters()
         out.packets = out.injected_flits = out.ejected_flits = out.samples = 0
         out.dropped_flits = out.tail_drops = out.damaged = out.blackholed = 0
         selector = sim._kselect

@@ -141,10 +141,10 @@ class NetworkSimulator(SimulatorCore):
         self.result: "SimResult | None" = None
         self._measuring = False
         self._stat = SimResult(load, 0, topo.num_endpoints)
-        # Optional per-link grant counts (:meth:`attach_link_telemetry`):
-        # whole-run, and the per-window sibling a flush empties.
-        self._ltel: "dict | None" = None
-        self._ltel_win: "dict | None" = None
+        # Optional cumulative per-link grant counts, indexed
+        # ``indptr[r] + out`` (:meth:`attach_link_telemetry`): a router's
+        # ports are its sorted neighbors, so this is the CSR edge order.
+        self._ltel: "np.ndarray | None" = None
 
     # ------------------------------------------------------------------
     # CongestionView protocol
@@ -483,13 +483,10 @@ class NetworkSimulator(SimulatorCore):
                 self._stat.ejected_flits += 1
             return
         nxt = int(self.nbrs[r][out])
-        if self._ltel is not None and self._measuring:
+        if self._ltel is not None:
             # Count at grant time, before fault doom filtering — the
             # flat engine's accounting point.
-            key = (r, nxt)
-            self._ltel[key] = self._ltel.get(key, 0) + 1
-            if self._ltel_win is not None:
-                self._ltel_win[key] = self._ltel_win.get(key, 0) + 1
+            self._ltel[self.topo.graph.indptr[r] + out] += 1
         in_port = self.rev_port[r][out]
         ready = self.now + cfg.link_latency + cfg.router_pipeline
         nxt_flit = (pkt, seq, hop_idx + 1, ready)
@@ -507,27 +504,16 @@ class NetworkSimulator(SimulatorCore):
     # Per-link telemetry (the surface run observers read; same names and
     # accounting points as the flat engine's)
     # ------------------------------------------------------------------
-    def attach_link_telemetry(self, windowed: bool = False) -> None:
-        """Start (idempotently) counting link grants in the measure window.
-
-        ``windowed=True`` also keeps a per-window count that
-        :meth:`flush_window_link_counts` reads out and empties.
-        """
+    def attach_link_telemetry(self) -> None:
+        """Start (idempotently) counting every link grant."""
         if self._ltel is None:
-            self._ltel = {}
-        if windowed and self._ltel_win is None:
-            self._ltel_win = {}
+            self._ltel = np.zeros(self.topo.graph.indices.size, dtype=np.int64)
 
-    def link_flit_counts(self) -> dict:
-        """Whole-run ``{(u, v): flits}`` (empty when never attached)."""
-        return dict(self._ltel or ())
-
-    def flush_window_link_counts(self) -> dict:
-        """This window's ``{(u, v): flits}``; the next starts empty."""
-        if self._ltel_win is None:
-            return {}
-        counts, self._ltel_win = self._ltel_win, {}
-        return counts
+    def link_flits(self) -> np.ndarray:
+        """Flits granted per directed link (see the engine contract)."""
+        if self._ltel is None:
+            return np.zeros(self.topo.graph.indices.size, dtype=np.int64)
+        return self._ltel.copy()
 
     def link_occupancy(self) -> np.ndarray:
         """Buffered flits per directed link (see the engine contract)."""

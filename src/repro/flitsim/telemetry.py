@@ -12,12 +12,15 @@ the next wake-up, so an observed open-loop run on the flat engine stays
 inside ``kcycles`` spans (cut every ``sample_every`` cycles and at window
 boundaries) and its :class:`~repro.flitsim.engine.SimResult` *is* the
 plain ``run()``'s.  Observers read either engine through one surface —
-``attach_link_telemetry(windowed=)``, ``link_flit_counts()``,
-``flush_window_link_counts()``, ``link_occupancy()`` — and both engines
-count a link grant at the same point (grant time, before any fault doom
-filtering, during the measure window only), so link counts, occupancy
-maps and window records agree bit-exactly across the reference engine,
-the numpy flat path and the C kernel (``tests/test_differential.py``).
+``attach_link_telemetry()``, ``link_flits()``, ``link_occupancy()``,
+both arrays in the graph's CSR edge order.  ``link_flits()`` is one
+cumulative counter per directed link, ticking at every grant (before any
+fault doom filtering) from attachment on; an observer owns its window by
+differencing snapshots of it, as the collector differences the
+injected, ejected and dropped counters.  Both engines count at the same
+point, so link counts — in CSR order — occupancy maps and window
+records agree bit-exactly across the reference engine, the numpy flat
+path and the C kernel (``tests/test_differential.py``).
 """
 
 from __future__ import annotations
@@ -41,6 +44,17 @@ __all__ = [
 ]
 
 
+def link_map(graph, per_link: np.ndarray) -> dict:
+    """``{(u, v): value}`` of a CSR-ordered per-directed-link array: its
+    nonzero links, in CSR edge order."""
+    src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+    hot = np.flatnonzero(per_link)
+    return dict(zip(
+        zip(src[hot].tolist(), graph.indices[hot].tolist()),
+        per_link[hot].tolist(),
+    ))
+
+
 @dataclass
 class LinkTelemetry:
     """Per-directed-link flit counts and occupancy statistics."""
@@ -48,7 +62,7 @@ class LinkTelemetry:
     cycles: int
     #: total directed links in the topology (idle ones count in stats)
     num_directed_links: int = 0
-    #: {(u, v): flits sent u->v}
+    #: {(u, v): flits sent u->v}, nonzero links in CSR edge order
     link_flits: dict = field(default_factory=dict)
     #: sampled mean occupancy per directed link
     mean_occupancy: dict = field(default_factory=dict)
@@ -111,14 +125,16 @@ class LinkCounts(RunObserver):
     """Flits carried per directed link over the measure window."""
 
     def __init__(self):
-        #: ``{(u, v): flits}``, nonzero links only (set at window end)
+        #: ``{(u, v): flits}``, nonzero links in CSR edge order (set at
+        #: window end)
         self.counts: dict = {}
 
     def start(self, sim, start: int) -> None:
         sim.attach_link_telemetry()
+        self._base = sim.link_flits()
 
     def end(self, sim) -> None:
-        self.counts = sim.link_flit_counts()
+        self.counts = link_map(sim.topo.graph, sim.link_flits() - self._base)
 
 
 class OccupancySampler(RunObserver):
@@ -145,15 +161,7 @@ class OccupancySampler(RunObserver):
         self.wake_at += self.sample_every
 
     def end(self, sim) -> None:
-        graph = sim.topo.graph
-        src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
-        hot = np.flatnonzero(self._sum)
-        self.mean = {
-            (u, v): total / self.samples
-            for u, v, total in zip(
-                src[hot].tolist(), graph.indices[hot].tolist(), self._sum[hot].tolist()
-            )
-        }
+        self.mean = link_map(sim.topo.graph, self._sum / max(self.samples, 1))
 
 
 class WindowCloser(RunObserver):
@@ -174,7 +182,8 @@ class WindowCloser(RunObserver):
         self.top_links = top_links
 
     def start(self, sim, start: int) -> None:
-        sim.attach_link_telemetry(windowed=True)
+        sim.attach_link_telemetry()
+        self._links = sim.link_flits()
         self._start = start
         self._next_sample = start + 1
         self._next_close = start + self.window
@@ -214,13 +223,14 @@ class WindowCloser(RunObserver):
             new = sim._fault.marks[self._marks_seen :]
             self._marks_seen = len(sim._fault.marks)
             faults = [c - self._start for c, _ in new]
+        links, self._links = self._links, sim.link_flits()
         self._col.close_window(
             sim.now - self._start,
             sim._stat.injected_flits,
             sim._stat.ejected_flits,
             self._dropped(sim),
             sim._stat.latencies,
-            sim.flush_window_link_counts(),
+            link_map(sim.topo.graph, self._links - links),
             faults,
         )
 

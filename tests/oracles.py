@@ -35,7 +35,12 @@ from repro.faults import prepare_fault_policy
 from repro.flitsim import FlatSimulator, NetworkSimulator
 from repro.flitsim._kernel import numpy_fallback
 from repro.flitsim.engine import SimulatorCore
-from repro.flitsim.telemetry import LinkCounts, OccupancySampler, WindowCloser
+from repro.flitsim.telemetry import (
+    LinkCounts,
+    LinkTelemetry,
+    OccupancySampler,
+    WindowCloser,
+)
 from repro.routing.tables import RoutingTables
 from repro.workloads.result import build_workload_result
 
@@ -451,18 +456,20 @@ PATHS = (
 
 def observers_for(cell, links=False):
     """A ``WindowCloser`` when the record has a ``window`` (as ``run_cell``
-    runs it), else link counts and occupancy samples when ``links``."""
-    if cell.get("window"):
-        return (WindowCloser(cell["window"]),)
-    return (LinkCounts(), OccupancySampler()) if links else ()
+    runs it), and link counts and occupancy samples when ``links``."""
+    windows = (WindowCloser(cell["window"]),) if cell.get("window") else ()
+    return windows + ((LinkCounts(), OccupancySampler()) if links else ())
 
 
 def collected(observers) -> dict:
-    """What a set of observers gathered, keyed by observer type."""
+    """What a set of observers gathered, keyed by observer type; link
+    counts as an ordered ``[(link, flits)]`` list plus the hottest link,
+    so the order ties break in counts too."""
     out = {}
     for ob in observers:
         if isinstance(ob, LinkCounts):
-            out["links"] = ob.counts
+            out["links"] = list(ob.counts.items())
+            out["hottest"] = LinkTelemetry(1, link_flits=ob.counts).max_utilization()
         elif isinstance(ob, OccupancySampler):
             out["occupancy"] = (ob.samples, ob.mean)
         else:
@@ -470,20 +477,29 @@ def collected(observers) -> dict:
     return out
 
 
-def four_ways(cell, links=False):
+def path_sim(cell, engine, path, per_cycle):
+    """The simulator of ``cell`` on one path of :data:`PATHS`."""
+    with path():
+        sim = cell_sim(cell, engine)
+    if per_cycle:
+        sim.advance = functools.partial(SimulatorCore.advance, sim)
+    return sim
+
+
+def four_ways(cell, links=False, attached=False):
     """Run the sweep cell record ``cell`` on every path of :data:`PATHS`
     and check them against each other; ``{path: run}``.
 
-    The record is printed first, so a failure shows what ``run_cell``
-    replays verbatim.
+    ``attached`` attaches the link counters before the first cycle, so
+    they also run through the warmup and the drain.  The record is
+    printed first, so a failure shows what ``run_cell`` replays verbatim.
     """
     print("cell:", json.dumps(cell, sort_keys=True), "links:", links)
     runs = {}
-    for name, engine, path, per_cycle in PATHS:
-        with path():
-            sim = cell_sim(cell, engine)
-        if per_cycle:
-            sim.advance = functools.partial(SimulatorCore.advance, sim)
+    for name, *path in PATHS:
+        sim = path_sim(cell, *path)
+        if attached:
+            sim.attach_link_telemetry()
         observers = observers_for(cell, links)
         if cell.get("workload"):
             result = sim._drive(max_cycles=cell["max_cycles"], observers=observers)
@@ -505,6 +521,7 @@ def four_ways(cell, links=False):
         assert_same_result(first.result, run.result, name)
         assert run.sim.rng.bit_generator.state == spans.rng.bit_generator.state, name
         np.testing.assert_equal(run.seen, first.seen, err_msg=name)
+        np.testing.assert_array_equal(run.sim.link_flits(), ref.link_flits(), name)
         if spans._fault is not None:
             assert run.sim._fault.marks == spans._fault.marks, name
             np.testing.assert_equal(
@@ -546,3 +563,9 @@ def _check_observed(seen, result, window):
             (s, min(s + window, cycles)) for s in range(0, cycles, window)
         ]
         assert sum(w["ejected"] for w in windows) == result.ejected_flits
+        if "links" in seen:
+            # Both observers difference the one counter: the windows
+            # tile the link counts' measure window.
+            assert sum(w["link_total"] for w in windows) == sum(
+                flits for _, flits in seen["links"]
+            )

@@ -27,6 +27,7 @@ A failing cell prints its record; ``run_cell(record)`` replays it.
 import json
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +42,8 @@ from repro.experiments.registry import (
     TRAFFICS,
     WORKLOADS,
 )
-from repro.experiments.runner import run_cell
+from repro.experiments import runner
+from repro.experiments.runner import run_cell, simulate_point
 from repro.faults import FaultEvent, FaultTimeline
 from repro.flitsim import NetworkSimulator
 from repro.flitsim._kernel import load_kernel
@@ -53,6 +55,7 @@ from oracles import (
     build,
     cell_sim,
     four_ways,
+    path_sim,
     run_workload_by_steps,
     tables_for,
 )
@@ -124,6 +127,19 @@ NAN_CELLS = [
     for policy in POLICIES.names()
     if policy != "ftnca"
 ]
+#: Slim Fly q=5 under min routing and tornado traffic: two links tie
+#: for the hottest, so the engines agree on it only when they order
+#: their link counts alike (the CSR edge order)
+TIED = recipe(
+    topology="slimfly:conc=2,q=5", traffic="tornado", load=0.05, warmup=30,
+    measure=40, root_seed=1, observe="links",
+)
+#: link counters attached before the warmup, as ``simulate_point`` once
+#: attached them, on a loaded, faulted cell with a drain
+ATTACHED = recipe(
+    policy="ugal-pf", traffic="uniform", faults="linkflap", load=0.5,
+    warmup=30, measure=60, drain=30, root_seed=5, observe="windows",
+)
 #: drawn closed-loop cells may stop at ``max_cycles``; these run every
 #: registered workload to completion
 COMPLETING = [
@@ -306,12 +322,38 @@ def check(c, trace_dir):
 @pytest.mark.parametrize(
     "c",
     [pytest.param(c, id=f"{k}-{recipe_id(c)}")
-     for k, c in enumerate(SLICE + NAN_CELLS)],
+     for k, c in enumerate(SLICE + NAN_CELLS + [TIED])],
 )
 def test_cells_agree_four_ways(c, trace_dir):
     fault = check(c, trace_dir)["spans"].sim._fault
     if fault is not None and not c.workload:
         assert fault.applied_events == len(fault.epochs) - 1  # all inside the run
+
+
+def test_counters_attached_before_warmup_count_the_measure_window_only(trace_dir):
+    """The counter runs through every phase; the observers' windows, and
+    ``simulate_point``'s, stay the measure window on every path."""
+    cell = cell_of(ATTACHED, trace_dir)
+    plain = four_ways(cell, links=True)
+    early = four_ways(cell, links=True, attached=True)
+    seen = plain["spans"].seen
+    measured = sum(flits for _, flits in seen["links"])
+    for name, *path in PATHS:
+        np.testing.assert_equal(early[name].seen, seen, err_msg=name)
+        # Attached at the start of the measure window, the counters see
+        # the drain too; attached first, the warmup as well.
+        totals = early[name].sim.link_flits().sum(), plain[name].sim.link_flits().sum()
+        assert totals[0] > totals[1] > measured > 0, name
+        sim = path_sim(cell, *path)
+        with mock.patch.object(runner, "make_simulator", lambda *a, **kw: sim):
+            res = simulate_point(
+                sim.topo, sim.policy, None, cell["load"], config=sim.config,
+                warmup=cell["warmup"], measure=cell["measure"], drain=cell["drain"],
+                link_telemetry=True, window=cell["window"],
+            )
+        assert_same_result(res, plain[name].result, name)
+        assert list(res.link_flits.items()) == seen["links"], name
+        np.testing.assert_equal(res.timeseries.summary(), seen["windows"], err_msg=name)
 
 
 @pytest.mark.parametrize("c", FIRING, ids=recipe_id)

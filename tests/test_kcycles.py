@@ -174,7 +174,7 @@ def test_saturation_forces_grow_and_flush_returns_mid_span():
     args = (PF_SPEC, "min", "tornado", 1.0)
     spans, steps = build(*args), build(*args)
     for sim in (spans, steps):
-        sim.attach_link_telemetry(windowed=True)
+        sim.attach_link_telemetry()
     returns = {"grow": 0, "grow_measuring": 0, "flush": 0}
     reserve, flush = spans._reserve, spans._kspan._flush
 
@@ -203,8 +203,7 @@ def test_saturation_forces_grow_and_flush_returns_mid_span():
     # A grow mid-window re-points its own pool only; the link counters
     # stay bound and keep counting to the end of the span.
     assert returns["grow_measuring"] >= 1
-    assert spans.link_flit_counts() == steps.link_flit_counts()
-    assert spans.flush_window_link_counts() == steps.flush_window_link_counts()
+    np.testing.assert_array_equal(spans.link_flits(), steps.link_flits())
 
 
 def test_spans_and_steps_interleave():
@@ -394,7 +393,7 @@ def test_alltoall_burst_grows_scratch_and_pools_inside_a_span():
         build(*args, workload="alltoall:size=8") for _ in range(2)
     )
     for sim in (spans, steps):
-        sim.attach_link_telemetry(windowed=True)
+        sim.attach_link_telemetry()
     scratch_cap = spans._kselect._cap
     got = spans.run_workload()
     # Cycle 0 readies N*(N-1) messages at once: far more packets than
@@ -409,9 +408,8 @@ def test_alltoall_burst_grows_scratch_and_pools_inside_a_span():
     assert_same_state(spans, steps)
     # The grows inside the span re-point their own pools only; the link
     # counters stay bound through them.
-    assert spans.link_flit_counts() == steps.link_flit_counts()
-    assert sum(spans.link_flit_counts().values()) == got.flit_hops
-    assert spans.flush_window_link_counts() == steps.flush_window_link_counts()
+    np.testing.assert_array_equal(spans.link_flits(), steps.link_flits())
+    assert spans.link_flits().sum() == got.flit_hops
 
 
 def test_max_cycles_before_completion_is_unfinished_at_the_same_cycle():

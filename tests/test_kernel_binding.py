@@ -70,11 +70,10 @@ def build(
     )
 
 
-def advanced(sim, cycles=10, measuring=False):
-    """``sim`` after ``cycles`` cycles as spans, window flag as given."""
+def advanced(sim, cycles=10):
+    """``sim`` after ``cycles`` cycles as spans, outside the measure window."""
     if sim._fault is not None:
         sim._fault.begin_run(sim.policy)
-    sim._measuring = measuring
     sim._run_to(cycles)  # fault epochs are deadlines, as in run()
     assert sim.span_cycles == sim.now == cycles
     return sim
@@ -114,9 +113,10 @@ def injector(**kw):
 
 
 def telemetry_state():
+    """Attached counters stay bound whether or not a window is open."""
     sim = build()
-    sim.attach_link_telemetry(windowed=True)
-    return advanced(sim, measuring=True)._st
+    sim.attach_link_telemetry()
+    return advanced(sim)._st
 
 
 def row_patched_selector():
@@ -140,7 +140,7 @@ def workload():
 
 
 FAULT_FIELDS = {"dead_row", "pkt_live", "pkt_damaged", "drop_tail_pids", "fcnt"}
-LINK_FIELDS = {"link_flits", "link_flits_win"}
+LINK_FIELDS = {"link_flits"}
 #: Selector's table mode and its coordinate mode (an intact PolarFly;
 #: an intact PolarStar binds the supernode layer too)
 TABLE_FIELDS = {"dist", "patch", "patch_row", "first", "count"}
@@ -157,7 +157,7 @@ BINDINGS = [
     ),
     ("SimState", "faulted", lambda: sim_state(faults=LINKFLAP), LINK_FIELDS),
     (
-        "SimState", "link telemetry, measure window open", telemetry_state,
+        "SimState", "link telemetry", telemetry_state,
         FAULT_FIELDS,
     ),
     (
@@ -224,7 +224,7 @@ OWN_FIELDS = {
 
 
 def test_a_grow_re_points_only_its_own_pool(monkeypatch):
-    """Windowed link telemetry on a faulted cell, pools grown mid-window.
+    """Link telemetry on a faulted cell, pools grown mid-window.
 
     Tiny first pools make the saturated run come back from ``kcycles``
     for room again and again, with the measure window open; each grow
@@ -236,7 +236,7 @@ def test_a_grow_re_points_only_its_own_pool(monkeypatch):
     args = dict(traffic_spec="uniform", load=1.0, faults=faults)
     sim, ref = build(**args), build(**args, engine=NetworkSimulator)
     for s in (sim, ref):
-        s.attach_link_telemetry(windowed=True)
+        s.attach_link_telemetry()
     ffi = sim._kernel.ffi
     pointers = [
         name for name, field in ffi.typeof("SimState").fields
@@ -267,13 +267,10 @@ def test_a_grow_re_points_only_its_own_pool(monkeypatch):
     ), [(method, measuring) for method, measuring, *_ in grows]
     for method, measuring, moved, after in grows:
         assert moved == OWN_FIELDS[method], method
-        assert all(after[name] for name in FAULT_FIELDS), method
-        if measuring:
-            assert after["link_flits"] and after["link_flits_win"], method
+        assert all(after[name] for name in FAULT_FIELDS | LINK_FIELDS), method
     assert got.injected_flits == want.injected_flits
     assert got.ejected_flits == want.ejected_flits
     assert np.array_equal(got.latencies, want.latencies)
     assert np.array_equal(got.hop_counts, want.hop_counts)
     assert sim._fault.dropped_flits == ref._fault.dropped_flits > 0
-    assert sim.link_flit_counts() == ref.link_flit_counts()
-    assert sim.flush_window_link_counts() == ref.flush_window_link_counts()
+    np.testing.assert_array_equal(sim.link_flits(), ref.link_flits())

@@ -430,18 +430,28 @@ def test_draw_self_test_passes_and_is_cheap():
         ("_COMPILE_ARGS", ("-O", "2")),
         ("_CDEF", kmod._CDEF + "int64_t kextra(void);"),
         ("_C_SOURCE", kmod._C_SOURCE + "/* */"),
+        # No leading underscore: the environment's build variables,
+        # which setuptools applies on top.
+        ("CC", "clang"),
+        ("CFLAGS", "-fsanitize=address,undefined"),
+        ("CPPFLAGS", "-DNDEBUG"),
+        ("LDFLAGS", "-fsanitize=address"),
     ],
 )
 def test_kernel_cache_key_covers_source_prototypes_and_flags(
     monkeypatch, part, changed
 ):
     """The cached build is named by everything it is compiled from, so
-    a changed prototype or compiler flag never loads a stale ``.so``."""
+    a changed prototype or compiler flag never loads a stale ``.so`` —
+    nor a sanitizer build a plain one, or the other way round."""
     name = kmod._module_name()
     module = load_kernel()
     if module is not None:
         assert module.__name__ == name
-    monkeypatch.setattr(kmod, part, changed)
+    if part.startswith("_"):
+        monkeypatch.setattr(kmod, part, changed)
+    else:
+        monkeypatch.setenv(part, changed)
     assert kmod._module_name() != name
 
 
