@@ -31,12 +31,8 @@ from repro import (
     prepare_fault_policy,
 )
 from repro.analysis import node_failure_diameter
-from repro.experiments.runner import (
-    auto_sim_config,
-    simulate_point,
-    simulate_workload,
-)
-from repro.flitsim import run_with_telemetry
+from repro.experiments.runner import auto_sim_config, simulate_point
+from repro.flitsim.telemetry import LinkCounts
 from repro.routing import degraded_topology, reroute_after_failures
 from repro.utils.rng import make_rng
 
@@ -49,11 +45,13 @@ def main() -> None:
     # 1. Observe min-routing hot links under tornado.
     print("Step 1 — telemetry under tornado traffic (min routing):")
     sim = NetworkSimulator(pf, MinimalRouting(tables), TornadoTraffic(pf), 0.5, seed=0)
-    res, tel = run_with_telemetry(sim, warmup=200, measure=500)
+    tel = LinkCounts()
+    sim.run(warmup=200, measure=500, drain=0, observers=[tel])
     link, util = tel.max_utilization()
     print(f"  hottest link {link}: {util:.0%} utilized; load Gini {tel.gini():.2f}")
     sim2 = NetworkSimulator(pf, UGALPFRouting(tables), TornadoTraffic(pf), 0.5, seed=0)
-    _, tel2 = run_with_telemetry(sim2, warmup=200, measure=500)
+    tel2 = LinkCounts()
+    sim2.run(warmup=200, measure=500, drain=0, observers=[tel2])
     print(f"  with UGAL_PF: hottest {tel2.max_utilization()[1]:.0%}, "
           f"Gini {tel2.gini():.2f}  (adaptive routing spreads the load)\n")
 
@@ -113,8 +111,8 @@ def main() -> None:
     policy6 = UGALPFRouting(tables)
     prepare_fault_policy(policy6, timeline2, pf)
     wl = WORKLOADS.create("allreduce:algo=ring,size=64", pf)
-    res6 = simulate_workload(
-        pf, policy6, wl, config=auto_sim_config(policy6), seed=3,
+    res6 = simulate_point(
+        pf, policy6, workload=wl, config=auto_sim_config(policy6), seed=3,
         faults=timeline2,
     )
     fr6 = res6.fault

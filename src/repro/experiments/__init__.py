@@ -60,7 +60,6 @@ __all__ = [
     "CellError",
     "SweepCellError",
     "simulate_point",
-    "simulate_workload",
     "run_cell",
     "auto_sim_config",
 ]
@@ -75,7 +74,6 @@ _LAZY = {
     "CellError": "repro.experiments.runner",
     "SweepCellError": "repro.experiments.runner",
     "simulate_point": "repro.experiments.runner",
-    "simulate_workload": "repro.experiments.runner",
     "run_cell": "repro.experiments.runner",
     "auto_sim_config": "repro.experiments.runner",
 }

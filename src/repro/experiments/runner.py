@@ -58,13 +58,7 @@ from repro.experiments.registry import (
     WORKLOADS,
 )
 from repro.experiments.spec import ExperimentSpec, cell_cost
-from repro.flitsim.engine import (
-    DEFAULT_ENGINE,
-    ENGINE_ENV,
-    SimConfig,
-    SimResult,
-    make_simulator,
-)
+from repro.flitsim.engine import DEFAULT_ENGINE, ENGINE_ENV, SimConfig, make_simulator
 from repro.flitsim.sweep import LoadSweep, SweepPoint
 from repro.utils.env import env_positive
 
@@ -75,7 +69,6 @@ __all__ = [
     "SweepCellError",
     "SweepTimeoutError",
     "simulate_point",
-    "simulate_workload",
     "run_cell",
     "run_chunk",
     "auto_sim_config",
@@ -332,8 +325,8 @@ def auto_sim_config(
 def simulate_point(
     topo,
     policy,
-    traffic,
-    load: float,
+    traffic=None,
+    load: float = 0.0,
     config: "SimConfig | None" = None,
     warmup: int = 600,
     measure: int = 1200,
@@ -341,85 +334,40 @@ def simulate_point(
     seed=0,
     engine: "str | None" = None,
     faults=None,
-    link_telemetry: bool = False,
-    window: int = 0,
-) -> SimResult:
+    workload=None,
+    max_cycles: int = 200_000,
+    observers=(),
+):
     """Run one simulation cell on already-built objects.
 
     The single execution path for every simulation point in the repo —
     benchmarks, examples, and cache-missing sweep cells all end here.
-    ``engine`` of ``None`` selects the struct-of-arrays flat engine
-    unless ``$REPRO_SIM_ENGINE`` overrides it; the two engines are
-    result-equivalent, so cached artifacts are engine-agnostic.  With a
-    ``faults`` timeline the returned result carries the run's
+    Open loop it is :meth:`~repro.flitsim.engine.SimulatorCore.run` over
+    ``warmup`` / ``measure`` / ``drain`` and returns the
+    :class:`~repro.flitsim.engine.SimResult`; given a ``workload``
+    (``traffic`` and ``load`` are then unused) it is
+    :meth:`~repro.flitsim.engine.SimulatorCore.run_workload` up to
+    ``max_cycles`` and returns the
+    :class:`~repro.workloads.WorkloadResult`.  Either runs under
+    ``observers``, which hold what they gathered and never perturb the
+    result.  ``engine`` of ``None`` selects the struct-of-arrays flat
+    engine unless ``$REPRO_SIM_ENGINE`` overrides it; the two engines
+    are result-equivalent, so cached artifacts are engine-agnostic.
+    With a ``faults`` timeline the returned result carries the run's
     :class:`~repro.faults.FaultResult` as ``.fault`` (size the config
     via :func:`~repro.faults.prepare_fault_policy` first, or pass
-    ``config=None`` after preparing the policy).  ``link_telemetry=True``
-    runs under a :class:`~repro.flitsim.telemetry.LinkCounts` observer
-    and hangs its nonzero ``{(u, v): flits}`` map of the measure window
-    (CSR edge order) on the result as ``.link_flits``.  A nonzero
-    ``window`` runs under a :class:`~repro.flitsim.telemetry.WindowCloser`
-    and hangs its :class:`~repro.obs.timeseries.WindowSeries` as
-    ``.timeseries``.  Observers never perturb simulation results.
+    ``config=None`` after preparing the policy).
     """
     if config is None:
         config = auto_sim_config(policy)
     sim = make_simulator(
         topo, policy, traffic, float(load), config=config, seed=seed,
-        engine=engine, faults=faults,
+        engine=engine, workload=workload, faults=faults,
     )
-    observers = []
-    if link_telemetry or window:
-        from repro.flitsim.telemetry import LinkCounts, WindowCloser
-
-        links = LinkCounts() if link_telemetry else None
-        windows = WindowCloser(int(window)) if window else None
-        observers = [ob for ob in (links, windows) if ob is not None]
-    res = sim._drive(warmup, measure, drain, observers=observers)
-    if window:
-        res.timeseries = windows.series
-    if sim.fault_result is not None:
-        res.fault = sim.fault_result
-    if link_telemetry:
-        res.link_flits = links.counts
-    return res
-
-
-def simulate_workload(
-    topo,
-    policy,
-    workload,
-    config: "SimConfig | None" = None,
-    max_cycles: int = 200_000,
-    seed=0,
-    engine: "str | None" = None,
-    faults=None,
-    window: int = 0,
-):
-    """Run one closed-loop workload cell on already-built objects.
-
-    The workload counterpart of :func:`simulate_point`: every
-    closed-loop simulation in the repo — benchmarks, examples, and
-    cache-missing workload sweep cells — ends here.  Returns a
-    :class:`~repro.workloads.WorkloadResult` (carrying ``.fault`` when a
-    timeline was attached, and ``.timeseries`` when ``window`` is
-    nonzero).
-    """
-    if config is None:
-        config = auto_sim_config(policy)
-    sim = make_simulator(
-        topo, policy, None, 0.0, config=config, seed=seed, engine=engine,
-        workload=workload, faults=faults,
-    )
-    if window:
-        from repro.flitsim.telemetry import run_workload_with_timeseries
-
-        res, series = run_workload_with_timeseries(
-            sim, window=int(window), max_cycles=max_cycles
-        )
-        res.timeseries = series
+    if workload is None:
+        res = sim.run(warmup, measure, drain, observers)
     else:
-        res = sim.run_workload(max_cycles=max_cycles)
+        res = sim.run_workload(max_cycles, observers)
     if sim.fault_result is not None:
         res.fault = sim.fault_result
     return res
@@ -460,7 +408,11 @@ def run_cell(cell: dict) -> dict:
     sweep-point fields — avg/p50/p99 are then *packet* statistics of
     the whole run and ``accepted_load`` the achieved throughput, so
     workload curves assemble through the same
-    :class:`~repro.flitsim.sweep.LoadSweep` plumbing.
+    :class:`~repro.flitsim.sweep.LoadSweep` plumbing.  Either kind runs
+    under a :class:`~repro.flitsim.telemetry.WindowCloser` when the
+    record has a ``window`` (its series summary joins the stats) and a
+    :class:`~repro.flitsim.telemetry.LinkCounts` when ``$REPRO_OBS`` is
+    configured (its hottest links go out as ``cell.telemetry``).
     """
     # Chaos injection point (tests only): the env check is inlined so
     # the hot path never imports the chaos module.  The literal must
@@ -492,32 +444,17 @@ def run_cell(cell: dict) -> dict:
         vc_depth=cell["vc_depth"],
         packet_size=cell["packet_size"],
     )
-    if cell.get("workload"):
-        workload = WORKLOADS.create(cell["workload"], topo)
-        with obs.span(
-            "sweep.cell", sampled=True, key=cell["key"][:12], load=cell["load"]
-        ):
-            res = simulate_workload(
-                topo,
-                policy,
-                workload,
-                config=config,
-                max_cycles=cell["max_cycles"],
-                seed=cell["seed"],
-                faults=faults,
-                window=cell.get("window", 0),
-            )
-        stats = _point_stats(
-            res,
-            offered_load=cell["load"],
-            accepted_load=res.achieved_throughput,
-            latencies=res.packet_latencies,
-        )
-        stats.update(res.summary())
-        if faults is not None:
-            stats.update(res.fault.summary())
-        _timeseries_stats(res, stats, cell, obs_on)
-        return stats
+    workload = WORKLOADS.create(cell["workload"], topo) if cell.get("workload") else None
+    links = windows = None
+    if obs_on or cell.get("window"):
+        # Only an observed cell imports the observers.
+        from repro.flitsim.telemetry import LinkCounts, WindowCloser
+
+        links = LinkCounts() if obs_on else None
+        windows = WindowCloser(cell["window"]) if cell.get("window") else None
+    # An open-loop record carries warmup / measure / drain, a closed-loop
+    # one max_cycles.
+    phases = {k: cell[k] for k in ("warmup", "measure", "drain", "max_cycles") if k in cell}
     with obs.span(
         "sweep.cell", sampled=True, key=cell["key"][:12], load=cell["load"]
     ):
@@ -527,17 +464,14 @@ def run_cell(cell: dict) -> dict:
             traffic,
             cell["load"],
             config=config,
-            warmup=cell["warmup"],
-            measure=cell["measure"],
-            drain=cell["drain"],
             seed=cell["seed"],
             faults=faults,
-            link_telemetry=obs_on,
-            window=cell.get("window", 0),
+            workload=workload,
+            observers=[ob for ob in (links, windows) if ob is not None],
+            **phases,
         )
-    link_flits = getattr(res, "link_flits", None)
-    if obs_on and link_flits:
-        ranked = sorted(link_flits.items(), key=lambda kv: (-kv[1], kv[0]))
+    if links is not None and links.counts:
+        ranked = sorted(links.counts.items(), key=lambda kv: (-kv[1], kv[0]))
         obs.emit(
             "cell.telemetry",
             sampled=True,
@@ -547,27 +481,39 @@ def run_cell(cell: dict) -> dict:
                 [int(u), int(v), int(c)] for (u, v), c in ranked[:8]
             ],
         )
-    stats = _point_stats(res, res.offered_load, res.accepted_load, res.latencies)
+    stats = _point_stats(res, cell)
     if faults is not None:
         stats.update(res.fault.summary())
-    _timeseries_stats(res, stats, cell, obs_on)
+    if windows is not None:
+        from repro.obs.timeseries import emit_window_events, steady_state_window
+
+        # The series summary rides the normal cache commit (JSON-safe
+        # lists and dicts only); ``steady_state_window`` lets sweeps gate
+        # on time-to-steady-state.
+        stats["timeseries"] = windows.series.summary()
+        stats["steady_state_window"] = steady_state_window(windows.series)
+        if obs_on:
+            emit_window_events(windows.series, key=cell["key"][:12])
     return stats
 
 
-def _point_stats(res, offered_load: float, accepted_load: float, latencies) -> dict:
+def _point_stats(res, cell: dict) -> dict:
     """The sweep-point statistics of a cell, from either result type.
 
-    ``latencies`` is the result's per-packet sample array; an open-loop
-    :class:`SimResult` and a closed-loop ``WorkloadResult`` name it (and
-    the two loads) differently but share every other field.
+    An open-loop :class:`SimResult` and a closed-loop ``WorkloadResult``
+    name their per-packet latencies and the two loads differently but
+    share every other field; a closed-loop cell adds the workload
+    summary.
     """
+    closed = bool(cell.get("workload"))
+    latencies = res.packet_latencies if closed else res.latencies
 
     def stat(reduce, *args) -> float:
         return float(reduce(latencies, *args)) if len(latencies) else float("nan")
 
-    return {
-        "offered_load": offered_load,
-        "accepted_load": accepted_load,
+    stats = {
+        "offered_load": cell["load"] if closed else res.offered_load,
+        "accepted_load": res.achieved_throughput if closed else res.accepted_load,
         "avg_latency": stat(np.mean),
         "p50_latency": stat(np.percentile, 50),
         "p99_latency": stat(np.percentile, 99),
@@ -578,26 +524,9 @@ def _point_stats(res, offered_load: float, accepted_load: float, latencies) -> d
         "ejected_flits": res.ejected_flits,
         "num_packets": int(len(latencies)),
     }
-
-
-def _timeseries_stats(res, stats: dict, cell: dict, obs_on: bool) -> None:
-    """Fold a windowed run's series into the cell's persisted stats.
-
-    The series summary rides the normal cache commit (JSON-safe lists
-    and dicts only), ``steady_state_window`` lets sweeps gate on
-    time-to-steady-state, and — when the obs sink is configured — each
-    window is also emitted as a ``ts.window`` event for live timelines.
-    No-op for non-windowed cells.
-    """
-    series = getattr(res, "timeseries", None)
-    if series is None:
-        return
-    from repro.obs.timeseries import emit_window_events, steady_state_window
-
-    stats["timeseries"] = series.summary()
-    stats["steady_state_window"] = steady_state_window(series)
-    if obs_on:
-        emit_window_events(series, key=cell["key"][:12])
+    if closed:
+        stats.update(res.summary())
+    return stats
 
 
 def run_chunk(cells: list) -> list:

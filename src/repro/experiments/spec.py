@@ -191,6 +191,8 @@ class ExperimentSpec:
     def cell(self, combo: Combo, load: float) -> dict:
         """The primitive-only execution record for one grid point."""
         load = float(load)
+        digest = _trace_digest(combo.workload) if combo.workload else None
+        workload = f"trace:sha256={digest}" if digest else combo.workload
         cell = {
             "version": CELL_VERSION,
             "topology": combo.topology,
@@ -210,7 +212,7 @@ class ExperimentSpec:
             # cells derive exactly the pre-fault-axis seeds.
             "seed": derive_seed(
                 self.root_seed, combo.topology, combo.policy,
-                f"wl:{combo.workload}" if combo.workload else combo.traffic,
+                f"wl:{workload}" if workload else combo.traffic,
                 repr(load),
                 *((f"ft:{combo.faults}",) if combo.faults else ()),
             ),
@@ -232,6 +234,10 @@ class ExperimentSpec:
             cell["max_cycles"] = int(self.max_cycles)
             for window in ("warmup", "measure", "drain"):
                 del cell[window]
+            if digest:
+                # A trace seeds and keys by its bytes, not its path: a
+                # moved trace hits the cache, an edited one misses it.
+                cell["trace_sha256"] = digest
         if self.window:
             # Only windowed cells carry the field: enabling time-series
             # collection changes the key (a windowed result is a
@@ -260,11 +266,23 @@ def cell_hash(cell: dict) -> str:
     ``version`` is deliberately excluded: a :data:`CELL_VERSION` bump
     keeps the same keys and invalidates through the runner's version
     check, so stale artifacts are overwritten in place rather than
-    orphaned forever under dead keys.
+    orphaned forever under dead keys.  A trace cell's ``workload`` path
+    is excluded too: its ``trace_sha256`` names the content.
     """
     doc = {k: v for k, v in cell.items() if k not in ("key", "version")}
+    if "trace_sha256" in doc:
+        del doc["workload"]
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _trace_digest(workload: str) -> "str | None":
+    """SHA-256 of a ``trace`` workload's file; None for other workloads."""
+    name, kwargs = WORKLOADS.parse(workload)
+    if name != "trace" or "path" not in kwargs:
+        return None
+    with open(str(kwargs["path"]), "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def cell_cost(cell: dict) -> int:

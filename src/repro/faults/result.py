@@ -10,8 +10,8 @@ in a shared deterministic order, so splitting the stream at the first
 mark cleanly separates pre-fault from post-fault packets in both
 engines, bit-identically.
 
-When the run was collected through a windowed driver
-(:func:`repro.flitsim.telemetry.run_with_timeseries`), the result also
+When the run had a :class:`~repro.flitsim.telemetry.WindowCloser`
+among its ``observers=``, the result also
 carries *recovery* analytics derived from the window series
 (:func:`repro.obs.timeseries.fault_recovery`): pre-fault baseline
 throughput and how many cycles the network took to return to it — a

@@ -39,13 +39,6 @@ from repro.flitsim.patterns_extra import (
     ShiftTraffic,
     HotspotTraffic,
 )
-from repro.flitsim.telemetry import (
-    LinkTelemetry,
-    run_with_telemetry,
-    run_with_timeseries,
-    run_workload_with_timeseries,
-)
-from repro.flitsim.latency_model import LatencyModel
 
 __all__ = [
     "ENGINE_ENV",
@@ -56,11 +49,6 @@ __all__ = [
     "BitComplementTraffic",
     "ShiftTraffic",
     "HotspotTraffic",
-    "LinkTelemetry",
-    "run_with_telemetry",
-    "run_with_timeseries",
-    "run_workload_with_timeseries",
-    "LatencyModel",
     "Packet",
     "NetworkSimulator",
     "SimConfig",

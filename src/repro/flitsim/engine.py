@@ -93,13 +93,13 @@ tail-completion reporting workload mode needs — in a compiled kernel for
 keeping only epoch deltas (step 0) and dependency/retransmit bookkeeping.
 Results stay bit-identical either way; see :mod:`repro.flitsim._kernel`.
 
-**One run loop**: every entry point — :meth:`SimulatorCore.run`,
-:meth:`SimulatorCore.run_workload` and the observed runs of
-:mod:`repro.flitsim.telemetry` — is :meth:`SimulatorCore._drive`, which
-owns the protocol (window validation, fault ``begin_run``, the measure
-flag, the zero-load drain, finalization) and hands the measure phase to
-a list of :class:`RunObserver`\\ s.  A run with no observers is the plain
-run; link counters, occupancy sampling and window records are observers.
+**One run loop**: :meth:`SimulatorCore.run` and
+:meth:`SimulatorCore.run_workload` are :meth:`SimulatorCore._drive`,
+which owns the protocol (window validation, fault ``begin_run``, the
+measure flag, the zero-load drain, finalization) and hands the measure
+phase to the ``observers=`` list of :class:`RunObserver`\\ s.  A run with
+no observers is the plain run; link counters, occupancy sampling and
+window records (:mod:`repro.flitsim.telemetry`) are observers.
 
 **Spans**: the driver moves time only through
 :meth:`SimulatorCore.advance`, whose default is ``step()`` ``n`` times,
@@ -402,9 +402,9 @@ class SimulatorCore:
     def _drive(self, warmup=0, measure=0, drain=0, observers=(), max_cycles=None):
         """The run protocol: warm up, measure under ``observers``, drain.
 
-        Every public entry point ends here, and time moves deadline to
-        deadline (:meth:`_run_to`), so a run keeps whatever spans the
-        engine offers.  Open loop, the measure phase is ``measure``
+        :meth:`run` and :meth:`run_workload` end here, and time moves
+        deadline to deadline (:meth:`_run_to`), so a run keeps whatever
+        spans the engine offers.  Open loop, the measure phase is ``measure``
         cycles long.  With ``max_cycles`` the run is closed loop:
         measured from the first cycle, no warmup or drain, and over when
         the workload completes — :meth:`advance` returns early there —
@@ -423,8 +423,7 @@ class SimulatorCore:
             check_sim_windows(warmup, measure, drain)
             if state is not None:
                 raise RuntimeError(
-                    "this simulator drives a workload; use run_workload() "
-                    "or run_workload_with_timeseries()"
+                    "this simulator drives a workload; use run_workload()"
                 )
         if self._fault is not None:
             self._fault.begin_run(self.policy)
@@ -485,21 +484,25 @@ class SimulatorCore:
             self._run_to(self.now + drain)
             self.load = saved_load
 
-    def run(self, warmup: int = 600, measure: int = 1200, drain: int = 300) -> SimResult:
-        """Warm up, measure, optionally drain; returns the window's stats."""
-        return self._drive(warmup, measure, drain)
+    def run(
+        self, warmup: int = 600, measure: int = 1200, drain: int = 300,
+        observers=(),
+    ) -> SimResult:
+        """Warm up, measure under ``observers``, optionally drain; returns
+        the window's stats, bit-identical with or without observers."""
+        return self._drive(warmup, measure, drain, observers)
 
-    def run_workload(self, max_cycles: int = 200_000):
+    def run_workload(self, max_cycles: int = 200_000, observers=()):
         """Run the attached workload to completion (or ``max_cycles``).
 
         Closed-loop counterpart of :meth:`run`: the whole run is
-        measured (every packet contributes samples), and the loop exits
-        the cycle after the last message's tail flit ejects — so
-        ``cycles`` equals the collective's completion time when the run
-        finishes.  Returns a
+        measured (every packet contributes samples) under ``observers``,
+        and the loop exits the cycle after the last message's tail flit
+        ejects — so ``cycles`` equals the collective's completion time
+        when the run finishes.  Returns a
         :class:`~repro.workloads.WorkloadResult`.
         """
-        return self._drive(max_cycles=max_cycles)
+        return self._drive(observers=observers, max_cycles=max_cycles)
 
 
 def _engine_classes() -> dict:

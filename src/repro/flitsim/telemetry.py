@@ -2,10 +2,13 @@
 
 Counters a network operator would scrape — flits carried per directed
 link, buffer occupancy samples, per-window time series — collected by
-:class:`~repro.flitsim.engine.RunObserver`\\ s riding the one run loop
-(:meth:`SimulatorCore._drive <repro.flitsim.engine.SimulatorCore._drive>`).
-Used by the adversarial-traffic analyses to show *where* min-path
-routing concentrates load (the mechanistic story behind Figure 9).
+:class:`~repro.flitsim.engine.RunObserver`\\ s handed to the one run
+loop: ``sim.run(warmup, measure, drain, observers=[LinkCounts(), ...])``
+or ``sim.run_workload(max_cycles, observers=[...])``, each observer then
+holding what it gathered.  Used by the adversarial-traffic analyses to
+show *where* min-path routing concentrates load (the mechanistic story
+behind Figure 9): :class:`LinkCounts` carries the window's utilization,
+hottest link, utilization histogram and Gini coefficient.
 
 An observer never steps the simulator: the driver advances straight to
 the next wake-up, so an observed open-loop run on the flat engine stays
@@ -25,23 +28,13 @@ path and the C kernel (``tests/test_differential.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.flitsim.engine import RunObserver, SimulatorCore
+from repro.flitsim.engine import RunObserver
 from repro.obs.timeseries import TimeSeriesCollector
 from repro.utils.validation import check_cycle_count
 
-__all__ = [
-    "LinkTelemetry",
-    "LinkCounts",
-    "OccupancySampler",
-    "WindowCloser",
-    "run_with_telemetry",
-    "run_with_timeseries",
-    "run_workload_with_timeseries",
-]
+__all__ = ["LinkCounts", "OccupancySampler", "WindowCloser"]
 
 
 def link_map(graph, per_link: np.ndarray) -> dict:
@@ -55,86 +48,59 @@ def link_map(graph, per_link: np.ndarray) -> dict:
     ))
 
 
-@dataclass
-class LinkTelemetry:
-    """Per-directed-link flit counts and occupancy statistics."""
+class LinkCounts(RunObserver):
+    """Flits carried per directed link over the measure window, and the
+    window's link-load statistics (all set at window end)."""
 
-    cycles: int
-    #: total directed links in the topology (idle ones count in stats)
-    num_directed_links: int = 0
-    #: {(u, v): flits sent u->v}, nonzero links in CSR edge order
-    link_flits: dict = field(default_factory=dict)
-    #: sampled mean occupancy per directed link
-    mean_occupancy: dict = field(default_factory=dict)
+    def __init__(self):
+        #: ``{(u, v): flits}``, nonzero links in CSR edge order
+        self.counts: dict = {}
+        #: flits per directed link in CSR edge order, idle links included
+        self.loads = np.zeros(0, dtype=np.int64)
+        #: cycles in the window
+        self.cycles = 0
+
+    def start(self, sim, start: int) -> None:
+        sim.attach_link_telemetry()
+        self._base = sim.link_flits()
+        self._start = start
+
+    def end(self, sim) -> None:
+        self.loads = sim.link_flits() - self._base
+        self.cycles = sim.now - self._start
+        self.counts = link_map(sim.topo.graph, self.loads)
 
     def utilization(self, u: int, v: int) -> float:
         """Fraction of cycles link ``u -> v`` carried a flit."""
-        return self.link_flits.get((u, v), 0) / max(self.cycles, 1)
+        return self.counts.get((u, v), 0) / max(self.cycles, 1)
 
     def max_utilization(self) -> tuple[tuple[int, int], float]:
-        """The hottest directed link and its utilization."""
-        if not self.link_flits:
+        """The hottest directed link (the first in CSR order on a tie) and
+        its utilization."""
+        if not self.counts:
             return ((-1, -1), 0.0)
-        link = max(self.link_flits, key=self.link_flits.get)
+        link = max(self.counts, key=self.counts.get)
         return link, self.utilization(*link)
 
-    def _all_link_loads(self) -> np.ndarray:
-        """Flit loads over the full directed-link universe (idle = 0).
-
-        The single universe both :meth:`utilization_histogram` and
-        :meth:`gini` compute over: every directed link of the topology
-        when ``num_directed_links`` is set, falling back to the observed
-        links (floor 1) when it was left 0.
-        """
-        n = max(self.num_directed_links, len(self.link_flits), 1)
-        loads = np.zeros(n, dtype=float)
-        vals = np.fromiter(self.link_flits.values(), dtype=float,
-                           count=len(self.link_flits))
-        loads[: vals.size] = vals
-        return loads
-
     def utilization_histogram(self, bins=10) -> tuple[np.ndarray, np.ndarray]:
-        """Histogram over all directed links' utilizations.
-
-        Covers *every* directed link of the topology — idle links land
-        in the zero bin — so the counts sum to ``num_directed_links``
-        (or to the number of observed links if that field was left 0).
-        """
-        utils = self._all_link_loads() / max(self.cycles, 1)
-        return np.histogram(utils, bins=bins, range=(0, 1))
+        """Histogram of every directed link's utilization — idle links
+        land in the zero bin, so the counts sum to the link count."""
+        return np.histogram(self.loads / max(self.cycles, 1), bins=bins, range=(0, 1))
 
     def gini(self) -> float:
         """Gini coefficient of link load — 0 is perfectly balanced.
 
-        Computed over *all* directed links of the topology, including the
-        idle ones (the same universe as :meth:`utilization_histogram`):
-        adversarial patterns under minimal routing leave most links dark
-        while saturating a few, which is exactly the imbalance this
-        measures — scoring only the observed links would miss it.
+        Computed over every directed link, idle ones included (the
+        universe of :meth:`utilization_histogram`): adversarial patterns
+        under minimal routing leave most links dark while saturating a
+        few, which is exactly the imbalance this measures.
         """
-        loads = self._all_link_loads()
-        loads.sort()
+        loads = np.sort(self.loads.astype(float))
         if loads.sum() == 0:
             return 0.0
         n = loads.size
         cum = np.cumsum(loads)
         return float((n + 1 - 2 * (cum / cum[-1]).sum()) / n)
-
-
-class LinkCounts(RunObserver):
-    """Flits carried per directed link over the measure window."""
-
-    def __init__(self):
-        #: ``{(u, v): flits}``, nonzero links in CSR edge order (set at
-        #: window end)
-        self.counts: dict = {}
-
-    def start(self, sim, start: int) -> None:
-        sim.attach_link_telemetry()
-        self._base = sim.link_flits()
-
-    def end(self, sim) -> None:
-        self.counts = link_map(sim.topo.graph, sim.link_flits() - self._base)
 
 
 class OccupancySampler(RunObserver):
@@ -233,84 +199,3 @@ class WindowCloser(RunObserver):
             link_map(sim.topo.graph, self._links - links),
             faults,
         )
-
-
-def _observe(sim, observers, **phases):
-    """``sim._drive`` under ``observers``, for a ``sim`` of unchecked type."""
-    if not isinstance(sim, SimulatorCore):
-        raise TypeError(
-            f"telemetry instruments a flitsim simulator; got {type(sim).__name__}"
-        )
-    return sim._drive(observers=observers, **phases)
-
-
-def run_with_telemetry(
-    sim, warmup: int = 300, measure: int = 600, sample_every: int = 8
-):
-    """Run ``sim`` collecting link telemetry during the measurement window.
-
-    Returns ``(SimResult, LinkTelemetry)``: :meth:`SimulatorCore.run
-    <repro.flitsim.engine.SimulatorCore.run>` without a drain, under a
-    :class:`LinkCounts` and an :class:`OccupancySampler`.  Accepts
-    either engine; per-link flit counts and occupancies are
-    bit-identical across them for the same seed.
-    """
-    links, occupancy = LinkCounts(), OccupancySampler(sample_every)
-    res = _observe(sim, (links, occupancy), warmup=warmup, measure=measure)
-    return res, LinkTelemetry(
-        cycles=measure,
-        num_directed_links=2 * sim.topo.num_links,
-        link_flits=links.counts,
-        mean_occupancy=occupancy.mean,
-    )
-
-
-def run_with_timeseries(
-    sim,
-    warmup: int = 300,
-    measure: int = 600,
-    window: int = 64,
-    sample_every: int = 8,
-    top_links: int = 8,
-    drain: int = 300,
-):
-    """Run ``sim`` open-loop, collecting a windowed time series.
-
-    Returns ``(SimResult, WindowSeries)``.  The run is
-    :meth:`~repro.flitsim.engine.SimulatorCore.run` under a
-    :class:`WindowCloser`, so the returned :class:`SimResult` is
-    bit-identical to an uninstrumented ``run()`` with the same phases.
-    On top, the measure phase is split into ``window``-cycle windows
-    (the last may be shorter): per-window injected/ejected/dropped
-    deltas, latency percentiles, occupancy samples every
-    ``sample_every`` cycles, per-link flit counts (top ``top_links`` by
-    heat plus the total), and fault-event markers.  Window records are
-    bit-identical across the reference engine, the numpy flat path, and
-    the C kernel.  Latencies recorded during the drain (measured packets
-    still in flight) intentionally fall outside all windows.  When
-    faults are attached, the simulator's ``fault_result`` gains
-    series-derived recovery analytics.
-    """
-    windows = WindowCloser(window, sample_every, top_links)
-    res = _observe(sim, (windows,), warmup=warmup, measure=measure, drain=drain)
-    return res, windows.series
-
-
-def run_workload_with_timeseries(
-    sim,
-    window: int = 64,
-    sample_every: int = 8,
-    top_links: int = 8,
-    max_cycles: int = 200_000,
-):
-    """Run the attached workload, collecting a windowed time series.
-
-    Returns ``(WorkloadResult, WindowSeries)``:
-    :meth:`~repro.flitsim.engine.SimulatorCore.run_workload` (measured
-    from cycle 0, exits when the collective completes or at
-    ``max_cycles``) under a :class:`WindowCloser` — a window every
-    ``window`` cycles plus a final partial one at completion.
-    """
-    windows = WindowCloser(window, sample_every, top_links)
-    res = _observe(sim, (windows,), max_cycles=max_cycles)
-    return res, windows.series

@@ -46,7 +46,8 @@ Event names and their extra fields:
 ``cell.retry``      key, attempt, error  (serial path)
 ``cell.quarantine`` key, error
 ``cell.telemetry``  key, cycles, top_links=[[u, v, flits], ...]
-                    (sampled; per-link counts from the flat engine)
+                    (sampled; per-link counts over the measure
+                    window — a closed-loop cell's whole run)
 ``ts.window``       one record per closed time-series window (emitted
                     by windowed sweep cells; see
                     :mod:`repro.obs.timeseries`):
@@ -72,7 +73,7 @@ Event names and their extra fields:
 ``span``            name, secs, ok, plus caller fields.  Span names in
                     tree: ``sweep.run``, ``sweep.chunk`` (scheduler
                     side), ``sweep.cell`` (worker side, sampled)
-``counters``        counters, gauges, histograms — a registry snapshot
+``counters``        counters — a registry snapshot
                     (see :meth:`repro.obs.metrics.Registry.snapshot`)
 
 Metric names currently wired: ``cache.hits`` / ``cache.misses`` /
@@ -87,18 +88,14 @@ import json
 import os
 import time
 
-from repro.obs.metrics import REGISTRY, Counter, Gauge, Histogram, Registry
+from repro.obs.metrics import REGISTRY, Counter, Registry
 
 __all__ = [
     "OBS_ENV",
     "REGISTRY",
     "Counter",
-    "Gauge",
-    "Histogram",
     "Registry",
     "counter",
-    "gauge",
-    "histogram",
     "enabled",
     "obs_dir",
     "emit",
@@ -290,14 +287,6 @@ def span(name: str, sampled: bool = False, **fields):
 
 def counter(name: str) -> Counter:
     return REGISTRY.counter(name)
-
-
-def gauge(name: str) -> Gauge:
-    return REGISTRY.gauge(name)
-
-
-def histogram(name: str) -> Histogram:
-    return REGISTRY.histogram(name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Process-local metric primitives for :mod:`repro.obs`.
 
-Counters, gauges, and summary histograms live in a process-global
-:data:`REGISTRY`.  They are plain Python objects with no locking: every
+Counters live in a process-global :data:`REGISTRY`.  They are plain
+Python objects with no locking: every
 user in this codebase mutates them from a single thread per process
 (worker processes each get their own registry after ``fork``/``spawn``),
 and readers only ever see snapshots.  Updating a counter is one integer
@@ -11,7 +11,7 @@ add — cheap enough to leave permanently wired into hot paths behind a
 
 from __future__ import annotations
 
-__all__ = ["Counter", "Gauge", "Histogram", "Registry", "REGISTRY"]
+__all__ = ["Counter", "Registry", "REGISTRY"]
 
 
 class Counter:
@@ -26,49 +26,11 @@ class Counter:
         self.value += n
 
 
-class Gauge:
-    """Last-write-wins scalar."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, v: float) -> None:
-        self.value = float(v)
-
-
-class Histogram:
-    """Streaming summary: count / sum / min / max of observed values."""
-
-    __slots__ = ("count", "sum", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.sum = 0.0
-        self.min = None
-        self.max = None
-
-    def observe(self, v: float) -> None:
-        v = float(v)
-        self.count += 1
-        self.sum += v
-        if self.min is None or v < self.min:
-            self.min = v
-        if self.max is None or v > self.max:
-            self.max = v
-
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-
 class Registry:
-    """Name → metric maps with lazy creation and JSON-able snapshots."""
+    """Name → counter map with lazy creation and JSON-able snapshots."""
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         c = self._counters.get(name)
@@ -76,32 +38,13 @@ class Registry:
             c = self._counters[name] = Counter()
         return c
 
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge()
-        return g
-
-    def histogram(self, name: str) -> Histogram:
-        h = self._histograms.get(name)
-        if h is None:
-            h = self._histograms[name] = Histogram()
-        return h
-
     def snapshot(self) -> dict:
         return {
             "counters": {k: c.value for k, c in sorted(self._counters.items())},
-            "gauges": {k: g.value for k, g in sorted(self._gauges.items())},
-            "histograms": {
-                k: {"count": h.count, "sum": h.sum, "min": h.min, "max": h.max}
-                for k, h in sorted(self._histograms.items())
-            },
         }
 
     def reset(self) -> None:
         self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
 
 
 #: Process-global registry used by all in-tree instrumentation.

@@ -14,10 +14,10 @@ markers that landed inside the window.
 
 The collector is engine-agnostic and deliberately free of simulator
 imports: the ``WindowCloser`` run observer in
-:mod:`repro.flitsim.telemetry` (behind ``run_with_timeseries`` /
-``run_workload_with_timeseries``) feeds it from the reference engine,
-the numpy flat path, and the C-kernel path at the *same accounting
-points* as ``run_with_telemetry``, so the closed windows are
+:mod:`repro.flitsim.telemetry` (``sim.run(..., observers=[WindowCloser(64)])``
+or ``sim.run_workload(observers=[...])``) feeds it from the reference
+engine, the numpy flat path, and the C-kernel path at the *same
+accounting points* as ``LinkCounts``, so the closed windows are
 bit-identical across all three (pinned by ``tests/test_differential.py``).
 
 On top of the raw series:

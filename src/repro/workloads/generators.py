@@ -284,7 +284,9 @@ def load_trace(path: str, topo=None) -> Workload:
                 f"trace message {rec['id']!r} depends on unknown id {exc}"
             ) from exc
         msgs.append(Message(int(rec["src"]), int(rec["dst"]), int(rec["size"]), deps))
-    return Workload(f"trace({path})", msgs, topo)
+    # Named without the path: a sweep cell keys a trace by its bytes, so
+    # the same trace read from two places must give the same summary.
+    return Workload(f"trace(messages={len(msgs)})", msgs, topo)
 
 
 # ----------------------------------------------------------------------

@@ -35,12 +35,7 @@ from repro.faults import prepare_fault_policy
 from repro.flitsim import FlatSimulator, NetworkSimulator
 from repro.flitsim._kernel import numpy_fallback
 from repro.flitsim.engine import SimulatorCore
-from repro.flitsim.telemetry import (
-    LinkCounts,
-    LinkTelemetry,
-    OccupancySampler,
-    WindowCloser,
-)
+from repro.flitsim.telemetry import LinkCounts, OccupancySampler, WindowCloser
 from repro.routing.tables import RoutingTables
 from repro.workloads.result import build_workload_result
 
@@ -469,7 +464,7 @@ def collected(observers) -> dict:
     for ob in observers:
         if isinstance(ob, LinkCounts):
             out["links"] = list(ob.counts.items())
-            out["hottest"] = LinkTelemetry(1, link_flits=ob.counts).max_utilization()
+            out["hottest"] = ob.max_utilization()
         elif isinstance(ob, OccupancySampler):
             out["occupancy"] = (ob.samples, ob.mean)
         else:
@@ -502,11 +497,9 @@ def four_ways(cell, links=False, attached=False):
             sim.attach_link_telemetry()
         observers = observers_for(cell, links)
         if cell.get("workload"):
-            result = sim._drive(max_cycles=cell["max_cycles"], observers=observers)
+            result = sim.run_workload(cell["max_cycles"], observers)
         else:
-            result = sim._drive(
-                cell["warmup"], cell["measure"], cell["drain"], observers=observers
-            )
+            result = sim.run(cell["warmup"], cell["measure"], cell["drain"], observers)
         runs[name] = SimpleNamespace(sim=sim, result=result, seen=collected(observers))
     first = runs["spans"]
     spans, ref = first.sim, runs["reference"].sim

@@ -47,6 +47,7 @@ from repro.experiments.runner import run_cell, simulate_point
 from repro.faults import FaultEvent, FaultTimeline
 from repro.flitsim import NetworkSimulator
 from repro.flitsim._kernel import load_kernel
+from repro.flitsim.telemetry import LinkCounts, WindowCloser
 from repro.workloads.message import Message, Workload
 
 from oracles import (
@@ -331,8 +332,9 @@ def test_cells_agree_four_ways(c, trace_dir):
 
 
 def test_counters_attached_before_warmup_count_the_measure_window_only(trace_dir):
-    """The counter runs through every phase; the observers' windows, and
-    ``simulate_point``'s, stay the measure window on every path."""
+    """The counter runs through every phase; the observers' windows,
+    those handed to ``simulate_point`` included, stay the measure window
+    on every path."""
     cell = cell_of(ATTACHED, trace_dir)
     plain = four_ways(cell, links=True)
     early = four_ways(cell, links=True, attached=True)
@@ -345,15 +347,16 @@ def test_counters_attached_before_warmup_count_the_measure_window_only(trace_dir
         totals = early[name].sim.link_flits().sum(), plain[name].sim.link_flits().sum()
         assert totals[0] > totals[1] > measured > 0, name
         sim = path_sim(cell, *path)
+        links, windows = LinkCounts(), WindowCloser(cell["window"])
         with mock.patch.object(runner, "make_simulator", lambda *a, **kw: sim):
             res = simulate_point(
                 sim.topo, sim.policy, None, cell["load"], config=sim.config,
                 warmup=cell["warmup"], measure=cell["measure"], drain=cell["drain"],
-                link_telemetry=True, window=cell["window"],
+                observers=[links, windows],
             )
         assert_same_result(res, plain[name].result, name)
-        assert list(res.link_flits.items()) == seen["links"], name
-        np.testing.assert_equal(res.timeseries.summary(), seen["windows"], err_msg=name)
+        assert list(links.counts.items()) == seen["links"], name
+        np.testing.assert_equal(windows.series.summary(), seen["windows"], err_msg=name)
 
 
 @pytest.mark.parametrize("c", FIRING, ids=recipe_id)

@@ -71,6 +71,30 @@ class TestSpec:
         doc = {k: v for k, v in spec.cell(combo, 0.2).items() if k != "key"}
         assert cell_hash(doc) == spec.cell(combo, 0.2)["key"]
 
+    def test_trace_cells_key_and_seed_by_content_not_path(self, tmp_path):
+        records = "".join(
+            f'{{"id": {i}, "src": {i}, "dst": {i + 3}, "size": {2 + i}}}\n'
+            for i in range(4)
+        )
+        paths = [tmp_path / "a" / "t.jsonl", tmp_path / "b" / "moved.jsonl"]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_text(records)
+
+        def cell(path):
+            spec = ExperimentSpec.workload_grid(
+                ["polarfly:conc=2,q=5"], ["min"], [f"trace:path={path}"], root_seed=3
+            )
+            return spec.cells()[0]
+
+        a, b = (cell(path) for path in paths)
+        assert a["workload"] != b["workload"]  # each still loads its own file
+        assert (a["key"], a["seed"]) == (b["key"], b["seed"])
+        assert run_cell(a) == run_cell(b)
+        paths[1].write_text(records.replace('"size": 5', '"size": 6'))
+        edited = cell(paths[1])
+        assert edited["key"] != a["key"] and edited["seed"] != a["seed"]
+
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(combos=(), loads=(0.5,))

@@ -1,21 +1,19 @@
-"""Unit tests for traffic extras, telemetry, latency model and degraded
+"""Unit tests for traffic extras, link-load statistics and degraded
 routing."""
 
-import numpy as np
 import pytest
 
 from repro.core import PolarFly
 from repro.flitsim import (
     BitComplementTraffic,
     HotspotTraffic,
-    LatencyModel,
     NetworkSimulator,
     ShiftTraffic,
     SimConfig,
     TornadoTraffic,
     UniformTraffic,
-    run_with_telemetry,
 )
+from repro.flitsim.telemetry import LinkCounts
 from repro.routing import (
     MinimalRouting,
     RoutingTables,
@@ -85,6 +83,12 @@ class TestExtraPatterns:
             assert res.ejected_flits > 0
 
 
+def measure_links(sim, warmup: int, measure: int):
+    """``sim``'s measure window (no drain) under a :class:`LinkCounts`."""
+    links = LinkCounts()
+    return sim.run(warmup, measure, drain=0, observers=[links]), links
+
+
 class TestTelemetry:
     def test_counts_match_hops(self, pf, tables):
         # Total link flits = sum over packets of (hops * size), so
@@ -92,8 +96,8 @@ class TestTelemetry:
         sim = NetworkSimulator(
             pf, MinimalRouting(tables), UniformTraffic(pf), 0.2, seed=3
         )
-        res, tel = run_with_telemetry(sim, warmup=100, measure=400)
-        total = sum(tel.link_flits.values())
+        res, tel = measure_links(sim, warmup=100, measure=400)
+        total = sum(tel.counts.values())
         assert total > 0
         # Rough consistency: flits carried ~ ejected flits * avg hops.
         assert total == pytest.approx(res.ejected_flits * res.avg_hops, rel=0.25)
@@ -108,7 +112,7 @@ class TestTelemetry:
         }
         gini = {}
         for name, sim in sims.items():
-            _, tel = run_with_telemetry(sim, warmup=100, measure=400)
+            _, tel = measure_links(sim, warmup=100, measure=400)
             gini[name] = tel.gini()
         assert gini["tornado"] > gini["uniform"]
 
@@ -116,7 +120,7 @@ class TestTelemetry:
         sim = NetworkSimulator(
             pf, MinimalRouting(tables), TornadoTraffic(pf), 0.9, seed=5
         )
-        _, tel = run_with_telemetry(sim, warmup=200, measure=400)
+        _, tel = measure_links(sim, warmup=200, measure=400)
         link, util = tel.max_utilization()
         assert 0.5 < util <= 1.0  # the bottleneck link saturates
         assert pf.graph.has_edge(*link)
@@ -125,37 +129,11 @@ class TestTelemetry:
         sim = NetworkSimulator(
             pf, MinimalRouting(tables), UniformTraffic(pf), 0.2, seed=6
         )
-        _, tel = run_with_telemetry(sim, warmup=100, measure=200)
+        _, tel = measure_links(sim, warmup=100, measure=200)
         counts, edges = tel.utilization_histogram(bins=5)
         # Every directed link is histogrammed — idle ones in the 0 bin.
-        assert counts.sum() == tel.num_directed_links
-        assert counts.sum() >= len(tel.link_flits)
-
-
-class TestLatencyModel:
-    def test_zero_load_matches_simulator(self, pf, tables):
-        aspl = float(np.mean(tables.dist[tables.dist > 0]))
-        model = LatencyModel(pf, avg_hops=aspl)
-        sim = NetworkSimulator(
-            pf, MinimalRouting(tables), UniformTraffic(pf), 0.05, seed=7
-        )
-        res = sim.run(warmup=200, measure=400, drain=200)
-        assert model.zero_load_latency() == pytest.approx(res.avg_latency, rel=0.4)
-
-    def test_latency_monotone(self, pf, tables):
-        model = LatencyModel(pf, avg_hops=1.8)
-        lats = [model.latency(l) for l in (0.1, 0.4, 0.7)]
-        assert lats[0] < lats[1] < lats[2]
-
-    def test_infinite_past_saturation(self, pf):
-        model = LatencyModel(pf, avg_hops=1.8)
-        assert model.latency(1.0) == float("inf") or model.saturation_load >= 1.0
-
-    def test_saturation_brackets_simulator(self, pf, tables):
-        # PF(5) p=2 k=6 avg_hops~1.8: model saturation ~ k/(p*h).
-        aspl = float(np.mean(tables.dist[tables.dist > 0]))
-        model = LatencyModel(pf, avg_hops=aspl)
-        assert 0.8 <= model.saturation_load <= 1.0
+        assert counts.sum() == 2 * pf.num_links
+        assert counts.sum() >= len(tel.counts)
 
 
 class TestDegradedRouting:

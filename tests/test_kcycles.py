@@ -21,7 +21,7 @@ from repro.flitsim import FlatSimulator, NetworkSimulator
 from repro.flitsim import _kernel as kmod
 from repro.flitsim._kernel import load_kernel
 from repro.flitsim.flatcore import _PKT_CAP, _POOL_CAP
-from repro.flitsim.telemetry import run_with_timeseries
+from repro.flitsim.telemetry import WindowCloser
 from repro.flitsim.traffic import TornadoTraffic, UniformTraffic
 from repro.routing.policies import MinimalRouting
 
@@ -373,16 +373,16 @@ def test_epochs_on_window_edges_apply_on_the_cycle_step_applies_them():
         )
 
     spans, steps, ref = sim_of(), sim_of(), sim_of(NetworkSimulator)
-    phases = dict(warmup=warmup, measure=measure, drain=drain, window=window)
-    got, series = run_with_timeseries(spans, **phases)
-    want, ref_series = run_with_timeseries(ref, **phases)
+    windows, ref_windows = WindowCloser(window), WindowCloser(window)
+    got = spans.run(warmup, measure, drain, observers=[windows])
+    want = ref.run(warmup, measure, drain, observers=[ref_windows])
     assert spans.span_cycles == spans.now == warmup + measure + drain
     assert_same_result(got, run_by_steps(steps, warmup, measure, drain))
     assert_same_result(got, want)
     assert_same_state(spans, steps)
     assert [c for c, _ in spans._fault.marks] == list(cycles)
     assert spans._fault.marks == steps._fault.marks == ref._fault.marks
-    assert series.summary() == ref_series.summary()
+    assert windows.series.summary() == ref_windows.series.summary()
     assert spans.fault_result.summary() == ref.fault_result.summary()
     assert spans._fault.dropped_flits > 0
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.flitsim.engine import SimulatorCore
-from repro.flitsim.telemetry import LinkCounts, LinkTelemetry, link_map
+from repro.flitsim.telemetry import LinkCounts, link_map
 
 from oracles import PATHS, build
 
@@ -128,6 +128,7 @@ class _Counter:
         self.topo = SimpleNamespace(graph=TRIANGLE)
         self.flits = np.asarray(flits, dtype=np.int64)
         self.attached = 0
+        self.now = 0
 
     def attach_link_telemetry(self):
         self.attached += 1
@@ -146,6 +147,40 @@ def test_link_counts_difference_the_counter_over_the_window():
     assert list(counts.counts.items()) == [((0, 2), 2), ((1, 0), 1), ((2, 1), 6)]
 
 
+def counted(flits, cycles):
+    """A :class:`LinkCounts` whose window on the triangle carried
+    ``flits`` (CSR order) over ``cycles``."""
+    sim = _Counter([1] * 6)
+    counts = LinkCounts()
+    counts.start(sim, start=10)
+    sim.flits += flits
+    sim.now = 10 + cycles
+    counts.end(sim)
+    return counts
+
+
+def test_link_counts_know_the_window_length():
+    counts = counted([0, 4, 1, 0, 2, 0], cycles=8)
+    assert counts.cycles == 8
+    assert counts.utilization(0, 2) == 0.5 and counts.utilization(0, 1) == 0.0
+
+
 def test_max_utilization_breaks_ties_by_link_order():
-    tied = link_map(TRIANGLE, np.array([0, 4, 1, 0, 4, 0]))
-    assert LinkTelemetry(8, link_flits=tied).max_utilization() == ((0, 2), 0.5)
+    assert counted([0, 4, 1, 0, 4, 0], cycles=8).max_utilization() == ((0, 2), 0.5)
+
+
+def test_idle_links_count_in_gini_and_histogram():
+    # 2 hot links of 6: heavily imbalanced once the 4 idle ones count.
+    counts = counted([0, 0, 0, 100, 100, 0], cycles=100)
+    assert counts.gini() == pytest.approx(2 / 3)
+    hist, _ = counts.utilization_histogram(bins=4)
+    assert hist.tolist() == [4, 0, 0, 2]
+    assert counted([5] * 6, cycles=100).gini() == pytest.approx(0.0)
+
+
+def test_an_idle_window_is_balanced():
+    counts = counted([0] * 6, cycles=100)
+    assert counts.gini() == 0.0
+    assert counts.max_utilization() == ((-1, -1), 0.0)
+    hist, _ = counts.utilization_histogram(bins=4)
+    assert hist.tolist() == [6, 0, 0, 0]

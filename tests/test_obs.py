@@ -33,22 +33,14 @@ def small_spec(**overrides):
 
 
 class TestMetrics:
-    def test_counter_gauge_histogram(self):
+    def test_counter_snapshot_and_reset(self):
         reg = Registry()
         reg.counter("c").inc()
         reg.counter("c").inc(4)
-        reg.gauge("g").set(2.5)
-        for v in (1.0, 3.0, 2.0):
-            reg.histogram("h").observe(v)
-        snap = reg.snapshot()
-        assert snap["counters"] == {"c": 5}
-        assert snap["gauges"] == {"g": 2.5}
-        assert snap["histograms"]["h"] == {
-            "count": 3, "sum": 6.0, "min": 1.0, "max": 3.0
-        }
-        assert reg.histogram("h").mean() == 2.0
+        reg.counter("b").inc()
+        assert reg.snapshot() == {"counters": {"b": 1, "c": 5}}
         reg.reset()
-        assert reg.snapshot()["counters"] == {}
+        assert reg.snapshot() == {"counters": {}}
 
 
 class TestSink:
@@ -353,6 +345,28 @@ class TestObsReport:
         assert doc["sweep_end"]["done"] == 2
         assert len(doc["hottest_links"]) == 3
         assert doc["spans"]["sweep.cell"]["count"] == 2
+
+    def test_report_keeps_only_the_counters_of_an_old_snapshot(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv(obs.OBS_ENV, f"dir={tmp_path}")
+        obs.emit(
+            "counters", counters={"cache.hits": 3}, gauges={"g": 2.5},
+            histograms={"h": {"count": 1, "sum": 2.0, "min": 2.0, "max": 2.0}},
+        )
+        report = subprocess.run(
+            [sys.executable, os.path.join(TOOLS, "obsreport.py"), str(tmp_path)],
+            check=True, capture_output=True, text=True,
+        ).stdout
+        assert "cache.hits" in report and "gauges" not in report
+        doc = json.loads(
+            subprocess.run(
+                [sys.executable, os.path.join(TOOLS, "obsreport.py"),
+                 str(tmp_path), "--json"],
+                check=True, capture_output=True, text=True,
+            ).stdout
+        )
+        assert doc["counters"] == {"counters": {"cache.hits": 3}}
 
     def test_empty_dir_fails(self, tmp_path):
         proc = subprocess.run(

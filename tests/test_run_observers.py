@@ -1,14 +1,16 @@
 """One run loop with observers: what watching a run may and may not change.
 
-Every entry point is ``SimulatorCore._drive``; link counters, occupancy
-sampling and window records ride it as observers, compared across the
+``run(..., observers=)`` and ``run_workload(..., observers=)`` are the
+one observed-run entry: link counters, occupancy sampling and window
+records ride ``SimulatorCore._drive`` as observers, compared across the
 four cycle paths in ``tests/test_differential.py``.  Here, on each of
 the three engines (reference, numpy flat path, C kernel):
 
-* the public observed runs keep their spans;
+* observed runs keep their spans;
 * closed loop, a windowed run returns the plain ``run_workload()``'s
   ``WorkloadResult``;
-* the lifecycle guards of ``run()`` hold on all five entry points.
+* the lifecycle guards of ``run()`` hold under every observer list, and
+  the observers reject bad arguments when they are built.
 """
 
 import contextlib
@@ -17,14 +19,9 @@ import pytest
 
 from repro.experiments.registry import POLICIES, TRAFFICS
 from repro.experiments.runner import simulate_point
-from repro.flitsim import (
-    FlatSimulator,
-    NetworkSimulator,
-    run_with_telemetry,
-    run_with_timeseries,
-    run_workload_with_timeseries,
-)
+from repro.flitsim import FlatSimulator, NetworkSimulator
 from repro.flitsim._kernel import load_kernel
+from repro.flitsim.telemetry import LinkCounts, OccupancySampler, WindowCloser
 
 from oracles import assert_same_result, build, tables_for
 
@@ -50,10 +47,10 @@ def test_public_observed_runs_keep_their_spans():
         pytest.skip("C kernel (or its draw self-test) unavailable")
     topo_spec, policy_spec, load = CELL
     sim = build(topo_spec, policy_spec, "uniform", load, seed=7)
-    run_with_telemetry(sim, warmup=60, measure=150, sample_every=8)
+    sim.run(60, 150, 0, observers=[LinkCounts(), OccupancySampler(8)])
     assert sim.span_cycles == sim.now == 210
     sim = build(topo_spec, policy_spec, "uniform", load, seed=7)
-    run_with_timeseries(sim, window=64, **PHASES)
+    sim.run(**PHASES, observers=[WindowCloser(64)])
     assert sim.span_cycles == sim.now == 260
 
 
@@ -75,7 +72,9 @@ def test_windowed_workload_equals_plain_run_workload(
                 for _ in range(2)
             )
         want = plain.run_workload()
-        got, windows = run_workload_with_timeseries(sim, window=64)
+        closer = WindowCloser(64)
+        got = sim.run_workload(observers=[closer])
+        windows = closer.series
         assert_same_result(got, want, label)
         assert sim.rng.bit_generator.state == plain.rng.bit_generator.state, label
         assert windows.windows[-1]["end"] == got.cycles
@@ -92,7 +91,7 @@ def test_windowed_workload_equals_plain_run_workload(
 
 
 # ----------------------------------------------------------------------
-# Lifecycle guards: the one driver gives every entry point run()'s
+# Lifecycle guards: every observer list gets run()'s
 # ----------------------------------------------------------------------
 def _open(faults=None):
     return build(CELL[0], "min", "uniform", 0.3, seed=7, faults=faults)
@@ -102,91 +101,100 @@ def _closed():
     return build(CELL[0], "min", None, 0.0, seed=7, workload="alltoall:size=8")
 
 
-SHORT = dict(warmup=10, measure=20)
+SHORT = dict(warmup=10, measure=20, drain=5)
 
-#: name -> (simulator factory, the entry point with short windows)
-ENTRY_POINTS = {
-    "run": (_open, lambda sim, **kw: sim.run(**{**SHORT, "drain": 5, **kw})),
-    "run_with_telemetry": (
-        _open, lambda sim, **kw: run_with_telemetry(sim, **{**SHORT, **kw}),
-    ),
-    "run_with_timeseries": (
-        _open,
-        lambda sim, **kw: run_with_timeseries(sim, **{**SHORT, "drain": 5, **kw}),
-    ),
-    "run_workload": (_closed, lambda sim, **kw: sim.run_workload(**kw)),
-    "run_workload_with_timeseries": (
-        _closed, lambda sim, **kw: run_workload_with_timeseries(sim, **kw),
-    ),
+#: row -> (simulator factory, the observers its run is handed)
+OBSERVED_RUNS = {
+    "run": (_open, lambda: []),
+    "run-links-occupancy": (_open, lambda: [LinkCounts(), OccupancySampler()]),
+    "run-windows": (_open, lambda: [WindowCloser()]),
+    "run_workload": (_closed, lambda: []),
+    "run_workload-windows": (_closed, lambda: [WindowCloser()]),
 }
 
 
-@pytest.mark.parametrize("entry", ENTRY_POINTS)
-def test_second_run_says_the_result_is_out(entry):
-    make, call = ENTRY_POINTS[entry]
+def _call(sim, observers, **phases):
+    """The run of ``sim``'s loop kind under ``observers``."""
+    if sim._wl is not None:
+        return sim.run_workload(observers=observers)
+    return sim.run(**{**SHORT, **phases}, observers=observers)
+
+
+@pytest.mark.parametrize("row", OBSERVED_RUNS)
+def test_second_run_says_the_result_is_out(row):
+    make, observers = OBSERVED_RUNS[row]
     sim = make()
-    call(sim)
+    _call(sim, observers())
     now = sim.now
     with pytest.raises(RuntimeError, match="already produced its result"):
-        call(sim)
+        _call(sim, observers())
     assert sim.now == now
 
 
-#: (entry point, bad argument, the field the error must name)
-BAD_ARGUMENTS = [
-    (entry, bad, field)
-    for entry in ("run_with_telemetry", "run_with_timeseries")
-    for bad, field in [
-        (dict(measure=0), "measure"),
-        (dict(measure=-5), "measure"),
-        (dict(warmup=-1), "warmup"),
-        (dict(warmup=10.5), "warmup"),
-        (dict(sample_every=0), "sample_every"),
-        (dict(sample_every=-8), "sample_every"),
-        (dict(sample_every=2.5), "sample_every"),
-    ]
-] + [
-    ("run_with_timeseries", dict(drain=-1), "drain"),
-    ("run_with_timeseries", dict(window=0), "window"),
-    ("run_with_timeseries", dict(window=None), "window"),
-    ("run_workload_with_timeseries", dict(window=-64), "window"),
-    ("run_workload_with_timeseries", dict(window=6.4), "window"),
-    ("run_workload_with_timeseries", dict(sample_every=0), "sample_every"),
+#: (bad phase argument of run(), the field the error must name)
+BAD_PHASES = [
+    (dict(measure=0), "measure"),
+    (dict(measure=-5), "measure"),
+    (dict(warmup=-1), "warmup"),
+    (dict(warmup=10.5), "warmup"),
+    (dict(drain=-1), "drain"),
 ]
 
 
-@pytest.mark.parametrize("entry,bad,field", BAD_ARGUMENTS)
-def test_bad_argument_names_the_field(entry, bad, field):
-    make, call = ENTRY_POINTS[entry]
+@pytest.mark.parametrize("row", [r for r in OBSERVED_RUNS if r.startswith("run-")])
+@pytest.mark.parametrize("bad,field", BAD_PHASES)
+def test_bad_phase_names_the_field(row, bad, field):
+    make, observers = OBSERVED_RUNS[row]
     sim = make()
     with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
-        call(sim, **bad)
+        _call(sim, observers(), **bad)
     assert sim.now == 0  # rejected before a cycle ran
 
 
-def test_faulted_run_with_telemetry_goes_through_begin_run():
+#: (observer, bad constructor argument, the field the error must name)
+BAD_OBSERVER_ARGUMENTS = [
+    (OccupancySampler, dict(sample_every=0), "sample_every"),
+    (OccupancySampler, dict(sample_every=-8), "sample_every"),
+    (OccupancySampler, dict(sample_every=2.5), "sample_every"),
+    (WindowCloser, dict(sample_every=0), "sample_every"),
+    (WindowCloser, dict(window=0), "window"),
+    (WindowCloser, dict(window=None), "window"),
+    (WindowCloser, dict(window=-64), "window"),
+    (WindowCloser, dict(window=6.4), "window"),
+]
+
+
+@pytest.mark.parametrize("observer,bad,field", BAD_OBSERVER_ARGUMENTS)
+def test_bad_observer_argument_names_the_field(observer, bad, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        observer(**bad)
+
+
+def test_faulted_observed_run_goes_through_begin_run():
     plain = _open(faults=FAULT_SPEC)
     plain.run(warmup=60, measure=150, drain=0)
     sim = _open(faults=FAULT_SPEC)
-    res, tel = run_with_telemetry(sim, warmup=60, measure=150)
+    links = LinkCounts()
+    res = sim.run(60, 150, 0, observers=[links, OccupancySampler()])
     assert sim.fault_result is not None
     assert sim.fault_result.summary() == plain.fault_result.summary()
-    assert sim.fault_result.dropped_flits > 0 and tel.link_flits
+    assert sim.fault_result.dropped_flits > 0 and links.counts
     assert_same_result(res, plain.result)
     # The fault state was started by this run, so it refuses another.
     with pytest.raises(RuntimeError, match="single-run"):
-        run_with_telemetry(sim, warmup=60, measure=150)
+        sim.run(60, 150, 0, observers=[LinkCounts()])
 
 
-def test_simulate_point_link_telemetry_on_the_reference_engine():
+def test_simulate_point_link_counts_on_the_reference_engine():
     topo_spec, policy_spec, load = CELL
     topo, tables = tables_for(topo_spec)
     maps = []
     for engine in ("reference", "flat"):
-        res = simulate_point(
+        links = LinkCounts()
+        simulate_point(
             topo, POLICIES.create(policy_spec, tables),
             TRAFFICS.create("uniform", topo), load, seed=7, engine=engine,
-            link_telemetry=True, **PHASES,
+            observers=[links], **PHASES,
         )
-        maps.append(res.link_flits)
+        maps.append(links.counts)
     assert maps[0] and list(maps[0].items()) == list(maps[1].items())

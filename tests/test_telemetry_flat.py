@@ -4,13 +4,10 @@ Link counts and occupancy samples are compared across all four cycle
 paths in ``tests/test_differential.py``.
 """
 
-import pytest
-
-from repro.flitsim import run_with_telemetry
+from repro.flitsim.telemetry import LinkCounts
 
 from oracles import assert_same_result, build
 
-WINDOW = dict(warmup=120, measure=240, sample_every=8)
 #: topology, policy, traffic, load
 CELL = ("polarfly:conc=2,q=7", "min", "uniform", 0.5)
 
@@ -28,15 +25,11 @@ def test_attach_does_not_perturb_results():
     assert instrumented.link_flits().sum() > 0
 
 
-def test_run_with_telemetry_finalizes_flat_result():
+def test_link_counts_know_the_window_and_every_link():
     sim = build(*CELL, seed=7)
-    res, tel = run_with_telemetry(sim, **WINDOW)
-    assert sim.result is not None
-    assert res.cycles == WINDOW["measure"] == tel.cycles
-    counts, _ = tel.utilization_histogram()
-    assert counts.sum() == tel.num_directed_links  # idle links included
-
-
-def test_rejects_unknown_engine():
-    with pytest.raises(TypeError):
-        run_with_telemetry(object())
+    links = LinkCounts()
+    res = sim.run(warmup=120, measure=240, drain=0, observers=[links])
+    assert sim.result is res
+    assert res.cycles == 240 == links.cycles
+    counts, _ = links.utilization_histogram()
+    assert counts.sum() == 2 * sim.topo.num_links  # idle links included

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import POLICIES, TOPOLOGIES, TRAFFICS, WORKLOADS
-from repro.experiments.runner import auto_sim_config, simulate_workload
+from repro.experiments.runner import auto_sim_config, simulate_point
 from repro.flitsim import FlatSimulator, NetworkSimulator
 from repro.flitsim.traffic import RandomPermutationTraffic, UniformTraffic
 from repro.routing.tables import RoutingTables
@@ -134,4 +134,4 @@ class TestWorkloadsOnFatTree:
         wl = Workload("bad", [Message(core, edge, 4)])
         policy = POLICIES.create("ftnca", ft_tables)
         with pytest.raises(ValueError, match="terminal"):
-            simulate_workload(ft, policy, wl, seed=0)
+            simulate_point(ft, policy, workload=wl, seed=0)

@@ -6,16 +6,14 @@ a series must not perturb the simulation itself: the windowed run's
 SimResult is bit-identical to a plain ``run()``.
 
 On top of the collector: steady-state detection, fault-recovery
-extraction, Chrome-trace export, and the ``LinkTelemetry.gini()``
-idle-link universe pin.
+extraction and Chrome-trace export.
 """
 
 import json
 
 import pytest
 
-from repro.flitsim import run_with_timeseries, run_workload_with_timeseries
-from repro.flitsim.telemetry import LinkTelemetry
+from repro.flitsim.telemetry import WindowCloser
 from repro.obs.timeseries import (
     TimeSeriesCollector,
     WindowSeries,
@@ -28,7 +26,6 @@ from repro.obs.timeseries import (
 
 from oracles import assert_same_result, build
 
-WINDOW = dict(warmup=120, measure=240, window=64, sample_every=8, drain=80)
 #: topology, policy, traffic, load
 CELL = ("polarfly:conc=2,q=7", "ugal-pf", "uniform", 0.5)
 FAULT_SPEC = "linkflap:count=3,cycle=150,duration=120,seed=1"
@@ -43,7 +40,9 @@ class TestNonPerturbation:
         plain = build(*CELL, seed=7, faults=fault_spec)
         plain_res = plain.run(warmup=120, measure=240, drain=80)
         windowed = build(*CELL, seed=7, faults=fault_spec)
-        win_res, series = run_with_timeseries(windowed, **WINDOW)
+        closer = WindowCloser(window=64, sample_every=8)
+        win_res = windowed.run(warmup=120, measure=240, drain=80, observers=[closer])
+        series = closer.series
         assert_same_result(plain_res, win_res)
         assert len(series) == 4
         assert all(w["link_total"] > 0 for w in series.windows)
@@ -61,10 +60,12 @@ class TestNonPerturbation:
 
     def test_rejects_wrong_loop_kind(self):
         open_loop = build(*CELL)
-        with pytest.raises(RuntimeError):
-            run_workload_with_timeseries(open_loop)
-        with pytest.raises(TypeError):
-            run_with_timeseries(object())
+        with pytest.raises(RuntimeError, match="no workload attached"):
+            open_loop.run_workload(observers=[WindowCloser()])
+        closed_loop = build(*CELL[:2], None, 0.0, workload="alltoall:size=8")
+        with pytest.raises(RuntimeError, match="use run_workload"):
+            closed_loop.run(observers=[WindowCloser()])
+        assert open_loop.now == closed_loop.now == 0
 
 
 def make_series(rates, window=10, faults=None):
@@ -224,29 +225,3 @@ class TestWindowedSweepCells:
             (plain_stats,) = runner.run(self._spec()).cells.values()
         assert "timeseries" not in plain_stats
         assert "steady_state_window" not in plain_stats
-
-
-class TestGiniUniverse:
-    """Satellite pin: gini() covers the same universe as the histogram."""
-
-    def test_idle_links_count_in_gini(self):
-        # 2 hot links out of a 10-link universe: heavily imbalanced.
-        tel = LinkTelemetry(
-            cycles=100, num_directed_links=10,
-            link_flits={(0, 1): 100, (1, 0): 100},
-        )
-        observed_only = LinkTelemetry(
-            cycles=100, num_directed_links=0,
-            link_flits={(0, 1): 100, (1, 0): 100},
-        )
-        assert observed_only.gini() == 0.0  # perfectly even over 2 links
-        assert tel.gini() == pytest.approx(0.8)  # 8 idle links included
-        # Same universe as the histogram: counts sum to all links.
-        counts, _ = tel.utilization_histogram()
-        assert counts.sum() == 10
-
-    def test_empty_telemetry_is_balanced(self):
-        tel = LinkTelemetry(cycles=100)
-        assert tel.gini() == 0.0
-        counts, _ = tel.utilization_histogram()
-        assert counts.sum() == 1  # the floor universe

@@ -16,7 +16,7 @@ from repro.experiments import (
     SweepRunner,
     WORKLOADS,
 )
-from repro.experiments.runner import auto_sim_config, simulate_workload
+from repro.experiments.runner import auto_sim_config, simulate_point
 from repro.flitsim import FlatSimulator, NetworkSimulator
 
 from oracles import assert_same_result
@@ -40,10 +40,10 @@ def test_second_run_workload_says_the_result_is_out(pf, tables, engine):
 def test_same_seed_is_deterministic(pf, tables):
     policy = POLICIES.create("ugal-pf", tables)
     wl = WORKLOADS.create("allreduce:algo=ring,size=64", pf)
-    a = simulate_workload(pf, policy, wl, seed=3)
-    b = simulate_workload(pf, policy, wl, seed=3)
+    a = simulate_point(pf, policy, workload=wl, seed=3)
+    b = simulate_point(pf, policy, workload=wl, seed=3)
     assert_same_result(a, b)
-    c = simulate_workload(pf, policy, wl, seed=4)
+    c = simulate_point(pf, policy, workload=wl, seed=4)
     assert c.cycles != a.cycles or not np.array_equal(
         c.packet_latencies, a.packet_latencies
     )
@@ -52,7 +52,7 @@ def test_same_seed_is_deterministic(pf, tables):
 def test_unfinished_run_reports_partial_progress(pf, tables):
     policy = POLICIES.create("min", tables)
     wl = WORKLOADS.create("allreduce:algo=ring,size=64", pf)
-    res = simulate_workload(pf, policy, wl, max_cycles=60)
+    res = simulate_point(pf, policy, workload=wl, max_cycles=60)
     assert not res.finished
     assert res.completion_time == -1
     assert res.cycles == 60

@@ -139,11 +139,9 @@ def summarize(events: list, top: int = 5) -> dict:
         for key, recs in sorted(timelines.items())
     }
     if counters:
-        report["counters"] = {
-            k: counters[k]
-            for k in ("counters", "gauges", "histograms")
-            if k in counters
-        }
+        # Shards written before gauges and histograms were dropped carry
+        # them as two more keys; only the counters are reported.
+        report["counters"] = {"counters": counters.get("counters", {})}
     return report
 
 
