@@ -211,6 +211,28 @@ class TestSweepEvents:
         assert len(top_links["reference"]) == 4
         assert top_links["reference"] == top_links["flat"]
 
+    def test_closed_loop_cells_emit_cell_telemetry(self, monkeypatch, tmp_path):
+        spec = ExperimentSpec.workload_grid(
+            ["polarfly:conc=2,q=5"], ["min"],
+            ["alltoall:size=4", "allreduce:algo=ring,size=16"], root_seed=7,
+        )
+        monkeypatch.delenv(obs.OBS_ENV, raising=False)
+        clean = SweepRunner(cache=None, max_workers=1).run(spec)
+        monkeypatch.setenv(obs.OBS_ENV, f"dir={tmp_path}")
+        observed = SweepRunner(cache=None, max_workers=1).run(spec)
+        assert observed.cells == clean.cells
+        tele = {
+            e["key"]: e for e in obs.read_events(tmp_path)
+            if e["ev"] == "cell.telemetry"
+        }
+        assert sorted(tele) == sorted(c["key"][:12] for c in spec.cells())
+        for cell in spec.cells():
+            event = tele[cell["key"][:12]]
+            # over the whole run: the workload's completion time
+            assert event["cycles"] == observed.cells[cell["key"]]["cycles"]
+            counts = [c for _, _, c in event["top_links"]]
+            assert counts and counts == sorted(counts, reverse=True)
+
     def test_events_do_not_change_results(self, monkeypatch, tmp_path):
         monkeypatch.delenv(obs.OBS_ENV, raising=False)
         clean = SweepRunner(cache=None, max_workers=1).run(small_spec())

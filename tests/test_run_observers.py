@@ -10,10 +10,14 @@ the three engines (reference, numpy flat path, C kernel):
 * closed loop, a windowed run returns the plain ``run_workload()``'s
   ``WorkloadResult``;
 * the lifecycle guards of ``run()`` hold under every observer list, and
-  the observers reject bad arguments when they are built.
+  the observers reject bad arguments when they are built;
+* a sweep cell imports the observers only when it is observed.
 """
 
 import contextlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -198,3 +202,42 @@ def test_simulate_point_link_counts_on_the_reference_engine():
         )
         maps.append(links.counts)
     assert maps[0] and list(maps[0].items()) == list(maps[1].items())
+
+
+# ----------------------------------------------------------------------
+# An unobserved cell does not pay for the observers' imports
+# ----------------------------------------------------------------------
+_CELL_SPECS = {
+    "open": "ExperimentSpec.grid(['polarfly:conc=2,q=5'], ['min'], ['uniform'], "
+            "loads=(0.3,), warmup=20, measure=40, drain=10)",
+    "closed": "ExperimentSpec.workload_grid(['polarfly:conc=2,q=5'], ['min'], "
+              "['alltoall:size=4'])",
+    "faulted": "ExperimentSpec.fault_grid(['polarfly:conc=2,q=5'], ['min'], "
+               "['uniform'], ['linkflap:count=2,cycle=10,duration=30,seed=1'], "
+               "loads=(0.3,), warmup=20, measure=40, drain=10)",
+    "windowed": "ExperimentSpec.grid(['polarfly:conc=2,q=5'], ['min'], ['uniform'], "
+                "loads=(0.3,), warmup=20, measure=40, drain=10, window=16)",
+}
+OBSERVER_MODULES = ("repro.flitsim.telemetry", "repro.obs.timeseries")
+
+
+@pytest.mark.parametrize("kind", _CELL_SPECS)
+def test_only_an_observed_cell_imports_the_observers(kind):
+    """``run_cell`` in a fresh interpreter with ``$REPRO_OBS`` unset: only
+    the windowed cell (the control) has a reason to load the observers."""
+    child = (
+        "import sys\n"
+        "from repro.experiments import ExperimentSpec\n"
+        "from repro.experiments.runner import run_cell\n"
+        f"run_cell({_CELL_SPECS[kind]}.cells()[0])\n"
+        f"print(sorted(m for m in {OBSERVER_MODULES!r} if m in sys.modules))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_OBS"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = eval(proc.stdout.strip().splitlines()[-1])
+    assert loaded == (sorted(OBSERVER_MODULES) if kind == "windowed" else [])
