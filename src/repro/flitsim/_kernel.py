@@ -11,8 +11,8 @@ The kernel is **universal**: it executes the full cycle protocol in
 every mode, not just open loop.
 
 * *Workload mode* needs no extra C state on the per-cycle path —
-  ``kinject`` appends packet flit chains to arbitrary (possibly
-  repeated) endpoint FIFOs, and the per-cycle **completion ring buffer**
+  ``kinject`` appends packets to arbitrary (possibly repeated) endpoint
+  FIFOs, and the per-cycle **completion ring buffer**
   ``tail_pids`` (filled by ``kroute`` in grant order, the
   latency-recording order) carries every ejected tail back to Python,
   where the workload eligibility state machine maps packet slots to
@@ -24,7 +24,8 @@ every mode, not just open loop.
   of order), the damaged-packet flags, and a second per-cycle ring
   buffer ``drop_tail_pids`` plus the ``fcnt`` counters for exact
   drop/credit reporting: head flits whose first hop is dead drop in
-  endpoint order without consuming the injection credit, and granted
+  endpoint order without consuming the injection credit (or ever taking
+  a pool row), and granted
   flits whose next output is dead evaporate on the wire in grant order
   without consuming the upstream credit — bit-identical to the numpy
   path and the reference engine.  Epoch-boundary table swaps and
@@ -62,15 +63,15 @@ every mode, not just open loop.
   injection — the Bernoulli draw (``next_double`` per endpoint, none at
   zero load) and the destination pick, or closed loop the ready queue
   drained FIFO into packets with a round-robin endpoint each —
-  ``kselect``, packet-slot fill, ``kinject``, ``kfeed``, ``kroute``, the
-  latency samples of measured tails and, closed loop, the completion
+  ``kselect``'s body, packet-slot fill, ``kinject``, ``kfeed``, ``kroute``,
+  the latency samples of measured tails and, closed loop, the completion
   commit through the dependents CSR, for as many cycles as the caller
   asks.  Between two fault epochs it also applies the survival masks to
   the winners and their destinations and counts drops, damaged
   deliveries and blackholed packets for Python to fold into the fault
   state once per call.  It returns early, at a cycle boundary, only
-  when Python must grow a pool or the batch scratch, flush the sample
-  buffers, or the workload has completed.  It calls the same functions
+  when Python must grow a pool, the batch scratch or the sample
+  columns, or the workload has completed.  It calls the same functions
   the per-cycle path calls one by one, so there is one copy of the
   cycle logic; the per-cycle sequence in
   :class:`~repro.flitsim.flatcore.FlatSimulator` defines the result and
@@ -139,15 +140,27 @@ record ``{next, pid, ready, hop, seq}`` (three ``int32``, two
 ``int16``) of the structured array ``FlatSimulator._pool``, bound as
 the single pointer ``pool``; a grant is one ``int32`` ``Grant`` record
 ``{f, r, in, out}``, so apply rebuilds the VOQ index by multiplying
-instead of dividing it apart.  The route phase never searches a
-neighbor row: ``kinject`` resolves every hop's output port once per
-packet into ``route_port`` (``int16``, one ``stride``-wide row per
-packet slot, kernel-only state like ``row_mask``) — ``OE`` where the
-packet ejects — and ``kfeed`` and apply only read it.  The narrowed fields fail loudly at their ceilings
-in :class:`~repro.flitsim.flatcore.FlatSimulator`: ``packet_size`` and
-the route stride at construction, the cycle count before a ready stamp
-could pass 2**31 - 1.  Everything else the kernel is bound to stays
-flat ``int64``.
+instead of dividing it apart.
+
+Source FIFOs hold packets, not flits: a FIFO is a chain of packet slots
+through ``pkt_next`` (``int32``) from ``src_head`` to ``src_tail``, and
+``src_seq`` numbers the head packet's next flit.  ``kfeed`` makes each
+flit — takes its pool row, stamps it ready — as it enters its injection
+VOQ, so the pool holds only buffered flits: at most the network's
+buffer capacity, plus the one row per endpoint a cycle's feed may take.
+The per-packet records are sized to their ceilings: ``route_buf``,
+``pkt_dst``, ``pkt_msg`` and ``pkt_t_created`` ``int32``, ``pkt_len``
+``int8``, both free stacks ``int32`` ids.  The route phase never
+searches a neighbor row: ``kinject`` resolves every hop's output port
+once per packet into ``route_port`` (``int16``, one ``stride``-wide row
+per packet slot, kernel-only state like ``row_mask``) — ``OE`` where
+the packet ejects — and ``kfeed`` and apply only read it.  The narrowed
+fields fail loudly at their ceilings in
+:class:`~repro.flitsim.flatcore.FlatSimulator`: ``packet_size``, the
+route stride and the router ids at construction, packet slots as the
+table grows, the cycle count before a ready or creation stamp could
+pass 2**31 - 1.  Route selection's scratch and the span's per-packet
+rows and sample columns are ``int32`` too.
 """
 
 from __future__ import annotations
@@ -202,26 +215,34 @@ typedef struct {
     uint64_t *busy_rows;
     int64_t *backlog, *rr, *credits;
     Flit *pool;
-    int64_t *src_head, *src_tail, *ep_credit;
-    int64_t *pkt_len, *pkt_dst, *pkt_t_created;
-    int64_t *pkt_msg;       /* owning workload message (-1 open loop) */
-    int8_t *pkt_measured;
-    int64_t *route_buf;
+    /* Source FIFOs hold packets, not flits: per endpoint, the head and
+     * tail packet slots of a chain through pkt_next (-1: empty), and
+     * src_seq, the sequence number of the head packet's next flit.  A
+     * flit takes its pool row only as it leaves (kfeed). */
+    int64_t *src_head, *src_tail, *src_seq, *ep_credit;
+    int32_t *pkt_next;
+    int8_t *pkt_len;
+    int32_t *pkt_dst, *pkt_t_created;
+    int32_t *pkt_msg;       /* owning workload message (-1 open loop) */
+    _Bool *pkt_measured;
+    int32_t *route_buf;
     /* Per packet slot, `stride` output ports: route_port[pid * stride + h]
      * is the port the packet leaves router route[h] by (OE: ejection),
      * resolved once by kinject. */
     int16_t *route_port;
-    int64_t *pkt_free, *pkt_free_top;
-    int64_t *free_stack, *free_top;
+    int32_t *pkt_free;
+    int64_t *pkt_free_top;
+    int32_t *free_stack;
+    int64_t *free_top;
     Grant *grants;
     int64_t *tail_pids;
     /* Fault mode only (fault_mode == 0 leaves these NULL): the
      * (router, out) death mask, outstanding-flit counters and damaged
      * flags per packet slot, the tail-drop ring buffer (drop order),
      * and fcnt = {dropped flits, tail drops} for the current cycle. */
-    int8_t *dead_row;
+    _Bool *dead_row;
     int64_t *pkt_live;
-    int8_t *pkt_damaged;
+    _Bool *pkt_damaged;
     int64_t *drop_tail_pids;
     int64_t *fcnt;
     /* Cumulative per-link flit counters (n * Dp, indexed r * Dp + out):
@@ -261,7 +282,7 @@ typedef struct {
      * unlike SimState's adj_* port map of the intact fabric; tied next
      * hops are found again by scanning its sorted rows. */
     int64_t *g_indptr, *g_indices;
-    int8_t *alive;          /* NULL: every router alive */
+    _Bool *alive;           /* NULL: every router alive */
     /* Coordinate mode — an intact PolarFly (routing/algebraic.py's
      * coordinates_apply); dist, patch, first and count are then NULL:
      * the n x 3 left-normalised vertex vectors and GF(q)'s add, sub and
@@ -274,11 +295,11 @@ typedef struct {
      * (sq x sq), the matchings x -> eta x and x -> eta^-1 x, ER_q's CSR,
      * and room for one pair's tied next hops (radix entries). */
     int64_t sq;
-    int8_t *ps_adj;
+    _Bool *ps_adj;
     int64_t *ps_up, *ps_down, *er_indptr, *er_indices, *ps_hops;
-    /* Scratch: cap * (2 * width + 13) int64; rows are `width` wide. */
+    /* Scratch: cap * (2 * width + 13) int32; rows are `width` wide. */
     int64_t cap, width;
-    int64_t *work;
+    int32_t *work;
 } Selector;
 """
 
@@ -286,7 +307,7 @@ typedef struct {
 #: ``Workload``, the closed-loop message state machine — its counters, and
 #: why it handed control back (``lib.SPAN_*`` on the host side)
 _SPAN_STRUCT = """
-enum { SPAN_DONE, SPAN_GROW, SPAN_FLUSH, SPAN_TOO_LONG };
+enum { SPAN_DONE, SPAN_GROW, SPAN_TOO_LONG };
 /* Cells of Workload.tally. */
 enum { WL_READY_LEN, WL_COMPLETED, WL_FLIT_HOPS };
 
@@ -301,12 +322,13 @@ typedef struct {
     /* Scratch, `cap` each (cap >= E): per packet of the cycle its
      * endpoint, routers, slot and — closed loop — message. */
     int64_t cap;
-    int64_t *winners, *srcs, *dsts, *slots, *mids;
+    int32_t *winners, *srcs, *dsts, *slots, *mids;
     /* FaultState's survival masks while some router is dead, else NULL:
      * dead endpoints cannot win, dead destinations blackhole. */
-    int8_t *ep_alive, *router_alive;
-    /* Latency / hop count of measured tails, in grant order. */
-    int64_t *lat, *hops;
+    _Bool *ep_alive, *router_alive;
+    /* The simulator's latency / hop-count columns (measured tails, in
+     * grant order): SpanOut.samples entries are filled, sample_cap fit. */
+    int32_t *lat, *hops;
     int64_t sample_cap;
 } Injector;
 
@@ -325,21 +347,22 @@ typedef struct {
 
 typedef struct {
     int64_t now;            /* first cycle not yet executed */
-    int64_t packets, injected_flits, ejected_flits, samples;
+    int64_t packets, injected_flits, ejected_flits;
+    int64_t samples;        /* entries of Injector.lat / hops in use */
     /* Fault accounting, for FaultState's note_* once per call. */
     int64_t dropped_flits, tail_drops, damaged, blackholed;
-    int64_t need;           /* SPAN_GROW: packets the cycle must hold */
+    int64_t need;           /* SPAN_GROW: packets the cycle injects */
     int64_t max_len;        /* kselect's result at SPAN_TOO_LONG */
 } SpanOut;
 """
 
 _CDEF = _STRUCT + _SELECT_STRUCT + _SPAN_STRUCT + """
-void kinject(SimState *st, int64_t now, int64_t k,
-             const int64_t *slots, const int64_t *winners);
+void kinject(SimState *st, int64_t k, const int32_t *slots,
+             const int32_t *eps);
 void kfeed(SimState *st, int64_t now);
 int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected);
 int64_t kselect(const SimState *st, const Selector *sel, bitgen_t *bg,
-                int64_t k, const int64_t *srcs, const int64_t *dsts);
+                int64_t k, const int32_t *srcs, const int32_t *dsts);
 int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
                 const Injector *inj, const Workload *wl,
                 int64_t now, int64_t until, SpanOut *out);
@@ -353,21 +376,20 @@ _C_SOURCE = """
 #include <string.h>
 """ + _STRUCT + _SELECT_STRUCT + _SPAN_STRUCT + """
 
-/* Account and release one dropped flit row (fault mode): bump the
- * flit-drop counter, flag the packet damaged, record a lost tail in the
- * ring buffer (array order = drop order, which feeds the retransmit
- * queue), and recycle the pool row — plus the packet slot once its
- * outstanding-flit count hits zero. */
-static void drop_flit(SimState *st, int64_t f)
+/* Account one lost flit, number seq of packet slot pid (fault mode):
+ * bump the flit-drop counter, flag the packet damaged, record a lost tail
+ * in the ring buffer (array order = drop order, which feeds the
+ * retransmit queue), and recycle the packet slot once its
+ * outstanding-flit count hits zero.  A flit lost at feed never had a
+ * pool row; one lost on the wire hands its row back itself. */
+static void lose_flit(SimState *st, int64_t pid, int64_t seq)
 {
-    int64_t pid = st->pool[f].pid;
     st->fcnt[0] += 1;
     st->pkt_damaged[pid] = 1;
-    if (st->pool[f].seq == st->ps - 1)
+    if (seq == st->ps - 1)
         st->drop_tail_pids[st->fcnt[1]++] = pid;
-    st->free_stack[(*st->free_top)++] = f;
     if (--st->pkt_live[pid] == 0)
-        st->pkt_free[(*st->pkt_free_top)++] = pid;
+        st->pkt_free[(*st->pkt_free_top)++] = (int32_t)pid;
 }
 
 /* First index in sorted a[lo..hi) whose value is >= key (searchsorted). */
@@ -445,7 +467,7 @@ static void enqueue(SimState *st, int64_t row, int64_t in, int64_t f)
  * is its destination (a Valiant leg through dst ejects there). */
 static void fill_ports(SimState *st, int64_t pid)
 {
-    const int64_t *route = st->route_buf + pid * st->stride;
+    const int32_t *route = st->route_buf + pid * st->stride;
     int16_t *port = st->route_port + pid * st->stride;
     int64_t len = st->pkt_len[pid], dst = st->pkt_dst[pid];
     port[0] = (int16_t)(len == 1 ? st->OE : port_of(st, route[0], route[1]));
@@ -454,56 +476,42 @@ static void fill_ports(SimState *st, int64_t pid)
                             ? st->OE : port_of(st, route[h], route[h + 1]));
 }
 
-/* Protocol step 1 plumbing: output ports, pool rows and FIFO chains for
- * k new packets (RNG, routing, and the packet table are written by the
- * caller).  winners[j] is packet j's endpoint; repeats are fine —
- * sequential appends keep per-endpoint FIFO order, which is all the
- * protocol observes — so the same call serves Bernoulli winners
- * (distinct) and workload batches (several packets may land on one
- * endpoint). */
-void kinject(SimState *st, int64_t now, int64_t k,
-             const int64_t *slots, const int64_t *winners)
+/* Protocol step 1 plumbing: output ports and FIFO places for k new
+ * packets (RNG, routing, and the packet table are written by the
+ * caller).  Packet j, in slot slots[j], joins the tail of endpoint
+ * eps[j]'s FIFO; repeats are fine — sequential appends keep per-endpoint
+ * FIFO order, which is all the protocol observes — so the same call
+ * serves Bernoulli winners (distinct) and workload batches (several
+ * packets may land on one endpoint).  No flit exists yet: kfeed makes
+ * each as it leaves the FIFO. */
+void kinject(SimState *st, int64_t k, const int32_t *slots,
+             const int32_t *eps)
 {
-    int64_t ps = st->ps;
     for (int64_t j = 0; j < k; j++) {
-        int64_t e = winners[j];
-        int64_t pid = slots[j];
-        int64_t first = -1, prev = -1;
+        int64_t e = eps[j], pid = slots[j];
         fill_ports(st, pid);
-        for (int64_t s = 0; s < ps; s++) {
-            int64_t f = st->free_stack[--(*st->free_top)];
-            Flit *fl = st->pool + f;
-            fl->next = -1;
-            fl->pid = (int32_t)pid;
-            fl->ready = (int32_t)now;
-            fl->hop = 0;
-            fl->seq = (int16_t)s;
-            if (prev >= 0)
-                st->pool[prev].next = (int32_t)f;
-            else
-                first = f;
-            prev = f;
-        }
+        st->pkt_next[pid] = -1;
         if (st->src_tail[e] >= 0)
-            st->pool[st->src_tail[e]].next = (int32_t)first;
+            st->pkt_next[st->src_tail[e]] = (int32_t)pid;
         else
-            st->src_head[e] = first;
-        st->src_tail[e] = prev;
+            st->src_head[e] = pid;
+        st->src_tail[e] = pid;
     }
 }
 
-/* Protocol step 2: one flit per endpoint from FIFO to injection VOQ.
- * Fault mode: a head flit whose first-hop output is dead drops before
- * entering the buffer (endpoint-ascending drop order), spending the
- * endpoint's one-flit feed slot without consuming the credit. */
+/* Protocol step 2: one flit per endpoint from FIFO to injection VOQ —
+ * flit src_seq[e] of the head packet, which takes its pool row here, as
+ * it enters the buffer; its last flit pops the packet.  Fault mode: a
+ * head flit whose first-hop output is dead is lost before entering the
+ * buffer (endpoint-ascending drop order), spending the endpoint's
+ * one-flit feed slot without consuming the credit or a row. */
 void kfeed(SimState *st, int64_t now)
 {
-    (void)now;
     int64_t O = st->O;
     int64_t fm = st->fault_mode;
     for (int64_t e = 0; e < st->E; e++) {
-        int64_t f = st->src_head[e];
-        if (f < 0)
+        int64_t pid = st->src_head[e];
+        if (pid < 0)
             continue;
         /* Outside fault mode nothing precedes the credit check, so a
          * blocked endpoint skips the port read; under faults the
@@ -511,19 +519,29 @@ void kfeed(SimState *st, int64_t now)
         if (!fm && st->ep_credit[e] <= 0)
             continue;
         int64_t r = st->ep_router[e];
-        int64_t out = st->route_port[st->pool[f].pid * st->stride];
-        if (fm && st->dead_row[r * O + out]) {
-            st->src_head[e] = st->pool[f].next;
+        int64_t out = st->route_port[pid * st->stride];
+        int dead = fm && st->dead_row[r * O + out];
+        if (!dead && st->ep_credit[e] <= 0)
+            continue;
+        int64_t seq = st->src_seq[e];
+        if (seq + 1 < st->ps) {
+            st->src_seq[e] = seq + 1;
+        } else {
+            st->src_seq[e] = 0;
+            st->src_head[e] = st->pkt_next[pid];
             if (st->src_head[e] < 0)
                 st->src_tail[e] = -1;
-            drop_flit(st, f);
+        }
+        if (dead) {
+            lose_flit(st, pid, seq);
             continue;
         }
-        if (st->ep_credit[e] <= 0)
-            continue;
-        st->src_head[e] = st->pool[f].next;
-        if (st->src_head[e] < 0)
-            st->src_tail[e] = -1;
+        int32_t f = st->free_stack[--(*st->free_top)];
+        Flit *fl = st->pool + f;
+        fl->pid = (int32_t)pid;
+        fl->ready = (int32_t)now;
+        fl->hop = 0;
+        fl->seq = (int16_t)seq;
         st->ep_credit[e] -= 1;
         enqueue(st, r * O + out, st->ep_inport[e], f);
     }
@@ -659,7 +677,7 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
             n_ej++;
             if (fl->seq == st->ps - 1)
                 st->tail_pids[n_tail++] = pid;
-            st->free_stack[(*st->free_top)++] = f;
+            st->free_stack[(*st->free_top)++] = (int32_t)f;
             /* Slot recycling: tail order when nothing can drop; by
              * outstanding-flit count under faults (drops retire
              * packets out of tail order).  The caller reads pkt_* for
@@ -667,9 +685,9 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
              * injection). */
             if (fm) {
                 if (--st->pkt_live[pid] == 0)
-                    st->pkt_free[(*st->pkt_free_top)++] = pid;
+                    st->pkt_free[(*st->pkt_free_top)++] = (int32_t)pid;
             } else if (fl->seq == st->ps - 1) {
-                st->pkt_free[(*st->pkt_free_top)++] = pid;
+                st->pkt_free[(*st->pkt_free_top)++] = (int32_t)pid;
             }
         } else {
             int64_t nxt = st->nbr[r * Dp + out];
@@ -683,7 +701,8 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
                 /* Dead output at the next router: the flit evaporates
                  * on the wire, in grant order, and the credit toward
                  * (r, out) is never consumed. */
-                drop_flit(st, f);
+                lose_flit(st, pid, fl->seq);
+                st->free_stack[(*st->free_top)++] = (int32_t)f;
                 continue;
             }
             int64_t dvc = hop;
@@ -740,13 +759,13 @@ void kdoubles(bitgen_t *bg, int64_t k, double *out)
 }
 
 /* Row scratch array `i` (of 13) behind the two cap x width matrices. */
-static int64_t *scratch(const Selector *s, int64_t i)
+static int32_t *scratch(const Selector *s, int64_t i)
 {
     return s->work + (2 * s->width + i) * s->cap;
 }
 
 /* Output row of batch row j: row[j], or j itself for a whole batch. */
-static int64_t row_of(const int64_t *row, int64_t j)
+static int64_t row_of(const int32_t *row, int64_t j)
 {
     return row ? row[j] : j;
 }
@@ -827,7 +846,7 @@ static int64_t ps_dist(const Selector *s, int64_t r, int64_t c)
 static int64_t ps_hops(const Selector *s, int64_t a, int64_t b)
 {
     int64_t sq = s->sq, u = a / sq, x = a % sq, v = b / sq, y = b % sq;
-    const int8_t *adj = s->ps_adj;
+    const _Bool *adj = s->ps_adj;
     const int64_t *up = s->ps_up, *down = s->ps_down;
     int64_t *out = s->ps_hops, c = 0;
     if (u == v) {
@@ -918,11 +937,11 @@ static int64_t nth_hop(const Selector *s, int64_t cur, int64_t to, int64_t pick)
  * off0 + base[row[j]] (base NULL: 0) on; columns past the row width are
  * dropped, the lengths stay exact.  wl[j] receives the path length. */
 static void walk(const Selector *s, bitgen_t *bg, int64_t m,
-                 const int64_t *from, const int64_t *to, const int64_t *row,
-                 int64_t *out, const int64_t *base, int64_t off0, int64_t *wl)
+                 const int32_t *from, const int32_t *to, const int32_t *row,
+                 int32_t *out, const int32_t *base, int64_t off0, int32_t *wl)
 {
     int64_t n = s->n, W = s->width, max_len = 0;
-    int64_t *cur = scratch(s, 12);
+    int32_t *cur = scratch(s, 12);
     for (int64_t j = 0; j < m; j++) {
         int64_t r = row_of(row, j);
         int64_t pos = off0 + (base ? base[r] : 0);
@@ -967,10 +986,10 @@ static void walk(const Selector *s, bitgen_t *bg, int64_t m,
  * rows redrawn in order until clean, then src->mid for every row, then
  * mid->dst spliced on at each row's first-leg end. */
 static void sel_valiant(const Selector *s, bitgen_t *bg, int64_t m,
-                        const int64_t *src, const int64_t *dst,
-                        const int64_t *row, int64_t *out, int64_t *ol)
+                        const int32_t *src, const int32_t *dst,
+                        const int32_t *row, int32_t *out, int32_t *ol)
 {
-    int64_t *mid = scratch(s, 9), *bad = scratch(s, 10), *wl = scratch(s, 11);
+    int32_t *mid = scratch(s, 9), *bad = scratch(s, 10), *wl = scratch(s, 11);
     int64_t nb = m;
     for (int64_t j = 0; j < m; j++) {
         mid[j] = draw(bg, s->n);
@@ -999,12 +1018,12 @@ static void sel_valiant(const Selector *s, bitgen_t *bg, int64_t m,
  * integers(degree[src]) each, then the mid->dst walk behind src), the
  * adjacent rows by general Valiant. */
 static void sel_compact(const Selector *s, bitgen_t *bg, int64_t m,
-                        const int64_t *src, const int64_t *dst,
-                        const int64_t *row, int64_t *out, int64_t *ol)
+                        const int32_t *src, const int32_t *dst,
+                        const int32_t *row, int32_t *out, int32_t *ol)
 {
     int64_t W = s->width;
-    int64_t *s2 = scratch(s, 6), *d2 = scratch(s, 7), *r2 = scratch(s, 8);
-    int64_t *mid = scratch(s, 9), *wl = scratch(s, 11);
+    int32_t *s2 = scratch(s, 6), *d2 = scratch(s, 7), *r2 = scratch(s, 8);
+    int32_t *mid = scratch(s, 9), *wl = scratch(s, 11);
     for (int far = 1; far >= 0; far--) {
         int64_t c = 0;
         for (int64_t j = 0; j < m; j++) {
@@ -1039,13 +1058,13 @@ static void sel_compact(const Selector *s, bitgen_t *bg, int64_t m,
  * level-0 switches only, so an up-hop always has parents and nca
  * descents end at dst. */
 static void sel_ftnca(const Selector *s, bitgen_t *bg, int64_t m,
-                      const int64_t *src, const int64_t *dst,
-                      int64_t *out, int64_t *ol)
+                      const int32_t *src, const int32_t *dst,
+                      int32_t *out, int32_t *ol)
 {
     int64_t W = s->width, K = s->ft_k, spl = s->ft_spl;
     for (int64_t j = 0; j < m; j++) {
         int64_t cur = src[j], to = dst[j], len = 1, nca = 0;
-        int64_t *path = out + j * W;
+        int32_t *path = out + j * W;
         path[0] = cur;
         for (int64_t a = cur % spl, b = to % spl; a != b; a /= K, b /= K)
             nca++;
@@ -1086,22 +1105,19 @@ static int64_t occupancy(const SimState *st, const Selector *s,
 }
 
 /* The batch protocol of policy.select_routes for the five vectorized
- * policies and FT-NCA.  Paths land in the first cap x width scratch
- * matrix, their lengths in row array 0; returns the longest length — the
- * caller checks it against the slot stride (rows wider than `width` were
- * truncated, not written out of bounds) — or, before anything is drawn
- * or written, -1 when a router id is out of range and -2 when FT-NCA is
- * handed a switch above level 0 (the Python body's business). */
+ * policies and FT-NCA over k router pairs, whose ids the caller has
+ * checked.  Paths land in the first cap x width scratch matrix, their
+ * lengths in row array 0; returns the longest length — the caller checks
+ * it against the slot stride (rows wider than `width` were truncated,
+ * not written out of bounds) — or, before anything is drawn or written,
+ * -2 when FT-NCA is handed a switch above level 0 (the Python body's
+ * business). */
 int64_t kselect(const SimState *st, const Selector *s, bitgen_t *bg,
-                int64_t k, const int64_t *srcs, const int64_t *dsts)
+                int64_t k, const int32_t *srcs, const int32_t *dsts)
 {
     int64_t W = s->width;
-    for (int64_t i = 0; i < k; i++)
-        if ((uint64_t)srcs[i] >= (uint64_t)s->n
-                || (uint64_t)dsts[i] >= (uint64_t)s->n)
-            return -1;
-    int64_t *paths = s->work, *alt = s->work + s->cap * W;
-    int64_t *lens = scratch(s, 0), *alt_lens = scratch(s, 1);
+    int32_t *paths = s->work, *alt = s->work + s->cap * W;
+    int32_t *lens = scratch(s, 0), *alt_lens = scratch(s, 1);
     if (s->mode == 5) {
         for (int64_t i = 0; i < k; i++)
             if (srcs[i] >= s->ft_spl || dsts[i] >= s->ft_spl)
@@ -1118,8 +1134,8 @@ int64_t kselect(const SimState *st, const Selector *s, bitgen_t *bg,
          * UGAL_PF only for those whose min-path output buffer is over
          * threshold, and from Compact Valiant — then the queue x hops
          * comparison decides row by row. */
-        int64_t *s1 = scratch(s, 2), *d1 = scratch(s, 3), *r1 = scratch(s, 4);
-        int64_t *q_min = scratch(s, 5);
+        int32_t *s1 = scratch(s, 2), *d1 = scratch(s, 3), *r1 = scratch(s, 4);
+        int32_t *q_min = scratch(s, 5);
         int64_t c = 0;
         for (int64_t i = 0; i < k; i++) {
             if (lens[i] <= 1)
@@ -1129,8 +1145,8 @@ int64_t kselect(const SimState *st, const Selector *s, bitgen_t *bg,
                 continue;
             s1[c] = srcs[i];
             d1[c] = dsts[i];
-            q_min[c] = q;
-            r1[c++] = i;
+            q_min[c] = (int32_t)q;
+            r1[c++] = (int32_t)i;
         }
         if (c && s->mode == 3)
             sel_valiant(s, bg, c, s1, d1, r1, alt, alt_lens);
@@ -1139,10 +1155,10 @@ int64_t kselect(const SimState *st, const Selector *s, bitgen_t *bg,
         for (int64_t j = 0; j < c; j++) {
             int64_t i = r1[j];
             int64_t q_val = occupancy(st, s, srcs[i], alt[i * W + 1]);
-            if (q_min[j] * (lens[i] - 1)
+            if ((int64_t)q_min[j] * (lens[i] - 1)
                     > q_val * (alt_lens[i] - 1) + s->bias) {
                 int64_t w = alt_lens[i] < W ? alt_lens[i] : W;
-                memcpy(paths + i * W, alt + i * W, w * sizeof(int64_t));
+                memcpy(paths + i * W, alt + i * W, w * sizeof(int32_t));
                 lens[i] = alt_lens[i];
             }
         }
@@ -1261,11 +1277,12 @@ static int64_t alive_destinations(const Injector *inj, int64_t k)
 
 /* Returns SPAN_DONE at `until` — or, closed loop, at the end of the
  * cycle that completed the workload — or earlier with out->now = the
- * cycle not yet started: SPAN_GROW / SPAN_FLUSH at a cycle boundary,
- * before anything is drawn or popped, when the pools and scratch lack
- * room for the cycle's out->need packets (E for a Bernoulli draw, the
- * whole ready queue closed loop) or the sample buffers for E more tails
- * — Python makes room and calls again — and SPAN_TOO_LONG where the
+ * cycle not yet started: SPAN_GROW at a cycle boundary, before anything
+ * is drawn or popped, when the cycle may lack room — a flit row per
+ * endpoint for the feed, packet slots and scratch for the out->need
+ * packets it injects (E for a Bernoulli draw, the whole ready queue
+ * closed loop), the sample columns for E more tails —
+ * Python makes room and calls again — and SPAN_TOO_LONG where the
  * per-cycle path raises.  The counters in `out` accumulate across
  * calls. */
 int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
@@ -1273,24 +1290,15 @@ int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
                 int64_t now, int64_t until, SpanOut *out)
 {
     int64_t E = st->E, ps = st->ps, W = sel->width, fm = st->fault_mode;
-    const int64_t *paths = sel->work, *lens = scratch(sel, 0);
+    const int32_t *paths = sel->work, *lens = scratch(sel, 0);
     for (; now < until; now++) {
         out->now = now;
-        int64_t k = 0;
-        if (wl) {
-            k = ready_packets(wl);
-            if (k > inj->cap || k > sel->cap
-                    || *st->free_top < k * ps || *st->pkt_free_top < k) {
-                out->need = k;
-                return SPAN_GROW;
-            }
-        } else if (inj->prob > 0.0
-                && (*st->free_top < E * ps || *st->pkt_free_top < E)) {
-            out->need = E;
+        int64_t k = wl ? ready_packets(wl) : inj->prob > 0.0 ? E : 0;
+        if (*st->free_top < E || *st->pkt_free_top < k || k > inj->cap
+                || k > sel->cap || out->samples + E > inj->sample_cap) {
+            out->need = k;
             return SPAN_GROW;
         }
-        if (out->samples + E > inj->sample_cap)
-            return SPAN_FLUSH;
 
         /* Step 1.  Closed loop: the ready queue.  Open loop:
          * rng.random(E) < prob over every endpoint — dead ones just
@@ -1298,7 +1306,8 @@ int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
          * each, in endpoint order), dead ones blackholed. */
         if (wl) {
             pop_ready(wl, inj);
-        } else if (inj->prob > 0.0) {
+        } else if (k) {
+            k = 0;
             for (int64_t e = 0; e < E; e++)
                 if (bg->next_double(bg->state) < inj->prob)
                     inj->winners[k++] = e;
@@ -1335,11 +1344,11 @@ int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
             for (int64_t j = 0; j < k; j++) {
                 int64_t pid = inj->slots[j] = st->pkt_free[top + j];
                 memcpy(st->route_buf + pid * st->stride, paths + j * W,
-                       max_len * sizeof(int64_t));
-                st->pkt_len[pid] = lens[j];
+                       max_len * sizeof(int32_t));
+                st->pkt_len[pid] = (int8_t)lens[j];
                 st->pkt_dst[pid] = paths[j * W + lens[j] - 1];
-                st->pkt_t_created[pid] = now;
-                st->pkt_measured[pid] = (int8_t)inj->measuring;
+                st->pkt_t_created[pid] = (int32_t)now;
+                st->pkt_measured[pid] = inj->measuring != 0;
             }
             if (fm)
                 for (int64_t j = 0; j < k; j++) {
@@ -1352,10 +1361,10 @@ int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
                 for (int64_t j = 0; j < k; j++) {
                     int64_t r = inj->srcs[j];
                     st->pkt_msg[inj->slots[j]] = inj->mids[j];
-                    inj->winners[j] =
-                        st->ep_off[r] + wl->inj_rr[r]++ % st->conc[r];
+                    inj->winners[j] = (int32_t)(
+                        st->ep_off[r] + wl->inj_rr[r]++ % st->conc[r]);
                 }
-            kinject(st, now, k, inj->slots, inj->winners);
+            kinject(st, k, inj->slots, inj->winners);
             out->packets += k;
             if (inj->measuring)
                 out->injected_flits += k * ps;
@@ -1374,7 +1383,7 @@ int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
             int64_t pid = st->tail_pids[i];
             if (!st->pkt_measured[pid])
                 continue;
-            inj->lat[out->samples] = now - st->pkt_t_created[pid];
+            inj->lat[out->samples] = (int32_t)(now - st->pkt_t_created[pid]);
             inj->hops[out->samples++] = st->pkt_len[pid] - 1;
         }
         if (fm) {
@@ -1517,8 +1526,8 @@ def _schema(ffi, struct) -> dict:
                 schema[name] = None
             elif item.kind == "struct":  # a record: any dtype of its size
                 schema[name] = (f"{item.cname}[]", ffi.sizeof(item))
-            else:  # numpy bool is one byte; the kernel reads/writes int8
-                want = "bool" if item.cname == "int8_t" else item.cname[:-2]
+            else:  # _Bool is numpy's bool, intN_t numpy's intN
+                want = "bool" if item.cname == "_Bool" else item.cname[:-2]
                 schema[name] = (f"{item.cname}[]", np.dtype(want))
     return _SCHEMAS[struct]
 
@@ -1528,7 +1537,7 @@ def bind_struct(ffi, ptr, fields: dict) -> dict:
 
     The C declaration is the only schema.  A scalar field is assigned as
     given; a pointer field takes ``None`` (NULL) or a C-contiguous array
-    whose dtype matches the pointee — ``bool`` for ``int8_t``, a record
+    whose dtype matches the pointee — ``bool`` for ``_Bool``, a record
     dtype of equal ``ffi.sizeof`` for a struct such as ``Flit`` — and
     anything else raises ``TypeError`` naming the struct and the field.
     Fields left out keep their value (``ffi.new`` zero-fills: NULL).

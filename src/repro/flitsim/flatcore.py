@@ -9,13 +9,19 @@ queued flit:
   structured array (next-pointer, packet id and ready cycle as int32,
   hop index and flit sequence number as int16), read through the
   ``pool_next`` / ``pool_pid`` / ``pool_ready`` / ``pool_hop`` /
-  ``pool_seq`` field views.  A free list recycles rows; queues are
+  ``pool_seq`` field views.  A free list recycles rows; VOQs are
   intrusive linked lists through the ``next`` field, so
-  enqueue/dequeue never allocates.
+  enqueue/dequeue never allocates.  A flit takes its row only when it
+  leaves its source FIFO, so the pool holds buffered flits alone.
+* **Source FIFOs** — hold packets, not flits: each endpoint's FIFO is a
+  chain of packet slots through ``pkt_next``, and ``src_seq`` numbers
+  the head packet's next flit to feed.
 * **Routes** — selected once per packet and stored in a flattened route
   buffer with per-packet offsets; per-flit state is just the hop index.
   With the C kernel, each hop's output port is resolved once per packet
-  too, into the kernel-only ``route_port`` rows.
+  too, into the kernel-only ``route_port`` rows.  Per-packet records are
+  sized to their ceilings (int32 route entries, destination, message and
+  creation stamp, int8 length), each checked loudly.
 * **VOQs** — one int32 record per queue, its tail's pool row plus one
   (0: empty), over a dense row-major index: VOQ (router, in_port,
   out_port) is record ``(router * O + out_port) * I + in_port``, so each
@@ -58,6 +64,7 @@ import numpy as np
 
 from repro.flitsim._kernel import bind_struct, load_kernel
 from repro.flitsim.engine import (
+    Samples,
     SimConfig,
     SimResult,
     SimulatorCore,
@@ -77,14 +84,26 @@ __all__ = ["FlatFabric", "FlatSimulator", "fabric_for"]
 #: initial flit-pool capacity (rows); grows by doubling
 _POOL_CAP = 4096
 
-#: most flit-pool rows (and packet slots) a simulator may hold: VOQ
-#: records store pool row ids, flit records packet slot ids, as int32.
-#: A VOQ record is its tail row plus one, which rows below 2**31 - 1
-#: keep within int32 too.
+#: most flit-pool rows a simulator may hold: VOQ records and the free
+#: stack store pool row ids as int32.  A VOQ record is its tail row plus
+#: one, which rows below 2**31 - 1 keep within int32 too.
 _POOL_MAX = int(np.iinfo(np.int32).max)
 
 #: initial packet-table capacity; grows by doubling
 _PKT_CAP = 1024
+
+#: most packet slots: flit records, ``pkt_next`` and the slot free stack
+#: store slot ids as int32
+_SLOT_MAX = int(np.iinfo(np.int32).max)
+
+#: largest router id a route entry (``route_buf``, ``pkt_dst``) holds
+_ROUTE_MAX = int(np.iinfo(np.int32).max)
+
+#: longest route ``pkt_len`` (int8) holds, in routers
+_LEN_MAX = int(np.iinfo(np.int8).max)
+
+#: latest cycle a packet's int32 creation stamp can hold
+_CREATED_MAX = int(np.iinfo(np.int32).max)
 
 #: one flit-pool row, field for field the kernel's ``Flit`` struct
 _FLIT = np.dtype(
@@ -111,18 +130,20 @@ _READY_MAX = int(np.iinfo(np.int32).max)
 #: slot), whether a slot's row is ``route_stride`` wide, and the
 #: attribute that must be set for it to exist (None: always).
 #: ``pkt_msg`` is the owning workload message (-1 open loop);
+#: ``pkt_next`` the next packet of its source FIFO (-1: the tail);
 #: ``route_port`` the kernel-only output port per hop, which ``kinject``
 #: resolves once per packet and the cycle path only reads; ``pkt_live``
 #: / ``pkt_damaged`` the fault mode's outstanding flits (drops retire a
 #: packet out of tail order, so slot recycling counts flits) and
 #: damaged flag.
 _PKT_ARRAYS = (
-    ("pkt_t_created", np.int64, None, False, None),
-    ("pkt_len", np.int64, None, False, None),
-    ("pkt_dst", np.int64, -1, False, None),
-    ("pkt_msg", np.int64, -1, False, None),
+    ("pkt_t_created", np.int32, None, False, None),
+    ("pkt_len", np.int8, None, False, None),
+    ("pkt_dst", np.int32, 0, False, None),
+    ("pkt_msg", np.int32, -1, False, None),
+    ("pkt_next", np.int32, 0, False, None),
     ("pkt_measured", np.bool_, False, False, None),
-    ("route_buf", np.int64, 0, True, None),
+    ("route_buf", np.int32, 0, True, None),
     ("route_port", np.int16, 0, True, "_kernel"),
     ("pkt_live", np.int64, 0, False, "_fault"),
     ("pkt_damaged", np.bool_, False, False, "_fault"),
@@ -138,7 +159,7 @@ def _filled(size: int, dtype, fill) -> np.ndarray:
 def _grown_free_stack(stack, top_arr, old: int, cap: int) -> np.ndarray:
     """``stack`` widened to ``cap`` ids with ``old .. cap - 1`` pushed."""
     top = int(top_arr[0])
-    grown = np.empty(cap, dtype=np.int64)
+    grown = np.empty(cap, dtype=np.int32)
     grown[:top] = stack[:top]
     grown[top : top + cap - old] = np.arange(old, cap)
     top_arr[0] = top + cap - old
@@ -294,7 +315,25 @@ class FlatSimulator(SimulatorCore):
                 f"exceeds the int16 hop index of the flit records (at most "
                 f"{_HOP_MAX})"
             )
+        if self.route_stride > _LEN_MAX:
+            raise OverflowError(
+                f"route stride {self.route_stride} (policy max_hops + 1) "
+                f"exceeds the int8 route lengths of pkt_len (at most "
+                f"{_LEN_MAX})"
+            )
+        if topo.num_routers - 1 > _ROUTE_MAX:
+            raise OverflowError(
+                f"router id {topo.num_routers - 1} exceeds the int32 route "
+                f"entries of route_buf (at most {_ROUTE_MAX})"
+            )
         self._wl = make_workload_state(workload, config, topo)
+        if self._wl is not None and (
+            self._wl.workload.num_messages > np.iinfo(np.int32).max
+        ):
+            raise OverflowError(
+                f"{self._wl.workload.num_messages} messages exceed the int32 "
+                "message ids of pkt_msg"
+            )
 
         fab = fabric_for(topo)
         self.fab = fab
@@ -336,7 +375,7 @@ class FlatSimulator(SimulatorCore):
         # mutate it in place.
         self.pool_cap = _POOL_CAP
         self._set_pool(np.empty(self.pool_cap, dtype=_FLIT))
-        self.free_stack = np.arange(self.pool_cap, dtype=np.int64)
+        self.free_stack = np.arange(self.pool_cap, dtype=np.int32)
         self._free_top = np.array([self.pool_cap], dtype=np.int64)
 
         # Optional C cycle kernel (same protocol, same arrays) in every
@@ -355,6 +394,7 @@ class FlatSimulator(SimulatorCore):
         # worst-case route length), identified by a pool slot that is
         # freed when the tail flit ejects.
         self.pkt_cap = _PKT_CAP
+        self._check_slots(self.pkt_cap)
         #: (attribute, dtype, fill, elements per slot) of this
         #: simulator's share of :data:`_PKT_ARRAYS`
         self._slot_arrays = [
@@ -364,20 +404,27 @@ class FlatSimulator(SimulatorCore):
         ]
         for name, dtype, fill, width in self._slot_arrays:
             setattr(self, name, _filled(self.pkt_cap * width, dtype, fill))
-        self._pslot_stack = np.arange(self.pkt_cap, dtype=np.int64)
+        self._pslot_stack = np.arange(self.pkt_cap, dtype=np.int32)
         self._pslot_top = np.array([self.pkt_cap], dtype=np.int64)
         #: monotone count of packets ever injected (slots are recycled)
         self.packets_injected = 0
 
-        # Per-endpoint source FIFOs (linked lists in the pool).
+        # Per-endpoint source FIFOs: head and tail packet slots of a
+        # chain through pkt_next (-1: empty), and the sequence number of
+        # the head packet's next flit (0 while empty).
         self.src_head = np.full(fab.E, -1, dtype=np.int64)
         self.src_tail = np.full(fab.E, -1, dtype=np.int64)
+        self.src_seq = np.zeros(fab.E, dtype=np.int64)
 
         self.now = 0
         self._hop_latency = config.link_latency + config.router_pipeline
         self.result: "SimResult | None" = None
         self._measuring = False
-        self._stat = SimResult(load, 0, fab.E)
+        #: the sample columns, which outlive the result's packed copies
+        self._lat, self._hops = Samples(), Samples()
+        self._stat = SimResult(
+            load, 0, fab.E, latencies=self._lat, hop_counts=self._hops
+        )
 
         # Optional cumulative per-link flit counters, (n, Dp) like the
         # credits' first two axes (:meth:`attach_link_telemetry`).  None
@@ -463,8 +510,22 @@ class FlatSimulator(SimulatorCore):
         return int(self._free_top[0])
 
     def live_flits(self) -> int:
-        """Flits currently anywhere in the system (FIFOs + VOQs)."""
-        return self.pool_cap - self.free_top
+        """Flits currently anywhere in the system: VOQs and source FIFOs.
+
+        A pool row in use is a flit in a VOQ; a source FIFO chains
+        packets, whose flits are not made until they feed, so it holds
+        ``packet_size`` unfed flits per queued packet less the
+        ``src_seq`` its head has fed.  The FIFOs are walked packet by
+        packet — introspection for tests and drains, not the cycle path.
+        """
+        queued = 0
+        heads = self.src_head[self.src_head >= 0]
+        while heads.size:
+            queued += heads.size
+            heads = self.pkt_next[heads]
+            heads = heads[heads >= 0]
+        unfed = queued * self.config.packet_size - int(self.src_seq.sum())
+        return self.pool_cap - self.free_top + unfed
 
     # ------------------------------------------------------------------
     # Per-link telemetry (observability; never perturbs results)
@@ -531,6 +592,7 @@ class FlatSimulator(SimulatorCore):
             "row_mask": self.row_mask, "busy_rows": self.busy_rows,
             "backlog": self.backlog, "rr": self.rr, "credits": self.credits,
             "src_head": self.src_head, "src_tail": self.src_tail,
+            "src_seq": self.src_seq,
             "ep_credit": self.ep_credit, "free_top": self._free_top,
             "pkt_free_top": self._pslot_top, "grants": self._grants,
             "tail_pids": self._tail_pids,
@@ -588,8 +650,7 @@ class FlatSimulator(SimulatorCore):
             self._bind(self._pool_fields())
 
     def _alloc(self, k: int) -> np.ndarray:
-        if self.free_top < k:
-            self._grow_pool(k - self.free_top)
+        """``k`` pool rows off the free stack (``_reserve`` made room)."""
         top = self.free_top - k
         self._free_top[0] = top
         return self.free_stack[top : top + k].copy()
@@ -599,15 +660,19 @@ class FlatSimulator(SimulatorCore):
         self.free_stack[top : top + ids.size] = ids
         self._free_top[0] = top + ids.size
 
+    @staticmethod
+    def _check_slots(cap: int) -> None:
+        if cap > _SLOT_MAX:
+            raise OverflowError(
+                f"pkt_cap={cap} packet slots exceed the int32 slot ids of "
+                f"pkt_next and the flit records (at most {_SLOT_MAX})"
+            )
+
     def _grow_pkt_pool(self, min_extra: int) -> None:
         old = self.pkt_cap
         extra = max(min_extra, old)
         cap = old + extra
-        if cap > _POOL_MAX:
-            raise OverflowError(
-                f"pkt_cap={cap} packet slots exceed the int32 packet ids "
-                f"of the flit records (at most {_POOL_MAX})"
-            )
+        self._check_slots(cap)
         for name, dtype, fill, width in self._slot_arrays:
             # Live packets keep their rows, kinject's ports included.
             grown = _filled(cap * width, dtype, fill)
@@ -620,19 +685,22 @@ class FlatSimulator(SimulatorCore):
         if self._kernel is not None:
             self._bind(self._pkt_fields())
 
-    def _reserve(self, packets: int) -> None:
-        """Room for ``packets`` more packets in the flit and packet pools.
+    def _reserve(self, packets: int = 0) -> None:
+        """Room for one cycle: a flit row per endpoint and ``packets``
+        packet slots.
 
-        Applied before the cycle's packets are drawn or popped — one per
-        endpoint ahead of a Bernoulli draw, the whole ready queue closed
-        loop — by the per-cycle path and, on ``kcycles``' request, by
-        the span driver, so the pools grow at the same cycle, to the
+        Feed is the only phase that takes pool rows, at most one per
+        endpoint, so the pool holds the network's buffered flits plus
+        ``E`` — however long the source FIFOs grow.  Applied at every
+        cycle start and before the cycle's packets are drawn or popped —
+        one per endpoint ahead of a Bernoulli draw, the whole ready queue
+        closed loop — by the per-cycle path and, on ``kcycles``' request,
+        by the span driver, so the pools grow at the same cycle, to the
         same size, whichever way the cycle runs, and a span never has to
         stop mid-cycle for memory.
         """
-        flits = packets * self.config.packet_size
-        if self.free_top < flits:
-            self._grow_pool(flits - self.free_top)
+        if self.free_top < self.fab.E:
+            self._grow_pool(self.fab.E - self.free_top)
         slots = int(self._pslot_top[0])
         if slots < packets:
             self._grow_pkt_pool(packets - slots)
@@ -652,9 +720,8 @@ class FlatSimulator(SimulatorCore):
 
         The half of injection both modes share: one batched
         ``select_routes`` call, slot allocation, route-row/metadata
-        fill, and the injected-flit accounting.  Returns ``(slots, k)``;
-        the caller materializes the flit chains (numpy or C kernel) and
-        appends them to source FIFOs.
+        fill, and the injected-flit accounting.  Returns the slots; the
+        caller appends the packets to source FIFOs (numpy or C kernel).
         """
         mat, lens = self.policy.select_routes(srcs, dsts, self.rng, congestion=self)
         k = lens.size
@@ -679,7 +746,7 @@ class FlatSimulator(SimulatorCore):
         self.packets_injected += k
         if self._measuring:
             self._stat.injected_flits += k * self.config.packet_size
-        return slots, k
+        return slots
 
     def _route_too_long(self, max_len: int) -> ValueError:
         return ValueError(
@@ -687,22 +754,44 @@ class FlatSimulator(SimulatorCore):
             f"declared max_hops={self.policy.max_hops}"
         )
 
-    def _chain_flits(self, slots, k):
-        """Allocate and intra-link the flit rows of ``k`` fresh packets.
+    def _append_packets(self, eps, slots) -> None:
+        """Queue packets ``slots`` at the tails of endpoints ``eps``' FIFOs.
 
-        Returns the ``(k, packet_size)`` pool-row matrix, packets in
-        slot order, each packet's flits chained head to tail.
+        Several packets may land on one endpoint (a workload batch);
+        they queue in batch order.  Grouped by endpoint (stable), each
+        group is chained through ``pkt_next`` and spliced onto its
+        endpoint's tail.  No flit is made here: :meth:`_feed` makes each
+        as it leaves.
         """
-        ps = self.config.packet_size
-        idx = self._alloc(k * ps).reshape(k, ps)
-        self.pool_pid[idx] = slots[:, None]
-        self.pool_seq[idx] = np.arange(ps, dtype=np.int64)[None, :]
-        self.pool_hop[idx] = 0
-        self.pool_ready[idx] = self.now
-        if ps > 1:
-            self.pool_next[idx[:, :-1]] = idx[:, 1:]
-        self.pool_next[idx[:, -1]] = -1
-        return idx
+        k = slots.size
+        order = np.argsort(eps, kind="stable")
+        es, so = eps[order], slots[order]
+        head = np.empty(k, dtype=bool)
+        head[0] = True
+        np.not_equal(es[1:], es[:-1], out=head[1:])
+        tail = np.empty(k, dtype=bool)
+        tail[-1] = True
+        tail[:-1] = head[1:]
+        self.pkt_next[so] = -1
+        inner = np.flatnonzero(~head)
+        self.pkt_next[so[inner - 1]] = so[inner]
+        group_ep = es[head]
+        group_first = so[head]
+        tails_cur = self.src_tail[group_ep]
+        linked = tails_cur >= 0
+        self.pkt_next[tails_cur[linked]] = group_first[linked]
+        self.src_head[group_ep[~linked]] = group_first[~linked]
+        self.src_tail[group_ep] = so[tail]
+
+    def _kinject(self, slots, eps) -> None:
+        """:meth:`_append_packets` in C, with each packet's output ports."""
+        ffi = self._kernel.ffi
+        self._kernel.lib.kinject(
+            self._st,
+            slots.size,
+            ffi.from_buffer("int32_t[]", slots),
+            ffi.from_buffer("int32_t[]", eps.astype(np.int32)),
+        )
 
     def _inject(self) -> None:
         ps = self.config.packet_size
@@ -731,39 +820,20 @@ class FlatSimulator(SimulatorCore):
                 winners, srcs, dsts = winners[keep], srcs[keep], dsts[keep]
                 if winners.size == 0:
                     return
-        slots, k = self._fill_packet_slots(srcs, dsts)
-
+        slots = self._fill_packet_slots(srcs, dsts)
         if self._kernel is not None:
-            ffi = self._kernel.ffi
-            self._kernel.lib.kinject(
-                self._st,
-                self.now,
-                k,
-                ffi.from_buffer("int64_t[]", slots),
-                ffi.from_buffer("int64_t[]", winners),
-            )
-            return
-
-        idx = self._chain_flits(slots, k)
-
-        # Append each packet's flit chain to its endpoint FIFO (winners
-        # are distinct endpoints — at most one packet each per cycle).
-        first, last = idx[:, 0], idx[:, -1]
-        tails = self.src_tail[winners]
-        linked = tails >= 0
-        self.pool_next[tails[linked]] = first[linked]
-        self.src_head[winners[~linked]] = first[~linked]
-        self.src_tail[winners] = last
+            self._kinject(slots, winners)
+        else:
+            self._append_packets(winners, slots)
 
     def _inject_workload(self) -> None:
         """Closed-loop protocol step 1, vectorized.
 
         Drains the ready queue into packets (message-major,
         packet-minor), one batched route selection for the cycle, then
-        appends every packet's flit chain to the FIFO of its
-        round-robin-assigned endpoint — handling several packets landing
-        on one endpoint in the same cycle, which Bernoulli injection
-        never produces.
+        appends every packet to the FIFO of its round-robin-assigned
+        endpoint — several may land on one endpoint in the same cycle,
+        which Bernoulli injection never produces.
         """
         st = self._wl
         ft = self._fault
@@ -789,46 +859,14 @@ class FlatSimulator(SimulatorCore):
         self._reserve(pkt_mid.size)
         srcs = st.workload.src[pkt_mid]
         dsts = st.workload.dst[pkt_mid]
-        slots, k = self._fill_packet_slots(srcs, dsts, pkt_mid=pkt_mid)
+        slots = self._fill_packet_slots(srcs, dsts, pkt_mid=pkt_mid)
         eps = fab.ep_off[srcs] + st.next_endpoints(srcs)
-
         if self._kernel is not None:
             # kinject appends sequentially, so several packets landing
             # on one endpoint keep injection order automatically.
-            ffi = self._kernel.ffi
-            self._kernel.lib.kinject(
-                self._st,
-                self.now,
-                k,
-                ffi.from_buffer("int64_t[]", slots),
-                ffi.from_buffer("int64_t[]", np.ascontiguousarray(eps)),
-            )
-            return
-
-        idx = self._chain_flits(slots, k)
-
-        # FIFO append with possible same-endpoint collisions: group the
-        # packets by endpoint (stable, preserving injection order), link
-        # consecutive chains within a group, then splice each group onto
-        # its endpoint's existing tail.
-        first, last = idx[:, 0], idx[:, -1]
-        order = np.argsort(eps, kind="stable")
-        es, fo, lo = eps[order], first[order], last[order]
-        head = np.empty(k, dtype=bool)
-        head[0] = True
-        np.not_equal(es[1:], es[:-1], out=head[1:])
-        inner = np.flatnonzero(~head)
-        self.pool_next[lo[inner - 1]] = fo[inner]
-        tail = np.empty(k, dtype=bool)
-        tail[-1] = True
-        np.not_equal(es[1:], es[:-1], out=tail[:-1])
-        group_ep = es[head]
-        group_first = fo[head]
-        tails_cur = self.src_tail[group_ep]
-        linked = tails_cur >= 0
-        self.pool_next[tails_cur[linked]] = group_first[linked]
-        self.src_head[group_ep[~linked]] = group_first[~linked]
-        self.src_tail[group_ep] = lo[tail]
+            self._kinject(slots, eps)
+        else:
+            self._append_packets(eps, slots)
 
     # ------------------------------------------------------------------
     # Feed (protocol step 2)
@@ -840,63 +878,78 @@ class FlatSimulator(SimulatorCore):
         ids = np.flatnonzero((self.src_head >= 0) & (self.ep_credit > 0))
         if ids.size == 0:
             return
-        fab = self.fab
-        flits = self.src_head[ids]
-        nxt = self.pool_next[flits]
-        self.src_head[ids] = nxt
-        self.src_tail[ids[nxt < 0]] = -1
+        pid, seq = self._pop_flits(ids)
         self.ep_credit[ids] -= 1
-        routers = fab.ep_router[ids]
-        pid = self.pool_pid[flits].astype(np.int64)
-        out = np.full(ids.size, fab.OE, dtype=np.int64)
-        multi = self.pkt_len[pid] > 1
-        out[multi] = fab.ports_toward(
-            routers[multi], self.route_buf[pid[multi] * self.route_stride + 1]
-        )
-        self._enqueue(routers * fab.O + out, fab.ep_inport[ids], flits)
+        routers = self.fab.ep_router[ids]
+        self._feed_flits(ids, routers, self._first_ports(routers, pid), pid, seq)
 
     def _feed_with_faults(self) -> None:
         """Feed phase when a timeline is attached.
 
         A head flit whose first hop is dead drops without consuming the
-        injection credit (it never enters the buffer), spending the
-        endpoint's one-flit-per-cycle feed slot; live heads feed as
-        usual.  Drop order is ascending endpoint id — the reference
-        engine's iteration order.
+        injection credit (it never enters the buffer, so it never takes a
+        pool row), spending the endpoint's one-flit-per-cycle feed slot;
+        live heads feed as usual.  Drop order is ascending endpoint id —
+        the reference engine's iteration order.
         """
         fab = self.fab
         cand = np.flatnonzero(self.src_head >= 0)
         if cand.size == 0:
             return
-        flits = self.src_head[cand]
-        pid = self.pool_pid[flits].astype(np.int64)
         routers = fab.ep_router[cand]
-        out = np.full(cand.size, fab.OE, dtype=np.int64)
-        multi = self.pkt_len[pid] > 1
-        out[multi] = fab.ports_toward(
-            routers[multi], self.route_buf[pid[multi] * self.route_stride + 1]
-        )
+        out = self._first_ports(routers, self.src_head[cand])
         doomed = self.dead_row[routers * fab.O + out]
         move = doomed | (self.ep_credit[cand] > 0)
         if not move.any():
             return
         ids = cand[move]
-        mflits = flits[move]
-        nxt = self.pool_next[mflits]
-        self.src_head[ids] = nxt
-        self.src_tail[ids[nxt < 0]] = -1
-        dr = np.flatnonzero(doomed[move])
-        if dr.size:
-            self._drop_flit_rows(mflits[dr], pid[move][dr])
-        fd = np.flatnonzero(~doomed[move])
-        if fd.size:
+        pid, seq = self._pop_flits(ids)
+        doomed = doomed[move]
+        if doomed.any():
+            self._drop_flits(pid[doomed], seq[doomed])
+        fd = ~doomed
+        if fd.any():
             ids_f = ids[fd]
             self.ep_credit[ids_f] -= 1
-            routers_f = routers[move][fd]
-            out_f = out[move][fd]
-            self._enqueue(
-                routers_f * fab.O + out_f, fab.ep_inport[ids_f], mflits[fd]
+            self._feed_flits(
+                ids_f, routers[move][fd], out[move][fd], pid[fd], seq[fd]
             )
+
+    def _first_ports(self, routers, pid) -> np.ndarray:
+        """The output ports packets ``pid`` leave their first router by."""
+        fab = self.fab
+        out = np.full(pid.size, fab.OE, dtype=np.int64)
+        multi = self.pkt_len[pid] > 1
+        out[multi] = fab.ports_toward(
+            routers[multi], self.route_buf[pid[multi] * self.route_stride + 1]
+        )
+        return out
+
+    def _pop_flits(self, ids):
+        """Take the next flit off the FIFOs of endpoints ``ids``.
+
+        Returns each flit's packet slot and sequence number; a packet's
+        last flit pops the packet.
+        """
+        pid = self.src_head[ids]
+        seq = self.src_seq[ids]
+        last = seq == self.config.packet_size - 1
+        self.src_seq[ids] = np.where(last, 0, seq + 1)
+        done = ids[last]
+        nxt = self.pkt_next[pid[last]]
+        self.src_head[done] = nxt
+        self.src_tail[done[nxt < 0]] = -1
+        return pid, seq
+
+    def _feed_flits(self, ids, routers, out, pid, seq) -> None:
+        """Make the flits ``(pid, seq)`` endpoints ``ids`` feed — a pool
+        row each — and queue them at their injection VOQs."""
+        flits = self._alloc(ids.size)
+        self.pool_pid[flits] = pid
+        self.pool_seq[flits] = seq
+        self.pool_hop[flits] = 0
+        self.pool_ready[flits] = self.now
+        self._enqueue(routers * self.fab.O + out, self.fab.ep_inport[ids], flits)
 
     # ------------------------------------------------------------------
     # Queue plumbing
@@ -1041,8 +1094,7 @@ class FlatSimulator(SimulatorCore):
                 if doomed.any():
                     # Dead output at the next router: drop on the wire,
                     # in grant order, without consuming the credit.
-                    d = np.flatnonzero(doomed)
-                    self._drop_flit_rows(fl[d], pid_f[d])
+                    self._drop_flit_rows(fl[doomed])
                     keep = np.flatnonzero(~doomed)
                     fl, r_f, out_f = fl[keep], r_f[keep], out_f[keep]
                     hop_f, hop2 = hop_f[keep], hop2[keep]
@@ -1065,12 +1117,7 @@ class FlatSimulator(SimulatorCore):
                 self._stat.ejected_flits += fe.size
             tails = self.pool_seq[fe] == self.config.packet_size - 1
             done = pid_w[ejs[tails]]
-            measured = done[self.pkt_measured[done]]
-            if measured.size:
-                self._stat.latencies.extend(
-                    (now - self.pkt_t_created[measured]).tolist()
-                )
-                self._stat.hop_counts.extend((self.pkt_len[measured] - 1).tolist())
+            self._sample(done)
             self._release(fe)
             if done.size and self._wl is not None:
                 # Closed loop: report completed packets' messages and
@@ -1100,16 +1147,22 @@ class FlatSimulator(SimulatorCore):
     # ------------------------------------------------------------------
     # Fault phase (protocol step 0): masks, drops, and route repair
     # ------------------------------------------------------------------
-    def _drop_flit_rows(self, rows: np.ndarray, pids: np.ndarray) -> None:
-        """Account and release dropped flit rows (array order = drop order)."""
+    def _drop_flits(self, pids, seqs, rows=None) -> None:
+        """Account dropped flits (array order = drop order) and release
+        their pool ``rows`` (None: flits that never left their FIFO)."""
         ft = self._fault
-        ft.note_flit_drops(rows.size)
+        ft.note_flit_drops(pids.size)
         self.pkt_damaged[pids] = True
-        tails = self.pool_seq[rows] == self.config.packet_size - 1
+        tails = seqs == self.config.packet_size - 1
         if tails.any():
             ft.note_tail_drops(self.pkt_msg[pids[tails]])
-        self._release(rows)
+        if rows is not None:
+            self._release(rows)
         self._retire_packets(pids)
+
+    def _drop_flit_rows(self, rows: np.ndarray) -> None:
+        """:meth:`_drop_flits` of queued flits, by pool row."""
+        self._drop_flits(self.pool_pid[rows], self.pool_seq[rows], rows)
 
     def _retire_packets(self, pids: np.ndarray) -> None:
         """Decrement outstanding-flit counts; recycle exhausted slots."""
@@ -1155,7 +1208,22 @@ class FlatSimulator(SimulatorCore):
                 np.add.at(self.credits, (upstream, up_port, vcs), 1)
             else:
                 self.ep_credit[int(fab.ep_off[r]) + in_port - deg] += rows.size
-        self._drop_flit_rows(rows, self.pool_pid[rows])
+        self._drop_flit_rows(rows)
+
+    def _drop_fifo(self, e: int) -> None:
+        """Drop endpoint ``e``'s source FIFO, flit by flit, front to back."""
+        ps = self.config.packet_size
+        p, first = int(self.src_head[e]), int(self.src_seq[e])
+        if p < 0:
+            return
+        pids, seqs = [], []
+        while p >= 0:
+            pids += [p] * (ps - first)
+            seqs += range(first, ps)
+            p, first = int(self.pkt_next[p]), 0
+        self.src_head[e] = self.src_tail[e] = -1
+        self.src_seq[e] = 0
+        self._drop_flits(np.asarray(pids), np.asarray(seqs))
 
     def _apply_fault_delta(self, delta) -> None:
         """Apply one epoch transition in the canonical order."""
@@ -1180,17 +1248,7 @@ class FlatSimulator(SimulatorCore):
                 for out in list(range(int(fab.deg[r]))) + [fab.OE]:
                     self._drop_vq(r, in_port, out, return_credit=False)
             for e in range(int(fab.ep_off[r]), int(fab.ep_off[r + 1])):
-                f = int(self.src_head[e])
-                if f < 0:
-                    continue
-                chain = []
-                while f >= 0:
-                    chain.append(f)
-                    f = int(self.pool_next[f])
-                rows = np.asarray(chain, dtype=np.int64)
-                self.src_head[e] = -1
-                self.src_tail[e] = -1
-                self._drop_flit_rows(rows, self.pool_pid[rows])
+                self._drop_fifo(e)
             self.dead_row[r * fab.O + fab.OE] = True
         for u, v in delta.up_links:
             for r, nbr in ((u, v), (v, u)):
@@ -1202,6 +1260,14 @@ class FlatSimulator(SimulatorCore):
         for r in delta.up_routers:
             self.ep_credit[int(fab.ep_off[r]) : int(fab.ep_off[r + 1])] = depth
             self.dead_row[r * fab.O + fab.OE] = False
+
+    def _sample(self, done) -> None:
+        """Latency and hop-count samples of the measured packets among
+        ``done``, this cycle's completions in recording order."""
+        measured = done[self.pkt_measured[done]]
+        if measured.size:
+            self._lat.extend(self.now - self.pkt_t_created[measured])
+            self._hops.extend(self.pkt_len[measured] - 1)
 
     def _kernel_cycle(self) -> None:
         """Feed + route phase in one C pass (same protocol, same arrays).
@@ -1231,12 +1297,7 @@ class FlatSimulator(SimulatorCore):
             self._stat.ejected_flits += n_ej
         if n_tail:
             done = self._tail_pids[:n_tail]
-            measured = done[self.pkt_measured[done]]
-            if measured.size:
-                self._stat.latencies.extend(
-                    (self.now - self.pkt_t_created[measured]).tolist()
-                )
-                self._stat.hop_counts.extend((self.pkt_len[measured] - 1).tolist())
+            self._sample(done)
             if self._wl is not None:
                 self._wl.note_tails(
                     self.pkt_msg[done],
@@ -1256,8 +1317,9 @@ class FlatSimulator(SimulatorCore):
         A fault epoch due at the first cycle is applied here, where that
         cycle's ``step()`` would apply it; one falling later in the
         stretch declines the span (the run loop never asks for one).
-        Cycles whose ready stamps would pass the int32 ceiling are never
-        started: the stretch runs up to them, then raises.
+        Cycles whose ready or creation stamps would pass their int32
+        ceilings are never started: the stretch runs up to them, then
+        raises.
         """
         room = max(self._cycles_left(), 0)
         if n > room:
@@ -1280,10 +1342,18 @@ class FlatSimulator(SimulatorCore):
                 self._apply_fault_delta(delta)
 
     def _cycles_left(self) -> int:
-        """Cycles from ``now`` whose flits' ready stamps fit in int32."""
-        return _READY_MAX - self._hop_latency - self.now + 1
+        """Cycles from ``now`` whose flits' ready stamps and packets'
+        creation stamps fit in int32."""
+        last = min(_READY_MAX - self._hop_latency, _CREATED_MAX)
+        return last - self.now + 1
 
     def _clock_overflow(self) -> OverflowError:
+        if self.now > _CREATED_MAX:
+            return OverflowError(
+                f"now={self.now}: a packet created this cycle would pass the "
+                f"int32 creation stamps of pkt_t_created (at most "
+                f"{_CREATED_MAX})"
+            )
         return OverflowError(
             f"now={self.now}: a flit forwarded this cycle would be ready at "
             f"cycle {self.now + self._hop_latency}, past the int32 ready "
@@ -1295,6 +1365,7 @@ class FlatSimulator(SimulatorCore):
         if self._cycles_left() < 1:
             raise self._clock_overflow()
         self._fault_phase()
+        self._reserve()
         if self._wl is not None:
             self._inject_workload()
         else:

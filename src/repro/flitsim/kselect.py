@@ -145,14 +145,14 @@ class KernelSelector:
         self._grow(max(64, sim.fab.E))
 
     def _grow(self, cap: int) -> None:
-        """Scratch for ``cap`` packets: O(batch * stride) int64.
+        """Scratch for ``cap`` packets: O(batch * stride) int32.
 
         Zeroed, not empty: route rows are copied out at the batch's
         longest length, so the columns past a shorter route's end reach
         the route buffer — dead there, but equal between equal runs.
         """
         self._cap = cap
-        self._work = np.zeros(cap * (2 * self._width + _ROW_ARRAYS), np.int64)
+        self._work = np.zeros(cap * (2 * self._width + _ROW_ARRAYS), np.int32)
         self._paths = self._work[: cap * self._width].reshape(cap, self._width)
         self._lens = self._work[2 * cap * self._width :][:cap]
         self._bind(cap=cap, work=self._work)
@@ -273,18 +273,16 @@ class KernelSelector:
         if k == 0 or len(dsts) != k or not self.bind(sim, rng, k):
             return None
         ffi = self._kernel.ffi
-        srcs = np.ascontiguousarray(srcs, dtype=np.int64)
-        dsts = np.ascontiguousarray(dsts, dtype=np.int64)
+        srcs, dsts = np.asarray(srcs), np.asarray(dsts)
+        n = self._sel.n
+        if min(srcs.min(), dsts.min()) < 0 or max(srcs.max(), dsts.max()) >= n:
+            raise IndexError(f"router id out of range [0, {n}) in batch")
         with rng.bit_generator.lock:
             max_len = self._kernel.lib.kselect(
                 sim._st, self._sel, self._bitgen, k,
-                ffi.from_buffer("int64_t[]", srcs),
-                ffi.from_buffer("int64_t[]", dsts),
+                ffi.from_buffer("int32_t[]", srcs.astype(np.int32)),
+                ffi.from_buffer("int32_t[]", dsts.astype(np.int32)),
             )
         if max_len == -2:
             return None
-        if max_len < 0:
-            raise IndexError(
-                f"router id out of range [0, {self._sel.n}) in batch"
-            )
         return self._paths[:k, : min(max_len, self._width)], self._lens[:k]

@@ -42,10 +42,11 @@ this module only decides, from what it can observe, when that holds:
 
 Anything else declines and ``advance`` steps cycle by cycle, unchanged.
 ``kcycles`` comes back early, at a cycle boundary, when Python is needed:
-to grow the flit or packet pools or the batch scratch (the same
+to grow the flit or packet pools (the same
 :meth:`~repro.flitsim.flatcore.FlatSimulator._reserve` rule the per-cycle
-path applies, so both grow at the same cycle), to flush the O(E) sample
-buffers into the result, or because the workload completed.
+path applies, so both grow at the same cycle), the batch scratch or the
+simulator's sample columns, which it writes in place, or because the
+workload completed.
 """
 
 from __future__ import annotations
@@ -84,13 +85,10 @@ class KernelSpan:
         self._out = ffi.new("SpanOut *")
         #: ``{field: view}`` keeping the injector's arrays alive
         self._refs = {}
-        # Every cycle ejects at most one tail per endpoint, so room for E
-        # more samples at a cycle boundary is room for the cycle.
-        self._samples = lat, hops = np.empty((2, max(4 * E, 1024)), dtype=np.int64)
-        self._bind(lat=lat, hops=hops, sample_cap=lat.size)
         # An open-loop cycle injects at most one packet per endpoint;
         # only a workload's ready queue outgrows this.
         self._grow_scratch(E)
+        self._bind_samples(sim)
         #: the ``Workload *`` over ``sim._wl`` and what keeps it alive
         self._wl = ffi.NULL
         self._wl_refs = ()
@@ -101,7 +99,7 @@ class KernelSpan:
 
     def _grow_scratch(self, cap: int) -> None:
         """Per-packet scratch for a cycle of up to ``cap`` packets."""
-        self._scratch = np.empty((len(_SCRATCH), cap), dtype=np.int64)
+        self._scratch = np.empty((len(_SCRATCH), cap), dtype=np.int32)
         self._bind(cap=cap, **dict(zip(_SCRATCH, self._scratch)))
 
     def _bind_traffic(self, sim) -> bool:
@@ -188,23 +186,28 @@ class KernelSpan:
                     return False
         return sim._kselect.bind(sim, sim.rng, sim.fab.E)
 
-    def _flush(self, sim) -> None:
-        """Move the captured samples into the result's lists."""
-        k = self._out.samples
-        if k:
-            lat, hops = self._samples
-            sim._stat.latencies.extend(lat[:k].tolist())
-            sim._stat.hop_counts.extend(hops[:k].tolist())
-            self._out.samples = 0
+    def _bind_samples(self, sim) -> None:
+        """Room in the simulator's sample columns for one more cycle.
+
+        Every cycle ejects at most one tail per endpoint, so room for E
+        more samples at a cycle boundary is room for the cycle.
+        """
+        lat, hops = sim._lat, sim._hops
+        lat.n = hops.n = self._out.samples
+        for col in (lat, hops):
+            col.reserve(sim.fab.E)
+        self._bind(lat=lat.buf, hops=hops.buf, sample_cap=lat.buf.size)
 
     def _make_room(self, sim, packets: int) -> None:
-        """Pools and batch scratch for a cycle of ``packets`` packets."""
+        """Pools, batch scratch and sample room for a cycle of ``packets``
+        packets."""
         sim._reserve(packets)
         # The selector's own growth rule, at the cycle select() applies
         # it; the injector's rows follow its capacity.
         sim._kselect.bind(sim, sim.rng, packets)
         if packets > self._inj.cap:
             self._grow_scratch(sim._kselect._cap)
+        self._bind_samples(sim)
 
     def run(self, sim, n: int) -> None:
         """``sim.step()`` ``n`` times, inside ``kcycles`` (after :meth:`bind`)."""
@@ -218,8 +221,10 @@ class KernelSpan:
             ep_alive=fault.ep_alive if dead else None,
             router_alive=fault.router_alive if dead else None,
         )
-        out.packets = out.injected_flits = out.ejected_flits = out.samples = 0
+        out.packets = out.injected_flits = out.ejected_flits = 0
         out.dropped_flits = out.tail_drops = out.damaged = out.blackholed = 0
+        out.samples = len(sim._lat)
+        self._bind_samples(sim)
         selector = sim._kselect
         until = sim.now + n
         try:
@@ -233,14 +238,12 @@ class KernelSpan:
                     sim.now = out.now
                     if reason == lib.SPAN_GROW:
                         self._make_room(sim, out.need)
-                    elif reason == lib.SPAN_FLUSH:
-                        self._flush(sim)
                     elif reason == lib.SPAN_TOO_LONG:
                         # bind() checked every id kselect would refuse.
                         assert out.max_len > 0, out.max_len
                         raise sim._route_too_long(out.max_len)
         finally:
-            self._flush(sim)
+            sim._lat.n = sim._hops.n = out.samples
             sim.packets_injected += out.packets
             sim._stat.injected_flits += out.injected_flits
             sim._stat.ejected_flits += out.ejected_flits

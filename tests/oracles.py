@@ -3,8 +3,8 @@
 Each is the seed's readable per-source / all-pairs form of something
 ``src/`` now builds batched or sparse.  Nothing under ``src/`` imports
 them; they live here so an oracle can stay slow and obvious.
-:func:`walk_voqs` recovers what ``src/`` no longer stores at all, each
-VOQ's length.
+:func:`walk_voqs` and :func:`walk_fifos` recover what ``src/`` no
+longer stores at all, each queue's length.
 
 The cycle-path oracles follow: :func:`build` / :func:`cell_sim` make a
 simulator the way ``run_cell`` does, :func:`run_by_steps` /
@@ -50,29 +50,35 @@ def walk_voqs(sim):
     """
     tails = sim._voq.astype(np.int64) - 1
     heads = np.where(tails >= 0, sim.pool_next[tails], -1).astype(np.int64)
-    return _walk_chains(sim, heads, heads)
+    return _walk_chains(sim.pool_next, heads, heads)
 
 
 def walk_fifos(sim):
-    """Each endpoint's source-FIFO length and last pool row."""
-    return _walk_chains(sim, sim.src_head, -1)
+    """Each endpoint's unfed flits and last queued packet slot.
+
+    A source FIFO chains packet slots through ``pkt_next`` (-1 ends it),
+    and its head packet has fed ``src_seq`` of its flits already: the
+    FIFO holds ``packet_size`` flits per queued packet less those.
+    """
+    packets, last = _walk_chains(sim.pkt_next, sim.src_head, -1)
+    return packets * sim.config.packet_size - sim.src_seq, last
 
 
-def _walk_chains(sim, first, stop):
-    """Lengths and last rows of the ``pool_next`` chains from ``first``
-    (-1: none), each ending where its next row would be ``stop`` (-1, or
-    its own first row for a circular chain)."""
+def _walk_chains(nxt, first, stop):
+    """Lengths and last entries of the chains through ``nxt`` from
+    ``first`` (-1: none), each ending where its next entry would be
+    ``stop`` (-1, or its own first entry for a circular chain)."""
     stop = np.broadcast_to(stop, first.shape)
     lengths = np.zeros(first.size, dtype=np.int64)
     last = np.zeros(first.size, dtype=np.int64)
     q = np.flatnonzero(first >= 0)
     f = first[q].astype(np.int64)
     while q.size:
-        assert lengths.max() <= sim.pool_cap, "a chain never ends"
+        assert lengths.max() <= nxt.size, "a chain never ends"
         assert (f >= 0).all(), "a circular chain breaks off"
         lengths[q] += 1
         last[q] = f
-        f = sim.pool_next[f].astype(np.int64)
+        f = nxt[f].astype(np.int64)
         more = f != stop[q]
         q, f = q[more], f[more]
     return lengths, last
@@ -337,12 +343,14 @@ def assert_same_result(a, b, what=""):
 
 
 #: arrays every entry of which is protocol state (or deterministically dead)
-WHOLE = ("credits", "ep_credit", "backlog", "rr", "_free_top", "_pslot_top")
+WHOLE = (
+    "credits", "ep_credit", "backlog", "rr", "_free_top", "_pslot_top", "src_seq",
+)
 #: arrays naming flit-pool rows or packet slots (or holding dead slots'
 #: leftovers), and those the C kernel alone keeps
 RECORDS = (
-    "_voq", "src_head", "src_tail", "pkt_dst", "pkt_msg", "pkt_measured",
-    "route_buf", "row_mask", "route_port",
+    "_voq", "src_head", "src_tail", "pkt_next", "pkt_dst", "pkt_msg",
+    "pkt_measured", "route_buf", "row_mask", "route_port",
 )
 #: the same under a fault timeline
 FAULT_RECORDS = ("pkt_live", "pkt_damaged")
@@ -429,15 +437,56 @@ def assert_same_state(a, b, what="", rows=True):
 
 
 def assert_flits_conserved(sim, ref, what=""):
-    """Every live pool row of ``sim`` is queued once, in a VOQ or a source
-    FIFO, and its queues and credits hold what the reference engine's do."""
+    """Every flit of ``sim`` is queued once, and its queues and credits
+    hold what the reference engine's do.
+
+    A pool row in use is a flit in exactly one VOQ (rows exist for
+    buffered flits only); every other live flit is an unfed flit of a
+    packet in a source FIFO.  Together they are the live packets'
+    outstanding flits — injected, less ejected, less dropped: under a
+    fault timeline ``pkt_live`` counts them per packet, and each live
+    packet's VOQ rows plus its unfed flits must equal its count.
+    Without faults a slot retires with its tail, so a live packet holds
+    at least that tail, and never more than ``packet_size`` flits.
+    """
     voqs, fifos = walk_voqs(sim)[0], walk_fifos(sim)[0]
+    assert voqs.sum() == sim.pool_cap - sim.free_top, what
     assert voqs.sum() + fifos.sum() == sim.live_flits(), what
+    live = _live(sim.pkt_cap, sim._pslot_stack[: int(sim._pslot_top[0])])
+    held = _flits_by_packet(sim)
+    if sim._fault is not None:
+        assert np.array_equal(held[live], sim.pkt_live[live]), what
+    else:
+        ps = sim.config.packet_size
+        assert ((held[live] >= 1) & (held[live] <= ps)).all(), what
+    assert not held[~live].any(), what
     assert voqs.sum() == sum(len(q) for qs in ref.voq for q in qs.values()), what
     assert fifos.tolist() == [len(q) for qs in ref.src_q for q in qs], what
     assert sim.ep_credit.tolist() == [c for cs in ref.inj_credit for c in cs], what
     for r, deg in enumerate(sim.fab.deg.tolist()):
         assert sim.credits[r, :deg].tolist() == ref.credits[r], (what, r)
+
+
+def buffer_capacity(sim):
+    """Flits the network's buffers hold: every link input's VCs plus
+    every injection queue — the most flits a flat simulator's pool
+    ever holds at once."""
+    cfg = sim.config
+    return int(sim.fab.deg.sum()) * cfg.port_capacity + sim.fab.E * cfg.vc_depth
+
+
+def _flits_by_packet(sim):
+    """Flits each packet slot holds: its pool rows in use (the VOQs'
+    flits) plus, for a packet in a source FIFO, its unfed flits."""
+    rows = _live(sim.pool_cap, sim.free_stack[: sim.free_top])
+    held = np.bincount(sim.pool_pid[rows], minlength=sim.pkt_cap)
+    ps = sim.config.packet_size
+    for e in np.flatnonzero(sim.src_head >= 0):
+        p, fed = int(sim.src_head[e]), int(sim.src_seq[e])
+        while p >= 0:
+            held[p] += ps - fed
+            p, fed = int(sim.pkt_next[p]), 0
+    return held
 
 
 #: the ways one cell runs: (name, engine, construction context, per cycle)

@@ -482,12 +482,12 @@ def fresh_packets(sim, e):
         r = int(sim.topo.endpoint_routers[e])
         fifo = sim.src_q[r][e - int(sim.topo.endpoint_offsets[r])]
         return [p.mid for p, seq, *_ in fifo if seq == 0 and p.t_created == sim.now]
-    mids, f = [], int(sim.src_head[e])
-    while f >= 0:
-        pid = int(sim.pool_pid[f])
-        if sim.pool_seq[f] == 0 and sim.pkt_t_created[pid] == sim.now:
-            mids.append(int(sim.pkt_msg[pid]))
-        f = int(sim.pool_next[f])
+    # The FIFO chains packet slots; its head has fed src_seq flits.
+    mids, p, fed = [], int(sim.src_head[e]), int(sim.src_seq[e])
+    while p >= 0:
+        if fed == 0 and sim.pkt_t_created[p] == sim.now:
+            mids.append(int(sim.pkt_msg[p]))
+        p, fed = int(sim.pkt_next[p]), 0
     return mids
 
 

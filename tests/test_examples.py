@@ -8,8 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
 
@@ -35,7 +33,6 @@ class TestExamples:
         assert "Feasible designs per radix ceiling" in proc.stdout
         assert "PolarFly=1.00" in proc.stdout
 
-    @pytest.mark.slow
     def test_fault_drill(self):
         proc = run_example("fault_drill.py")
         assert proc.returncode == 0, proc.stderr

@@ -1,0 +1,114 @@
+"""The flit pool holds buffered flits only, however long the backlog.
+
+Source FIFOs hold packets, chained through ``pkt_next``; a flit takes its
+pool row as it feeds into its injection VOQ.  So however far the offered
+load outruns the network, the pool never holds more than the network's
+buffers (every link input's VCs plus every injection queue) plus the one
+row per endpoint a cycle's feed may take, and its capacity passes that
+by at most the growth step that crossed it.  Both are checked at every
+cycle boundary, on whole-cycle spans (one cycle per ``advance``), kernel
+``step()`` and numpy ``step()``, which must also agree there on the
+pools and the packet table: a closed-loop all-to-all that readies
+16 380 packets in its first cycle, and an open-loop cell past saturation.
+"""
+
+import contextlib
+
+import numpy as np
+import pytest
+
+from repro.flitsim._kernel import load_kernel, numpy_fallback
+from repro.flitsim.flatcore import _POOL_CAP
+
+from oracles import assert_same_state, buffer_capacity, build, walk_fifos
+
+pytestmark = pytest.mark.skipif(
+    load_kernel() is None or not load_kernel().select_ok,
+    reason="C kernel (or its draw self-test) unavailable",
+)
+
+#: cell -> (build args, build keywords, cycles; None: to completion)
+CELLS = {
+    "alltoall-closed": (
+        ("polarfly:conc=2,q=9", "ugal-pf", None, 0.0),
+        {"workload": "alltoall:size=8"},
+        None,
+    ),
+    "tornado-saturated": (("polarfly:conc=2,q=7", "min", "tornado", 1.0), {}, 600),
+}
+
+#: the packet table's columns that must agree, live slot by live slot
+COLUMNS = ("pkt_t_created", "pkt_len", "pkt_dst", "pkt_msg", "pkt_measured")
+
+
+class PoolWatch:
+    """One path's simulator and the capacity its pool last grew by."""
+
+    def __init__(self, sim, spans):
+        self.sim, self.spans = sim, spans
+        self.cap, self.step = sim.pool_cap, sim.pool_cap
+        self.grows = 0
+
+    def advance(self):
+        if self.spans:
+            self.sim.advance(1)
+        else:
+            self.sim.step()
+        cap = self.sim.pool_cap
+        if cap != self.cap:
+            self.step, self.cap = cap - self.cap, cap
+            self.grows += 1
+
+
+def packet_table(sim):
+    """The live packets' columns, one sorted row per packet."""
+    live = np.ones(sim.pkt_cap, dtype=bool)
+    live[sim._pslot_stack[: int(sim._pslot_top[0])]] = False
+    table = np.stack([getattr(sim, name)[live].astype(np.int64) for name in COLUMNS])
+    return table[:, np.lexsort(table[::-1])]
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_pool_stays_bounded_and_paths_agree_every_cycle(cell):
+    args, kwargs, cycles = CELLS[cell]
+    watches = []
+    for spans, context in (
+        (True, contextlib.nullcontext),
+        (False, contextlib.nullcontext),
+        (False, numpy_fallback),
+    ):
+        with context():
+            sim = build(*args, **kwargs)
+        sim._measuring = True
+        watches.append(PoolWatch(sim, spans))
+    first = watches[0].sim
+    assert first._kernel is not None and watches[2].sim._kernel is None
+    closed = first._wl is not None
+    ceiling = buffer_capacity(first) + first.fab.E
+    backlog = 0
+    while not (first._wl.done if closed else first.now == cycles):
+        assert first.now < 20_000
+        for watch in watches:
+            watch.advance()
+            sim = watch.sim
+            assert sim.pool_cap - sim.free_top <= buffer_capacity(sim)
+            assert sim.pool_cap <= ceiling + watch.step, (sim.now, watch.step)
+        for watch in watches[1:]:
+            sim = watch.sim
+            assert (sim.now, sim.packets_injected) == (first.now, first.packets_injected)
+            assert (sim.pool_cap, sim.free_top) == (first.pool_cap, first.free_top)
+            assert (sim.pkt_cap, int(sim._pslot_top[0])) == (
+                first.pkt_cap, int(first._pslot_top[0]),
+            )
+            assert np.array_equal(sim.src_seq, first.src_seq)
+            assert np.array_equal(packet_table(sim), packet_table(first)), sim.now
+        if first.now % 50 == 1:
+            backlog = max(backlog, int(walk_fifos(first)[0].sum()))
+    assert first.span_cycles == first.now
+    assert_same_state(first, watches[1].sim)
+    assert_same_state(first, watches[2].sim, rows=False)
+    # The backlog waited as packets: more unfed flits than the pool ever
+    # had rows, which grew at most once past its first allocation.
+    assert backlog > first.pool_cap
+    assert first.pool_cap <= max(_POOL_CAP, 2 * ceiling)
+    assert all(watch.grows <= 1 for watch in watches)

@@ -388,10 +388,13 @@ def test_flit_pool_growth_stops_loudly_at_the_int32_ceiling(
 
 
 #: (ceiling, patched to, error, message, cycle the run stops at) — the
-#: fields the flit records narrow, each one side of its ceiling and the
-#: other: packet_size=4 (int16 sequence numbers), the route stride
-#: max_hops + 1 = 3 on PolarFly q=5 (int16 hop index, route_port rows),
-#: and the ready stamp now + 3 (int32) of an 80-cycle run
+#: fields the flit and packet records narrow, each one side of its
+#: ceiling and the other: packet_size=4 (int16 sequence numbers), the
+#: route stride max_hops + 1 = 3 on PolarFly q=5 (int16 hop index,
+#: route_port rows; int8 route lengths), its 31 router ids (int32 route
+#: entries), the 1024 packet slots it starts with (int32 slot ids), and
+#: the ready stamp now + 3 and creation stamp now (int32) of an 80-cycle
+#: run
 NARROWED = [
     ("_SEQ_MAX", 4, None, None, 80),
     ("_SEQ_MAX", 3, ValueError, r"packet_size=4 exceeds the int16", None),
@@ -400,7 +403,18 @@ NARROWED = [
     ("_READY_MAX", 82, None, None, 80),
     ("_READY_MAX", 81, OverflowError, r"now=79: .* ready at cycle 82", 79),
     ("_READY_MAX", 3, OverflowError, r"now=1: .* ready at cycle 4", 1),
+    ("_ROUTE_MAX", 30, None, None, 80),
+    ("_ROUTE_MAX", 29, OverflowError, r"router id 30 .* of route_buf", None),
+    ("_CREATED_MAX", 79, None, None, 80),
+    ("_CREATED_MAX", 78, OverflowError, r"now=79: .* of pkt_t_created", 79),
+    ("_LEN_MAX", 3, None, None, 80),
+    ("_LEN_MAX", 2, OverflowError, r"route stride 3 .* of pkt_len", None),
+    ("_SLOT_MAX", 1024, None, None, 80),
+    ("_SLOT_MAX", 1023, OverflowError, r"pkt_cap=1024 .* of pkt_next", None),
 ]
+
+#: each ceiling's value: the widest id or count its field holds
+CEILINGS = {"_SEQ_MAX": 2**15 - 1, "_HOP_MAX": 2**15 - 1, "_LEN_MAX": 2**7 - 1}
 
 
 @pytest.mark.parametrize("ceiling,value,error,match,stops_at", NARROWED)
@@ -408,9 +422,7 @@ def test_narrowed_flit_fields_stop_loudly_at_their_ceilings(
     pf, tables, flat_path, monkeypatch, ceiling, value, error, match, stops_at
 ):
     """Construction refuses what the records cannot hold; time stops short."""
-    assert getattr(flatcore, ceiling) == {"_READY_MAX": 2**31 - 1}.get(
-        ceiling, 2**15 - 1
-    )
+    assert getattr(flatcore, ceiling) == CEILINGS.get(ceiling, 2**31 - 1)
     monkeypatch.setattr(flatcore, ceiling, value)
 
     def build():
@@ -439,8 +451,8 @@ def test_narrowed_flit_fields_stop_loudly_at_their_ceilings(
 def test_packet_table_growth_stops_loudly_at_the_int32_ceiling(
     pf, tables, monkeypatch
 ):
-    """Flit records hold packet slot ids as int32, like pool rows."""
-    monkeypatch.setattr(flatcore, "_POOL_MAX", 2 * flatcore._PKT_CAP - 1)
+    """Flit records and FIFO chains hold packet slot ids as int32."""
+    monkeypatch.setattr(flatcore, "_SLOT_MAX", 2 * flatcore._PKT_CAP - 1)
     sim = FlatSimulator(pf, MinimalRouting(tables), UniformTraffic(pf), 0.5, seed=1)
     with pytest.raises(OverflowError, match=rf"pkt_cap={2 * flatcore._PKT_CAP}"):
         sim._grow_pkt_pool(1)

@@ -4,7 +4,7 @@
 per-cycle ``step()`` path defines what that call must leave behind.
 ``tests/test_differential.py`` checks that contract on registry-drawn
 cells; this file keeps the edges a drawn cell rarely reaches: arbitration
-masks past one word, pool and sample-buffer grows inside a span, spans
+masks past one word, packet-table and sample-column grows inside a span, spans
 interleaved with steps, fault epochs on window edges, what declines a
 span (a silent decline costs 2-3x and no equivalence check notices), the
 draw self-test and an overlong route.
@@ -28,6 +28,7 @@ from repro.routing.policies import MinimalRouting
 from oracles import (
     assert_same_result,
     assert_same_state,
+    buffer_capacity,
     build,
     four_ways,
     run_by_steps,
@@ -137,7 +138,7 @@ RELAID = [
         "SimState", "row_mask", "row_mask",
         lambda a: np.asfortranarray(np.tile(a, 2)), "row_mask-<lambda>1",
     ),
-    # an int8_t field (bool on the numpy side) given int64
+    # a _Bool field (numpy bool) given int64
     (
         "SimState", "pkt_measured", "pkt_measured", lambda a: a.astype(np.int64),
         "pkt_measured-int64",
@@ -146,8 +147,8 @@ RELAID = [
         "SimState", "_pool", "pool", lambda a: np.zeros(a.size, _SHORT_FLIT),
         "pool-8-byte-record",
     ),
-    ("Selector", "_work", "work", lambda a: a.astype(np.int32), "work-int32"),
-    ("Injector", "_samples", "lat", lambda a: a[0].astype(float), "lat-float64"),
+    ("Selector", "_work", "work", lambda a: a.astype(np.int64), "work-int64"),
+    ("Injector", "_scratch", "lat", lambda a: a[0].astype(float), "lat-float64"),
     ("Injector", "_scratch", "winners", lambda a: a[:, ::2][0], "winners-strided"),
 ]
 
@@ -170,34 +171,32 @@ def test_bind_refuses_a_relaid_voq_record_or_mask_buffer(struct, attr, field, re
             owner._bind(**{field: bad})
 
 
-def test_saturation_forces_grow_and_flush_returns_mid_span():
+def test_saturation_forces_grow_returns_mid_span():
     args = (PF_SPEC, "min", "tornado", 1.0)
     spans, steps = build(*args), build(*args)
     for sim in (spans, steps):
         sim.attach_link_telemetry()
-    returns = {"grow": 0, "grow_measuring": 0, "flush": 0}
-    reserve, flush = spans._reserve, spans._kspan._flush
+    returns = {"grow": 0, "grow_measuring": 0}
+    sample_room = set()
+    reserve = spans._reserve
 
-    def counted_reserve(packets):
+    def counted_reserve(packets=0):
         returns["grow"] += 1
         returns["grow_measuring"] += spans._measuring
+        sample_room.add(spans._lat.buf.size)
         reserve(packets)
 
-    def counted_flush(sim):
-        returns["flush"] += bool(spans._kspan._out.samples)
-        flush(sim)
-
     spans._reserve = counted_reserve
-    spans._kspan._flush = counted_flush
     windows = (100, 500, 100)
     got = spans.run(*windows)
     assert spans.span_cycles == sum(windows)
-    # Source FIFOs back up without bound: the pool outgrows its first
-    # allocation, and the measure window yields more samples than the
-    # O(E) buffers hold, so kcycles came back for both, repeatedly.
-    assert spans.pool_cap > _POOL_CAP and returns["grow"] >= 1
-    assert len(got.latencies) > spans._kspan._samples.shape[1]
-    assert returns["flush"] > 3  # one per window end plus the forced ones
+    # Source FIFOs back up without bound: the packet table outgrows its
+    # first allocation, and the measure window yields more samples than
+    # the first sample room holds, so kcycles came back for both,
+    # repeatedly.  The flit pool holds buffered flits only.
+    assert spans.pkt_cap > _PKT_CAP and returns["grow"] > 3
+    assert len(sample_room) > 2 and len(got.latencies) > min(sample_room)
+    assert spans.pool_cap <= max(_POOL_CAP, 2 * (buffer_capacity(spans) + spans.fab.E))
     assert_same_result(got, run_by_steps(steps, *windows))
     assert_same_state(spans, steps)
     # A grow mid-window re-points its own pool only; the link counters
@@ -397,12 +396,14 @@ def test_alltoall_burst_grows_scratch_and_pools_inside_a_span():
     scratch_cap = spans._kselect._cap
     got = spans.run_workload()
     # Cycle 0 readies N*(N-1) messages at once: far more packets than
-    # the selector scratch (sized for E), the packet table or the flit
-    # pool start with, so kcycles came back for room before popping.
+    # the selector scratch (sized for E) or the packet table start with,
+    # so kcycles came back for room before popping.  Their flits wait in
+    # the source FIFOs as packets: the flit pool does not grow for them.
     burst = int(spans._wl.msg_pkts.sum())
     assert burst > max(scratch_cap, _PKT_CAP) and burst * 4 > _POOL_CAP
     assert spans._kselect._cap >= burst and spans._kspan._inj.cap >= burst
-    assert spans.pkt_cap > _PKT_CAP and spans.pool_cap > _POOL_CAP
+    assert spans.pkt_cap > _PKT_CAP
+    assert spans.pool_cap <= max(_POOL_CAP, 2 * (buffer_capacity(spans) + spans.fab.E))
     assert spans.span_cycles == spans.now == got.cycles
     assert_same_result(got, run_workload_by_steps(steps))
     assert_same_state(spans, steps)

@@ -217,8 +217,9 @@ def test_the_table_has_a_row_for_every_struct_with_pointers():
 OWN_FIELDS = {
     "_grow_pool": {"pool", "free_stack"},
     "_grow_pkt_pool": {
-        "pkt_t_created", "pkt_len", "pkt_dst", "pkt_msg", "pkt_measured",
-        "route_buf", "route_port", "pkt_live", "pkt_damaged", "pkt_free",
+        "pkt_t_created", "pkt_len", "pkt_dst", "pkt_msg", "pkt_next",
+        "pkt_measured", "route_buf", "route_port", "pkt_live", "pkt_damaged",
+        "pkt_free",
     },
 }
 
