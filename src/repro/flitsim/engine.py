@@ -192,74 +192,13 @@ class SimConfig:
         return self.num_vcs * self.vc_depth
 
 
-class Samples:
-    """A growing ``int32`` column of per-packet samples.
-
-    The flat engine's latency and hop-count accumulator: a cycle appends
-    its batch (:meth:`extend`), and a ``kcycles`` span writes straight
-    into :attr:`buf` — :meth:`reserve` gives it room — then sets
-    :attr:`n`.  ``len`` and slices see the first ``n`` entries.  Four
-    bytes a sample while the run lasts (a latency is below the cycle
-    count, which the flit records already hold as ``int32``), in memory
-    sized for eight: the upper half stays untouched, so costs no
-    resident memory, until :meth:`packed` widens the column in place
-    into the 8-byte array a result hands out — no second copy.
-    """
-
-    __slots__ = ("buf", "n", "_mem")
-
-    def __init__(self):
-        self._mem = np.empty(0, dtype=np.int64)
-        self.buf = self._mem.view(np.int32)
-        self.n = 0
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, key):
-        return self.buf[: self.n][key]
-
-    def reserve(self, k: int) -> None:
-        """Room for ``k`` more samples; the buffer at least doubles."""
-        need = self.n + k
-        if need > self.buf.size:
-            mem = np.empty(max(need, 2 * self.buf.size, 1024), dtype=np.int64)
-            buf = mem.view(np.int32)[: mem.size]
-            buf[: self.n] = self.buf[: self.n]
-            self._mem, self.buf = mem, buf
-
-    def extend(self, values) -> None:
-        k = len(values)
-        self.reserve(k)
-        self.buf[self.n : self.n + k] = values
-        self.n += k
-
-    def packed(self, dtype) -> np.ndarray:
-        """The samples as an 8-byte ``dtype`` array, widened in place.
-
-        Back to front, in halves: entries ``[a, b)`` with ``2a >= b``
-        are read from bytes ``[4a, 4b)`` and written to ``[8a, 8b)``,
-        which no entry below ``a`` occupies.  The column hands its
-        memory to the array and starts over empty.
-        """
-        n, wide = self.n, self._mem.view(dtype)
-        b = n
-        while b > 1:
-            a = (b + 1) // 2
-            wide[a:b] = self.buf[a:b]
-            b = a
-        if n:
-            wide[0] = self.buf[0]
-        self.__init__()
-        return wide[:n]
-
-
 @dataclass
 class SimResult:
     """Steady-state measurements of one simulation run.
 
     ``latencies``/``hop_counts`` accumulate during the run — plain lists
-    on the reference engine, :class:`Samples` columns on the flat one —
+    on the reference engine, growing columns with a ``packed(dtype)``
+    method on the flat one (:class:`~repro.flitsim.flatcore.Samples`) —
     and are packed into numpy arrays by :meth:`finalize` when the run
     ends, so every statistic below is a single vectorized reduction.
     """
@@ -269,8 +208,8 @@ class SimResult:
     num_endpoints: int
     injected_flits: int = 0
     ejected_flits: int = 0
-    latencies: "list | Samples | np.ndarray" = field(default_factory=list)
-    hop_counts: "list | Samples | np.ndarray" = field(default_factory=list)
+    latencies: "list | np.ndarray" = field(default_factory=list)
+    hop_counts: "list | np.ndarray" = field(default_factory=list)
 
     def finalize(self) -> "SimResult":
         """Pack the samples into arrays (idempotent)."""
@@ -322,9 +261,8 @@ class SimResult:
 
 
 def _packed(samples, dtype) -> np.ndarray:
-    if isinstance(samples, Samples):
-        return samples.packed(dtype)
-    return np.asarray(samples, dtype=dtype)
+    packed = getattr(samples, "packed", None)
+    return np.asarray(samples, dtype=dtype) if packed is None else packed(dtype)
 
 
 def validate_sim_args(topo, policy, load: float, config: SimConfig) -> None:

@@ -58,13 +58,13 @@ for the same seed — pinned by ``tests/test_differential.py``.
 
 from __future__ import annotations
 
+import mmap
 import weakref
 
 import numpy as np
 
 from repro.flitsim._kernel import bind_struct, load_kernel
 from repro.flitsim.engine import (
-    Samples,
     SimConfig,
     SimResult,
     SimulatorCore,
@@ -79,7 +79,7 @@ from repro.routing.policies import RoutingPolicy
 from repro.topologies.base import Topology
 from repro.utils.rng import make_rng
 
-__all__ = ["FlatFabric", "FlatSimulator", "fabric_for"]
+__all__ = ["FlatFabric", "FlatSimulator", "Samples", "fabric_for"]
 
 #: initial flit-pool capacity (rows); grows by doubling
 _POOL_CAP = 4096
@@ -126,8 +126,8 @@ _SEQ_MAX = _HOP_MAX = int(np.iinfo(np.int16).max)
 _READY_MAX = int(np.iinfo(np.int32).max)
 
 #: the per-packet-slot arrays, declared once for allocation and growth:
-#: attribute, dtype, fill (None: unwritten until a packet takes the
-#: slot), whether a slot's row is ``route_stride`` wide, and the
+#: attribute, dtype, fill (arrays start zeroed), whether a slot's row
+#: is ``route_stride`` wide, and the
 #: attribute that must be set for it to exist (None: always).
 #: ``pkt_msg`` is the owning workload message (-1 open loop);
 #: ``pkt_next`` the next packet of its source FIFO (-1: the tail);
@@ -137,8 +137,8 @@ _READY_MAX = int(np.iinfo(np.int32).max)
 #: packet out of tail order, so slot recycling counts flits) and
 #: damaged flag.
 _PKT_ARRAYS = (
-    ("pkt_t_created", np.int32, None, False, None),
-    ("pkt_len", np.int8, None, False, None),
+    ("pkt_t_created", np.int32, 0, False, None),
+    ("pkt_len", np.int8, 0, False, None),
     ("pkt_dst", np.int32, 0, False, None),
     ("pkt_msg", np.int32, -1, False, None),
     ("pkt_next", np.int32, 0, False, None),
@@ -150,16 +150,100 @@ _PKT_ARRAYS = (
 )
 
 
+#: arrays of at least this many bytes get an anonymous mapping of their own
+_MAP_BYTES = 1 << 20
+
+
+def _zeros(size: int, dtype) -> np.ndarray:
+    """A zeroed array; a large one in an anonymous mapping of its own.
+
+    The pools, the packet table and the sample columns grow by copying
+    into a fresh array and dropping the old one.  Freed from the heap,
+    an old array's pages may stay resident (the allocator keeps blocks
+    below its adaptive mmap threshold for reuse); a mapping returns them
+    to the OS when the array dies, and its pages cost memory only once
+    written.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = size * dtype.itemsize
+    if nbytes < _MAP_BYTES:
+        return np.zeros(size, dtype=dtype)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype)
+
+
 def _filled(size: int, dtype, fill) -> np.ndarray:
-    if fill is None:
-        return np.empty(size, dtype=dtype)
-    return np.full(size, fill, dtype=dtype) if fill else np.zeros(size, dtype=dtype)
+    arr = _zeros(size, dtype)
+    if fill:
+        arr.fill(fill)
+    return arr
+
+
+class Samples:
+    """A growing ``int32`` column of per-packet samples.
+
+    The flat engine's latency and hop-count accumulator: a cycle appends
+    its batch (:meth:`extend`), and a ``kcycles`` span writes straight
+    into :attr:`buf` — :meth:`reserve` gives it room — then sets
+    :attr:`n`.  ``len`` and slices see the first ``n`` entries.  Four
+    bytes a sample while the run lasts (a latency is below the cycle
+    count, which the flit records already hold as ``int32``), in memory
+    sized for eight: the upper half stays untouched, so costs no
+    resident memory, until :meth:`packed` widens the column in place
+    into the 8-byte array a result hands out — no second copy.
+    """
+
+    __slots__ = ("buf", "n", "_mem")
+
+    def __init__(self):
+        self._mem = _zeros(0, np.int64)
+        self.buf = self._mem.view(np.int32)
+        self.n = 0
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, key):
+        return self.buf[: self.n][key]
+
+    def reserve(self, k: int) -> None:
+        """Room for ``k`` more samples; the buffer at least doubles."""
+        need = self.n + k
+        if need > self.buf.size:
+            mem = _zeros(max(need, 2 * self.buf.size, 1024), np.int64)
+            buf = mem.view(np.int32)[: mem.size]
+            buf[: self.n] = self.buf[: self.n]
+            self._mem, self.buf = mem, buf
+
+    def extend(self, values) -> None:
+        k = len(values)
+        self.reserve(k)
+        self.buf[self.n : self.n + k] = values
+        self.n += k
+
+    def packed(self, dtype) -> np.ndarray:
+        """The samples as an 8-byte ``dtype`` array, widened in place.
+
+        Back to front, in halves: entries ``[a, b)`` with ``2a >= b``
+        are read from bytes ``[4a, 4b)`` and written to ``[8a, 8b)``,
+        which no entry below ``a`` occupies.  The column hands its
+        memory to the array and starts over empty.
+        """
+        n, wide = self.n, self._mem.view(dtype)
+        b = n
+        while b > 1:
+            a = (b + 1) // 2
+            wide[a:b] = self.buf[a:b]
+            b = a
+        if n:
+            wide[0] = self.buf[0]
+        self.__init__()
+        return wide[:n]
 
 
 def _grown_free_stack(stack, top_arr, old: int, cap: int) -> np.ndarray:
     """``stack`` widened to ``cap`` ids with ``old .. cap - 1`` pushed."""
     top = int(top_arr[0])
-    grown = np.empty(cap, dtype=np.int32)
+    grown = _zeros(cap, np.int32)
     grown[:top] = stack[:top]
     grown[top : top + cap - old] = np.arange(old, cap)
     top_arr[0] = top + cap - old
@@ -374,7 +458,7 @@ class FlatSimulator(SimulatorCore):
         # stack top lives in a one-element array so the C kernel can
         # mutate it in place.
         self.pool_cap = _POOL_CAP
-        self._set_pool(np.empty(self.pool_cap, dtype=_FLIT))
+        self._set_pool(_zeros(self.pool_cap, _FLIT))
         self.free_stack = np.arange(self.pool_cap, dtype=np.int32)
         self._free_top = np.array([self.pool_cap], dtype=np.int64)
 
@@ -639,7 +723,7 @@ class FlatSimulator(SimulatorCore):
                 f"pool_cap={cap} flit-pool rows exceed the int32 row ids "
                 f"of the VOQ records (at most {_POOL_MAX})"
             )
-        pool = np.empty(cap, dtype=_FLIT)
+        pool = _zeros(cap, _FLIT)
         pool[:old] = self._pool
         self._set_pool(pool)
         self.free_stack = _grown_free_stack(
