@@ -27,7 +27,10 @@ recorded as a :class:`CellError`, and quarantined so the rest of the
 grid completes.  Workers rebuild topologies/policies/traffic from
 registry spec strings (cheap to ship, no pickled simulator state); the
 default worker count is ``os.cpu_count()``, overridable with
-``$REPRO_SWEEP_WORKERS``.
+``$REPRO_SWEEP_WORKERS``.  The process-pool machinery
+(``concurrent.futures.process``, ``multiprocessing``) is imported only
+where a pool is made and harvested, so :func:`run_cell` and a serial
+sweep never load it.
 """
 
 from __future__ import annotations
@@ -38,13 +41,8 @@ import time
 import traceback as _traceback
 import weakref
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -61,6 +59,9 @@ from repro.experiments.spec import ExperimentSpec, cell_cost
 from repro.flitsim.engine import DEFAULT_ENGINE, ENGINE_ENV, SimConfig, make_simulator
 from repro.flitsim.sweep import LoadSweep, SweepPoint
 from repro.utils.env import env_positive
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "SweepRunner",
@@ -748,8 +749,12 @@ class SweepRunner:
         chunk count would tear the pool down whenever a later run has
         more chunks, discarding the per-worker construction memo the
         persistent pool exists to keep warm.  Excess workers just idle.
+        The process-pool machinery (``multiprocessing`` and what it
+        pulls in) is imported here, so a serial sweep never loads it.
         """
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
             self._pool_workers = self.max_workers
             # Reap worker processes when the runner is collected without
@@ -953,6 +958,8 @@ class SweepRunner:
         self, item: _WorkItem, inflight: dict, result: ExperimentResult
     ) -> None:
         """Submit one work item, respawning the pool if submit fails."""
+        from concurrent.futures import BrokenExecutor
+
         # before the pool exists: a bad $REPRO_SWEEP_TIMEOUT raises here
         budget = _chunk_deadline(item.cells)
         for _ in range(2):
@@ -1091,6 +1098,8 @@ class SweepRunner:
         hb: "_Heartbeat | None" = None,
     ) -> None:
         """The as-completed scheduler: dispatch, harvest, heal, repeat."""
+        from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
+
         queue = [_WorkItem(list(chunk)) for chunk in self._chunks(missing)]
         inflight: dict = {}  # future -> (_WorkItem, deadline)
         while queue or inflight:

@@ -150,17 +150,25 @@ VOQ, so the pool holds only buffered flits: at most the network's
 buffer capacity, plus the one row per endpoint a cycle's feed may take.
 The per-packet records are sized to their ceilings: ``route_buf``,
 ``pkt_dst``, ``pkt_msg`` and ``pkt_t_created`` ``int32``, ``pkt_len``
-``int8``, both free stacks ``int32`` ids.  The route phase never
+``int8``, ``pkt_live`` ``int16`` (at most ``ps``), both free stacks
+``int32`` ids; ``pkt_msg`` is bound closed loop only, the one mode that
+reads it (an open-loop packet has no message to complete or
+retransmit).  So are the per-row records, each with one C type: per
+(router, link port, VC) ``credits`` ``int16`` (at most ``vc_depth``),
+per (router, out) row ``backlog`` and ``rr`` ``int32``, per (router,
+link port) ``nbr`` ``int32`` router ids and ``rev`` ``int16`` ports;
+``occupancy``, ``output_occupancies`` in C, computes in ``int64``, as
+the numpy view returns it.  The route phase never
 searches a neighbor row: ``kinject`` resolves every hop's output port
 once per packet into ``route_port`` (``int16``, one ``stride``-wide row
 per packet slot, kernel-only state like ``row_mask``) — ``OE`` where
 the packet ejects — and ``kfeed`` and apply only read it.  The narrowed
 fields fail loudly at their ceilings in
 :class:`~repro.flitsim.flatcore.FlatSimulator`: ``packet_size``, the
-route stride and the router ids at construction, packet slots as the
-table grows, the cycle count before a ready or creation stamp could
-pass 2**31 - 1.  Route selection's scratch and the span's per-packet
-rows and sample columns are ``int32`` too.
+route stride, the router ids and ``vc_depth`` at construction, packet
+slots as the table grows, the cycle count before a ready or creation
+stamp could pass 2**31 - 1.  Route selection's scratch and the span's
+per-packet rows and sample columns are ``int32`` too.
 """
 
 from __future__ import annotations
@@ -199,7 +207,9 @@ typedef struct {
     int64_t n, E, I, O, OE, Dp, V, ps, hop_latency, stride;
     int64_t fault_mode;
     int64_t *deg, *ports, *conc;
-    int64_t *nbr;
+    /* Per (router, link port), Dp wide: the neighbor's router id and the
+     * neighbor's port back. */
+    int32_t *nbr;
     int16_t *rev;
     int64_t *adj_indptr, *adj_indices;
     int64_t *ep_router, *ep_inport, *ep_off;
@@ -213,7 +223,12 @@ typedef struct {
     /* ceil(n * O / 64) words: bit r * O + out is set exactly while
      * backlog[r * O + out] > 0. */
     uint64_t *busy_rows;
-    int64_t *backlog, *rr, *credits;
+    /* Per (router, out) row: flits queued (at most the pool's int32 rows)
+     * and the round-robin input pointer. */
+    int32_t *backlog, *rr;
+    /* Per (router, link port, VC): free downstream slots, at most
+     * vc_depth, which FlatSimulator holds to the int16 maximum. */
+    int16_t *credits;
     Flit *pool;
     /* Source FIFOs hold packets, not flits: per endpoint, the head and
      * tail packet slots of a chain through pkt_next (-1: empty), and
@@ -223,7 +238,7 @@ typedef struct {
     int32_t *pkt_next;
     int8_t *pkt_len;
     int32_t *pkt_dst, *pkt_t_created;
-    int32_t *pkt_msg;       /* owning workload message (-1 open loop) */
+    int32_t *pkt_msg;       /* owning workload message; closed loop only */
     _Bool *pkt_measured;
     int32_t *route_buf;
     /* Per packet slot, `stride` output ports: route_port[pid * stride + h]
@@ -241,7 +256,7 @@ typedef struct {
      * flags per packet slot, the tail-drop ring buffer (drop order),
      * and fcnt = {dropped flits, tail drops} for the current cycle. */
     _Bool *dead_row;
-    int64_t *pkt_live;
+    int16_t *pkt_live;      /* at most ps, an int16 sequence count */
     _Bool *pkt_damaged;
     int64_t *drop_tail_pids;
     int64_t *fcnt;
@@ -567,7 +582,7 @@ static int64_t arbitrate(SimState *st, int64_t r, int64_t out, int64_t now,
     const uint64_t *mask = st->row_mask + row * MW;
     /* The row's VOQs (r, in, out), in = 0, 1, ...: consecutive records. */
     const int32_t *voq = st->voq + row * I;
-    const int64_t *credits = st->credits + (r * st->Dp + out) * V;
+    const int16_t *credits = st->credits + (r * st->Dp + out) * V;
     int64_t ptr = st->rr[row];
     int64_t granted = 0, last = -1;
     int64_t w = ptr >> 6, left = MW;    /* word visits after this one */
@@ -606,7 +621,7 @@ static int64_t arbitrate(SimState *st, int64_t r, int64_t out, int64_t now,
     }
     /* last < P: the pointer wraps to 0 past the last input. */
     if (last >= 0)
-        st->rr[row] = last + 1 == P ? 0 : last + 1;
+        st->rr[row] = (int32_t)(last + 1 == P ? 0 : last + 1);
     return ng;
 }
 
@@ -1352,7 +1367,7 @@ int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
             }
             if (fm)
                 for (int64_t j = 0; j < k; j++) {
-                    st->pkt_live[inj->slots[j]] = ps;
+                    st->pkt_live[inj->slots[j]] = (int16_t)ps;
                     st->pkt_damaged[inj->slots[j]] = 0;
                 }
             if (wl)

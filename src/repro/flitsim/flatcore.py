@@ -29,12 +29,15 @@ queued flit:
   output column).  Chains are circular — the tail's ``next`` is the
   head — which gives O(1) enqueue, dequeue and emptiness checks from
   the one record.  Queue lengths live only in the per-(router, out)
-  ``backlog`` sums.
-* **Credits** — one ``(router, out_port, vc)`` int array; injection
-  credits one array over endpoints.
-* **Arbitration** — per (router, output) round-robin pointers; each
-  cycle the eligible VOQ heads are scored by circular distance from the
-  pointer and winners fall out of one ``argmin``/``argsort`` per cycle.
+  ``backlog`` sums (int32).
+* **Credits** — one ``(router, out_port, vc)`` int16 array (``vc_depth``
+  is held to the int16 maximum at construction); injection credits one
+  array over endpoints.
+* **Arbitration** — per (router, output) int32 round-robin pointers;
+  each cycle the eligible VOQ heads are scored by circular distance
+  from the pointer and winners fall out of one ``argmin``/``argsort``
+  per cycle, the grant limits read off the fabric's port counts and
+  concentrations (no per-row table).
 * **Injection** — one Bernoulli draw per cycle across all endpoints and
   one batched destination draw (``TrafficPattern.dest_routers``), then
   the policy's batched ``select_routes``.
@@ -105,6 +108,9 @@ _LEN_MAX = int(np.iinfo(np.int8).max)
 #: latest cycle a packet's int32 creation stamp can hold
 _CREATED_MAX = int(np.iinfo(np.int32).max)
 
+#: deepest VC buffer the int16 ``credits`` counters hold
+_CREDIT_MAX = int(np.iinfo(np.int16).max)
+
 #: one flit-pool row, field for field the kernel's ``Flit`` struct
 _FLIT = np.dtype(
     [("next", np.int32), ("pid", np.int32), ("ready", np.int32),
@@ -129,23 +135,25 @@ _READY_MAX = int(np.iinfo(np.int32).max)
 #: attribute, dtype, fill (arrays start zeroed), whether a slot's row
 #: is ``route_stride`` wide, and the
 #: attribute that must be set for it to exist (None: always).
-#: ``pkt_msg`` is the owning workload message (-1 open loop);
+#: ``pkt_msg`` is the owning workload message, closed loop only — every
+#: closed-loop packet is given one, so the column needs no fill;
 #: ``pkt_next`` the next packet of its source FIFO (-1: the tail);
 #: ``route_port`` the kernel-only output port per hop, which ``kinject``
 #: resolves once per packet and the cycle path only reads; ``pkt_live``
 #: / ``pkt_damaged`` the fault mode's outstanding flits (drops retire a
-#: packet out of tail order, so slot recycling counts flits) and
+#: packet out of tail order, so slot recycling counts flits; at most
+#: ``packet_size``, which int16 sequence numbers already bound) and
 #: damaged flag.
 _PKT_ARRAYS = (
     ("pkt_t_created", np.int32, 0, False, None),
     ("pkt_len", np.int8, 0, False, None),
     ("pkt_dst", np.int32, 0, False, None),
-    ("pkt_msg", np.int32, -1, False, None),
+    ("pkt_msg", np.int32, 0, False, "_wl"),
     ("pkt_next", np.int32, 0, False, None),
     ("pkt_measured", np.bool_, False, False, None),
     ("route_buf", np.int32, 0, True, None),
     ("route_port", np.int16, 0, True, "_kernel"),
-    ("pkt_live", np.int64, 0, False, "_fault"),
+    ("pkt_live", np.int16, 0, False, "_fault"),
     ("pkt_damaged", np.bool_, False, False, "_fault"),
 )
 
@@ -262,8 +270,11 @@ class FlatFabric:
     seed's dense O(N^2) ``port_mat`` — at q=79 (N=6321) that matrix
     alone was 320 MB; the CSR port map is O(E).  The congestion view
     (`output_occupancies`) reads ports through the same lookup, so the
-    whole per-cycle state stays O(N x radix).  Port ids fit int16
-    (radix << 2^15), which halves the gather traffic on ``rev_mat``.
+    whole per-cycle state stays O(N x radix).  Each table is sized to
+    its ceiling: ``nbr_mat`` holds router ids as int32, like the route
+    entries (:class:`FlatSimulator` refuses a router id past them), and
+    ``rev_mat`` port ids as int16 (radix << 2^15, checked here), which
+    halves the gather traffic on it.
     """
 
     def __init__(self, topo: Topology):
@@ -288,7 +299,7 @@ class FlatFabric:
         self.I = max(int(self.P_arr.max()) if n else 0, 1)
 
         cols = max(D, 1)
-        self.nbr_mat = np.full((n, cols), -1, dtype=np.int64)
+        self.nbr_mat = np.full((n, cols), -1, dtype=np.int32)
         self.rev_mat = np.full((n, cols), -1, dtype=np.int16)
         # CSR port map: neighbor slices are sorted, so the port of u
         # toward v is searchsorted position of key u*n+v among the
@@ -410,6 +421,11 @@ class FlatSimulator(SimulatorCore):
                 f"router id {topo.num_routers - 1} exceeds the int32 route "
                 f"entries of route_buf (at most {_ROUTE_MAX})"
             )
+        if config.vc_depth > _CREDIT_MAX:
+            raise OverflowError(
+                f"vc_depth={config.vc_depth} exceeds the int16 counters of "
+                f"credits (at most {_CREDIT_MAX})"
+            )
         self._wl = make_workload_state(workload, config, topo)
         if self._wl is not None and (
             self._wl.workload.num_messages > np.iinfo(np.int32).max
@@ -424,11 +440,12 @@ class FlatSimulator(SimulatorCore):
         n, I, O = fab.n, fab.I, fab.O
         V = config.num_vcs
 
-        # Credit state: link outputs carry vc_depth per hop class;
-        # padding columns (port >= deg) stay 0 and are never addressed.
+        # Credit state: link outputs carry vc_depth per hop class (int16:
+        # vc_depth is checked above); padding columns (port >= deg) stay
+        # 0 and are never addressed.
         valid = np.arange(max(fab.D, 1))[None, :] < fab.deg[:, None]
         self._link_ports = valid
-        self.credits = np.zeros((fab.n, max(fab.D, 1), V), dtype=np.int64)
+        self.credits = np.zeros((fab.n, max(fab.D, 1), V), dtype=np.int16)
         self.credits[valid] = config.vc_depth
         self.ep_credit = np.full(fab.E, config.vc_depth, dtype=np.int64)
 
@@ -441,17 +458,11 @@ class FlatSimulator(SimulatorCore):
         # is protocol state.  Queue lengths are not stored: the
         # ``backlog`` row sums are all the engine reads.
         self._voq = np.zeros(fab.NV, dtype=np.int32)
-        #: flits queued per (router, out) — the O(1) occupancy counters
-        self.backlog = np.zeros(n * O, dtype=np.int64)
-        #: round-robin pointers per (router, out)
-        self.rr = np.zeros(n * O, dtype=np.int64)
-        # Static per-(router, out)-row arbitration tables: grant limit
-        # (1 for links, max(1, concentration) for ejection) and the
-        # router's circular input-port count.
-        row_router = np.repeat(np.arange(n, dtype=np.int64), O)
-        self._row_limit = np.ones(n * O, dtype=np.int64)
-        self._row_limit[fab.OE :: O] = np.maximum(fab.conc, 1)
-        self._row_ports = fab.P_arr[row_router]
+        #: flits queued per (router, out) — the O(1) occupancy counters;
+        #: int32, as a row holds at most the pool's int32 rows
+        self.backlog = np.zeros(n * O, dtype=np.int32)
+        #: round-robin pointers per (router, out): input ports, int32
+        self.rr = np.zeros(n * O, dtype=np.int32)
 
         # Flit pool + free list: one record per flit, bound to the C
         # kernel as one pointer and read here through field views.  The
@@ -561,14 +572,18 @@ class FlatSimulator(SimulatorCore):
     # ------------------------------------------------------------------
     def output_occupancies(self, routers, next_hops) -> np.ndarray:
         """The UGAL-L signal per (router, next hop): credit debt plus the
-        maintained VOQ backlog toward that output, vectorized."""
+        maintained VOQ backlog toward that output, vectorized.
+
+        ``int64`` whatever the counters' widths, so the policies' queue x
+        hops products cannot wrap, under numpy 1's value-based casting
+        and NEP 50 alike.
+        """
         fab = self.fab
         ports = fab.ports_toward(routers, next_hops)
-        return (
-            self.config.vc_depth
-            - self.credits[routers, ports, 0]
-            + self.backlog[np.asarray(routers) * fab.O + ports]
-        )
+        occ = self.backlog[np.asarray(routers) * fab.O + ports].astype(np.int64)
+        occ += self.config.vc_depth
+        occ -= self.credits[routers, ports, 0]
+        return occ
 
     def accelerated_select(self, policy, srcs, dsts, rng):
         """The batch protocol of ``policy.select_routes``, run in C.
@@ -1092,8 +1107,9 @@ class FlatSimulator(SimulatorCore):
         # groups take up to max(1, concentration).  Ejection is the
         # highest output column, so group order == the reference
         # engine's decision order (routers ascending, links before
-        # eject) — which is also the latency-recording order.
-        score = (in_e - self.rr[rows]) % self._row_ports[rows]
+        # eject) — which is also the latency-recording order.  The
+        # circle is the router's input ports, P_arr.
+        score = (in_e - self.rr[rows]) % fab.P_arr[rows // O]
         order = np.lexsort((score, rows))
         row_s = rows[order]
         in_s = in_e[order]
@@ -1103,7 +1119,9 @@ class FlatSimulator(SimulatorCore):
         starts = np.flatnonzero(first)
         group = np.cumsum(first) - 1
         rank = np.arange(row_s.size, dtype=np.int64) - starts[group]
-        take = rank < self._row_limit[row_s]
+        # Grant limit: 1 per link output, max(1, concentration) to eject.
+        limit = np.where(row_s % O == OE, np.maximum(fab.conc[row_s // O], 1), 1)
+        take = rank < limit
 
         row_w = row_s[take]
         in_w = in_s[take]
@@ -1120,7 +1138,7 @@ class FlatSimulator(SimulatorCore):
         last[-1] = True
         np.not_equal(wg[1:], wg[:-1], out=last[:-1])
         row_last = row_w[last]
-        self.rr[row_last] = (in_w[last] + 1) % self._row_ports[row_last]
+        self.rr[row_last] = (in_w[last] + 1) % fab.P_arr[row_last // O]
 
         # ---- Apply: pop winners, return credits, forward/eject. ----
         # A head that is its queue's tail empties the queue; any other
@@ -1160,7 +1178,8 @@ class FlatSimulator(SimulatorCore):
                 # reference telemetry hook's accounting point.
                 np.add.at(self._ltel, (r_f, out_f), 1)
             hop_f = hop_w[fwd]
-            nxt_r = fab.nbr_mat[r_f, out_f]
+            # int64, so the row indices below cannot wrap
+            nxt_r = fab.nbr_mat[r_f, out_f].astype(np.int64)
             in_next = fab.rev_mat[r_f, out_f]
             hop2 = hop_f + 1
             pid_f = pid_w[fwd]
@@ -1239,10 +1258,17 @@ class FlatSimulator(SimulatorCore):
         self.pkt_damaged[pids] = True
         tails = seqs == self.config.packet_size - 1
         if tails.any():
-            ft.note_tail_drops(self.pkt_msg[pids[tails]])
+            ft.note_tail_drops(self._messages(pids[tails]))
         if rows is not None:
             self._release(rows)
         self._retire_packets(pids)
+
+    def _messages(self, pids: np.ndarray) -> np.ndarray:
+        """The workload messages of packets ``pids``; -1 open loop, which
+        keeps no ``pkt_msg`` (a lost packet there is not retransmitted)."""
+        if self._wl is None:
+            return np.full(pids.size, -1)
+        return self.pkt_msg[pids]
 
     def _drop_flit_rows(self, rows: np.ndarray) -> None:
         """:meth:`_drop_flits` of queued flits, by pool row."""
@@ -1376,7 +1402,7 @@ class FlatSimulator(SimulatorCore):
             if dropped:
                 ft.note_flit_drops(dropped)
             if tail_drops:
-                ft.note_tail_drops(self.pkt_msg[self._drop_tails[:tail_drops]])
+                ft.note_tail_drops(self._messages(self._drop_tails[:tail_drops]))
         if n_ej and self._measuring:
             self._stat.ejected_flits += n_ej
         if n_tail:

@@ -349,13 +349,15 @@ WHOLE = (
 #: arrays naming flit-pool rows or packet slots (or holding dead slots'
 #: leftovers), and those the C kernel alone keeps
 RECORDS = (
-    "_voq", "src_head", "src_tail", "pkt_next", "pkt_dst", "pkt_msg",
-    "pkt_measured", "route_buf", "row_mask", "route_port",
+    "_voq", "src_head", "src_tail", "pkt_next", "pkt_dst", "pkt_measured",
+    "route_buf", "row_mask", "route_port",
 )
 #: the same under a fault timeline
 FAULT_RECORDS = ("pkt_live", "pkt_damaged")
+#: the same closed loop (an open-loop simulator keeps no message ids)
+CLOSED_RECORDS = ("pkt_msg",)
 #: a live packet, whatever slot it sits in (and its route)
-PACKET_COLUMNS = ("pkt_dst", "pkt_msg", "pkt_measured", "pkt_t_created", "pkt_len")
+PACKET_COLUMNS = ("pkt_dst", "pkt_measured", "pkt_t_created", "pkt_len")
 POOL_COLUMNS = ("pool_pid", "pool_seq", "pool_hop", "pool_ready", "pool_next")
 WORKLOAD_ARRAYS = (
     "_tally", "rem_pkts", "pending", "eligible_cycle", "complete_cycle", "_inj_rr",
@@ -404,9 +406,12 @@ def assert_same_state(a, b, what="", rows=True):
         assert np.array_equal(getattr(a, name), getattr(b, name)), (what, name)
     for walk in (walk_voqs, walk_fifos):
         assert np.array_equal(walk(a)[0], walk(b)[0]), (what, walk.__name__)
-    columns = PACKET_COLUMNS + (FAULT_RECORDS if faulted else ())
+    extra = (FAULT_RECORDS if faulted else ()) + (
+        CLOSED_RECORDS if a._wl is not None else ()
+    )
+    columns = PACKET_COLUMNS + extra
     if rows:
-        for name in RECORDS + (FAULT_RECORDS if faulted else ()):
+        for name in RECORDS + extra:
             assert np.array_equal(getattr(a, name), getattr(b, name)), (what, name)
         free, slots = a.free_top, int(a._pslot_top[0])
         assert np.array_equal(a.free_stack[:free], b.free_stack[:free]), what

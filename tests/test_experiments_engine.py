@@ -3,6 +3,8 @@ trips, worker-count independence, and the object escape hatch."""
 
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +28,20 @@ from repro.routing import MinimalRouting, RoutingTables
 from repro.utils.rng import derive_seed
 
 FAST = dict(warmup=80, measure=160, drain=40)
+
+#: two PolarFly q=3 cells, and three ways to run them
+_PF3 = (
+    "ExperimentSpec.grid(['polarfly:conc=2,q=3'], ['min'], ['uniform'], "
+    "loads=(0.2, 0.5), warmup=20, measure=40, drain=10, root_seed=3)"
+)
+_SWEEPS = {
+    "run_cell": "print('cells:', len([run_cell(c) for c in spec.cells()]))",
+    "serial": "print('cells:', len(SweepRunner(cache=None, max_workers=1)"
+              ".run(spec).cells))",
+    "pool": "with SweepRunner(cache=None, max_workers=2) as runner:\n"
+            "    print('cells:', len(runner.run(spec).cells))",
+}
+POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
 
 
 def tiny_spec(**overrides):
@@ -260,6 +276,31 @@ class TestRunner:
     def test_bad_worker_count(self):
         with pytest.raises(ValueError):
             SweepRunner(max_workers=0)
+
+    @pytest.mark.parametrize("how", sorted(_SWEEPS))
+    def test_only_a_pool_imports_the_process_pool_machinery(self, how):
+        """In a fresh interpreter: a cell run inline (``run_cell``, a
+        serial sweep) loads no ``multiprocessing``; a two-worker sweep
+        (the control) does, and still completes."""
+        child = (
+            "import sys\n"
+            "from repro.experiments import ExperimentSpec, SweepRunner\n"
+            "from repro.experiments.runner import run_cell\n"
+            f"spec = {_PF3}\n"
+            f"{_SWEEPS[how]}\n"
+            f"print(sorted(m for m in {POOL_MODULES!r} if m in sys.modules))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        proc = subprocess.run(
+            [sys.executable, "-c", child], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        loaded = eval(lines[-1])
+        assert loaded == (sorted(POOL_MODULES) if how == "pool" else [])
+        assert lines[0] == "cells: 2"
 
     @pytest.mark.parametrize(
         "name,raw,want",

@@ -17,10 +17,17 @@ import contextlib
 import numpy as np
 import pytest
 
+from repro.flitsim import NetworkSimulator, flatcore
 from repro.flitsim._kernel import load_kernel, numpy_fallback
 from repro.flitsim.flatcore import _POOL_CAP
 
-from oracles import assert_same_state, buffer_capacity, build, walk_fifos
+from oracles import (
+    assert_same_result,
+    assert_same_state,
+    buffer_capacity,
+    build,
+    walk_fifos,
+)
 
 pytestmark = pytest.mark.skipif(
     load_kernel() is None or not load_kernel().select_ok,
@@ -38,7 +45,8 @@ CELLS = {
 }
 
 #: the packet table's columns that must agree, live slot by live slot
-COLUMNS = ("pkt_t_created", "pkt_len", "pkt_dst", "pkt_msg", "pkt_measured")
+#: (message ids closed loop only)
+COLUMNS = ("pkt_t_created", "pkt_len", "pkt_dst", "pkt_measured")
 
 
 class PoolWatch:
@@ -64,7 +72,8 @@ def packet_table(sim):
     """The live packets' columns, one sorted row per packet."""
     live = np.ones(sim.pkt_cap, dtype=bool)
     live[sim._pslot_stack[: int(sim._pslot_top[0])]] = False
-    table = np.stack([getattr(sim, name)[live].astype(np.int64) for name in COLUMNS])
+    names = COLUMNS + (("pkt_msg",) if sim._wl is not None else ())
+    table = np.stack([getattr(sim, name)[live].astype(np.int64) for name in names])
     return table[:, np.lexsort(table[::-1])]
 
 
@@ -112,3 +121,56 @@ def test_pool_stays_bounded_and_paths_agree_every_cycle(cell):
     assert backlog > first.pool_cap
     assert first.pool_cap <= max(_POOL_CAP, 2 * ceiling)
     assert all(watch.grows <= 1 for watch in watches)
+
+
+LINKFLAP = "linkflap:count=3,cycle=30,duration=60,seed=1"
+
+#: cell -> (build args, build keywords); every one outgrows a 64-slot
+#: packet table, and the faulted ones drop tails
+MESSAGE_CELLS = {
+    "open": (("polarfly:conc=2,q=7", "min", "tornado", 1.0), {}),
+    "open-faulted": (
+        ("polarfly:conc=2,q=7", "ugal-pf", "uniform", 0.9), {"faults": LINKFLAP},
+    ),
+    "closed": (
+        ("polarfly:conc=2,q=5", "ugal-pf", None, 0.0), {"workload": "alltoall:size=8"},
+    ),
+    "closed-faulted": (
+        ("polarfly:conc=2,q=5", "min", None, 0.0),
+        {"workload": "alltoall:size=8", "faults": LINKFLAP},
+    ),
+}
+
+
+@pytest.mark.parametrize("numpy_path", [False, True], ids=["kernel", "numpy"])
+@pytest.mark.parametrize("cell", sorted(MESSAGE_CELLS))
+def test_message_ids_are_kept_closed_loop_only(monkeypatch, cell, numpy_path):
+    """``pkt_msg`` exists, grows and is bound only where it is read.
+
+    An open-loop simulator — faulted too, whose lost tails have no
+    message to retransmit — keeps no message column, so a packet-table
+    growth writes none; closed loop keeps one slot for slot.  Either way
+    the results equal the reference engine's, retransmits included.
+    """
+    monkeypatch.setattr(flatcore, "_PKT_CAP", 64)
+    args, kwargs = MESSAGE_CELLS[cell]
+    with numpy_fallback() if numpy_path else contextlib.nullcontext():
+        sim = build(*args, **kwargs)
+    ref = build(*args, **kwargs, engine=NetworkSimulator)
+    closed = "workload" in kwargs
+    results = [
+        s.run_workload() if closed else s.run(20, 100, 20) for s in (sim, ref)
+    ]
+    assert sim.pkt_cap > 64
+    if closed:
+        assert sim.pkt_msg.dtype == np.int32 and sim.pkt_msg.size == sim.pkt_cap
+    else:
+        assert not hasattr(sim, "pkt_msg")
+    if sim._kernel is not None:
+        ffi = sim._kernel.ffi
+        assert (sim._st.pkt_msg == ffi.NULL) != closed
+    if sim._fault is not None:
+        assert sim._fault.dropped_packets == ref._fault.dropped_packets > 0
+        assert (sim._fault.retransmitted_packets > 0) == closed
+        assert sim._fault.retransmitted_packets == ref._fault.retransmitted_packets
+    assert_same_result(*results, what=cell)

@@ -392,9 +392,9 @@ def test_flit_pool_growth_stops_loudly_at_the_int32_ceiling(
 #: ceiling and the other: packet_size=4 (int16 sequence numbers), the
 #: route stride max_hops + 1 = 3 on PolarFly q=5 (int16 hop index,
 #: route_port rows; int8 route lengths), its 31 router ids (int32 route
-#: entries), the 1024 packet slots it starts with (int32 slot ids), and
-#: the ready stamp now + 3 and creation stamp now (int32) of an 80-cycle
-#: run
+#: entries), the 1024 packet slots it starts with (int32 slot ids), the
+#: ready stamp now + 3 and creation stamp now (int32) of an 80-cycle
+#: run, and vc_depth=8 (int16 credits)
 NARROWED = [
     ("_SEQ_MAX", 4, None, None, 80),
     ("_SEQ_MAX", 3, ValueError, r"packet_size=4 exceeds the int16", None),
@@ -411,10 +411,15 @@ NARROWED = [
     ("_LEN_MAX", 2, OverflowError, r"route stride 3 .* of pkt_len", None),
     ("_SLOT_MAX", 1024, None, None, 80),
     ("_SLOT_MAX", 1023, OverflowError, r"pkt_cap=1024 .* of pkt_next", None),
+    ("_CREDIT_MAX", 8, None, None, 80),
+    ("_CREDIT_MAX", 7, OverflowError, r"vc_depth=8 exceeds the int16 .* credits", None),
 ]
 
 #: each ceiling's value: the widest id or count its field holds
-CEILINGS = {"_SEQ_MAX": 2**15 - 1, "_HOP_MAX": 2**15 - 1, "_LEN_MAX": 2**7 - 1}
+CEILINGS = {
+    "_SEQ_MAX": 2**15 - 1, "_HOP_MAX": 2**15 - 1, "_LEN_MAX": 2**7 - 1,
+    "_CREDIT_MAX": 2**15 - 1,
+}
 
 
 @pytest.mark.parametrize("ceiling,value,error,match,stops_at", NARROWED)

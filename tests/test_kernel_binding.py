@@ -7,7 +7,9 @@ struct and mode, the pointer fields that must stay NULL; every other
 pointer field of ``ffi.typeof(struct).fields`` must be bound.  The grow
 test pins the other half of the contract: a pool grow re-points its own
 pool's fields and nothing else, so the link counters bound for a span
-survive a ``SPAN_GROW`` return mid-window.
+survive a ``SPAN_GROW`` return mid-window.  A last table pins the
+narrowed counters' widths: the C declaration, the simulator's array and
+the binder agree, and the int64 array a field used to take is refused.
 """
 
 import contextlib
@@ -141,6 +143,8 @@ def workload():
 
 FAULT_FIELDS = {"dead_row", "pkt_live", "pkt_damaged", "drop_tail_pids", "fcnt"}
 LINK_FIELDS = {"link_flits"}
+#: read only by the closed loop's completions and retransmits
+CLOSED_LOOP_FIELDS = {"pkt_msg"}
 #: Selector's table mode and its coordinate mode (an intact PolarFly;
 #: an intact PolarStar binds the supernode layer too)
 TABLE_FIELDS = {"dist", "patch", "patch_row", "first", "count"}
@@ -149,16 +153,22 @@ COORD_FIELDS = {"pf_vec", "gf_add", "gf_sub", "gf_mul", "gf_inv"} | STAR_FIELDS
 
 #: (struct, mode, the bound pointer, the pointer fields that stay NULL)
 BINDINGS = [
-    ("SimState", "open loop", sim_state, FAULT_FIELDS | LINK_FIELDS),
+    (
+        "SimState", "open loop", sim_state,
+        FAULT_FIELDS | LINK_FIELDS | CLOSED_LOOP_FIELDS,
+    ),
     (
         "SimState", "closed loop",
         lambda: sim_state(traffic_spec=None, load=0.0, workload=ALLREDUCE),
         FAULT_FIELDS | LINK_FIELDS,
     ),
-    ("SimState", "faulted", lambda: sim_state(faults=LINKFLAP), LINK_FIELDS),
+    (
+        "SimState", "faulted", lambda: sim_state(faults=LINKFLAP),
+        LINK_FIELDS | CLOSED_LOOP_FIELDS,
+    ),
     (
         "SimState", "link telemetry", telemetry_state,
-        FAULT_FIELDS,
+        FAULT_FIELDS | CLOSED_LOOP_FIELDS,
     ),
     (
         "Selector", "plain tables", lambda: selector(SF),
@@ -214,6 +224,7 @@ def test_the_table_has_a_row_for_every_struct_with_pointers():
 
 #: the SimState fields each grow replaces — everything else must keep
 #: its address, the link counters and the fault mode's pointers included
+#: (the open-loop cell below leaves the closed loop's NULL)
 OWN_FIELDS = {
     "_grow_pool": {"pool", "free_stack"},
     "_grow_pkt_pool": {
@@ -267,11 +278,46 @@ def test_a_grow_re_points_only_its_own_pool(monkeypatch):
         OWN_FIELDS
     ), [(method, measuring) for method, measuring, *_ in grows]
     for method, measuring, moved, after in grows:
-        assert moved == OWN_FIELDS[method], method
+        assert moved == OWN_FIELDS[method] - CLOSED_LOOP_FIELDS, method
         assert all(after[name] for name in FAULT_FIELDS | LINK_FIELDS), method
+        assert not any(after[name] for name in CLOSED_LOOP_FIELDS), method
     assert got.injected_flits == want.injected_flits
     assert got.ejected_flits == want.ejected_flits
     assert np.array_equal(got.latencies, want.latencies)
     assert np.array_equal(got.hop_counts, want.hop_counts)
     assert sim._fault.dropped_flits == ref._fault.dropped_flits > 0
     np.testing.assert_array_equal(sim.link_flits(), ref.link_flits())
+
+
+#: SimState's per-row and per-packet counters that were int64, each now
+#: at the one C type its ceiling allows: (C field, where the simulator
+#: keeps it, dtype, a simulator that binds it)
+NARROW_FIELDS = [
+    ("credits", lambda sim: sim.credits, np.int16, build),
+    ("backlog", lambda sim: sim.backlog, np.int32, build),
+    ("rr", lambda sim: sim.rr, np.int32, build),
+    ("nbr", lambda sim: sim.fab.nbr_mat, np.int32, build),
+    ("pkt_live", lambda sim: sim.pkt_live, np.int16, lambda: build(faults=LINKFLAP)),
+]
+
+
+@pytest.mark.parametrize(
+    "field,array,dtype,make", NARROW_FIELDS, ids=[row[0] for row in NARROW_FIELDS]
+)
+def test_narrowed_fields_carry_their_c_type_and_refuse_a_stale_int64_array(
+    field, array, dtype, make
+):
+    """The C declaration, the simulator's array and the binder agree on
+    each field's width; the int64 array it used to be is refused by name."""
+    ffi = load_kernel().ffi
+    sim = make()
+    ctype = dict(ffi.typeof("SimState").fields)[field].type.item.cname
+    assert ctype == f"{np.dtype(dtype).name}_t"
+    assert array(sim).dtype == dtype
+    stale = array(sim).astype(np.int64)
+    match = (
+        rf"^SimState\.{field}: kernel buffer must be C-contiguous "
+        rf"{np.dtype(dtype).name}, got int64"
+    )
+    with pytest.raises(TypeError, match=match):
+        sim._bind({field: stale})

@@ -16,6 +16,8 @@ oracle, :meth:`PolarFly.minimal_path` (the paper's §IV-D definition), is
 checked on every pair.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from repro.experiments import runner
 from repro.experiments.registry import POLICIES, TOPOLOGIES, TRAFFICS
 from repro.experiments.runner import SweepRunner, auto_sim_config
 from repro.experiments.spec import Combo, ExperimentSpec
-from repro.flitsim import FlatSimulator, NetworkSimulator
+from repro.flitsim import FlatSimulator, NetworkSimulator, SimConfig
 from repro.flitsim import _kernel as kmod
 from repro.flitsim._kernel import load_kernel, numpy_fallback
 from repro.routing.degraded import fault_epoch_tables
@@ -259,6 +261,68 @@ def test_scratch_grows_with_the_batch():
     sel = ksim._kselect
     assert sel._work.size == sel._cap * (2 * sel._width + 13)
     assert 700 <= sel._cap < 2 * 700
+
+
+#: the deepest VC buffer the int16 credit counters hold
+CREDIT_MAX = 2**15 - 1
+
+
+@needs_kernel
+@pytest.mark.parametrize("policy_spec", ["ugal", "ugal-pf"])
+@pytest.mark.parametrize("topo_spec", [PF_SPEC, "slimfly:conc=2,q=5"])
+def test_ugal_decides_alike_on_occupancies_near_the_credit_ceiling(
+    topo_spec, policy_spec
+):
+    """``vc_depth`` at the int16 maximum, credits drawn over the whole
+    range: every occupancy ``output_occupancies`` returns is ``int64`` and
+    exact, and the numpy UGAL bodies, whose ``q x (hops - 1)`` products it
+    feeds, divert exactly where ``kselect`` (int64 in C) does.  Numpy 1's
+    value-based casting and NEP 50 promote narrow operands differently, so
+    this runs on both ends of the supported numpy range."""
+    topo, tables = tables_for(topo_spec)
+    sims = []
+    for fallback in (False, True):
+        policy = POLICIES.create(policy_spec, tables)
+        config = auto_sim_config(policy, vc_depth=CREDIT_MAX)
+        args = (topo, policy, TRAFFICS.create("uniform", topo), 0.5)
+        with numpy_fallback() if fallback else contextlib.nullcontext():
+            sims.append(FlatSimulator(*args, config=config, seed=3))
+    ksim, nsim = sims
+    assert ksim._kernel is not None and nsim._kernel is None
+    g = np.random.default_rng(5)
+    valid = ksim._link_ports
+    credits = g.integers(0, CREDIT_MAX + 1, size=ksim.credits.shape)
+    backlog = g.integers(0, 5, size=ksim.backlog.size)
+    for sim in sims:
+        # In place: the kernel reads the very arrays it was bound to.
+        sim.credits[...] = np.where(valid[:, :, None], credits, 0)
+        sim.backlog[...] = backlog
+    n = topo.num_routers
+    srcs = np.repeat(np.arange(n), topo.graph.indptr[1:] - topo.graph.indptr[:-1])
+    nbrs = topo.graph.indices
+    ports = ksim.fab.ports_toward(srcs, nbrs)
+    want = CREDIT_MAX - credits[srcs, ports, 0] + backlog[srcs * ksim.fab.O + ports]
+    assert want.max() > CREDIT_MAX - 64
+    for sim in sims:
+        occ = sim.output_occupancies(srcs, nbrs)
+        assert occ.dtype == np.int64
+        assert np.array_equal(occ, want)
+    detours = 0
+    for trial, bsrcs, bdsts in random_batches(n):
+        _, lens = assert_same_selection(ksim, nsim, bsrcs, bdsts, seed=trial)
+        detours += int((lens != tables.dist[bsrcs, bdsts] + 1).sum())
+    assert detours > 0, "the occupancies must make UGAL divert"
+
+
+def test_a_vc_depth_past_the_int16_credits_is_refused():
+    topo, tables = tables_for(PF_SPEC)
+    policy = POLICIES.create("min", tables)
+    traffic = TRAFFICS.create("uniform", topo)
+    FlatSimulator(
+        topo, policy, traffic, 0.5, config=SimConfig(vc_depth=CREDIT_MAX)
+    ).run(0, 10, 0)
+    with pytest.raises(OverflowError, match=r"vc_depth=32768 .* of credits"):
+        FlatSimulator(topo, policy, traffic, 0.5, config=SimConfig(vc_depth=2**15))
 
 
 # ----------------------------------------------------------------------
