@@ -22,10 +22,10 @@ During the run, engines call :meth:`advance` at the top of a cycle; on
 an event cycle it returns the epoch's :class:`FaultDelta` (sorted
 newly-dead/newly-alive links and routers plus the repaired tables) and
 the engine applies the masks and drops in the canonical order documented
-in :mod:`repro.flitsim.engine`.  ``step()`` asks every cycle; the run
-loop makes :meth:`next_epoch_start` one of its deadlines, so an engine
-that covers whole spans of cycles at once asks only at the start of
-each span.  Drop/blackhole/retransmit accounting
+in :mod:`repro.flitsim.engine`.  The reference engine asks every
+cycle; the run loop makes :meth:`next_epoch_start` one of its deadlines,
+and the flat engine splits any stretch there, so its whole spans of
+cycles ask only at their start.  Drop/blackhole/retransmit accounting
 flows back through the ``note_*`` methods, keeping the counters — and
 the retransmit queue order, which feeds route selection and therefore
 the RNG stream — identical across engines.
@@ -196,7 +196,11 @@ class FaultState:
 
         self._next = 1
         self._started = False
-        self._rt_queue: list = []
+        #: the retransmit queue, lost packets' message ids in drop order:
+        #: the first ``_rt_len[0]`` entries, a buffer the flat engine's
+        #: spans push onto and pop in C
+        self._rt_queue = np.empty(64, dtype=np.int64)
+        self._rt_len = np.zeros(1, dtype=np.int64)
         #: (cycle, latency-sample index) at each applied event
         self.marks: list = []
         self.dropped_flits = 0
@@ -285,10 +289,28 @@ class FaultState:
         both engines produce identically.
         """
         mids = np.asarray(mids, dtype=np.int64)
-        self.dropped_packets += mids.size
-        _obs_counter("faults.tail_drops").inc(mids.size)
+        self.count_tail_drops(mids.size)
         if self.retransmit_enabled:
-            self._rt_queue.extend(mids[mids >= 0].tolist())
+            lost = mids[mids >= 0]
+            self.reserve_retransmits(lost.size)
+            n = int(self._rt_len[0])
+            self._rt_queue[n : n + lost.size] = lost
+            self._rt_len[0] = n + lost.size
+
+    def count_tail_drops(self, packets: int) -> None:
+        """:meth:`note_tail_drops` of packets whose messages, if any, are
+        queued already (a ``kcycles`` span pushes them itself)."""
+        self.dropped_packets += int(packets)
+        _obs_counter("faults.tail_drops").inc(int(packets))
+
+    def reserve_retransmits(self, k: int) -> None:
+        """Room for ``k`` more queued retransmits; the buffer at least
+        doubles."""
+        n = int(self._rt_len[0])
+        if n + k > self._rt_queue.size:
+            grown = np.empty(max(n + k, 2 * self._rt_queue.size), dtype=np.int64)
+            grown[:n] = self._rt_queue[:n]
+            self._rt_queue = grown
 
     def note_blackholed(self, packets: int) -> None:
         """Packets that could never inject (dead source or destination)."""
@@ -323,10 +345,10 @@ class FaultState:
         Entries whose source or destination router is dead *now* are
         permanently blackholed instead of re-queued.
         """
-        if not self._rt_queue:
-            return np.empty(0, dtype=np.int64)
-        q = np.asarray(self._rt_queue, dtype=np.int64)
-        self._rt_queue = []
+        q = self._rt_queue[: int(self._rt_len[0])].copy()
+        self._rt_len[0] = 0
+        if not q.size:
+            return q
         ok = self.router_alive[workload.src[q]] & self.router_alive[workload.dst[q]]
         if not ok.all():
             self.note_blackholed(int((~ok).sum()))

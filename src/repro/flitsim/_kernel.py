@@ -7,81 +7,66 @@ same cycle protocol (see :mod:`repro.flitsim.engine`) as one C pass over
 the very same flat arrays, via :mod:`cffi` — no new dependencies,
 no extension to build at install time.
 
-The kernel is **universal**: it executes the full cycle protocol in
-every mode, not just open loop.
+Its entry points:
 
-* *Workload mode* needs no extra C state on the per-cycle path —
-  ``kinject`` appends packets to arbitrary (possibly repeated) endpoint
-  FIFOs, and the per-cycle **completion ring buffer**
-  ``tail_pids`` (filled by ``kroute`` in grant order, the
-  latency-recording order) carries every ejected tail back to Python,
-  where the workload eligibility state machine maps packet slots to
-  message ids.  A span runs that state machine itself, over the
-  :class:`~repro.workloads.state.WorkloadState`'s own arrays.
-* *Fault mode* sets ``fault_mode`` and binds the death mask
-  (``dead_row``), per-packet outstanding-flit counters (``pkt_live``,
-  replacing tail-order slot recycling, since drops retire packets out
-  of order), the damaged-packet flags, and a second per-cycle ring
-  buffer ``drop_tail_pids`` plus the ``fcnt`` counters for exact
-  drop/credit reporting: head flits whose first hop is dead drop in
-  endpoint order without consuming the injection credit (or ever taking
-  a pool row), and granted
-  flits whose next output is dead evaporate on the wire in grant order
-  without consuming the upstream credit — bit-identical to the numpy
-  path and the reference engine.  Epoch-boundary table swaps and
-  event-time queue drops stay in Python (they are rare); they mutate
-  the very arrays the kernel is bound to, so no re-binding is needed,
-  and ``kselect`` follows a repaired epoch's row-patched distance view
-  through a per-row indirection.
-
-* *Route selection* (``kselect``) is the same module's second job: the
-  batch protocol of ``policy.select_routes`` for exactly
-  ``MinimalRouting``, ``ValiantRouting``, ``CompactValiantRouting``,
-  ``UGALRouting``, ``UGALPFRouting`` and ``FatTreeNCARouting``, over
-  the routing tables' existing arrays — or, on an intact PolarFly,
-  over the vertex vectors and GF(q)'s tables, deriving distances and
-  next hops from coordinates (paper §IV-D) so that no table is built,
-  and on an intact PolarStar over those of its ER_q structure graph
-  plus the Paley supernode and the two matchings, enumerating each
-  pair's tied next hops from the two factors —
-  and the caller's own ``numpy.random.Generator`` bit stream
-  (``bitgen_t``).  **The numpy
-  ``select_routes`` bodies in
-  :mod:`repro.routing.policies` define the stream — which draws, with
-  which bounds, in which order — and the C code mirrors them literally**
-  (column-major ECMP walk, Valiant's draw/redraw/walk/walk sequence,
-  32-bit Lemire rejection, no draw for a bound of 1); a change to either
-  side is a change to both.  :mod:`repro.flitsim.kselect` holds the host
-  half and the conditions under which the mirror declines.  Since
-  bit-identity now rests on ``Generator.integers``' and
-  ``Generator.random``'s algorithms, :func:`load_kernel` self-tests the
+* ``kcycles`` runs whole cycles — every cycle a kernel-backed simulator
+  executes, ``step()`` being a one-cycle span — in every mode: open
+  loop, closed loop, fault timeline and both.  Injection is the
+  Bernoulli draw (``next_double`` per endpoint, none at zero load) and
+  the traffic pattern's destination pick (uniform, permutation or
+  hotspot), or closed loop the retransmit and ready queues drained FIFO
+  into packets with a round-robin endpoint each; then ``kselect``'s
+  body, packet-slot fill, and the static ``kinject`` (FIFO append and
+  each packet's output ports), ``kfeed`` and ``kroute``; then the
+  latency samples of measured tails and, closed loop, the completion
+  commit through the dependents CSR, over the
+  :class:`~repro.workloads.state.WorkloadState`'s own arrays.  *Fault
+  mode* (``fault_mode``, between two epochs) binds the death mask
+  ``dead_row``, per-packet outstanding-flit counters ``pkt_live`` (drops
+  retire packets out of tail order), the damaged flags and ``fcnt``:
+  the survival masks filter winners, destinations and queued messages,
+  a head flit whose first hop is dead drops in endpoint order without
+  consuming the injection credit (or taking a pool row), a granted flit
+  whose next output is dead evaporates on the wire in grant order
+  without consuming the upstream credit, and a lost tail's message
+  joins :class:`~repro.faults.state.FaultState`'s retransmit buffer
+  (``rt_queue``).  Epoch deltas stay in Python, between spans; they
+  mutate the very arrays the kernel is bound to, and ``kselect``
+  follows a repaired epoch's row-patched distance view through a
+  per-row indirection.  ``kcycles`` returns early, at a cycle
+  boundary, only when Python must grow a pool, the batch scratch or
+  the sample columns, or the workload has completed;
+  :mod:`repro.flitsim.kspan` holds the host half.
+* ``kselect`` is the batch protocol of ``policy.select_routes`` for
+  exactly ``MinimalRouting``, ``ValiantRouting``,
+  ``CompactValiantRouting``, ``UGALRouting``, ``UGALPFRouting`` and
+  ``FatTreeNCARouting``, over the routing tables' existing arrays — or,
+  on an intact PolarFly, over the vertex vectors and GF(q)'s tables,
+  deriving distances and next hops from coordinates (paper §IV-D) so
+  that no table is built, and on an intact PolarStar over those of its
+  ER_q structure graph plus the Paley supernode and the two matchings —
+  on the caller's own ``numpy.random.Generator`` bit stream
+  (``bitgen_t``); ``FlatSimulator.accelerated_select`` calls it for one
+  batch.  **The numpy ``select_routes`` bodies in
+  :mod:`repro.routing.policies` and the ``dest_routers`` of
+  :mod:`repro.flitsim.traffic` define the stream — which draws, with
+  which bounds, in which order — and the C code mirrors them
+  literally** (column-major ECMP walk, Valiant's draw/redraw/walk/walk
+  sequence, 32-bit Lemire rejection, no draw for a bound of 1); a
+  change to either side is a change to both.
+  :mod:`repro.flitsim.kselect` holds the host half.
+* ``kdraws`` / ``kdoubles`` are the C half of the draw self-test:
+  bit-identity rests on ``Generator.integers``' and
+  ``Generator.random``'s algorithms, so :func:`load_kernel` checks the
   C draws against numpy's at load (< 1 ms) and records the verdict as
-  ``module.select_ok``; on a mismatch every simulator keeps the numpy
-  bodies and the per-cycle path.
-
-* *Spans* (``kcycles``) compose the entries above into whole cycles:
-  injection — the Bernoulli draw (``next_double`` per endpoint, none at
-  zero load) and the destination pick, or closed loop the ready queue
-  drained FIFO into packets with a round-robin endpoint each —
-  ``kselect``'s body, packet-slot fill, ``kinject``, ``kfeed``, ``kroute``,
-  the latency samples of measured tails and, closed loop, the completion
-  commit through the dependents CSR, for as many cycles as the caller
-  asks.  Between two fault epochs it also applies the survival masks to
-  the winners and their destinations and counts drops, damaged
-  deliveries and blackholed packets for Python to fold into the fault
-  state once per call.  It returns early, at a cycle boundary, only
-  when Python must grow a pool, the batch scratch or the sample
-  columns, or the workload has completed.  It calls the same functions
-  the per-cycle path calls one by one, so there is one copy of the
-  cycle logic; the per-cycle sequence in
-  :class:`~repro.flitsim.flatcore.FlatSimulator` defines the result and
-  :mod:`repro.flitsim.kspan` decides when a span may stand in for it.
+  ``module.select_ok``; on a mismatch every simulator runs the numpy
+  path.
 
 * Loading is best-effort: no cffi, no C compiler, or any compile error
   yields ``None`` (with a one-line stderr diagnostic) and
-  :class:`~repro.flitsim.flatcore.FlatSimulator` falls back to its
-  pure-numpy path (bit-identical results either way — the golden
-  equivalence tests run both).
+  :class:`~repro.flitsim.flatcore.FlatSimulator` runs its numpy path
+  (bit-identical results either way — the differential harness runs
+  both).
 * ``REPRO_FLAT_KERNEL=0`` (or ``false``/``off``/``no``) disables the
   kernel — cycle loop and route selection — explicitly; the setting
   is re-read on every :func:`load_kernel` call, so tests and benchmarks
@@ -150,8 +135,8 @@ VOQ, so the pool holds only buffered flits: at most the network's
 buffer capacity, plus the one row per endpoint a cycle's feed may take.
 The per-packet records are sized to their ceilings: ``route_buf``,
 ``pkt_dst``, ``pkt_msg`` and ``pkt_t_created`` ``int32``, ``pkt_len``
-``int8``, ``pkt_live`` ``int16`` (at most ``ps``), both free stacks
-``int32`` ids; ``pkt_msg`` is bound closed loop only, the one mode that
+``int8``, ``pkt_live`` ``int16`` (at most ``ps``), both free stacks and
+``tail_pids`` ``int32`` ids; ``pkt_msg`` is bound closed loop only, the one mode that
 reads it (an open-loop packet has no message to complete or
 retransmit).  So are the per-row records, each with one C type: per
 (router, link port, VC) ``credits`` ``int16`` (at most ``vc_depth``),
@@ -250,16 +235,19 @@ typedef struct {
     int32_t *free_stack;
     int64_t *free_top;
     Grant *grants;
-    int64_t *tail_pids;
+    int32_t *tail_pids;     /* the cycle's ejected tails, grant order */
     /* Fault mode only (fault_mode == 0 leaves these NULL): the
      * (router, out) death mask, outstanding-flit counters and damaged
-     * flags per packet slot, the tail-drop ring buffer (drop order),
-     * and fcnt = {dropped flits, tail drops} for the current cycle. */
+     * flags per packet slot, and fcnt = {dropped flits, tail drops} for
+     * the current cycle. */
     _Bool *dead_row;
     int16_t *pkt_live;      /* at most ps, an int16 sequence count */
     _Bool *pkt_damaged;
-    int64_t *drop_tail_pids;
     int64_t *fcnt;
+    /* Closed loop under a retransmitting timeline only: FaultState's
+     * retransmit queue, rt_len[0] messages long, with room for a cycle's
+     * tail drops; a lost tail's message joins it in drop order. */
+    int64_t *rt_queue, *rt_len;
     /* Cumulative per-link flit counters (n * Dp, indexed r * Dp + out):
      * NULL until link telemetry is attached, then bound once and never
      * re-pointed; every link grant counts, warmup and drain included
@@ -325,14 +313,18 @@ _SPAN_STRUCT = """
 enum { SPAN_DONE, SPAN_GROW, SPAN_TOO_LONG };
 /* Cells of Workload.tally. */
 enum { WL_READY_LEN, WL_COMPLETED, WL_FLIT_HOPS };
+/* Injector.pattern: the stock TrafficPattern whose dest_routers it draws. */
+enum { DEST_UNIFORM, DEST_PERMUTATION, DEST_HOTSPOT };
 
 typedef struct {
     double prob;            /* load / packet_size; <= 0 draws nothing */
     int64_t measuring;      /* the window flag, constant over a span */
     /* Destination pick: table[pos[src]] for a permutation, else the
      * uniform draw over the n_term terminals in `table`, skipping the
-     * source's own position. */
-    int64_t permutation, n_term;
+     * source's own position — for hotspot after a coin per packet that,
+     * below hot_fraction, sends it to router `hotspot` instead. */
+    int64_t pattern, n_term, hotspot;
+    double hot_fraction;
     int64_t *pos, *table;
     /* Scratch, `cap` each (cap >= E): per packet of the cycle its
      * endpoint, routers, slot and — closed loop — message. */
@@ -348,8 +340,8 @@ typedef struct {
 } Injector;
 
 /* WorkloadState's own arrays (workloads/state.py): the span reads and
- * writes the very object the per-cycle path and the reference engine
- * drive through its Python methods. */
+ * writes the very object the numpy path and the reference engine drive
+ * through its Python methods. */
 typedef struct {
     int64_t n_msgs;
     int64_t *src, *dst, *pkts;          /* per message, read-only */
@@ -365,17 +357,13 @@ typedef struct {
     int64_t packets, injected_flits, ejected_flits;
     int64_t samples;        /* entries of Injector.lat / hops in use */
     /* Fault accounting, for FaultState's note_* once per call. */
-    int64_t dropped_flits, tail_drops, damaged, blackholed;
+    int64_t dropped_flits, tail_drops, damaged, blackholed, retransmitted;
     int64_t need;           /* SPAN_GROW: packets the cycle injects */
     int64_t max_len;        /* kselect's result at SPAN_TOO_LONG */
 } SpanOut;
 """
 
 _CDEF = _STRUCT + _SELECT_STRUCT + _SPAN_STRUCT + """
-void kinject(SimState *st, int64_t k, const int32_t *slots,
-             const int32_t *eps);
-void kfeed(SimState *st, int64_t now);
-int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected);
 int64_t kselect(const SimState *st, const Selector *sel, bitgen_t *bg,
                 int64_t k, const int32_t *srcs, const int32_t *dsts);
 int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
@@ -392,17 +380,20 @@ _C_SOURCE = """
 """ + _STRUCT + _SELECT_STRUCT + _SPAN_STRUCT + """
 
 /* Account one lost flit, number seq of packet slot pid (fault mode):
- * bump the flit-drop counter, flag the packet damaged, record a lost tail
- * in the ring buffer (array order = drop order, which feeds the
- * retransmit queue), and recycle the packet slot once its
- * outstanding-flit count hits zero.  A flit lost at feed never had a
- * pool row; one lost on the wire hands its row back itself. */
+ * bump the flit-drop counter, flag the packet damaged, count a lost tail
+ * and queue its message for retransmission (drop order), and recycle the
+ * packet slot once its outstanding-flit count hits zero.  A flit lost at
+ * feed never had a pool row; one lost on the wire hands its row back
+ * itself. */
 static void lose_flit(SimState *st, int64_t pid, int64_t seq)
 {
     st->fcnt[0] += 1;
     st->pkt_damaged[pid] = 1;
-    if (seq == st->ps - 1)
-        st->drop_tail_pids[st->fcnt[1]++] = pid;
+    if (seq == st->ps - 1) {
+        st->fcnt[1] += 1;
+        if (st->rt_queue)
+            st->rt_queue[(*st->rt_len)++] = st->pkt_msg[pid];
+    }
     if (--st->pkt_live[pid] == 0)
         st->pkt_free[(*st->pkt_free_top)++] = (int32_t)pid;
 }
@@ -499,8 +490,8 @@ static void fill_ports(SimState *st, int64_t pid)
  * serves Bernoulli winners (distinct) and workload batches (several
  * packets may land on one endpoint).  No flit exists yet: kfeed makes
  * each as it leaves the FIFO. */
-void kinject(SimState *st, int64_t k, const int32_t *slots,
-             const int32_t *eps)
+static void kinject(SimState *st, int64_t k, const int32_t *slots,
+                    const int32_t *eps)
 {
     for (int64_t j = 0; j < k; j++) {
         int64_t e = eps[j], pid = slots[j];
@@ -520,7 +511,7 @@ void kinject(SimState *st, int64_t k, const int32_t *slots,
  * head flit whose first-hop output is dead is lost before entering the
  * buffer (endpoint-ascending drop order), spending the endpoint's
  * one-flit feed slot without consuming the credit or a row. */
-void kfeed(SimState *st, int64_t now)
+static void kfeed(SimState *st, int64_t now)
 {
     int64_t O = st->O;
     int64_t fm = st->fault_mode;
@@ -628,7 +619,7 @@ static int64_t arbitrate(SimState *st, int64_t r, int64_t out, int64_t now,
 /* Protocol step 3: decide every grant from current state, then apply.
  * Returns the number of completed (tail-flit) packets written to
  * st->tail_pids; *n_ejected counts every ejected flit. */
-int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
+static int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
 {
     int64_t n = st->n, I = st->I, O = st->O, OE = st->OE;
     int64_t Dp = st->Dp, V = st->V, MW = mask_words(st);
@@ -691,7 +682,7 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
         if (out == OE) {
             n_ej++;
             if (fl->seq == st->ps - 1)
-                st->tail_pids[n_tail++] = pid;
+                st->tail_pids[n_tail++] = (int32_t)pid;
             st->free_stack[(*st->free_top)++] = (int32_t)f;
             /* Slot recycling: tail order when nothing can drop; by
              * outstanding-flit count under faults (drops retire
@@ -1187,14 +1178,13 @@ int64_t kselect(const SimState *st, const Selector *s, bitgen_t *bg,
 
 /* ------------------------------------------------------------------
  * Spans: cycles [now, until) of the protocol in engine.py end to end —
- * FlatSimulator._inject or _inject_workload, then _kernel_cycle, then
- * WorkloadState.commit — on the caller's bit stream and the caller's
- * arrays.  The injection process is Bernoulli, or with `wl` the closed
- * loop's ready queue; fault mode (st->fault_mode, between two epoch
- * boundaries — the deltas themselves stay in Python) adds the survival
- * masks and the drop accounting.  Every mode test below runs once per
- * cycle, never per endpoint or per flit.  The host never asks for a
- * workload and fault mode together: the retransmit queue is Python's.
+ * injection, feed, router phase and WorkloadState.commit — on the
+ * caller's bit stream and the caller's arrays.  The injection process is
+ * Bernoulli, or with `wl` the closed loop's ready queue; fault mode
+ * (st->fault_mode, between two epoch boundaries — the deltas themselves
+ * stay in Python) adds the survival masks, the drop accounting and,
+ * closed loop, the retransmit queue.  Every mode test below runs once
+ * per cycle, never per endpoint or per flit.
  * ------------------------------------------------------------------ */
 
 static int cmp_int64(const void *a, const void *b)
@@ -1203,29 +1193,45 @@ static int cmp_int64(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-/* Packets the ready queue expands to (WorkloadState.pop_ready, sized). */
-static int64_t ready_packets(const Workload *wl)
+/* Packets the cycle may inject closed loop: one per queued retransmit,
+ * and the ready queue's messages expanded (WorkloadState.pop_ready,
+ * sized). */
+static int64_t ready_packets(const SimState *st, const Workload *wl)
 {
-    int64_t k = 0;
+    int64_t k = st->rt_queue ? *st->rt_len : 0;
     for (int64_t i = 0; i < wl->tally[WL_READY_LEN]; i++)
         k += wl->pkts[wl->ready[i]];
     return k;
 }
 
-/* Drain the ready queue, FIFO, into packets: message-major,
- * packet-minor — the order the batch is routed and injected in. */
-static void pop_ready(const Workload *wl, const Injector *inj)
+/* FaultState.pop_retransmits, then pop_ready with filter_messages: the
+ * lost packets' messages in drop order, a packet each, then the ready
+ * queue FIFO, message-major and packet-minor — the order the batch is
+ * routed and injected in.  A message with a dead endpoint is blackholed,
+ * with all its packets.  Returns the packets. */
+static int64_t pop_ready(const SimState *st, const Workload *wl,
+                         const Injector *inj, SpanOut *out)
 {
-    int64_t j = 0;
-    for (int64_t i = 0; i < wl->tally[WL_READY_LEN]; i++) {
-        int64_t m = wl->ready[i];
-        for (int64_t p = 0; p < wl->pkts[m]; p++, j++) {
-            inj->mids[j] = m;
-            inj->srcs[j] = wl->src[m];
-            inj->dsts[j] = wl->dst[m];
+    const _Bool *alive = inj->router_alive;
+    int64_t j = 0, rt = st->rt_queue ? *st->rt_len : 0;
+    for (int64_t i = 0; i < rt + wl->tally[WL_READY_LEN]; i++) {
+        int64_t m = i < rt ? st->rt_queue[i] : wl->ready[i - rt];
+        int64_t pkts = i < rt ? 1 : wl->pkts[m];
+        if (alive && !(alive[wl->src[m]] && alive[wl->dst[m]])) {
+            out->blackholed += pkts;
+            continue;
+        }
+        out->retransmitted += i < rt;
+        for (int64_t p = 0; p < pkts; p++, j++) {
+            inj->mids[j] = (int32_t)m;
+            inj->srcs[j] = (int32_t)wl->src[m];
+            inj->dsts[j] = (int32_t)wl->dst[m];
         }
     }
+    if (rt)
+        *st->rt_len = 0;
     wl->tally[WL_READY_LEN] = 0;
+    return j;
 }
 
 /* WorkloadState.note_tails + commit over this cycle's ejected tails: a
@@ -1265,28 +1271,40 @@ static int64_t commit_tails(const SimState *st, const Workload *wl,
     return wl->tally[WL_COMPLETED] == wl->n_msgs;
 }
 
-/* FlatSimulator._inject's two filters while a router is dead: keep the
- * winners on live endpoints; then, destinations drawn, the packets
- * bound for a live router.  Each returns the count kept, in order. */
-static int64_t alive_winners(const Injector *inj, int64_t k)
+/* Open loop's step 1 (FlatSimulator._inject): rng.random(E) < prob over
+ * every endpoint — dead ones just cannot win — then the pattern's
+ * dest_routers over the k winners, in endpoint order: hotspot's
+ * random(k) coins first (parked in dsts), then one bounded draw per
+ * packet unless the pattern is a permutation.  Packets bound for a dead
+ * router are blackholed.  Returns the packets kept. */
+static int64_t draw_packets(const SimState *st, const Injector *inj,
+                            bitgen_t *bg, SpanOut *out)
 {
-    int64_t keep = 0;
-    for (int64_t j = 0; j < k; j++)
-        if (inj->ep_alive[inj->winners[j]])
-            inj->winners[keep++] = inj->winners[j];
-    return keep;
-}
-
-static int64_t alive_destinations(const Injector *inj, int64_t k)
-{
-    int64_t keep = 0;
+    int64_t k = 0, keep = 0, pattern = inj->pattern;
+    for (int64_t e = 0; e < st->E; e++)
+        if (bg->next_double(bg->state) < inj->prob
+                && (!inj->ep_alive || inj->ep_alive[e]))
+            inj->winners[k++] = (int32_t)e;
+    if (pattern == DEST_HOTSPOT)
+        for (int64_t j = 0; j < k; j++)
+            inj->dsts[j] = bg->next_double(bg->state) < inj->hot_fraction;
     for (int64_t j = 0; j < k; j++) {
-        if (!inj->router_alive[inj->dsts[j]])
+        int64_t src = st->ep_router[inj->winners[j]];
+        int64_t at = inj->pos[src];
+        if (pattern != DEST_PERMUTATION) {
+            int64_t d = draw(bg, inj->n_term - 1);
+            at = d < at ? d : d + 1;
+        }
+        int64_t dst = inj->table[at];
+        if (pattern == DEST_HOTSPOT && inj->dsts[j] && src != inj->hotspot)
+            dst = inj->hotspot;
+        if (inj->router_alive && !inj->router_alive[dst])
             continue;
         inj->winners[keep] = inj->winners[j];
-        inj->srcs[keep] = inj->srcs[j];
-        inj->dsts[keep++] = inj->dsts[j];
+        inj->srcs[keep] = (int32_t)src;
+        inj->dsts[keep++] = (int32_t)dst;
     }
+    out->blackholed += k - keep;
     return keep;
 }
 
@@ -1295,11 +1313,10 @@ static int64_t alive_destinations(const Injector *inj, int64_t k)
  * cycle not yet started: SPAN_GROW at a cycle boundary, before anything
  * is drawn or popped, when the cycle may lack room — a flit row per
  * endpoint for the feed, packet slots and scratch for the out->need
- * packets it injects (E for a Bernoulli draw, the whole ready queue
- * closed loop), the sample columns for E more tails —
+ * packets it injects (E for a Bernoulli draw, the retransmit and ready
+ * queues closed loop), the sample columns for E more tails —
  * Python makes room and calls again — and SPAN_TOO_LONG where the
- * per-cycle path raises.  The counters in `out` accumulate across
- * calls. */
+ * numpy path raises.  The counters in `out` accumulate across calls. */
 int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
                 const Injector *inj, const Workload *wl,
                 int64_t now, int64_t until, SpanOut *out)
@@ -1308,42 +1325,19 @@ int64_t kcycles(SimState *st, const Selector *sel, bitgen_t *bg,
     const int32_t *paths = sel->work, *lens = scratch(sel, 0);
     for (; now < until; now++) {
         out->now = now;
-        int64_t k = wl ? ready_packets(wl) : inj->prob > 0.0 ? E : 0;
+        int64_t k = wl ? ready_packets(st, wl) : inj->prob > 0.0 ? E : 0;
         if (*st->free_top < E || *st->pkt_free_top < k || k > inj->cap
                 || k > sel->cap || out->samples + E > inj->sample_cap) {
             out->need = k;
             return SPAN_GROW;
         }
 
-        /* Step 1.  Closed loop: the ready queue.  Open loop:
-         * rng.random(E) < prob over every endpoint — dead ones just
-         * cannot win — then the winners' destinations (one bounded draw
-         * each, in endpoint order), dead ones blackholed. */
-        if (wl) {
-            pop_ready(wl, inj);
-        } else if (k) {
-            k = 0;
-            for (int64_t e = 0; e < E; e++)
-                if (bg->next_double(bg->state) < inj->prob)
-                    inj->winners[k++] = e;
-            if (inj->ep_alive)
-                k = alive_winners(inj, k);
-            for (int64_t j = 0; j < k; j++) {
-                int64_t src = st->ep_router[inj->winners[j]];
-                int64_t at = inj->pos[src];
-                if (!inj->permutation) {
-                    int64_t d = draw(bg, inj->n_term - 1);
-                    at = d < at ? d : d + 1;
-                }
-                inj->srcs[j] = src;
-                inj->dsts[j] = inj->table[at];
-            }
-            if (inj->router_alive) {
-                int64_t live = alive_destinations(inj, k);
-                out->blackholed += k - live;
-                k = live;
-            }
-        }
+        /* Step 1: the queues closed loop, the Bernoulli winners and
+         * their destinations open loop. */
+        if (wl)
+            k = pop_ready(st, wl, inj, out);
+        else if (k)
+            k = draw_packets(st, inj, bg, out);
         if (k) {
             int64_t max_len = kselect(st, sel, bg, k, inj->srcs, inj->dsts);
             /* KernelSpan.bind vouched for every id kselect refuses, so
@@ -1626,13 +1620,11 @@ def _draws_match(module) -> bool:
 
 
 def _check_draws(module) -> bool:
-    """Run the draw self-test; a failure costs the draws, not the kernel.
+    """Run the draw self-test; a failure costs the kernel its use.
 
-    ``kinject``/``kfeed``/``kroute`` draw nothing, so they stay in
-    service either way; simulators consult ``module.select_ok`` before
-    offering compiled route selection or whole-cycle spans (the numpy
-    bodies and the per-cycle path are bit-identical, so a decline only
-    costs speed).
+    Simulators consult ``module.select_ok`` before offering compiled
+    route selection or spans: every cycle draws, and the numpy path is
+    bit-identical, so a failure only costs speed.
     """
     try:
         if _draws_match(module):

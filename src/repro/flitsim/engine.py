@@ -87,11 +87,10 @@ results per seed for every fault timeline, including drop counts,
 retransmit order, and post-repair routes.
 
 **C cycle kernel**: when cffi and a C compiler are available the flat
-engine executes steps 2-3 — including fault-mode wire/feed drops and the
-tail-completion reporting workload mode needs — in a compiled kernel for
-*every* mode (open-loop, workload, fault, and combined), with Python
-keeping only epoch deltas (step 0) and dependency/retransmit bookkeeping.
-Results stay bit-identical either way; see :mod:`repro.flitsim._kernel`.
+engine executes every cycle — steps 1-3 and the workload commit, in
+every mode (open loop, workload, fault, and combined) — in a compiled
+kernel, with Python keeping only the epoch deltas of step 0.  Results
+stay bit-identical either way; see :mod:`repro.flitsim._kernel`.
 
 **One run loop**: :meth:`SimulatorCore.run` and
 :meth:`SimulatorCore.run_workload` are :meth:`SimulatorCore._drive`,
@@ -105,23 +104,23 @@ window records (:mod:`repro.flitsim.telemetry`) are observers.
 :meth:`SimulatorCore.advance`, whose default is ``step()`` ``n`` times,
 and asks for the whole stretch up to the next deadline (phase end, an
 observer's wake-up or a fault epoch) at once.  The flat engine overrides
-``advance`` for cells with a stock policy and traffic pattern and
-nothing hooked onto either instance, and executes steps 1-3 of all ``n``
-cycles inside one compiled call (``kcycles``) on the simulator's own bit
-stream: the Bernoulli draw, the destination pick, route selection,
-packet-slot fill, injection, feed, router phase, link counters and the
-latency samples of measured tails.  ``step()``
-remains the definition: a span leaves the generator, the
-:class:`SimResult` and every state array exactly where ``n`` steps would
-(``tests/test_differential.py``), so observers sample between spans and see
-what they would between steps — an observed run keeps its spans, cut at
-its wake-ups.  Closed-loop and faulted cells run the same way: a span
-carries the message state machine over the workload state's own arrays
-and returns the cycle the workload completes, and fault epochs are
-deadlines of the run loop, so an epoch delta is applied in Python at the
-head of a span exactly where ``step()`` applies it.  The span conditions
-are listed in :mod:`repro.flitsim.kspan`; ``sim.span_cycles`` counts the
-cycles that ran this way.
+``advance`` and, with the C kernel, executes all ``n`` cycles inside one
+compiled call (``kcycles``) on the simulator's own bit stream — its
+``step()`` is ``advance(1)``: the Bernoulli draw, the destination pick,
+route selection, packet-slot fill, injection, feed, router phase, link
+counters, the latency samples of measured tails and, closed loop, the
+message state machine over the workload state's own arrays.  A span
+leaves the generator, the :class:`SimResult` and every state array
+where the numpy path and the reference engine leave them
+(``tests/test_differential.py``), so observers sample between spans and
+see what they would between cycles — an observed run keeps its spans,
+cut at its wake-ups.  Fault epochs are deadlines of the run loop, and
+``advance`` splits any other stretch at them, so an epoch delta is
+applied in Python at the head of a span.  A cell the kernel cannot
+stand in for (a hooked or subclassed policy or traffic pattern) runs
+the numpy path from then on; the conditions are listed in
+:mod:`repro.flitsim.kspan`, and ``sim.span_cycles`` counts the cycles
+that ran in C.
 """
 
 from __future__ import annotations

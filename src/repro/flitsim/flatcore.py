@@ -44,10 +44,13 @@ queued flit:
 * **Congestion view** — ``output_occupancies`` is a vectorized read of
   the incrementally maintained per-output backlog counters plus credit
   debt.
-* **Spans** — ``advance(n)`` runs ``n`` cycles — open loop, closed loop
-  or between two fault epochs — injection included, inside one compiled
-  call when nothing needs Python between them
-  (:mod:`repro.flitsim.kspan`); ``step()`` stays the definition.
+* **Spans** — with the C kernel every cycle runs compiled:
+  ``advance(n)`` hands each stretch between two fault epochs — open
+  loop, closed loop or both, injection included — to one ``kcycles``
+  call (:mod:`repro.flitsim.kspan`), and ``step()`` is ``advance(1)``.
+  Without it, or once a span declines (a hooked or subclassed policy or
+  traffic pattern), the vectorized numpy phases below run each cycle
+  on the same arrays.
 
 The topology-dependent port geometry (a CSR port map — O(E), not the
 seed's dense O(N^2) matrix) is memoized per topology object in
@@ -473,14 +476,12 @@ class FlatSimulator(SimulatorCore):
         self.free_stack = np.arange(self.pool_cap, dtype=np.int32)
         self._free_top = np.array([self.pool_cap], dtype=np.int64)
 
-        # Optional C cycle kernel (same protocol, same arrays) in every
-        # mode — open loop, closed loop, faults, and combined; falls
-        # back to the pure-numpy phases when unavailable.  Epoch-boundary
-        # fault deltas stay in Python and, on the per-cycle path, so
-        # does the workload's dependency bookkeeping, fed by the bound
-        # arrays and the per-cycle ring buffers (tail_pids,
-        # drop_tail_pids).
-        self._kernel = load_kernel()
+        # Optional C kernel (same protocol, same arrays) in every mode —
+        # open loop, closed loop, faults, and combined — when its draws
+        # match numpy's; the numpy phases otherwise.  Epoch-boundary
+        # fault deltas stay in Python.
+        kernel = load_kernel()
+        self._kernel = kernel if kernel is not None and kernel.select_ok else None
 
         # Packet table + route buffer, slot-recycled so memory stays
         # O(in-flight packets), not O(packets ever injected): each
@@ -532,16 +533,15 @@ class FlatSimulator(SimulatorCore):
             self.dead_row = np.zeros(n * O, dtype=bool)
 
         if self._kernel is not None:
-            ffi = self._kernel.ffi
             # Grants per cycle are bounded by one per (router, link
             # output) plus the per-router ejection limit (≤ E + n), and
-            # per-cycle drops by the feed slots (≤ E) plus the link
-            # grants — so grant_cap caps both ring buffers.
+            # per-cycle tail drops by the feed slots (≤ E) plus the link
+            # grants — so grant_cap bounds the cycle's ejected tails and
+            # the retransmits it queues.
             grant_cap = n * O + fab.E
             self._grants = np.empty(grant_cap, dtype=_GRANT)
-            self._tail_pids = np.empty(max(grant_cap, 1), dtype=np.int64)
+            self._tail_pids = np.empty(max(grant_cap, 1), dtype=np.int32)
             if self._fault is not None:
-                self._drop_tails = np.empty(max(grant_cap, 1), dtype=np.int64)
                 self._fcnt = np.zeros(2, dtype=np.int64)
             #: kernel-only occupancy bitmask per (router, out) row: bit
             #: ``in`` of the row's ceil(I / 64) words is set exactly while
@@ -553,16 +553,13 @@ class FlatSimulator(SimulatorCore):
             #: the row's ``backlog`` is positive: the rows ``kroute``
             #: arbitrates, walked in ascending order
             self.busy_rows = np.zeros((n * O + 63) // 64, dtype=np.uint64)
-            self._n_ej = ffi.new("int64_t *")
-            self._st = ffi.new("SimState *")
+            self._st = self._kernel.ffi.new("SimState *")
             self._bind_kernel_state()
         #: compiled route selection for this policy (None: numpy bodies)
         self._kselect = (
-            KernelSelector.for_policy(self)
-            if self._kernel is not None and self._kernel.select_ok
-            else None
+            KernelSelector.for_policy(self) if self._kernel is not None else None
         )
-        #: whole-cycle spans (None: cycle by cycle)
+        #: whole-cycle spans (None: the numpy path, for good)
         self._kspan = KernelSpan(self) if self._kselect is not None else None
         #: cycles :meth:`advance` executed inside ``kcycles``
         self.span_cycles = 0
@@ -698,10 +695,7 @@ class FlatSimulator(SimulatorCore):
             **self._pool_fields(), **self._pkt_fields(),
         }
         if self._fault is not None:
-            fields.update(
-                dead_row=self.dead_row, drop_tail_pids=self._drop_tails,
-                fcnt=self._fcnt,
-            )
+            fields.update(dead_row=self.dead_row, fcnt=self._fcnt)
         self._st_refs = {}
         self._bind(fields)
 
@@ -792,11 +786,11 @@ class FlatSimulator(SimulatorCore):
         endpoint, so the pool holds the network's buffered flits plus
         ``E`` — however long the source FIFOs grow.  Applied at every
         cycle start and before the cycle's packets are drawn or popped —
-        one per endpoint ahead of a Bernoulli draw, the whole ready queue
-        closed loop — by the per-cycle path and, on ``kcycles``' request,
-        by the span driver, so the pools grow at the same cycle, to the
-        same size, whichever way the cycle runs, and a span never has to
-        stop mid-cycle for memory.
+        one per endpoint ahead of a Bernoulli draw, the queues closed
+        loop — by the numpy path and, on ``kcycles``' request, by the
+        span driver, so the pools grow at the same cycle, to the same
+        size, whichever way the cycle runs, and a span never has to stop
+        mid-cycle for memory.
         """
         if self.free_top < self.fab.E:
             self._grow_pool(self.fab.E - self.free_top)
@@ -820,7 +814,7 @@ class FlatSimulator(SimulatorCore):
         The half of injection both modes share: one batched
         ``select_routes`` call, slot allocation, route-row/metadata
         fill, and the injected-flit accounting.  Returns the slots; the
-        caller appends the packets to source FIFOs (numpy or C kernel).
+        caller appends the packets to source FIFOs.
         """
         mat, lens = self.policy.select_routes(srcs, dsts, self.rng, congestion=self)
         k = lens.size
@@ -882,16 +876,6 @@ class FlatSimulator(SimulatorCore):
         self.src_head[group_ep[~linked]] = group_first[~linked]
         self.src_tail[group_ep] = so[tail]
 
-    def _kinject(self, slots, eps) -> None:
-        """:meth:`_append_packets` in C, with each packet's output ports."""
-        ffi = self._kernel.ffi
-        self._kernel.lib.kinject(
-            self._st,
-            slots.size,
-            ffi.from_buffer("int32_t[]", slots),
-            ffi.from_buffer("int32_t[]", eps.astype(np.int32)),
-        )
-
     def _inject(self) -> None:
         ps = self.config.packet_size
         prob = self.load / ps
@@ -919,11 +903,7 @@ class FlatSimulator(SimulatorCore):
                 winners, srcs, dsts = winners[keep], srcs[keep], dsts[keep]
                 if winners.size == 0:
                     return
-        slots = self._fill_packet_slots(srcs, dsts)
-        if self._kernel is not None:
-            self._kinject(slots, winners)
-        else:
-            self._append_packets(winners, slots)
+        self._append_packets(winners, self._fill_packet_slots(srcs, dsts))
 
     def _inject_workload(self) -> None:
         """Closed-loop protocol step 1, vectorized.
@@ -959,13 +939,7 @@ class FlatSimulator(SimulatorCore):
         srcs = st.workload.src[pkt_mid]
         dsts = st.workload.dst[pkt_mid]
         slots = self._fill_packet_slots(srcs, dsts, pkt_mid=pkt_mid)
-        eps = fab.ep_off[srcs] + st.next_endpoints(srcs)
-        if self._kernel is not None:
-            # kinject appends sequentially, so several packets landing
-            # on one endpoint keep injection order automatically.
-            self._kinject(slots, eps)
-        else:
-            self._append_packets(eps, slots)
+        self._append_packets(fab.ep_off[srcs] + st.next_endpoints(srcs), slots)
 
     # ------------------------------------------------------------------
     # Feed (protocol step 2)
@@ -1379,57 +1353,18 @@ class FlatSimulator(SimulatorCore):
             self._lat.extend(self.now - self.pkt_t_created[measured])
             self._hops.extend(self.pkt_len[measured] - 1)
 
-    def _kernel_cycle(self) -> None:
-        """Feed + route phase in one C pass (same protocol, same arrays).
-
-        The C side reports completions through the ``tail_pids`` ring
-        buffer (grant order — the latency-recording order) and, in fault
-        mode, drops through ``drop_tail_pids``/``fcnt`` (drop order:
-        feed drops endpoint-ascending, then wire kills in grant order);
-        the notification sequence below mirrors the numpy phases —
-        flit/tail drops first, then workload completions, then damaged
-        deliveries.
-        """
-        lib = self._kernel.lib
-        ft = self._fault
-        if ft is not None:
-            self._fcnt[:] = 0
-        lib.kfeed(self._st, self.now)
-        n_tail = lib.kroute(self._st, self.now, self._n_ej)
-        n_ej = self._n_ej[0]
-        if ft is not None:
-            dropped, tail_drops = int(self._fcnt[0]), int(self._fcnt[1])
-            if dropped:
-                ft.note_flit_drops(dropped)
-            if tail_drops:
-                ft.note_tail_drops(self._messages(self._drop_tails[:tail_drops]))
-        if n_ej and self._measuring:
-            self._stat.ejected_flits += n_ej
-        if n_tail:
-            done = self._tail_pids[:n_tail]
-            self._sample(done)
-            if self._wl is not None:
-                self._wl.note_tails(
-                    self.pkt_msg[done],
-                    int((self.pkt_len[done] - 1).sum())
-                    * self.config.packet_size,
-                )
-            if ft is not None:
-                dmg = int(self.pkt_damaged[done].sum())
-                if dmg:
-                    ft.note_damaged_deliveries(dmg)
-
     def advance(self, n: int) -> None:
-        """``step()`` ``n`` times — as one ``kcycles`` span when eligible.
+        """Run ``n`` cycles: as ``kcycles`` spans, or on the numpy path.
 
-        The conditions are :class:`~repro.flitsim.kspan.KernelSpan`'s;
-        either way leaves the same generator, result and state arrays.
-        A fault epoch due at the first cycle is applied here, where that
-        cycle's ``step()`` would apply it; one falling later in the
-        stretch declines the span (the run loop never asks for one).
-        Cycles whose ready or creation stamps would pass their int32
-        ceilings are never started: the stretch runs up to them, then
-        raises.
+        The stretch is split at every fault epoch start, and each epoch
+        is applied on its first cycle, in Python, ahead of that cycle's
+        span.  Spans run while :class:`~repro.flitsim.kspan.KernelSpan`
+        binds the cell; from the cycle it declines the simulator runs
+        the numpy path — the same arrays, the same results — and never
+        switches back.  A closed loop stops the cycle after its workload
+        completes.  Cycles whose ready or creation stamps would pass
+        their int32 ceilings are never started: the stretch runs up to
+        them, then raises.
         """
         room = max(self._cycles_left(), 0)
         if n > room:
@@ -1437,12 +1372,20 @@ class FlatSimulator(SimulatorCore):
             if self._wl is None or not self._wl.done:
                 raise self._clock_overflow()
             return
-        if n > 0 and self._kspan is not None:
+        end = self.now + n
+        state, fault = self._wl, self._fault
+        while self.now < end and not (state is not None and state.done):
             self._fault_phase()
-            if self._kspan.bind(self, n):
-                self._kspan.run(self, n)
-                return
-        super().advance(n)
+            if self._kspan is not None and not self._kspan.bind(self):
+                self._kspan = None
+            if self._kspan is None:
+                self._numpy_cycle()
+                continue
+            stop = end
+            epoch = fault.next_epoch_start(self.now) if fault is not None else None
+            if epoch is not None:
+                stop = min(stop, epoch)
+            self._kspan.run(self, stop - self.now)
 
     def _fault_phase(self) -> None:
         """Protocol step 0: apply the epoch taking effect this cycle."""
@@ -1471,20 +1414,18 @@ class FlatSimulator(SimulatorCore):
         )
 
     def step(self) -> None:
-        """Advance the simulation by one cycle."""
-        if self._cycles_left() < 1:
-            raise self._clock_overflow()
-        self._fault_phase()
+        """Advance the simulation by one cycle: ``advance(1)``."""
+        self.advance(1)
+
+    def _numpy_cycle(self) -> None:
+        """Protocol steps 1-3 of one cycle in numpy, after the fault phase."""
         self._reserve()
         if self._wl is not None:
             self._inject_workload()
         else:
             self._inject()
-        if self._kernel is not None:
-            self._kernel_cycle()
-        else:
-            self._feed()
-            self._route_phase()
+        self._feed()
+        self._route_phase()
         if self._wl is not None:
             self._wl.commit(self.now)
         self.now += 1

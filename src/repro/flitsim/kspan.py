@@ -1,16 +1,16 @@
-"""Host side of ``kcycles``: whole spans of cycles in C.
+"""Host side of ``kcycles``: every cycle of a kernel-backed simulator in C.
 
 :class:`KernelSpan` lets :meth:`FlatSimulator.advance
 <repro.flitsim.flatcore.FlatSimulator.advance>` hand ``n`` cycles to one
 ``kcycles`` call (:mod:`repro.flitsim._kernel`) — injection (the
-Bernoulli draw and destination pick, or the closed loop's ready queue),
-route selection, packet-slot fill, feed, router phase, latency capture,
-fault accounting and the workload's completion commit — instead of ``n``
-trips through ``step()``.  The per-cycle path **defines** the result: a
-span must leave the generator, the
+Bernoulli draw and destination pick, or the closed loop's retransmit and
+ready queues), route selection, packet-slot fill, feed, router phase,
+latency capture, fault accounting and the workload's completion commit;
+``step()`` is a one-cycle span.  The numpy path and the reference engine
+define the result: a span must leave the generator, the
 :class:`~repro.flitsim.engine.SimResult`, the workload and fault states
-and every state array exactly where ``step()`` that many times would, so
-this module only decides, from what it can observe, when that holds:
+and every state array where they would, so this module only decides,
+from what it can observe, when that holds:
 
 * the C kernel is loaded and its draw self-test passed, and
   :class:`~repro.flitsim.kselect.KernelSelector` binds the policy (exact
@@ -20,33 +20,26 @@ this module only decides, from what it can observe, when that holds:
 * ``policy.select_routes`` is not shadowed on the *instance*: a tracer or
   test spy bound there must keep seeing every call;
 * **open loop**: the traffic is exactly
-  :class:`~repro.flitsim.traffic.UniformTraffic` over at least two
-  terminals, or a :class:`~repro.flitsim.traffic.PermutationTraffic`
+  :class:`~repro.flitsim.traffic.UniformTraffic` or
+  :class:`~repro.flitsim.patterns_extra.HotspotTraffic` over at least
+  two terminals, or a :class:`~repro.flitsim.traffic.PermutationTraffic`
   whose class keeps the stock ``dest_routers``, and ``dest_routers`` is
   not shadowed on the instance either;
 * **closed loop**: the :class:`~repro.workloads.state.WorkloadState`'s
   arrays are plain int64 — C walks the ready queue, the remaining-packet
   and pending counts and the dependents CSR of that very object, so the
-  Python methods see every write;
-* **fault timeline**: no epoch starts inside the stretch after its first
-  cycle.  :meth:`SimulatorCore._run_to
-  <repro.flitsim.engine.SimulatorCore._run_to>` makes epoch starts
-  deadlines, so a run never asks for such a stretch; ``advance`` applies
-  the epoch due *at* the first cycle in Python, as ``step()`` does, and
-  the span covers the cycles between two boundaries: survival masks on
-  the Bernoulli winners and their destinations, per-packet live / damaged
-  state, drops counted for one
-  :class:`~repro.faults.state.FaultState` update per call;
-* not a workload *and* a fault timeline: the retransmit queue of a
-  combined cell lives in Python.
+  Python methods see every write.
 
-Anything else declines and ``advance`` steps cycle by cycle, unchanged.
-``kcycles`` comes back early, at a cycle boundary, when Python is needed:
-to grow the flit or packet pools (the same
-:meth:`~repro.flitsim.flatcore.FlatSimulator._reserve` rule the per-cycle
-path applies, so both grow at the same cycle), the batch scratch or the
-simulator's sample columns, which it writes in place, or because the
-workload completed.
+So every registered cell spans; a decline is for good — the simulator
+runs the numpy path from that cycle on.  Fault epochs are applied in
+Python between spans (``advance`` splits its stretch at each epoch
+start); within one, C applies the survival masks, pushes a lost tail's
+message onto :class:`~repro.faults.state.FaultState`'s retransmit buffer
+and counts drops for one fault-state update per call.  ``kcycles`` comes
+back early, at a cycle boundary, to grow the flit or packet pools (the
+numpy path's :meth:`~repro.flitsim.flatcore.FlatSimulator._reserve`
+rule, so both grow at the same cycle), the batch scratch or the sample
+columns it writes in place, or when the workload completes.
 """
 
 from __future__ import annotations
@@ -55,6 +48,7 @@ import numpy as np
 
 from repro.flitsim._kernel import bind_struct
 from repro.flitsim.kselect import _plain
+from repro.flitsim.patterns_extra import HotspotTraffic
 from repro.flitsim.traffic import PermutationTraffic, UniformTraffic
 
 __all__ = ["KernelSpan"]
@@ -73,8 +67,8 @@ class KernelSpan:
 
     Like the selector it builds on, the span is owned by its simulator
     and takes it as an argument rather than holding a back-reference.
-    Workload and fault state are bound at the first eligible
-    ``advance``, not here.
+    Workload and fault state are bound at the first ``advance``, not
+    here.
     """
 
     def __init__(self, sim):
@@ -86,7 +80,7 @@ class KernelSpan:
         #: ``{field: view}`` keeping the injector's arrays alive
         self._refs = {}
         # An open-loop cycle injects at most one packet per endpoint;
-        # only a workload's ready queue outgrows this.
+        # only a workload's queues outgrow this.
         self._grow_scratch(E)
         self._bind_samples(sim)
         #: the ``Workload *`` over ``sim._wl`` and what keeps it alive
@@ -104,23 +98,29 @@ class KernelSpan:
 
     def _bind_traffic(self, sim) -> bool:
         """Point the injector at ``sim.traffic``'s arrays; False to decline."""
-        traffic = sim.traffic
+        lib, traffic = self._kernel.lib, sim.traffic
         kind = type(traffic)
+        fields = {}
         if kind is UniformTraffic:
-            table, permutation = traffic.terminals, 0
+            table, pattern = traffic.terminals, lib.DEST_UNIFORM
+        elif kind is HotspotTraffic:
+            table, pattern = traffic.terminals, lib.DEST_HOTSPOT
+            fields = dict(hot_fraction=traffic.fraction, hotspot=traffic.hotspot)
         elif (
             isinstance(traffic, PermutationTraffic)
             and kind.dest_routers is PermutationTraffic.dest_routers
         ):
-            table, permutation = traffic.mapping, 1
+            table, pattern = traffic.mapping, lib.DEST_PERMUTATION
         else:
             return False
         pos = traffic._pos_arr
         n = sim.fab.n
+        # A drawn destination needs a terminal besides the source.
+        least = 1 if pattern == lib.DEST_PERMUTATION else 2
         if not (
             _plain(pos, np.int64) and pos.shape == (n,)
             and _plain(table, np.int64) and table.ndim == 1
-            and table.size >= 2 - permutation
+            and table.size >= least
         ):
             return False
         # Every injecting router is a terminal of the pattern and every
@@ -130,7 +130,7 @@ class KernelSpan:
             return False
         if table.min() < 0 or table.max() >= n:
             return False
-        self._bind(pos=pos, table=table, permutation=permutation, n_term=table.size)
+        self._bind(pos=pos, table=table, pattern=pattern, n_term=table.size, **fields)
         return True
 
     def _bind_workload(self, sim) -> bool:
@@ -154,36 +154,28 @@ class KernelSpan:
             "eligible_cycle": (state.eligible_cycle, m),
             "complete_cycle": (state.complete_cycle, m),
             "inj_rr": (state._inj_rr, sim.fab.n),
-            # A cycle completes no more messages than it ejects tails.
-            "fin": (np.empty_like(sim._tail_pids), sim._tail_pids.size),
         }
         if not all(
             _plain(arr, np.int64) and arr.shape == (size,)
             for arr, size in sized.values()
         ):
             return False
+        fields = {name: arr for name, (arr, _) in sized.items()}
+        # A cycle completes no more messages than it ejects tails.
+        fields["fin"] = np.empty(sim._tail_pids.size, dtype=np.int64)
         self._wl = self._kernel.ffi.new("Workload *")
-        self._wl_refs = bind_struct(
-            self._kernel.ffi, self._wl,
-            {"n_msgs": m, **{name: arr for name, (arr, _) in sized.items()}},
-        )
+        self._wl_refs = bind_struct(self._kernel.ffi, self._wl, {"n_msgs": m, **fields})
         return True
 
-    def bind(self, sim, n: int) -> bool:
-        """Whether the next ``n`` cycles may run as a span (and ready it)."""
+    def bind(self, sim) -> bool:
+        """Whether ``sim``'s cycles may run as spans (and ready them)."""
         if _shadowed(sim.policy, "select_routes"):
             return False
-        fault = sim._fault
         if sim._wl is not None:
-            if fault is not None or not self._bind_workload(sim):
+            if not self._bind_workload(sim):
                 return False
-        else:
-            if _shadowed(sim.traffic, "dest_routers") or not self._bind_traffic(sim):
-                return False
-            if fault is not None:
-                epoch = fault.next_epoch_start(sim.now)
-                if epoch is not None and epoch < sim.now + n:
-                    return False
+        elif _shadowed(sim.traffic, "dest_routers") or not self._bind_traffic(sim):
+            return False
         return sim._kselect.bind(sim, sim.rng, sim.fab.E)
 
     def _bind_samples(self, sim) -> None:
@@ -210,7 +202,7 @@ class KernelSpan:
         self._bind_samples(sim)
 
     def run(self, sim, n: int) -> None:
-        """``sim.step()`` ``n`` times, inside ``kcycles`` (after :meth:`bind`)."""
+        """``n`` cycles of ``sim`` inside ``kcycles`` (after :meth:`bind`)."""
         lib = self._kernel.lib
         inj, out, st = self._inj, self._out, sim._st
         state, fault = sim._wl, sim._fault
@@ -221,8 +213,13 @@ class KernelSpan:
             ep_alive=fault.ep_alive if dead else None,
             router_alive=fault.router_alive if dead else None,
         )
+        if state is not None and fault is not None and fault.retransmit_enabled:
+            # C pushes a cycle's tail drops, at most the grant records.
+            fault.reserve_retransmits(sim._grants.size)
+            sim._bind({"rt_queue": fault._rt_queue, "rt_len": fault._rt_len})
         out.packets = out.injected_flits = out.ejected_flits = 0
         out.dropped_flits = out.tail_drops = out.damaged = out.blackholed = 0
+        out.retransmitted = 0
         out.samples = len(sim._lat)
         self._bind_samples(sim)
         selector = sim._kselect
@@ -251,9 +248,10 @@ class KernelSpan:
                 if out.dropped_flits:
                     fault.note_flit_drops(out.dropped_flits)
                 if out.tail_drops:
-                    # Open loop: a lost tail has no message to retransmit.
-                    fault.note_tail_drops(np.full(out.tail_drops, -1))
+                    # C queued the lost tails' messages itself.
+                    fault.count_tail_drops(out.tail_drops)
                 if out.blackholed:
                     fault.note_blackholed(out.blackholed)
                 if out.damaged:
                     fault.note_damaged_deliveries(out.damaged)
+                fault.retransmitted_packets += out.retransmitted

@@ -31,8 +31,8 @@ Everything that moves during a run is an int64 array — the ready queue
 is a buffer with its length in :attr:`WorkloadState._tally`, beside the
 completed-message and flit-hop tallies — so the flat engine's compiled
 spans (``kcycles``, :mod:`repro.flitsim.kspan`) walk and write this very
-object in place, between the same Python calls the per-cycle path and
-the reference engine make.  There is one state, not a C mirror.
+object in place, between the same Python calls the numpy path and the
+reference engine make.  There is one state, not a C mirror.
 """
 
 from __future__ import annotations

@@ -26,7 +26,8 @@ settings.register_profile(
 
 def _flat_variants():
     variants = [("flat-numpy", numpy_fallback, False)]
-    if load_kernel() is not None:
+    kernel = load_kernel()
+    if kernel is not None and kernel.select_ok:
         variants.append(("flat-kernel", contextlib.nullcontext, True))
     return variants
 

@@ -9,15 +9,14 @@ longer stores at all, each queue's length.
 The cycle-path oracles follow: :func:`build` / :func:`cell_sim` make a
 simulator the way ``run_cell`` does, :func:`run_by_steps` /
 :func:`run_workload_by_steps` spell a run out cycle by cycle, and
-:func:`four_ways` runs one sweep cell record on every cycle path —
-whole-cycle spans, kernel ``step()``, numpy ``step()`` and the reference
-engine — and checks them against each other.
+:func:`three_ways` runs one sweep cell record on every cycle path —
+whole-cycle spans, the numpy path and the reference engine — and checks
+them against each other.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 from types import SimpleNamespace
 
@@ -34,7 +33,6 @@ from repro.experiments.runner import auto_sim_config
 from repro.faults import prepare_fault_policy
 from repro.flitsim import FlatSimulator, NetworkSimulator
 from repro.flitsim._kernel import numpy_fallback
-from repro.flitsim.engine import SimulatorCore
 from repro.flitsim.telemetry import LinkCounts, OccupancySampler, WindowCloser
 from repro.routing.tables import RoutingTables
 from repro.workloads.result import build_workload_result
@@ -364,7 +362,7 @@ WORKLOAD_ARRAYS = (
 )
 FAULT_FIELDS = (
     "marks", "_next", "any_dead_router", "dropped_flits", "dropped_packets",
-    "damaged_packets", "blackholed_packets", "retransmitted_packets", "_rt_queue",
+    "damaged_packets", "blackholed_packets", "retransmitted_packets",
 )
 
 
@@ -435,6 +433,8 @@ def assert_same_state(a, b, what="", rows=True):
     if faulted:
         for name in FAULT_FIELDS:
             assert getattr(a._fault, name) == getattr(b._fault, name), (what, name)
+        queues = [f._rt_queue[: int(f._rt_len[0])] for f in (a._fault, b._fault)]
+        assert np.array_equal(*queues), what
         for name in ("router_alive", "ep_alive"):
             assert np.array_equal(
                 getattr(a._fault, name), getattr(b._fault, name)
@@ -494,12 +494,11 @@ def _flits_by_packet(sim):
     return held
 
 
-#: the ways one cell runs: (name, engine, construction context, per cycle)
+#: the ways one cell runs: (name, engine, construction context)
 PATHS = (
-    ("spans", FlatSimulator, contextlib.nullcontext, False),
-    ("kernel steps", FlatSimulator, contextlib.nullcontext, True),
-    ("numpy steps", FlatSimulator, numpy_fallback, True),
-    ("reference", NetworkSimulator, contextlib.nullcontext, False),
+    ("spans", FlatSimulator, contextlib.nullcontext),
+    ("numpy steps", FlatSimulator, numpy_fallback),
+    ("reference", NetworkSimulator, contextlib.nullcontext),
 )
 
 
@@ -526,16 +525,13 @@ def collected(observers) -> dict:
     return out
 
 
-def path_sim(cell, engine, path, per_cycle):
+def path_sim(cell, engine, path):
     """The simulator of ``cell`` on one path of :data:`PATHS`."""
     with path():
-        sim = cell_sim(cell, engine)
-    if per_cycle:
-        sim.advance = functools.partial(SimulatorCore.advance, sim)
-    return sim
+        return cell_sim(cell, engine)
 
 
-def four_ways(cell, links=False, attached=False):
+def three_ways(cell, links=False, attached=False):
     """Run the sweep cell record ``cell`` on every path of :data:`PATHS`
     and check them against each other; ``{path: run}``.
 
@@ -558,12 +554,8 @@ def four_ways(cell, links=False, attached=False):
     first = runs["spans"]
     spans, ref = first.sim, runs["reference"].sim
     assert spans._kernel is not None and runs["numpy steps"].sim._kernel is None
-    # Hotspot draws its own stream and a combined cell's retransmit queue
-    # lives in Python: those stay on step(), every other cell is spans.
-    declined = cell["traffic"].startswith("hotspot") or bool(
-        cell.get("workload") and cell.get("faults")
-    )
-    assert spans.span_cycles == (0 if declined else spans.now)
+    # Every registered cell runs every cycle inside kcycles.
+    assert spans.span_cycles == spans.now
     for name, run in runs.items():
         assert_same_result(first.result, run.result, name)
         assert run.sim.rng.bit_generator.state == spans.rng.bit_generator.state, name
@@ -590,9 +582,8 @@ def four_ways(cell, links=False, attached=False):
     if cell.get("workload"):
         result = first.result
         assert result.finished or result.cycles == cell["max_cycles"]
-    assert_same_state(spans, runs["kernel steps"].sim)
     assert_same_state(spans, runs["numpy steps"].sim, rows=False)
-    for name in ("spans", "kernel steps", "numpy steps"):
+    for name in ("spans", "numpy steps"):
         assert_flits_conserved(runs[name].sim, ref, name)
     _check_observed(first.seen, first.result, cell.get("window"))
     return runs

@@ -1,6 +1,6 @@
 """Blackhole accounting of the combined workload + faults configuration.
 
-Combined cells run on all four cycle paths in
+Combined cells run on all three cycle paths in
 ``tests/test_differential.py``; here the ``faults.blackholed_packets``
 counter is held to the fault result on both engines.
 """

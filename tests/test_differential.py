@@ -1,15 +1,13 @@
-"""One differential harness: registry-drawn cells on four cycle paths.
+"""One differential harness: registry-drawn cells on three cycle paths.
 
 A cell is a production sweep cell record, ``ExperimentSpec(...).cell()``,
-and runs four ways (:func:`oracles.four_ways`): whole-cycle spans, the
-kernel's ``step()``, the numpy path's ``step()`` and the reference
-engine.  They must agree on the result, the generator state, the fault
-marks and summary and what the observers saw; the three flat runs on
-their state arrays; every flat run's queues and credits on the
-reference engine's.  A run that should be spans must be spans
-throughout, and a declined one (hotspot, workload + faults) not at all.
-A fault timeline is scaled so every event lands inside the run, and a
-faulted cell must apply its epochs.
+and runs three ways (:func:`oracles.three_ways`): whole-cycle spans, the
+numpy path and the reference engine.  They must agree on the result, the
+generator state, the fault marks and summary and what the observers
+saw; the two flat runs on their state arrays; every flat run's queues
+and credits on the reference engine's.  Every registered cell runs
+every cycle inside ``kcycles``.  A fault timeline is scaled so every
+event lands inside the run, and a faulted cell must apply its epochs.
 
 The axes come from the registries — every topology, policy, traffic
 pattern, workload and fault generator by name — crossed with load,
@@ -55,10 +53,10 @@ from oracles import (
     assert_same_result,
     build,
     cell_sim,
-    four_ways,
     path_sim,
     run_workload_by_steps,
     tables_for,
+    three_ways,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -140,6 +138,14 @@ TIED = recipe(
 ATTACHED = recipe(
     policy="ugal-pf", traffic="uniform", faults="linkflap", load=0.5,
     warmup=30, measure=60, drain=30, root_seed=5, observe="windows",
+)
+#: hotspot traffic, the one pattern that draws twice per packet (a coin,
+#: then the uniform pick), under a router failure: both draws in C, dead
+#: sources masked and dead destinations blackholed
+HOTSPOT = recipe(
+    topology="polarfly:conc=2,q=7", policy="ugal-pf",
+    traffic="hotspot:fraction=0.3", faults="routerdown", load=0.6, warmup=20,
+    measure=80, drain=20, root_seed=7, observe="links",
 )
 #: drawn closed-loop cells may stop at ``max_cycles``; these run every
 #: registered workload to completion
@@ -317,7 +323,7 @@ def cell_of(c, trace_dir):
 
 
 def check(c, trace_dir):
-    return four_ways(cell_of(c, trace_dir), links=c.observe == "links")
+    return three_ways(cell_of(c, trace_dir), links=c.observe == "links")
 
 
 @pytest.mark.parametrize(
@@ -325,7 +331,7 @@ def check(c, trace_dir):
     [pytest.param(c, id=f"{k}-{recipe_id(c)}")
      for k, c in enumerate(SLICE + NAN_CELLS + [TIED])],
 )
-def test_cells_agree_four_ways(c, trace_dir):
+def test_cells_agree_three_ways(c, trace_dir):
     fault = check(c, trace_dir)["spans"].sim._fault
     if fault is not None and not c.workload:
         assert fault.applied_events == len(fault.epochs) - 1  # all inside the run
@@ -336,8 +342,8 @@ def test_counters_attached_before_warmup_count_the_measure_window_only(trace_dir
     those handed to ``simulate_point`` included, stay the measure window
     on every path."""
     cell = cell_of(ATTACHED, trace_dir)
-    plain = four_ways(cell, links=True)
-    early = four_ways(cell, links=True, attached=True)
+    plain = three_ways(cell, links=True)
+    early = three_ways(cell, links=True, attached=True)
     seen = plain["spans"].seen
     measured = sum(flits for _, flits in seen["links"])
     for name, *path in PATHS:
@@ -368,8 +374,19 @@ def test_fault_timelines_fire_whole_inside_spans(c, trace_dir):
         assert fault.blackholed_packets > 0
 
 
+def test_hotspot_spans_agree_with_the_reference_engine(trace_dir):
+    runs = check(HOTSPOT, trace_dir)
+    sim, ref = runs["spans"].sim, runs["reference"].sim
+    assert sim.span_cycles == sim.now and sim._fault.blackholed_packets > 0
+    # The hot router takes the most traffic: its links in carry the most.
+    into = np.zeros(sim.topo.num_routers, dtype=np.int64)
+    np.add.at(into, sim.topo.graph.indices, sim.link_flits())
+    assert into.argmax() == sim.traffic.hotspot
+    np.testing.assert_array_equal(sim.link_flits(), ref.link_flits())
+
+
 @pytest.mark.parametrize("c", SPARSE, ids=recipe_id)
-def test_sparse_regime_agrees_four_ways(c, trace_dir):
+def test_sparse_regime_agrees_three_ways(c, trace_dir):
     sim = check(c, trace_dir)["spans"].sim
     # drain=0 leaves the run's last cycle in place: the cell sits in the
     # regime it is named for.
@@ -379,7 +396,7 @@ def test_sparse_regime_agrees_four_ways(c, trace_dir):
 
 
 @pytest.mark.parametrize("c", COMPLETING, ids=recipe_id)
-def test_every_workload_completes_four_ways(c, trace_dir):
+def test_every_workload_completes_three_ways(c, trace_dir):
     assert check(c, trace_dir)["spans"].result.finished
 
 
@@ -412,7 +429,7 @@ def test_run_cell_replays_a_printed_record(mode, trace_dir):
         }[mode]
     )
     cell = cell_of(c, trace_dir)
-    spans = four_ways(cell, links=False)["spans"]
+    spans = three_ways(cell, links=False)["spans"]
     res = spans.result
     samples = res.packet_latencies if cell.get("workload") else res.latencies
     expect = dict(
@@ -478,17 +495,36 @@ def log_injections(sim):
 def fresh_packets(sim, e):
     """Messages of the packets created this cycle in endpoint ``e``'s
     source FIFO, front to back."""
+    return [mid for mid, created in queued_packets(sim, e) if created == sim.now]
+
+
+def queued_packets(sim, e):
+    """``(message, creation cycle)`` of each packet with an unfed flit in
+    endpoint ``e``'s source FIFO, front to back."""
     if isinstance(sim, NetworkSimulator):
         r = int(sim.topo.endpoint_routers[e])
         fifo = sim.src_q[r][e - int(sim.topo.endpoint_offsets[r])]
-        return [p.mid for p, seq, *_ in fifo if seq == 0 and p.t_created == sim.now]
-    # The FIFO chains packet slots; its head has fed src_seq flits.
-    mids, p, fed = [], int(sim.src_head[e]), int(sim.src_seq[e])
+        packets = dict.fromkeys(p for p, *_ in fifo)  # ordered, one per packet
+        return [(p.mid, p.t_created) for p in packets]
+    # The FIFO chains packet slots.
+    out, p = [], int(sim.src_head[e])
     while p >= 0:
-        if fed == 0 and sim.pkt_t_created[p] == sim.now:
-            mids.append(int(sim.pkt_msg[p]))
-        p, fed = int(sim.pkt_next[p]), 0
-    return mids
+        out.append((int(sim.pkt_msg[p]), int(sim.pkt_t_created[p])))
+        p = int(sim.pkt_next[p])
+    return out
+
+
+def log_fifo(sim, e=0):
+    """Wrap ``sim.step``: the returned list gains endpoint ``e``'s queued
+    packets after every cycle."""
+    log, step = [], sim.step
+
+    def logged():
+        step()
+        log.append(queued_packets(sim, e))
+
+    sim.step = logged
+    return log
 
 
 def test_retransmits_enter_their_fifo_ahead_of_new_messages():
@@ -497,8 +533,9 @@ def test_retransmits_enter_their_fifo_ahead_of_new_messages():
     The link carrying message 0 dies on the cycle message 2 turns ready,
     so that epoch's drops queue message 0's lost packets for the very
     step that injects message 2, on the same source router.  On the
-    kernel-step, numpy-step and reference paths the retransmits must
-    enter the endpoint's FIFO first, and the runs must agree.
+    numpy and reference paths the retransmits must enter the endpoint's
+    FIFO first; the spans, which pop both queues in C, must leave that
+    FIFO as they do after every cycle, and the runs must agree.
     """
     topo, _ = tables_for(RT_TOPO)
     graph = topo.graph
@@ -512,22 +549,33 @@ def test_retransmits_enter_their_fifo_ahead_of_new_messages():
     run_workload_by_steps(probe)
     ready = next(now for now, _, new, _ in log if 2 in new)
     faults = FaultTimeline([FaultEvent(ready, "link_down", 0, via)], name="cut")
-    runs = {}
-    for name, engine, path, _ in PATHS[1:]:
+    runs, fifos = {}, {}
+    for name, engine, path in PATHS:
         with path():
             sim = build(
                 RT_TOPO, "min", None, 0.0, packet_size=1, engine=engine,
                 workload=workload, faults=faults,
             )
-        log = log_injections(sim)
+        fifos[name] = log_fifo(sim)
+        if name != "spans":
+            log = log_injections(sim)
         runs[name] = run_workload_by_steps(sim)
         assert runs[name].finished, name
+        assert sim._fault.retransmitted_packets > 0, name
+        if name == "spans":
+            assert sim.span_cycles == sim.now
+            continue
         ((now, rt, new, fresh),) = [entry for entry in log if entry[1] and entry[2]]
         assert (now, new) == (ready, [2]) and set(rt) == {0}, name
         assert fresh == rt + new, name
-    first = runs.pop("kernel steps")
+    first, queued = runs.pop("spans"), fifos.pop("spans")
+    # After the collision cycle the retransmits still queue ahead of
+    # message 2 (the feed took the FIFO's head).
+    assert [m for m, c in queued[ready] if c == ready][-1] == 2
+    assert 0 in [m for m, c in queued[ready] if c == ready]
     for name, result in runs.items():
         assert_same_result(first, result, name)
+        assert fifos[name] == queued, name
 
 
 LONG = "differential-long"
@@ -538,5 +586,5 @@ LONG = "differential-long"
     reason=f"the long slice: --hypothesis-profile={LONG}",
 )
 @given(rng=st.randoms(use_true_random=False))
-def test_drawn_cells_agree_four_ways(rng, trace_dir):
+def test_drawn_cells_agree_three_ways(rng, trace_dir):
     check(draw(rng), trace_dir)

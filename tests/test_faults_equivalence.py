@@ -1,6 +1,6 @@
 """The dynamic fault subsystem outside the cycle-path comparison.
 
-Every registered fault timeline runs on all four cycle paths in
+Every registered fault timeline runs on all three cycle paths in
 ``tests/test_differential.py``.  Here: retransmission lets a collective
 finish, fault state serves one run, and faulted sweep cells are
 cache-stable and identical at any worker count.

@@ -1,13 +1,14 @@
 """``kcycles``: the edges of whole spans of cycles in C.
 
-``FlatSimulator.advance`` may hand a span of cycles to one C call; the
-per-cycle ``step()`` path defines what that call must leave behind.
+``FlatSimulator.advance`` hands every stretch of cycles to one C call,
+and ``step()`` is a one-cycle span; the numpy path and the reference
+engine define what that call must leave behind.
 ``tests/test_differential.py`` checks that contract on registry-drawn
 cells; this file keeps the edges a drawn cell rarely reaches: arbitration
-masks past one word, packet-table and sample-column grows inside a span, spans
-interleaved with steps, fault epochs on window edges, what declines a
-span (a silent decline costs 2-3x and no equivalence check notices), the
-draw self-test and an overlong route.
+masks past one word, packet-table and sample-column grows inside a span,
+long spans against one-cycle ones, fault epochs on window edges, what
+switches a simulator to the numpy path (a silent switch costs 2-3x and
+no equivalence check notices), the draw self-test and an overlong route.
 """
 
 import numpy as np
@@ -20,9 +21,10 @@ from repro.faults import FaultEvent, FaultTimeline
 from repro.flitsim import FlatSimulator, NetworkSimulator
 from repro.flitsim import _kernel as kmod
 from repro.flitsim._kernel import load_kernel
+from repro.flitsim.engine import RunObserver
 from repro.flitsim.flatcore import _PKT_CAP, _POOL_CAP
 from repro.flitsim.telemetry import WindowCloser
-from repro.flitsim.traffic import TornadoTraffic, UniformTraffic
+from repro.flitsim.traffic import PermutationTraffic, TornadoTraffic, UniformTraffic
 from repro.routing.policies import MinimalRouting
 
 from oracles import (
@@ -30,11 +32,10 @@ from oracles import (
     assert_same_state,
     buffer_capacity,
     build,
-    four_ways,
     run_by_steps,
     run_workload_by_steps,
     tables_for,
-    walk_voqs,
+    three_ways,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -62,7 +63,7 @@ def test_input_masks_up_to_and_past_one_word(conc):
         combos=(Combo(f"polarfly:conc={conc},q=7", "ugal-pf", "tornado"),),
         loads=(0.9,), warmup=20, measure=150, drain=30, root_seed=3,
     )
-    sim = four_ways(spec.cells()[0])["spans"].sim
+    sim = three_ways(spec.cells()[0])["spans"].sim
     fab = sim.fab
     assert fab.I == conc + 8
     assert sim.row_mask.shape == (fab.n * fab.O, 2 if conc == 57 else 1)
@@ -71,31 +72,42 @@ def test_input_masks_up_to_and_past_one_word(conc):
     assert sim.rr.max() >= fab.I - 3 and (sim.rr < 8).any()
 
 
-class HomeOrTornado(TornadoTraffic):
-    """Half the packets stay on their source router (a coin per packet).
+def home_or_tornado(topo):
+    """Every other terminal keeps its traffic at home, the rest swap
+    halfway round among themselves: a stock permutation with fixed
+    points, which spans.  The local packets enter the ejection row from
+    the injection inputs, the only way that row sees an input past the
+    link ports."""
+    t = np.flatnonzero(topo.concentration > 0)
+    mapping = t.copy()
+    away = np.arange(1, t.size, 2)
+    mapping[away] = t[np.roll(away, away.size // 2)]
+    return PermutationTraffic(topo, mapping)
 
-    Not a stock pattern, so every engine takes it cycle by cycle; the
-    local packets enter the ejection row from the injection inputs, the
-    only way that row sees an input past the link ports.  ``watch`` (an
-    array view) is sampled at every call, i.e. every cycle.
-    """
 
-    def __init__(self, topo):
-        super().__init__(topo)
-        self.watch, self.seen = (), set()
+class WatchRows(RunObserver):
+    """Samples ``rows`` (an array view) after every measured cycle."""
 
-    def dest_routers(self, src_routers, rng):
-        self.seen.update(np.asarray(self.watch).tolist())
-        src = np.asarray(src_routers, dtype=np.int64)
-        home = rng.integers(2, size=src.size) == 0
-        return np.where(home, src, super().dest_routers(src, rng))
+    def __init__(self, rows):
+        self.rows, self.seen = rows, set()
+
+    def start(self, sim, start):
+        self.wake_at = start + 1
+
+    def wake(self, sim):
+        self.seen.update(np.asarray(self.rows).tolist())
+        self.wake_at += 1
 
 
 def test_ejection_grants_walk_across_the_word_boundary():
-    """``limit = conc`` grants per walk, over both words of a 65-port row."""
+    """``limit = conc`` grants per walk, over both words of a 65-port row.
+
+    At half load a random subset of the 57 injection queues holds flits
+    each cycle, so the ejection pointers come to rest anywhere.
+    """
     spec = "polarfly:conc=57,q=7"
     topo, _ = tables_for(spec)
-    args = (spec, "ugal-pf", None, 1.0)
+    args = (spec, "ugal-pf", None, 0.5)
     kernel = build(*args)
     with kmod.numpy_fallback():
         numpy_path = build(*args)
@@ -103,23 +115,22 @@ def test_ejection_grants_walk_across_the_word_boundary():
     sims = (kernel, numpy_path, ref)
     fab = kernel.fab
     for sim in sims:
-        sim.traffic = HomeOrTornado(topo)
-    kernel.traffic.watch = kernel.rr[fab.OE :: fab.O]
-    results = [sim.run(10, 60, 30) for sim in sims]
+        sim.traffic = home_or_tornado(topo)
+    watch = WatchRows(kernel.rr[fab.OE :: fab.O])
+    results = [
+        sim.run(10, 60, 30, observers=[watch] if sim is kernel else [])
+        for sim in sims
+    ]
     assert kernel._kernel is not None and numpy_path._kernel is None
-    assert kernel.span_cycles == 0
+    assert kernel.span_cycles == kernel.now
     for other, result in zip(sims[1:], results[1:]):
         assert_same_result(results[0], result)
         assert kernel.rng.bit_generator.state == other.rng.bit_generator.state
-    # kinject pops pool rows one by one, the numpy path takes a block:
-    # the VOQ records name different rows, the queue lengths may not.
-    assert np.array_equal(walk_voqs(kernel)[0], walk_voqs(numpy_path)[0])
-    for name in ("backlog", "rr", "credits", "ep_credit"):
-        assert np.array_equal(getattr(kernel, name), getattr(numpy_path, name)), name
+    assert_same_state(kernel, numpy_path, rows=False)
     assert (results[0].hop_counts == 0).sum() > 1000
     # Ejection pointers rested all over the injection inputs, bit 64 too:
     # walks of up to 57 grants that start in either word and wrap.
-    assert {63, 64} < kernel.traffic.seen and len(kernel.traffic.seen) > 32
+    assert {63, 64} < watch.seen and len(watch.seen) > 32
 
 
 #: an 8-byte record where SimState.pool holds 16-byte Flit records
@@ -212,7 +223,8 @@ def test_spans_and_steps_interleave():
     for chunk in (1, 40, 3, 0, 75):
         mixed.advance(chunk)
         mixed.step()
-    assert mixed.span_cycles == 119
+    # step() is a one-cycle span.
+    assert mixed.span_cycles == mixed.now == 124
     for _ in range(mixed.now):
         steps.step()
     assert_same_result(mixed._stat.finalize(), steps._stat.finalize())
@@ -231,7 +243,7 @@ def test_closed_loop_spans_and_steps_interleave():
             mixed.step()
     # The last chunk outlasts the workload: advance stops with it.
     assert mixed._wl.done and mixed.now < 500
-    assert mixed.span_cycles == mixed.now - 5
+    assert mixed.span_cycles == mixed.now
     for _ in range(mixed.now):
         steps.step()
     assert_same_result(mixed._stat.finalize(), steps._stat.finalize())
@@ -239,7 +251,7 @@ def test_closed_loop_spans_and_steps_interleave():
 
 
 # ----------------------------------------------------------------------
-# (b) what keeps a simulator on the per-cycle path
+# (b) what switches a simulator to the numpy path, for good
 # ----------------------------------------------------------------------
 class TweakedMinimal(MinimalRouting):
     """A subclass may override any step; it must never reach kcycles."""
@@ -286,9 +298,10 @@ def test_instance_spy_sees_every_call(target, method):
     sim = build(PF_SPEC, "min", "uniform", 0.5)
     calls = spy_on(getattr(sim, target), method)
     got = sim.run(*WINDOWS)
-    assert sim.span_cycles == 0
+    assert sim.span_cycles == 0 and sim._kspan is None
     assert_same_result(got, want)
-    assert_same_state(sim, twin)
+    # The numpy path takes pool rows and packet slots in its own order.
+    assert_same_state(sim, twin, rows=False)
     # One call per injecting cycle, one entry per packet.
     assert 0 < len(calls) <= WINDOWS[0] + WINDOWS[1]
     assert sum(calls) == sim.packets_injected
@@ -304,9 +317,9 @@ def test_spy_bound_between_windows_takes_over_from_there():
     sim._stat.cycles = WINDOWS[1]
     sim._measuring = False
     sim._drain(WINDOWS[2])
-    assert sim.span_cycles == WINDOWS[0] and calls
+    assert sim.span_cycles == WINDOWS[0] and calls and sim._kspan is None
     assert_same_result(sim._stat.finalize(), want)
-    assert_same_state(sim, twin)
+    assert_same_state(sim, twin, rows=False)
 
 
 @pytest.mark.parametrize(
@@ -317,23 +330,24 @@ def test_spy_bound_between_windows_takes_over_from_there():
         (MinimalRouting, ReversedTornado),
     ],
 )
-def test_subclasses_decline(policy_of, traffic_of):
+def test_subclasses_run_the_numpy_path(policy_of, traffic_of):
     topo, tables = tables_for(PF_SPEC)
     stock_traffic = "tornado" if traffic_of is ReversedTornado else "uniform"
-    _, want = eligible_twin_result(traffic_spec=stock_traffic)
+    twin, want = eligible_twin_result(traffic_spec=stock_traffic)
     policy = policy_of(tables)
     sim = FlatSimulator(
         topo, policy, traffic_of(topo), 0.5, config=auto_sim_config(policy), seed=3
     )
     got = sim.run(*WINDOWS)
-    assert sim.span_cycles == 0
+    assert sim.span_cycles == 0 and sim._kspan is None
     assert_same_result(got, want)
+    assert_same_state(sim, twin, rows=False)
 
 
-def test_subclass_declines_closed_loop():
-    # The closed-loop half of test_subclasses_decline: no compiled
-    # selector for a subclass, so no span on a workload either, and the
-    # per-cycle run still matches the reference engine.
+def test_subclass_runs_the_numpy_path_closed_loop():
+    # The closed-loop half of test_subclasses_run_the_numpy_path: no
+    # compiled selector for a subclass, so no span on a workload either,
+    # and the numpy run still matches the reference engine.
     topo, tables = tables_for(PF_SPEC)
     sims = []
     for engine in (FlatSimulator, NetworkSimulator):
@@ -428,9 +442,9 @@ def test_max_cycles_before_completion_is_unfinished_at_the_same_cycle():
     assert_same_result(got, sims[2].run_workload(max_cycles=budget))
 
 
-def test_advance_across_an_epoch_start_steps_instead():
+def test_advance_across_an_epoch_start_splits_there():
     # The run loop never asks for such a stretch; a direct caller gets
-    # the per-cycle path, not a span that skips the epoch.
+    # spans cut at the epoch starts, each epoch applied on its cycle.
     faults = "linkflap:count=2,cycle=40,duration=45,seed=1"
     mixed, steps = (
         build(PF_SPEC, "min", "uniform", 0.6, faults=faults) for _ in range(2)
@@ -439,20 +453,22 @@ def test_advance_across_an_epoch_start_steps_instead():
         sim._fault.begin_run(sim.policy)
     for chunk in (30, 30, 40):  # the link dies at 40 and revives at 85
         mixed.advance(chunk)
-    assert mixed.span_cycles == 30
+    assert mixed.span_cycles == mixed.now == 100
+    assert [c for c, _ in mixed._fault.marks] == [40, 85]
     for _ in range(mixed.now):
         steps.step()
     assert_same_state(mixed, steps)
 
 
-def test_failed_draw_self_test_keeps_the_per_cycle_path(monkeypatch):
-    _, want = eligible_twin_result()
+def test_failed_draw_self_test_runs_the_numpy_path(monkeypatch):
+    twin, want = eligible_twin_result()
     monkeypatch.setattr(load_kernel(), "select_ok", False)
     sim = build(PF_SPEC, "min", "uniform", 0.5)
-    assert sim._kernel is not None and sim._kselect is None and sim._kspan is None
+    assert sim._kernel is None and sim._kselect is None and sim._kspan is None
     got = sim.run(*WINDOWS)
     assert sim.span_cycles == 0
     assert_same_result(got, want)
+    assert_same_state(sim, twin, rows=False)
 
 
 def test_self_test_compares_doubles_and_state(monkeypatch):
@@ -477,7 +493,7 @@ def test_self_test_compares_doubles_and_state(monkeypatch):
     assert not kmod._draws_match(Shim)
 
 
-def test_overlong_route_raises_like_the_per_cycle_path():
+def test_overlong_route_raises_like_the_numpy_path():
     topo, tables = tables_for(PF_SPEC)
 
     def understated():
@@ -488,7 +504,9 @@ def test_overlong_route_raises_like_the_per_cycle_path():
             config=auto_sim_config(policy), seed=3,
         )
 
-    spans, steps = understated(), understated()
+    spans = understated()
+    with kmod.numpy_fallback():
+        steps = understated()
     messages = []
     for sim, go in ((spans, lambda: spans.advance(50)), (steps, steps.step)):
         with pytest.raises(ValueError, match="exceeds the policy's declared") as err:

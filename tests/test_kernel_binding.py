@@ -110,7 +110,7 @@ def int32_next_hop_selector():
 
 def injector(**kw):
     sim = build(**kw)
-    assert sim._kspan.bind(sim, 1)
+    assert sim._kspan.bind(sim)
     return sim._kspan._inj
 
 
@@ -137,14 +137,16 @@ def router_down_injector():
 
 def workload():
     sim = build(traffic_spec=None, load=0.0, workload=ALLREDUCE)
-    assert sim._kspan.bind(sim, 1)
+    assert sim._kspan.bind(sim)
     return sim._kspan._wl
 
 
-FAULT_FIELDS = {"dead_row", "pkt_live", "pkt_damaged", "drop_tail_pids", "fcnt"}
+FAULT_FIELDS = {"dead_row", "pkt_live", "pkt_damaged", "fcnt"}
 LINK_FIELDS = {"link_flits"}
 #: read only by the closed loop's completions and retransmits
 CLOSED_LOOP_FIELDS = {"pkt_msg"}
+#: the retransmit queue: a closed loop under a retransmitting timeline
+RETRANSMIT_FIELDS = {"rt_queue", "rt_len"}
 #: Selector's table mode and its coordinate mode (an intact PolarFly;
 #: an intact PolarStar binds the supernode layer too)
 TABLE_FIELDS = {"dist", "patch", "patch_row", "first", "count"}
@@ -155,20 +157,35 @@ COORD_FIELDS = {"pf_vec", "gf_add", "gf_sub", "gf_mul", "gf_inv"} | STAR_FIELDS
 BINDINGS = [
     (
         "SimState", "open loop", sim_state,
-        FAULT_FIELDS | LINK_FIELDS | CLOSED_LOOP_FIELDS,
+        FAULT_FIELDS | LINK_FIELDS | CLOSED_LOOP_FIELDS | RETRANSMIT_FIELDS,
     ),
     (
         "SimState", "closed loop",
         lambda: sim_state(traffic_spec=None, load=0.0, workload=ALLREDUCE),
-        FAULT_FIELDS | LINK_FIELDS,
+        FAULT_FIELDS | LINK_FIELDS | RETRANSMIT_FIELDS,
     ),
     (
         "SimState", "faulted", lambda: sim_state(faults=LINKFLAP),
-        LINK_FIELDS | CLOSED_LOOP_FIELDS,
+        LINK_FIELDS | CLOSED_LOOP_FIELDS | RETRANSMIT_FIELDS,
+    ),
+    (
+        "SimState", "closed loop faulted",
+        lambda: sim_state(
+            traffic_spec=None, load=0.0, workload=ALLREDUCE, faults=LINKFLAP
+        ),
+        LINK_FIELDS,
+    ),
+    (
+        "SimState", "closed loop faulted, no retransmits",
+        lambda: sim_state(
+            traffic_spec=None, load=0.0, workload=ALLREDUCE,
+            faults=LINKFLAP + ",retransmit=false",
+        ),
+        LINK_FIELDS | RETRANSMIT_FIELDS,
     ),
     (
         "SimState", "link telemetry", telemetry_state,
-        FAULT_FIELDS | CLOSED_LOOP_FIELDS,
+        FAULT_FIELDS | CLOSED_LOOP_FIELDS | RETRANSMIT_FIELDS,
     ),
     (
         "Selector", "plain tables", lambda: selector(SF),
@@ -184,6 +201,10 @@ BINDINGS = [
     ("Injector", "uniform", injector, {"ep_alive", "router_alive"}),
     (
         "Injector", "permutation", lambda: injector(traffic_spec="tornado"),
+        {"ep_alive", "router_alive"},
+    ),
+    (
+        "Injector", "hotspot", lambda: injector(traffic_spec="hotspot"),
         {"ep_alive", "router_alive"},
     ),
     ("Injector", "a router down", router_down_injector, set()),
@@ -297,6 +318,7 @@ NARROW_FIELDS = [
     ("backlog", lambda sim: sim.backlog, np.int32, build),
     ("rr", lambda sim: sim.rr, np.int32, build),
     ("nbr", lambda sim: sim.fab.nbr_mat, np.int32, build),
+    ("tail_pids", lambda sim: sim._tail_pids, np.int32, build),
     ("pkt_live", lambda sim: sim.pkt_live, np.int16, lambda: build(faults=LINKFLAP)),
 ]
 

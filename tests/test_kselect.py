@@ -534,7 +534,8 @@ def test_failed_draw_self_test_declines_every_kselect(monkeypatch, capsys):
         topo, policy, TRAFFICS.create("uniform", topo), 0.5,
         config=auto_sim_config(policy), seed=1,
     )
-    assert sim._kernel is not None and sim._kselect is None
+    # A kernel whose draws are not numpy's serves no simulator.
+    assert sim._kernel is None and sim._kselect is None
     sim.run(warmup=10, measure=20, drain=10)
 
 

@@ -9,13 +9,11 @@ observers are compared across the cycle paths in
 contract on each path.
 """
 
-import functools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.flitsim.engine import SimulatorCore
 from repro.flitsim.telemetry import LinkCounts, link_map
 
 from oracles import PATHS, build
@@ -26,13 +24,10 @@ CELL = ("polarfly:conc=2,q=5", "min", "uniform", 0.3)
 CHUNK, CHUNKS = 40, 3
 
 
-def on_path(engine, path, per_cycle):
+def on_path(engine, path):
     """The :data:`CELL` simulator on one path of :data:`oracles.PATHS`."""
     with path():
-        sim = build(*CELL, seed=11, engine=engine)
-    if per_cycle:
-        sim.advance = functools.partial(SimulatorCore.advance, sim)
-    return sim
+        return build(*CELL, seed=11, engine=engine)
 
 
 @pytest.fixture(params=[p[1:] for p in PATHS], ids=[p[0] for p in PATHS])
@@ -83,8 +78,8 @@ def test_attaching_again_keeps_the_count(sim):
 
 def test_counters_agree_across_paths_after_unmeasured_advances():
     counts = {}
-    for name, engine, path, per_cycle in PATHS:
-        s = on_path(engine, path, per_cycle)
+    for name, engine, path in PATHS:
+        s = on_path(engine, path)
         s.attach_link_telemetry()
         for _ in range(CHUNKS):
             s.advance(CHUNK)

@@ -5,7 +5,7 @@ see PAPERS.md): the vertex-count formula, the radix formula, the
 diameter <= 3 guarantee (exact BFS, not sampled — the non-residue
 matching is what keeps it from degrading to 4), connectivity, the
 default supernode choice and registry round-trips.  PolarStar cells run
-on all four cycle paths in ``tests/test_differential.py``.
+on all three cycle paths in ``tests/test_differential.py``.
 """
 
 import numpy as np

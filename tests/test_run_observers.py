@@ -3,7 +3,7 @@
 ``run(..., observers=)`` and ``run_workload(..., observers=)`` are the
 one observed-run entry: link counters, occupancy sampling and window
 records ride ``SimulatorCore._drive`` as observers, compared across the
-four cycle paths in ``tests/test_differential.py``.  Here, on each of
+three cycle paths in ``tests/test_differential.py``.  Here, on each of
 the three engines (reference, numpy flat path, C kernel):
 
 * observed runs keep their spans;

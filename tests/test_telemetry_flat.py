@@ -1,6 +1,6 @@
 """Flat-engine link telemetry: attached counters never change a run.
 
-Link counts and occupancy samples are compared across all four cycle
+Link counts and occupancy samples are compared across all three cycle
 paths in ``tests/test_differential.py``.
 """
 

@@ -1,6 +1,6 @@
 """Windowed time-series telemetry: non-perturbation + analytics.
 
-Window records are compared across all four cycle paths, open loop,
+Window records are compared across all three cycle paths, open loop,
 faulted and closed loop, in ``tests/test_differential.py``.  Collecting
 a series must not perturb the simulation itself: the windowed run's
 SimResult is bit-identical to a plain ``run()``.

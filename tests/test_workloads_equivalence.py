@@ -1,6 +1,6 @@
 """The closed-loop path outside the cycle-path comparison.
 
-Every registered workload runs on all four cycle paths in
+Every registered workload runs on all three cycle paths in
 ``tests/test_differential.py``.  Here: a run's lifecycle, seed
 determinism, partial progress at ``max_cycles``, and workload sweeps
 deterministic across worker counts and cache round trips.
