@@ -141,8 +141,9 @@ _READY_MAX = int(np.iinfo(np.int32).max)
 #: ``pkt_msg`` is the owning workload message, closed loop only — every
 #: closed-loop packet is given one, so the column needs no fill;
 #: ``pkt_next`` the next packet of its source FIFO (-1: the tail);
-#: ``route_port`` the kernel-only output port per hop, which ``kinject``
-#: resolves once per packet and the cycle path only reads; ``pkt_live``
+#: ``route_port`` the spans' output port per hop, which ``kinject``
+#: resolves once per packet and the cycle path only reads (gone once the
+#: spans decline: :meth:`FlatSimulator._decline_spans`); ``pkt_live``
 #: / ``pkt_damaged`` the fault mode's outstanding flits (drops retire a
 #: packet out of tail order, so slot recycling counts flits; at most
 #: ``packet_size``, which int16 sequence numbers already bound) and
@@ -561,6 +562,8 @@ class FlatSimulator(SimulatorCore):
         )
         #: whole-cycle spans (None: the numpy path, for good)
         self._kspan = KernelSpan(self) if self._kselect is not None else None
+        if self._kernel is not None and self._kspan is None:
+            self._decline_spans()
         #: cycles :meth:`advance` executed inside ``kcycles``
         self.span_cycles = 0
 
@@ -1277,7 +1280,7 @@ class FlatSimulator(SimulatorCore):
         rows = np.asarray(chain, dtype=np.int64)
         self._voq[vq] = 0
         self.backlog[row] -= rows.size
-        if self._kernel is not None:
+        if self._kspan is not None:
             self.row_mask[row, in_port >> 6] &= ~np.uint64(1 << (in_port & 63))
             if self.backlog[row] == 0:
                 self.busy_rows[row >> 6] &= ~np.uint64(1 << (row & 63))
@@ -1377,7 +1380,7 @@ class FlatSimulator(SimulatorCore):
         while self.now < end and not (state is not None and state.done):
             self._fault_phase()
             if self._kspan is not None and not self._kspan.bind(self):
-                self._kspan = None
+                self._decline_spans()
             if self._kspan is None:
                 self._numpy_cycle()
                 continue
@@ -1386,6 +1389,21 @@ class FlatSimulator(SimulatorCore):
             if epoch is not None:
                 stop = min(stop, epoch)
             self._kspan.run(self, stop - self.now)
+
+    def _decline_spans(self) -> None:
+        """Run the numpy path from now on, without the spans' own state.
+
+        ``kselect`` may still serve :meth:`accelerated_select`; it reads
+        the credits, the backlog and the port map alone.  So the output
+        ports per packet hop, the occupancy bits and the grant and tail
+        records go, their ``SimState`` fields bound to NULL, and no grow
+        copies or drop maintains them again.
+        """
+        self._kspan = None
+        self._slot_arrays = [a for a in self._slot_arrays if a[0] != "route_port"]
+        for attr in ("route_port", "row_mask", "busy_rows", "_grants", "_tail_pids"):
+            delattr(self, attr)
+            self._bind({attr.lstrip("_"): None})
 
     def _fault_phase(self) -> None:
         """Protocol step 0: apply the epoch taking effect this cycle."""

@@ -2,7 +2,7 @@
 
 :class:`KernelSelector` binds one policy's tables and one
 :class:`~repro.flitsim.flatcore.FlatSimulator`'s occupancy state to the
-``kselect`` entry of :mod:`repro.flitsim._kernel`, which runs the batch
+``kselect`` entry of the C kernel (``_kernel.c``), which runs the batch
 protocol of ``policy.select_routes`` — same draws from the same
 ``numpy.random.Generator`` bit stream, same routes — without the numpy
 dispatch overhead that dominated small-N sweeps.

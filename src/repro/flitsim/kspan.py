@@ -2,7 +2,7 @@
 
 :class:`KernelSpan` lets :meth:`FlatSimulator.advance
 <repro.flitsim.flatcore.FlatSimulator.advance>` hand ``n`` cycles to one
-``kcycles`` call (:mod:`repro.flitsim._kernel`) — injection (the
+``kcycles`` call (``_kernel.c``) — injection (the
 Bernoulli draw and destination pick, or the closed loop's retransmit and
 ready queues), route selection, packet-slot fill, feed, router phase,
 latency capture, fault accounting and the workload's completion commit;
@@ -53,7 +53,7 @@ from repro.flitsim.traffic import PermutationTraffic, UniformTraffic
 
 __all__ = ["KernelSpan"]
 
-#: per-packet scratch rows of the injector (``Injector`` in the C source)
+#: per-packet scratch rows of the injector (``Injector`` in ``_kernel.h``)
 _SCRATCH = ("winners", "srcs", "dsts", "slots", "mids")
 
 

@@ -10,6 +10,7 @@ cycle boundary, on whole-cycle spans (one cycle per ``advance``), kernel
 ``step()`` and numpy ``step()``, which must also agree there on the
 pools and the packet table: a closed-loop all-to-all that readies
 16 380 packets in its first cycle, and an open-loop cell past saturation.
+A simulator whose spans declined keeps none of their arrays on the way.
 """
 
 import contextlib
@@ -174,3 +175,36 @@ def test_message_ids_are_kept_closed_loop_only(monkeypatch, cell, numpy_path):
         assert (sim._fault.retransmitted_packets > 0) == closed
         assert sim._fault.retransmitted_packets == ref._fault.retransmitted_packets
     assert_same_result(*results, what=cell)
+
+
+def test_a_declined_simulator_sheds_the_span_state():
+    """A hooked ``select_routes`` declines the spans for good.  The
+    simulator then keeps no per-hop output ports, occupancy bits or
+    grant and tail records, their ``SimState`` fields are NULL, and
+    ``kselect`` still serves the policy's batches.  600 saturated cycles,
+    packet-table grows included, equal the reference engine's."""
+    args = ("polarfly:conc=2,q=7", "min", "tornado", 1.0)
+    sim, ref = build(*args), build(*args, engine=NetworkSimulator)
+    calls, served = [], []
+    select, kselect = sim.policy.select_routes, sim._kselect.select
+
+    def hooked(*a, **kw):
+        calls.append(1)
+        return select(*a, **kw)
+
+    def spied(*a, **kw):
+        served.append(1)
+        return kselect(*a, **kw)
+
+    sim.policy.select_routes = hooked
+    sim._kselect.select = spied
+    cap = sim.pkt_cap
+    got, want = sim.run(100, 400, 100), ref.run(100, 400, 100)
+    assert sim._kspan is None and sim.span_cycles == 0
+    assert len(served) == len(calls) > 0
+    assert sim.pkt_cap > cap
+    assert "route_port" not in {name for name, *_ in sim._slot_arrays}
+    for attr in ("route_port", "row_mask", "busy_rows", "_grants", "_tail_pids"):
+        assert not hasattr(sim, attr), attr
+        assert getattr(sim._st, attr.lstrip("_")) == sim._kernel.ffi.NULL, attr
+    assert_same_result(got, want)

@@ -172,7 +172,7 @@ def assert_backlog_is_voq_row_sum(sim):
     assert not sim._voq[empty].any()
     assert np.array_equal(sim._voq[~empty] - 1, last[~empty])
     assert_voq_heads_match_their_index(sim)
-    if sim._kernel is not None:
+    if sim._kspan is not None:
         assert_row_mask_is_voq_occupancy(sim, lengths)
         assert_route_ports_follow_routes(sim)
 

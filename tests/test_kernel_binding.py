@@ -128,6 +128,16 @@ def row_patched_selector():
     return sim._kselect._sel
 
 
+def declined_state():
+    """A hooked ``select_routes``: the numpy path from the first cycle,
+    with ``kselect`` still bound."""
+    sim = build()
+    sim.policy.select_routes = sim.policy.select_routes
+    sim._run_to(10)
+    assert sim._kspan is None and sim._kselect is not None
+    return sim._st
+
+
 def router_down_injector():
     """The injector of the last span, run with a router dead."""
     sim = advanced(build(faults="routerdown:count=1,cycle=5,duration=200,seed=3"))
@@ -147,6 +157,8 @@ LINK_FIELDS = {"link_flits"}
 CLOSED_LOOP_FIELDS = {"pkt_msg"}
 #: the retransmit queue: a closed loop under a retransmitting timeline
 RETRANSMIT_FIELDS = {"rt_queue", "rt_len"}
+#: the spans' own state, which a declined simulator drops
+SPAN_FIELDS = {"route_port", "row_mask", "busy_rows", "grants", "tail_pids"}
 #: Selector's table mode and its coordinate mode (an intact PolarFly;
 #: an intact PolarStar binds the supernode layer too)
 TABLE_FIELDS = {"dist", "patch", "patch_row", "first", "count"}
@@ -186,6 +198,11 @@ BINDINGS = [
     (
         "SimState", "link telemetry", telemetry_state,
         FAULT_FIELDS | CLOSED_LOOP_FIELDS | RETRANSMIT_FIELDS,
+    ),
+    (
+        "SimState", "declined", declined_state,
+        SPAN_FIELDS | FAULT_FIELDS | LINK_FIELDS | CLOSED_LOOP_FIELDS
+        | RETRANSMIT_FIELDS,
     ),
     (
         "Selector", "plain tables", lambda: selector(SF),

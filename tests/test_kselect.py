@@ -17,6 +17,8 @@ checked on every pair.
 """
 
 import contextlib
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -492,8 +494,9 @@ def test_draw_self_test_passes_and_is_cheap():
         ("_COMPILE_ARGS", ("-O2", "-g")),
         # The parts are delimited: text moved across a boundary counts.
         ("_COMPILE_ARGS", ("-O", "2")),
-        ("_CDEF", kmod._CDEF + "int64_t kextra(void);"),
-        ("_C_SOURCE", kmod._C_SOURCE + "/* */"),
+        # One byte of a copy of either source file.
+        ("_kernel.c", None),
+        ("_kernel.h", None),
         # No leading underscore: the environment's build variables,
         # which setuptools applies on top.
         ("CC", "clang"),
@@ -503,20 +506,62 @@ def test_draw_self_test_passes_and_is_cheap():
     ],
 )
 def test_kernel_cache_key_covers_source_prototypes_and_flags(
-    monkeypatch, part, changed
+    monkeypatch, tmp_path, part, changed
 ):
     """The cached build is named by everything it is compiled from, so
-    a changed prototype or compiler flag never loads a stale ``.so`` —
-    nor a sanitizer build a plain one, or the other way round."""
+    an edited source file, prototype or compiler flag never loads a
+    stale ``.so`` — nor a sanitizer build a plain one, or the other way
+    round."""
     name = kmod._module_name()
     module = load_kernel()
     if module is not None:
         assert module.__name__ == name
-    if part.startswith("_"):
+    if part.startswith("_kernel."):
+        for source in ("_kernel.c", "_kernel.h"):
+            shutil.copy(os.path.join(kmod._DIR, source), tmp_path)
+        monkeypatch.setattr(kmod, "_DIR", str(tmp_path))
+        # The bytes are the key, not where they live.
+        assert kmod._module_name() == name
+        data = bytearray((tmp_path / part).read_bytes())
+        data[len(data) // 2] ^= 1
+        (tmp_path / part).write_bytes(bytes(data))
+    elif part.startswith("_"):
         monkeypatch.setattr(kmod, part, changed)
     else:
         monkeypatch.setenv(part, changed)
     assert kmod._module_name() != name
+
+
+def test_a_missing_kernel_source_runs_the_numpy_path(monkeypatch, tmp_path, capsys):
+    """No ``_kernel.c`` to build from: one stderr line naming the file,
+    no kernel, and a simulator whose results are the numpy path's."""
+    topo, tables = tables_for(PF_SPEC)
+
+    def simulate():
+        policy = POLICIES.create("ugal-pf", tables)
+        sim = FlatSimulator(
+            topo, policy, TRAFFICS.create("uniform", topo), 0.6,
+            config=auto_sim_config(policy), seed=5,
+        )
+        return sim, sim.run(warmup=20, measure=60, drain=20)
+
+    with numpy_fallback():
+        _, want = simulate()
+    capsys.readouterr()
+    monkeypatch.setattr(kmod, "_DIR", str(tmp_path))
+    monkeypatch.setattr(kmod, "_cached", False)
+    monkeypatch.setattr(kmod, "_module", None)
+    monkeypatch.setattr(kmod, "_diagnosed", set())
+    monkeypatch.delenv("REPRO_FLAT_KERNEL", raising=False)
+    assert load_kernel() is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(tmp_path / "_kernel.c") in err, err
+    sim, got = simulate()
+    assert sim._kernel is None and sim._kspan is None
+    assert got.injected_flits == want.injected_flits > 0
+    assert got.ejected_flits == want.ejected_flits
+    assert np.array_equal(got.latencies, want.latencies)
+    assert np.array_equal(got.hop_counts, want.hop_counts)
 
 
 @needs_kernel
