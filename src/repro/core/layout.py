@@ -94,10 +94,6 @@ class ClusterLayout:
         """Vertex indices of cluster ``i`` (sorted)."""
         return np.flatnonzero(self.cluster_of == i)
 
-    def clusters(self) -> list[np.ndarray]:
-        """All clusters, ``C0`` first."""
-        return [self.cluster(i) for i in range(self.num_clusters)]
-
     def center(self, i: int) -> int:
         """Center vertex of non-quadric cluster ``i >= 1``."""
         if i == 0:

@@ -142,9 +142,6 @@ class ResultCache:
         """The failure artifact for ``key``, or None."""
         return read_json_artifact(self.failed_dir / f"{key}.json")
 
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key).is_file()
-
     def __len__(self) -> int:
         if not self.root.is_dir():
             return 0
@@ -171,6 +168,3 @@ class ResultCache:
                     except OSError:
                         pass  # stray non-artifact files: leave the shard
         return removed
-
-    def __repr__(self) -> str:
-        return f"ResultCache({str(self.root)!r}, entries={len(self)})"

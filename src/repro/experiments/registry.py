@@ -133,10 +133,6 @@ class Registry:
         self._ensure()
         return self._examples[name]
 
-    def __contains__(self, name: str) -> bool:
-        self._ensure()
-        return name in self._factories
-
     def parse(self, spec: str) -> "tuple[str, dict]":
         """Split ``spec`` into ``(name, kwargs)``; validates the name."""
         if not isinstance(spec, str) or not spec:

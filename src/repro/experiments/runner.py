@@ -128,11 +128,13 @@ def default_worker_count() -> int:
 
 
 def _estimate_routers(topo_spec: str) -> int:
-    """Crude router-count estimate parsed from a topology spec string.
+    """Router count read from a topology spec string, without a build.
 
     Only used to derive a generous default per-cell timeout
-    (cycles x routers) without building the topology in the parent; a
-    wrong guess just loosens or tightens the hang guard, never results.
+    (cycles x routers) in the parent.  Exact for every registered
+    family, except a PolarStar whose supernode order is left to its
+    default: ``2q + 3`` bounds that from above.  An unknown name or a
+    missing parameter guesses 1 024.
     """
     name, _, params = topo_spec.partition(":")
     kv: dict = {}
@@ -142,19 +144,25 @@ def _estimate_routers(topo_spec: str) -> int:
             kv[k.strip()] = int(v)
         except ValueError:
             pass
-    q = kv.get("q", 0)
-    if name == "polarfly" and q:
-        return q * q + q + 1
-    if name == "polarstar" and q:
-        return (q * q + q + 1) * max(1, kv.get("sq", 2 * q + 3))
-    if name == "slimfly" and q:
-        return 2 * q * q
-    if name == "dragonfly" and kv.get("a") and kv.get("h"):
-        return kv["a"] * (kv["a"] * kv["h"] + 1)
-    for alias in ("n", "size", "num_routers"):
-        if kv.get(alias):
-            return kv[alias]
-    return 1024
+    q, n = kv.get("q", 0), kv.get("n", 0)
+    if name == "polarfly":
+        count = q * q + q + 1 if q else 0
+    elif name == "polarstar":
+        count = (q * q + q + 1) * (kv.get("sq") or 2 * q + 3) if q else 0
+    elif name == "slimfly":
+        count = 2 * q * q
+    elif name == "dragonfly":
+        count = kv.get("a", 0) * (kv.get("a", 0) * kv.get("h", 0) + 1)
+    elif name == "fattree":
+        n = n or 3
+        count = n * kv.get("k", 0) ** (n - 1)
+    elif name == "hyperx":
+        count = kv.get("S", 0) ** kv["L"] if kv.get("L") else 0
+    elif name == "jellyfish":
+        count = n
+    else:
+        count = {"petersen": 10, "hoffman-singleton": 50}.get(name, 0)
+    return count or 1024
 
 
 def cell_timeout(cell: dict) -> float:

@@ -78,13 +78,6 @@ class FaultResult:
     def post_fault_p99_latency(self) -> float:
         return _pct(self.post_fault_latencies, 99)
 
-    @property
-    def latency_inflation(self) -> float:
-        """Post-fault over pre-fault mean latency (NaN without samples)."""
-        pre = self.pre_fault_avg_latency
-        post = self.post_fault_avg_latency
-        return post / pre if pre and pre == pre else float("nan")
-
     def summary(self) -> dict:
         """JSON-safe headline statistics (what faulted sweep cells persist).
 

@@ -106,9 +106,6 @@ class FaultTimeline:
         """Cycle of the earliest event (-1 for an empty timeline)."""
         return self.events[0].cycle if self.events else -1
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def __iter__(self):
         return iter(self.events)
 

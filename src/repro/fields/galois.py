@@ -253,15 +253,6 @@ class FiniteField:
             return True  # squaring is a bijection in characteristic 2
         return int(self._log_table[a]) % 2 == 0
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteField) and other.q == self.q
-
-    def __hash__(self) -> int:
-        return hash(("FiniteField", self.q))
-
-    def __repr__(self) -> str:
-        return f"GF({self.q})"
-
 
 @lru_cache(maxsize=64)
 def GF(q: int) -> FiniteField:

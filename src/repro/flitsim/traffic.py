@@ -41,6 +41,13 @@ class TrafficPattern:
     Only *terminal* routers — those hosting at least one endpoint — send
     or receive traffic; on direct networks that is every router, while on
     a fat tree it is the edge switches.
+
+    A pattern provides ``dest_routers(src_routers, rng)``, the simulator's
+    injection entry point (both engines): one call per cycle with all
+    Bernoulli winners, in endpoint order, returning their destination
+    routers.  A pattern's RNG consumption is defined by that method; the
+    scalar ``dest_router(src_router, rng)`` each pattern also provides
+    need not consume the stream identically.
     """
 
     name = "abstract"
@@ -55,25 +62,6 @@ class TrafficPattern:
         # Array form of _pos for the batched/vectorized path.
         self._pos_arr = np.full(topo.num_routers, -1, dtype=np.int64)
         self._pos_arr[terminals] = np.arange(terminals.size)
-
-    def dest_router(self, src_router: int, rng) -> int:
-        """Destination router for a packet injected at ``src_router``."""
-        raise NotImplementedError
-
-    def dest_routers(self, src_routers, rng) -> np.ndarray:
-        """Destination routers for a batch of same-cycle injections.
-
-        The simulator's injection entry point (both engines): one call
-        per cycle with all Bernoulli winners, in endpoint order.  The
-        base implementation draws per source in order; patterns override
-        it with a single vectorized RNG draw where possible.  A pattern's
-        RNG consumption is defined by *this* method — scalar
-        :meth:`dest_router` need not consume the stream identically.
-        """
-        out = np.empty(len(src_routers), dtype=np.int64)
-        for i, src in enumerate(src_routers):
-            out[i] = self.dest_router(int(src), rng)
-        return out
 
 
 class UniformTraffic(TrafficPattern):

@@ -27,11 +27,13 @@ On top of the raw series:
 * :func:`fault_recovery` — pre-fault baseline throughput and the first
   post-fault window that recovers to it (feeds
   :class:`repro.faults.FaultResult`);
+* :func:`emit_window_events` — one flat ``ts.window`` JSONL row per
+  window through the :mod:`repro.obs` sink (schema in the package
+  docstring);
 * :func:`chrome_trace` / :func:`chrome_trace_from_events` /
-  :func:`write_chrome_trace` — Chrome-trace ("Perfetto") JSON export,
-  one counter track per signal plus instant events for fault markers;
-* :func:`emit_window_events` — one ``ts.window`` JSONL row per window
-  through the :mod:`repro.obs` sink (schema in the package docstring).
+  :func:`write_chrome_trace` — Chrome-trace ("Perfetto") JSON export
+  built from those same rows, one counter track per signal plus instant
+  events for fault markers.
 
 Everything a window record holds is JSON-safe (ints, floats, ``None``,
 lists), so a series survives the :class:`~repro.experiments.ResultCache`
@@ -306,145 +308,19 @@ def fault_recovery(
 
 
 # ---------------------------------------------------------------------------
-# Chrome-trace ("Perfetto") export
-
-#: per-window counter tracks emitted to a trace, as (track name, args
-#: builder).  One trace timestamp unit == one simulated cycle (the
-#: viewer labels it "us"; ``displayTimeUnit`` keeps the scale readable).
-def _counter_events(w: dict, pid: int, ts0: int) -> list:
-    lat = w["latency"]
-    occ = w["occupancy"]
-    ts = ts0 + w["start"]
-    return [
-        {
-            "ph": "C", "pid": pid, "ts": ts, "name": "flits",
-            "args": {
-                "injected": w["injected"],
-                "ejected": w["ejected"],
-                "dropped": w["dropped"],
-            },
-        },
-        {
-            "ph": "C", "pid": pid, "ts": ts, "name": "latency",
-            "args": {
-                "p50": lat["p50"] or 0.0,
-                "p99": lat["p99"] or 0.0,
-            },
-        },
-        {
-            "ph": "C", "pid": pid, "ts": ts, "name": "occupancy",
-            "args": {"mean": occ["mean"] or 0.0},
-        },
-        {
-            "ph": "C", "pid": pid, "ts": ts, "name": "link_flits",
-            "args": {"total": w["link_total"]},
-        },
-    ]
+# Flat ``ts.window`` rows: the JSONL records and the Chrome-trace source
 
 
-def _fault_events(w: dict, pid: int, ts0: int) -> list:
-    return [
-        {
-            "ph": "i", "pid": pid, "tid": 0, "ts": ts0 + int(c),
-            "name": "fault", "s": "g", "cat": "fault",
-        }
-        for c in w["faults"]
-    ]
+def _window_rows(series: WindowSeries, key: "str | None" = None) -> list:
+    """One flat ``ts.window`` row per window (schema in :mod:`repro.obs`).
 
-
-def chrome_trace(series: WindowSeries, name: str = "flitsim", pid: int = 0) -> dict:
-    """One run's series as a Chrome-trace JSON document (a plain dict).
-
-    Counter tracks (``ph: "C"``) for flit deltas, latency percentiles,
-    mean occupancy, and total link flits — one point per window at the
-    window's start cycle — plus one global instant event (``ph: "i"``)
-    per fault marker.  Load the result in ``chrome://tracing`` or
-    https://ui.perfetto.dev.
+    Nested stats are flattened with ``lat_`` / ``occ_`` prefixes so the
+    rows grep/jq cleanly.
     """
-    events: list = [
-        {
-            "ph": "M", "pid": pid, "name": "process_name",
-            "args": {"name": name},
-        }
-    ]
+    rows = []
     for w in series.windows:
-        events.extend(_counter_events(w, pid, 0))
-        events.extend(_fault_events(w, pid, 0))
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "window": series.window,
-            "start_cycle": series.start_cycle,
-            "unit": "1 trace us == 1 simulated cycle",
-        },
-    }
-
-
-def chrome_trace_from_events(events: list) -> dict:
-    """A combined Chrome trace from merged ``ts.window`` JSONL records.
-
-    Groups records by their ``key`` field (one trace process per sweep
-    cell) and rebuilds the same counter/instant tracks as
-    :func:`chrome_trace` — the ``tools/obsreport.py --trace`` path.
-    Records other than ``ts.window`` are ignored.
-    """
-    by_key: dict = {}
-    for rec in events:
-        if rec.get("ev") != "ts.window":
-            continue
-        by_key.setdefault(rec.get("key") or "-", []).append(rec)
-    out: list = []
-    for pid, (key, recs) in enumerate(sorted(by_key.items())):
-        out.append(
-            {
-                "ph": "M", "pid": pid, "name": "process_name",
-                "args": {"name": f"cell {key}"},
-            }
-        )
-        for rec in sorted(recs, key=lambda r: r.get("index", 0)):
-            w = {
-                "start": rec.get("start", 0),
-                "injected": rec.get("injected", 0),
-                "ejected": rec.get("ejected", 0),
-                "dropped": rec.get("dropped", 0),
-                "latency": {
-                    "p50": rec.get("lat_p50"), "p99": rec.get("lat_p99"),
-                },
-                "occupancy": {"mean": rec.get("occ_mean")},
-                "link_total": rec.get("link_total", 0),
-                "faults": rec.get("faults", []),
-            }
-            out.extend(_counter_events(w, pid, 0))
-            out.extend(_fault_events(w, pid, 0))
-    return {"traceEvents": out, "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(doc, path: str) -> str:
-    """Write a trace (a :class:`WindowSeries` or a trace dict) to ``path``."""
-    if isinstance(doc, WindowSeries):
-        doc = chrome_trace(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-    return path
-
-
-# ---------------------------------------------------------------------------
-# JSONL emission through the repro.obs sink
-
-
-def emit_window_events(series: WindowSeries, key: "str | None" = None) -> None:
-    """Emit one ``ts.window`` record per window (no-op when obs is off).
-
-    Flat fields (schema in the :mod:`repro.obs` package docstring) so
-    the rows grep/jq cleanly; nested stats are flattened with ``lat_`` /
-    ``occ_`` prefixes.
-    """
-    for w in series.windows:
-        lat = w["latency"]
-        occ = w["occupancy"]
-        emit(
-            "ts.window",
+        lat, occ = w["latency"], w["occupancy"]
+        rows.append(dict(
             key=key,
             index=w["index"],
             start=w["start"],
@@ -465,4 +341,104 @@ def emit_window_events(series: WindowSeries, key: "str | None" = None) -> None:
             link_total=w["link_total"],
             top_links=w["top_links"],
             faults=w["faults"],
-        )
+        ))
+    return rows
+
+
+def emit_window_events(series: WindowSeries, key: "str | None" = None) -> None:
+    """Emit one ``ts.window`` row per window (no-op when obs is off)."""
+    for row in _window_rows(series, key):
+        emit("ts.window", **row)
+
+
+# ---------------------------------------------------------------------------
+# Chrome-trace ("Perfetto") export: one trace timestamp unit == one
+# simulated cycle (the viewer labels it "us"; ``displayTimeUnit`` keeps
+# the scale readable).
+
+
+def _trace_process(rows: list, pid: int, name: str) -> list:
+    """A process-name record, then per window (in index order) one point
+    on each counter track — flit deltas, latency percentiles, mean
+    occupancy, total link flits — at the window's start cycle, and one
+    global instant event per fault marker."""
+    out: list = [
+        {"ph": "M", "pid": pid, "name": "process_name", "args": {"name": name}},
+    ]
+    for row in sorted(rows, key=lambda r: r["index"]):
+        ts = row["start"]
+        out += [
+            {
+                "ph": "C", "pid": pid, "ts": ts, "name": "flits",
+                "args": {
+                    "injected": row["injected"],
+                    "ejected": row["ejected"],
+                    "dropped": row["dropped"],
+                },
+            },
+            {
+                "ph": "C", "pid": pid, "ts": ts, "name": "latency",
+                "args": {"p50": row["lat_p50"] or 0.0, "p99": row["lat_p99"] or 0.0},
+            },
+            {
+                "ph": "C", "pid": pid, "ts": ts, "name": "occupancy",
+                "args": {"mean": row["occ_mean"] or 0.0},
+            },
+            {
+                "ph": "C", "pid": pid, "ts": ts, "name": "link_flits",
+                "args": {"total": row["link_total"]},
+            },
+        ]
+        out += [
+            {
+                "ph": "i", "pid": pid, "tid": 0, "ts": int(c),
+                "name": "fault", "s": "g", "cat": "fault",
+            }
+            for c in row["faults"]
+        ]
+    return out
+
+
+def chrome_trace(series: WindowSeries, name: str = "flitsim", pid: int = 0) -> dict:
+    """One run's series as a Chrome-trace JSON document (a plain dict).
+
+    The tracks of :func:`_trace_process`, built from the rows
+    :func:`emit_window_events` writes.  Load the result in ``chrome://tracing`` or
+    https://ui.perfetto.dev.
+    """
+    return {
+        "traceEvents": _trace_process(_window_rows(series), pid, name),
+        "displayTimeUnit": "ms",
+        "otherData": {
+            "window": series.window,
+            "start_cycle": series.start_cycle,
+            "unit": "1 trace us == 1 simulated cycle",
+        },
+    }
+
+
+def chrome_trace_from_events(events: list) -> dict:
+    """A combined Chrome trace from merged ``ts.window`` JSONL records.
+
+    Groups records by their ``key`` field (one trace process per sweep
+    cell) and builds the same tracks as :func:`chrome_trace` — the
+    ``tools/obsreport.py --trace`` path.  Records other than
+    ``ts.window`` are ignored.
+    """
+    by_key: dict = {}
+    for rec in events:
+        if rec.get("ev") == "ts.window":
+            by_key.setdefault(rec.get("key") or "-", []).append(rec)
+    out: list = []
+    for pid, (key, rows) in enumerate(sorted(by_key.items())):
+        out += _trace_process(rows, pid, f"cell {key}")
+    return {"traceEvents": out, "displayTimeUnit": "ms"}
+
+
+def write_chrome_trace(doc, path: str) -> str:
+    """Write a trace (a :class:`WindowSeries` or a trace dict) to ``path``."""
+    if isinstance(doc, WindowSeries):
+        doc = chrome_trace(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, separators=(",", ":"))
+    return path

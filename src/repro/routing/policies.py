@@ -64,12 +64,12 @@ __all__ = [
 class CongestionView(Protocol):
     """Local congestion info a router can legally observe (credits)."""
 
-    def output_occupancies(self, routers, next_hops) -> np.ndarray:
+    def output_occupancies(self, routers, next_hops) -> np.ndarray:  # pragma: no cover - abstract
         """Flits occupying each ``routers[i]``'s output buffer toward
         ``next_hops[i]`` (parallel index arrays)."""
         ...
 
-    def output_capacity(self) -> int:
+    def output_capacity(self) -> int:  # pragma: no cover - abstract
         """Total flit capacity of one output buffer (all VCs)."""
         ...
 
@@ -166,7 +166,7 @@ class RoutingPolicy:
         self.tables = tables
         self.topo = tables.topo
 
-    def select_routes(
+    def select_routes(  # pragma: no cover - abstract
         self, srcs, dsts, rng, congestion: CongestionView = ZERO_CONGESTION
     ) -> tuple:
         """Routes for a batch of same-cycle injections, in order.

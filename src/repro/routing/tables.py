@@ -417,10 +417,6 @@ class RoutingTables:
             path.append(cur)
         return path
 
-    def path_length(self, path: list[int]) -> int:
-        """Hop count of a router path."""
-        return len(path) - 1
-
     # ------------------------------------------------------------------
     # Batched extraction (the per-cycle routing hot path)
     # ------------------------------------------------------------------

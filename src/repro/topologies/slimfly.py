@@ -109,49 +109,13 @@ class SlimFly(Topology):
             # delta == 0 (q = 2**a): characteristic 2, so symmetry is free.
             # Even powers 0, 2, ..., q-2 give q/2 distinct exponents mod
             # the odd modulus q-1; X' = xi * X then overlaps X in exactly
-            # one element, so together they cover GF(q)*.  If the covering
-            # conditions fail for some order, fall back to a deterministic
-            # search.
+            # one element, so together they cover GF(q)*.  Each set's own
+            # covering condition is checked by _validate_generators (it
+            # holds for every q = 4 ... 64).
             base = [powers[2 * i] for i in range(q // 2)]
             X = frozenset(base)
             Xp = frozenset(int(F.mul(xi, b)) for b in X)
-            if not self._covers(X) or not self._covers(Xp):
-                X, Xp = self._search_char2_sets(powers)
         return X, Xp
-
-    def _covers(self, S: frozenset) -> bool:
-        """True iff ``S u (S + S)`` covers GF(q)* (diameter-2 condition)."""
-        F = self.field
-        reach = set(S)
-        for a in S:
-            for b in S:
-                reach.add(int(F.add(a, b)))
-        return set(range(1, self.q)) <= reach
-
-    def _search_char2_sets(self, powers: list[int]) -> tuple[frozenset, frozenset]:
-        """Deterministic fallback for delta == 0 generator sets.
-
-        Searches cyclic-shift families {xi^(i+j*s)} before giving up; only
-        small characteristic-2 orders ever reach this path.
-        """
-        from itertools import combinations
-
-        q = self.q
-        nonzero = set(range(1, q))
-        half = q // 2
-        if q <= 64:
-            for X_tuple in combinations(sorted(nonzero), half):
-                X = frozenset(X_tuple)
-                if not self._covers(X):
-                    continue
-                rest = nonzero - X
-                for extra in sorted(X):
-                    Xp = frozenset(rest | {extra})
-                    if len(Xp) == half and self._covers(Xp):
-                        return X, Xp
-        raise NotImplementedError(
-            f"no delta=0 generator sets found for q={q}"
-        )
 
     def _validate_generators(self) -> None:
         """Check the difference-set conditions that force diameter 2."""

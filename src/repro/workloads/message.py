@@ -202,9 +202,3 @@ class Workload:
                     tuple(deps[i]))
             for i in range(self.num_messages)
         ]
-
-    def __repr__(self) -> str:
-        return (
-            f"Workload({self.name!r}, messages={self.num_messages}, "
-            f"payload_flits={self.total_payload_flits})"
-        )

@@ -16,8 +16,10 @@ from repro.experiments import (
     SweepRunner,
     cell_hash,
 )
+from repro.experiments.registry import TOPOLOGIES
 from repro.experiments.runner import (
     TIMEOUT_FLOOR_S,
+    _estimate_routers,
     auto_sim_config,
     cell_timeout,
     default_worker_count,
@@ -64,6 +66,12 @@ class TestSpec:
         )
         assert len(spec.combos) == 4
         assert len(spec.cells()) == 4
+
+    def test_describe_counts_the_cells(self):
+        assert tiny_spec().describe() == (
+            "2 combo(s) x 2 load(s) = 4 cells "
+            "(warmup=80, measure=160, drain=40, root_seed=7)"
+        )
 
     def test_combo_canonicalizes_and_labels(self):
         c = Combo("polarfly:q=5,conc=2", "min", "uniform")
@@ -339,6 +347,48 @@ class TestRunner:
             assert read() == want
 
 
+#: (spec, estimate is exact): every registered family's example and one
+#: larger instance.  A PolarStar left to its default supernode order is
+#: estimated from the ``2q + 3`` bound.
+ROUTER_ESTIMATES = [
+    ("dragonfly:a=4,h=2,p=2", True),
+    ("dragonfly:a=6,h=3", True),
+    ("fattree:k=4,n=3", True),
+    ("fattree:k=8,n=3", True),
+    ("hoffman-singleton:p=2", True),
+    ("hoffman-singleton:p=7", True),
+    ("hyperx:L=2,S=3,p=1", True),
+    ("hyperx:L=3,S=5", True),
+    ("jellyfish:n=25,p=2,r=4,seed=7", True),
+    ("jellyfish:n=60,r=6", True),
+    ("petersen:p=2", True),
+    ("petersen:p=3", True),
+    ("polarfly:conc=2,q=5", True),
+    ("polarfly:q=13", True),
+    ("polarstar:conc=2,q=3,sq=5", True),
+    ("polarstar:q=4", False),
+    ("slimfly:conc=2,q=5", True),
+    ("slimfly:q=7", True),
+]
+
+
+def test_router_estimates_cover_every_family():
+    examples = {TOPOLOGIES.example(name) for name in TOPOLOGIES.names()}
+    assert examples <= {spec for spec, _ in ROUTER_ESTIMATES}
+    assert {spec.partition(":")[0] for spec, _ in ROUTER_ESTIMATES} == set(
+        TOPOLOGIES.names()
+    )
+
+
+@pytest.mark.parametrize("spec,exact", ROUTER_ESTIMATES)
+def test_router_estimate_bounds_the_built_count(spec, exact):
+    """The per-cell hang timeout scales with this guess: never under."""
+    built = TOPOLOGIES.create(spec).num_routers
+    estimate = _estimate_routers(spec)
+    assert estimate >= built
+    assert (estimate == built) == exact
+
+
 class TestObjectPath:
     def test_engine_parameter_threads_through(self):
         pf = PolarFly(5, concentration=2)
@@ -367,6 +417,23 @@ class TestAutoConfig:
         assert cfg.num_vcs == 6 and cfg.vc_depth == 5
         cfg = auto_sim_config(policy, num_vcs=4, vc_depth=2)
         assert (cfg.num_vcs, cfg.vc_depth) == (4, 2)
+
+
+def test_default_cache_is_the_env_dir_else_under_home(monkeypatch, tmp_path):
+    """The README quickstart's ``SweepRunner.with_default_cache()``."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+    runner = SweepRunner.with_default_cache(max_workers=3)
+    assert (runner.cache.root, runner.max_workers) == (tmp_path / "env", 3)
+    monkeypatch.delenv("REPRO_CACHE_DIR")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert ResultCache.default().root == tmp_path / ".cache" / "repro" / "experiments"
+    assert ResultCache.from_env() is None
+
+
+def test_package_lists_its_lazy_names():
+    import repro.experiments as package
+
+    assert set(package.__all__) <= set(dir(package))
 
 
 class TestCacheHardening:

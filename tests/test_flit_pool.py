@@ -6,9 +6,9 @@ load outruns the network, the pool never holds more than the network's
 buffers (every link input's VCs plus every injection queue) plus the one
 row per endpoint a cycle's feed may take, and its capacity passes that
 by at most the growth step that crossed it.  Both are checked at every
-cycle boundary, on whole-cycle spans (one cycle per ``advance``), kernel
-``step()`` and numpy ``step()``, which must also agree there on the
-pools and the packet table: a closed-loop all-to-all that readies
+cycle boundary, on whole-cycle spans (one cycle per ``advance``) and on
+the numpy path, which must also agree there on the pools and the packet
+table: a closed-loop all-to-all that readies
 16 380 packets in its first cycle, and an open-loop cell past saturation.
 A simulator whose spans declined keeps none of their arrays on the way.
 """
@@ -53,16 +53,13 @@ COLUMNS = ("pkt_t_created", "pkt_len", "pkt_dst", "pkt_measured")
 class PoolWatch:
     """One path's simulator and the capacity its pool last grew by."""
 
-    def __init__(self, sim, spans):
-        self.sim, self.spans = sim, spans
+    def __init__(self, sim):
+        self.sim = sim
         self.cap, self.step = sim.pool_cap, sim.pool_cap
         self.grows = 0
 
     def advance(self):
-        if self.spans:
-            self.sim.advance(1)
-        else:
-            self.sim.step()
+        self.sim.advance(1)
         cap = self.sim.pool_cap
         if cap != self.cap:
             self.step, self.cap = cap - self.cap, cap
@@ -82,17 +79,13 @@ def packet_table(sim):
 def test_pool_stays_bounded_and_paths_agree_every_cycle(cell):
     args, kwargs, cycles = CELLS[cell]
     watches = []
-    for spans, context in (
-        (True, contextlib.nullcontext),
-        (False, contextlib.nullcontext),
-        (False, numpy_fallback),
-    ):
+    for context in (contextlib.nullcontext, numpy_fallback):
         with context():
             sim = build(*args, **kwargs)
         sim._measuring = True
-        watches.append(PoolWatch(sim, spans))
-    first = watches[0].sim
-    assert first._kernel is not None and watches[2].sim._kernel is None
+        watches.append(PoolWatch(sim))
+    first, other = (watch.sim for watch in watches)
+    assert first._kernel is not None and other._kernel is None
     closed = first._wl is not None
     ceiling = buffer_capacity(first) + first.fab.E
     backlog = 0
@@ -103,20 +96,17 @@ def test_pool_stays_bounded_and_paths_agree_every_cycle(cell):
             sim = watch.sim
             assert sim.pool_cap - sim.free_top <= buffer_capacity(sim)
             assert sim.pool_cap <= ceiling + watch.step, (sim.now, watch.step)
-        for watch in watches[1:]:
-            sim = watch.sim
-            assert (sim.now, sim.packets_injected) == (first.now, first.packets_injected)
-            assert (sim.pool_cap, sim.free_top) == (first.pool_cap, first.free_top)
-            assert (sim.pkt_cap, int(sim._pslot_top[0])) == (
-                first.pkt_cap, int(first._pslot_top[0]),
-            )
-            assert np.array_equal(sim.src_seq, first.src_seq)
-            assert np.array_equal(packet_table(sim), packet_table(first)), sim.now
+        assert (other.now, other.packets_injected) == (first.now, first.packets_injected)
+        assert (other.pool_cap, other.free_top) == (first.pool_cap, first.free_top)
+        assert (other.pkt_cap, int(other._pslot_top[0])) == (
+            first.pkt_cap, int(first._pslot_top[0]),
+        )
+        assert np.array_equal(other.src_seq, first.src_seq)
+        assert np.array_equal(packet_table(other), packet_table(first)), other.now
         if first.now % 50 == 1:
             backlog = max(backlog, int(walk_fifos(first)[0].sum()))
     assert first.span_cycles == first.now
-    assert_same_state(first, watches[1].sim)
-    assert_same_state(first, watches[2].sim, rows=False)
+    assert_same_state(first, other, rows=False)
     # The backlog waited as packets: more unfed flits than the pool ever
     # had rows, which grew at most once past its first allocation.
     assert backlog > first.pool_cap

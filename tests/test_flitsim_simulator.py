@@ -10,6 +10,8 @@ from repro.flitsim import (
     SimConfig,
     TornadoTraffic,
     UniformTraffic,
+    available_engines,
+    make_simulator,
 )
 from repro.flitsim.packet import Packet
 from repro.routing import MinimalRouting, RoutingTables, UGALPFRouting, ValiantRouting
@@ -233,3 +235,13 @@ class TestCongestionView:
     def test_capacity(self, pf, minimal):
         sim = NetworkSimulator(pf, minimal, UniformTraffic(pf), 0.1)
         assert sim.output_capacity() == SimConfig().vc_depth
+
+
+def test_available_engines_are_what_make_simulator_builds(pf, minimal):
+    built = {
+        name: type(make_simulator(pf, minimal, UniformTraffic(pf), 0.1, engine=name))
+        for name in available_engines()
+    }
+    assert built == {"flat": FlatSimulator, "reference": NetworkSimulator}
+    with pytest.raises(ValueError, match="choose from flat, reference$"):
+        make_simulator(pf, minimal, UniformTraffic(pf), 0.1, engine="booksim")

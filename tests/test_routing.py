@@ -197,6 +197,16 @@ class TestUGAL:
         for s, d, path in zip(srcs, dsts, routes):
             assert len(path) - 1 == tables.distance(s, d)
 
+    def test_idle_network_keeps_ugalpf_minimal(self, pf, tables):
+        # Outside a simulation UGAL_PF scales its threshold by
+        # ZERO_CONGESTION's one-flit capacity; every queue is empty.
+        policy = UGALPFRouting(tables, threshold=0.0)
+        srcs, dsts = _pairs(pf.num_routers, 30, seed=0)
+        assert ZERO_CONGESTION.output_capacity() == 1
+        routes = _routes(policy, srcs, dsts, make_rng(0))
+        for s, d, path in zip(srcs, dsts, routes):
+            assert len(path) - 1 == tables.distance(s, d)
+
     def test_congestion_diverts(self, pf, tables):
         policy = UGALRouting(tables)
         s, d = 0, 37

@@ -10,6 +10,9 @@ extraction and Chrome-trace export.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -29,6 +32,7 @@ from oracles import assert_same_result, build
 #: topology, policy, traffic, load
 CELL = ("polarfly:conc=2,q=7", "ugal-pf", "uniform", 0.5)
 FAULT_SPEC = "linkflap:count=3,cycle=150,duration=120,seed=1"
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 class TestNonPerturbation:
@@ -202,6 +206,38 @@ class TestWindowedSweepCells:
         # scheme, so a version bump refreshes artifacts in place.
         assert plain["key"].startswith("cb65e3a13f3d")
         assert windowed["key"].startswith("e444c9c9e735")
+
+    def test_direct_trace_equals_the_obsreport_path(self, monkeypatch, tmp_path):
+        """A windowed, faulted cell under ``$REPRO_OBS`` emits its
+        ``ts.window`` rows; ``obsreport --trace`` on those and
+        ``chrome_trace`` on the cell's series give the same tracks."""
+        from repro.experiments import ExperimentSpec, SweepRunner
+
+        spec = ExperimentSpec.fault_grid(
+            ["polarfly:conc=2,q=5"], ["min"], ["uniform"],
+            ["linkflap:count=2,cycle=150,duration=100,seed=1"],
+            loads=(0.4,), root_seed=7, warmup=100, measure=240, drain=80,
+            window=60,
+        )
+        monkeypatch.setenv("REPRO_OBS", f"dir={tmp_path / 'obs'}")
+        (stats,) = SweepRunner(cache=None, max_workers=1).run(spec).cells.values()
+        series = WindowSeries.from_summary(stats["timeseries"])
+        out = tmp_path / "trace.json"
+        subprocess.run(
+            [sys.executable, os.path.join(ROOT, "tools", "obsreport.py"),
+             str(tmp_path / "obs"), "--trace", str(out)],
+            check=True, capture_output=True,
+            env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+        )
+        via = json.loads(out.read_text())["traceEvents"]
+        direct = chrome_trace(series)["traceEvents"]
+        key = spec.cells()[0]["key"][:12]
+        assert via[0] == {
+            "ph": "M", "pid": 0, "name": "process_name",
+            "args": {"name": f"cell {key}"},
+        }
+        assert via[1:] == direct[1:]
+        assert sum(e["ph"] == "i" for e in direct) == 2  # the two link downs
 
     def test_series_persists_through_cache(self, tmp_path):
         from repro.experiments import ResultCache, SweepRunner

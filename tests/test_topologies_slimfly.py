@@ -51,6 +51,22 @@ class TestGeneratorSets:
         sf = SlimFly(q)
         assert set(sf.X) | set(sf.Xp) == set(range(1, q))
 
+    @pytest.mark.parametrize("q", (4, 8, 16, 32))
+    def test_char2_sets_are_the_even_powers_and_their_shift(self, q):
+        """delta = 0, GF(2^k): X is the even powers of the primitive
+        element and X' = xi * X, which meets X once and needs no search."""
+        sf = SlimFly(q)
+        F = sf.field
+        xi = F.primitive_element
+        power, powers = 1, []
+        for _ in range(q - 1):
+            powers.append(power)
+            power = int(F.mul(power, xi))
+        assert set(sf.X) == set(powers[0::2])
+        assert set(sf.Xp) == {int(F.mul(xi, x)) for x in sf.X}
+        assert len(set(sf.X) & set(sf.Xp)) == 1
+        assert sf.diameter() == 2
+
     def test_delta1_quadratic_residues(self):
         sf = SlimFly(13)
         F = sf.field

@@ -6,6 +6,8 @@ determinism, partial progress at ``max_cycles``, and workload sweeps
 deterministic across worker counts and cache round trips.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,21 @@ def test_same_seed_is_deterministic(pf, tables):
     assert c.cycles != a.cycles or not np.array_equal(
         c.packet_latencies, a.packet_latencies
     )
+
+
+def test_packet_latency_stats_read_the_packet_samples(pf, tables):
+    """The per-packet latency the bench reports for a closed-loop cell."""
+    policy = POLICIES.create("min", tables)
+    wl = WORKLOADS.create("allreduce:algo=ring,size=64", pf)
+    res = simulate_point(pf, policy, workload=wl, seed=3)
+    lat = res.packet_latencies
+    assert len(lat) > 0
+    assert res.avg_packet_latency == np.mean(lat)
+    assert res.packet_latency_percentile(50) == np.median(lat)
+    assert res.packet_latency_percentile(100) == lat.max()
+    none = dataclasses.replace(res, packet_latencies=lat[:0])
+    assert np.isnan(none.avg_packet_latency)
+    assert np.isnan(none.packet_latency_percentile(99))
 
 
 def test_unfinished_run_reports_partial_progress(pf, tables):
